@@ -9,6 +9,7 @@ import logging
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
 
 from .errors import (
@@ -20,6 +21,7 @@ from .errors import (
     PointOutsideFluidPart,
     SolverBreakdown,
 )
+from .mesh import GAMMA_INTERIOR, edge_table
 
 log = logging.getLogger(__name__)
 
@@ -208,28 +210,26 @@ def assemble_convection(mesh, velocity=None, drift=None, drift_tensor=None,
     return _scatter(rows, cols, data, (n, n))
 
 
+def _tagged_pairs(mesh, tags):
+    """(B, 2) endpoints of the boundary edges whose tag is in tags."""
+    return np.array([pair for pair, tag in mesh.boundary_edges
+                     if tag in tags], dtype=int).reshape(-1, 2)
+
+
 def boundary_edge_geometry(mesh, tag):
     """Per tagged edge: endpoints, length, unit normal outward of the fluid."""
-    owner = {}
-    for ti, tri in enumerate(mesh.triangles):
-        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-            owner.setdefault((min(a, b), max(a, b)), []).append(ti)
-    out = []
-    for (a, b), etag in mesh.boundary_edges:
-        if etag != tag:
-            continue
-        tris = owner[(min(a, b), max(a, b))]
-        tri = mesh.triangles[tris[0]]
-        third = [v for v in tri if v != a and v != b][0]
-        pa, pb, pc = mesh.nodes[a], mesh.nodes[b], mesh.nodes[third]
-        edge = pb - pa
-        length = float(np.hypot(edge[0], edge[1]))
-        normal = np.array([edge[1], -edge[0]]) / length
-        mid = 0.5 * (pa + pb)
-        if normal @ (pc - mid) > 0:
-            normal = -normal
-        out.append((int(a), int(b), length, normal))
-    return out
+    pairs = _tagged_pairs(mesh, {tag})
+    table = edge_table(mesh)
+    tris = mesh.triangles[table.owner[table.lookup(pairs)]]
+    a, b = pairs[:, 0], pairs[:, 1]
+    pa, pb = mesh.nodes[a], mesh.nodes[b]
+    pc = mesh.nodes[tris.sum(axis=1) - a - b]
+    edge = pb - pa
+    length = np.hypot(edge[:, 0], edge[:, 1])
+    normal = np.column_stack([edge[:, 1], -edge[:, 0]]) / length[:, None]
+    toward_third = np.einsum("ed,ed->e", normal, pc - 0.5 * (pa + pb)) > 0
+    normal[toward_third] = -normal[toward_third]
+    return list(zip(a.tolist(), b.tolist(), length.tolist(), normal))
 
 
 def boundary_measure(mesh, tag):
@@ -252,7 +252,6 @@ def assemble_interface_normal_load(mesh, direction):
     boundary datum of the periodic corrector problems, and it sums to zero
     over each closed interface (discretely, to rounding).
     """
-    from .mesh import GAMMA_INTERIOR
     rhs = np.zeros(mesh.num_nodes)
     for a, b, length, normal in boundary_edge_geometry(mesh, GAMMA_INTERIOR):
         flux = -normal[direction] * length / 2.0
@@ -266,46 +265,29 @@ def assemble_interface_normal_load(mesh, direction):
 
 
 def canonical_from_pairs(n, pairs):
-    """Union-find canonical representative for each of n dofs."""
-    parent = np.arange(n)
+    """Smallest dof of each class of identified dofs, for each of n dofs.
 
-    def find(i):
-        root = i
-        while parent[root] != root:
-            root = parent[root]
-        while parent[i] != root:
-            parent[i], i = root, parent[i]
-        return root
-
-    for a, b in pairs:
-        ra, rb = find(int(a)), find(int(b))
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    return np.array([find(i) for i in range(n)])
+    The classes are the connected components of the graph whose edges are
+    the (a, b) pairs; applying the map twice gives the map.
+    """
+    pairs = np.asarray(pairs, dtype=int).reshape(-1, 2)
+    graph = sp.coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),
+                          shape=(n, n))
+    _, labels = connected_components(graph, directed=False)
+    _, smallest = np.unique(labels, return_index=True)
+    return smallest[labels]
 
 
 def periodic_prolongation(n, pairs):
-    """Sparse P mapping reduced (master) dofs to the full dof vector."""
-    canon = canonical_from_pairs(n, pairs)
-    masters = np.unique(canon)
-    index = {m: i for i, m in enumerate(masters)}
-    cols = np.array([index[c] for c in canon])
+    """Sparse P mapping reduced (master) dofs to the full dof vector.
+
+    Returns (P, cols) with cols[i] the reduced index of dof i; masters are
+    numbered in increasing order.
+    """
+    _, cols = np.unique(canonical_from_pairs(n, pairs), return_inverse=True)
     p = sp.coo_matrix((np.ones(n), (np.arange(n), cols)),
-                      shape=(n, len(masters))).tocsr()
-    return p, masters
-
-
-def apply_periodic(matrix, rhs, pairs):
-    """Merge slave dofs into masters; returns (matrix, rhs, expand)."""
-    n = matrix.shape[0]
-    p, _ = periodic_prolongation(n, pairs)
-    reduced = (p.T @ matrix @ p).tocsr()
-    rhs_r = p.T @ rhs
-
-    def expand(x):
-        return p @ x
-
-    return reduced, rhs_r, expand
+                      shape=(n, cols.max() + 1)).tocsr()
+    return p, cols
 
 
 def apply_dirichlet(matrix, rhs, nodes, values):
@@ -359,16 +341,13 @@ def constrain_system(matrix, rhs, periodic_pairs=None, dirichlet=None,
     expand = None
     augmented = False
     if periodic_pairs is not None and len(periodic_pairs):
-        n = matrix.shape[0]
-        p, masters = periodic_prolongation(n, periodic_pairs)
+        p, cols = periodic_prolongation(matrix.shape[0], periodic_pairs)
         matrix = (p.T @ matrix @ p).tocsr()
         rhs = p.T @ rhs
         expand = p
         if dirichlet is not None:
-            canon = canonical_from_pairs(n, periodic_pairs)
-            index = {m: i for i, m in enumerate(masters)}
             dofs, values = dirichlet
-            dirichlet = (np.array([index[canon[d]] for d in dofs]), values)
+            dirichlet = (cols[np.asarray(dofs, dtype=int)], values)
         if zero_mean is not None:
             if sp.issparse(zero_mean):
                 zero_mean = np.asarray(
@@ -472,14 +451,6 @@ def solve_spd(matrix, rhs, tol=DEFAULT_TOL, max_iter=None,
     return x
 
 
-def step_implicit(mass, operator, state, dt, rhs=None):
-    """One implicit Euler step: (M + dt A) c_new = M c + dt b."""
-    b = mass @ state
-    if rhs is not None:
-        b = b + dt * rhs
-    return solve_direct(mass + dt * operator, b)
-
-
 def step_reacting_pair(mass, op_plus, op_minus, c_plus, c_minus, dt):
     """Coupled implicit step for two species exchanging through the
     reaction pair (-q, +q) with q = c_plus - c_minus.
@@ -504,20 +475,9 @@ def step_reacting_pair(mass, op_plus, op_minus, c_plus, c_minus, dt):
 
 
 def _p2_data(mesh):
-    cached = mesh._caches.get("p2")
-    if cached is not None:
-        return cached
-    edge_index = {}
-    tri_edges = np.empty((mesh.num_triangles, 3), dtype=int)
-    for ti, tri in enumerate(mesh.triangles):
-        for k, (i, j) in enumerate(_EDGE_LOCAL):
-            key = (min(tri[i], tri[j]), max(tri[i], tri[j]))
-            if key not in edge_index:
-                edge_index[key] = len(edge_index)
-            tri_edges[ti, k] = edge_index[key]
-    edges = np.array(sorted(edge_index, key=edge_index.get), dtype=int)
-    mesh._caches["p2"] = (edges, tri_edges, len(edges))
-    return mesh._caches["p2"]
+    """Edges (E, 2), triangle-to-edge map (M, 3) and edge count E."""
+    table = edge_table(mesh)
+    return table.edges, table.tri_edges, len(table.edges)
 
 
 def p2_dof_count(mesh):
@@ -608,52 +568,29 @@ def assemble_p2_load(mesh, forcing):
 
 
 def _p2_boundary_dofs(mesh, tags):
-    """Vertex and edge dofs lying on boundary edges with the given tags."""
-    _, tri_edges, _ = _p2_data(mesh)
-    edge_index = {}
-    for ti, tri in enumerate(mesh.triangles):
-        for k, (i, j) in enumerate(_EDGE_LOCAL):
-            key = (min(tri[i], tri[j]), max(tri[i], tri[j]))
-            edge_index[key] = tri_edges[ti, k]
-    dofs = set()
-    for (a, b), tag in mesh.boundary_edges:
-        if tag in tags:
-            dofs.add(int(a))
-            dofs.add(int(b))
-            dofs.add(mesh.num_nodes
-                     + int(edge_index[(min(a, b), max(a, b))]))
-    return sorted(dofs)
+    """Sorted list of the vertex and edge dofs on edges with the given tags."""
+    pairs = _tagged_pairs(mesh, tags)
+    edge_dofs = mesh.num_nodes + edge_table(mesh).lookup(pairs)
+    return np.unique(np.concatenate([pairs.ravel(), edge_dofs])).tolist()
 
 
 def _p2_periodic_pairs(mesh):
-    """Periodic dof pairs for the P2 space (vertices plus face edges).
+    """Periodic dof pairs (P, 2) for the P2 space (vertices plus edges).
 
     Boundary edges whose endpoint canonical representatives coincide are
     translates of each other, so their midpoint dofs are identified by
     grouping edges on the canonical endpoint pair.
     """
-    if not len(mesh.periodic_pairs):
-        return []
-    canon = canonical_from_pairs(mesh.num_nodes, mesh.periodic_pairs)
-    _, tri_edges, _ = _p2_data(mesh)
-    edge_index = {}
-    for ti, tri in enumerate(mesh.triangles):
-        for k, (i, j) in enumerate(_EDGE_LOCAL):
-            key = (min(tri[i], tri[j]), max(tri[i], tri[j]))
-            edge_index[key] = tri_edges[ti, k]
-    pairs = [(int(a), int(b)) for a, b in mesh.periodic_pairs]
-    groups = {}
-    for (a, b), eid in edge_index.items():
-        ca, cb = int(canon[a]), int(canon[b])
-        groups.setdefault((min(ca, cb), max(ca, cb)), []).append(int(eid))
-    for eids in groups.values():
-        if len(eids) > 1:
-            master = min(eids)
-            for eid in eids:
-                if eid != master:
-                    pairs.append((mesh.num_nodes + master,
-                                  mesh.num_nodes + eid))
-    return pairs
+    n = mesh.num_nodes
+    canon = canonical_from_pairs(n, mesh.periodic_pairs)
+    ends = np.sort(canon[edge_table(mesh).edges], axis=1)
+    _, group = np.unique(ends[:, 0] * n + ends[:, 1], return_inverse=True)
+    # Edge ids ascend, so each group's first edge is its smallest.
+    _, first = np.unique(group, return_index=True)
+    master = first[group]
+    slaves = np.flatnonzero(master != np.arange(len(master)))
+    edge_pairs = np.column_stack([n + master[slaves], n + slaves])
+    return np.vstack([mesh.periodic_pairs, edge_pairs])
 
 
 class StokesOperator:
@@ -694,28 +631,18 @@ class StokesOperator:
         ], format="csr")
 
         nfull = 2 * n2 + n1
-        pairs = []
-        if self.periodic:
-            p2_pairs = _p2_periodic_pairs(mesh)
-            pairs.extend(p2_pairs)
-            pairs.extend((a_ + n2, b_ + n2) for a_, b_ in p2_pairs)
-            pairs.extend((int(a_) + 2 * n2, int(b_) + 2 * n2)
-                         for a_, b_ in mesh.periodic_pairs)
-        if pairs:
-            self.prolong, masters = periodic_prolongation(nfull, pairs)
+        p2_pairs = _p2_periodic_pairs(mesh) if self.periodic else ()
+        if len(p2_pairs):
+            pairs = np.vstack([p2_pairs, p2_pairs + n2,
+                               mesh.periodic_pairs + 2 * n2])
+            self.prolong, cols = periodic_prolongation(nfull, pairs)
         else:
             self.prolong = sp.identity(nfull, format="csr")
-            masters = np.arange(nfull)
+            cols = np.arange(nfull)
 
         reduced = (self.prolong.T @ saddle @ self.prolong).tocsr()
-        master_index = {m: i for i, m in enumerate(masters)}
-        canon = (canonical_from_pairs(nfull, pairs) if pairs
-                 else np.arange(nfull))
-        fixed = set()
-        for dof in self.no_slip_dofs:
-            for comp in (0, n2):
-                fixed.add(master_index[canon[dof + comp]])
-        self.fixed = np.array(sorted(fixed), dtype=int)
+        no_slip = np.asarray(self.no_slip_dofs, dtype=int)
+        self.fixed = np.unique(cols[np.concatenate([no_slip, no_slip + n2])])
         self.n2 = n2
         self.n1 = n1
         self.nred = reduced.shape[0]

@@ -10,7 +10,7 @@ Gauss-Seidel fashion with an inner fixed-point iteration per time step.
 
 import logging
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -294,14 +294,6 @@ def step_macro_np(state, coeffs, model, dt):
     return c_plus, c_minus
 
 
-def _update_fields(state, coeffs, regime, model):
-    if model.potential_model == POTENTIAL_ELLIPTIC:
-        state.phi = solve_macro_poisson(state, coeffs)
-    else:
-        state.phi = eval_macro_potential_dirichlet(state, coeffs, regime)
-    state.pressure, state.velocity = solve_macro_darcy(state, coeffs, model)
-
-
 def make_neutral(mesh, c_plus, c_minus):
     """Shift both species so the discrete net charge vanishes exactly.
 
@@ -316,38 +308,29 @@ def make_neutral(mesh, c_plus, c_minus):
     return c_plus - excess / 2.0, c_minus + excess / 2.0
 
 
-def run_macro(problem):
-    """Advance the macroscopic system to t_end.
+def run_steps(problem, state, update_fields, transport, lumped,
+              content_scale=1.0, iterate=True):
+    """Advance state to problem.t_end by the splitting shared by both scales.
 
-    Per step the potential, the velocity, and the transport are updated
-    in sequence; when the regime couples them (electrostatic forcing or
-    drift), the sweep is iterated to a fixed point of the new
-    concentrations.  Returns (states, diagnostics) where diagnostics is
-    one dict per step with keys t, mass, charge, min_c, max_c, fp_iters.
+    update_fields(state) recomputes the potential, pressure and velocity
+    from the concentrations in state; transport(state, c_plus, c_minus)
+    returns the concentrations one implicit step after (c_plus, c_minus)
+    under the fields in state.  With iterate, each step repeats fields
+    then transport until the new concentrations settle, raising
+    FixedPointDivergence after FIXED_POINT_MAX_ITER sweeps; without it,
+    each step is one sweep.  The fields are refreshed from the final
+    concentrations of every step.  Returns (states, diagnostics): the
+    snapshots every problem.snapshot_stride steps plus the first and the
+    last, and one dict per step with keys t, mass, charge, min_c, max_c,
+    fp_iters, where mass and charge are content_scale times the lumped
+    integrals of c+ + c- and c+ - c-.
     """
-    problem.validate()
-    model = classify_regime(problem.regime)
-    mesh = problem.mesh
-    coeffs = problem.coeffs
-    ops = _Operators(mesh, coeffs)
-    mesh._caches["macro_ops"] = ops
-    lumped = ops.lumped.diagonal()
-    coupled = (model.darcy_forcing == FORCING_ELECTRO
-               or model.np_drift == DRIFT_ON)
-
-    state = MacroState(
-        mesh=mesh, t=0.0,
-        c_plus=np.asarray(problem.c_plus, dtype=float).copy(),
-        c_minus=np.asarray(problem.c_minus, dtype=float).copy(),
-        phi=np.zeros(mesh.num_nodes),
-        pressure=np.zeros(mesh.num_nodes),
-        velocity=np.zeros((mesh.num_triangles, 2)))
-    _update_fields(state, coeffs, problem.regime, model)
+    update_fields(state)
 
     def diag_row(fp_iters):
-        total = coeffs.porosity * float(
+        total = content_scale * float(
             lumped @ (state.c_plus + state.c_minus))
-        charge = coeffs.porosity * float(
+        charge = content_scale * float(
             lumped @ (state.c_plus - state.c_minus))
         return {
             "t": state.t,
@@ -361,9 +344,15 @@ def run_macro(problem):
         }
 
     def snapshot():
-        return MacroState(mesh, state.t, state.c_plus.copy(),
-                          state.c_minus.copy(), state.phi.copy(),
-                          state.pressure.copy(), state.velocity.copy())
+        velocity = state.velocity
+        if isinstance(velocity, fem.Field):
+            velocity = fem.Field(velocity.mesh, velocity.space,
+                                 velocity.values.copy())
+        else:
+            velocity = velocity.copy()
+        return replace(state, c_plus=state.c_plus.copy(),
+                       c_minus=state.c_minus.copy(), phi=state.phi.copy(),
+                       pressure=state.pressure.copy(), velocity=velocity)
 
     states = [snapshot()]
     diagnostics = [diag_row(0)]
@@ -378,11 +367,9 @@ def run_macro(problem):
         iterations = 0
         while True:
             iterations += 1
-            _update_fields(state, coeffs, problem.regime, model)
-            base = MacroState(mesh, state.t, c_plus_old, c_minus_old,
-                              state.phi, state.pressure, state.velocity)
-            candidate = step_macro_np(base, coeffs, model, problem.dt)
-            if not coupled:
+            update_fields(state)
+            candidate = transport(state, c_plus_old, c_minus_old)
+            if not iterate:
                 break
             if previous is not None:
                 gap = max(
@@ -396,16 +383,61 @@ def run_macro(problem):
                 raise FixedPointDivergence(
                     "inner iteration did not settle within %d sweeps at "
                     "t=%g" % (FIXED_POINT_MAX_ITER, state.t),
-                    where="macro.run_macro")
+                    where="macro.run_steps")
             previous = candidate
             state.c_plus, state.c_minus = candidate
         state.c_plus, state.c_minus = candidate
         state.t = step * problem.dt
-        _update_fields(state, coeffs, problem.regime, model)
+        update_fields(state)
         diagnostics.append(diag_row(iterations))
         if step == num_steps or (problem.snapshot_stride
                                  and step % problem.snapshot_stride == 0):
             states.append(snapshot())
+    return states, diagnostics
+
+
+def run_macro(problem):
+    """Advance the macroscopic system to t_end with run_steps.
+
+    Per step the potential, the velocity, and the transport are updated
+    in sequence; when the regime couples them (electrostatic forcing or
+    drift), the sweep is iterated to a fixed point of the new
+    concentrations.  Returns (states, diagnostics) where diagnostics is
+    one dict per step with keys t, mass, charge, min_c, max_c, fp_iters;
+    mass and charge are porosity-weighted.
+    """
+    problem.validate()
+    model = classify_regime(problem.regime)
+    mesh = problem.mesh
+    coeffs = problem.coeffs
+    ops = _Operators(mesh, coeffs)
+    mesh._caches["macro_ops"] = ops
+    coupled = (model.darcy_forcing == FORCING_ELECTRO
+               or model.np_drift == DRIFT_ON)
+
+    def update_fields(state):
+        if model.potential_model == POTENTIAL_ELLIPTIC:
+            state.phi = solve_macro_poisson(state, coeffs)
+        else:
+            state.phi = eval_macro_potential_dirichlet(
+                state, coeffs, problem.regime)
+        state.pressure, state.velocity = solve_macro_darcy(
+            state, coeffs, model)
+
+    def transport(state, c_plus, c_minus):
+        base = replace(state, c_plus=c_plus, c_minus=c_minus)
+        return step_macro_np(base, coeffs, model, problem.dt)
+
+    state = MacroState(
+        mesh=mesh, t=0.0,
+        c_plus=np.asarray(problem.c_plus, dtype=float).copy(),
+        c_minus=np.asarray(problem.c_minus, dtype=float).copy(),
+        phi=np.zeros(mesh.num_nodes),
+        pressure=np.zeros(mesh.num_nodes),
+        velocity=np.zeros((mesh.num_triangles, 2)))
+    states, diagnostics = run_steps(
+        problem, state, update_fields, transport, ops.lumped.diagonal(),
+        content_scale=coeffs.porosity, iterate=coupled)
     log.info("macro run finished: %d steps, final charge %.3e",
-             num_steps, diagnostics[-1]["charge"])
+             len(diagnostics) - 1, diagnostics[-1]["charge"])
     return states, diagnostics

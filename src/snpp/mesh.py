@@ -156,17 +156,14 @@ class TriMesh:
         if np.any(areas <= 0):
             raise ValidationError("mesh contains a non-positively oriented "
                                   "or degenerate triangle")
-        edge_count = {}
-        for tri in self.triangles:
-            for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-                key = (min(a, b), max(a, b))
-                edge_count[key] = edge_count.get(key, 0) + 1
-        if any(c > 2 for c in edge_count.values()):
+        table = edge_table(self)
+        if np.any(table.counts > 2):
             raise ValidationError("mesh is not conforming: an edge is shared "
                                   "by more than two triangles")
-        boundary = {k for k, c in edge_count.items() if c == 1}
-        tagged = {(min(a, b), max(a, b)) for (a, b), _ in self.boundary_edges}
-        if boundary != tagged:
+        tagged = np.sort(np.array([pair for pair, _ in self.boundary_edges],
+                                  dtype=int).reshape(-1, 2), axis=1)
+        if not np.array_equal(np.unique(tagged, axis=0),
+                              table.edges[table.boundary()]):
             raise ValidationError("boundary edge tags do not cover the "
                                   "topological boundary exactly")
         gamma_degree = {}
@@ -192,6 +189,61 @@ class TriMesh:
     @property
     def num_triangles(self):
         return len(self.triangles)
+
+
+class EdgeTable:
+    """Unique edges of a triangulation.
+
+    Edges are numbered in order of first appearance, triangle by triangle
+    over the local edges (1, 2), (2, 0), (0, 1); the P2 edge dofs follow
+    this numbering.
+
+    edges : (E, 2) int array of endpoints, smaller node id first
+    tri_edges : (M, 3) int array, edge id of each local edge
+    counts : (E,) number of triangles sharing each edge
+    owner : (E,) first triangle containing each edge
+    """
+
+    def __init__(self, triangles):
+        tris = np.asarray(triangles, dtype=np.int64)
+        pairs = np.sort(tris[:, [1, 2, 2, 0, 0, 1]].reshape(-1, 2), axis=1)
+        self._base = int(tris.max()) + 1 if tris.size else 1
+        keys, first, inverse, counts = np.unique(
+            pairs[:, 0] * self._base + pairs[:, 1], return_index=True,
+            return_inverse=True, return_counts=True)
+        # np.unique numbers the edges by key; renumber them by first use.
+        by_use = np.argsort(first)
+        self._keys = keys
+        self._ids = np.empty_like(by_use)
+        self._ids[by_use] = np.arange(len(by_use))
+        self.edges = pairs[first[by_use]]
+        self.tri_edges = self._ids[inverse].reshape(-1, 3)
+        self.counts = counts[by_use]
+        self.owner = first[by_use] // 3
+
+    def lookup(self, pairs):
+        """Edge ids of (a, b) node pairs given in either orientation."""
+        pairs = np.sort(np.asarray(pairs, dtype=np.int64).reshape(-1, 2),
+                        axis=1)
+        keys = pairs[:, 0] * self._base + pairs[:, 1]
+        pos = np.minimum(np.searchsorted(self._keys, keys),
+                         len(self._keys) - 1)
+        ids = self._ids[pos]
+        if not np.array_equal(self.edges[ids], pairs):
+            raise ValidationError("node pair is not an edge of the mesh")
+        return ids
+
+    def boundary(self):
+        """Ids of the edges of a single triangle, sorted by endpoints."""
+        return self._ids[self.counts[self._ids] == 1]
+
+
+def edge_table(mesh):
+    """The mesh's EdgeTable, built on first use."""
+    table = mesh._caches.get("edges")
+    if table is None:
+        table = mesh._caches["edges"] = EdgeTable(mesh.triangles)
+    return table
 
 
 def triangle_areas(mesh):
@@ -237,29 +289,6 @@ def count_interior_loops(mesh):
             seen.add(node)
             stack.extend(adjacency[node])
     return loops
-
-
-def periodic_canonical_map(mesh):
-    """Canonical representative per node under periodic identification.
-
-    Applying the map twice is the identity by construction (union-find
-    with path compression, smallest index as root).
-    """
-    parent = np.arange(mesh.num_nodes)
-
-    def find(i):
-        root = i
-        while parent[root] != root:
-            root = parent[root]
-        while parent[i] != root:
-            parent[i], i = root, parent[i]
-        return root
-
-    for master, slave in np.asarray(mesh.periodic_pairs, dtype=int):
-        ra, rb = find(master), find(slave)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    return np.array([find(i) for i in range(mesh.num_nodes)])
 
 
 def _structured_square(n):
@@ -422,24 +451,35 @@ def _build_cell(inclusion, target_h):
     return nodes, tris
 
 
-def _find_boundary_edges(nodes, tris, width=1.0, height=1.0):
-    edge_count = {}
-    for t in tris:
-        for a, b in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0])):
-            key = (min(a, b), max(a, b))
-            edge_count[key] = edge_count.get(key, 0) + 1
-    out = []
-    for (a, b), count in sorted(edge_count.items()):
-        if count != 1:
-            continue
-        xa, ya = nodes[a]
-        xb, yb = nodes[b]
-        outer = all(
-            min(abs(x), abs(x - width)) < 1e-9 or min(abs(y), abs(y - height)) < 1e-9
-            for x, y in ((xa, ya), (xb, yb)))
-        out.append(((int(a), int(b)),
-                    OUTER_BOUNDARY if outer else GAMMA_INTERIOR))
-    return out
+def _find_boundary_edges(nodes, table, width=1.0, height=1.0):
+    """Single-triangle edges in lexicographic order, tagged by position.
+
+    An edge with both endpoints on the outer rectangle is OuterBoundary,
+    any other GammaInterior.
+    """
+    edges = table.edges[table.boundary()]
+    x, y = nodes[:, 0], nodes[:, 1]
+    on_outer = ((np.minimum(np.abs(x), np.abs(x - width)) < 1e-9)
+                | (np.minimum(np.abs(y), np.abs(y - height)) < 1e-9))
+    outer = on_outer[edges].all(axis=1)
+    return [((a, b), OUTER_BOUNDARY if o else GAMMA_INTERIOR)
+            for (a, b), o in zip(edges.tolist(), outer)]
+
+
+def _tagged_mesh(nodes, tris, periodic_pairs, width=1.0, height=1.0,
+                 **record):
+    """Validated TriMesh with boundary tags and its edge table cached."""
+    tris = np.asarray(tris, dtype=int)
+    table = EdgeTable(tris)
+    mesh = TriMesh(
+        nodes=nodes,
+        triangles=tris,
+        boundary_edges=_find_boundary_edges(nodes, table, width, height),
+        periodic_pairs=np.asarray(periodic_pairs, dtype=int).reshape(-1, 2),
+        **record)
+    mesh._caches["edges"] = table
+    mesh.validate()
+    return mesh
 
 
 def _match_faces(nodes, axis, low, high):
@@ -482,13 +522,7 @@ def generate_unit_cell_mesh(geom):
                      where="mesh.generate_unit_cell_mesh")
     pairs = (_match_faces(nodes, 0, 0.0, 1.0)
              + _match_faces(nodes, 1, 0.0, 1.0))
-    mesh = TriMesh(
-        nodes=nodes,
-        triangles=np.asarray(tris, dtype=int),
-        boundary_edges=_find_boundary_edges(nodes, tris),
-        periodic_pairs=np.asarray(pairs, dtype=int).reshape(-1, 2),
-    )
-    mesh.validate()
+    mesh = _tagged_mesh(nodes, tris, pairs)
     log.debug("unit cell mesh: %d nodes, %d triangles, area %.6f",
               mesh.num_nodes, mesh.num_triangles, mesh_area(mesh))
     return mesh
@@ -511,13 +545,7 @@ def generate_perforated_mesh(dom, target_h):
     cell_nodes, cell_tris = _build_cell(dom.cell.inclusion, h_cell)
     cell_pairs = (_match_faces(cell_nodes, 0, 0.0, 1.0)
                   + _match_faces(cell_nodes, 1, 0.0, 1.0))
-    cell_mesh = TriMesh(
-        nodes=cell_nodes,
-        triangles=np.asarray(cell_tris, dtype=int),
-        boundary_edges=_find_boundary_edges(cell_nodes, cell_tris),
-        periodic_pairs=np.asarray(cell_pairs, dtype=int).reshape(-1, 2),
-    )
-    cell_mesh.validate()
+    cell_mesh = _tagged_mesh(cell_nodes, cell_tris, cell_pairs)
 
     nx, ny = dom.cell_counts
     eps = dom.eps
@@ -541,21 +569,10 @@ def generate_perforated_mesh(dom, target_h):
     node_origin = np.empty(len(merged), dtype=int)
     node_origin[remap] = origin_all
 
-    tris = np.vstack(tris_out)
-    mesh = TriMesh(
-        nodes=merged,
-        triangles=tris,
-        boundary_edges=_find_boundary_edges(merged, tris,
-                                            width=dom.width,
-                                            height=dom.height),
-        periodic_pairs=np.empty((0, 2), dtype=int),
-        eps=eps,
-        cell_counts=(nx, ny),
-        cell_mesh=cell_mesh,
-        node_cell_origin=node_origin,
-        triangle_cell=np.concatenate(tri_cell),
-    )
-    mesh.validate()
+    mesh = _tagged_mesh(
+        merged, np.vstack(tris_out), (), width=dom.width, height=dom.height,
+        eps=eps, cell_counts=(nx, ny), cell_mesh=cell_mesh,
+        node_cell_origin=node_origin, triangle_cell=np.concatenate(tri_cell))
     log.debug("perforated mesh eps=%g: %d nodes, %d triangles, %d holes",
               eps, mesh.num_nodes, mesh.num_triangles,
               count_interior_loops(mesh))

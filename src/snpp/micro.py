@@ -1,8 +1,9 @@
 """Direct simulation of the scaled electrokinetic system on the
 perforated domain.
 
-The same splitting as the upscaled solver (potential, then flow, then
-transport) advances the pore-scale fields, so a discrepancy between the
+The stepping driver of the upscaled solver, macro.run_steps, advances
+the pore-scale fields with the same splitting (potential, then flow,
+then transport, iterated to a fixed point), so a discrepancy between the
 two solvers measures the homogenization error and not a scheme mismatch.
 The potential carries the eps^alpha coefficient and the eps sigma surface
 flux, the flow runs at viscosity eps^2 with forcing -eps^beta q grad(Phi),
@@ -18,7 +19,6 @@ from scipy.sparse.linalg import splu
 
 from . import fem
 from .errors import (
-    FixedPointDivergence,
     GridMisaligned,
     IncompatibleSource,
     NoSolidPhase,
@@ -26,11 +26,9 @@ from .errors import (
 )
 from .macro import (
     COMPATIBILITY_TOL,
-    DIRICHLET,
-    FIXED_POINT_MAX_ITER,
-    FIXED_POINT_TOL,
     NEUMANN,
     classify_regime,
+    run_steps,
 )
 from .mesh import GAMMA_INTERIOR, OUTER_BOUNDARY, boundary_nodes, \
     generate_perforated_mesh
@@ -236,7 +234,7 @@ def step_micro(state, problem):
 
 
 def run_micro(problem):
-    """Advance the pore-scale system to t_end.
+    """Advance the pore-scale system to t_end with macro.run_steps.
 
     Every step iterates the splitting sweep to a fixed point of the new
     concentrations, like the upscaled solver.  Returns (states,
@@ -247,77 +245,21 @@ def run_micro(problem):
     c_plus, c_minus = problem.initial_values(mesh)
     ops = _Operators(mesh, problem.regime, problem.exact_stokes)
     mesh._caches["micro_ops"] = ops
-    lumped = ops.lumped.diagonal()
 
-    charge = c_plus - c_minus
-    phi = ops.solve_potential(charge)
-    velocity, pressure = ops.solve_flow(charge, phi)
-    state = MicroState(mesh, 0.0, c_plus, c_minus, phi, pressure, velocity)
-
-    def diag_row(fp_iters):
-        return {
-            "t": state.t,
-            "mass": float(lumped @ (state.c_plus + state.c_minus)),
-            "charge": float(lumped @ (state.c_plus - state.c_minus)),
-            "min_c": min(float(np.min(state.c_plus)),
-                         float(np.min(state.c_minus))),
-            "max_c": max(float(np.max(state.c_plus)),
-                         float(np.max(state.c_minus))),
-            "fp_iters": fp_iters,
-        }
-
-    def snapshot():
-        return MicroState(mesh, state.t, state.c_plus.copy(),
-                          state.c_minus.copy(), state.phi.copy(),
-                          state.pressure.copy(),
-                          fem.Field(mesh, "p2v", state.velocity.values.copy()))
-
-    states = [snapshot()]
-    diagnostics = [diag_row(0)]
-    num_steps = int(round(problem.t_end / problem.dt))
-    if abs(num_steps * problem.dt - problem.t_end) > 1e-9 * problem.t_end:
-        num_steps = int(np.ceil(problem.t_end / problem.dt - 1e-12))
-
-    for step in range(1, num_steps + 1):
-        c_plus_old = state.c_plus
-        c_minus_old = state.c_minus
-        previous = None
-        iterations = 0
-        while True:
-            iterations += 1
-            charge = state.c_plus - state.c_minus
-            state.phi = ops.solve_potential(charge)
-            state.velocity, state.pressure = ops.solve_flow(
-                charge, state.phi)
-            candidate = ops.step_transport(
-                c_plus_old, c_minus_old, state.velocity, state.phi,
-                problem.dt)
-            if previous is not None:
-                gap = max(
-                    float(np.max(np.abs(candidate[0] - previous[0]))),
-                    float(np.max(np.abs(candidate[1] - previous[1]))))
-                scale = max(1.0, float(np.max(np.abs(candidate[0]))),
-                            float(np.max(np.abs(candidate[1]))))
-                if gap <= FIXED_POINT_TOL * scale:
-                    break
-            if iterations >= FIXED_POINT_MAX_ITER:
-                raise FixedPointDivergence(
-                    "inner iteration did not settle within %d sweeps at "
-                    "t=%g" % (FIXED_POINT_MAX_ITER, state.t),
-                    where="micro.run_micro")
-            previous = candidate
-            state.c_plus, state.c_minus = candidate
-        state.c_plus, state.c_minus = candidate
-        state.t = step * problem.dt
+    def update_fields(state):
         charge = state.c_plus - state.c_minus
         state.phi = ops.solve_potential(charge)
         state.velocity, state.pressure = ops.solve_flow(charge, state.phi)
-        diagnostics.append(diag_row(iterations))
-        if step == num_steps or (problem.snapshot_stride
-                                 and step % problem.snapshot_stride == 0):
-            states.append(snapshot())
+
+    def transport(state, c_plus, c_minus):
+        return ops.step_transport(c_plus, c_minus, state.velocity,
+                                  state.phi, problem.dt)
+
+    state = MicroState(mesh, 0.0, c_plus, c_minus, None, None, None)
+    states, diagnostics = run_steps(problem, state, update_fields,
+                                    transport, ops.lumped.diagonal())
     log.info("micro run eps=%g finished: %d steps, %d flow solves",
-             mesh.eps, num_steps, ops.stokes_solves)
+             mesh.eps, len(diagnostics) - 1, ops.stokes_solves)
     return states, diagnostics
 
 

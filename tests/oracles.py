@@ -119,3 +119,43 @@ def gauss_solve(matrix, rhs):
     for i in range(n - 1, -1, -1):
         x[i] = (b[i] - a[i, i + 1:] @ x[i + 1:]) / a[i, i]
     return x
+
+
+def edge_table_reference(triangles):
+    """Edges, triangle-to-edge map, use counts and first owners by dict.
+
+    Edges are numbered on first appearance, triangle by triangle over the
+    local edges (1, 2), (2, 0), (0, 1), smaller node id first.
+    """
+    index = {}
+    counts = []
+    owners = []
+    tri_edges = np.empty((len(triangles), 3), dtype=int)
+    for ti, tri in enumerate(triangles):
+        for k, (i, j) in enumerate(((1, 2), (2, 0), (0, 1))):
+            key = (min(tri[i], tri[j]), max(tri[i], tri[j]))
+            if key not in index:
+                index[key] = len(index)
+                counts.append(0)
+                owners.append(ti)
+            counts[index[key]] += 1
+            tri_edges[ti, k] = index[key]
+    edges = np.array(sorted(index, key=index.get), dtype=int).reshape(-1, 2)
+    return edges, tri_edges, np.array(counts), np.array(owners)
+
+
+def boundary_edges_reference(nodes, triangles, width=1.0, height=1.0):
+    """Single-triangle edges in lexicographic order with their tags.
+
+    An edge is "OuterBoundary" when both endpoints lie on the sides of the
+    width x height rectangle and "GammaInterior" otherwise.
+    """
+    edges, _, counts, _ = edge_table_reference(triangles)
+    out = []
+    for a, b in sorted(tuple(int(v) for v in e) for e in edges[counts == 1]):
+        outer = all(
+            min(abs(x), abs(x - width)) < 1e-9
+            or min(abs(y), abs(y - height)) < 1e-9
+            for x, y in (nodes[a], nodes[b]))
+        out.append(((a, b), "OuterBoundary" if outer else "GammaInterior"))
+    return out

@@ -247,30 +247,6 @@ def test_periodic_reduction_solves_shifted_problem():
     assert fem.l2_norm(mesh, u - exact) < 0.03
 
 
-def test_step_implicit_matches_scalar_decay():
-    mesh = one_triangle_mesh([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
-    mass = sp.csr_matrix(np.array([[2.0]]))
-    op = sp.csr_matrix(np.array([[3.0]]))
-    new = fem.step_implicit(mass, op, np.array([1.0]), 0.1)
-    assert new[0] == pytest.approx(2.0 / (2.0 + 0.3), rel=1e-14)
-
-
-def test_implicit_heat_step_conserves_and_dissipates():
-    mesh = disk_mesh(0.1)
-    stiff = fem.assemble_stiffness(mesh)
-    mass = fem.assemble_mass(mesh, lumped=True)
-    rng = np.random.default_rng(1)
-    c = 1.0 + 0.5 * rng.uniform(-1, 1, mesh.num_nodes)
-    total0 = mass.diagonal() @ c
-    norms = [fem.l2_norm(mesh, c)]
-    for _ in range(20):
-        c = fem.step_implicit(mass, stiff, c, 0.01)
-        norms.append(fem.l2_norm(mesh, c))
-    total = mass.diagonal() @ c
-    assert abs(total - total0) / abs(total0) < 1e-12
-    assert all(b <= a + 1e-13 for a, b in zip(norms, norms[1:]))
-
-
 def test_reacting_pair_charge_decay_is_exact():
     mesh = disk_mesh(0.1)
     stiff = fem.assemble_stiffness(mesh)
@@ -282,14 +258,18 @@ def test_reacting_pair_charge_decay_is_exact():
     dt = 0.05
     charge = ones @ (mass @ (c_plus - c_minus))
     total = ones @ (mass @ (c_plus + c_minus))
+    norms = [fem.l2_norm(mesh, c_plus + c_minus)]
     for _ in range(5):
         c_plus, c_minus = fem.step_reacting_pair(
             mass, stiff, stiff, c_plus, c_minus, dt)
         charge_new = ones @ (mass @ (c_plus - c_minus))
         assert charge_new == pytest.approx(charge / (1 + 2 * dt), rel=1e-12)
         charge = charge_new
+        norms.append(fem.l2_norm(mesh, c_plus + c_minus))
     total_new = ones @ (mass @ (c_plus + c_minus))
     assert total_new == pytest.approx(total, rel=1e-12)
+    # The sum obeys an implicit heat step, so its L2 norm cannot grow.
+    assert all(b <= a + 1e-13 for a, b in zip(norms, norms[1:]))
 
 
 def test_stokes_zero_forcing_gives_zero_velocity():

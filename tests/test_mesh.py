@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from snpp import mesh
+from snpp import fem, mesh
 from snpp.errors import (
     InclusionTouchesBoundary,
     ResolutionTooCoarse,
     ValidationError,
 )
+
+from oracles import boundary_edges_reference, edge_table_reference
 
 
 def disk_geometry(h, radius=0.25, center=(0.5, 0.5)):
@@ -63,8 +65,28 @@ def test_all_four_faces_carry_periodic_pairs():
 
 def test_periodic_canonical_map_is_idempotent():
     m = mesh.generate_unit_cell_mesh(disk_geometry(0.05))
-    canon = mesh.periodic_canonical_map(m)
+    canon = fem.canonical_from_pairs(m.num_nodes, m.periodic_pairs)
     assert np.array_equal(canon[canon], canon)
+
+
+@pytest.mark.parametrize("width", [1.0, 1.5])
+def test_edge_table_matches_dict_reference(width):
+    if width == 1.0:
+        m = mesh.generate_unit_cell_mesh(disk_geometry(0.1))
+    else:
+        dom = mesh.PerforatedDomain(0.5, disk_geometry(0.05), width=width)
+        m = mesh.generate_perforated_mesh(dom, 0.0625)
+    table = mesh.edge_table(m)
+    edges, tri_edges, counts, owners = edge_table_reference(m.triangles)
+    assert np.array_equal(table.edges, edges)
+    assert np.array_equal(table.tri_edges, tri_edges)
+    assert np.array_equal(table.counts, counts)
+    assert np.array_equal(table.owner, owners)
+    assert np.array_equal(table.lookup(edges[:, ::-1]), np.arange(len(edges)))
+    assert m.boundary_edges == boundary_edges_reference(
+        m.nodes, m.triangles, width=width)
+    assert {tag for _, tag in m.boundary_edges} == {
+        mesh.GAMMA_INTERIOR, mesh.OUTER_BOUNDARY}
 
 
 def test_interface_edges_form_closed_curve():

@@ -6,6 +6,7 @@ import scipy.sparse as sp
 
 from snpp import fem, macro, micro
 from snpp.errors import (
+    FixedPointDivergence,
     GridMisaligned,
     IncompatibleSource,
     NoSolidPhase,
@@ -58,6 +59,19 @@ def test_zero_charge_run_is_inert():
     mass0 = diagnostics[0]["mass"]
     assert max(abs(r["mass"] - mass0) for r in diagnostics) <= 1e-12 * mass0
     assert all(r["fp_iters"] == 2 for r in diagnostics[1:])
+
+
+def test_run_reports_fixed_point_divergence(monkeypatch):
+    # The sweep cap is read from macro at run time, so one cap governs
+    # both scales.
+    monkeypatch.setattr(macro, "FIXED_POINT_MAX_ITER", 1)
+    domain = PerforatedDomain(0.5, DISK_CELL)
+    mesh = generate_perforated_mesh(domain, 1 / 16)
+    c_plus, c_minus = neutral_blobs(mesh)
+    problem = micro.MicroProblem(domain, neumann_regime(), c_plus, c_minus,
+                                 t_end=0.01, dt=5e-3, target_h=1 / 16)
+    with pytest.raises(FixedPointDivergence):
+        micro.run_micro(problem)
 
 
 def test_eps_one_step_matches_manual_composition():
