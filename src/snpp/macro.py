@@ -319,7 +319,8 @@ def run_steps(problem, state, update_fields, transport, lumped,
     then transport until the new concentrations settle, raising
     FixedPointDivergence after FIXED_POINT_MAX_ITER sweeps; without it,
     each step is one sweep.  The fields are refreshed from the final
-    concentrations of every step.  Returns (states, diagnostics): the
+    concentrations of every step, and the first sweep of the next step
+    uses them as they are.  Returns (states, diagnostics): the
     snapshots every problem.snapshot_stride steps plus the first and the
     last, and one dict per step with keys t, mass, charge, min_c, max_c,
     fp_iters, where mass and charge are content_scale times the lumped
@@ -367,7 +368,10 @@ def run_steps(problem, state, update_fields, transport, lumped,
         iterations = 0
         while True:
             iterations += 1
-            update_fields(state)
+            if iterations > 1:
+                # The first sweep reuses the fields of the step's starting
+                # concentrations, computed at the end of the last step.
+                update_fields(state)
             candidate = transport(state, c_plus_old, c_minus_old)
             if not iterate:
                 break

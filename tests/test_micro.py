@@ -74,6 +74,30 @@ def test_run_reports_fixed_point_divergence(monkeypatch):
         micro.run_micro(problem)
 
 
+def test_first_sweep_reuses_end_of_step_fields(monkeypatch):
+    # One potential solve for the initial fields, one after every step,
+    # and one before every sweep but the first of each step.
+    calls = []
+    solve = micro._Operators.solve_potential
+
+    def counted(self, charge):
+        calls.append(charge.copy())
+        return solve(self, charge)
+
+    monkeypatch.setattr(micro._Operators, "solve_potential", counted)
+    domain = PerforatedDomain(0.5, DISK_CELL)
+    mesh = generate_perforated_mesh(domain, 1 / 16)
+    c_plus, c_minus = neutral_blobs(mesh)
+    problem = micro.MicroProblem(domain, neumann_regime(), c_plus, c_minus,
+                                 t_end=0.01, dt=2e-3, target_h=1 / 16)
+    _, diagnostics = micro.run_micro(problem)
+    sweeps = sum(row["fp_iters"] for row in diagnostics)
+    assert len(diagnostics) == 6
+    assert len(calls) == 1 + sweeps
+    for earlier, later in zip(calls, calls[1:]):
+        assert not np.array_equal(earlier, later)
+
+
 def test_eps_one_step_matches_manual_composition():
     # At eps = 1 on an unperforated cell every scaling factor is one, so
     # one splitting sweep must reproduce a hand-assembled sequence of
