@@ -275,8 +275,7 @@ def reconstruct_corrector(macro_grad, sols, point_macro, point_cell):
         g = np.asarray(macro_grad, dtype=float)
     if not np.any(g):
         return 0.0
-    values = [fem.p1_interpolate(sols.mesh, sols.phi[:, j], [point_cell])[0]
-              for j in range(2)]
+    values = fem.p1_interpolate(sols.mesh, sols.phi, [point_cell])[0]
     return float(g[0] * values[0] + g[1] * values[1])
 
 

@@ -34,6 +34,7 @@ from .errors import (
     MalformedDiagnostics,
     MaxIterationsExceeded,
     MeshGenerationFailure,
+    NonFiniteField,
     NonMonotoneConvergence,
     NoSolidPhase,
     ParseError,
@@ -83,6 +84,7 @@ ORIGIN = {
     NoSolidPhase: "fem", FormulaMismatch: "cell",
     PointOutsideFluidPart: "cell", InadmissibleScaling: "macro",
     IncompatibleSource: "macro", FixedPointDivergence: "macro",
+    NonFiniteField: "macro",
     GridMisaligned: "micro", MalformedDiagnostics: "verify",
     NonMonotoneConvergence: "verify", ParseError: "cli.parse_config",
 }

@@ -78,6 +78,10 @@ class FixedPointDivergence(SnppError):
     """Within-step coupling iteration failed to converge."""
 
 
+class NonFiniteField(SnppError):
+    """A time step produced a NaN or infinite concentration."""
+
+
 # micro
 
 class GridMisaligned(SnppError):

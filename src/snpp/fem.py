@@ -3,6 +3,10 @@
 Scalars (potential, pressure, concentrations) use P1 elements; velocity
 uses P2 on the same triangulation (Taylor-Hood pair).  Assembly is
 vectorized over elements and accumulated via coordinate-format scatter.
+The coupled transport block of both species is solved by a
+TransportSolver, which keeps one LU per run and reuses it as the
+preconditioner of a short GMRES cycle, refactoring only when that cycle
+misses the TRANSPORT_TOL residual.
 """
 
 import logging
@@ -10,7 +14,7 @@ import logging
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import LinearOperator, gmres, splu
 
 from .errors import (
     DegenerateElement,
@@ -27,6 +31,8 @@ log = logging.getLogger(__name__)
 
 DIRECT_DOF_LIMIT = 50000
 DEFAULT_TOL = 1e-10
+TRANSPORT_TOL = 1e-12
+TRANSPORT_KRYLOV_ITERS = 20
 
 # Degree-4 triangle quadrature (6 points); barycentric rows, weights sum 1.
 _QP4 = np.array([
@@ -451,21 +457,88 @@ def solve_spd(matrix, rhs, tol=DEFAULT_TOL, max_iter=None,
     return x
 
 
-def step_reacting_pair(mass, op_plus, op_minus, c_plus, c_minus, dt):
+class TransportSolver:
+    """Transport block solves that keep one LU between calls.
+
+    Each solve first runs GMRES preconditioned by the kept LU, for at
+    most one restart cycle of TRANSPORT_KRYLOV_ITERS iterations, and
+    accepts the result only when scipy reports convergence and the true
+    residual satisfies ||b - A x|| <= TRANSPORT_TOL ||b||.  Otherwise
+    the old LU is dropped and the current block is factored and solved
+    directly; that LU is kept for the following calls.  A fresh solver
+    holds no LU, so its first solve is the direct one.  Between the
+    sweeps and steps of one run the block changes only through the
+    convection and drift terms, which keeps the lagged LU a near-exact
+    preconditioner.  One solver serves one run: its LU is as large as
+    the run's transport factorization.
+    """
+
+    def __init__(self):
+        self._lu = None
+        self.factorizations = 0
+        self.krylov_solves = 0
+        self.krylov_iterations = 0
+
+    def solve(self, matrix, rhs):
+        matrix = sp.csc_matrix(matrix)
+        rhs = np.asarray(rhs, dtype=float)
+        if self._lu is not None:
+            x = self._krylov(matrix, rhs)
+            if x is not None:
+                return x
+            self._lu = None
+        self._lu = splu(matrix)
+        self.factorizations += 1
+        return self._lu.solve(rhs)
+
+    def _krylov(self, matrix, rhs):
+        """The preconditioned GMRES result if it passes the gate, else None.
+
+        The preconditioner refers to the kept LU, so it must be gone
+        before a refresh factors the block; returning from this method
+        drops it.
+        """
+        iterations = []
+        precondition = LinearOperator(matrix.shape, self._lu.solve)
+        x, info = gmres(matrix, rhs, rtol=TRANSPORT_TOL, atol=0.0,
+                        restart=TRANSPORT_KRYLOV_ITERS, maxiter=1,
+                        M=precondition, callback=iterations.append,
+                        callback_type="pr_norm")
+        residual = float(np.linalg.norm(rhs - matrix @ x))
+        if info != 0 or residual > TRANSPORT_TOL * np.linalg.norm(rhs):
+            return None
+        self.krylov_solves += 1
+        self.krylov_iterations += len(iterations)
+        return x
+
+    def summary(self):
+        return ("%d factorizations, %d Krylov solves, %d Krylov iterations"
+                % (self.factorizations, self.krylov_solves,
+                   self.krylov_iterations))
+
+
+def step_reacting_pair(mass, op_plus, op_minus, c_plus, c_minus, dt,
+                       solver=None):
     """Coupled implicit step for two species exchanging through the
     reaction pair (-q, +q) with q = c_plus - c_minus.
 
     Both species and the reaction are advanced in one block solve, so the
-    discrete total charge obeys Q_new = Q_old / (1 + 2 dt) exactly and
-    the total mass is conserved whenever the operators have zero column
-    sums (stiffness plus convection under no-flux conditions).
+    discrete total charge obeys Q_new = Q_old / (1 + 2 dt) and the total
+    mass is conserved whenever the operators have zero column sums
+    (stiffness plus convection under no-flux conditions), both up to the
+    residual of the solve: round-off for a direct solve, at most
+    TRANSPORT_TOL relative for a Krylov one.  solver is the
+    TransportSolver of the run, which reuses its LU across calls; None
+    means a fresh one, which factors this block and solves it directly.
     """
+    if solver is None:
+        solver = TransportSolver()
     a11 = mass + dt * op_plus + dt * mass
     a22 = mass + dt * op_minus + dt * mass
     coupling = -dt * mass
     block = sp.bmat([[a11, coupling], [coupling, a22]], format="csc")
     rhs = np.concatenate([mass @ c_plus, mass @ c_minus])
-    solution = splu(block).solve(rhs)
+    solution = solver.solve(block, rhs)
     n = mass.shape[0]
     return solution[:n], solution[n:]
 
@@ -822,7 +895,14 @@ def integrate_p2(mesh, vel):
 
 
 class PointLocator:
-    """Barycentric point location with a centroid k-d tree."""
+    """Barycentric point location with a centroid k-d tree.
+
+    A point lies in the first of its k = 8 nearest centroids, in distance
+    order, whose barycentric coordinates are all nonnegative.  Failing
+    that, it lies in the candidate with the largest smallest coordinate
+    if that coordinate is at least tol, and failing that the search is
+    repeated with k = 40.
+    """
 
     def __init__(self, mesh):
         from scipy.spatial import cKDTree
@@ -831,51 +911,59 @@ class PointLocator:
         self.centroids = mesh.nodes[mesh.triangles].mean(axis=1)
         self.tree = cKDTree(self.centroids)
 
-    def locate(self, point, tol=-1e-8):
-        point = np.asarray(point, dtype=float)
+    def locate(self, points, tol=-1e-8):
+        """Triangle ids (P,) and barycentric coordinates (P, 3)."""
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        tris = np.empty(len(points), dtype=int)
+        lams = np.empty((len(points), 3))
+        todo = np.arange(len(points))
         for k in (8, 40):
             k = min(k, len(self.centroids))
-            _, candidates = self.tree.query(point, k=k)
-            candidates = np.atleast_1d(candidates)
-            best, best_min = None, -np.inf
-            for ti in candidates:
-                lam = self._barycentric(int(ti), point)
-                low = float(np.min(lam))
-                if low > best_min:
-                    best, best_min = (int(ti), lam), low
-                if low >= 0:
-                    return best
-            if best_min >= tol:
-                return best
+            _, candidates = self.tree.query(points[todo], k=k)
+            candidates = candidates.reshape(len(todo), k)
+            lam = self._barycentric(candidates, points[todo])
+            low = lam.min(axis=2)
+            inside = low >= 0
+            contained = inside.any(axis=1)
+            pick = np.where(contained, np.argmax(inside, axis=1),
+                            np.argmax(low, axis=1))
+            rows = np.arange(len(todo))
+            found = contained | (low[rows, pick] >= tol)
+            tris[todo[found]] = candidates[rows, pick][found]
+            lams[todo[found]] = lam[rows, pick][found]
+            todo = todo[~found]
+            if not len(todo):
+                return tris, lams
         raise PointOutsideFluidPart(
-            "point (%g, %g) lies outside the fluid part" % tuple(point),
-            where="fem.PointLocator")
+            "point (%g, %g) lies outside the fluid part"
+            % tuple(points[todo[0]]), where="fem.PointLocator")
 
-    def _barycentric(self, ti, point):
-        tri = self.mesh.triangles[ti]
-        a, b, c = self.mesh.nodes[tri]
-        m = np.array([[b[0] - a[0], c[0] - a[0]],
-                      [b[1] - a[1], c[1] - a[1]]])
-        st = np.linalg.solve(m, point - a)
-        return np.array([1.0 - st[0] - st[1], st[0], st[1]])
+    def _barycentric(self, tris, points):
+        """Barycentric coordinates (P, k, 3) of P points in k triangles."""
+        a, b, c = (self.mesh.nodes[self.mesh.triangles[tris, i]]
+                   for i in range(3))
+        m = np.stack([b - a, c - a], axis=-1)
+        st = np.linalg.solve(m, (points[:, None, :] - a)[..., None])[..., 0]
+        return np.concatenate(
+            [1.0 - st[..., :1] - st[..., 1:], st], axis=-1)
 
 
 def p1_interpolate(mesh, values, points, locator=None):
-    """Evaluate a P1 field at arbitrary points inside the fluid part."""
+    """Evaluate P1 fields at arbitrary points inside the fluid part.
+
+    values is one nodal scalar (N,) or k of them (N, k); the result is
+    (P,) or (P, k), with every point located once.
+    """
     if locator is None:
         locator = mesh._caches.get("locator")
         if locator is None:
             locator = PointLocator(mesh)
             mesh._caches["locator"] = locator
     values = np.asarray(values, dtype=float)
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    out = np.empty(len(points))
-    for i, point in enumerate(points):
-        ti, lam = locator.locate(point)
-        lam = np.clip(lam, 0.0, None)
-        lam /= lam.sum()
-        out[i] = lam @ values[mesh.triangles[ti]]
-    return out
+    tris, lam = locator.locate(points)
+    lam = np.clip(lam, 0.0, None)
+    lam /= lam.sum(axis=1, keepdims=True)
+    return np.einsum("pi,pi...->p...", lam, values[mesh.triangles[tris]])
 
 
 def l2_norm(mesh, values):

@@ -22,6 +22,7 @@ from .errors import (
     InadmissibleScaling,
     IncompatibleSource,
     NegativeConcentration,
+    NonFiniteField,
     ValidationError,
 )
 
@@ -271,21 +272,22 @@ def _np_operators(mesh, coeffs, model, velocity, phi, stiff_d):
     return ops
 
 
-def step_macro_np(state, coeffs, model, dt):
+def step_macro_np(state, coeffs, model, dt, solver=None):
     """One implicit transport-reaction step for both species.
 
     The convection and drift operators are built from the current
     velocity and potential (semi-implicit linearization) and applied
     implicitly; the reaction pair is advanced in the same block solve, so
     total mass is conserved and the total charge decays by the exact
-    factor 1/(1 + 2 dt).
+    factor 1/(1 + 2 dt).  solver is passed on to fem.step_reacting_pair.
     """
     ops = _get_operators(state, coeffs)
     op_plus, op_minus = _np_operators(
         state.mesh, coeffs, model, state.velocity, state.phi, ops.stiff_d)
     scaled_mass = coeffs.porosity * ops.lumped
     c_plus, c_minus = fem.step_reacting_pair(
-        scaled_mass, op_plus, op_minus, state.c_plus, state.c_minus, dt)
+        scaled_mass, op_plus, op_minus, state.c_plus, state.c_minus, dt,
+        solver=solver)
     low = min(float(np.min(c_plus)), float(np.min(c_minus)))
     if low < -1e-8:
         warnings.warn(NegativeConcentration(
@@ -318,13 +320,14 @@ def run_steps(problem, state, update_fields, transport, lumped,
     under the fields in state.  With iterate, each step repeats fields
     then transport until the new concentrations settle, raising
     FixedPointDivergence after FIXED_POINT_MAX_ITER sweeps; without it,
-    each step is one sweep.  The fields are refreshed from the final
-    concentrations of every step, and the first sweep of the next step
-    uses them as they are.  Returns (states, diagnostics): the
-    snapshots every problem.snapshot_stride steps plus the first and the
-    last, and one dict per step with keys t, mass, charge, min_c, max_c,
-    fp_iters, where mass and charge are content_scale times the lumped
-    integrals of c+ + c- and c+ - c-.
+    each step is one sweep.  NonFiniteField is raised as soon as a
+    transport step returns a concentration that is not finite.  The
+    fields are refreshed from the final concentrations of every step,
+    and the first sweep of the next step uses them as they are.  Returns
+    (states, diagnostics): the snapshots every problem.snapshot_stride
+    steps plus the first and the last, and one dict per step with keys
+    t, mass, charge, min_c, max_c, fp_iters, where mass and charge are
+    content_scale times the lumped integrals of c+ + c- and c+ - c-.
     """
     update_fields(state)
 
@@ -373,6 +376,12 @@ def run_steps(problem, state, update_fields, transport, lumped,
                 # concentrations, computed at the end of the last step.
                 update_fields(state)
             candidate = transport(state, c_plus_old, c_minus_old)
+            if not (np.all(np.isfinite(candidate[0]))
+                    and np.all(np.isfinite(candidate[1]))):
+                raise NonFiniteField(
+                    "transport step produced a non-finite concentration "
+                    "at t=%g" % (state.t + problem.dt),
+                    where="macro.run_steps")
             if not iterate:
                 break
             if previous is not None:
@@ -416,6 +425,7 @@ def run_macro(problem):
     coeffs = problem.coeffs
     ops = _Operators(mesh, coeffs)
     mesh._caches["macro_ops"] = ops
+    solver = fem.TransportSolver()
     coupled = (model.darcy_forcing == FORCING_ELECTRO
                or model.np_drift == DRIFT_ON)
 
@@ -430,7 +440,7 @@ def run_macro(problem):
 
     def transport(state, c_plus, c_minus):
         base = replace(state, c_plus=c_plus, c_minus=c_minus)
-        return step_macro_np(base, coeffs, model, problem.dt)
+        return step_macro_np(base, coeffs, model, problem.dt, solver=solver)
 
     state = MacroState(
         mesh=mesh, t=0.0,
@@ -442,6 +452,7 @@ def run_macro(problem):
     states, diagnostics = run_steps(
         problem, state, update_fields, transport, ops.lumped.diagonal(),
         content_scale=coeffs.porosity, iterate=coupled)
-    log.info("macro run finished: %d steps, final charge %.3e",
-             len(diagnostics) - 1, diagnostics[-1]["charge"])
+    log.info("macro run finished: %d steps, final charge %.3e, "
+             "transport %s", len(diagnostics) - 1,
+             diagnostics[-1]["charge"], solver.summary())
     return states, diagnostics

@@ -194,7 +194,8 @@ class _Operators:
         self.stokes_solves += 1
         return self.last_flow
 
-    def step_transport(self, c_plus, c_minus, velocity, phi, dt):
+    def step_transport(self, c_plus, c_minus, velocity, phi, dt,
+                       solver=None):
         eps_gamma = self.mesh.eps ** self.regime.gamma
         tensor = eps_gamma * np.eye(2)
         ops = []
@@ -204,7 +205,7 @@ class _Operators:
                 drift_tensor=tensor, drift_sign=sign)
             ops.append(self.stiff - conv)
         return fem.step_reacting_pair(self.lumped, ops[0], ops[1],
-                                      c_plus, c_minus, dt)
+                                      c_plus, c_minus, dt, solver=solver)
 
 
 def _get_operators(mesh, regime, exact_stokes):
@@ -245,6 +246,7 @@ def run_micro(problem):
     c_plus, c_minus = problem.initial_values(mesh)
     ops = _Operators(mesh, problem.regime, problem.exact_stokes)
     mesh._caches["micro_ops"] = ops
+    solver = fem.TransportSolver()
 
     def update_fields(state):
         charge = state.c_plus - state.c_minus
@@ -253,13 +255,14 @@ def run_micro(problem):
 
     def transport(state, c_plus, c_minus):
         return ops.step_transport(c_plus, c_minus, state.velocity,
-                                  state.phi, problem.dt)
+                                  state.phi, problem.dt, solver=solver)
 
     state = MicroState(mesh, 0.0, c_plus, c_minus, None, None, None)
     states, diagnostics = run_steps(problem, state, update_fields,
                                     transport, ops.lumped.diagonal())
-    log.info("micro run eps=%g finished: %d steps, %d flow solves",
-             mesh.eps, len(diagnostics) - 1, ops.stokes_solves)
+    log.info("micro run eps=%g finished: %d steps, %d flow solves, "
+             "transport %s", mesh.eps, len(diagnostics) - 1,
+             ops.stokes_solves, solver.summary())
     return states, diagnostics
 
 

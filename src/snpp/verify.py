@@ -220,12 +220,11 @@ def corrector_enhanced_error(micro_mesh, micro_phi, macro_mesh, macro_phi,
     cell correctors contracted with the upscaled gradient.
     """
     scaled = eps ** alpha * np.asarray(micro_phi, dtype=float)
-    points = micro_mesh.nodes
-    tilde0 = fem.p1_interpolate(macro_mesh, macro_phi, points)
-    plain = fem.l2_norm(micro_mesh, scaled - tilde0)
     gradient = fem.recover_nodal_gradient(macro_mesh, macro_phi)
-    gx = fem.p1_interpolate(macro_mesh, gradient[:, 0], points)
-    gy = fem.p1_interpolate(macro_mesh, gradient[:, 1], points)
+    tilde0, gx, gy = fem.p1_interpolate(
+        macro_mesh, np.column_stack([macro_phi, gradient]),
+        micro_mesh.nodes).T
+    plain = fem.l2_norm(micro_mesh, scaled - tilde0)
     corrector = corrector_node_values(micro_mesh, scalar_solutions)
     first_order = corrector[:, 0] * gx + corrector[:, 1] * gy
     enhanced = fem.l2_norm(micro_mesh, scaled - tilde0 - eps * first_order)

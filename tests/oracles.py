@@ -159,3 +159,45 @@ def boundary_edges_reference(nodes, triangles, width=1.0, height=1.0):
             for x, y in (nodes[a], nodes[b]))
         out.append(((a, b), "OuterBoundary" if outer else "GammaInterior"))
     return out
+
+
+def _locate_reference(mesh, tree, point, tol):
+    for k in (8, 40):
+        _, candidates = tree.query(point, k=min(k, mesh.num_triangles))
+        best, best_min = None, -np.inf
+        for ti in np.atleast_1d(candidates):
+            a, b, c = mesh.nodes[mesh.triangles[ti]]
+            m = np.array([[b[0] - a[0], c[0] - a[0]],
+                          [b[1] - a[1], c[1] - a[1]]])
+            st = np.linalg.solve(m, point - a)
+            lam = np.array([1.0 - st[0] - st[1], st[0], st[1]])
+            if lam.min() > best_min:
+                best, best_min = (int(ti), lam), lam.min()
+            if lam.min() >= 0:
+                return best
+        if best_min >= tol:
+            return best
+    raise ValueError("point %s lies outside the mesh" % (point,))
+
+
+def p1_interpolate_reference(mesh, values, points, tol=-1e-8):
+    """Triangle ids and P1 values at points, located one point at a time.
+
+    Each point takes the first of its 8 nearest centroids whose triangle
+    contains it (all barycentric coordinates nonnegative); failing that,
+    the candidate with the largest smallest coordinate if that is at
+    least tol; failing that, the same over 40 candidates.  Raises
+    ValueError for a point that no candidate accepts.
+    """
+    from scipy.spatial import cKDTree
+
+    tree = cKDTree(mesh.nodes[mesh.triangles].mean(axis=1))
+    values = np.asarray(values, dtype=float)
+    tris, out = [], []
+    for point in np.atleast_2d(np.asarray(points, dtype=float)):
+        ti, lam = _locate_reference(mesh, tree, point, tol)
+        lam = np.clip(lam, 0.0, None)
+        lam /= lam.sum()
+        tris.append(ti)
+        out.append(lam @ values[mesh.triangles[ti]])
+    return np.array(tris), np.array(out)

@@ -4,9 +4,10 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
-from snpp import cli, output
+from snpp import cli, fem, output
 from snpp.errors import ParseError, ValidationError
 
 
@@ -209,3 +210,24 @@ def test_numerical_failure_exits_two(tmp_path, capsys):
         "output": {"directory": str(outdir)}})
     assert code == 2
     assert "IncompatibleSource" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["macro", "converge"])
+def test_non_finite_field_exits_two_without_artifacts(
+        tmp_path, capsys, monkeypatch, command):
+    def broken_step(mass, op_plus, op_minus, c_plus, c_minus, dt,
+                    solver=None):
+        return c_plus.copy(), np.full_like(c_minus, np.inf)
+
+    monkeypatch.setattr(fem, "step_reacting_pair", broken_step)
+    outdir = tmp_path / "out"
+    discretization = {"h": 0.0625, "dt": 0.005, "T": 0.01}
+    if command == "converge":
+        discretization["eps"] = [0.5]
+    code = run(tmp_path, command, {
+        "geometry": {"cell_h": 0.1}, "discretization": discretization,
+        "output": {"directory": str(outdir)}})
+    assert code == 2
+    assert "NonFiniteField" in capsys.readouterr().err
+    assert not (outdir / "diagnostics.csv").exists()
+    assert not (outdir / "study.csv").exists()

@@ -1,8 +1,11 @@
 """Assembly, constraint, and solver behavior of the finite-element core."""
 
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from snpp import fem
 from snpp.errors import (
@@ -18,7 +21,10 @@ from snpp.mesh import (
     DiskInclusion,
     TriMesh,
     UnitCellGeometry,
+    PerforatedDomain,
     boundary_nodes,
+    edge_table,
+    generate_perforated_mesh,
     generate_unit_cell_mesh,
 )
 
@@ -27,6 +33,7 @@ from oracles import (
     dense_p1_mass,
     dense_p1_stiffness,
     gauss_solve,
+    p1_interpolate_reference,
     tri_area,
 )
 
@@ -272,6 +279,85 @@ def test_reacting_pair_charge_decay_is_exact():
     assert all(b <= a + 1e-13 for a, b in zip(norms, norms[1:]))
 
 
+def drifted_pair(mesh, scale):
+    """Nernst-Planck operators of both species under a scaled drift."""
+    x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
+    phi = scale * (np.sin(2 * np.pi * x) * np.cos(np.pi * y) + x * y)
+    tensor = np.diag([0.6, 0.4])
+    stiff = fem.assemble_stiffness(mesh, tensor)
+    return [stiff - fem.assemble_convection(mesh, drift=phi,
+                                            drift_tensor=tensor,
+                                            drift_sign=sign)
+            for sign in (1.0, -1.0)]
+
+
+def direct_pair_step(mass, op_plus, op_minus, c_plus, c_minus, dt):
+    a11 = mass + dt * op_plus + dt * mass
+    a22 = mass + dt * op_minus + dt * mass
+    block = sp.bmat([[a11, -dt * mass], [-dt * mass, a22]], format="csc")
+    rhs = np.concatenate([mass @ c_plus, mass @ c_minus])
+    return splu(block).solve(rhs)
+
+
+class TrackedLU:
+    """An LU that can be weakly referenced, to see when it is freed."""
+
+    def __init__(self, lu):
+        self.lu = lu
+
+    def solve(self, rhs):
+        return self.lu.solve(rhs)
+
+
+def test_transport_solver_reuses_its_lu_against_fresh_factorizations(
+        monkeypatch):
+    kept = []
+
+    def tracked_splu(matrix):
+        # The old LU must be freed before a refresh factors the block.
+        assert all(ref() is None for ref in kept)
+        lu = TrackedLU(splu(matrix))
+        kept.append(weakref.ref(lu))
+        return lu
+
+    monkeypatch.setattr(fem, "splu", tracked_splu)
+    mesh = square_mesh(1 / 32)
+    mass = fem.assemble_mass(mesh, lumped=True)
+    x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
+    c_plus = 0.2 + 0.5 * np.exp(-25 * ((x - 0.35) ** 2 + (y - 0.45) ** 2))
+    c_minus = 0.2 + 0.5 * np.exp(-25 * ((x - 0.7) ** 2 + (y - 0.6) ** 2))
+    ones = np.ones(2 * mesh.num_nodes)
+    content = ones @ np.concatenate([mass @ c_plus, mass @ c_minus])
+    dt = 2e-3
+    solver = fem.TransportSolver()
+    # Like the sweeps of one step, each drift lies within 1% of the
+    # first, whose LU the solver keeps.
+    for sweep, scale in enumerate((1.0, 1.01, 1.005, 1.0025)):
+        ops = drifted_pair(mesh, scale)
+        got = np.concatenate(fem.step_reacting_pair(
+            mass, *ops, c_plus, c_minus, dt, solver=solver))
+        ref = direct_pair_step(mass, *ops, c_plus, c_minus, dt)
+        assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
+        new_content = ones @ np.concatenate(
+            [mass @ got[:mesh.num_nodes], mass @ got[mesh.num_nodes:]])
+        assert abs(new_content - content) <= 1e-13 * content
+        assert solver.factorizations == 1
+        assert solver.krylov_solves == sweep
+    assert solver.krylov_iterations >= solver.krylov_solves
+    assert solver.krylov_iterations <= \
+        fem.TRANSPORT_KRYLOV_ITERS * solver.krylov_solves
+
+    # A block 100 times stiffer defeats the lagged LU, so the solver
+    # refactors and returns the direct solution itself.
+    ops = drifted_pair(mesh, 1.0)
+    got = np.concatenate(fem.step_reacting_pair(
+        mass, *ops, c_plus, c_minus, 100 * dt, solver=solver))
+    assert solver.factorizations == len(kept) == 2
+    assert solver.krylov_solves == 3
+    ref = direct_pair_step(mass, *ops, c_plus, c_minus, 100 * dt)
+    assert np.array_equal(got, ref)
+
+
 def test_stokes_zero_forcing_gives_zero_velocity():
     mesh = disk_mesh(0.1)
     vel, pressure = fem.solve_stokes(
@@ -351,6 +437,37 @@ def test_p1_interpolation_and_outside_point():
     assert np.max(np.abs(got - expected)) < 1e-12
     with pytest.raises(PointOutsideFluidPart):
         fem.p1_interpolate(mesh, values, [[0.5, 0.5]])
+
+
+@pytest.mark.parametrize("target", ["perforated", "square"])
+def test_batched_interpolation_matches_pointwise_reference(target):
+    # Nodes and edge midpoints sit on element edges, where the choice of
+    # triangle rests on the sign of a rounded barycentric coordinate.
+    perforated = generate_perforated_mesh(
+        PerforatedDomain(0.5, UnitCellGeometry(
+            DiskInclusion((0.5, 0.5), 0.25), 0.125)), 1 / 16)
+    mesh = perforated if target == "perforated" else square_mesh(1 / 8)
+    rng = np.random.default_rng(5)
+    bary = rng.dirichlet(np.ones(3), size=200)
+    owners = rng.integers(perforated.num_triangles, size=200)
+    inner = np.einsum("pi,pid->pd", bary,
+                      perforated.nodes[perforated.triangles[owners]])
+    midpoints = perforated.nodes[edge_table(perforated).edges].mean(axis=1)
+    points = np.vstack([perforated.nodes, midpoints, inner])
+    x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
+    values = np.column_stack([np.sin(3 * x) + y * y, np.exp(x - 2 * y),
+                              1.0 + x * y])
+    tris, _ = fem.PointLocator(mesh).locate(points)
+    got = fem.p1_interpolate(mesh, values, points)
+    assert got.shape == (len(points), 3)
+    for k in range(3):
+        ref_tris, ref = p1_interpolate_reference(mesh, values[:, k], points)
+        bound = 1e-14 * np.max(np.abs(ref))
+        assert np.array_equal(tris, ref_tris)
+        assert np.max(np.abs(got[:, k] - ref)) <= bound
+        scalar = fem.p1_interpolate(mesh, values[:, k], points)
+        assert scalar.shape == (len(points),)
+        assert np.max(np.abs(scalar - ref)) <= bound
 
 
 def test_recovered_gradient_exact_for_linear_field():

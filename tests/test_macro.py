@@ -10,6 +10,7 @@ from snpp.errors import (
     InadmissibleScaling,
     IncompatibleSource,
     NegativeConcentration,
+    NonFiniteField,
     ValidationError,
 )
 from snpp.mesh import UnitCellGeometry, generate_unit_cell_mesh
@@ -337,6 +338,26 @@ def test_run_reports_fixed_point_divergence(monkeypatch):
         c_plus, c_minus, t_end=0.01, dt=5e-3)
     with pytest.raises(FixedPointDivergence):
         macro.run_macro(problem)
+
+
+@pytest.mark.parametrize("beta", [0, 1])
+def test_run_stops_on_non_finite_concentration(monkeypatch, beta):
+    # beta = 0 iterates every step to a fixed point, beta = 1 makes one
+    # sweep per step, where a NaN would otherwise pass unnoticed.
+    def broken_step(mass, op_plus, op_minus, c_plus, c_minus, dt,
+                    solver=None):
+        return np.full_like(c_plus, np.nan), c_minus.copy()
+
+    monkeypatch.setattr(fem, "step_reacting_pair", broken_step)
+    mesh = square_mesh(1 / 16)
+    c_plus, c_minus = charged_blobs(mesh, neutral=True)
+    problem = macro.MacroProblem(
+        mesh, identity_coeffs(porosity=0.8),
+        macro.ScalingRegime("neumann", 0, beta, beta),
+        c_plus, c_minus, t_end=0.01, dt=5e-3)
+    with pytest.raises(NonFiniteField) as info:
+        macro.run_macro(problem)
+    assert info.value.where == "macro.run_steps"
 
 
 def test_step_warns_on_negative_concentration():
