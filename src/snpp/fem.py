@@ -5,8 +5,8 @@ uses P2 on the same triangulation (Taylor-Hood pair).  Assembly is
 vectorized over elements and accumulated via coordinate-format scatter.
 The coupled transport block of both species is solved by a
 TransportSolver, which keeps one LU per run and reuses it as the
-preconditioner of a short GMRES cycle, refactoring only when that cycle
-misses the TRANSPORT_TOL residual.
+preconditioner of at most two short GMRES cycles, refactoring only when
+they miss the TRANSPORT_TOL residual.
 """
 
 import logging
@@ -33,6 +33,14 @@ DIRECT_DOF_LIMIT = 50000
 DEFAULT_TOL = 1e-10
 TRANSPORT_TOL = 1e-12
 TRANSPORT_KRYLOV_ITERS = 20
+SCHUR_MAX_ITER = 500
+# kappa in theta = kappa * fine / darcy of StokesOperator._prepare_schur.
+# Schur-CG iterations to a relative residual of 1e-10 are flat for
+# kappa in [0.5, 1] (35-42 on the eps=1/16 micro forcing and on random
+# forcings at eps 1/16, 1/8, 1/4 with h=1/128) and grow on either side
+# (40-69 at 0.1 and at 3).  The periodic cell favours smaller kappa
+# (37, 44 and 30 at 0.5, 1 and 0.1 for h=1/32), so 0.5 is the choice.
+SCHUR_LAPLACE_WEIGHT = 0.5
 
 # Degree-4 triangle quadrature (6 points); barycentric rows, weights sum 1.
 _QP4 = np.array([
@@ -461,11 +469,13 @@ class TransportSolver:
     """Transport block solves that keep one LU between calls.
 
     Each solve first runs GMRES preconditioned by the kept LU, for at
-    most one restart cycle of TRANSPORT_KRYLOV_ITERS iterations, and
+    most two restart cycles of TRANSPORT_KRYLOV_ITERS iterations, and
     accepts the result only when scipy reports convergence and the true
-    residual satisfies ||b - A x|| <= TRANSPORT_TOL ||b||.  Otherwise
-    the old LU is dropped and the current block is factored and solved
-    directly; that LU is kept for the following calls.  A fresh solver
+    residual satisfies ||b - A x|| <= TRANSPORT_TOL ||b||.  scipy ends
+    its inner loop on the preconditioned residual, so the second cycle
+    takes up results whose true residual is still just above the gate.
+    Otherwise the old LU is dropped and the current block is factored
+    and solved directly; that LU is kept for the following calls.  A fresh solver
     holds no LU, so its first solve is the direct one.  Between the
     sweeps and steps of one run the block changes only through the
     convection and drift terms, which keeps the lagged LU a near-exact
@@ -501,7 +511,7 @@ class TransportSolver:
         iterations = []
         precondition = LinearOperator(matrix.shape, self._lu.solve)
         x, info = gmres(matrix, rhs, rtol=TRANSPORT_TOL, atol=0.0,
-                        restart=TRANSPORT_KRYLOV_ITERS, maxiter=1,
+                        restart=TRANSPORT_KRYLOV_ITERS, maxiter=2,
                         M=precondition, callback=iterations.append,
                         callback_type="pr_norm")
         residual = float(np.linalg.norm(rhs - matrix @ x))
@@ -670,11 +680,20 @@ class StokesOperator:
     """Taylor-Hood saddle-point operator with reusable factorization.
 
     bc is a dict with keys "no_slip_tags" (list of boundary tags) and
-    "periodic" (bool).  The pressure is constrained to zero mean through
-    a Lagrange multiplier.  Systems at or above DIRECT_DOF_LIMIT unknowns
-    are solved by conjugate gradients on the pressure Schur complement
-    (Uzawa) with a lumped pressure-mass preconditioner; smaller ones by a
-    single sparse factorization.
+    "periodic" (bool).  The pressure is constrained to zero mean.
+    Systems below DIRECT_DOF_LIMIT unknowns, and periodic ones without a
+    no-slip wall, are solved by one sparse factorization of the saddle
+    matrix bordered with Lagrange multipliers.  Larger ones are solved by
+    preconditioned conjugate gradients on the pressure Schur complement
+    S = B A^-1 B^T.  After periodic reduction and no-slip pinning the
+    velocity block is blockdiag(A, A), so one LU of the scalar block A
+    serves both components.  The preconditioner M_p^-1 + theta L_p^-1
+    adds the inverse pressure Laplacian to the inverse lumped pressure
+    mass, because S acts like M_p / viscosity on pore-scale modes and
+    like a Darcy operator K eps^2 / viscosity L_p on longer ones
+    (Cahouet & Chabard, IJNMF 8, 1988); theta is read off the operator
+    when it is built.  solves and schur_iterations count the calls to
+    solve and the conjugate-gradient iterations they took.
     """
 
     def __init__(self, mesh, bc, viscosity=1.0):
@@ -685,6 +704,8 @@ class StokesOperator:
         present = {tag for _, tag in mesh.boundary_edges}
         self.no_slip_dofs = _p2_boundary_dofs(mesh, no_slip_tags & present)
         self.periodic = periodic
+        self.solves = 0
+        self.schur_iterations = 0
         self._build()
 
     def _build(self):
@@ -752,32 +773,65 @@ class StokesOperator:
             self._lu = splu(aug)
             self._mode = "direct"
         else:
-            self._prepare_uzawa()
-            self._mode = "uzawa"
+            self._prepare_schur()
+            self._mode = "schur_cg"
         log.debug("stokes operator: %d reduced dofs, mode=%s",
                   self.nred, self._mode)
 
-    def _prepare_uzawa(self):
+    def _prepare_schur(self):
         # Split the reduced, no-slip-pinned matrix into velocity and
         # pressure blocks.  Reduced dof layout follows the master order of
-        # the full layout (ux, uy, p), so classify masters by origin.
+        # the full layout (ux, uy, p), so classify masters by origin.  The
+        # uy masters are the ux masters shifted by n2 and both components
+        # share their pins, so the first half of u_ids carries the scalar
+        # block of each component.
         marker = np.zeros(2 * self.n2 + self.n1)
         marker[2 * self.n2:] = 1.0
         is_pressure = (self.prolong.T @ marker) > 0
-        self.u_ids = np.where(~is_pressure)[0]
-        self.p_ids = np.where(is_pressure)[0]
-        mat = self.matrix.tocsr()
-        self.a_uu = mat[self.u_ids][:, self.u_ids].tocsc()
-        self.b_pu = mat[self.p_ids][:, self.u_ids].tocsr()
-        self._lu_a = splu(self.a_uu)
-        wp = self.pressure_weight[self.p_ids]
-        self.wp = wp / np.linalg.norm(wp)
-        # Lumped pressure mass on the reduced pressure dofs.
-        mass_diag = np.asarray(
-            assemble_mass(self.mesh, lumped=True).diagonal()).ravel()
-        full = np.zeros(2 * self.n2 + self.n1)
-        full[2 * self.n2:] = mass_diag
-        self.p_mass = (self.prolong.T @ full)[self.p_ids]
+        self.u_ids = np.flatnonzero(~is_pressure)
+        self.p_ids = np.flatnonzero(is_pressure)
+        ux_ids = self.u_ids[:len(self.u_ids) // 2]
+        self._lu_a = splu(self.matrix[ux_ids][:, ux_ids].tocsc())
+        self.b_pu = self.matrix[self.p_ids][:, self.u_ids].tocsr()
+        weight = self.pressure_weight[self.p_ids]
+        self.wp = weight / np.linalg.norm(weight)
+        # Lumped pressure mass and P1 stiffness on the reduced pressure
+        # dofs; the stiffness is bordered by the zero-mean constraint.
+        to_pressure = self.prolong[2 * self.n2:][:, self.p_ids]
+        mass_diag = assemble_mass(self.mesh, lumped=True).diagonal()
+        self.p_mass = to_pressure.T @ mass_diag
+        laplacian = to_pressure.T @ assemble_stiffness(self.mesh) @ to_pressure
+        aug, _ = apply_zero_mean(laplacian, np.zeros(len(weight)), weight)
+        self._lu_laplacian = splu(sp.csc_matrix(aug))
+        # theta is the ratio of two Rayleigh quotients of S: against the
+        # mass on a broadband probe (about 1 / viscosity) and against the
+        # Laplacian on the smooth probe x (about K eps^2 / viscosity).
+        coord = (to_pressure.T @ (mass_diag * self.mesh.nodes[:, 0])
+                 / self.p_mass)
+        smooth = coord - (weight @ coord) / weight.sum()
+        broad = self._project(
+            np.random.default_rng(0).standard_normal(len(weight)))
+        darcy = (smooth @ self._schur(smooth)) / (smooth @ laplacian @ smooth)
+        fine = (broad @ self._schur(broad)) / (broad @ (self.p_mass * broad))
+        self.theta = SCHUR_LAPLACE_WEIGHT * fine / darcy
+
+    def _solve_velocity(self, rhs):
+        """A^-1 on a stacked (ux, uy) vector, both components in one solve."""
+        return self._lu_a.solve(rhs.reshape(2, -1).T).T.ravel()
+
+    def _schur(self, p):
+        return self.b_pu @ self._solve_velocity(self.b_pu.T @ p)
+
+    def _project(self, v):
+        return v - (self.wp @ v) * self.wp
+
+    def _precondition(self, r):
+        laplace = self._lu_laplacian.solve(np.append(r, 0.0))[:-1]
+        return r / self.p_mass + self.theta * laplace
+
+    def summary(self):
+        return "%d solves, %d Schur iterations" % (self.solves,
+                                                   self.schur_iterations)
 
     def solve(self, forcing):
         """Velocity and pressure for elementwise-constant forcing."""
@@ -801,7 +855,8 @@ class StokesOperator:
             padded = np.concatenate([rhs, np.zeros(self.n_multipliers)])
             sol = self._lu.solve(padded)[:self.nred]
         else:
-            sol = self._solve_uzawa(rhs)
+            sol = self._solve_schur_cg(rhs)
+        self.solves += 1
         full = self.prolong @ sol
         vel = Field(self.mesh, "p2v",
                     np.column_stack([full[:self.n2],
@@ -809,27 +864,19 @@ class StokesOperator:
         pressure = full[2 * self.n2:]
         return vel, pressure
 
-    def _solve_uzawa(self, rhs):
+    def _solve_schur_cg(self, rhs):
         fu = rhs[self.u_ids]
         fp = rhs[self.p_ids]
-        ainv_f = self._lu_a.solve(fu)
-        g = self.b_pu @ ainv_f - fp
-
-        def schur(p):
-            return self.b_pu @ self._lu_a.solve(self.b_pu.T @ p)
-
-        def project(v):
-            return v - (self.wp @ v) * self.wp
-
+        g = self.b_pu @ self._solve_velocity(fu) - fp
         p = np.zeros(len(self.p_ids))
-        r = project(g)
+        r = self._project(g)
         gnorm = float(np.linalg.norm(r))
         if gnorm > 0:
-            z = r / self.p_mass
+            z = self._precondition(r)
             d = z.copy()
             rz = float(r @ z)
-            for it in range(1, 501):
-                sd = project(schur(d))
+            for it in range(1, SCHUR_MAX_ITER + 1):
+                sd = self._project(self._schur(d))
                 dsd = float(d @ sd)
                 if dsd <= 0:
                     raise SolverBreakdown("Schur complement lost positivity",
@@ -839,15 +886,16 @@ class StokesOperator:
                 r -= alpha * sd
                 if float(np.linalg.norm(r)) <= DEFAULT_TOL * gnorm:
                     break
-                z = r / self.p_mass
+                z = self._precondition(r)
                 rz_new = float(r @ z)
                 d = z + (rz_new / rz) * d
                 rz = rz_new
             else:
                 raise MaxIterationsExceeded(
-                    "Uzawa iteration exceeded 500 steps",
-                    where="fem.solve_stokes")
-        u = self._lu_a.solve(fu - self.b_pu.T @ p)
+                    "Schur-complement CG exceeded %d iterations"
+                    % SCHUR_MAX_ITER, where="fem.solve_stokes")
+            self.schur_iterations += it
+        u = self._solve_velocity(fu - self.b_pu.T @ p)
         sol = np.zeros(self.nred)
         sol[self.u_ids] = u
         sol[self.p_ids] = p

@@ -159,7 +159,10 @@ class _Operators:
             viscosity=eps ** 2)
         self.last_forcing = None
         self.last_flow = None
-        self.stokes_solves = 0
+
+    @property
+    def stokes_solves(self):
+        return self.stokes.solves
 
     def solve_potential(self, charge):
         rhs = np.asarray(self.mass @ charge).ravel()
@@ -191,7 +194,6 @@ class _Operators:
         velocity, pressure = self.stokes.solve(forcing)
         self.last_forcing = forcing
         self.last_flow = (velocity, pressure)
-        self.stokes_solves += 1
         return self.last_flow
 
     def step_transport(self, c_plus, c_minus, velocity, phi, dt,
@@ -260,9 +262,9 @@ def run_micro(problem):
     state = MicroState(mesh, 0.0, c_plus, c_minus, None, None, None)
     states, diagnostics = run_steps(problem, state, update_fields,
                                     transport, ops.lumped.diagonal())
-    log.info("micro run eps=%g finished: %d steps, %d flow solves, "
-             "transport %s", mesh.eps, len(diagnostics) - 1,
-             ops.stokes_solves, solver.summary())
+    log.info("micro run eps=%g finished: %d steps, transport %s, stokes %s",
+             mesh.eps, len(diagnostics) - 1, solver.summary(),
+             ops.stokes.summary())
     return states, diagnostics
 
 

@@ -3,10 +3,13 @@
 Everything here is deliberately written along a different route than the
 package: element integrals come from a high-order barycentric quadrature
 loop instead of closed forms, and the linear solve is plain dense Gaussian
-elimination. Slow and simple on purpose.
+elimination. Slow and simple on purpose.  relative_weak_divergence is a
+measure on the package's own divergence rows, shared by the Stokes tests.
 """
 
 import numpy as np
+
+from snpp import fem
 
 # Degree-5 symmetric triangle rule (7 points), barycentric coordinates and
 # weights summing to 1.  Classic Radon rule, written in closed form so the
@@ -201,3 +204,17 @@ def p1_interpolate_reference(mesh, values, points, tol=-1e-8):
         tris.append(ti)
         out.append(lam @ values[mesh.triangles[ti]])
     return np.array(tris), np.array(out)
+
+
+def relative_weak_divergence(mesh, vel):
+    """Largest entry of fem.weak_divergence over the largest sum of the
+    sizes of the terms that make up one entry."""
+    bx, by = fem.assemble_divergence(mesh)
+    terms = (abs(bx) @ np.abs(vel.values[:, 0])
+             + abs(by) @ np.abs(vel.values[:, 1]))
+    if len(mesh.periodic_pairs):
+        fold, _ = fem.periodic_prolongation(mesh.num_nodes,
+                                            mesh.periodic_pairs)
+        terms = fold.T @ terms
+    residual = fem.weak_divergence(mesh, vel)
+    return float(np.max(np.abs(residual)) / np.max(terms))

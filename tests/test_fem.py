@@ -34,6 +34,7 @@ from oracles import (
     dense_p1_stiffness,
     gauss_solve,
     p1_interpolate_reference,
+    relative_weak_divergence,
     tri_area,
 )
 
@@ -356,6 +357,74 @@ def test_transport_solver_reuses_its_lu_against_fresh_factorizations(
     assert solver.krylov_solves == 3
     ref = direct_pair_step(mass, *ops, c_plus, c_minus, 100 * dt)
     assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("drift", [0.002, 0.02])
+def test_transport_solver_takes_a_second_cycle_before_refactoring(drift):
+    # One GMRES cycle stops on the preconditioned residual with the true
+    # residual just above the gate for these drifts; the second cycle
+    # takes them up without a new factorization.
+    mesh = square_mesh(1 / 32)
+    mass = fem.assemble_mass(mesh, lumped=True)
+    x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
+    c_plus = 0.2 + 0.5 * np.exp(-25 * ((x - 0.35) ** 2 + (y - 0.45) ** 2))
+    c_minus = 0.2 + 0.5 * np.exp(-25 * ((x - 0.7) ** 2 + (y - 0.6) ** 2))
+    dt = 2e-3
+    solver = fem.TransportSolver()
+    for scale in (1.0, 1.0 + drift):
+        ops = drifted_pair(mesh, scale)
+        got = np.concatenate(fem.step_reacting_pair(
+            mass, *ops, c_plus, c_minus, dt, solver=solver))
+        ref = direct_pair_step(mass, *ops, c_plus, c_minus, dt)
+        assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
+    assert solver.factorizations == 1
+    assert solver.krylov_solves == 1
+
+
+def perforated_stokes_case():
+    eps = 0.25
+    mesh = generate_perforated_mesh(
+        PerforatedDomain(eps, UnitCellGeometry(
+            DiskInclusion((0.5, 0.5), 0.25), 0.125)), 1 / 32)
+    forcing = np.random.default_rng(5).standard_normal(
+        (mesh.num_triangles, 2))
+    bc = {"no_slip_tags": [GAMMA_INTERIOR, OUTER_BOUNDARY]}
+    return mesh, bc, eps ** 2, [forcing]
+
+
+def periodic_cell_stokes_case():
+    # The configuration of cell.solve_stokes_cell_problems.
+    bc = {"periodic": True, "no_slip_tags": [GAMMA_INTERIOR]}
+    return disk_mesh(1 / 32), bc, 1.0, [(1.0, 0.0), (0.0, 1.0)]
+
+
+@pytest.mark.parametrize("case", [perforated_stokes_case,
+                                  periodic_cell_stokes_case],
+                         ids=["perforated", "periodic_cell"])
+def test_schur_cg_stokes_matches_direct_route(case, monkeypatch):
+    mesh, bc, viscosity, forcings = case()
+    direct = fem.StokesOperator(mesh, bc, viscosity=viscosity)
+    monkeypatch.setattr(fem, "DIRECT_DOF_LIMIT", 0)
+    op = fem.StokesOperator(mesh, bc, viscosity=viscosity)
+    assert (direct._mode, op._mode) == ("direct", "schur_cg")
+    for forcing in forcings:
+        vel_ref, p_ref = direct.solve(forcing)
+        vel, p = op.solve(forcing)
+        assert np.max(np.abs(vel.values - vel_ref.values)) \
+            <= 1e-8 * np.max(np.abs(vel_ref.values))
+        assert np.max(np.abs(p - p_ref)) <= 1e-8 * np.max(np.abs(p_ref))
+        assert relative_weak_divergence(mesh, vel) <= 1e-8
+    assert direct.solves == op.solves == len(forcings)
+    assert direct.schur_iterations == 0
+    assert 0 < op.schur_iterations <= 80 * len(forcings)
+
+    # One LU of the scalar block solves both components as the LU of the
+    # whole two-component velocity block does.
+    block = splu(op.matrix[op.u_ids][:, op.u_ids].tocsc())
+    rhs = np.random.default_rng(6).standard_normal(len(op.u_ids))
+    ref = block.solve(rhs)
+    assert np.max(np.abs(op._solve_velocity(rhs) - ref)) \
+        <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_stokes_zero_forcing_gives_zero_velocity():

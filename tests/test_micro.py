@@ -24,6 +24,8 @@ from snpp.mesh import (
     mesh_area,
 )
 
+from oracles import relative_weak_divergence
+
 DISK_CELL = UnitCellGeometry(DiskInclusion((0.5, 0.5), 0.25), 0.125)
 PLAIN_CELL = UnitCellGeometry(None, 0.125)
 
@@ -250,6 +252,22 @@ def test_stokes_forcing_lag_matches_exact_resolve():
     assert np.max(np.abs(finals[0].c_plus - finals[1].c_plus)) <= 1e-8
     assert np.max(np.abs(finals[0].velocity.values
                          - finals[1].velocity.values)) <= 1e-7
+
+
+@pytest.mark.slow
+def test_eps16_step_takes_the_schur_cg_stokes_route():
+    domain = PerforatedDomain(1 / 16, DISK_CELL)
+    mesh = generate_perforated_mesh(domain, 1 / 128)
+    c_plus, c_minus = neutral_blobs(mesh)
+    problem = micro.MicroProblem(domain, neumann_regime(), c_plus, c_minus,
+                                 t_end=2e-3, dt=2e-3, target_h=1 / 128)
+    problem._mesh = mesh
+    states, _ = micro.run_micro(problem)
+    stokes = mesh._caches["micro_ops"].stokes
+    assert stokes._mode == "schur_cg"
+    assert stokes.solves >= 1
+    assert stokes.schur_iterations <= 80 * stokes.solves
+    assert relative_weak_divergence(mesh, states[-1].velocity) <= 1e-8
 
 
 def test_dt_self_convergence_first_order():
