@@ -320,7 +320,13 @@ def run_steps(problem, state, update_fields, transport, lumped,
     under the fields in state.  With iterate, each step repeats fields
     then transport until the new concentrations settle, raising
     FixedPointDivergence after FIXED_POINT_MAX_ITER sweeps; without it,
-    each step is one sweep.  NonFiniteField is raised as soon as a
+    each step is one sweep.  A step settles at sweep k >= 2 when the
+    estimated distance to its fixed point, g_k min(1, q / (1 - q)), is
+    at most FIXED_POINT_TOL times the largest concentration (at least
+    1), where g_k is the largest change of a concentration in sweep k
+    (g_1 against the step's starting concentrations) and q is the
+    largest ratio g_k / g_(k-1) seen so far in the run; for q >= 1/2
+    this is the gap itself.  NonFiniteField is raised as soon as a
     transport step returns a concentration that is not finite.  The
     fields are refreshed from the final concentrations of every step,
     and the first sweep of the next step uses them as they are.  Returns
@@ -364,10 +370,14 @@ def run_steps(problem, state, update_fields, transport, lumped,
     if abs(num_steps * problem.dt - problem.t_end) > 1e-9 * problem.t_end:
         num_steps = int(np.ceil(problem.t_end / problem.dt - 1e-12))
 
+    # Largest ratio of successive sweep gaps seen in the run: the measured
+    # contraction of the sweep map.
+    contraction = 0.0
     for step in range(1, num_steps + 1):
         c_plus_old = state.c_plus
         c_minus_old = state.c_minus
-        previous = None
+        previous = (c_plus_old, c_minus_old)
+        previous_gap = None
         iterations = 0
         while True:
             iterations += 1
@@ -384,14 +394,25 @@ def run_steps(problem, state, update_fields, transport, lumped,
                     where="macro.run_steps")
             if not iterate:
                 break
-            if previous is not None:
-                gap = max(
-                    float(np.max(np.abs(candidate[0] - previous[0]))),
-                    float(np.max(np.abs(candidate[1] - previous[1]))))
+            gap = max(float(np.max(np.abs(candidate[0] - previous[0]))),
+                      float(np.max(np.abs(candidate[1] - previous[1]))))
+            if previous_gap is not None:
+                if previous_gap > 0:
+                    contraction = max(contraction, gap / previous_gap)
+                elif gap > 0:
+                    contraction = np.inf
+                # A contraction q bounds the distance to the fixed point
+                # by q / (1 - q) times the gap; from q = 1/2 up that is
+                # no tighter than the gap itself.
+                if contraction < 0.5:
+                    error = gap * contraction / (1.0 - contraction)
+                else:
+                    error = gap
                 scale = max(1.0, float(np.max(np.abs(candidate[0]))),
                             float(np.max(np.abs(candidate[1]))))
-                if gap <= FIXED_POINT_TOL * scale:
+                if error <= FIXED_POINT_TOL * scale:
                     break
+            previous_gap = gap
             if iterations >= FIXED_POINT_MAX_ITER:
                 raise FixedPointDivergence(
                     "inner iteration did not settle within %d sweeps at "
@@ -453,6 +474,7 @@ def run_macro(problem):
         problem, state, update_fields, transport, ops.lumped.diagonal(),
         content_scale=coeffs.porosity, iterate=coupled)
     log.info("macro run finished: %d steps, final charge %.3e, "
-             "transport %s", len(diagnostics) - 1,
-             diagnostics[-1]["charge"], solver.summary())
+             "transport %s, %d sweeps", len(diagnostics) - 1,
+             diagnostics[-1]["charge"], solver.summary(),
+             sum(row["fp_iters"] for row in diagnostics))
     return states, diagnostics

@@ -73,12 +73,6 @@ class UnitCellGeometry:
                     field="target_h")
 
     @property
-    def fluid_area(self):
-        if self.inclusion is None:
-            return 1.0
-        return 1.0 - math.pi * self.inclusion.radius ** 2
-
-    @property
     def interface_length(self):
         if self.inclusion is None:
             return 0.0

@@ -262,9 +262,9 @@ def run_micro(problem):
     state = MicroState(mesh, 0.0, c_plus, c_minus, None, None, None)
     states, diagnostics = run_steps(problem, state, update_fields,
                                     transport, ops.lumped.diagonal())
-    log.info("micro run eps=%g finished: %d steps, transport %s, stokes %s",
-             mesh.eps, len(diagnostics) - 1, solver.summary(),
-             ops.stokes.summary())
+    log.info("micro run eps=%g finished: %d steps, transport %s, stokes %s, "
+             "%d sweeps", mesh.eps, len(diagnostics) - 1, solver.summary(),
+             ops.stokes.summary(), sum(row["fp_iters"] for row in diagnostics))
     return states, diagnostics
 
 

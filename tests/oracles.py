@@ -4,8 +4,12 @@ Everything here is deliberately written along a different route than the
 package: element integrals come from a high-order barycentric quadrature
 loop instead of closed forms, and the linear solve is plain dense Gaussian
 elimination. Slow and simple on purpose.  relative_weak_divergence is a
-measure on the package's own divergence rows, shared by the Stokes tests.
+measure on the package's own divergence rows, shared by the Stokes tests;
+fixed_point_checked measures the stop rule of the stepping loop against
+sweeps continued well past it.
 """
+
+from dataclasses import replace
 
 import numpy as np
 
@@ -218,3 +222,46 @@ def relative_weak_divergence(mesh, vel):
         terms = fold.T @ terms
     residual = fem.weak_divergence(mesh, vel)
     return float(np.max(np.abs(residual)) / np.max(terms))
+
+
+def fixed_point_checked(run_steps, errors, tol=1e-14, max_sweeps=20):
+    """run_steps that measures every accepted step against a reference.
+
+    Before the end-of-step field update, the wrapped loop continues the
+    sweeps of the step from the accepted concentrations, on a copy of the
+    state, until the gap is at most tol times the scale.  errors receives
+    max|accepted - reference| / scale for every step, with the scale of
+    the stop test: the largest accepted concentration, at least 1.
+    """
+    def wrapped(problem, state, update_fields, transport, lumped, **kwargs):
+        start = {}
+
+        def recording_transport(current, c_plus, c_minus):
+            start["t"] = current.t
+            start["c"] = (c_plus, c_minus)
+            return transport(current, c_plus, c_minus)
+
+        def checking_update(current):
+            if start and current.t > start["t"]:
+                accepted = np.concatenate([current.c_plus, current.c_minus])
+                scale = max(1.0, float(np.max(np.abs(accepted))))
+                probe = replace(current)
+                x = accepted
+                for _ in range(max_sweeps):
+                    probe.c_plus, probe.c_minus = np.split(x, 2)
+                    update_fields(probe)
+                    y = np.concatenate(transport(probe, *start["c"]))
+                    gap = float(np.max(np.abs(y - x)))
+                    x = y
+                    if gap <= tol * scale:
+                        break
+                else:
+                    raise AssertionError("reference sweeps did not settle")
+                errors.append(float(np.max(np.abs(accepted - x))) / scale)
+                start.clear()
+            update_fields(current)
+
+        return run_steps(problem, state, checking_update,
+                         recording_transport, lumped, **kwargs)
+
+    return wrapped

@@ -427,6 +427,25 @@ def test_schur_cg_stokes_matches_direct_route(case, monkeypatch):
         <= 1e-14 * np.max(np.abs(ref))
 
 
+def test_schur_cg_starts_from_the_last_pressure(monkeypatch):
+    mesh, bc, viscosity, (forcing,) = perforated_stokes_case()
+    perturbed = forcing + 1e-4 * np.random.default_rng(7).standard_normal(
+        forcing.shape)
+    direct = fem.StokesOperator(mesh, bc, viscosity=viscosity)
+    monkeypatch.setattr(fem, "DIRECT_DOF_LIMIT", 0)
+    op = fem.StokesOperator(mesh, bc, viscosity=viscosity)
+    iterations = []
+    for f in (forcing, perturbed):
+        before = op.schur_iterations
+        vel, p = op.solve(f)
+        iterations.append(op.schur_iterations - before)
+        vel_ref, p_ref = direct.solve(f)
+        assert np.max(np.abs(vel.values - vel_ref.values)) \
+            <= 1e-8 * np.max(np.abs(vel_ref.values))
+        assert np.max(np.abs(p - p_ref)) <= 1e-8 * np.max(np.abs(p_ref))
+    assert 0 < iterations[1] < iterations[0]
+
+
 def test_stokes_zero_forcing_gives_zero_velocity():
     mesh = disk_mesh(0.1)
     vel, pressure = fem.solve_stokes(

@@ -15,7 +15,12 @@ from snpp.errors import (
 )
 from snpp.mesh import UnitCellGeometry, generate_unit_cell_mesh
 
-from oracles import gauss_solve, p1_basis_gradients, tri_area
+from oracles import (
+    fixed_point_checked,
+    gauss_solve,
+    p1_basis_gradients,
+    tri_area,
+)
 
 
 def square_mesh(h):
@@ -338,6 +343,136 @@ def test_run_reports_fixed_point_divergence(monkeypatch):
         c_plus, c_minus, t_end=0.01, dt=5e-3)
     with pytest.raises(FixedPointDivergence):
         macro.run_macro(problem)
+
+
+class LinearSweep:
+    """Sweep map with a known fixed point and contraction factor.
+
+    The fields are the concentrations they were computed from, and one
+    transport step from c returns x*(c) + q P (x - x*(c)), where P is a
+    cyclic shift mixing the nodes of both species and x*(c) moves each
+    species towards the other.  Every sweep shrinks the largest
+    deviation from x* by exactly q, which q_of_step may vary by step.
+    """
+
+    n = 8
+
+    dt = 1e-2
+
+    def __init__(self, q_of_step):
+        self.q_of_step = q_of_step
+        self.sweeps = 0
+
+    @staticmethod
+    def fixed_point(c_plus, c_minus):
+        shift = 5e-3 * (c_plus - c_minus)
+        return np.concatenate([c_plus - shift, c_minus + shift])
+
+    def update_fields(self, state):
+        state.phi = np.concatenate([state.c_plus, state.c_minus])
+
+    def transport(self, state, c_plus, c_minus):
+        self.sweeps += 1
+        step = round(state.t / self.dt) + 1
+        target = self.fixed_point(c_plus, c_minus)
+        x = target + self.q_of_step(step) * np.roll(state.phi - target, 1)
+        return x[:self.n], x[self.n:]
+
+    def run(self, steps=6):
+        problem = macro.MacroProblem(None, None, None, None, None,
+                                     t_end=steps * self.dt, dt=self.dt)
+        state = macro.MacroState(
+            mesh=None, t=0.0, c_plus=np.linspace(0.2, 0.6, self.n),
+            c_minus=np.linspace(0.5, 0.3, self.n), phi=None,
+            pressure=np.zeros(1), velocity=np.zeros(1))
+        return macro.run_steps(problem, state, self.update_fields,
+                               self.transport, np.ones(self.n))
+
+    def step_errors(self, states):
+        return [float(np.max(np.abs(
+            np.concatenate([now.c_plus, now.c_minus])
+            - self.fixed_point(before.c_plus, before.c_minus))))
+            for before, now in zip(states, states[1:])]
+
+
+def gap_rule_sweeps(q, c_plus, c_minus, steps):
+    # The stop test on the gap alone: the first sweep k >= 2 whose change
+    # is at most FIXED_POINT_TOL times the scale.
+    counts = []
+    x = np.concatenate([c_plus, c_minus])
+    for _ in range(steps):
+        target = LinearSweep.fixed_point(*np.split(x, 2))
+        fields, previous, k = x, None, 0
+        while True:
+            k += 1
+            x = target + q * np.roll(fields - target, 1)
+            if previous is not None and np.max(np.abs(x - previous)) \
+                    <= macro.FIXED_POINT_TOL * max(1.0, np.max(np.abs(x))):
+                break
+            fields = previous = x
+        counts.append(k)
+    return counts
+
+
+@pytest.mark.parametrize("q", [1e-3, 0.3, 0.9])
+def test_run_stops_within_tolerance_of_the_fixed_point(q, monkeypatch):
+    # q = 0.9 needs about 110 sweeps per step under either rule.
+    monkeypatch.setattr(macro, "FIXED_POINT_MAX_ITER", 200)
+    sweep = LinearSweep(lambda step: q)
+    states, diagnostics = sweep.run()
+    sweeps = [row["fp_iters"] for row in diagnostics[1:]]
+    assert len(sweeps) == 6
+    # Every concentration lies in [0, 1], so the scale is 1.  From
+    # q = 1/2 up the rule is the gap rule, which leaves an error of up to
+    # q / (1 - q) times the tolerance.
+    assert max(sweep.step_errors(states)) \
+        <= max(1.0, q / (1 - q)) * macro.FIXED_POINT_TOL
+    old = gap_rule_sweeps(q, states[0].c_plus, states[0].c_minus, 6)
+    if q == 1e-3:
+        assert sweeps == [2] * 6
+        assert old == [3] * 6
+    elif q == 0.9:
+        assert sweeps == old
+    else:
+        assert all(2 <= k < m for k, m in zip(sweeps, old))
+
+
+def test_run_measures_the_contraction_on_every_step():
+    # The sweeps contract 1000-fold for three steps and only 3-fold after
+    # that; a contraction measured once would accept the fourth step's
+    # second sweep while it is still about 1e-4 off its fixed point.
+    sweep = LinearSweep(lambda step: 1e-3 if step <= 3 else 0.3)
+    states, diagnostics = sweep.run()
+    assert [row["fp_iters"] for row in diagnostics[1:4]] == [2, 2, 2]
+    assert all(row["fp_iters"] > 2 for row in diagnostics[4:])
+    assert max(sweep.step_errors(states)) <= macro.FIXED_POINT_TOL
+
+
+def test_run_without_contraction_raises_at_the_cap():
+    sweep = LinearSweep(lambda step: 1.5)
+    with pytest.raises(FixedPointDivergence):
+        sweep.run()
+    assert sweep.sweeps == macro.FIXED_POINT_MAX_ITER
+
+
+def test_coupled_run_steps_stop_within_tolerance_of_the_fixed_point(
+        monkeypatch, caplog):
+    errors = []
+    monkeypatch.setattr(macro, "run_steps",
+                        fixed_point_checked(macro.run_steps, errors))
+    mesh = square_mesh(1 / 32)
+    c_plus, c_minus = charged_blobs(mesh, neutral=True)
+    problem = macro.MacroProblem(
+        mesh, identity_coeffs(porosity=0.8),
+        macro.ScalingRegime("neumann", 0, 0, 0),
+        c_plus, c_minus, t_end=0.02, dt=2e-3)
+    with caplog.at_level("INFO", logger="snpp.macro"):
+        _, diagnostics = macro.run_macro(problem)
+    assert len(errors) == 10
+    assert max(errors) <= macro.FIXED_POINT_TOL
+    assert all(row["fp_iters"] >= 2 for row in diagnostics[1:])
+    sweeps = sum(row["fp_iters"] for row in diagnostics)
+    assert caplog.messages[-1].endswith(", %d sweeps" % sweeps)
 
 
 @pytest.mark.parametrize("beta", [0, 1])

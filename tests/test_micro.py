@@ -24,7 +24,7 @@ from snpp.mesh import (
     mesh_area,
 )
 
-from oracles import relative_weak_divergence
+from oracles import fixed_point_checked, relative_weak_divergence
 
 DISK_CELL = UnitCellGeometry(DiskInclusion((0.5, 0.5), 0.25), 0.125)
 PLAIN_CELL = UnitCellGeometry(None, 0.125)
@@ -76,7 +76,22 @@ def test_run_reports_fixed_point_divergence(monkeypatch):
         micro.run_micro(problem)
 
 
-def test_first_sweep_reuses_end_of_step_fields(monkeypatch):
+def test_run_steps_stop_within_tolerance_of_the_fixed_point(monkeypatch):
+    errors = []
+    monkeypatch.setattr(micro, "run_steps",
+                        fixed_point_checked(micro.run_steps, errors))
+    domain = PerforatedDomain(0.5, DISK_CELL)
+    mesh = generate_perforated_mesh(domain, 1 / 16)
+    c_plus, c_minus = neutral_blobs(mesh)
+    problem = micro.MicroProblem(domain, neumann_regime(), c_plus, c_minus,
+                                 t_end=0.02, dt=2e-3, target_h=1 / 16)
+    _, diagnostics = micro.run_micro(problem)
+    assert len(errors) == 10
+    assert max(errors) <= macro.FIXED_POINT_TOL
+    assert all(row["fp_iters"] >= 2 for row in diagnostics[1:])
+
+
+def test_first_sweep_reuses_end_of_step_fields(monkeypatch, caplog):
     # One potential solve for the initial fields, one after every step,
     # and one before every sweep but the first of each step.
     calls = []
@@ -92,10 +107,12 @@ def test_first_sweep_reuses_end_of_step_fields(monkeypatch):
     c_plus, c_minus = neutral_blobs(mesh)
     problem = micro.MicroProblem(domain, neumann_regime(), c_plus, c_minus,
                                  t_end=0.01, dt=2e-3, target_h=1 / 16)
-    _, diagnostics = micro.run_micro(problem)
+    with caplog.at_level("INFO", logger="snpp.micro"):
+        _, diagnostics = micro.run_micro(problem)
     sweeps = sum(row["fp_iters"] for row in diagnostics)
     assert len(diagnostics) == 6
     assert len(calls) == 1 + sweeps
+    assert caplog.messages[-1].endswith(", %d sweeps" % sweeps)
     for earlier, later in zip(calls, calls[1:]):
         assert not np.array_equal(earlier, later)
 
