@@ -264,21 +264,6 @@ def compute_sigma_bar(geom, sigma):
     return float(sigma) * geom.interface_length
 
 
-def reconstruct_corrector(macro_grad, sols, point_macro, point_cell):
-    """First-order corrector sum_j phi_j(y) g_j(x) at one point pair.
-
-    macro_grad is either a callable x -> (2,) or a constant 2-vector.
-    """
-    if callable(macro_grad):
-        g = np.asarray(macro_grad(point_macro), dtype=float)
-    else:
-        g = np.asarray(macro_grad, dtype=float)
-    if not np.any(g):
-        return 0.0
-    values = fem.p1_interpolate(sols.mesh, sols.phi, [point_cell])[0]
-    return float(g[0] * values[0] + g[1] * values[1])
-
-
 def corrector_node_values(micro_mesh, sols):
     """Corrector values at every node of a tiled perforated mesh.
 

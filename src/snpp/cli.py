@@ -62,8 +62,7 @@ CHECK_EXIT = 3
 GEOMETRY_DEFAULTS = {"radius": 0.25, "center": (0.5, 0.5), "cell_h": 0.025}
 REGIME_DEFAULTS = {"bc": "neumann", "alpha": 0, "beta": 0, "gamma": 0,
                    "sigma": 0.0, "phi_d": 0.0}
-DISCRETIZATION_DEFAULTS = {"h": None, "dt": 2e-3, "t_end": 0.1, "eps": None,
-                           "exact_stokes": False}
+DISCRETIZATION_DEFAULTS = {"h": None, "dt": 2e-3, "t_end": 0.1, "eps": None}
 OUTPUT_DEFAULTS = {"directory": "snpp-out", "formats": ("csv", "vtk"),
                    "snapshot_stride": 1}
 INITIAL_DEFAULTS = {"kind": "charged_blobs", "background": 0.2,
@@ -94,8 +93,8 @@ class RunConfig:
     """Fully resolved configuration for one command invocation."""
 
     def __init__(self, command, geometry, regime, eps, eps_list, h, dt,
-                 t_end, exact_stokes, initial, lam, directory, formats,
-                 snapshot_stride, diagnostics, echo):
+                 t_end, initial, lam, directory, formats, snapshot_stride,
+                 diagnostics, echo):
         self.command = command
         self.geometry = geometry
         self.regime = regime
@@ -104,7 +103,6 @@ class RunConfig:
         self.h = h
         self.dt = dt
         self.t_end = t_end
-        self.exact_stokes = exact_stokes
         self.initial = initial
         self.lam = lam
         self.directory = directory
@@ -122,6 +120,10 @@ def _merge_block(raw, name, defaults):
         raise ValidationError("%s block must be an object" % name,
                               field=name, where="cli.parse_config")
     if name == "discretization" and "T" in block:
+        if "t_end" in block:
+            raise ValidationError(
+                "discretization sets both T and its alias t_end",
+                field="discretization.T", where="cli.parse_config")
         block = dict(block)
         block["t_end"] = block.pop("T")
     unknown = sorted(set(block) - set(defaults))
@@ -217,11 +219,6 @@ def parse_config(text, command=None):
     disc = _merge_block(raw, "discretization", DISCRETIZATION_DEFAULTS)
     dt = _number(disc["dt"], "discretization.dt", minimum=0.0)
     t_end = _number(disc["t_end"], "discretization.t_end", minimum=0.0)
-    exact_stokes = disc["exact_stokes"]
-    if not isinstance(exact_stokes, bool):
-        raise ValidationError("discretization.exact_stokes must be a boolean",
-                              field="discretization.exact_stokes",
-                              where="cli.parse_config")
 
     eps_entry = disc["eps"]
     if command == "converge":
@@ -302,8 +299,7 @@ def parse_config(text, command=None):
                    "beta": regime.beta, "gamma": regime.gamma,
                    "sigma": regime.sigma, "phi_d": regime.phi_d},
         "discretization": {"h": h, "dt": dt, "t_end": t_end,
-                           "eps": eps_list if command == "converge" else eps,
-                           "exact_stokes": exact_stokes},
+                           "eps": eps_list if command == "converge" else eps},
         "output": {"directory": directory, "formats": list(formats),
                    "snapshot_stride": stride},
         "initial": {"kind": initial["kind"], "background": background,
@@ -315,7 +311,6 @@ def parse_config(text, command=None):
     return RunConfig(
         command=command, geometry=geometry, regime=regime, eps=eps,
         eps_list=eps_list, h=h, dt=dt, t_end=t_end,
-        exact_stokes=exact_stokes,
         initial={"kind": initial["kind"], "background": background,
                  "amplitude": amplitude},
         lam=lam, directory=directory, formats=tuple(formats),
@@ -425,7 +420,6 @@ def run_micro_cmd(config, workers=None):
     problem = micro.MicroProblem(domain, config.regime, cp, cm,
                                  t_end=config.t_end, dt=config.dt,
                                  target_h=config.h, lam=config.lam,
-                                 exact_stokes=config.exact_stokes,
                                  snapshot_stride=config.snapshot_stride)
     problem._mesh = mesh
     states, diagnostics = micro.run_micro(problem)

@@ -246,10 +246,6 @@ def boundary_edge_geometry(mesh, tag):
     return list(zip(a.tolist(), b.tolist(), length.tolist(), normal))
 
 
-def boundary_measure(mesh, tag):
-    return sum(length for _, _, length, _ in boundary_edge_geometry(mesh, tag))
-
-
 def assemble_boundary_load(mesh, tag, value):
     """Load vector of the surface term value * integral phi_i ds."""
     rhs = np.zeros(mesh.num_nodes)
@@ -391,78 +387,6 @@ def solve_direct(matrix, rhs):
     """Sparse LU solve; deterministic workhorse for non-SPD systems."""
     lu = splu(sp.csc_matrix(matrix))
     return lu.solve(np.asarray(rhs, dtype=float))
-
-
-def solve_spd(matrix, rhs, tol=DEFAULT_TOL, max_iter=None,
-              project_constant=False, mean_weight=None):
-    """Jacobi-preconditioned conjugate gradients.
-
-    project_constant removes the constant component from the residual at
-    every step, which solves compatible singular Neumann systems; the
-    returned iterate is then shifted to zero weighted mean when
-    mean_weight is given.  Raises SolverBreakdown on indefinite input or
-    residual stagnation and MaxIterationsExceeded past the budget.
-    """
-    matrix = sp.csr_matrix(matrix)
-    n = matrix.shape[0]
-    if max_iter is None:
-        max_iter = 10 * n + 200
-    b = np.asarray(rhs, dtype=float).copy()
-    diag = matrix.diagonal()
-    if np.any(diag <= 0):
-        raise SolverBreakdown("nonpositive diagonal entry: matrix is not "
-                              "positive definite", where="fem.solve_spd")
-    inv_diag = 1.0 / diag
-    ones = np.ones(n) / np.sqrt(n)
-    if project_constant:
-        b -= (ones @ b) * ones
-    bnorm = float(np.linalg.norm(b))
-    x = np.zeros(n)
-    if bnorm == 0.0:
-        return x
-    r = b.copy()
-    z = inv_diag * r
-    p = z.copy()
-    rz = float(r @ z)
-    best = float(np.linalg.norm(r))
-    best_iter = 0
-    for it in range(1, max_iter + 1):
-        ap = matrix @ p
-        if project_constant:
-            ap -= (ones @ ap) * ones
-        pap = float(p @ ap)
-        if pap <= 0.0:
-            raise SolverBreakdown("nonpositive curvature: matrix is not "
-                                  "positive definite", where="fem.solve_spd")
-        alpha = rz / pap
-        x += alpha * p
-        r -= alpha * ap
-        if project_constant:
-            r -= (ones @ r) * ones
-        res = float(np.linalg.norm(r))
-        if res <= tol * bnorm:
-            log.debug("solve_spd converged in %d iterations (rel %.2e)",
-                      it, res / bnorm)
-            break
-        if res < best * (1.0 - 1e-6):
-            best, best_iter = res, it
-        elif it - best_iter > 100:
-            raise SolverBreakdown(
-                "residual stagnated at relative %.2e after %d iterations"
-                % (res / bnorm, it), where="fem.solve_spd")
-        z = inv_diag * r
-        rz_new = float(r @ z)
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    else:
-        raise MaxIterationsExceeded(
-            "conjugate gradients: %d iterations, relative residual %.2e"
-            % (max_iter, float(np.linalg.norm(r)) / bnorm),
-            where="fem.solve_spd")
-    if mean_weight is not None:
-        w = np.asarray(mean_weight, dtype=float)
-        x = x - (w @ x) / np.sum(w)
-    return x
 
 
 class TransportSolver:
@@ -838,7 +762,8 @@ class StokesOperator:
             if np.linalg.norm(mean) > 1e-12:
                 raise NoSolidPhase(
                     "periodic flow without a no-slip interface admits no "
-                    "solution for mean forcing", where="fem.solve_stokes")
+                    "solution for mean forcing",
+                    where="fem.StokesOperator.solve")
         load = assemble_p2_load(self.mesh, forcing)
         rhs_full = np.concatenate([load[:, 0], load[:, 1],
                                    np.zeros(self.n1)])
@@ -878,7 +803,7 @@ class StokesOperator:
                 dsd = float(d @ sd)
                 if dsd <= 0:
                     raise SolverBreakdown("Schur complement lost positivity",
-                                          where="fem.solve_stokes")
+                                          where="fem.StokesOperator.solve")
                 alpha = rz / dsd
                 p += alpha * d
                 r -= alpha * sd
@@ -891,7 +816,7 @@ class StokesOperator:
             else:
                 raise MaxIterationsExceeded(
                     "Schur-complement CG exceeded %d iterations"
-                    % SCHUR_MAX_ITER, where="fem.solve_stokes")
+                    % SCHUR_MAX_ITER, where="fem.StokesOperator.solve")
             self.schur_iterations += it
         self._last_pressure = p
         u = self._solve_velocity(fu - self.b_pu.T @ p)
@@ -902,18 +827,6 @@ class StokesOperator:
         wp_full = self.pressure_weight[self.p_ids]
         sol[self.p_ids] -= (wp_full @ p) / np.sum(wp_full)
         return sol
-
-
-def solve_stokes(mesh, forcing, bc, viscosity=1.0):
-    """Taylor-Hood Stokes solve; see StokesOperator for the contract.
-
-    Raises NoSolidPhase when the velocity is unconstrained (periodic with
-    no no-slip interface) and the forcing has a nonzero mean, which is
-    the incompatible configuration.
-    """
-    op = StokesOperator(mesh, bc, viscosity=viscosity)
-    vel, pressure = op.solve(forcing)
-    return vel, Field(mesh, "p1", pressure)
 
 
 def weak_divergence(mesh, vel):

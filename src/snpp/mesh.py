@@ -571,31 +571,3 @@ def generate_perforated_mesh(dom, target_h):
               eps, mesh.num_nodes, mesh.num_triangles,
               count_interior_loops(mesh))
     return mesh
-
-
-def mesh_quality_report(mesh):
-    """Shape statistics used by solvers to refuse degenerate meshes."""
-    p = mesh.nodes[mesh.triangles]
-    e0 = p[:, 2] - p[:, 1]
-    e1 = p[:, 0] - p[:, 2]
-    e2 = p[:, 1] - p[:, 0]
-    lengths = np.stack([np.hypot(e0[:, 0], e0[:, 1]),
-                        np.hypot(e1[:, 0], e1[:, 1]),
-                        np.hypot(e2[:, 0], e2[:, 1])], axis=1)
-    angles = []
-    for out_a, out_b in ((e2, e1), (e0, e2), (e1, e0)):
-        u, v = out_a, -out_b
-        cross = np.abs(u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0])
-        dot = u[:, 0] * v[:, 0] + u[:, 1] * v[:, 1]
-        angles.append(np.degrees(np.arctan2(cross, dot)))
-    angles = np.stack(angles, axis=1)
-    return {
-        "min_angle_deg": float(np.min(angles)),
-        "max_aspect": float(np.max(np.max(lengths, axis=1)
-                                   / np.min(lengths, axis=1))),
-        "h_max": float(np.max(lengths)),
-        "h_min": float(np.min(lengths)),
-        "num_nodes": mesh.num_nodes,
-        "num_triangles": mesh.num_triangles,
-        "area": mesh_area(mesh),
-    }

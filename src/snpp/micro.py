@@ -35,8 +35,6 @@ from .mesh import GAMMA_INTERIOR, OUTER_BOUNDARY, boundary_nodes, \
 
 log = logging.getLogger(__name__)
 
-STOKES_LAG_TOL = 1e-8
-
 
 @dataclass
 class MicroProblem:
@@ -54,7 +52,6 @@ class MicroProblem:
     dt: float
     target_h: float
     lam: float = 1.0
-    exact_stokes: bool = False
     snapshot_stride: int = 1
     _mesh: object = None
 
@@ -102,10 +99,8 @@ class MicroState:
     velocity: object
 
     def validate(self, bc_type=NEUMANN):
-        ops = self.mesh._caches.get("micro_ops")
-        weight = ops.weight if ops is not None else np.asarray(
-            fem.assemble_mass(self.mesh)
-            @ np.ones(self.mesh.num_nodes)).ravel()
+        weight = np.asarray(fem.assemble_mass(self.mesh)
+                            @ np.ones(self.mesh.num_nodes)).ravel()
         wall = fem._p2_boundary_dofs(
             self.mesh, {GAMMA_INTERIOR, OUTER_BOUNDARY})
         if np.max(np.abs(self.velocity.values[wall])) > 1e-12:
@@ -118,12 +113,12 @@ class MicroState:
 
 
 class _Operators:
-    """Matrices, factorizations, and the lagged flow solve for one run."""
+    """Matrices and factorizations of one run_micro call, with the
+    potential, flow and transport solves built on them."""
 
-    def __init__(self, mesh, regime, exact_stokes):
+    def __init__(self, mesh, regime):
         self.mesh = mesh
         self.regime = regime
-        self.exact_stokes = exact_stokes
         eps = mesh.eps
         self.mass = fem.assemble_mass(mesh)
         self.lumped = fem.assemble_mass(mesh, lumped=True)
@@ -157,12 +152,6 @@ class _Operators:
         self.stokes = fem.StokesOperator(
             mesh, {"no_slip_tags": [GAMMA_INTERIOR, OUTER_BOUNDARY]},
             viscosity=eps ** 2)
-        self.last_forcing = None
-        self.last_flow = None
-
-    @property
-    def stokes_solves(self):
-        return self.stokes.solves
 
     def solve_potential(self, charge):
         rhs = np.asarray(self.mass @ charge).ravel()
@@ -186,18 +175,9 @@ class _Operators:
         charge_e = fem.element_means(self.mesh, charge)
         forcing = -eps_beta * charge_e[:, None] \
             * fem.p1_element_gradients(self.mesh, phi)
-        if (not self.exact_stokes and self.last_forcing is not None):
-            gap = float(np.max(np.abs(forcing - self.last_forcing)))
-            scale = max(float(np.max(np.abs(self.last_forcing))), 1e-30)
-            if gap <= STOKES_LAG_TOL * scale:
-                return self.last_flow
-        velocity, pressure = self.stokes.solve(forcing)
-        self.last_forcing = forcing
-        self.last_flow = (velocity, pressure)
-        return self.last_flow
+        return self.stokes.solve(forcing)
 
-    def step_transport(self, c_plus, c_minus, velocity, phi, dt,
-                       solver=None):
+    def step_transport(self, c_plus, c_minus, velocity, phi, dt, solver):
         eps_gamma = self.mesh.eps ** self.regime.gamma
         tensor = eps_gamma * np.eye(2)
         ops = []
@@ -210,32 +190,6 @@ class _Operators:
                                       c_plus, c_minus, dt, solver=solver)
 
 
-def _get_operators(mesh, regime, exact_stokes):
-    ops = mesh._caches.get("micro_ops")
-    if (ops is None or ops.regime != regime
-            or ops.exact_stokes != exact_stokes):
-        ops = _Operators(mesh, regime, exact_stokes)
-        mesh._caches["micro_ops"] = ops
-    return ops
-
-
-def step_micro(state, problem):
-    """One splitting sweep: potential, flow, transport, advancing t by dt.
-
-    The potential and flow are built from the concentrations in the given
-    state (semi-implicit lagging); the transport step is implicit.
-    """
-    mesh = state.mesh
-    ops = _get_operators(mesh, problem.regime, problem.exact_stokes)
-    charge = state.c_plus - state.c_minus
-    phi = ops.solve_potential(charge)
-    velocity, pressure = ops.solve_flow(charge, phi)
-    c_plus, c_minus = ops.step_transport(
-        state.c_plus, state.c_minus, velocity, phi, problem.dt)
-    return MicroState(mesh, state.t + problem.dt, c_plus, c_minus,
-                      phi, pressure, velocity)
-
-
 def run_micro(problem):
     """Advance the pore-scale system to t_end with macro.run_steps.
 
@@ -246,8 +200,7 @@ def run_micro(problem):
     problem.validate()
     mesh = problem.build_mesh()
     c_plus, c_minus = problem.initial_values(mesh)
-    ops = _Operators(mesh, problem.regime, problem.exact_stokes)
-    mesh._caches["micro_ops"] = ops
+    ops = _Operators(mesh, problem.regime)
     solver = fem.TransportSolver()
 
     def update_fields(state):

@@ -49,19 +49,6 @@ def write_coefficients(path, coeffs):
             handle.write("%s=%s\n" % (key, _fmt(value)))
 
 
-def read_coefficients(path):
-    """Read a key=value coefficient file back into a plain dict."""
-    out = {}
-    with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, text = line.partition("=")
-            out[key] = float(text)
-    return out
-
-
 def write_diagnostics_csv(path, diagnostics):
     """One CSV row per time step with the solver's scalar time series."""
     with open(path, "w", newline="") as handle:

@@ -6,14 +6,18 @@ loop instead of closed forms, and the linear solve is plain dense Gaussian
 elimination. Slow and simple on purpose.  relative_weak_divergence is a
 measure on the package's own divergence rows, shared by the Stokes tests;
 fixed_point_checked measures the stop rule of the stepping loop against
-sweeps continued well past it.
+sweeps continued well past it.  solve_spd, mesh_quality_report and
+read_coefficients have no caller in the package; they are the test-side
+conjugate-gradient route, mesh statistics and coefficient-file reader.
 """
 
 from dataclasses import replace
 
 import numpy as np
+import scipy.sparse as sp
 
 from snpp import fem
+from snpp.errors import MaxIterationsExceeded, SolverBreakdown
 
 # Degree-5 symmetric triangle rule (7 points), barycentric coordinates and
 # weights summing to 1.  Classic Radon rule, written in closed form so the
@@ -265,3 +269,106 @@ def fixed_point_checked(run_steps, errors, tol=1e-14, max_sweeps=20):
                          recording_transport, lumped, **kwargs)
 
     return wrapped
+
+
+def solve_spd(matrix, rhs, tol=fem.DEFAULT_TOL, max_iter=None,
+              project_constant=False, mean_weight=None):
+    """Jacobi-preconditioned conjugate gradients, the independent route
+    the direct constrained solves of fem are checked against.
+
+    project_constant removes the constant component from the residual at
+    every step, which solves compatible singular Neumann systems; the
+    returned iterate is then shifted to zero weighted mean when
+    mean_weight is given.  Raises SolverBreakdown on indefinite input or
+    residual stagnation and MaxIterationsExceeded past the budget.
+    """
+    matrix = sp.csr_matrix(matrix)
+    n = matrix.shape[0]
+    if max_iter is None:
+        max_iter = 10 * n + 200
+    b = np.asarray(rhs, dtype=float).copy()
+    diag = matrix.diagonal()
+    if np.any(diag <= 0):
+        raise SolverBreakdown("nonpositive diagonal entry: matrix is not "
+                              "positive definite",
+                              where="oracles.solve_spd")
+    inv_diag = 1.0 / diag
+    ones = np.ones(n) / np.sqrt(n)
+    if project_constant:
+        b -= (ones @ b) * ones
+    bnorm = float(np.linalg.norm(b))
+    x = np.zeros(n)
+    if bnorm == 0.0:
+        return x
+    r = b.copy()
+    z = inv_diag * r
+    p = z.copy()
+    rz = float(r @ z)
+    best = float(np.linalg.norm(r))
+    best_iter = 0
+    for it in range(1, max_iter + 1):
+        ap = matrix @ p
+        if project_constant:
+            ap -= (ones @ ap) * ones
+        pap = float(p @ ap)
+        if pap <= 0.0:
+            raise SolverBreakdown("nonpositive curvature: matrix is not "
+                                  "positive definite",
+                                  where="oracles.solve_spd")
+        alpha = rz / pap
+        x += alpha * p
+        r -= alpha * ap
+        if project_constant:
+            r -= (ones @ r) * ones
+        res = float(np.linalg.norm(r))
+        if res <= tol * bnorm:
+            break
+        if res < best * (1.0 - 1e-6):
+            best, best_iter = res, it
+        elif it - best_iter > 100:
+            raise SolverBreakdown(
+                "residual stagnated at relative %.2e after %d iterations"
+                % (res / bnorm, it), where="oracles.solve_spd")
+        z = inv_diag * r
+        rz_new = float(r @ z)
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+    else:
+        raise MaxIterationsExceeded(
+            "conjugate gradients: %d iterations, relative residual %.2e"
+            % (max_iter, float(np.linalg.norm(r)) / bnorm),
+            where="oracles.solve_spd")
+    if mean_weight is not None:
+        w = np.asarray(mean_weight, dtype=float)
+        x = x - (w @ x) / np.sum(w)
+    return x
+
+
+def mesh_quality_report(mesh):
+    """Smallest angle in degrees and longest and shortest edge."""
+    p = mesh.nodes[mesh.triangles]
+    edges = [p[:, 2] - p[:, 1], p[:, 0] - p[:, 2], p[:, 1] - p[:, 0]]
+    lengths = np.stack([np.hypot(e[:, 0], e[:, 1]) for e in edges], axis=1)
+    angles = []
+    for out_a, out_b in ((edges[2], edges[1]), (edges[0], edges[2]),
+                         (edges[1], edges[0])):
+        u, v = out_a, -out_b
+        cross = np.abs(u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0])
+        dot = u[:, 0] * v[:, 0] + u[:, 1] * v[:, 1]
+        angles.append(np.degrees(np.arctan2(cross, dot)))
+    return {"min_angle_deg": float(np.min(angles)),
+            "h_max": float(np.max(lengths)),
+            "h_min": float(np.min(lengths))}
+
+
+def read_coefficients(path):
+    """Read a key=value coefficient file back into a plain dict."""
+    out = {}
+    with open(path) as handle:
+        for line in handle:
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            key, _, text = line.partition("=")
+            out[key] = float(text)
+    return out

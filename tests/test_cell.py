@@ -248,22 +248,6 @@ def test_sigma_bar_values():
     assert cell.compute_sigma_bar(empty, 3.0) == 0.0
 
 
-def test_reconstruct_corrector_lookup():
-    mesh = generate_unit_cell_mesh(disk_geom(0.1))
-    sols = cell.solve_scalar_cell_problems(mesh)
-    assert cell.reconstruct_corrector(
-        np.zeros(2), sols, (0.3, 0.3), (0.1, 0.1)) == 0.0
-    node = 7
-    point = tuple(mesh.nodes[node])
-    got = cell.reconstruct_corrector(np.array([1.0, 0.0]), sols,
-                                     (0.5, 0.5), point)
-    assert got == pytest.approx(sols.phi[node, 0], abs=1e-12)
-    mixed = cell.reconstruct_corrector(
-        lambda x: np.array([2.0, -1.0]), sols, (0.5, 0.5), point)
-    assert mixed == pytest.approx(
-        2.0 * sols.phi[node, 0] - sols.phi[node, 1], abs=1e-12)
-
-
 def test_corrector_node_values_use_tiling_record():
     dom = PerforatedDomain(0.5, disk_geom(0.0625))
     micro = generate_perforated_mesh(dom, 0.0625)

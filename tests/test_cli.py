@@ -10,6 +10,8 @@ import pytest
 from snpp import cli, fem, output
 from snpp.errors import ParseError, ValidationError
 
+from oracles import read_coefficients
+
 
 def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
@@ -71,6 +73,13 @@ def test_parse_rejects_bad_entries():
                          .replace("1e400", '"inf"'), command="macro")
     with pytest.raises(ValidationError):
         cli.parse_config('{"output": {"formats": ["hdf5"]}}', command="cell")
+    for disc, field in (('{"T": 0.05, "t_end": 0.2}', "discretization.T"),
+                        ('{"exact_stokes": true}',
+                         "discretization.exact_stokes")):
+        with pytest.raises(ValidationError) as err:
+            cli.parse_config('{"discretization": %s}' % disc,
+                             command="micro")
+        assert err.value.field == field
 
 
 def test_parse_reports_syntax_position():
@@ -86,7 +95,7 @@ def test_cell_command_writes_coefficients(tmp_path, capsys):
         "geometry": {"radius": 0.25, "cell_h": 0.1},
         "output": {"directory": str(outdir)}})
     assert code == 0
-    back = output.read_coefficients(outdir / "coefficients.txt")
+    back = read_coefficients(outdir / "coefficients.txt")
     assert sorted(back) == sorted(output.COEFFICIENT_KEYS)
     assert 0.0 < back["D11"] < back["porosity"]
     manifest = json.loads((outdir / "manifest.json").read_text())
@@ -101,7 +110,7 @@ def test_cell_command_without_inclusion_marks_flow_keys(tmp_path):
         "geometry": {"radius": None, "cell_h": 0.125},
         "output": {"directory": str(outdir)}})
     assert code == 0
-    back = output.read_coefficients(outdir / "coefficients.txt")
+    back = read_coefficients(outdir / "coefficients.txt")
     assert back["porosity"] == 1.0
     assert abs(back["D11"] - 1.0) <= 1e-10
     assert math.isnan(back["K11"])

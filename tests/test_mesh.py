@@ -10,7 +10,11 @@ from snpp.errors import (
     ValidationError,
 )
 
-from oracles import boundary_edges_reference, edge_table_reference
+from oracles import (
+    boundary_edges_reference,
+    edge_table_reference,
+    mesh_quality_report,
+)
 
 
 def disk_geometry(h, radius=0.25, center=(0.5, 0.5)):
@@ -25,7 +29,7 @@ def test_full_square_has_unit_porosity_and_no_interface():
 
 def test_structured_square_min_angle_is_45_degrees():
     m = mesh.generate_unit_cell_mesh(mesh.UnitCellGeometry(None, 0.1))
-    report = mesh.mesh_quality_report(m)
+    report = mesh_quality_report(m)
     assert report["min_angle_deg"] == pytest.approx(45.0, abs=1e-9)
     assert report["h_max"] >= report["h_min"] > 0
 

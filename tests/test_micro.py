@@ -1,5 +1,9 @@
 """Pore-scale solver behavior on tiled perforated meshes."""
 
+import gc
+import re
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -45,6 +49,18 @@ def anti_blob(x, y):
 def neutral_blobs(mesh):
     x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
     return macro.make_neutral(mesh, blob(x, y), anti_blob(x, y))
+
+
+def record_stokes_operators(monkeypatch, record):
+    """Pass every fem.StokesOperator built from now on to record."""
+    build = fem.StokesOperator
+
+    def recorded(*args, **kwargs):
+        stokes = build(*args, **kwargs)
+        record(stokes)
+        return stokes
+
+    monkeypatch.setattr(fem, "StokesOperator", recorded)
 
 
 def test_zero_charge_run_is_inert():
@@ -113,14 +129,21 @@ def test_first_sweep_reuses_end_of_step_fields(monkeypatch, caplog):
     assert len(diagnostics) == 6
     assert len(calls) == 1 + sweeps
     assert caplog.messages[-1].endswith(", %d sweeps" % sweeps)
+    # Every flow update solves Stokes: one per potential solve.
+    stokes = re.search(r"stokes (\d+) solves", caplog.messages[-1])
+    assert int(stokes.group(1)) == 1 + sweeps
     for earlier, later in zip(calls, calls[1:]):
         assert not np.array_equal(earlier, later)
 
 
-def test_eps_one_step_matches_manual_composition():
+def test_eps_one_step_matches_manual_composition(monkeypatch):
     # At eps = 1 on an unperforated cell every scaling factor is one, so
     # one splitting sweep must reproduce a hand-assembled sequence of
     # solves exactly.
+    def one_sweep(*args, **kwargs):
+        return macro.run_steps(*args, iterate=False, **kwargs)
+
+    monkeypatch.setattr(micro, "run_steps", one_sweep)
     domain = PerforatedDomain(1.0, PLAIN_CELL)
     mesh = generate_perforated_mesh(domain, 0.125)
     c_plus, c_minus = neutral_blobs(mesh)
@@ -128,12 +151,9 @@ def test_eps_one_step_matches_manual_composition():
     problem = micro.MicroProblem(domain, neumann_regime(), c_plus, c_minus,
                                  t_end=dt, dt=dt, target_h=0.125)
     problem._mesh = mesh
-    zero_vel = fem.Field(mesh, "p2v",
-                         np.zeros((fem.p2_dof_count(mesh), 2)))
-    start = micro.MicroState(mesh, 0.0, c_plus, c_minus,
-                             np.zeros(mesh.num_nodes),
-                             np.zeros(mesh.num_nodes), zero_vel)
-    stepped = micro.step_micro(start, problem)
+    states, diagnostics = micro.run_micro(problem)
+    fields, stepped = states[0], states[-1]
+    assert [row["fp_iters"] for row in diagnostics] == [0, 1]
 
     stiff = fem.assemble_stiffness(mesh)
     mass = fem.assemble_mass(mesh)
@@ -144,7 +164,7 @@ def test_eps_one_step_matches_manual_composition():
     rhs -= rhs.sum() / weight.sum() * weight
     aug, aug_rhs = fem.apply_zero_mean(stiff, rhs, weight)
     phi = fem.solve_direct(sp.csc_matrix(aug), aug_rhs)[:-1]
-    assert np.max(np.abs(stepped.phi - phi)) <= 1e-12
+    assert np.max(np.abs(fields.phi - phi)) <= 1e-12
 
     charge_e = fem.element_means(mesh, charge)
     forcing = -charge_e[:, None] * fem.p1_element_gradients(mesh, phi)
@@ -152,8 +172,8 @@ def test_eps_one_step_matches_manual_composition():
         mesh, {"no_slip_tags": [GAMMA_INTERIOR, OUTER_BOUNDARY]},
         viscosity=1.0)
     velocity, pressure = stokes.solve(forcing)
-    assert np.max(np.abs(stepped.velocity.values - velocity.values)) <= 1e-12
-    assert np.max(np.abs(stepped.pressure - pressure)) <= 1e-12
+    assert np.max(np.abs(fields.velocity.values - velocity.values)) <= 1e-12
+    assert np.max(np.abs(fields.pressure - pressure)) <= 1e-12
 
     ops = []
     for sign in (1.0, -1.0):
@@ -219,60 +239,64 @@ def test_dirichlet_without_inclusion_has_no_wall():
         micro.run_micro(problem)
 
 
-def test_balanced_surface_charge_solves_then_decays_incompatible():
+def test_balanced_surface_charge_solves_then_decays_incompatible(
+        monkeypatch):
     # The surface term eps sigma |Gamma_eps| can balance the initial bulk
-    # charge, but the reaction decays the bulk side, so a longer run must
-    # detect the lost balance.
+    # charge, but the reaction decays the bulk side, so the potential
+    # solve after the first transport step must detect the lost balance.
+    solved = []
+    solve = micro._Operators.solve_potential
+
+    def recorded(self, charge):
+        phi = solve(self, charge)
+        solved.append(phi)
+        return phi
+
+    monkeypatch.setattr(micro._Operators, "solve_potential", recorded)
     domain = PerforatedDomain(0.5, DISK_CELL)
     mesh = generate_perforated_mesh(domain, 1 / 16)
     sigma = 0.2
-    surface = 0.5 * sigma * fem.boundary_measure(mesh, GAMMA_INTERIOR)
+    surface = 0.5 * sigma * sum(
+        length for _, _, length, _ in
+        fem.boundary_edge_geometry(mesh, GAMMA_INTERIOR))
     area = mesh_area(mesh)
     base = 0.4 * np.ones(mesh.num_nodes)
     c_plus = base.copy()
     c_minus = base + surface / area
     regime = neumann_regime(sigma=sigma)
     problem = micro.MicroProblem(domain, regime, c_plus, c_minus,
-                                 t_end=0.05, dt=5e-3, target_h=1 / 16)
+                                 t_end=5e-3, dt=5e-3, target_h=1 / 16)
     problem._mesh = mesh
-
-    zero_vel = fem.Field(mesh, "p2v",
-                         np.zeros((fem.p2_dof_count(mesh), 2)))
-    start = micro.MicroState(mesh, 0.0, c_plus, c_minus,
-                             np.zeros(mesh.num_nodes),
-                             np.zeros(mesh.num_nodes), zero_vel)
-    stepped = micro.step_micro(start, problem)
-    assert np.isfinite(stepped.phi).all()
-    assert np.max(np.abs(stepped.phi)) > 1e-3
-
     with pytest.raises(IncompatibleSource):
         micro.run_micro(problem)
+    assert len(solved) == 1
+    assert np.isfinite(solved[0]).all()
+    assert np.max(np.abs(solved[0])) > 1e-3
 
 
-def test_stokes_forcing_lag_matches_exact_resolve():
+def test_run_releases_its_operators(monkeypatch):
+    # The operators, Stokes LU included, live as long as the run: neither
+    # the mesh nor the returned states keep them once run_micro returns.
+    built = []
+    record_stokes_operators(monkeypatch,
+                            lambda stokes: built.append(weakref.ref(stokes)))
     domain = PerforatedDomain(0.5, DISK_CELL)
     mesh = generate_perforated_mesh(domain, 1 / 16)
     c_plus, c_minus = neutral_blobs(mesh)
-
-    finals = []
-    solves = []
-    for exact in (False, True):
-        problem = micro.MicroProblem(domain, neumann_regime(),
-                                     c_plus.copy(), c_minus.copy(),
-                                     t_end=0.02, dt=5e-3, target_h=1 / 16,
-                                     exact_stokes=exact)
-        problem._mesh = mesh
-        states, _ = micro.run_micro(problem)
-        finals.append(states[-1])
-        solves.append(mesh._caches["micro_ops"].stokes_solves)
-    assert solves[1] >= solves[0]
-    assert np.max(np.abs(finals[0].c_plus - finals[1].c_plus)) <= 1e-8
-    assert np.max(np.abs(finals[0].velocity.values
-                         - finals[1].velocity.values)) <= 1e-7
+    problem = micro.MicroProblem(domain, neumann_regime(), c_plus, c_minus,
+                                 t_end=4e-3, dt=2e-3, target_h=1 / 16)
+    problem._mesh = mesh
+    states, _ = micro.run_micro(problem)
+    gc.collect()
+    assert len(built) == 1
+    assert built[0]() is None
+    assert "micro_ops" not in mesh._caches
 
 
 @pytest.mark.slow
-def test_eps16_step_takes_the_schur_cg_stokes_route():
+def test_eps16_step_takes_the_schur_cg_stokes_route(monkeypatch):
+    built = []
+    record_stokes_operators(monkeypatch, built.append)
     domain = PerforatedDomain(1 / 16, DISK_CELL)
     mesh = generate_perforated_mesh(domain, 1 / 128)
     c_plus, c_minus = neutral_blobs(mesh)
@@ -280,7 +304,7 @@ def test_eps16_step_takes_the_schur_cg_stokes_route():
                                  t_end=2e-3, dt=2e-3, target_h=1 / 128)
     problem._mesh = mesh
     states, _ = micro.run_micro(problem)
-    stokes = mesh._caches["micro_ops"].stokes
+    (stokes,) = built
     assert stokes._mode == "schur_cg"
     assert stokes.solves >= 1
     assert stokes.schur_iterations <= 80 * stokes.solves
