@@ -13,6 +13,7 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse.linalg import splu
 
 from . import fem
 from .errors import FormulaMismatch, NoSolidPhase, ValidationError
@@ -128,9 +129,14 @@ def _has_interface(mesh):
 
 
 def solve_scalar_cell_problems(mesh):
-    """Periodic correctors with boundary flux -e_j . nu on the inclusion."""
-    stiff = fem.assemble_stiffness(mesh)
-    mass = fem.assemble_mass(mesh)
+    """Periodic correctors with boundary flux -e_j . nu on the inclusion.
+
+    Both directions share one ZeroMeanLU of the periodically folded
+    stiffness matrix.
+    """
+    fold, _ = fem.periodic_prolongation(mesh.num_nodes, mesh.periodic_pairs)
+    weight = fold.T @ (fem.assemble_mass(mesh) @ np.ones(mesh.num_nodes))
+    lu = fem.ZeroMeanLU(fold.T @ fem.assemble_stiffness(mesh) @ fold, weight)
     phi = np.zeros((mesh.num_nodes, 2))
     for j in range(2):
         rhs = fem.assemble_interface_normal_load(mesh, j)
@@ -141,9 +147,7 @@ def solve_scalar_cell_problems(mesh):
                 "balance" % imbalance)
         if not np.any(rhs):
             continue
-        matrix, reduced_rhs, finish = fem.constrain_system(
-            stiff, rhs, periodic_pairs=mesh.periodic_pairs, zero_mean=mass)
-        phi[:, j] = finish(fem.solve_direct(matrix, reduced_rhs))
+        phi[:, j] = fold @ lu.solve(fold.T @ rhs)
     sols = ScalarCellSolutions(mesh, phi)
     sols.validate()
     return sols
@@ -235,10 +239,10 @@ def solve_dirichlet_cell_problem(mesh):
     mass = fem.assemble_mass(mesh)
     rhs = np.asarray(mass @ np.ones(mesh.num_nodes)).ravel()
     clamped = boundary_nodes(mesh, GAMMA_INTERIOR)
-    matrix, reduced_rhs, finish = fem.constrain_system(
-        stiff, rhs, periodic_pairs=mesh.periodic_pairs,
-        dirichlet=(clamped, 0.0))
-    phi = finish(fem.solve_direct(matrix, reduced_rhs))
+    fold, cols = fem.periodic_prolongation(mesh.num_nodes, mesh.periodic_pairs)
+    matrix, reduced_rhs = fem.apply_dirichlet(
+        fold.T @ stiff @ fold, fold.T @ rhs, cols[clamped], 0.0)
+    phi = fold @ splu(matrix.tocsc()).solve(reduced_rhs)
     sol = DirichletCellSolution(mesh, phi)
     sol.validate()
     return sol

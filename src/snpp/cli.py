@@ -30,7 +30,6 @@ from .errors import (
     InadmissibleScaling,
     InclusionTouchesBoundary,
     IncompatibleSource,
-    InconsistentConstraint,
     MalformedDiagnostics,
     MaxIterationsExceeded,
     MeshGenerationFailure,
@@ -78,13 +77,12 @@ USAGE_ERRORS = (ParseError, ValidationError, InadmissibleScaling,
 ORIGIN = {
     InclusionTouchesBoundary: "mesh", MeshGenerationFailure: "mesh",
     ResolutionTooCoarse: "mesh", DegenerateElement: "fem",
-    FieldMeshMismatch: "fem", InconsistentConstraint: "fem",
-    SolverBreakdown: "fem", MaxIterationsExceeded: "fem",
-    NoSolidPhase: "fem", FormulaMismatch: "cell",
+    FieldMeshMismatch: "fem", SolverBreakdown: "fem",
+    MaxIterationsExceeded: "fem", NoSolidPhase: "fem", FormulaMismatch: "cell",
     PointOutsideFluidPart: "cell", InadmissibleScaling: "macro",
     IncompatibleSource: "macro", FixedPointDivergence: "macro",
     NonFiniteField: "macro",
-    GridMisaligned: "micro", MalformedDiagnostics: "verify",
+    GridMisaligned: "verify", MalformedDiagnostics: "verify",
     NonMonotoneConvergence: "verify", ParseError: "cli.parse_config",
 }
 

@@ -37,10 +37,6 @@ class FieldMeshMismatch(SnppError):
     """A field was supplied on a different mesh than the assembly target."""
 
 
-class InconsistentConstraint(SnppError):
-    """Mutually exclusive constraints requested on the same field."""
-
-
 class SolverBreakdown(SnppError):
     """Linear solver stalled or detected an indefinite/singular system."""
 
@@ -82,13 +78,11 @@ class NonFiniteField(SnppError):
     """A time step produced a NaN or infinite concentration."""
 
 
-# micro
+# verify
 
 class GridMisaligned(SnppError):
-    """Coarse averaging grid does not match the cell decomposition."""
+    """Macro mesh size does not subdivide the cell scale."""
 
-
-# verify
 
 class MalformedDiagnostics(SnppError):
     """Diagnostics table is empty or missing required columns."""

@@ -19,7 +19,6 @@ from scipy.sparse.linalg import LinearOperator, gmres, splu
 from .errors import (
     DegenerateElement,
     FieldMeshMismatch,
-    InconsistentConstraint,
     MaxIterationsExceeded,
     NoSolidPhase,
     PointOutsideFluidPart,
@@ -317,76 +316,26 @@ def apply_dirichlet(matrix, rhs, nodes, values):
     return matrix, rhs
 
 
-def apply_zero_mean(matrix, rhs, mass):
-    """Append one Lagrange multiplier row/column enforcing zero mean.
-
-    mass may be the P1 mass matrix or a precomputed weight vector; the
-    constraint is weight . u = 0.  The augmented system is symmetric
-    indefinite; solve it with the direct solver.
-    """
-    if sp.issparse(mass):
-        weight = np.asarray(mass @ np.ones(mass.shape[0])).ravel()
-    else:
-        weight = np.asarray(mass, dtype=float)
-    n = matrix.shape[0]
-    col = sp.csr_matrix(weight.reshape(n, 1))
-    aug = sp.bmat([[matrix, col], [col.T, None]], format="csr")
-    return aug, np.concatenate([rhs, [0.0]])
-
-
-def constrain_system(matrix, rhs, periodic_pairs=None, dirichlet=None,
-                     zero_mean=None):
-    """Compose the constraint operations in a fixed order.
-
-    dirichlet is (dofs, values); zero_mean is the mass matrix or weight
-    vector.  Requesting both dirichlet and zero-mean on the same scalar
-    field is contradictory and raises InconsistentConstraint.  Returns
-    (matrix, rhs, finish) where finish maps the solution of the returned
-    system back to the full dof vector.
-    """
-    if dirichlet is not None and zero_mean is not None:
-        raise InconsistentConstraint(
-            "zero-mean and Dirichlet constraints requested together",
-            where="fem.constrain_system")
-    expand = None
-    augmented = False
-    if periodic_pairs is not None and len(periodic_pairs):
-        p, cols = periodic_prolongation(matrix.shape[0], periodic_pairs)
-        matrix = (p.T @ matrix @ p).tocsr()
-        rhs = p.T @ rhs
-        expand = p
-        if dirichlet is not None:
-            dofs, values = dirichlet
-            dirichlet = (cols[np.asarray(dofs, dtype=int)], values)
-        if zero_mean is not None:
-            if sp.issparse(zero_mean):
-                zero_mean = np.asarray(
-                    zero_mean @ np.ones(zero_mean.shape[0])).ravel()
-            zero_mean = p.T @ zero_mean
-    if dirichlet is not None:
-        matrix, rhs = apply_dirichlet(matrix, rhs, *dirichlet)
-    if zero_mean is not None:
-        matrix, rhs = apply_zero_mean(matrix, rhs, zero_mean)
-        augmented = True
-
-    def finish(x):
-        if augmented:
-            x = x[:-1]
-        if expand is not None:
-            x = expand @ x
-        return x
-
-    return matrix, rhs, finish
-
-
 # ----------------------------------------------------------------------
 # solvers
 
 
-def solve_direct(matrix, rhs):
-    """Sparse LU solve; deterministic workhorse for non-SPD systems."""
-    lu = splu(sp.csc_matrix(matrix))
-    return lu.solve(np.asarray(rhs, dtype=float))
+class ZeroMeanLU:
+    """LU of a singular operator bordered by the constraint weight . u = 0.
+
+    The bordered matrix [[matrix, w], [w^T, 0]] is factored once; solve
+    returns the u part of its solution for the right-hand side (rhs, 0),
+    which for a compatible rhs is the solution of matrix u = rhs with
+    w . u = 0.  Callers check or project their rhs themselves.
+    """
+
+    def __init__(self, matrix, weight):
+        col = sp.csr_matrix(np.reshape(weight, (-1, 1)))
+        self._lu = splu(sp.bmat([[matrix, col], [col.T, None]],
+                                format="csc"))
+
+    def solve(self, rhs):
+        return self._lu.solve(np.append(rhs, 0.0))[:-1]
 
 
 class TransportSolver:
@@ -595,31 +544,34 @@ class StokesOperator:
     """Taylor-Hood saddle-point operator with reusable factorization.
 
     bc is a dict with keys "no_slip_tags" (list of boundary tags) and
-    "periodic" (bool).  The pressure is constrained to zero mean.
-    Systems below DIRECT_DOF_LIMIT unknowns, and periodic ones without a
-    no-slip wall, are solved by one sparse factorization of the saddle
-    matrix bordered with Lagrange multipliers.  Larger ones are solved by
-    preconditioned conjugate gradients on the pressure Schur complement
-    S = B A^-1 B^T.  After periodic reduction and no-slip pinning the
-    velocity block is blockdiag(A, A), so one LU of the scalar block A
-    serves both components.  The preconditioner M_p^-1 + theta L_p^-1
-    adds the inverse pressure Laplacian to the inverse lumped pressure
-    mass, because S acts like M_p / viscosity on pore-scale modes and
-    like a Darcy operator K eps^2 / viscosity L_p on longer ones
-    (Cahouet & Chabard, IJNMF 8, 1988); theta is read off the operator
-    when it is built, and each solve starts from the pressure of the
-    last one.  solves and schur_iterations count the calls to solve and
-    the conjugate-gradient iterations they took.
+    "periodic" (bool); a periodic operator needs a no-slip wall, without
+    which it raises NoSolidPhase.  The pressure is constrained to zero
+    mean.  Systems below DIRECT_DOF_LIMIT unknowns are solved by one
+    ZeroMeanLU of the saddle matrix bordered with the pressure weight.
+    Larger ones are solved by preconditioned conjugate gradients on the
+    pressure Schur complement S = B A^-1 B^T.  After periodic reduction
+    and no-slip pinning the velocity block is blockdiag(A, A), so one LU
+    of the scalar block A serves both components.  The preconditioner
+    M_p^-1 + theta L_p^-1 adds the inverse pressure Laplacian to the
+    inverse lumped pressure mass, because S acts like M_p / viscosity on
+    pore-scale modes and like a Darcy operator K eps^2 / viscosity L_p on
+    longer ones (Cahouet & Chabard, IJNMF 8, 1988); theta is read off the
+    operator when it is built, and each solve starts from the pressure
+    of the last one.  solves and schur_iterations count the calls to
+    solve and the conjugate-gradient iterations they took.
     """
 
     def __init__(self, mesh, bc, viscosity=1.0):
         self.mesh = mesh
         self.viscosity = viscosity
         no_slip_tags = set(bc.get("no_slip_tags", ()))
-        periodic = bool(bc.get("periodic", False))
         present = {tag for _, tag in mesh.boundary_edges}
         self.no_slip_dofs = _p2_boundary_dofs(mesh, no_slip_tags & present)
-        self.periodic = periodic
+        self.periodic = bool(bc.get("periodic", False))
+        if self.periodic and not self.no_slip_dofs:
+            raise NoSolidPhase(
+                "periodic flow without a no-slip wall has no unique "
+                "velocity", where="fem.StokesOperator")
         self.solves = 0
         self.schur_iterations = 0
         self._last_pressure = None
@@ -662,32 +614,12 @@ class StokesOperator:
         weight_full[2 * n2:] = np.asarray(mass @ np.ones(n1)).ravel()
         self.pressure_weight = self.prolong.T @ weight_full
 
-        keep = np.ones(self.nred, dtype=bool)
-        keep[self.fixed] = False
-        mask = sp.diags(keep.astype(float))
-        pin = sp.diags((~keep).astype(float))
-        self.matrix = (mask @ reduced @ mask + pin).tocsr()
-        self.keep = keep
+        self.matrix, _ = apply_dirichlet(reduced, np.zeros(self.nred),
+                                         self.fixed, 0.0)
 
-        columns = [self.pressure_weight]
-        self.unconstrained = self.periodic and not self.no_slip_dofs
-        if self.unconstrained:
-            # No solid interface pins the velocity: constrain its mean in
-            # both components so compatible (zero-mean) forcings remain
-            # solvable and incompatible ones are rejected at solve time.
-            unit = assemble_p2_load(mesh, (1.0, 0.0))[:, 0]
-            wx = np.concatenate([unit, np.zeros(n2), np.zeros(n1)])
-            wy = np.concatenate([np.zeros(n2), unit, np.zeros(n1)])
-            columns.append(self.prolong.T @ wx)
-            columns.append(self.prolong.T @ wy)
-        self.n_multipliers = len(columns)
-
-        total = self.nred + self.n_multipliers
-        if total < DIRECT_DOF_LIMIT or self.unconstrained:
-            cols = sp.csr_matrix(np.column_stack(columns))
-            aug = sp.bmat([[self.matrix, cols], [cols.T, None]],
-                          format="csc")
-            self._lu = splu(aug)
+        # The bordered matrix has one row more than the reduced one.
+        if self.nred + 1 < DIRECT_DOF_LIMIT:
+            self._lu = ZeroMeanLU(self.matrix, self.pressure_weight)
             self._mode = "direct"
         else:
             self._prepare_schur()
@@ -718,8 +650,7 @@ class StokesOperator:
         mass_diag = assemble_mass(self.mesh, lumped=True).diagonal()
         self.p_mass = to_pressure.T @ mass_diag
         laplacian = to_pressure.T @ assemble_stiffness(self.mesh) @ to_pressure
-        aug, _ = apply_zero_mean(laplacian, np.zeros(len(weight)), weight)
-        self._lu_laplacian = splu(sp.csc_matrix(aug))
+        self._lu_laplacian = ZeroMeanLU(laplacian, weight)
         # theta is the ratio of two Rayleigh quotients of S: against the
         # mass on a broadband probe (about 1 / viscosity) and against the
         # Laplacian on the smooth probe x (about K eps^2 / viscosity).
@@ -743,7 +674,7 @@ class StokesOperator:
         return v - (self.wp @ v) * self.wp
 
     def _precondition(self, r):
-        laplace = self._lu_laplacian.solve(np.append(r, 0.0))[:-1]
+        laplace = self._lu_laplacian.solve(r)
         return r / self.p_mass + self.theta * laplace
 
     def summary(self):
@@ -752,26 +683,13 @@ class StokesOperator:
 
     def solve(self, forcing):
         """Velocity and pressure for elementwise-constant forcing."""
-        if self.unconstrained:
-            areas, _ = _p1_data(self.mesh)
-            forcing_arr = np.asarray(forcing, dtype=float)
-            if forcing_arr.ndim == 1:
-                mean = forcing_arr * np.sum(areas)
-            else:
-                mean = areas @ forcing_arr
-            if np.linalg.norm(mean) > 1e-12:
-                raise NoSolidPhase(
-                    "periodic flow without a no-slip interface admits no "
-                    "solution for mean forcing",
-                    where="fem.StokesOperator.solve")
         load = assemble_p2_load(self.mesh, forcing)
         rhs_full = np.concatenate([load[:, 0], load[:, 1],
                                    np.zeros(self.n1)])
         rhs = self.prolong.T @ rhs_full
         rhs[self.fixed] = 0.0
         if self._mode == "direct":
-            padded = np.concatenate([rhs, np.zeros(self.n_multipliers)])
-            sol = self._lu.solve(padded)[:self.nred]
+            sol = self._lu.solve(rhs)
         else:
             sol = self._solve_schur_cg(rhs)
         self.solves += 1
@@ -867,7 +785,6 @@ class PointLocator:
     def __init__(self, mesh):
         from scipy.spatial import cKDTree
         self.mesh = mesh
-        areas, grads = _p1_data(mesh)
         self.centroids = mesh.nodes[mesh.triangles].mean(axis=1)
         self.tree = cKDTree(self.centroids)
 

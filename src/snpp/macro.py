@@ -13,8 +13,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from . import fem
 from .errors import (
@@ -161,41 +159,30 @@ class _Operators:
     """Assembled matrices and factorizations reused across time steps."""
 
     def __init__(self, mesh, coeffs):
-        self.mesh = mesh
-        self.coeffs = coeffs
         self.mass = fem.assemble_mass(mesh)
         self.lumped = fem.assemble_mass(mesh, lumped=True)
         self.weight = np.asarray(
             self.mass @ np.ones(mesh.num_nodes)).ravel()
         self.stiff_d = fem.assemble_stiffness(mesh, coeffs.diffusion)
-        aug, _ = fem.apply_zero_mean(self.stiff_d,
-                                     np.zeros(mesh.num_nodes), self.weight)
-        self.lu_potential = splu(sp.csc_matrix(aug))
+        self.lu_potential = fem.ZeroMeanLU(self.stiff_d, self.weight)
         if coeffs.permeability is not None:
-            stiff_k = fem.assemble_stiffness(mesh, coeffs.permeability)
-            aug_k, _ = fem.apply_zero_mean(
-                stiff_k, np.zeros(mesh.num_nodes), self.weight)
-            self.lu_darcy = splu(sp.csc_matrix(aug_k))
+            self.lu_darcy = fem.ZeroMeanLU(
+                fem.assemble_stiffness(mesh, coeffs.permeability),
+                self.weight)
         else:
             self.lu_darcy = None
 
 
-def _get_operators(state, coeffs):
-    cached = state.mesh._caches.get("macro_ops")
-    if cached is None or cached.coeffs is not coeffs:
-        cached = _Operators(state.mesh, coeffs)
-        state.mesh._caches["macro_ops"] = cached
-    return cached
-
-
-def solve_macro_poisson(state, coeffs):
+def solve_macro_poisson(state, coeffs, ops=None):
     """Zero-mean potential driven by net charge and surface charge.
 
     Solves -div(D grad phi) = porosity (c+ - c-) + sigma_bar with the
     natural no-flux condition; raises IncompatibleSource when the source
-    fails the solvability condition beyond tolerance.
+    fails the solvability condition beyond tolerance.  ops is the
+    _Operators of the run; None builds them for this call.
     """
-    ops = _get_operators(state, coeffs)
+    if ops is None:
+        ops = _Operators(state.mesh, coeffs)
     charge = state.c_plus - state.c_minus
     source = coeffs.porosity * charge + coeffs.sigma_bar
     rhs = np.asarray(ops.mass @ source).ravel()
@@ -206,8 +193,7 @@ def solve_macro_poisson(state, coeffs):
             "potential source integrates to %g; net charge is not "
             "balanced" % residual, where="macro.solve_macro_poisson")
     rhs = rhs - residual / ops.weight.sum() * ops.weight
-    solution = ops.lu_potential.solve(np.concatenate([rhs, [0.0]]))
-    return solution[:-1]
+    return ops.lu_potential.solve(rhs)
 
 
 def eval_macro_potential_dirichlet(state, coeffs, regime):
@@ -224,19 +210,21 @@ def eval_macro_potential_dirichlet(state, coeffs, regime):
     return phi
 
 
-def solve_macro_darcy(state, coeffs, model, forcing=None):
+def solve_macro_darcy(state, coeffs, model, forcing=None, ops=None):
     """Pressure and seepage velocity for the current potential/charge.
 
     The pressure solves div(K(grad p + f)) = 0 with f the electrostatic
     forcing (or zero), no-flux, zero mean; the velocity is the elementwise
     flux -K(grad p + f), which satisfies the discrete divergence-free
     property by construction.  A prescribed elementwise forcing replaces
-    the electrostatic term when given.
+    the electrostatic term when given.  ops is the _Operators of the run;
+    None builds them for this call.
     """
     mesh = state.mesh
     if coeffs.permeability is None:
         return np.zeros(mesh.num_nodes), np.zeros((mesh.num_triangles, 2))
-    ops = _get_operators(state, coeffs)
+    if ops is None:
+        ops = _Operators(mesh, coeffs)
     areas, grads = fem.triangle_data(mesh)
     if forcing is not None:
         forcing = np.asarray(forcing, dtype=float)
@@ -255,7 +243,7 @@ def solve_macro_darcy(state, coeffs, model, forcing=None):
         raise IncompatibleSource(
             "divergence-form flow source integrates to %g" % imbalance,
             where="macro.solve_macro_darcy")
-    pressure = ops.lu_darcy.solve(np.concatenate([rhs, [0.0]]))[:-1]
+    pressure = ops.lu_darcy.solve(rhs)
     velocity = -(fem.p1_element_gradients(mesh, pressure) + forcing) \
         @ np.asarray(coeffs.permeability).T
     return pressure, velocity
@@ -272,16 +260,18 @@ def _np_operators(mesh, coeffs, model, velocity, phi, stiff_d):
     return ops
 
 
-def step_macro_np(state, coeffs, model, dt, solver=None):
+def step_macro_np(state, coeffs, model, dt, solver=None, ops=None):
     """One implicit transport-reaction step for both species.
 
     The convection and drift operators are built from the current
     velocity and potential (semi-implicit linearization) and applied
     implicitly; the reaction pair is advanced in the same block solve, so
     total mass is conserved and the total charge decays by the exact
-    factor 1/(1 + 2 dt).  solver is passed on to fem.step_reacting_pair.
+    factor 1/(1 + 2 dt).  solver is passed on to fem.step_reacting_pair;
+    ops is the _Operators of the run, and None builds them for this call.
     """
-    ops = _get_operators(state, coeffs)
+    if ops is None:
+        ops = _Operators(state.mesh, coeffs)
     op_plus, op_minus = _np_operators(
         state.mesh, coeffs, model, state.velocity, state.phi, ops.stiff_d)
     scaled_mass = coeffs.porosity * ops.lumped
@@ -445,23 +435,23 @@ def run_macro(problem):
     mesh = problem.mesh
     coeffs = problem.coeffs
     ops = _Operators(mesh, coeffs)
-    mesh._caches["macro_ops"] = ops
     solver = fem.TransportSolver()
     coupled = (model.darcy_forcing == FORCING_ELECTRO
                or model.np_drift == DRIFT_ON)
 
     def update_fields(state):
         if model.potential_model == POTENTIAL_ELLIPTIC:
-            state.phi = solve_macro_poisson(state, coeffs)
+            state.phi = solve_macro_poisson(state, coeffs, ops)
         else:
             state.phi = eval_macro_potential_dirichlet(
                 state, coeffs, problem.regime)
         state.pressure, state.velocity = solve_macro_darcy(
-            state, coeffs, model)
+            state, coeffs, model, ops=ops)
 
     def transport(state, c_plus, c_minus):
         base = replace(state, c_plus=c_plus, c_minus=c_minus)
-        return step_macro_np(base, coeffs, model, problem.dt, solver=solver)
+        return step_macro_np(base, coeffs, model, problem.dt, solver=solver,
+                             ops=ops)
 
     state = MacroState(
         mesh=mesh, t=0.0,

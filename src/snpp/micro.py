@@ -18,12 +18,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from . import fem
-from .errors import (
-    GridMisaligned,
-    IncompatibleSource,
-    NoSolidPhase,
-    ValidationError,
-)
+from .errors import IncompatibleSource, NoSolidPhase, ValidationError
 from .macro import (
     COMPATIBILITY_TOL,
     NEUMANN,
@@ -98,19 +93,6 @@ class MicroState:
     pressure: np.ndarray
     velocity: object
 
-    def validate(self, bc_type=NEUMANN):
-        weight = np.asarray(fem.assemble_mass(self.mesh)
-                            @ np.ones(self.mesh.num_nodes)).ravel()
-        wall = fem._p2_boundary_dofs(
-            self.mesh, {GAMMA_INTERIOR, OUTER_BOUNDARY})
-        if np.max(np.abs(self.velocity.values[wall])) > 1e-12:
-            raise ValidationError("velocity does not vanish on the walls")
-        if abs(float(weight @ self.pressure)) > 1e-8 * weight.sum():
-            raise ValidationError("pressure mean is not zero")
-        if bc_type == NEUMANN:
-            if abs(float(weight @ self.phi)) > 1e-8 * weight.sum():
-                raise ValidationError("potential mean is not zero")
-
 
 class _Operators:
     """Matrices and factorizations of one run_micro call, with the
@@ -129,9 +111,7 @@ class _Operators:
         if regime.bc_type == NEUMANN:
             self.surface_load = fem.assemble_boundary_load(
                 mesh, GAMMA_INTERIOR, eps * regime.sigma)
-            aug, _ = fem.apply_zero_mean(
-                scaled, np.zeros(mesh.num_nodes), self.weight)
-            self.lu_potential = splu(sp.csc_matrix(aug))
+            self.lu_potential = fem.ZeroMeanLU(scaled, self.weight)
             self.gamma_nodes = None
         else:
             self.gamma_nodes = np.asarray(
@@ -165,7 +145,7 @@ class _Operators:
                     "charge are not balanced" % residual,
                     where="micro.solve_potential")
             rhs = rhs - residual / self.weight.sum() * self.weight
-            return self.lu_potential.solve(np.concatenate([rhs, [0.0]]))[:-1]
+            return self.lu_potential.solve(rhs)
         rhs = rhs - self.wall_correction
         rhs[self.gamma_nodes] = self.regime.phi_d
         return self.lu_potential.solve(rhs)
@@ -221,17 +201,14 @@ def run_micro(problem):
     return states, diagnostics
 
 
-def average_micro_field(values, mesh, cells_per_side=None,
-                        mode="intrinsic"):
+def average_micro_field(values, mesh, mode="intrinsic"):
     """Per-cell averages of a pore-scale field on the scaled-cell grid.
 
     values may be a nodal scalar (N,), a nodal vector (N, 2), or a P2
     velocity Field; the result has shape (ny, nx) or (ny, nx, 2) with the
     row index running along y.  mode "intrinsic" divides each cell
     integral by the fluid area of the cell (concentration-like fields),
-    "superficial" by the full cell area (flux-like fields).  A coarser
-    grid may be requested with cells_per_side; it must tile the cell
-    decomposition exactly.
+    "superficial" by the full cell area eps^2 (flux-like fields).
     """
     if mesh.triangle_cell is None or mesh.cell_counts is None:
         raise ValidationError("mesh does not carry a cell decomposition")
@@ -239,18 +216,6 @@ def average_micro_field(values, mesh, cells_per_side=None,
         raise ValidationError("mode must be intrinsic or superficial",
                               field="mode")
     nx, ny = mesh.cell_counts
-    if cells_per_side is None:
-        gx, gy = nx, ny
-    else:
-        if np.isscalar(cells_per_side):
-            gx = gy = int(cells_per_side)
-        else:
-            gx, gy = (int(v) for v in cells_per_side)
-        if gx < 1 or gy < 1 or nx % gx or ny % gy:
-            raise GridMisaligned(
-                "a %dx%d coarse grid does not tile the %dx%d cell "
-                "decomposition" % (gx, gy, nx, ny),
-                where="micro.average_micro_field")
     areas, _ = fem.triangle_data(mesh)
     if isinstance(values, fem.Field):
         means = fem.element_means(mesh, values)
@@ -260,21 +225,13 @@ def average_micro_field(values, mesh, cells_per_side=None,
     if scalar:
         means = means[:, None]
     ncells = nx * ny
-    fluid = np.bincount(mesh.triangle_cell, weights=areas,
-                        minlength=ncells).reshape(ny, nx)
     integrals = np.stack(
         [np.bincount(mesh.triangle_cell, weights=areas * means[:, k],
                      minlength=ncells).reshape(ny, nx)
          for k in range(means.shape[1])], axis=-1)
-
-    def blocks(grid):
-        return grid.reshape(gy, ny // gy, gx, nx // gx, -1).sum(axis=(1, 3))
-
-    summed = blocks(integrals)
+    denom = mesh.eps ** 2
     if mode == "intrinsic":
-        denom = blocks(fluid[..., None])[:, :, 0]
-    else:
-        denom = np.full((gy, gx),
-                        (mesh.eps * ny / gy) * (mesh.eps * nx / gx))
-    out = summed / denom[..., None]
+        denom = np.bincount(mesh.triangle_cell, weights=areas,
+                            minlength=ncells).reshape(ny, nx, 1)
+    out = integrals / denom
     return out[:, :, 0] if scalar else out

@@ -291,3 +291,18 @@ def test_coefficients_share_one_scalar_solve():
     assert coeffs.permeability is not None
     assert coeffs.dirichlet_mean > 0
     assert coeffs.sigma_bar == pytest.approx(np.pi / 2, rel=1e-12)
+
+
+def test_scalar_correctors_share_one_factorization(monkeypatch):
+    mesh = generate_unit_cell_mesh(disk_geom(0.1))
+    factored = []
+    factor = fem.splu
+
+    def counted(matrix):
+        factored.append(matrix.shape)
+        return factor(matrix)
+
+    monkeypatch.setattr(fem, "splu", counted)
+    sols = cell.solve_scalar_cell_problems(mesh)
+    assert len(factored) == 1
+    assert np.all(np.max(np.abs(sols.phi), axis=0) > 0)

@@ -1,5 +1,8 @@
 """Regime classification and upscaled solver behavior."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -268,6 +271,31 @@ def test_run_constant_state_is_steady():
         assert np.max(np.abs(state.c_minus - 0.5)) <= 1e-12
     assert all(abs(row["charge"]) <= 1e-14 for row in diagnostics)
     assert all(row["fp_iters"] <= 2 for row in diagnostics[1:])
+
+
+def test_run_builds_and_releases_one_set_of_operators(monkeypatch):
+    # The potential and Darcy LUs are built once per run, used by every
+    # solve and step of it, and kept by neither the mesh nor the states.
+    built = []
+    operators = macro._Operators
+
+    def recorded(*args):
+        ops = operators(*args)
+        built.append(weakref.ref(ops))
+        return ops
+
+    monkeypatch.setattr(macro, "_Operators", recorded)
+    mesh = square_mesh(1 / 16)
+    c_plus, c_minus = charged_blobs(mesh, neutral=True)
+    problem = macro.MacroProblem(
+        mesh, identity_coeffs(porosity=0.8),
+        macro.ScalingRegime("neumann", 0, 0, 0),
+        c_plus, c_minus, t_end=0.01, dt=5e-3)
+    states, _ = macro.run_macro(problem)
+    gc.collect()
+    assert len(built) == 1
+    assert built[0]() is None
+    assert "macro_ops" not in mesh._caches
 
 
 def test_run_decoupled_regime_single_sweep():
