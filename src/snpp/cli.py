@@ -83,7 +83,7 @@ ORIGIN = {
     IncompatibleSource: "macro", FixedPointDivergence: "macro",
     NonFiniteField: "macro",
     GridMisaligned: "verify", MalformedDiagnostics: "verify",
-    NonMonotoneConvergence: "verify", ParseError: "cli.parse_config",
+    ParseError: "cli.parse_config",
 }
 
 
@@ -389,11 +389,8 @@ def run_macro_cmd(config, workers=None):
                                                sigma=config.regime.sigma)
     mesh = generate_unit_cell_mesh(UnitCellGeometry(None, config.h))
     c_plus, c_minus = initial_functions(config.initial)
-    x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
-    cp = np.asarray(c_plus(x, y), dtype=float)
-    cm = np.asarray(c_minus(x, y), dtype=float)
-    if config.regime.bc_type == macro.NEUMANN:
-        cp, cm = macro.make_neutral(mesh, cp, cm)
+    cp, cm = macro.initial_concentrations(mesh, c_plus, c_minus,
+                                          config.regime)
     problem = macro.MacroProblem(mesh, coeffs, config.regime, cp, cm,
                                  t_end=config.t_end, dt=config.dt,
                                  lam=config.lam,
@@ -410,11 +407,8 @@ def run_micro_cmd(config, workers=None):
     domain = PerforatedDomain(config.eps, config.geometry)
     mesh = generate_perforated_mesh(domain, config.h)
     c_plus, c_minus = initial_functions(config.initial)
-    x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
-    cp = np.asarray(c_plus(x, y), dtype=float)
-    cm = np.asarray(c_minus(x, y), dtype=float)
-    if config.regime.bc_type == macro.NEUMANN:
-        cp, cm = macro.make_neutral(mesh, cp, cm)
+    cp, cm = macro.initial_concentrations(mesh, c_plus, c_minus,
+                                          config.regime)
     problem = micro.MicroProblem(domain, config.regime, cp, cm,
                                  t_end=config.t_end, dt=config.dt,
                                  target_h=config.h, lam=config.lam,
@@ -556,8 +550,6 @@ def main(argv=None):
             config, workers=_worker_count(config, args.fast))
     except SnppError as exc:
         _report_error(exc)
-        if isinstance(exc, NonMonotoneConvergence):
-            return CHECK_EXIT
         return USAGE_EXIT if isinstance(exc, USAGE_ERRORS) \
             else NUMERICAL_EXIT
     except OSError as exc:

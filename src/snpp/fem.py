@@ -56,22 +56,16 @@ _EDGE_LOCAL = ((1, 2), (2, 0), (0, 1))
 
 
 class Field:
-    """Discrete field: value array tied to a mesh and an element space.
+    """P2 vector velocity tied to its mesh; values shaped (ndof_p2, 2)."""
 
-    space is one of "p1" (nodal scalars, or (N, 2) nodal vectors) and
-    "p2v" (vector velocity; values shaped (ndof_p2, 2)).
-    """
-
-    def __init__(self, mesh, space, values):
+    def __init__(self, mesh, values):
         self.mesh = mesh
-        self.space = space
         self.values = np.asarray(values, dtype=float)
-        expected = {"p1": mesh.num_nodes,
-                    "p2v": p2_dof_count(mesh)}[space]
+        expected = p2_dof_count(mesh)
         if self.values.shape[0] != expected:
             raise FieldMeshMismatch(
-                "field has %d rows, space %s on this mesh needs %d"
-                % (self.values.shape[0], space, expected))
+                "field has %d rows, P2 on this mesh needs %d"
+                % (self.values.shape[0], expected))
 
 
 def _p1_data(mesh):
@@ -149,11 +143,9 @@ def element_means(mesh, values):
     if isinstance(values, Field):
         if values.mesh is not mesh:
             raise FieldMeshMismatch("field lives on a different mesh")
-        if values.space == "p2v":
-            _, tri_edges, _ = _p2_data(mesh)
-            edge_vals = values.values[mesh.num_nodes:]
-            return edge_vals[tri_edges].mean(axis=1)
-        values = values.values
+        _, tri_edges, _ = _p2_data(mesh)
+        edge_vals = values.values[mesh.num_nodes:]
+        return edge_vals[tri_edges].mean(axis=1)
     values = np.asarray(values, dtype=float)
     return values[mesh.triangles].mean(axis=1)
 
@@ -203,10 +195,6 @@ def assemble_convection(mesh, velocity=None, drift=None, drift_tensor=None,
                     % (vel.shape,))
             w = w + vel
     if drift is not None:
-        if isinstance(drift, Field):
-            if drift.mesh is not mesh:
-                raise FieldMeshMismatch("drift field lives on another mesh")
-            drift = drift.values
         g = p1_element_gradients(mesh, drift)
         if drift_tensor is not None:
             tensor = np.asarray(drift_tensor, dtype=float)
@@ -564,9 +552,8 @@ class StokesOperator:
     def __init__(self, mesh, bc, viscosity=1.0):
         self.mesh = mesh
         self.viscosity = viscosity
-        no_slip_tags = set(bc.get("no_slip_tags", ()))
-        present = {tag for _, tag in mesh.boundary_edges}
-        self.no_slip_dofs = _p2_boundary_dofs(mesh, no_slip_tags & present)
+        self.no_slip_dofs = _p2_boundary_dofs(
+            mesh, set(bc.get("no_slip_tags", ())))
         self.periodic = bool(bc.get("periodic", False))
         if self.periodic and not self.no_slip_dofs:
             raise NoSolidPhase(
@@ -694,9 +681,8 @@ class StokesOperator:
             sol = self._solve_schur_cg(rhs)
         self.solves += 1
         full = self.prolong @ sol
-        vel = Field(self.mesh, "p2v",
-                    np.column_stack([full[:self.n2],
-                                     full[self.n2:2 * self.n2]]))
+        vel = Field(self.mesh, np.column_stack([full[:self.n2],
+                                                full[self.n2:2 * self.n2]]))
         pressure = full[2 * self.n2:]
         return vel, pressure
 
@@ -825,17 +811,16 @@ class PointLocator:
             [1.0 - st[..., :1] - st[..., 1:], st], axis=-1)
 
 
-def p1_interpolate(mesh, values, points, locator=None):
+def p1_interpolate(mesh, values, points):
     """Evaluate P1 fields at arbitrary points inside the fluid part.
 
     values is one nodal scalar (N,) or k of them (N, k); the result is
     (P,) or (P, k), with every point located once.
     """
+    locator = mesh._caches.get("locator")
     if locator is None:
-        locator = mesh._caches.get("locator")
-        if locator is None:
-            locator = PointLocator(mesh)
-            mesh._caches["locator"] = locator
+        locator = PointLocator(mesh)
+        mesh._caches["locator"] = locator
     values = np.asarray(values, dtype=float)
     tris, lam = locator.locate(points)
     lam = np.clip(lam, 0.0, None)

@@ -72,7 +72,7 @@ class MacroModelClass:
 
 @dataclass
 class MacroState:
-    """Snapshot of the macroscopic fields at one time."""
+    """Fields of a run at either scale at one time."""
 
     mesh: object
     t: float
@@ -99,31 +99,21 @@ class MacroProblem:
 
     def validate(self):
         self.regime.validate()
-        for name, values in (("c_plus", self.c_plus),
-                             ("c_minus", self.c_minus)):
-            values = np.asarray(values)
-            if values.shape != (self.mesh.num_nodes,):
-                raise ValidationError("%s does not match the mesh" % name,
-                                      field=name)
-            if np.min(values) < 0 or np.max(values) > self.lam:
-                raise ValidationError(
-                    "%s outside [0, %g] nodewise" % (name, self.lam),
-                    field=name)
+        check_concentrations(self.mesh, self.lam, self.c_plus, self.c_minus)
         if not (self.dt > 0 and self.t_end > 0):
             raise ValidationError("dt and t_end must be positive")
-        if self.regime.bc_type == NEUMANN:
-            # The potential equation must be solvable for the initial data;
-            # the same residual check runs again at every solve.
-            mass = fem.assemble_mass(self.mesh)
-            ones = np.ones(self.mesh.num_nodes)
-            rhs = self.coeffs.porosity * np.asarray(
-                mass @ (self.c_plus - self.c_minus)).ravel() \
-                + self.coeffs.sigma_bar * np.asarray(mass @ ones).ravel()
-            scale = max(1.0, float(np.abs(rhs).sum()))
-            if abs(float(rhs.sum())) > COMPATIBILITY_TOL * scale:
-                raise IncompatibleSource(
-                    "initial charge %g is not balanced by the surface "
-                    "charge" % float(rhs.sum()), where="macro.MacroProblem")
+
+
+def check_concentrations(mesh, lam, c_plus, c_minus):
+    """Reject species that are not nodal arrays on mesh within [0, lam]."""
+    for name, values in (("c_plus", c_plus), ("c_minus", c_minus)):
+        values = np.asarray(values)
+        if values.shape != (mesh.num_nodes,):
+            raise ValidationError("%s does not match the mesh" % name,
+                                  field=name)
+        if np.min(values) < 0 or np.max(values) > lam:
+            raise ValidationError(
+                "%s outside [0, %g] nodewise" % (name, lam), field=name)
 
 
 def classify_regime(regime):
@@ -186,14 +176,25 @@ def solve_macro_poisson(state, coeffs, ops=None):
     charge = state.c_plus - state.c_minus
     source = coeffs.porosity * charge + coeffs.sigma_bar
     rhs = np.asarray(ops.mass @ source).ravel()
+    return solve_neumann_potential(ops.lu_potential, ops.weight, rhs,
+                                   "macro.solve_macro_poisson")
+
+
+def solve_neumann_potential(lu, weight, rhs, where):
+    """Solve the ZeroMeanLU lu for the pure-Neumann load rhs.
+
+    Raises IncompatibleSource at where when rhs sums to more than
+    COMPATIBILITY_TOL times its absolute sum (at least 1); the residual
+    sum is projected out along the constraint weight before solving.
+    """
     scale = max(1.0, float(np.abs(rhs).sum()))
     residual = float(rhs.sum())
     if abs(residual) > COMPATIBILITY_TOL * scale:
         raise IncompatibleSource(
-            "potential source integrates to %g; net charge is not "
-            "balanced" % residual, where="macro.solve_macro_poisson")
-    rhs = rhs - residual / ops.weight.sum() * ops.weight
-    return ops.lu_potential.solve(rhs)
+            "potential source integrates to %g; bulk and surface charge "
+            "are not balanced" % residual, where=where)
+    rhs = rhs - residual / weight.sum() * weight
+    return lu.solve(rhs)
 
 
 def eval_macro_potential_dirichlet(state, coeffs, regime):
@@ -249,15 +250,12 @@ def solve_macro_darcy(state, coeffs, model, forcing=None, ops=None):
     return pressure, velocity
 
 
-def _np_operators(mesh, coeffs, model, velocity, phi, stiff_d):
-    ops = []
-    for sign in (1.0, -1.0):
-        drift = phi if model.np_drift == DRIFT_ON else None
-        conv = fem.assemble_convection(
-            mesh, velocity=velocity, drift=drift,
-            drift_tensor=coeffs.diffusion, drift_sign=sign)
-        ops.append(stiff_d - conv)
-    return ops
+def np_operators(mesh, stiff, velocity, drift, tensor):
+    """Transport operators of c+ and c-: stiff minus the convection matrix
+    of velocity and drift (None for none) with drift_sign +1 and -1."""
+    return [stiff - fem.assemble_convection(
+        mesh, velocity=velocity, drift=drift, drift_tensor=tensor,
+        drift_sign=sign) for sign in (1.0, -1.0)]
 
 
 def step_macro_np(state, coeffs, model, dt, solver=None, ops=None):
@@ -272,8 +270,9 @@ def step_macro_np(state, coeffs, model, dt, solver=None, ops=None):
     """
     if ops is None:
         ops = _Operators(state.mesh, coeffs)
-    op_plus, op_minus = _np_operators(
-        state.mesh, coeffs, model, state.velocity, state.phi, ops.stiff_d)
+    drift = state.phi if model.np_drift == DRIFT_ON else None
+    op_plus, op_minus = np_operators(state.mesh, ops.stiff_d, state.velocity,
+                                     drift, coeffs.diffusion)
     scaled_mass = coeffs.porosity * ops.lumped
     c_plus, c_minus = fem.step_reacting_pair(
         scaled_mass, op_plus, op_minus, state.c_plus, state.c_minus, dt,
@@ -298,6 +297,17 @@ def make_neutral(mesh, c_plus, c_minus):
     excess = float(weight @ (c_plus - c_minus)) / weight.sum()
     log.debug("neutralizing initial charge excess %.3e", excess)
     return c_plus - excess / 2.0, c_minus + excess / 2.0
+
+
+def initial_concentrations(mesh, c_plus, c_minus, regime):
+    """Callables f(x, y) at the mesh nodes, passed through make_neutral on
+    the Neumann branch so the discrete net charge starts at zero."""
+    x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
+    cp = np.asarray(c_plus(x, y), dtype=float)
+    cm = np.asarray(c_minus(x, y), dtype=float)
+    if regime.bc_type == NEUMANN:
+        cp, cm = make_neutral(mesh, cp, cm)
+    return cp, cm
 
 
 def run_steps(problem, state, update_fields, transport, lumped,
@@ -346,8 +356,7 @@ def run_steps(problem, state, update_fields, transport, lumped,
     def snapshot():
         velocity = state.velocity
         if isinstance(velocity, fem.Field):
-            velocity = fem.Field(velocity.mesh, velocity.space,
-                                 velocity.values.copy())
+            velocity = fem.Field(velocity.mesh, velocity.values.copy())
         else:
             velocity = velocity.copy()
         return replace(state, c_plus=state.c_plus.copy(),

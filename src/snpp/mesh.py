@@ -262,29 +262,6 @@ def boundary_nodes(mesh, tag):
     return sorted(out)
 
 
-def count_interior_loops(mesh):
-    """Number of closed inclusion boundaries (holes)."""
-    adjacency = {}
-    for (a, b), tag in mesh.boundary_edges:
-        if tag == GAMMA_INTERIOR:
-            adjacency.setdefault(int(a), []).append(int(b))
-            adjacency.setdefault(int(b), []).append(int(a))
-    seen = set()
-    loops = 0
-    for start in adjacency:
-        if start in seen:
-            continue
-        loops += 1
-        stack = [start]
-        while stack:
-            node = stack.pop()
-            if node in seen:
-                continue
-            seen.add(node)
-            stack.extend(adjacency[node])
-    return loops
-
-
 def _structured_square(n):
     """Exact right-isoceles triangulation of the unit square, n x n cells."""
     xs = np.arange(n + 1) / n
@@ -567,7 +544,6 @@ def generate_perforated_mesh(dom, target_h):
         merged, np.vstack(tris_out), (), width=dom.width, height=dom.height,
         eps=eps, cell_counts=(nx, ny), cell_mesh=cell_mesh,
         node_cell_origin=node_origin, triangle_cell=np.concatenate(tri_cell))
-    log.debug("perforated mesh eps=%g: %d nodes, %d triangles, %d holes",
-              eps, mesh.num_nodes, mesh.num_triangles,
-              count_interior_loops(mesh))
+    log.debug("perforated mesh eps=%g: %d nodes, %d triangles",
+              eps, mesh.num_nodes, mesh.num_triangles)
     return mesh

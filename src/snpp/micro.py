@@ -18,12 +18,15 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from . import fem
-from .errors import IncompatibleSource, NoSolidPhase, ValidationError
+from .errors import NoSolidPhase, ValidationError
 from .macro import (
-    COMPATIBILITY_TOL,
     NEUMANN,
+    MacroState,
+    check_concentrations,
     classify_regime,
+    np_operators,
     run_steps,
+    solve_neumann_potential,
 )
 from .mesh import GAMMA_INTERIOR, OUTER_BOUNDARY, boundary_nodes, \
     generate_perforated_mesh
@@ -56,42 +59,16 @@ class MicroProblem:
         return self._mesh
 
     def initial_values(self, mesh):
-        out = []
-        for name, data in (("c_plus", self.c_plus),
-                           ("c_minus", self.c_minus)):
-            if callable(data):
-                values = np.asarray(
-                    data(mesh.nodes[:, 0], mesh.nodes[:, 1]), dtype=float)
-            else:
-                values = np.asarray(data, dtype=float)
-            if values.shape != (mesh.num_nodes,):
-                raise ValidationError("%s does not match the mesh" % name,
-                                      field=name)
-            if np.min(values) < 0 or np.max(values) > self.lam:
-                raise ValidationError(
-                    "%s outside [0, %g] nodewise" % (name, self.lam),
-                    field=name)
-            out.append(values.copy())
-        return out
+        values = [np.asarray(data(mesh.nodes[:, 0], mesh.nodes[:, 1])
+                             if callable(data) else data, dtype=float)
+                  for data in (self.c_plus, self.c_minus)]
+        check_concentrations(mesh, self.lam, *values)
+        return [v.copy() for v in values]
 
     def validate(self):
-        self.regime.validate()
         classify_regime(self.regime)
         if not (self.dt > 0 and self.t_end > 0):
             raise ValidationError("dt and t_end must be positive")
-
-
-@dataclass
-class MicroState:
-    """Pore-scale fields at one time."""
-
-    mesh: object
-    t: float
-    c_plus: np.ndarray
-    c_minus: np.ndarray
-    phi: np.ndarray
-    pressure: np.ndarray
-    velocity: object
 
 
 class _Operators:
@@ -112,7 +89,6 @@ class _Operators:
             self.surface_load = fem.assemble_boundary_load(
                 mesh, GAMMA_INTERIOR, eps * regime.sigma)
             self.lu_potential = fem.ZeroMeanLU(scaled, self.weight)
-            self.gamma_nodes = None
         else:
             self.gamma_nodes = np.asarray(
                 sorted(boundary_nodes(mesh, GAMMA_INTERIOR)), dtype=int)
@@ -120,7 +96,6 @@ class _Operators:
                 raise NoSolidPhase(
                     "a wall potential needs an interior boundary",
                     where="micro")
-            self.scaled_stiff = scaled
             wall_values = np.zeros(mesh.num_nodes)
             wall_values[self.gamma_nodes] = regime.phi_d
             self.wall_correction = np.asarray(
@@ -136,16 +111,9 @@ class _Operators:
     def solve_potential(self, charge):
         rhs = np.asarray(self.mass @ charge).ravel()
         if self.regime.bc_type == NEUMANN:
-            rhs = rhs + self.surface_load
-            scale = max(1.0, float(np.abs(rhs).sum()))
-            residual = float(rhs.sum())
-            if abs(residual) > COMPATIBILITY_TOL * scale:
-                raise IncompatibleSource(
-                    "potential source integrates to %g; bulk and surface "
-                    "charge are not balanced" % residual,
-                    where="micro.solve_potential")
-            rhs = rhs - residual / self.weight.sum() * self.weight
-            return self.lu_potential.solve(rhs)
+            return solve_neumann_potential(
+                self.lu_potential, self.weight, rhs + self.surface_load,
+                "micro.solve_potential")
         rhs = rhs - self.wall_correction
         rhs[self.gamma_nodes] = self.regime.phi_d
         return self.lu_potential.solve(rhs)
@@ -158,15 +126,10 @@ class _Operators:
         return self.stokes.solve(forcing)
 
     def step_transport(self, c_plus, c_minus, velocity, phi, dt, solver):
-        eps_gamma = self.mesh.eps ** self.regime.gamma
-        tensor = eps_gamma * np.eye(2)
-        ops = []
-        for sign in (1.0, -1.0):
-            conv = fem.assemble_convection(
-                self.mesh, velocity=velocity, drift=phi,
-                drift_tensor=tensor, drift_sign=sign)
-            ops.append(self.stiff - conv)
-        return fem.step_reacting_pair(self.lumped, ops[0], ops[1],
+        tensor = self.mesh.eps ** self.regime.gamma * np.eye(2)
+        op_plus, op_minus = np_operators(self.mesh, self.stiff, velocity, phi,
+                                         tensor)
+        return fem.step_reacting_pair(self.lumped, op_plus, op_minus,
                                       c_plus, c_minus, dt, solver=solver)
 
 
@@ -192,7 +155,7 @@ def run_micro(problem):
         return ops.step_transport(c_plus, c_minus, state.velocity,
                                   state.phi, problem.dt, solver=solver)
 
-    state = MicroState(mesh, 0.0, c_plus, c_minus, None, None, None)
+    state = MacroState(mesh, 0.0, c_plus, c_minus, None, None, None)
     states, diagnostics = run_steps(problem, state, update_fields,
                                     transport, ops.lumped.diagonal())
     log.info("micro run eps=%g finished: %d steps, transport %s, stokes %s, "
@@ -217,10 +180,7 @@ def average_micro_field(values, mesh, mode="intrinsic"):
                               field="mode")
     nx, ny = mesh.cell_counts
     areas, _ = fem.triangle_data(mesh)
-    if isinstance(values, fem.Field):
-        means = fem.element_means(mesh, values)
-    else:
-        means = fem.element_means(mesh, np.asarray(values, dtype=float))
+    means = fem.element_means(mesh, values)
     scalar = means.ndim == 1
     if scalar:
         means = means[:, None]

@@ -267,12 +267,8 @@ def run_convergence_study(regime, geometry, c_plus, c_minus,
     neumann = regime.bc_type == NEUMANN
 
     macro_mesh = generate_unit_cell_mesh(UnitCellGeometry(None, macro_h))
-    mx, my = macro_mesh.nodes[:, 0], macro_mesh.nodes[:, 1]
-    macro_cp = np.asarray(c_plus(mx, my), dtype=float)
-    macro_cm = np.asarray(c_minus(mx, my), dtype=float)
-    if neumann:
-        macro_cp, macro_cm = macro.make_neutral(macro_mesh, macro_cp,
-                                                macro_cm)
+    macro_cp, macro_cm = macro.initial_concentrations(
+        macro_mesh, c_plus, c_minus, regime)
     problem = macro.MacroProblem(macro_mesh, coeffs, regime, macro_cp,
                                  macro_cm, t_end=t_end, dt=dt, lam=lam,
                                  snapshot_stride=0)
@@ -281,11 +277,7 @@ def run_convergence_study(regime, geometry, c_plus, c_minus,
 
     def one_scale(eps):
         mesh = meshes[eps]
-        x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
-        cp = np.asarray(c_plus(x, y), dtype=float)
-        cm = np.asarray(c_minus(x, y), dtype=float)
-        if neumann:
-            cp, cm = macro.make_neutral(mesh, cp, cm)
+        cp, cm = macro.initial_concentrations(mesh, c_plus, c_minus, regime)
         prob = micro.MicroProblem(
             PerforatedDomain(eps, geometry), regime, cp, cm,
             t_end=t_end, dt=dt, target_h=eps / 8.0, lam=lam,

@@ -6,9 +6,10 @@ loop instead of closed forms, and the linear solve is plain dense Gaussian
 elimination. Slow and simple on purpose.  relative_weak_divergence is a
 measure on the package's own divergence rows, shared by the Stokes tests;
 fixed_point_checked measures the stop rule of the stepping loop against
-sweeps continued well past it.  solve_spd, mesh_quality_report and
-read_coefficients have no caller in the package; they are the test-side
-conjugate-gradient route, mesh statistics and coefficient-file reader.
+sweeps continued well past it.  solve_spd, mesh_quality_report,
+count_interior_loops and read_coefficients have no caller in the
+package; they are the test-side conjugate-gradient route, mesh
+statistics, hole count and coefficient-file reader.
 """
 
 from dataclasses import replace
@@ -18,6 +19,7 @@ import scipy.sparse as sp
 
 from snpp import fem
 from snpp.errors import MaxIterationsExceeded, SolverBreakdown
+from snpp.mesh import GAMMA_INTERIOR
 
 # Degree-5 symmetric triangle rule (7 points), barycentric coordinates and
 # weights summing to 1.  Classic Radon rule, written in closed form so the
@@ -359,6 +361,29 @@ def mesh_quality_report(mesh):
     return {"min_angle_deg": float(np.min(angles)),
             "h_max": float(np.max(lengths)),
             "h_min": float(np.min(lengths))}
+
+
+def count_interior_loops(mesh):
+    """Number of closed inclusion boundaries (holes)."""
+    adjacency = {}
+    for (a, b), tag in mesh.boundary_edges:
+        if tag == GAMMA_INTERIOR:
+            adjacency.setdefault(int(a), []).append(int(b))
+            adjacency.setdefault(int(b), []).append(int(a))
+    seen = set()
+    loops = 0
+    for start in adjacency:
+        if start in seen:
+            continue
+        loops += 1
+        stack = [start]
+        while stack:
+            node = stack.pop()
+            if node in seen:
+                continue
+            seen.add(node)
+            stack.extend(adjacency[node])
+    return loops
 
 
 def read_coefficients(path):

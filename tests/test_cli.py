@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from snpp import cli, fem, output
+from snpp import cli, fem, output, verify
 from snpp.errors import ParseError, ValidationError
 
 from oracles import read_coefficients
@@ -161,6 +161,31 @@ def test_converge_command_is_deterministic(tmp_path):
     assert (outdir / "study.csv").read_bytes() == first
     manifest = json.loads((outdir / "manifest.json").read_text())
     assert manifest["monotone"] is True
+
+
+def test_converge_non_monotone_exits_three_with_artifacts(
+        tmp_path, capsys, monkeypatch):
+    # A real study this small decays monotonically, so its result is
+    # marked non-monotone after it runs.
+    study = verify.run_convergence_study
+
+    def non_monotone(*args, **kwargs):
+        result = study(*args, **kwargs)
+        result.flags = ["v errors are not monotone: marked by the test"]
+        result.monotone = False
+        return result
+
+    monkeypatch.setattr(verify, "run_convergence_study", non_monotone)
+    outdir = tmp_path / "out"
+    payload = {
+        "discretization": {"h": 0.03125, "dt": 0.005, "T": 0.01,
+                           "eps": [0.5]},
+        "output": {"directory": str(outdir), "formats": ["csv"]}}
+    assert run(tmp_path, "converge", payload) == 3
+    assert (outdir / "study.csv").is_file()
+    assert (outdir / "coefficients.txt").is_file()
+    err = capsys.readouterr().err
+    assert "NonMonotoneConvergence [verify.run_convergence_study]" in err
 
 
 def test_check_command_pass_and_fail(tmp_path, capsys):

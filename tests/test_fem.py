@@ -473,7 +473,7 @@ def test_p2_element_means_reproduce_linear_fields():
     midpoints = 0.5 * (mesh.nodes[edges[:, 0]] + mesh.nodes[edges[:, 1]])
     points = np.vstack([mesh.nodes, midpoints])
     linear = points @ np.array([[1.5, -0.25], [0.5, 2.0]])
-    vel = fem.Field(mesh, "p2v", linear)
+    vel = fem.Field(mesh, linear)
     means = fem.element_means(mesh, vel)
     centroids = mesh.nodes[mesh.triangles].mean(axis=1)
     expected = centroids @ np.array([[1.5, -0.25], [0.5, 2.0]])

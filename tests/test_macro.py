@@ -555,9 +555,13 @@ def test_problem_validation_rejects_bad_data():
     with pytest.raises(ValidationError):
         macro.MacroProblem(mesh, coeffs, regime, 0.5 * ones, 0.5 * ones,
                            0.1, -1e-3).validate()
-    with pytest.raises(IncompatibleSource):
-        macro.MacroProblem(mesh, coeffs, regime, ones,
-                           np.zeros(mesh.num_nodes), 0.1, 1e-3).validate()
+    # Unbalanced initial charge is caught by the first potential solve of
+    # the run, before any step.
+    with pytest.raises(IncompatibleSource) as err:
+        macro.run_macro(macro.MacroProblem(
+            mesh, coeffs, regime, ones, np.zeros(mesh.num_nodes), 0.1,
+            1e-3))
+    assert err.value.where == "macro.solve_macro_poisson"
 
 
 def test_run_with_decaying_charge_loses_surface_balance():

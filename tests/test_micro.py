@@ -69,12 +69,32 @@ def test_zero_charge_run_is_inert():
         t_end=0.01, dt=5e-3, target_h=1 / 16)
     states, diagnostics = micro.run_micro(problem)
     for state in states:
+        assert type(state) is macro.MacroState
         assert np.max(np.abs(state.phi)) <= 1e-12
         assert np.max(np.abs(state.velocity.values)) <= 1e-12
         assert np.max(np.abs(state.c_plus - state.c_minus)) <= 1e-12
     mass0 = diagnostics[0]["mass"]
     assert max(abs(r["mass"] - mass0) for r in diagnostics) <= 1e-12 * mass0
     assert all(r["fp_iters"] == 2 for r in diagnostics[1:])
+
+
+def test_initial_concentrations_neutralize_on_neumann_only():
+    mesh = generate_perforated_mesh(PerforatedDomain(0.5, DISK_CELL), 1 / 16)
+    x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
+    c_plus, c_minus = macro.initial_concentrations(mesh, blob, anti_blob,
+                                                   neumann_regime())
+    ref_plus, ref_minus = macro.make_neutral(mesh, blob(x, y),
+                                             anti_blob(x, y))
+    assert np.array_equal(c_plus, ref_plus)
+    assert np.array_equal(c_minus, ref_minus)
+    weight = np.asarray(fem.assemble_mass(mesh) @ np.ones(mesh.num_nodes))
+    assert abs(float(weight @ (c_plus - c_minus))) <= 1e-14
+
+    dirichlet = macro.ScalingRegime("dirichlet", 2, 1, 1, phi_d=0.3)
+    c_plus, c_minus = macro.initial_concentrations(mesh, blob, anti_blob,
+                                                   dirichlet)
+    assert np.array_equal(c_plus, blob(x, y))
+    assert np.array_equal(c_minus, anti_blob(x, y))
 
 
 def test_run_reports_fixed_point_divergence(monkeypatch):
