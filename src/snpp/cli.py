@@ -409,11 +409,10 @@ def run_micro_cmd(config, workers=None):
     c_plus, c_minus = initial_functions(config.initial)
     cp, cm = macro.initial_concentrations(mesh, c_plus, c_minus,
                                           config.regime)
-    problem = micro.MicroProblem(domain, config.regime, cp, cm,
+    problem = micro.MicroProblem(domain, mesh, config.regime, cp, cm,
                                  t_end=config.t_end, dt=config.dt,
-                                 target_h=config.h, lam=config.lam,
+                                 lam=config.lam,
                                  snapshot_stride=config.snapshot_stride)
-    problem._mesh = mesh
     states, diagnostics = micro.run_micro(problem)
     os.makedirs(config.directory, exist_ok=True)
     _write_run_outputs(config, "micro", mesh, states, diagnostics)

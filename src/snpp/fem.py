@@ -68,7 +68,8 @@ class Field:
                 % (self.values.shape[0], expected))
 
 
-def _p1_data(mesh):
+def triangle_data(mesh):
+    """Areas (M,) and P1 basis gradients (M, 3, 2)."""
     cached = mesh._caches.get("p1")
     if cached is not None:
         return cached
@@ -92,11 +93,6 @@ def _p1_data(mesh):
     return areas, grads
 
 
-def triangle_data(mesh):
-    """Areas (M,) and P1 basis gradients (M, 3, 2)."""
-    return _p1_data(mesh)
-
-
 def _scatter(rows, cols, data, shape):
     return sp.coo_matrix((data.ravel(), (rows.ravel(), cols.ravel())),
                          shape=shape).tocsr()
@@ -107,7 +103,7 @@ def assemble_stiffness(mesh, coeff=None):
 
     coeff may be a scalar or a symmetric 2x2 tensor; None means identity.
     """
-    areas, grads = _p1_data(mesh)
+    areas, grads = triangle_data(mesh)
     if coeff is None:
         coeff = np.eye(2)
     coeff = np.asarray(coeff, dtype=float)
@@ -124,7 +120,7 @@ def assemble_stiffness(mesh, coeff=None):
 
 def assemble_mass(mesh, lumped=False):
     """Consistent P1 mass matrix, or its row-sum lumped diagonal."""
-    areas, _ = _p1_data(mesh)
+    areas, _ = triangle_data(mesh)
     t = mesh.triangles
     n = mesh.num_nodes
     if lumped:
@@ -152,14 +148,14 @@ def element_means(mesh, values):
 
 def p1_element_gradients(mesh, values):
     """Piecewise-constant gradient of a P1 scalar, shape (M, 2)."""
-    _, grads = _p1_data(mesh)
+    _, grads = triangle_data(mesh)
     v = np.asarray(values, dtype=float)[mesh.triangles]
     return np.einsum("mi,mid->md", v, grads)
 
 
 def recover_nodal_gradient(mesh, values):
     """Area-weighted average of element gradients at the nodes, (N, 2)."""
-    areas, _ = _p1_data(mesh)
+    areas, _ = triangle_data(mesh)
     eg = p1_element_gradients(mesh, values)
     out = np.zeros((mesh.num_nodes, 2))
     weight = np.zeros(mesh.num_nodes)
@@ -175,33 +171,26 @@ def assemble_convection(mesh, velocity=None, drift=None, drift_tensor=None,
     """Matrix B with (B c)_i = integral of c * w . grad(phi_i).
 
     The transporting field is w = velocity - drift_sign * T grad(drift)
-    with T = drift_tensor (identity when None).  velocity may be an
-    elementwise (M, 2) array, a nodal (N, 2) array, or a P2 velocity
-    Field; drift is a nodal scalar.  Columns sum to zero (partition of
-    unity), which is what conserves total content under no-flux stepping.
+    with T = drift_tensor (a 2x2 array; identity when None).  velocity is
+    an elementwise (M, 2) array; drift is a nodal scalar.  Columns sum to
+    zero (partition of unity), which is what conserves total content under
+    no-flux stepping.
     """
-    areas, grads = _p1_data(mesh)
+    areas, grads = triangle_data(mesh)
     m = mesh.num_triangles
     n = mesh.num_nodes
     w = np.zeros((m, 2))
     if velocity is not None:
-        if isinstance(velocity, Field) or np.asarray(velocity).shape[0] == n:
-            w = w + element_means(mesh, velocity)
-        else:
-            vel = np.asarray(velocity, dtype=float)
-            if vel.shape != (m, 2):
-                raise FieldMeshMismatch(
-                    "velocity shape %s matches neither nodes nor elements"
-                    % (vel.shape,))
-            w = w + vel
+        vel = np.asarray(velocity, dtype=float)
+        if vel.shape != (m, 2):
+            raise FieldMeshMismatch(
+                "velocity shape %s does not match the elements"
+                % (vel.shape,))
+        w = w + vel
     if drift is not None:
         g = p1_element_gradients(mesh, drift)
         if drift_tensor is not None:
-            tensor = np.asarray(drift_tensor, dtype=float)
-            if tensor.ndim == 0:
-                g = float(tensor) * g
-            else:
-                g = g @ tensor.T
+            g = g @ np.asarray(drift_tensor, dtype=float).T
         w = w - drift_sign * g
     wg = np.einsum("md,mid->mi", w, grads) * (areas / 3.0)[:, None]
     t = mesh.triangles
@@ -448,7 +437,7 @@ def _p2_global_dofs(mesh):
 
 def assemble_p2_stiffness(mesh):
     """Scalar P2 stiffness (one velocity component of the viscous term)."""
-    areas, grads = _p1_data(mesh)
+    areas, grads = triangle_data(mesh)
     m = mesh.num_triangles
     local = np.zeros((m, 6, 6))
     for lam, w in zip(_QP4, _QW4):
@@ -468,7 +457,7 @@ def assemble_divergence(mesh):
     Returns (Bx, By) with shape (num_nodes, p2_dofs); the full constraint
     is Bx @ ux + By @ uy.
     """
-    areas, grads = _p1_data(mesh)
+    areas, grads = triangle_data(mesh)
     m = mesh.num_triangles
     local = np.zeros((m, 3, 6, 2))
     for lam, w in zip(_QP4, _QW4):
@@ -487,7 +476,7 @@ def assemble_divergence(mesh):
 
 def assemble_p2_load(mesh, forcing):
     """Load vector (p2_dofs, 2) for elementwise-constant vector forcing."""
-    areas, _ = _p1_data(mesh)
+    areas, _ = triangle_data(mesh)
     forcing = np.asarray(forcing, dtype=float)
     if forcing.ndim == 1:
         forcing = np.broadcast_to(forcing, (mesh.num_triangles, 2))
@@ -749,7 +738,7 @@ def weak_divergence(mesh, vel):
 
 def integrate_p2(mesh, vel):
     """Integral of a P2 vector field over the mesh, shape (2,)."""
-    areas, _ = _p1_data(mesh)
+    areas, _ = triangle_data(mesh)
     means = element_means(mesh, vel)
     return areas @ means
 

@@ -310,12 +310,15 @@ def initial_concentrations(mesh, c_plus, c_minus, regime):
     return cp, cm
 
 
-def run_steps(problem, state, update_fields, transport, lumped,
-              content_scale=1.0, iterate=True):
-    """Advance state to problem.t_end by the splitting shared by both scales.
+def run_steps(problem, update_fields, transport, lumped, content_scale=1.0,
+              iterate=True):
+    """Advance problem to problem.t_end by the splitting shared by both scales.
 
-    update_fields(state) recomputes the potential, pressure and velocity
-    from the concentrations in state; transport(state, c_plus, c_minus)
+    The run starts from one MacroState at t = 0 on problem.mesh with
+    copies of problem.c_plus and problem.c_minus; its phi, pressure and
+    velocity start as None.  update_fields(state) sets the nodal
+    potential and pressure and the elementwise (M, 2) velocity from the
+    concentrations in state; transport(state, c_plus, c_minus)
     returns the concentrations one implicit step after (c_plus, c_minus)
     under the fields in state.  With iterate, each step repeats fields
     then transport until the new concentrations settle, raising
@@ -335,6 +338,9 @@ def run_steps(problem, state, update_fields, transport, lumped,
     t, mass, charge, min_c, max_c, fp_iters, where mass and charge are
     content_scale times the lumped integrals of c+ + c- and c+ - c-.
     """
+    state = MacroState(
+        problem.mesh, 0.0, np.asarray(problem.c_plus, dtype=float).copy(),
+        np.asarray(problem.c_minus, dtype=float).copy(), None, None, None)
     update_fields(state)
 
     def diag_row(fp_iters):
@@ -354,14 +360,10 @@ def run_steps(problem, state, update_fields, transport, lumped,
         }
 
     def snapshot():
-        velocity = state.velocity
-        if isinstance(velocity, fem.Field):
-            velocity = fem.Field(velocity.mesh, velocity.values.copy())
-        else:
-            velocity = velocity.copy()
         return replace(state, c_plus=state.c_plus.copy(),
                        c_minus=state.c_minus.copy(), phi=state.phi.copy(),
-                       pressure=state.pressure.copy(), velocity=velocity)
+                       pressure=state.pressure.copy(),
+                       velocity=state.velocity.copy())
 
     states = [snapshot()]
     diagnostics = [diag_row(0)]
@@ -441,9 +443,8 @@ def run_macro(problem):
     """
     problem.validate()
     model = classify_regime(problem.regime)
-    mesh = problem.mesh
     coeffs = problem.coeffs
-    ops = _Operators(mesh, coeffs)
+    ops = _Operators(problem.mesh, coeffs)
     solver = fem.TransportSolver()
     coupled = (model.darcy_forcing == FORCING_ELECTRO
                or model.np_drift == DRIFT_ON)
@@ -462,15 +463,8 @@ def run_macro(problem):
         return step_macro_np(base, coeffs, model, problem.dt, solver=solver,
                              ops=ops)
 
-    state = MacroState(
-        mesh=mesh, t=0.0,
-        c_plus=np.asarray(problem.c_plus, dtype=float).copy(),
-        c_minus=np.asarray(problem.c_minus, dtype=float).copy(),
-        phi=np.zeros(mesh.num_nodes),
-        pressure=np.zeros(mesh.num_nodes),
-        velocity=np.zeros((mesh.num_triangles, 2)))
     states, diagnostics = run_steps(
-        problem, state, update_fields, transport, ops.lumped.diagonal(),
+        problem, update_fields, transport, ops.lumped.diagonal(),
         content_scale=coeffs.porosity, iterate=coupled)
     log.info("macro run finished: %d steps, final charge %.3e, "
              "transport %s, %d sweeps", len(diagnostics) - 1,

@@ -129,20 +129,19 @@ class TriMesh:
     triangles : (M, 3) int array, counterclockwise
     boundary_edges : list of ((a, b), tag)
     periodic_pairs : (P, 2) int array of (master, slave) node ids
+    eps, cell_mesh, node_cell_origin : set on tiled meshes only (None
+        elsewhere): the cell scale, the unit-cell mesh that was tiled and
+        each node's id in it.  Every triangle of a tiled mesh lies in the
+        eps-cell that holds its centroid.
     """
 
     nodes: np.ndarray
     triangles: np.ndarray
     boundary_edges: list
     periodic_pairs: np.ndarray
-    # Construction record of tiled meshes (None elsewhere): scale, cell counts, the
-    # unit-cell mesh that was tiled, per-node origin in that cell mesh and
-    # per-triangle cell id.
     eps: float = None
-    cell_counts: tuple = None
     cell_mesh: object = None
     node_cell_origin: np.ndarray = None
-    triangle_cell: np.ndarray = None
     _caches: dict = field(default_factory=dict, repr=False)
 
     def validate(self):
@@ -503,9 +502,8 @@ def generate_perforated_mesh(dom, target_h):
     """Mesh the perforated rectangle by tiling one scaled cell mesh.
 
     Every cell carries an identical copy of the inclusion, duplicated face
-    nodes are merged exactly, and the returned mesh remembers its cell
-    decomposition (eps, cell counts, per-triangle cell id, per-node origin
-    in the cell mesh).
+    nodes are merged exactly, and the returned mesh remembers eps, the
+    tiled cell mesh and each node's origin in it.
     """
     dom.validate()
     if target_h > dom.eps / 4 + 1e-12:
@@ -524,7 +522,6 @@ def generate_perforated_mesh(dom, target_h):
     all_nodes = []
     all_tris = []
     origins = []
-    tri_cell = []
     for cy in range(ny):
         for cx in range(nx):
             shifted = (cell_nodes + np.array([float(cx), float(cy)])) * eps
@@ -532,7 +529,6 @@ def generate_perforated_mesh(dom, target_h):
             offset = (cy * nx + cx) * nc
             all_tris.append(cell_tris + offset)
             origins.append(np.arange(nc))
-            tri_cell.append(np.full(len(cell_tris), cy * nx + cx))
     stacked = np.vstack(all_nodes)
     merged, tris_out, remap = _merge_nodes(stacked, all_tris)
 
@@ -542,8 +538,7 @@ def generate_perforated_mesh(dom, target_h):
 
     mesh = _tagged_mesh(
         merged, np.vstack(tris_out), (), width=dom.width, height=dom.height,
-        eps=eps, cell_counts=(nx, ny), cell_mesh=cell_mesh,
-        node_cell_origin=node_origin, triangle_cell=np.concatenate(tri_cell))
+        eps=eps, cell_mesh=cell_mesh, node_cell_origin=node_origin)
     log.debug("perforated mesh eps=%g: %d nodes, %d triangles",
               eps, mesh.num_nodes, mesh.num_triangles)
     return mesh

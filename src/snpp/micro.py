@@ -21,15 +21,13 @@ from . import fem
 from .errors import NoSolidPhase, ValidationError
 from .macro import (
     NEUMANN,
-    MacroState,
     check_concentrations,
     classify_regime,
     np_operators,
     run_steps,
     solve_neumann_potential,
 )
-from .mesh import GAMMA_INTERIOR, OUTER_BOUNDARY, boundary_nodes, \
-    generate_perforated_mesh
+from .mesh import GAMMA_INTERIOR, OUTER_BOUNDARY, boundary_nodes
 
 log = logging.getLogger(__name__)
 
@@ -38,35 +36,23 @@ log = logging.getLogger(__name__)
 class MicroProblem:
     """Complete description of one pore-scale run.
 
-    Initial data may be callables f(x, y) evaluated at the mesh nodes or
-    nodal arrays on the perforated mesh.
+    mesh is the perforated mesh of domain (generate_perforated_mesh);
+    c_plus and c_minus are nodal arrays on it.
     """
 
     domain: object
+    mesh: object
     regime: object
-    c_plus: object
-    c_minus: object
+    c_plus: np.ndarray
+    c_minus: np.ndarray
     t_end: float
     dt: float
-    target_h: float
     lam: float = 1.0
     snapshot_stride: int = 1
-    _mesh: object = None
-
-    def build_mesh(self):
-        if self._mesh is None:
-            self._mesh = generate_perforated_mesh(self.domain, self.target_h)
-        return self._mesh
-
-    def initial_values(self, mesh):
-        values = [np.asarray(data(mesh.nodes[:, 0], mesh.nodes[:, 1])
-                             if callable(data) else data, dtype=float)
-                  for data in (self.c_plus, self.c_minus)]
-        check_concentrations(mesh, self.lam, *values)
-        return [v.copy() for v in values]
 
     def validate(self):
         classify_regime(self.regime)
+        check_concentrations(self.mesh, self.lam, self.c_plus, self.c_minus)
         if not (self.dt > 0 and self.t_end > 0):
             raise ValidationError("dt and t_end must be positive")
 
@@ -119,11 +105,13 @@ class _Operators:
         return self.lu_potential.solve(rhs)
 
     def solve_flow(self, charge, phi):
+        """Elementwise means of the Stokes velocity, and the pressure."""
         eps_beta = self.mesh.eps ** self.regime.beta
         charge_e = fem.element_means(self.mesh, charge)
         forcing = -eps_beta * charge_e[:, None] \
             * fem.p1_element_gradients(self.mesh, phi)
-        return self.stokes.solve(forcing)
+        velocity, pressure = self.stokes.solve(forcing)
+        return fem.element_means(self.mesh, velocity), pressure
 
     def step_transport(self, c_plus, c_minus, velocity, phi, dt, solver):
         tensor = self.mesh.eps ** self.regime.gamma * np.eye(2)
@@ -137,13 +125,12 @@ def run_micro(problem):
     """Advance the pore-scale system to t_end with macro.run_steps.
 
     Every step iterates the splitting sweep to a fixed point of the new
-    concentrations, like the upscaled solver.  Returns (states,
+    concentrations, like the upscaled solver.  The states hold the
+    elementwise means of the P2 Stokes velocity.  Returns (states,
     diagnostics) with the same diagnostic keys as the macroscopic run.
     """
     problem.validate()
-    mesh = problem.build_mesh()
-    c_plus, c_minus = problem.initial_values(mesh)
-    ops = _Operators(mesh, problem.regime)
+    ops = _Operators(problem.mesh, problem.regime)
     solver = fem.TransportSolver()
 
     def update_fields(state):
@@ -155,43 +142,10 @@ def run_micro(problem):
         return ops.step_transport(c_plus, c_minus, state.velocity,
                                   state.phi, problem.dt, solver=solver)
 
-    state = MacroState(mesh, 0.0, c_plus, c_minus, None, None, None)
-    states, diagnostics = run_steps(problem, state, update_fields,
-                                    transport, ops.lumped.diagonal())
+    states, diagnostics = run_steps(problem, update_fields, transport,
+                                    ops.lumped.diagonal())
     log.info("micro run eps=%g finished: %d steps, transport %s, stokes %s, "
-             "%d sweeps", mesh.eps, len(diagnostics) - 1, solver.summary(),
-             ops.stokes.summary(), sum(row["fp_iters"] for row in diagnostics))
+             "%d sweeps", problem.mesh.eps, len(diagnostics) - 1,
+             solver.summary(), ops.stokes.summary(),
+             sum(row["fp_iters"] for row in diagnostics))
     return states, diagnostics
-
-
-def average_micro_field(values, mesh, mode="intrinsic"):
-    """Per-cell averages of a pore-scale field on the scaled-cell grid.
-
-    values may be a nodal scalar (N,), a nodal vector (N, 2), or a P2
-    velocity Field; the result has shape (ny, nx) or (ny, nx, 2) with the
-    row index running along y.  mode "intrinsic" divides each cell
-    integral by the fluid area of the cell (concentration-like fields),
-    "superficial" by the full cell area eps^2 (flux-like fields).
-    """
-    if mesh.triangle_cell is None or mesh.cell_counts is None:
-        raise ValidationError("mesh does not carry a cell decomposition")
-    if mode not in ("intrinsic", "superficial"):
-        raise ValidationError("mode must be intrinsic or superficial",
-                              field="mode")
-    nx, ny = mesh.cell_counts
-    areas, _ = fem.triangle_data(mesh)
-    means = fem.element_means(mesh, values)
-    scalar = means.ndim == 1
-    if scalar:
-        means = means[:, None]
-    ncells = nx * ny
-    integrals = np.stack(
-        [np.bincount(mesh.triangle_cell, weights=areas * means[:, k],
-                     minlength=ncells).reshape(ny, nx)
-         for k in range(means.shape[1])], axis=-1)
-    denom = mesh.eps ** 2
-    if mode == "intrinsic":
-        denom = np.bincount(mesh.triangle_cell, weights=areas,
-                            minlength=ncells).reshape(ny, nx, 1)
-    out = integrals / denom
-    return out[:, :, 0] if scalar else out

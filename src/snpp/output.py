@@ -12,7 +12,6 @@ import json
 
 import numpy as np
 
-from . import fem
 from .errors import MalformedDiagnostics, ValidationError
 from .verify import DIAGNOSTIC_KEYS
 
@@ -104,28 +103,20 @@ def write_study_csv(path, study):
             ])
 
 
-def _cell_velocity(mesh, velocity):
-    if isinstance(velocity, fem.Field):
-        return fem.element_means(mesh, velocity)
-    velocity = np.asarray(velocity, dtype=float)
-    if velocity.shape != (mesh.num_triangles, 2):
-        raise ValidationError("velocity shape %s does not match the mesh"
-                              % (velocity.shape,), field="velocity")
-    return velocity
-
-
 def write_vtk(path, mesh, state, title="snpp fields"):
     """Write one solution state as a legacy ASCII VTK unstructured grid.
 
     Concentrations, potential, and pressure go out as point scalars; the
-    velocity as a per-triangle cell vector (elementwise means for the
-    quadratic flow space).
+    elementwise velocity as a per-triangle cell vector.
     """
     points = mesh.nodes
     tris = mesh.triangles
     scalars = (("c_plus", state.c_plus), ("c_minus", state.c_minus),
                ("phi", state.phi), ("pressure", state.pressure))
-    velocity = _cell_velocity(mesh, state.velocity)
+    velocity = np.asarray(state.velocity, dtype=float)
+    if velocity.shape != (len(tris), 2):
+        raise ValidationError("velocity shape %s does not match the mesh"
+                              % (velocity.shape,), field="velocity")
     with open(path, "w") as handle:
         handle.write("# vtk DataFile Version 3.0\n")
         handle.write("%s t=%s\n" % (title, _fmt(state.t)))

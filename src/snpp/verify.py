@@ -72,13 +72,16 @@ def _weighted_mean_magnitude(mesh, values):
 
 
 def _divergence_residual(state):
+    """Largest nodal flux residual of the elementwise velocity.
+
+    For the pore-scale means of a P2 flow that vanishes on the boundary
+    the residual is -B u of fem.weak_divergence up to rounding.
+    """
     mesh = state.mesh
-    velocity = state.velocity
-    if isinstance(velocity, fem.Field):
-        return float(np.max(np.abs(fem.weak_divergence(mesh, velocity))))
     areas, grads = fem.triangle_data(mesh)
     residual = np.zeros(mesh.num_nodes)
-    contrib = np.einsum("md,mid->mi", velocity, grads) * areas[:, None]
+    contrib = np.einsum("md,mid->mi", state.velocity, grads) \
+        * areas[:, None]
     np.add.at(residual, mesh.triangles.ravel(), contrib.ravel())
     return float(np.max(np.abs(residual)))
 
@@ -176,31 +179,33 @@ class ConvergenceStudy:
                                       field=name)
 
 
-def _macro_cell_average(mesh, values, eps, h):
-    """Average a coarse-mesh field over the eps-cell grid, (ny, nx[, k])."""
-    ratio = eps / h
-    if abs(round(ratio) - ratio) > 1e-9 or round(ratio) < 1:
-        raise GridMisaligned(
-            "macro mesh size %g does not subdivide the cell scale %g"
-            % (h, eps), where="verify")
+def cell_average(mesh, values, eps, intrinsic=False):
+    """Average elementwise values over the eps-cells of the unit square.
+
+    values is (M,) or (M, k) on mesh; each triangle counts in the cell
+    that holds its centroid.  Every cell integral is divided by the meshed
+    area of the cell with intrinsic (concentration-like fields on a
+    perforated mesh), else by eps^2.  The result is (n, n) or (n, n, k)
+    with n = 1/eps and the row index running along y.
+    """
     n = int(round(1.0 / eps))
     values = np.asarray(values, dtype=float)
-    if values.shape[0] == mesh.num_triangles:
-        means = values
-    else:
-        means = fem.element_means(mesh, values)
-    scalar = means.ndim == 1
+    scalar = values.ndim == 1
     if scalar:
-        means = means[:, None]
+        values = values[:, None]
     areas, _ = fem.triangle_data(mesh)
     centroids = mesh.nodes[mesh.triangles].mean(axis=1)
     ix = np.clip((centroids[:, 0] / eps).astype(int), 0, n - 1)
     iy = np.clip((centroids[:, 1] / eps).astype(int), 0, n - 1)
     ids = iy * n + ix
     out = np.stack(
-        [np.bincount(ids, weights=areas * means[:, k], minlength=n * n)
-         .reshape(n, n) for k in range(means.shape[1])], axis=-1)
-    out /= eps * eps
+        [np.bincount(ids, weights=areas * values[:, k], minlength=n * n)
+         .reshape(n, n) for k in range(values.shape[1])], axis=-1)
+    if intrinsic:
+        out /= np.bincount(ids, weights=areas,
+                           minlength=n * n).reshape(n, n, 1)
+    else:
+        out /= eps * eps
     return out[:, :, 0] if scalar else out
 
 
@@ -279,10 +284,8 @@ def run_convergence_study(regime, geometry, c_plus, c_minus,
         mesh = meshes[eps]
         cp, cm = macro.initial_concentrations(mesh, c_plus, c_minus, regime)
         prob = micro.MicroProblem(
-            PerforatedDomain(eps, geometry), regime, cp, cm,
-            t_end=t_end, dt=dt, target_h=eps / 8.0, lam=lam,
-            snapshot_stride=0)
-        prob._mesh = mesh
+            PerforatedDomain(eps, geometry), mesh, regime, cp, cm,
+            t_end=t_end, dt=dt, lam=lam, snapshot_stride=0)
         states, diagnostics = micro.run_micro(prob)
         return states[-1], diagnostics
 
@@ -302,32 +305,24 @@ def run_convergence_study(regime, geometry, c_plus, c_minus,
     for eps in eps_list:
         mesh = meshes[eps]
         final = micro_finals[eps]
-        for name, values in (("c_plus", final.c_plus),
-                             ("c_minus", final.c_minus)):
-            micro_grid = micro.average_micro_field(values, mesh)
-            macro_grid = _macro_cell_average(
-                macro_mesh, getattr(macro_final, name), eps, macro_h)
-            errors[name].append(_relative_grid_error(micro_grid, macro_grid))
         if neumann:
-            micro_grid = micro.average_micro_field(
-                mesh.eps ** regime.alpha * final.phi, mesh)
-            macro_grid = _macro_cell_average(macro_mesh, macro_final.phi,
-                                             eps, macro_h)
+            phi = (eps ** regime.alpha * final.phi, macro_final.phi, True)
         else:
-            shifted = mesh.eps ** (regime.alpha - 2) \
-                * (final.phi - regime.phi_d)
-            micro_grid = micro.average_micro_field(shifted, mesh,
-                                                   mode="superficial")
-            closure = coeffs.dirichlet_mean \
-                * (macro_final.c_plus - macro_final.c_minus)
-            macro_grid = _macro_cell_average(macro_mesh, closure, eps,
-                                             macro_h)
-        errors["phi"].append(_relative_grid_error(micro_grid, macro_grid))
-        micro_grid = micro.average_micro_field(final.velocity, mesh,
-                                               mode="superficial")
-        macro_grid = _macro_cell_average(macro_mesh, macro_final.velocity,
-                                         eps, macro_h)
-        errors["v"].append(_relative_grid_error(micro_grid, macro_grid))
+            phi = (eps ** (regime.alpha - 2) * (final.phi - regime.phi_d),
+                   coeffs.dirichlet_mean
+                   * (macro_final.c_plus - macro_final.c_minus), False)
+        nodal = {"c_plus": (final.c_plus, macro_final.c_plus, True),
+                 "c_minus": (final.c_minus, macro_final.c_minus, True),
+                 "phi": phi}
+        for name, (micro_f, macro_f, intrinsic) in nodal.items():
+            errors[name].append(_relative_grid_error(
+                cell_average(mesh, fem.element_means(mesh, micro_f), eps,
+                             intrinsic),
+                cell_average(macro_mesh,
+                             fem.element_means(macro_mesh, macro_f), eps)))
+        errors["v"].append(_relative_grid_error(
+            cell_average(mesh, final.velocity, eps),
+            cell_average(macro_mesh, macro_final.velocity, eps)))
         if neumann:
             plain, enhanced = corrector_enhanced_error(
                 mesh, final.phi, macro_mesh, macro_final.phi,

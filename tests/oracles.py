@@ -239,7 +239,7 @@ def fixed_point_checked(run_steps, errors, tol=1e-14, max_sweeps=20):
     max|accepted - reference| / scale for every step, with the scale of
     the stop test: the largest accepted concentration, at least 1.
     """
-    def wrapped(problem, state, update_fields, transport, lumped, **kwargs):
+    def wrapped(problem, update_fields, transport, lumped, **kwargs):
         start = {}
 
         def recording_transport(current, c_plus, c_minus):
@@ -267,8 +267,8 @@ def fixed_point_checked(run_steps, errors, tol=1e-14, max_sweeps=20):
                 start.clear()
             update_fields(current)
 
-        return run_steps(problem, state, checking_update,
-                         recording_transport, lumped, **kwargs)
+        return run_steps(problem, checking_update, recording_transport,
+                         lumped, **kwargs)
 
     return wrapped
 

@@ -175,9 +175,8 @@ def test_criterion_5_conservation_and_charge_decay(capsys):
     cp, cm = macro.make_neutral(micro_mesh, blob_plus(mx, my),
                                 blob_minus(mx, my))
     micro_problem = micro.MicroProblem(
-        domain, macro.ScalingRegime("neumann", 0, 0, 0), cp, cm,
-        t_end=0.1, dt=1e-3, target_h=1 / 16, snapshot_stride=0)
-    micro_problem._mesh = micro_mesh
+        domain, micro_mesh, macro.ScalingRegime("neumann", 0, 0, 0), cp, cm,
+        t_end=0.1, dt=1e-3, snapshot_stride=0)
     _, micro_diag = micro.run_micro(micro_problem)
     mass0 = micro_diag[0]["mass"]
     micro_drift = max(abs(r["mass"] - mass0) for r in micro_diag) / abs(mass0)
@@ -220,9 +219,8 @@ def test_criterion_6_positivity_and_boundedness(capsys):
     cp, cm = split(micro_mesh.nodes[:, 0], micro_mesh.nodes[:, 1])
     cp, cm = macro.make_neutral(micro_mesh, cp, cm)
     micro_problem = micro.MicroProblem(
-        domain, regime, cp, cm, t_end=0.05, dt=h * h / 4,
-        target_h=h, snapshot_stride=0)
-    micro_problem._mesh = micro_mesh
+        domain, micro_mesh, regime, cp, cm, t_end=0.05, dt=h * h / 4,
+        snapshot_stride=0)
     _, micro_diag = micro.run_micro(micro_problem)
     micro_min = min(r["min_c"] for r in micro_diag)
     micro_max = max(r["max_c"] for r in micro_diag)

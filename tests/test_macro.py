@@ -398,6 +398,8 @@ class LinearSweep:
 
     def update_fields(self, state):
         state.phi = np.concatenate([state.c_plus, state.c_minus])
+        state.pressure = np.zeros(1)
+        state.velocity = np.zeros(1)
 
     def transport(self, state, c_plus, c_minus):
         self.sweeps += 1
@@ -407,14 +409,12 @@ class LinearSweep:
         return x[:self.n], x[self.n:]
 
     def run(self, steps=6):
-        problem = macro.MacroProblem(None, None, None, None, None,
-                                     t_end=steps * self.dt, dt=self.dt)
-        state = macro.MacroState(
-            mesh=None, t=0.0, c_plus=np.linspace(0.2, 0.6, self.n),
-            c_minus=np.linspace(0.5, 0.3, self.n), phi=None,
-            pressure=np.zeros(1), velocity=np.zeros(1))
-        return macro.run_steps(problem, state, self.update_fields,
-                               self.transport, np.ones(self.n))
+        problem = macro.MacroProblem(
+            None, None, None, np.linspace(0.2, 0.6, self.n),
+            np.linspace(0.5, 0.3, self.n), t_end=steps * self.dt,
+            dt=self.dt)
+        return macro.run_steps(problem, self.update_fields, self.transport,
+                               np.ones(self.n))
 
     def step_errors(self, states):
         return [float(np.max(np.abs(

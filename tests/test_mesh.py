@@ -159,17 +159,14 @@ def test_perforated_outer_and_interface_tags_are_disjoint():
 
 
 def test_tiled_mesh_triangles_never_straddle_cells():
+    # Every corner of a triangle lies in the eps-cell of its centroid,
+    # the cell verify.cell_average bins the triangle in.
     dom = mesh.PerforatedDomain(0.25, disk_geometry(0.05))
     m = mesh.generate_perforated_mesh(dom, 1.0 / 32)
-    centroids = m.nodes[m.triangles].mean(axis=1)
-    cell_x = np.floor(centroids[:, 0] / 0.25).astype(int)
-    cell_y = np.floor(centroids[:, 1] / 0.25).astype(int)
-    assert np.array_equal(m.triangle_cell, cell_y * 4 + cell_x)
-    corners = m.nodes[m.triangles]
-    for tri_corner_x in (corners[:, :, 0] / 0.25,):
-        lo = np.floor(tri_corner_x.min(axis=1) + 1e-12)
-        hi = np.ceil(tri_corner_x.max(axis=1) - 1e-12)
-        assert np.all(hi - lo <= 1.0 + 1e-12)
+    corners = m.nodes[m.triangles] / 0.25
+    cell = np.floor(corners.mean(axis=1))[:, None, :]
+    assert np.all(corners >= cell - 1e-12)
+    assert np.all(corners <= cell + 1.0 + 1e-12)
 
 
 def test_inverted_triangle_rejected():

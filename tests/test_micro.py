@@ -12,7 +12,6 @@ from snpp.errors import (
     FixedPointDivergence,
     IncompatibleSource,
     NoSolidPhase,
-    ResolutionTooCoarse,
     ValidationError,
 )
 from snpp.mesh import (
@@ -49,6 +48,18 @@ def neutral_blobs(mesh):
     return macro.make_neutral(mesh, blob(x, y), anti_blob(x, y))
 
 
+def record_stokes_flows(monkeypatch, flows):
+    """Append the P2 velocity of every fem.StokesOperator.solve to flows."""
+    solve = fem.StokesOperator.solve
+
+    def recorded(self, forcing):
+        velocity, pressure = solve(self, forcing)
+        flows.append(velocity)
+        return velocity, pressure
+
+    monkeypatch.setattr(fem.StokesOperator, "solve", recorded)
+
+
 def record_stokes_operators(monkeypatch, record):
     """Pass every fem.StokesOperator built from now on to record."""
     build = fem.StokesOperator
@@ -62,16 +73,17 @@ def record_stokes_operators(monkeypatch, record):
 
 
 def test_zero_charge_run_is_inert():
-    problem = micro.MicroProblem(
-        PerforatedDomain(0.5, DISK_CELL), neumann_regime(),
-        lambda x, y: 0.4 + 0.2 * np.exp(-10 * (x - 0.5) ** 2),
-        lambda x, y: 0.4 + 0.2 * np.exp(-10 * (x - 0.5) ** 2),
-        t_end=0.01, dt=5e-3, target_h=1 / 16)
+    domain = PerforatedDomain(0.5, DISK_CELL)
+    mesh = generate_perforated_mesh(domain, 1 / 16)
+    c = 0.4 + 0.2 * np.exp(-10 * (mesh.nodes[:, 0] - 0.5) ** 2)
+    problem = micro.MicroProblem(domain, mesh, neumann_regime(), c,
+                                 c.copy(), t_end=0.01, dt=5e-3)
     states, diagnostics = micro.run_micro(problem)
     for state in states:
         assert type(state) is macro.MacroState
         assert np.max(np.abs(state.phi)) <= 1e-12
-        assert np.max(np.abs(state.velocity.values)) <= 1e-12
+        assert state.velocity.shape == (mesh.num_triangles, 2)
+        assert np.max(np.abs(state.velocity)) <= 1e-12
         assert np.max(np.abs(state.c_plus - state.c_minus)) <= 1e-12
     mass0 = diagnostics[0]["mass"]
     assert max(abs(r["mass"] - mass0) for r in diagnostics) <= 1e-12 * mass0
@@ -104,8 +116,8 @@ def test_run_reports_fixed_point_divergence(monkeypatch):
     domain = PerforatedDomain(0.5, DISK_CELL)
     mesh = generate_perforated_mesh(domain, 1 / 16)
     c_plus, c_minus = neutral_blobs(mesh)
-    problem = micro.MicroProblem(domain, neumann_regime(), c_plus, c_minus,
-                                 t_end=0.01, dt=5e-3, target_h=1 / 16)
+    problem = micro.MicroProblem(domain, mesh, neumann_regime(), c_plus,
+                                 c_minus, t_end=0.01, dt=5e-3)
     with pytest.raises(FixedPointDivergence):
         micro.run_micro(problem)
 
@@ -117,8 +129,8 @@ def test_run_steps_stop_within_tolerance_of_the_fixed_point(monkeypatch):
     domain = PerforatedDomain(0.5, DISK_CELL)
     mesh = generate_perforated_mesh(domain, 1 / 16)
     c_plus, c_minus = neutral_blobs(mesh)
-    problem = micro.MicroProblem(domain, neumann_regime(), c_plus, c_minus,
-                                 t_end=0.02, dt=2e-3, target_h=1 / 16)
+    problem = micro.MicroProblem(domain, mesh, neumann_regime(), c_plus,
+                                 c_minus, t_end=0.02, dt=2e-3)
     _, diagnostics = micro.run_micro(problem)
     assert len(errors) == 10
     assert max(errors) <= macro.FIXED_POINT_TOL
@@ -139,8 +151,8 @@ def test_first_sweep_reuses_end_of_step_fields(monkeypatch, caplog):
     domain = PerforatedDomain(0.5, DISK_CELL)
     mesh = generate_perforated_mesh(domain, 1 / 16)
     c_plus, c_minus = neutral_blobs(mesh)
-    problem = micro.MicroProblem(domain, neumann_regime(), c_plus, c_minus,
-                                 t_end=0.01, dt=2e-3, target_h=1 / 16)
+    problem = micro.MicroProblem(domain, mesh, neumann_regime(), c_plus,
+                                 c_minus, t_end=0.01, dt=2e-3)
     with caplog.at_level("INFO", logger="snpp.micro"):
         _, diagnostics = micro.run_micro(problem)
     sweeps = sum(row["fp_iters"] for row in diagnostics)
@@ -166,9 +178,8 @@ def test_eps_one_step_matches_manual_composition(monkeypatch):
     mesh = generate_perforated_mesh(domain, 0.125)
     c_plus, c_minus = neutral_blobs(mesh)
     dt = 5e-3
-    problem = micro.MicroProblem(domain, neumann_regime(), c_plus, c_minus,
-                                 t_end=dt, dt=dt, target_h=0.125)
-    problem._mesh = mesh
+    problem = micro.MicroProblem(domain, mesh, neumann_regime(), c_plus,
+                                 c_minus, t_end=dt, dt=dt)
     states, diagnostics = micro.run_micro(problem)
     fields, stepped = states[0], states[-1]
     assert [row["fp_iters"] for row in diagnostics] == [0, 1]
@@ -189,7 +200,8 @@ def test_eps_one_step_matches_manual_composition(monkeypatch):
         mesh, {"no_slip_tags": [GAMMA_INTERIOR, OUTER_BOUNDARY]},
         viscosity=1.0)
     velocity, pressure = stokes.solve(forcing)
-    assert np.max(np.abs(fields.velocity.values - velocity.values)) <= 1e-12
+    velocity = fem.element_means(mesh, velocity)
+    assert np.max(np.abs(fields.velocity - velocity)) <= 1e-12
     assert np.max(np.abs(fields.pressure - pressure)) <= 1e-12
 
     ops = []
@@ -205,13 +217,14 @@ def test_eps_one_step_matches_manual_composition(monkeypatch):
     assert stepped.t == pytest.approx(dt)
 
 
-def test_charged_run_conserves_mass_and_stays_neutral():
+def test_charged_run_conserves_mass_and_stays_neutral(monkeypatch):
+    flows = []
+    record_stokes_flows(monkeypatch, flows)
     domain = PerforatedDomain(0.5, DISK_CELL)
     mesh = generate_perforated_mesh(domain, 1 / 16)
     c_plus, c_minus = neutral_blobs(mesh)
-    problem = micro.MicroProblem(domain, neumann_regime(), c_plus, c_minus,
-                                 t_end=0.02, dt=5e-3, target_h=1 / 16)
-    problem._mesh = mesh
+    problem = micro.MicroProblem(domain, mesh, neumann_regime(), c_plus,
+                                 c_minus, t_end=0.02, dt=5e-3)
     states, diagnostics = micro.run_micro(problem)
     mass0 = diagnostics[0]["mass"]
     assert max(abs(r["mass"] - mass0) for r in diagnostics) <= 1e-9 * mass0
@@ -219,10 +232,87 @@ def test_charged_run_conserves_mass_and_stays_neutral():
     assert all(2 <= r["fp_iters"] <= 10 for r in diagnostics[1:])
     assert verify.run_invariant_suite(states, diagnostics,
                                       neumann_regime()).passed
-    final = states[-1]
+    # The state holds the element means of the last P2 flow, which is
+    # no-slip on every wall.
+    flow = flows[-1]
+    assert np.array_equal(states[-1].velocity, fem.element_means(mesh, flow))
     wall = fem._p2_boundary_dofs(mesh, {GAMMA_INTERIOR, OUTER_BOUNDARY})
-    assert np.max(np.abs(final.velocity.values[wall])) <= 1e-12
-    assert np.max(np.abs(final.velocity.values)) > 0
+    assert np.max(np.abs(flow.values[wall])) <= 1e-12
+    assert np.max(np.abs(flow.values)) > 0
+
+
+def flux_residual(mesh, means):
+    """Nodal sums of area * grad(phi_i) . u over the elements, for the
+    elementwise velocity means."""
+    areas, grads = fem.triangle_data(mesh)
+    residual = np.zeros(mesh.num_nodes)
+    contrib = np.einsum("md,mid->mi", means, grads) * areas[:, None]
+    np.add.at(residual, mesh.triangles.ravel(), contrib.ravel())
+    return residual
+
+
+def test_no_slip_flow_divergence_is_minus_the_flux_residual_of_its_means(
+        monkeypatch):
+    # For a P2 field that vanishes on the boundary, integration by parts
+    # and the exact edge-midpoint rule give B u = -F(means of u), so the
+    # elementwise divergence check on the states checks the P2 flow.  The
+    # Stokes flow is divergence-free to rounding, so each component (no
+    # longer divergence-free, still no-slip) is checked too.
+    flows = []
+    record_stokes_flows(monkeypatch, flows)
+    domain = PerforatedDomain(0.5, DISK_CELL)
+    mesh = generate_perforated_mesh(domain, 1 / 16)
+    c_plus, c_minus = neutral_blobs(mesh)
+    problem = micro.MicroProblem(domain, mesh, neumann_regime(), c_plus,
+                                 c_minus, t_end=5e-3, dt=5e-3)
+    states, _ = micro.run_micro(problem)
+    flow = flows[-1]
+    assert np.array_equal(states[-1].velocity, fem.element_means(mesh, flow))
+    bx, by = fem.assemble_divergence(mesh)
+    for mask in ((1.0, 1.0), (1.0, 0.0), (0.0, 1.0)):
+        field = fem.Field(mesh, flow.values * np.array(mask))
+        terms = (abs(bx) @ np.abs(field.values[:, 0])
+                 + abs(by) @ np.abs(field.values[:, 1]))
+        weak = fem.weak_divergence(mesh, field)
+        flux = flux_residual(mesh, fem.element_means(mesh, field))
+        assert np.max(np.abs(weak + flux)) <= 1e-12 * np.max(terms)
+    assert verify._divergence_residual(states[-1]) == np.max(np.abs(
+        flux_residual(mesh, states[-1].velocity)))
+
+
+@pytest.mark.parametrize("regimes", [
+    (macro.ScalingRegime("neumann", 0, 0, 0),
+     macro.ScalingRegime("neumann", 1, 1, 1)),
+    (macro.ScalingRegime("dirichlet", 2, 1, 1, phi_d=0.5),
+     macro.ScalingRegime("dirichlet", 1, 0, 0, phi_d=0.5)),
+], ids=["neumann_000_111", "dirichlet_211_100"])
+def test_exponent_shift_leaves_the_run_unchanged(regimes):
+    # eps^alpha (phi - phi_d) solves an alpha-free problem, and the flow
+    # and drift see it through eps^(beta - alpha) and eps^(gamma - alpha).
+    # Regimes with the same differences therefore give the same run up to
+    # rounding, since eps is a power of two.  The potentials sit around
+    # phi_d, so their rounding is relative to eps^alpha |phi|.
+    eps = 0.25
+    domain = PerforatedDomain(eps, DISK_CELL)
+    mesh = generate_perforated_mesh(domain, 1 / 32)
+    c_plus, c_minus = neutral_blobs(mesh)
+    runs = []
+    for regime in regimes:
+        problem = micro.MicroProblem(domain, mesh, regime, c_plus, c_minus,
+                                     t_end=0.01, dt=2e-3)
+        runs.append(micro.run_micro(problem))
+    (states_a, diag_a), (states_b, diag_b) = runs
+    assert [r["fp_iters"] for r in diag_a] == [r["fp_iters"] for r in diag_b]
+    (a, b), (final_a, final_b) = regimes, (states_a[-1], states_b[-1])
+    assert np.max(np.abs(final_a.c_plus - final_b.c_plus)) <= 1e-13
+    assert np.max(np.abs(final_a.c_minus - final_b.c_minus)) <= 1e-13
+    shifted_a = eps ** a.alpha * (final_a.phi - a.phi_d)
+    shifted_b = eps ** b.alpha * (final_b.phi - b.phi_d)
+    scale = max(np.max(np.abs(eps ** a.alpha * final_a.phi)),
+                np.max(np.abs(eps ** b.alpha * final_b.phi)))
+    assert np.max(np.abs(shifted_a - shifted_b)) <= 1e-13 * scale
+    assert np.max(np.abs(final_a.velocity - final_b.velocity)) \
+        <= 1e-11 * np.max(np.abs(final_a.velocity))
 
 
 def test_dirichlet_branch_pins_wall_potential():
@@ -230,9 +320,8 @@ def test_dirichlet_branch_pins_wall_potential():
     mesh = generate_perforated_mesh(domain, 1 / 16)
     c_plus, c_minus = neutral_blobs(mesh)
     regime = macro.ScalingRegime("dirichlet", 2, 1, 1, phi_d=0.3)
-    problem = micro.MicroProblem(domain, regime, c_plus, c_minus,
-                                 t_end=0.01, dt=5e-3, target_h=1 / 16)
-    problem._mesh = mesh
+    problem = micro.MicroProblem(domain, mesh, regime, c_plus, c_minus,
+                                 t_end=0.01, dt=5e-3)
     states, _ = micro.run_micro(problem)
     final = states[-1]
     wall_nodes = np.asarray(sorted(boundary_nodes(mesh, GAMMA_INTERIOR)))
@@ -248,11 +337,12 @@ def test_dirichlet_branch_pins_wall_potential():
 
 
 def test_dirichlet_without_inclusion_has_no_wall():
+    domain = PerforatedDomain(1.0, PLAIN_CELL)
+    mesh = generate_perforated_mesh(domain, 0.125)
+    half = np.full(mesh.num_nodes, 0.5)
     problem = micro.MicroProblem(
-        PerforatedDomain(1.0, PLAIN_CELL),
-        macro.ScalingRegime("dirichlet", 2, 1, 1, phi_d=0.3),
-        lambda x, y: 0.5 + 0 * x, lambda x, y: 0.5 + 0 * x,
-        t_end=0.01, dt=5e-3, target_h=0.125)
+        domain, mesh, macro.ScalingRegime("dirichlet", 2, 1, 1, phi_d=0.3),
+        half, half.copy(), t_end=0.01, dt=5e-3)
     with pytest.raises(NoSolidPhase):
         micro.run_micro(problem)
 
@@ -282,9 +372,8 @@ def test_balanced_surface_charge_solves_then_decays_incompatible(
     c_plus = base.copy()
     c_minus = base + surface / area
     regime = neumann_regime(sigma=sigma)
-    problem = micro.MicroProblem(domain, regime, c_plus, c_minus,
-                                 t_end=5e-3, dt=5e-3, target_h=1 / 16)
-    problem._mesh = mesh
+    problem = micro.MicroProblem(domain, mesh, regime, c_plus, c_minus,
+                                 t_end=5e-3, dt=5e-3)
     with pytest.raises(IncompatibleSource):
         micro.run_micro(problem)
     assert len(solved) == 1
@@ -301,9 +390,8 @@ def test_run_releases_its_operators(monkeypatch):
     domain = PerforatedDomain(0.5, DISK_CELL)
     mesh = generate_perforated_mesh(domain, 1 / 16)
     c_plus, c_minus = neutral_blobs(mesh)
-    problem = micro.MicroProblem(domain, neumann_regime(), c_plus, c_minus,
-                                 t_end=4e-3, dt=2e-3, target_h=1 / 16)
-    problem._mesh = mesh
+    problem = micro.MicroProblem(domain, mesh, neumann_regime(), c_plus,
+                                 c_minus, t_end=4e-3, dt=2e-3)
     states, _ = micro.run_micro(problem)
     gc.collect()
     assert len(built) == 1
@@ -314,19 +402,22 @@ def test_run_releases_its_operators(monkeypatch):
 @pytest.mark.slow
 def test_eps16_step_takes_the_schur_cg_stokes_route(monkeypatch):
     built = []
+    flows = []
+    record_stokes_flows(monkeypatch, flows)
     record_stokes_operators(monkeypatch, built.append)
     domain = PerforatedDomain(1 / 16, DISK_CELL)
     mesh = generate_perforated_mesh(domain, 1 / 128)
     c_plus, c_minus = neutral_blobs(mesh)
-    problem = micro.MicroProblem(domain, neumann_regime(), c_plus, c_minus,
-                                 t_end=2e-3, dt=2e-3, target_h=1 / 128)
-    problem._mesh = mesh
+    problem = micro.MicroProblem(domain, mesh, neumann_regime(), c_plus,
+                                 c_minus, t_end=2e-3, dt=2e-3)
     states, _ = micro.run_micro(problem)
     (stokes,) = built
     assert stokes._mode == "schur_cg"
     assert stokes.solves >= 1
     assert stokes.schur_iterations <= 80 * stokes.solves
-    assert relative_weak_divergence(mesh, states[-1].velocity) <= 1e-8
+    assert np.array_equal(states[-1].velocity,
+                          fem.element_means(mesh, flows[-1]))
+    assert relative_weak_divergence(mesh, flows[-1]) <= 1e-8
 
 
 def test_dt_self_convergence_first_order():
@@ -335,11 +426,10 @@ def test_dt_self_convergence_first_order():
     c_plus, c_minus = neutral_blobs(mesh)
     finals = []
     for dt in (4e-3, 2e-3, 1e-3):
-        problem = micro.MicroProblem(domain, neumann_regime(),
+        problem = micro.MicroProblem(domain, mesh, neumann_regime(),
                                      c_plus.copy(), c_minus.copy(),
-                                     t_end=0.02, dt=dt, target_h=1 / 16,
+                                     t_end=0.02, dt=dt,
                                      snapshot_stride=0)
-        problem._mesh = mesh
         states, _ = micro.run_micro(problem)
         finals.append(states[-1].c_plus)
     coarse = fem.l2_norm(mesh, finals[0] - finals[1])
@@ -347,66 +437,16 @@ def test_dt_self_convergence_first_order():
     assert np.log2(coarse / fine) >= 0.9
 
 
-def test_average_micro_field_modes():
-    domain = PerforatedDomain(0.5, DISK_CELL)
-    mesh = generate_perforated_mesh(domain, 1 / 16)
-    ones = np.ones(mesh.num_nodes)
-
-    intrinsic = micro.average_micro_field(ones, mesh)
-    assert intrinsic.shape == (2, 2)
-    assert np.max(np.abs(intrinsic - 1.0)) <= 1e-12
-
-    porosity = mesh_area(mesh.cell_mesh)
-    superficial = micro.average_micro_field(ones, mesh, mode="superficial")
-    assert np.max(np.abs(superficial - porosity)) <= 1e-12
-
-    x = mesh.nodes[:, 0]
-    centers = micro.average_micro_field(x, mesh)
-    assert np.max(np.abs(centers - np.array([[0.25, 0.75],
-                                             [0.25, 0.75]]))) <= 1e-10
-
-    vec = np.column_stack([x, 1.0 - x])
-    vec_avg = micro.average_micro_field(vec, mesh)
-    assert vec_avg.shape == (2, 2, 2)
-    assert np.max(np.abs(vec_avg[..., 0] + vec_avg[..., 1] - 1.0)) <= 1e-10
-
-    with pytest.raises(ValidationError):
-        micro.average_micro_field(ones, mesh, mode="average")
-    plain = generate_perforated_mesh(PerforatedDomain(1.0, PLAIN_CELL),
-                                     0.125)
-    plain.triangle_cell = None
-    with pytest.raises(ValidationError):
-        micro.average_micro_field(np.ones(plain.num_nodes), plain)
-
-
 def test_problem_validation():
     domain = PerforatedDomain(0.5, DISK_CELL)
+    mesh = generate_perforated_mesh(domain, 1 / 16)
     regime = neumann_regime()
-    good = lambda x, y: 0.5 + 0 * x
-
-    problem = micro.MicroProblem(domain, regime, good, good,
-                                 t_end=0.01, dt=-1e-3, target_h=1 / 16)
-    with pytest.raises(ValidationError):
-        problem.validate()
-
-    problem = micro.MicroProblem(domain, regime,
-                                 lambda x, y: 1.5 + 0 * x, good,
-                                 t_end=0.01, dt=1e-3, target_h=1 / 16)
-    mesh = problem.build_mesh()
-    with pytest.raises(ValidationError):
-        problem.initial_values(mesh)
-
-    problem = micro.MicroProblem(domain, regime, np.ones(3), good,
-                                 t_end=0.01, dt=1e-3, target_h=1 / 16)
-    problem._mesh = mesh
-    with pytest.raises(ValidationError):
-        problem.initial_values(mesh)
-
-
-def test_resolution_guard():
-    problem = micro.MicroProblem(
-        PerforatedDomain(0.25, DISK_CELL), neumann_regime(),
-        lambda x, y: 0.5 + 0 * x, lambda x, y: 0.5 + 0 * x,
-        t_end=0.01, dt=1e-3, target_h=0.125)
-    with pytest.raises(ResolutionTooCoarse):
-        micro.run_micro(problem)
+    good = np.full(mesh.num_nodes, 0.5)
+    for c_plus, dt in ((good, -1e-3), (good + 1.0, 1e-3), (np.ones(3), 1e-3)):
+        problem = micro.MicroProblem(domain, mesh, regime, c_plus, good,
+                                     t_end=0.01, dt=dt)
+        with pytest.raises(ValidationError):
+            problem.validate()
+    problem = micro.MicroProblem(domain, mesh, regime, good, good,
+                                 t_end=0.01, dt=1e-3)
+    problem.validate()

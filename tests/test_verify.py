@@ -22,6 +22,7 @@ from snpp.mesh import (
     UnitCellGeometry,
     generate_perforated_mesh,
     generate_unit_cell_mesh,
+    mesh_area,
 )
 
 DISK_CELL = UnitCellGeometry(DiskInclusion((0.5, 0.5), 0.25), 0.125)
@@ -67,9 +68,11 @@ def test_invariant_suite_passes_on_coupled_macro_run():
 
 def test_invariant_suite_passes_on_pore_scale_run():
     regime = macro.ScalingRegime("dirichlet", 2, 1, 1, phi_d=0.3)
-    problem = micro.MicroProblem(
-        PerforatedDomain(0.5, DISK_CELL), regime,
-        blob_plus, blob_minus, t_end=0.01, dt=5e-3, target_h=1 / 16)
+    domain = PerforatedDomain(0.5, DISK_CELL)
+    mesh = generate_perforated_mesh(domain, 1 / 16)
+    x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
+    problem = micro.MicroProblem(domain, mesh, regime, blob_plus(x, y),
+                                 blob_minus(x, y), t_end=0.01, dt=5e-3)
     states, diagnostics = micro.run_micro(problem)
     report = verify.run_invariant_suite(states, diagnostics, regime)
     assert report.passed
@@ -150,25 +153,36 @@ def test_invariant_suite_rejects_malformed_input():
         verify.run_invariant_suite([], diagnostics, regime)
 
 
-def test_cell_average_of_smooth_fields_matches_midpoints():
-    mesh = generate_unit_cell_mesh(UnitCellGeometry(None, 1 / 32))
-    x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
-    ones = verify._macro_cell_average(mesh, np.ones_like(x), 0.25, 1 / 32)
-    assert ones.shape == (4, 4)
-    assert np.max(np.abs(ones - 1.0)) <= 1e-12
+def test_cell_average_bins_square_and_tiled_meshes():
     # The full-cell mean of a linear field is its value at the cell
-    # center, and the first grid index runs along y.
+    # center (on the tiled mesh by the symmetry of the centered disk),
+    # and the first grid index runs along y.
+    square = generate_unit_cell_mesh(UnitCellGeometry(None, 1 / 32))
+    tiled = generate_perforated_mesh(PerforatedDomain(0.25, DISK_CELL),
+                                     1 / 32)
     centers = np.array([0.125, 0.375, 0.625, 0.875])
-    gx = verify._macro_cell_average(mesh, x, 0.25, 1 / 32)
-    gy = verify._macro_cell_average(mesh, y, 0.25, 1 / 32)
-    assert np.max(np.abs(gx - centers[None, :])) <= 1e-12
-    assert np.max(np.abs(gy - centers[:, None])) <= 1e-12
-    both = verify._macro_cell_average(mesh, np.stack([x, y], axis=1),
-                                      0.25, 1 / 32)
-    assert both.shape == (4, 4, 2)
-    assert np.max(np.abs(both[:, :, 0] - gx)) <= 1e-14
-    with pytest.raises(GridMisaligned):
-        verify._macro_cell_average(mesh, x, 0.125, 1 / 20)
+    for mesh, fluid in ((square, 1.0), (tiled, mesh_area(tiled.cell_mesh))):
+        ones = np.ones(mesh.num_triangles)
+        intrinsic = verify.cell_average(mesh, ones, 0.25, intrinsic=True)
+        assert intrinsic.shape == (4, 4)
+        assert np.max(np.abs(intrinsic - 1.0)) <= 1e-12
+        superficial = verify.cell_average(mesh, ones, 0.25)
+        assert np.max(np.abs(superficial - fluid)) <= 1e-12
+        x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
+        gx, gy = (verify.cell_average(mesh, fem.element_means(mesh, v),
+                                      0.25, intrinsic=True) for v in (x, y))
+        assert np.max(np.abs(gx - centers[None, :])) <= 1e-10
+        assert np.max(np.abs(gy - centers[:, None])) <= 1e-10
+        both = verify.cell_average(
+            mesh, fem.element_means(mesh, np.column_stack([x, y])), 0.25,
+            intrinsic=True)
+        assert both.shape == (4, 4, 2)
+        assert np.max(np.abs(both[..., 0] - gx)) <= 1e-14
+        assert np.max(np.abs(both[..., 1] - gy)) <= 1e-14
+        flux = verify.cell_average(
+            mesh, fem.element_means(mesh, np.column_stack([x, 1.0 - x])),
+            0.25)
+        assert np.max(np.abs(flux.sum(axis=-1) - fluid)) <= 1e-12
 
 
 def test_corrector_subtraction_cancels_synthetic_expansion():
