@@ -437,6 +437,36 @@ def test_dt_self_convergence_first_order():
     assert np.log2(coarse / fine) >= 0.9
 
 
+def test_average_micro_field_modes():
+    # Pore-scale fields are averaged per eps-cell by verify.cell_average:
+    # intrinsically over the fluid part, or superficially over the whole
+    # cell, which scales a constant by the porosity.
+    mesh = generate_perforated_mesh(PerforatedDomain(0.5, DISK_CELL), 1 / 16)
+    ones = np.ones(mesh.num_triangles)
+
+    intrinsic = verify.cell_average(mesh, ones, 0.5, intrinsic=True)
+    assert intrinsic.shape == (2, 2)
+    assert np.max(np.abs(intrinsic - 1.0)) <= 1e-12
+
+    porosity = mesh_area(mesh.cell_mesh)
+    superficial = verify.cell_average(mesh, ones, 0.5)
+    assert np.max(np.abs(superficial - porosity)) <= 1e-12
+
+    # The centered disk leaves the fluid centroid at the cell center.
+    x = mesh.nodes[:, 0]
+    centers = verify.cell_average(mesh, fem.element_means(mesh, x), 0.5,
+                                  intrinsic=True)
+    assert np.max(np.abs(centers - np.array([[0.25, 0.75],
+                                             [0.25, 0.75]]))) <= 1e-10
+
+    vec = fem.element_means(mesh, np.column_stack([x, 1.0 - x]))
+    vec_avg = verify.cell_average(mesh, vec, 0.5, intrinsic=True)
+    assert vec_avg.shape == (2, 2, 2)
+    assert np.max(np.abs(vec_avg[..., 0] + vec_avg[..., 1] - 1.0)) <= 1e-10
+    flux = verify.cell_average(mesh, vec, 0.5)
+    assert np.max(np.abs(flux.sum(axis=-1) - porosity)) <= 1e-12
+
+
 def test_problem_validation():
     domain = PerforatedDomain(0.5, DISK_CELL)
     mesh = generate_perforated_mesh(domain, 1 / 16)
