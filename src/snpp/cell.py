@@ -13,7 +13,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import splu
 
 from . import fem
 from .errors import FormulaMismatch, NoSolidPhase, ValidationError
@@ -242,7 +241,7 @@ def solve_dirichlet_cell_problem(mesh):
     fold, cols = fem.periodic_prolongation(mesh.num_nodes, mesh.periodic_pairs)
     matrix, reduced_rhs = fem.apply_dirichlet(
         fold.T @ stiff @ fold, fold.T @ rhs, cols[clamped], 0.0)
-    phi = fold @ splu(matrix.tocsc()).solve(reduced_rhs)
+    phi = fold @ fem.symmetric_lu(matrix.tocsc()).solve(reduced_rhs)
     sol = DirichletCellSolution(mesh, phi)
     sol.validate()
     return sol

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from . import fem
 from .errors import NoSolidPhase, ValidationError
@@ -89,7 +88,7 @@ class _Operators:
             constrained, _ = fem.apply_dirichlet(
                 scaled, np.zeros(mesh.num_nodes), self.gamma_nodes,
                 regime.phi_d)
-            self.lu_potential = splu(sp.csc_matrix(constrained))
+            self.lu_potential = fem.symmetric_lu(sp.csc_matrix(constrained))
         self.stokes = fem.StokesOperator(
             mesh, {"no_slip_tags": [GAMMA_INTERIOR, OUTER_BOUNDARY]},
             viscosity=eps ** 2)

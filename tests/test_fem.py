@@ -9,6 +9,7 @@ from scipy.sparse.linalg import splu
 
 from snpp import fem
 from snpp.errors import (
+    FieldMeshMismatch,
     MaxIterationsExceeded,
     NoSolidPhase,
     PointOutsideFluidPart,
@@ -246,6 +247,31 @@ def test_periodic_reduction_solves_shifted_problem():
     assert fem.l2_norm(mesh, u - exact) < 0.03
 
 
+def test_symmetric_lu_does_not_pivot_on_zero_diagonals():
+    # The bordered saddle and potential carry zero diagonals.  With a
+    # pivot threshold of 0 SuperLU keeps diagonal pivots wherever they
+    # are nonzero, however small, and returns relative residuals of 0.36
+    # and 5e-5 on these systems without an error.
+    eps = 0.125
+    mesh = generate_perforated_mesh(
+        PerforatedDomain(eps, UnitCellGeometry(
+            DiskInclusion((0.5, 0.5), 0.25), 0.125)), 1 / 32)
+    stokes = fem.StokesOperator(
+        mesh, {"no_slip_tags": [GAMMA_INTERIOR, OUTER_BOUNDARY]},
+        viscosity=eps ** 2)
+    weight = fem.assemble_mass(mesh) @ np.ones(mesh.num_nodes)
+    rng = np.random.default_rng(8)
+    for matrix, constraint in (
+            (stokes.matrix, stokes.pressure_weight),
+            (fem.assemble_stiffness(mesh), weight)):
+        col = sp.csr_matrix(np.reshape(constraint, (-1, 1)))
+        bordered = sp.bmat([[matrix, col], [col.T, None]], format="csc")
+        rhs = rng.standard_normal(bordered.shape[0])
+        x = fem.symmetric_lu(bordered).solve(rhs)
+        assert np.linalg.norm(bordered @ x - rhs) \
+            <= 1e-12 * np.linalg.norm(rhs)
+
+
 def test_reacting_pair_charge_decay_is_exact():
     mesh = disk_mesh(0.1)
     stiff = fem.assemble_stiffness(mesh)
@@ -305,10 +331,10 @@ def test_transport_solver_reuses_its_lu_against_fresh_factorizations(
         monkeypatch):
     kept = []
 
-    def tracked_splu(matrix):
+    def tracked_splu(matrix, **options):
         # The old LU must be freed before a refresh factors the block.
         assert all(ref() is None for ref in kept)
-        lu = TrackedLU(splu(matrix))
+        lu = TrackedLU(splu(matrix, **options))
         kept.append(weakref.ref(lu))
         return lu
 
@@ -409,8 +435,8 @@ def test_schur_cg_stokes_matches_direct_route(case, monkeypatch):
     assert 0 < op.schur_iterations <= 80 * len(forcings)
 
     # One LU of the scalar block solves both components as the LU of the
-    # whole two-component velocity block does.
-    block = splu(op.matrix[op.u_ids][:, op.u_ids].tocsc())
+    # whole two-component velocity block, in the same ordering, does.
+    block = fem.symmetric_lu(op.matrix[op.u_ids][:, op.u_ids].tocsc())
     rhs = np.random.default_rng(6).standard_normal(len(op.u_ids))
     ref = block.solve(rhs)
     assert np.max(np.abs(op._solve_velocity(rhs) - ref)) \
@@ -478,6 +504,19 @@ def test_p2_element_means_reproduce_linear_fields():
     centroids = mesh.nodes[mesh.triangles].mean(axis=1)
     expected = centroids @ np.array([[1.5, -0.25], [0.5, 2.0]])
     assert np.max(np.abs(means - expected)) < 1e-13
+
+
+def test_fields_and_velocities_must_match_their_mesh():
+    mesh = disk_mesh(0.1)
+    rows = fem.p2_dof_count(mesh)
+    with pytest.raises(FieldMeshMismatch):
+        fem.Field(mesh, np.zeros((rows - 1, 2)))
+    other = fem.Field(disk_mesh(0.1), np.zeros((rows, 2)))
+    with pytest.raises(FieldMeshMismatch):
+        fem.element_means(mesh, other)
+    for shape in ((mesh.num_triangles + 1, 2), (mesh.num_triangles, 3)):
+        with pytest.raises(FieldMeshMismatch):
+            fem.assemble_convection(mesh, velocity=np.zeros(shape))
 
 
 def test_interface_load_is_balanced_and_normals_point_inward():
