@@ -3,10 +3,11 @@
 Scalars (potential, pressure, concentrations) use P1 elements; velocity
 uses P2 on the same triangulation (Taylor-Hood pair).  Assembly is
 vectorized over elements and accumulated via coordinate-format scatter.
-The coupled transport block of both species is solved by a
-TransportSolver, which keeps one LU per run and reuses it as the
-preconditioner of at most two short GMRES cycles, refactoring only when
-they miss the TRANSPORT_TOL residual.
+The coupled transport block of both species belongs to a TransportSolver
+built once per run: it fixes the block's sparsity pattern, refills only
+the convection values at every step, factors the block once and solves
+the later blocks by iterative refinement on that LU, refactoring only
+when a refinement step fails to halve the residual.
 
 Every symmetric system is factored by symmetric_lu: the bordered
 zero-mean systems of ZeroMeanLU (the direct Stokes saddle, the macro
@@ -20,12 +21,13 @@ COLAMD, under which it factors 12 times faster at eps=1/8 and 78 times
 faster at eps=1/16 than in symmetric mode.
 """
 
+import itertools
 import logging
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import LinearOperator, gmres, splu
+from scipy.sparse.linalg import splu
 
 from .errors import (
     DegenerateElement,
@@ -42,7 +44,6 @@ log = logging.getLogger(__name__)
 DIRECT_DOF_LIMIT = 50000
 DEFAULT_TOL = 1e-10
 TRANSPORT_TOL = 1e-12
-TRANSPORT_KRYLOV_ITERS = 20
 SCHUR_MAX_ITER = 500
 # kappa in theta = kappa * fine / darcy of StokesOperator._prepare_schur.
 # Schur-CG iterations to a relative residual of 1e-10 are flat for
@@ -177,19 +178,14 @@ def recover_nodal_gradient(mesh, values):
     return out / weight[:, None]
 
 
-def assemble_convection(mesh, velocity=None, drift=None, drift_tensor=None,
-                        drift_sign=1.0):
-    """Matrix B with (B c)_i = integral of c * w . grad(phi_i).
+def _convection_weights(mesh, velocity, drift, drift_tensor, drift_sign):
+    """Weights (M, 3) of w . grad(phi_i) |K| / 3 on each element K.
 
-    The transporting field is w = velocity - drift_sign * T grad(drift)
-    with T = drift_tensor (a 2x2 array; identity when None).  velocity is
-    an elementwise (M, 2) array; drift is a nodal scalar.  Columns sum to
-    zero (partition of unity), which is what conserves total content under
-    no-flux stepping.
+    The element's convection entry (i, j) is weight i for every j; w is
+    the transporting field of assemble_convection.
     """
     areas, grads = triangle_data(mesh)
     m = mesh.num_triangles
-    n = mesh.num_nodes
     w = np.zeros((m, 2))
     if velocity is not None:
         vel = np.asarray(velocity, dtype=float)
@@ -203,12 +199,26 @@ def assemble_convection(mesh, velocity=None, drift=None, drift_tensor=None,
         if drift_tensor is not None:
             g = g @ np.asarray(drift_tensor, dtype=float).T
         w = w - drift_sign * g
-    wg = np.einsum("md,mid->mi", w, grads) * (areas / 3.0)[:, None]
+    return np.einsum("md,mid->mi", w, grads) * (areas / 3.0)[:, None]
+
+
+def assemble_convection(mesh, velocity=None, drift=None, drift_tensor=None,
+                        drift_sign=1.0):
+    """Matrix B with (B c)_i = integral of c * w . grad(phi_i).
+
+    The transporting field is w = velocity - drift_sign * T grad(drift)
+    with T = drift_tensor (a 2x2 array; identity when None).  velocity is
+    an elementwise (M, 2) array; drift is a nodal scalar.  Columns sum to
+    zero (partition of unity), which is what conserves total content under
+    no-flux stepping.
+    """
+    weights = _convection_weights(mesh, velocity, drift, drift_tensor,
+                                  drift_sign)
     t = mesh.triangles
+    n = mesh.num_nodes
     rows = np.repeat(t, 3, axis=1)
     cols = np.tile(t, (1, 3))
-    data = np.repeat(wg, 3, axis=1)
-    return _scatter(rows, cols, data, (n, n))
+    return _scatter(rows, cols, np.repeat(weights, 3, axis=1), (n, n))
 
 
 def _tagged_pairs(mesh, tags):
@@ -341,90 +351,121 @@ class ZeroMeanLU:
 
 
 class TransportSolver:
-    """Transport block solves that keep one LU between calls.
+    """The coupled transport block of one run, refilled and solved per step.
 
-    Each solve first runs GMRES preconditioned by the kept LU, for at
-    most two restart cycles of TRANSPORT_KRYLOV_ITERS iterations, and
-    accepts the result only when scipy reports convergence and the true
-    residual satisfies ||b - A x|| <= TRANSPORT_TOL ||b||.  scipy ends
-    its inner loop on the preconditioned residual, so the second cycle
-    takes up results whose true residual is still just above the gate.
-    Otherwise the old LU is dropped and the current block is factored
-    and solved directly; that LU is kept for the following calls.  A fresh solver
-    holds no LU, so its first solve is the direct one.  Between the
-    sweeps and steps of one run the block changes only through the
-    convection and drift terms, which keeps the lagged LU a near-exact
-    preconditioner.  One solver serves one run: its LU is as large as
-    the run's transport factorization.
+    Over (c+, c-) the block is [[M + dt (K - B+ + M), -dt M], [-dt M,
+    M + dt (K - B- + M)]], with M = diag(lumped), K the stiffness and B+
+    and B- the convection matrices of assemble_convection with drift_sign
+    +1 and -1.  Only B+ and B- change during a run, and only in value, so
+    the CSC pattern of the block attribute (the element pairs of the
+    mesh, the stiffness and the diagonals) and the slot of every element
+    entry are fixed here; refill sets the values with one bincount.  dt
+    is read at every refill.
+
+    The first solve factors the block and keeps the LU.  A later solve starts
+    from LU^-1 b and refines it, x <- x + LU^-1 (b - A x), until the true
+    residual satisfies ||b - A x|| <= TRANSPORT_TOL ||b||.  When a
+    refinement step fails to halve the residual, the LU is dropped and
+    the current block is factored and solved directly; that LU is kept
+    for the following solves.  Between the sweeps and steps of one run
+    the block changes only through the convection and drift terms, so
+    the lagged LU contracts the error far faster than that.
+    factorizations, refined_solves and refinement_steps count the
+    factorizations, the solves accepted by refinement and the refinement
+    steps those took.
     """
 
-    def __init__(self):
+    def __init__(self, mesh, stiffness, lumped, dt):
+        self.mesh = mesh
+        self.lumped = np.asarray(lumped, dtype=float)
+        self.dt = dt
+        n = mesh.num_nodes
+        t = mesh.triangles
+        k = sp.coo_matrix(stiffness)
+        node = np.arange(n)
+        element_rows = np.repeat(t, 3, axis=1).ravel()
+        element_cols = np.tile(t, (1, 3)).ravel()
+        # Entries: the element pairs of both species, then K, the mass
+        # and the reaction of both.
+        rows = np.concatenate([element_rows, element_rows + n, k.row,
+                               k.row + n, node, node + n, node, node + n])
+        cols = np.concatenate([element_cols, element_cols + n, k.col,
+                               k.col + n, node, node + n, node + n, node])
+        keys, slot = np.unique(cols * (2 * n) + rows, return_inverse=True)
+        fixed = 2 * len(element_rows)
+        self._slots = slot[:fixed]
+        # The values without convection: the mass, and what dt multiplies.
+        self._mass = np.bincount(slot[fixed + 2 * k.nnz:][:2 * n],
+                                 weights=np.tile(self.lumped, 2),
+                                 minlength=len(keys))
+        self._scaled = np.bincount(slot[fixed:], weights=np.concatenate(
+            [k.data, k.data, np.tile(self.lumped, 2),
+             np.tile(-self.lumped, 2)]), minlength=len(keys))
+        indptr = np.concatenate(
+            [[0], np.cumsum(np.bincount(keys // (2 * n), minlength=2 * n))])
+        self.block = sp.csc_matrix(
+            (self._mass + dt * self._scaled,
+             (keys % (2 * n)).astype(np.intc), indptr.astype(np.intc)),
+            shape=(2 * n, 2 * n))
         self._lu = None
         self.factorizations = 0
-        self.krylov_solves = 0
-        self.krylov_iterations = 0
+        self.refined_solves = 0
+        self.refinement_steps = 0
 
-    def solve(self, matrix, rhs):
-        matrix = sp.csc_matrix(matrix)
-        rhs = np.asarray(rhs, dtype=float)
+    def refill(self, velocity, drift, tensor):
+        """Set block for the field w = velocity -+ tensor grad(drift) of
+        c+ and c- (None for none), as assemble_convection takes them."""
+        weights = [np.repeat(_convection_weights(self.mesh, velocity, drift,
+                                                 tensor, sign), 3, axis=1)
+                   for sign in (1.0, -1.0)]
+        convection = np.bincount(self._slots, weights=np.concatenate(
+            [w.ravel() for w in weights]), minlength=len(self._mass))
+        self.block.data = self._mass + self.dt * (self._scaled - convection)
+
+    def solve(self, rhs):
         if self._lu is not None:
-            x = self._krylov(matrix, rhs)
-            if x is not None:
-                return x
+            gate = TRANSPORT_TOL * np.linalg.norm(rhs)
+            x = np.zeros_like(rhs)
+            residual, norm = rhs, np.inf
+            for steps in itertools.count():
+                x += self._lu.solve(residual)
+                residual = rhs - self.block @ x
+                previous, norm = norm, np.linalg.norm(residual)
+                if norm <= gate:
+                    self.refined_solves += 1
+                    self.refinement_steps += steps
+                    return x
+                if not norm <= 0.5 * previous:
+                    break
             self._lu = None
-        self._lu = splu(matrix)
+        self._lu = splu(self.block)
         self.factorizations += 1
         return self._lu.solve(rhs)
 
-    def _krylov(self, matrix, rhs):
-        """The preconditioned GMRES result if it passes the gate, else None.
-
-        The preconditioner refers to the kept LU, so it must be gone
-        before a refresh factors the block; returning from this method
-        drops it.
-        """
-        iterations = []
-        precondition = LinearOperator(matrix.shape, self._lu.solve)
-        x, info = gmres(matrix, rhs, rtol=TRANSPORT_TOL, atol=0.0,
-                        restart=TRANSPORT_KRYLOV_ITERS, maxiter=2,
-                        M=precondition, callback=iterations.append,
-                        callback_type="pr_norm")
-        residual = float(np.linalg.norm(rhs - matrix @ x))
-        if info != 0 or residual > TRANSPORT_TOL * np.linalg.norm(rhs):
-            return None
-        self.krylov_solves += 1
-        self.krylov_iterations += len(iterations)
-        return x
-
     def summary(self):
-        return ("%d factorizations, %d Krylov solves, %d Krylov iterations"
-                % (self.factorizations, self.krylov_solves,
-                   self.krylov_iterations))
+        return ("%d factorizations, %d refined solves, %d refinement steps"
+                % (self.factorizations, self.refined_solves,
+                   self.refinement_steps))
 
 
-def step_reacting_pair(mass, op_plus, op_minus, c_plus, c_minus, dt,
-                       solver=None):
+def step_reacting_pair(solver, velocity, drift, tensor, c_plus, c_minus):
     """Coupled implicit step for two species exchanging through the
     reaction pair (-q, +q) with q = c_plus - c_minus.
 
-    Both species and the reaction are advanced in one block solve, so the
-    discrete total charge obeys Q_new = Q_old / (1 + 2 dt) and the total
-    mass is conserved whenever the operators have zero column sums
-    (stiffness plus convection under no-flux conditions), both up to the
-    residual of the solve: round-off for a direct solve, at most
-    TRANSPORT_TOL relative for a Krylov one.  solver is the
-    TransportSolver of the run, which reuses its LU across calls; None
-    means a fresh one, which factors this block and solves it directly.
+    solver is the TransportSolver of the run; its block is refilled for
+    velocity, drift and tensor (see TransportSolver.refill) and solved
+    for the lumped content of (c_plus, c_minus).  Both species and the
+    reaction are advanced in one block solve, so the discrete total
+    charge obeys Q_new = Q_old / (1 + 2 dt) and the total mass is
+    conserved whenever the operators have zero column sums (stiffness
+    plus convection under no-flux conditions), both up to the residual
+    of the solve: round-off for a direct solve, at most TRANSPORT_TOL
+    relative for a refined one.
     """
-    if solver is None:
-        solver = TransportSolver()
-    a11 = mass + dt * op_plus + dt * mass
-    a22 = mass + dt * op_minus + dt * mass
-    coupling = -dt * mass
-    block = sp.bmat([[a11, coupling], [coupling, a22]], format="csc")
-    rhs = np.concatenate([mass @ c_plus, mass @ c_minus])
-    solution = solver.solve(block, rhs)
-    n = mass.shape[0]
+    solver.refill(velocity, drift, tensor)
+    rhs = np.concatenate([solver.lumped * c_plus, solver.lumped * c_minus])
+    solution = solver.solve(rhs)
+    n = len(solver.lumped)
     return solution[:n], solution[n:]
 
 

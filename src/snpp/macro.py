@@ -146,9 +146,12 @@ def classify_regime(regime):
 
 
 class _Operators:
-    """Assembled matrices and factorizations reused across time steps."""
+    """Assembled matrices and factorizations reused across time steps.
 
-    def __init__(self, mesh, coeffs):
+    dt, when given, adds the run's fem.TransportSolver of step dt.
+    """
+
+    def __init__(self, mesh, coeffs, dt=None):
         self.mass = fem.assemble_mass(mesh)
         self.lumped = fem.assemble_mass(mesh, lumped=True)
         self.weight = np.asarray(
@@ -161,6 +164,10 @@ class _Operators:
                 self.weight)
         else:
             self.lu_darcy = None
+        if dt is not None:
+            self.transport = fem.TransportSolver(
+                mesh, self.stiff_d, coeffs.porosity * self.lumped.diagonal(),
+                dt)
 
 
 def solve_macro_poisson(state, coeffs, ops=None):
@@ -250,33 +257,23 @@ def solve_macro_darcy(state, coeffs, model, forcing=None, ops=None):
     return pressure, velocity
 
 
-def np_operators(mesh, stiff, velocity, drift, tensor):
-    """Transport operators of c+ and c-: stiff minus the convection matrix
-    of velocity and drift (None for none) with drift_sign +1 and -1."""
-    return [stiff - fem.assemble_convection(
-        mesh, velocity=velocity, drift=drift, drift_tensor=tensor,
-        drift_sign=sign) for sign in (1.0, -1.0)]
-
-
-def step_macro_np(state, coeffs, model, dt, solver=None, ops=None):
+def step_macro_np(state, coeffs, model, dt, ops=None):
     """One implicit transport-reaction step for both species.
 
     The convection and drift operators are built from the current
     velocity and potential (semi-implicit linearization) and applied
     implicitly; the reaction pair is advanced in the same block solve, so
     total mass is conserved and the total charge decays by the exact
-    factor 1/(1 + 2 dt).  solver is passed on to fem.step_reacting_pair;
-    ops is the _Operators of the run, and None builds them for this call.
+    factor 1/(1 + 2 dt).  ops is the _Operators of the run, built with
+    this dt, whose TransportSolver keeps its LU across steps; None builds
+    them for this call.
     """
     if ops is None:
-        ops = _Operators(state.mesh, coeffs)
+        ops = _Operators(state.mesh, coeffs, dt)
     drift = state.phi if model.np_drift == DRIFT_ON else None
-    op_plus, op_minus = np_operators(state.mesh, ops.stiff_d, state.velocity,
-                                     drift, coeffs.diffusion)
-    scaled_mass = coeffs.porosity * ops.lumped
     c_plus, c_minus = fem.step_reacting_pair(
-        scaled_mass, op_plus, op_minus, state.c_plus, state.c_minus, dt,
-        solver=solver)
+        ops.transport, state.velocity, drift, coeffs.diffusion,
+        state.c_plus, state.c_minus)
     low = min(float(np.min(c_plus)), float(np.min(c_minus)))
     if low < -1e-8:
         warnings.warn(NegativeConcentration(
@@ -444,8 +441,7 @@ def run_macro(problem):
     problem.validate()
     model = classify_regime(problem.regime)
     coeffs = problem.coeffs
-    ops = _Operators(problem.mesh, coeffs)
-    solver = fem.TransportSolver()
+    ops = _Operators(problem.mesh, coeffs, problem.dt)
     coupled = (model.darcy_forcing == FORCING_ELECTRO
                or model.np_drift == DRIFT_ON)
 
@@ -460,14 +456,13 @@ def run_macro(problem):
 
     def transport(state, c_plus, c_minus):
         base = replace(state, c_plus=c_plus, c_minus=c_minus)
-        return step_macro_np(base, coeffs, model, problem.dt, solver=solver,
-                             ops=ops)
+        return step_macro_np(base, coeffs, model, problem.dt, ops=ops)
 
     states, diagnostics = run_steps(
         problem, update_fields, transport, ops.lumped.diagonal(),
         content_scale=coeffs.porosity, iterate=coupled)
     log.info("macro run finished: %d steps, final charge %.3e, "
              "transport %s, %d sweeps", len(diagnostics) - 1,
-             diagnostics[-1]["charge"], solver.summary(),
+             diagnostics[-1]["charge"], ops.transport.summary(),
              sum(row["fp_iters"] for row in diagnostics))
     return states, diagnostics

@@ -22,7 +22,6 @@ from .macro import (
     NEUMANN,
     check_concentrations,
     classify_regime,
-    np_operators,
     run_steps,
     solve_neumann_potential,
 )
@@ -57,10 +56,10 @@ class MicroProblem:
 
 
 class _Operators:
-    """Matrices and factorizations of one run_micro call, with the
-    potential, flow and transport solves built on them."""
+    """Matrices and factorizations of one run_micro call of step dt, with
+    the potential, flow and transport solves built on them."""
 
-    def __init__(self, mesh, regime):
+    def __init__(self, mesh, regime, dt):
         self.mesh = mesh
         self.regime = regime
         eps = mesh.eps
@@ -92,6 +91,8 @@ class _Operators:
         self.stokes = fem.StokesOperator(
             mesh, {"no_slip_tags": [GAMMA_INTERIOR, OUTER_BOUNDARY]},
             viscosity=eps ** 2)
+        self.transport = fem.TransportSolver(mesh, self.stiff,
+                                             self.lumped.diagonal(), dt)
 
     def solve_potential(self, charge):
         rhs = np.asarray(self.mass @ charge).ravel()
@@ -112,12 +113,10 @@ class _Operators:
         velocity, pressure = self.stokes.solve(forcing)
         return fem.element_means(self.mesh, velocity), pressure
 
-    def step_transport(self, c_plus, c_minus, velocity, phi, dt, solver):
+    def step_transport(self, c_plus, c_minus, velocity, phi):
         tensor = self.mesh.eps ** self.regime.gamma * np.eye(2)
-        op_plus, op_minus = np_operators(self.mesh, self.stiff, velocity, phi,
-                                         tensor)
-        return fem.step_reacting_pair(self.lumped, op_plus, op_minus,
-                                      c_plus, c_minus, dt, solver=solver)
+        return fem.step_reacting_pair(self.transport, velocity, phi, tensor,
+                                      c_plus, c_minus)
 
 
 def run_micro(problem):
@@ -129,8 +128,7 @@ def run_micro(problem):
     diagnostics) with the same diagnostic keys as the macroscopic run.
     """
     problem.validate()
-    ops = _Operators(problem.mesh, problem.regime)
-    solver = fem.TransportSolver()
+    ops = _Operators(problem.mesh, problem.regime, problem.dt)
 
     def update_fields(state):
         charge = state.c_plus - state.c_minus
@@ -139,12 +137,12 @@ def run_micro(problem):
 
     def transport(state, c_plus, c_minus):
         return ops.step_transport(c_plus, c_minus, state.velocity,
-                                  state.phi, problem.dt, solver=solver)
+                                  state.phi)
 
     states, diagnostics = run_steps(problem, update_fields, transport,
                                     ops.lumped.diagonal())
     log.info("micro run eps=%g finished: %d steps, transport %s, stokes %s, "
              "%d sweeps", problem.mesh.eps, len(diagnostics) - 1,
-             solver.summary(), ops.stokes.summary(),
+             ops.transport.summary(), ops.stokes.summary(),
              sum(row["fp_iters"] for row in diagnostics))
     return states, diagnostics

@@ -6,16 +6,21 @@ loop instead of closed forms, and the linear solve is plain dense Gaussian
 elimination. Slow and simple on purpose.  relative_weak_divergence is a
 measure on the package's own divergence rows, shared by the Stokes tests;
 fixed_point_checked measures the stop rule of the stepping loop against
-sweeps continued well past it.  solve_spd, mesh_quality_report,
-count_interior_loops and read_coefficients have no caller in the
-package; they are the test-side conjugate-gradient route, mesh
-statistics, hole count and coefficient-file reader.
+sweeps continued well past it.  reacting_pair_block and
+reacting_pair_step build and solve the transport block along the
+sparse-sum route (assemble_convection, sums and sp.bmat) that the
+refilled fixed-pattern block of fem.TransportSolver is checked
+against.  solve_spd, mesh_quality_report, count_interior_loops and
+read_coefficients have no caller in the package; they are the test-side
+conjugate-gradient route, mesh statistics, hole count and
+coefficient-file reader.
 """
 
 from dataclasses import replace
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from snpp import fem
 from snpp.errors import MaxIterationsExceeded, SolverBreakdown
@@ -228,6 +233,30 @@ def relative_weak_divergence(mesh, vel):
         terms = fold.T @ terms
     residual = fem.weak_divergence(mesh, vel)
     return float(np.max(np.abs(residual)) / np.max(terms))
+
+
+def reacting_pair_block(mesh, stiffness, lumped, dt, velocity, drift,
+                        tensor):
+    """The block of fem.TransportSolver(mesh, stiffness, lumped, dt)
+    refilled for (velocity, drift, tensor), from each species' convection
+    matrix, sparse sums and sp.bmat."""
+    mass = sp.diags(np.asarray(lumped, dtype=float))
+    diagonal = [mass + dt * (stiffness - fem.assemble_convection(
+        mesh, velocity=velocity, drift=drift, drift_tensor=tensor,
+        drift_sign=sign)) + dt * mass for sign in (1.0, -1.0)]
+    return sp.bmat([[diagonal[0], -dt * mass], [-dt * mass, diagonal[1]]],
+                   format="csc")
+
+
+def reacting_pair_step(mesh, stiffness, lumped, dt, velocity, drift, tensor,
+                       c_plus, c_minus):
+    """fem.step_reacting_pair by a fresh LU of reacting_pair_block."""
+    lumped = np.asarray(lumped, dtype=float)
+    block = reacting_pair_block(mesh, stiffness, lumped, dt, velocity, drift,
+                                tensor)
+    x = splu(block).solve(np.concatenate([lumped * c_plus,
+                                          lumped * c_minus]))
+    return x[:len(lumped)], x[len(lumped):]
 
 
 def fixed_point_checked(run_steps, errors, tol=1e-14, max_sweeps=20):

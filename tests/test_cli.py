@@ -249,8 +249,7 @@ def test_numerical_failure_exits_two(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["macro", "converge"])
 def test_non_finite_field_exits_two_without_artifacts(
         tmp_path, capsys, monkeypatch, command):
-    def broken_step(mass, op_plus, op_minus, c_plus, c_minus, dt,
-                    solver=None):
+    def broken_step(solver, velocity, drift, tensor, c_plus, c_minus):
         return c_plus.copy(), np.full_like(c_minus, np.inf)
 
     monkeypatch.setattr(fem, "step_reacting_pair", broken_step)

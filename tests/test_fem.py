@@ -9,6 +9,7 @@ from scipy.sparse.linalg import splu
 
 from snpp import fem
 from snpp.errors import (
+    DegenerateElement,
     FieldMeshMismatch,
     MaxIterationsExceeded,
     NoSolidPhase,
@@ -34,6 +35,8 @@ from oracles import (
     dense_p1_stiffness,
     gauss_solve,
     p1_interpolate_reference,
+    reacting_pair_block,
+    reacting_pair_step,
     relative_weak_divergence,
     solve_spd,
     tri_area,
@@ -284,9 +287,10 @@ def test_reacting_pair_charge_decay_is_exact():
     charge = ones @ (mass @ (c_plus - c_minus))
     total = ones @ (mass @ (c_plus + c_minus))
     norms = [fem.l2_norm(mesh, c_plus + c_minus)]
+    solver = fem.TransportSolver(mesh, stiff, mass.diagonal(), dt)
     for _ in range(5):
         c_plus, c_minus = fem.step_reacting_pair(
-            mass, stiff, stiff, c_plus, c_minus, dt)
+            solver, None, None, None, c_plus, c_minus)
         charge_new = ones @ (mass @ (c_plus - c_minus))
         assert charge_new == pytest.approx(charge / (1 + 2 * dt), rel=1e-12)
         charge = charge_new
@@ -297,116 +301,141 @@ def test_reacting_pair_charge_decay_is_exact():
     assert all(b <= a + 1e-13 for a, b in zip(norms, norms[1:]))
 
 
-def drifted_pair(mesh, scale):
-    """Nernst-Planck operators of both species under a scaled drift."""
+DRIFT_TENSOR = np.diag([0.6, 0.4])
+
+
+def drift_potential(mesh, scale):
     x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
-    phi = scale * (np.sin(2 * np.pi * x) * np.cos(np.pi * y) + x * y)
-    tensor = np.diag([0.6, 0.4])
-    stiff = fem.assemble_stiffness(mesh, tensor)
-    return [stiff - fem.assemble_convection(mesh, drift=phi,
-                                            drift_tensor=tensor,
-                                            drift_sign=sign)
-            for sign in (1.0, -1.0)]
+    return scale * (np.sin(2 * np.pi * x) * np.cos(np.pi * y) + x * y)
 
 
-def direct_pair_step(mass, op_plus, op_minus, c_plus, c_minus, dt):
-    a11 = mass + dt * op_plus + dt * mass
-    a22 = mass + dt * op_minus + dt * mass
-    block = sp.bmat([[a11, -dt * mass], [-dt * mass, a22]], format="csc")
-    rhs = np.concatenate([mass @ c_plus, mass @ c_minus])
-    return splu(block).solve(rhs)
+def perforated_quarter_mesh():
+    return generate_perforated_mesh(
+        PerforatedDomain(0.25, UnitCellGeometry(
+            DiskInclusion((0.5, 0.5), 0.25), 0.125)), 1 / 32)
+
+
+@pytest.mark.parametrize("make_mesh", [lambda: square_mesh(1 / 16),
+                                       perforated_quarter_mesh],
+                         ids=["macro_square", "perforated_quarter"])
+def test_refilled_block_matches_sparse_sum_route(make_mesh):
+    mesh = make_mesh()
+    stiff = fem.assemble_stiffness(mesh, DRIFT_TENSOR)
+    lumped = 0.8 * fem.assemble_mass(mesh, lumped=True).diagonal()
+    dt = 2e-3
+    velocity = np.random.default_rng(4).normal(size=(mesh.num_triangles, 2))
+    phi = drift_potential(mesh, 1.0)
+    solver = fem.TransportSolver(mesh, stiff, lumped, dt)
+    # The last case refills after the others, so no stale convection
+    # value may survive a refill.
+    for fields in ((velocity, phi, np.eye(2)), (None, phi, DRIFT_TENSOR),
+                   (None, None, None)):
+        solver.refill(*fields)
+        ref = reacting_pair_block(mesh, stiff, lumped, dt, *fields)
+        assert abs(solver.block - ref).max() <= 1e-14 * abs(ref).max()
 
 
 class TrackedLU:
-    """An LU that can be weakly referenced, to see when it is freed."""
+    """An LU that can be weakly referenced, to see when it is freed, and
+    that appends its number to log at every solve."""
 
-    def __init__(self, lu):
+    def __init__(self, lu, number, log):
         self.lu = lu
+        self.number = number
+        self.log = log
 
     def solve(self, rhs):
+        self.log.append(self.number)
         return self.lu.solve(rhs)
 
 
 def test_transport_solver_reuses_its_lu_against_fresh_factorizations(
         monkeypatch):
     kept = []
+    applied = []
 
     def tracked_splu(matrix, **options):
         # The old LU must be freed before a refresh factors the block.
         assert all(ref() is None for ref in kept)
-        lu = TrackedLU(splu(matrix, **options))
+        lu = TrackedLU(splu(matrix, **options), len(kept), applied)
         kept.append(weakref.ref(lu))
         return lu
 
     monkeypatch.setattr(fem, "splu", tracked_splu)
     mesh = square_mesh(1 / 32)
-    mass = fem.assemble_mass(mesh, lumped=True)
+    lumped = fem.assemble_mass(mesh, lumped=True).diagonal()
+    stiff = fem.assemble_stiffness(mesh, DRIFT_TENSOR)
     x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
     c_plus = 0.2 + 0.5 * np.exp(-25 * ((x - 0.35) ** 2 + (y - 0.45) ** 2))
     c_minus = 0.2 + 0.5 * np.exp(-25 * ((x - 0.7) ** 2 + (y - 0.6) ** 2))
-    ones = np.ones(2 * mesh.num_nodes)
-    content = ones @ np.concatenate([mass @ c_plus, mass @ c_minus])
+    content = lumped @ (c_plus + c_minus)
     dt = 2e-3
-    solver = fem.TransportSolver()
+    solver = fem.TransportSolver(mesh, stiff, lumped, dt)
     # Like the sweeps of one step, each drift lies within 1% of the
     # first, whose LU the solver keeps.
     for sweep, scale in enumerate((1.0, 1.01, 1.005, 1.0025)):
-        ops = drifted_pair(mesh, scale)
-        got = np.concatenate(fem.step_reacting_pair(
-            mass, *ops, c_plus, c_minus, dt, solver=solver))
-        ref = direct_pair_step(mass, *ops, c_plus, c_minus, dt)
+        fields = (None, drift_potential(mesh, scale), DRIFT_TENSOR)
+        got = np.concatenate(fem.step_reacting_pair(solver, *fields, c_plus,
+                                                    c_minus))
+        ref = np.concatenate(reacting_pair_step(mesh, stiff, lumped, dt,
+                                                *fields, c_plus, c_minus))
         assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
-        new_content = ones @ np.concatenate(
-            [mass @ got[:mesh.num_nodes], mass @ got[mesh.num_nodes:]])
+        new_content = lumped @ (got[:mesh.num_nodes] + got[mesh.num_nodes:])
         assert abs(new_content - content) <= 1e-13 * content
         assert solver.factorizations == 1
-        assert solver.krylov_solves == sweep
-    assert solver.krylov_iterations >= solver.krylov_solves
-    assert solver.krylov_iterations <= \
-        fem.TRANSPORT_KRYLOV_ITERS * solver.krylov_solves
+        assert solver.refined_solves == sweep
+    # Each refined solve here meets the gate in three steps.
+    assert solver.refined_solves <= solver.refinement_steps \
+        <= 4 * solver.refined_solves
 
-    # A block 100 times stiffer defeats the lagged LU, so the solver
-    # refactors and returns the direct solution itself.
-    ops = drifted_pair(mesh, 1.0)
-    got = np.concatenate(fem.step_reacting_pair(
-        mass, *ops, c_plus, c_minus, 100 * dt, solver=solver))
+    # A step 100 times longer makes a block the lagged LU cannot refine,
+    # so the solver refactors and returns the direct solution itself.
+    solver.dt = 100 * dt
+    fields = (None, drift_potential(mesh, 1.0), DRIFT_TENSOR)
+    before = len(applied)
+    got = np.concatenate(fem.step_reacting_pair(solver, *fields, c_plus,
+                                                c_minus))
+    # The first refinement step fails to halve the residual, so the kept
+    # LU is applied twice before the block is factored again.
+    assert applied[before:] == [0, 0, 1]
     assert solver.factorizations == len(kept) == 2
-    assert solver.krylov_solves == 3
-    ref = direct_pair_step(mass, *ops, c_plus, c_minus, 100 * dt)
-    assert np.array_equal(got, ref)
+    assert solver.refined_solves == 3
+    rhs = np.concatenate([lumped * c_plus, lumped * c_minus])
+    assert np.array_equal(got, splu(solver.block).solve(rhs))
+    ref = np.concatenate(reacting_pair_step(mesh, stiff, lumped, 100 * dt,
+                                            *fields, c_plus, c_minus))
+    assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("drift", [0.002, 0.02])
-def test_transport_solver_takes_a_second_cycle_before_refactoring(drift):
-    # One GMRES cycle stops on the preconditioned residual with the true
-    # residual just above the gate for these drifts; the second cycle
-    # takes them up without a new factorization.
+def test_transport_solver_refines_a_drifted_block_on_its_first_lu(drift):
+    # A drift of 0.2% or 2% from the factored block is solved to the gate
+    # by refinement on the kept LU, without a second factorization.
     mesh = square_mesh(1 / 32)
-    mass = fem.assemble_mass(mesh, lumped=True)
+    lumped = fem.assemble_mass(mesh, lumped=True).diagonal()
+    stiff = fem.assemble_stiffness(mesh, DRIFT_TENSOR)
     x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
     c_plus = 0.2 + 0.5 * np.exp(-25 * ((x - 0.35) ** 2 + (y - 0.45) ** 2))
     c_minus = 0.2 + 0.5 * np.exp(-25 * ((x - 0.7) ** 2 + (y - 0.6) ** 2))
     dt = 2e-3
-    solver = fem.TransportSolver()
+    solver = fem.TransportSolver(mesh, stiff, lumped, dt)
     for scale in (1.0, 1.0 + drift):
-        ops = drifted_pair(mesh, scale)
-        got = np.concatenate(fem.step_reacting_pair(
-            mass, *ops, c_plus, c_minus, dt, solver=solver))
-        ref = direct_pair_step(mass, *ops, c_plus, c_minus, dt)
+        fields = (None, drift_potential(mesh, scale), DRIFT_TENSOR)
+        got = np.concatenate(fem.step_reacting_pair(solver, *fields, c_plus,
+                                                    c_minus))
+        ref = np.concatenate(reacting_pair_step(mesh, stiff, lumped, dt,
+                                                *fields, c_plus, c_minus))
         assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
     assert solver.factorizations == 1
-    assert solver.krylov_solves == 1
+    assert solver.refined_solves == 1
 
 
 def perforated_stokes_case():
-    eps = 0.25
-    mesh = generate_perforated_mesh(
-        PerforatedDomain(eps, UnitCellGeometry(
-            DiskInclusion((0.5, 0.5), 0.25), 0.125)), 1 / 32)
+    mesh = perforated_quarter_mesh()
     forcing = np.random.default_rng(5).standard_normal(
         (mesh.num_triangles, 2))
     bc = {"no_slip_tags": [GAMMA_INTERIOR, OUTER_BOUNDARY]}
-    return mesh, bc, eps ** 2, [forcing]
+    return mesh, bc, mesh.eps ** 2, [forcing]
 
 
 def periodic_cell_stokes_case():
@@ -504,6 +533,16 @@ def test_p2_element_means_reproduce_linear_fields():
     centroids = mesh.nodes[mesh.triangles].mean(axis=1)
     expected = centroids @ np.array([[1.5, -0.25], [0.5, 2.0]])
     assert np.max(np.abs(means - expected)) < 1e-13
+
+
+def test_sliver_triangle_passes_validation_but_not_assembly():
+    # Area 5e-15 is positive, so the mesh is valid, but below the 1e-14
+    # that assembly accepts.
+    mesh = one_triangle_mesh([[0.0, 0.0], [1.0, 0.0], [0.5, 1e-14]])
+    mesh.validate()
+    with pytest.raises(DegenerateElement) as info:
+        fem.triangle_data(mesh)
+    assert info.value.where == "fem.assembly"
 
 
 def test_fields_and_velocities_must_match_their_mesh():

@@ -1,6 +1,7 @@
 """Regime classification and upscaled solver behavior."""
 
 import gc
+import re
 import weakref
 
 import numpy as np
@@ -503,12 +504,30 @@ def test_coupled_run_steps_stop_within_tolerance_of_the_fixed_point(
     assert caplog.messages[-1].endswith(", %d sweeps" % sweeps)
 
 
+def test_run_factors_its_transport_block_once_and_solves_it_every_sweep(
+        caplog):
+    mesh = square_mesh(1 / 16)
+    c_plus, c_minus = charged_blobs(mesh, neutral=True)
+    problem = macro.MacroProblem(
+        mesh, identity_coeffs(porosity=0.8),
+        macro.ScalingRegime("neumann", 0, 0, 0),
+        c_plus, c_minus, t_end=0.01, dt=2e-3)
+    with caplog.at_level("INFO", logger="snpp.macro"):
+        _, diagnostics = macro.run_macro(problem)
+    counts = re.search(r"transport (\d+) factorizations, (\d+) refined "
+                       r"solves, (\d+) refinement steps", caplog.messages[-1])
+    factorizations, refined, _ = map(int, counts.groups())
+    assert factorizations == 1
+    assert factorizations + refined == sum(row["fp_iters"]
+                                           for row in diagnostics)
+    assert refined >= 1
+
+
 @pytest.mark.parametrize("beta", [0, 1])
 def test_run_stops_on_non_finite_concentration(monkeypatch, beta):
     # beta = 0 iterates every step to a fixed point, beta = 1 makes one
     # sweep per step, where a NaN would otherwise pass unnoticed.
-    def broken_step(mass, op_plus, op_minus, c_plus, c_minus, dt,
-                    solver=None):
+    def broken_step(solver, velocity, drift, tensor, c_plus, c_minus):
         return np.full_like(c_plus, np.nan), c_minus.copy()
 
     monkeypatch.setattr(fem, "step_reacting_pair", broken_step)

@@ -6,6 +6,7 @@ import pytest
 from snpp import fem, mesh
 from snpp.errors import (
     InclusionTouchesBoundary,
+    MeshGenerationFailure,
     ResolutionTooCoarse,
     ValidationError,
 )
@@ -33,6 +34,17 @@ def test_structured_square_min_angle_is_45_degrees():
     report = mesh_quality_report(m)
     assert report["min_angle_deg"] == pytest.approx(45.0, abs=1e-9)
     assert report["h_max"] >= report["h_min"] > 0
+
+
+def test_cell_coarser_than_three_target_sizes_is_rejected(monkeypatch):
+    # The cell triangulations keep the longest edge below 1.8 target
+    # sizes over radii 0.05 to 0.45 and sizes down to 0.004, so a
+    # one-square triangulation stands in for one that misses the size.
+    monkeypatch.setattr(mesh, "_build_cell",
+                        lambda inclusion, h: mesh._structured_square(1))
+    with pytest.raises(MeshGenerationFailure) as info:
+        mesh.generate_unit_cell_mesh(mesh.UnitCellGeometry(None, 0.1))
+    assert info.value.where == "mesh.generate_unit_cell_mesh"
 
 
 def test_disk_cell_porosity_close_to_analytic():

@@ -25,7 +25,11 @@ from snpp.mesh import (
     mesh_area,
 )
 
-from oracles import fixed_point_checked, relative_weak_divergence
+from oracles import (
+    fixed_point_checked,
+    reacting_pair_step,
+    relative_weak_divergence,
+)
 
 DISK_CELL = UnitCellGeometry(DiskInclusion((0.5, 0.5), 0.25), 0.125)
 PLAIN_CELL = UnitCellGeometry(None, 0.125)
@@ -204,17 +208,30 @@ def test_eps_one_step_matches_manual_composition(monkeypatch):
     assert np.max(np.abs(fields.velocity - velocity)) <= 1e-12
     assert np.max(np.abs(fields.pressure - pressure)) <= 1e-12
 
-    ops = []
-    for sign in (1.0, -1.0):
-        conv = fem.assemble_convection(mesh, velocity=velocity, drift=phi,
-                                       drift_tensor=np.eye(2),
-                                       drift_sign=sign)
-        ops.append(stiff - conv)
-    ref_plus, ref_minus = fem.step_reacting_pair(
-        lumped, ops[0], ops[1], c_plus, c_minus, dt)
+    ref_plus, ref_minus = reacting_pair_step(
+        mesh, stiff, lumped.diagonal(), dt, velocity, phi, np.eye(2),
+        c_plus, c_minus)
     assert np.max(np.abs(stepped.c_plus - ref_plus)) <= 1e-12
     assert np.max(np.abs(stepped.c_minus - ref_minus)) <= 1e-12
     assert stepped.t == pytest.approx(dt)
+
+
+def test_run_factors_its_transport_block_once_and_solves_it_every_sweep(
+        caplog):
+    domain = PerforatedDomain(0.5, DISK_CELL)
+    mesh = generate_perforated_mesh(domain, 1 / 16)
+    c_plus, c_minus = neutral_blobs(mesh)
+    problem = micro.MicroProblem(domain, mesh, neumann_regime(), c_plus,
+                                 c_minus, t_end=2e-3, dt=2e-3)
+    with caplog.at_level("INFO", logger="snpp.micro"):
+        _, diagnostics = micro.run_micro(problem)
+    counts = re.search(r"transport (\d+) factorizations, (\d+) refined "
+                       r"solves, (\d+) refinement steps", caplog.messages[-1])
+    factorizations, refined, _ = map(int, counts.groups())
+    assert factorizations == 1
+    assert factorizations + refined == sum(row["fp_iters"]
+                                           for row in diagnostics)
+    assert refined >= 1
 
 
 def test_charged_run_conserves_mass_and_stays_neutral(monkeypatch):
