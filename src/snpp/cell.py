@@ -58,7 +58,7 @@ class StokesCellSolutions:
     def validate(self):
         no_slip = fem._p2_boundary_dofs(self.mesh, {GAMMA_INTERIOR})
         for j, vel in enumerate(self.velocities):
-            if no_slip and np.max(np.abs(vel.values[no_slip])) > 1e-12:
+            if no_slip and np.max(np.abs(vel[no_slip])) > 1e-12:
                 raise ValidationError(
                     "flow corrector %d violates no-slip" % j)
             if np.linalg.norm(fem.weak_divergence(self.mesh, vel)) > 1e-8:
@@ -213,8 +213,8 @@ def compute_permeability_tensor(sols, mesh):
     energy = np.empty((2, 2))
     for i in range(2):
         for j in range(2):
-            vi = sols.velocities[i].values
-            vj = sols.velocities[j].values
+            vi = sols.velocities[i]
+            vj = sols.velocities[j]
             energy[i, j] = (vi[:, 0] @ (stiff_p2 @ vj[:, 0])
                             + vi[:, 1] @ (stiff_p2 @ vj[:, 1]))
     scale = max(np.max(np.abs(averaged)), 1e-30)

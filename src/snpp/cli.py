@@ -37,7 +37,6 @@ from .errors import (
     NonMonotoneConvergence,
     NoSolidPhase,
     ParseError,
-    PointOutsideFluidPart,
     ResolutionTooCoarse,
     SnppError,
     SolverBreakdown,
@@ -79,9 +78,8 @@ ORIGIN = {
     ResolutionTooCoarse: "mesh", DegenerateElement: "fem",
     FieldMeshMismatch: "fem", SolverBreakdown: "fem",
     MaxIterationsExceeded: "fem", NoSolidPhase: "fem", FormulaMismatch: "cell",
-    PointOutsideFluidPart: "cell", InadmissibleScaling: "macro",
-    IncompatibleSource: "macro", FixedPointDivergence: "macro",
-    NonFiniteField: "macro",
+    InadmissibleScaling: "macro", IncompatibleSource: "macro",
+    FixedPointDivergence: "macro", NonFiniteField: "macro",
     GridMisaligned: "verify", MalformedDiagnostics: "verify",
     ParseError: "cli.parse_config",
 }

@@ -55,10 +55,6 @@ class FormulaMismatch(SnppError):
     """Averaging and energy evaluations of an effective tensor disagree."""
 
 
-class PointOutsideFluidPart(SnppError):
-    """Evaluation point lies inside the solid inclusion."""
-
-
 # macro
 
 class InadmissibleScaling(SnppError):

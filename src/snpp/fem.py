@@ -1,8 +1,11 @@
 """Finite-element core: P1/Taylor-Hood assembly, constraints, solvers.
 
 Scalars (potential, pressure, concentrations) use P1 elements; velocity
-uses P2 on the same triangulation (Taylor-Hood pair).  Assembly is
-vectorized over elements and accumulated via coordinate-format scatter.
+uses P2 on the same triangulation (Taylor-Hood pair), held as a plain
+(p2_dofs, 2) array whose rows are the mesh nodes and then its edges.
+Assembly is vectorized over elements and accumulated via
+coordinate-format scatter.  P1 interpolation reads only the structured
+macro square, where a point's triangle follows in closed form.
 The coupled transport block of both species belongs to a TransportSolver
 built once per run: it fixes the block's sparsity pattern, refills only
 the convection values at every step, factors the block once and solves
@@ -34,7 +37,6 @@ from .errors import (
     FieldMeshMismatch,
     MaxIterationsExceeded,
     NoSolidPhase,
-    PointOutsideFluidPart,
     SolverBreakdown,
 )
 from .mesh import GAMMA_INTERIOR, edge_table
@@ -65,19 +67,6 @@ _QP4 = np.array([
 _QW4 = np.array([0.223381589678011] * 3 + [0.109951743655322] * 3)
 
 _EDGE_LOCAL = ((1, 2), (2, 0), (0, 1))
-
-
-class Field:
-    """P2 vector velocity tied to its mesh; values shaped (ndof_p2, 2)."""
-
-    def __init__(self, mesh, values):
-        self.mesh = mesh
-        self.values = np.asarray(values, dtype=float)
-        expected = p2_dof_count(mesh)
-        if self.values.shape[0] != expected:
-            raise FieldMeshMismatch(
-                "field has %d rows, P2 on this mesh needs %d"
-                % (self.values.shape[0], expected))
 
 
 def triangle_data(mesh):
@@ -147,13 +136,7 @@ def assemble_mass(mesh, lumped=False):
 
 
 def element_means(mesh, values):
-    """Elementwise mean of a nodal scalar/vector or a P2 velocity field."""
-    if isinstance(values, Field):
-        if values.mesh is not mesh:
-            raise FieldMeshMismatch("field lives on a different mesh")
-        _, tri_edges, _ = _p2_data(mesh)
-        edge_vals = values.values[mesh.num_nodes:]
-        return edge_vals[tri_edges].mean(axis=1)
+    """Elementwise mean of a nodal scalar or vector."""
     values = np.asarray(values, dtype=float)
     return values[mesh.triangles].mean(axis=1)
 
@@ -473,15 +456,15 @@ def step_reacting_pair(solver, velocity, drift, tensor, c_plus, c_minus):
 # P2 space and Stokes
 
 
-def _p2_data(mesh):
-    """Edges (E, 2), triangle-to-edge map (M, 3) and edge count E."""
-    table = edge_table(mesh)
-    return table.edges, table.tri_edges, len(table.edges)
-
-
 def p2_dof_count(mesh):
-    _, _, n_edges = _p2_data(mesh)
-    return mesh.num_nodes + n_edges
+    return mesh.num_nodes + len(edge_table(mesh).edges)
+
+
+def p2_element_means(mesh, values):
+    """Elementwise mean (M, 2) of a P2 velocity (p2_dofs, 2): the mean of
+    its three edge values, exact for quadratics."""
+    edge_values = np.asarray(values, dtype=float)[mesh.num_nodes:]
+    return edge_values[edge_table(mesh).tri_edges].mean(axis=1)
 
 
 def _p2_basis_gradients(lam, grads):
@@ -497,8 +480,8 @@ def _p2_basis_gradients(lam, grads):
 
 
 def _p2_global_dofs(mesh):
-    _, tri_edges, _ = _p2_data(mesh)
-    return np.hstack([mesh.triangles, mesh.num_nodes + tri_edges])
+    return np.hstack([mesh.triangles,
+                      mesh.num_nodes + edge_table(mesh).tri_edges])
 
 
 def assemble_p2_stiffness(mesh):
@@ -546,9 +529,8 @@ def assemble_p2_load(mesh, forcing):
     forcing = np.asarray(forcing, dtype=float)
     if forcing.ndim == 1:
         forcing = np.broadcast_to(forcing, (mesh.num_triangles, 2))
-    _, tri_edges, _ = _p2_data(mesh)
-    n2 = p2_dof_count(mesh)
-    out = np.zeros((n2, 2))
+    tri_edges = edge_table(mesh).tri_edges
+    out = np.zeros((p2_dof_count(mesh), 2))
     # Vertex P2 basis functions integrate to zero over the element; the
     # edge ones integrate to area/3.
     contrib = forcing * (areas / 3.0)[:, None]
@@ -728,7 +710,8 @@ class StokesOperator:
                                                    self.schur_iterations)
 
     def solve(self, forcing):
-        """Velocity and pressure for elementwise-constant forcing."""
+        """Velocity (p2_dofs, 2) and pressure for elementwise-constant
+        forcing."""
         load = assemble_p2_load(self.mesh, forcing)
         rhs_full = np.concatenate([load[:, 0], load[:, 1],
                                    np.zeros(self.n1)])
@@ -740,10 +723,8 @@ class StokesOperator:
             sol = self._solve_schur_cg(rhs)
         self.solves += 1
         full = self.prolong @ sol
-        vel = Field(self.mesh, np.column_stack([full[:self.n2],
-                                                full[self.n2:2 * self.n2]]))
-        pressure = full[2 * self.n2:]
-        return vel, pressure
+        vel = np.column_stack([full[:self.n2], full[self.n2:2 * self.n2]])
+        return vel, full[2 * self.n2:]
 
     def _solve_schur_cg(self, rhs):
         fu = rhs[self.u_ids]
@@ -799,7 +780,7 @@ def weak_divergence(mesh, vel):
     pressure space, so paired rows are folded together.
     """
     bx, by = assemble_divergence(mesh)
-    residual = bx @ vel.values[:, 0] + by @ vel.values[:, 1]
+    residual = bx @ vel[:, 0] + by @ vel[:, 1]
     if len(mesh.periodic_pairs):
         p, _ = periodic_prolongation(mesh.num_nodes, mesh.periodic_pairs)
         residual = p.T @ residual
@@ -809,81 +790,32 @@ def weak_divergence(mesh, vel):
 def integrate_p2(mesh, vel):
     """Integral of a P2 vector field over the mesh, shape (2,)."""
     areas, _ = triangle_data(mesh)
-    means = element_means(mesh, vel)
-    return areas @ means
+    return areas @ p2_element_means(mesh, vel)
 
 
 # ----------------------------------------------------------------------
 # interpolation
 
 
-class PointLocator:
-    """Barycentric point location with a centroid k-d tree.
-
-    A point lies in the first of its k = 8 nearest centroids, in distance
-    order, whose barycentric coordinates are all nonnegative.  Failing
-    that, it lies in the candidate with the largest smallest coordinate
-    if that coordinate is at least tol, and failing that the search is
-    repeated with k = 40.
-    """
-
-    def __init__(self, mesh):
-        from scipy.spatial import cKDTree
-        self.mesh = mesh
-        self.centroids = mesh.nodes[mesh.triangles].mean(axis=1)
-        self.tree = cKDTree(self.centroids)
-
-    def locate(self, points, tol=-1e-8):
-        """Triangle ids (P,) and barycentric coordinates (P, 3)."""
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        tris = np.empty(len(points), dtype=int)
-        lams = np.empty((len(points), 3))
-        todo = np.arange(len(points))
-        for k in (8, 40):
-            k = min(k, len(self.centroids))
-            _, candidates = self.tree.query(points[todo], k=k)
-            candidates = candidates.reshape(len(todo), k)
-            lam = self._barycentric(candidates, points[todo])
-            low = lam.min(axis=2)
-            inside = low >= 0
-            contained = inside.any(axis=1)
-            pick = np.where(contained, np.argmax(inside, axis=1),
-                            np.argmax(low, axis=1))
-            rows = np.arange(len(todo))
-            found = contained | (low[rows, pick] >= tol)
-            tris[todo[found]] = candidates[rows, pick][found]
-            lams[todo[found]] = lam[rows, pick][found]
-            todo = todo[~found]
-            if not len(todo):
-                return tris, lams
-        raise PointOutsideFluidPart(
-            "point (%g, %g) lies outside the fluid part"
-            % tuple(points[todo[0]]), where="fem.PointLocator")
-
-    def _barycentric(self, tris, points):
-        """Barycentric coordinates (P, k, 3) of P points in k triangles."""
-        a, b, c = (self.mesh.nodes[self.mesh.triangles[tris, i]]
-                   for i in range(3))
-        m = np.stack([b - a, c - a], axis=-1)
-        st = np.linalg.solve(m, (points[:, None, :] - a)[..., None])[..., 0]
-        return np.concatenate(
-            [1.0 - st[..., :1] - st[..., 1:], st], axis=-1)
-
-
 def p1_interpolate(mesh, values, points):
-    """Evaluate P1 fields at arbitrary points inside the fluid part.
+    """Evaluate P1 fields on the structured unit square at points in it.
 
+    mesh is the n x n square of generate_unit_cell_mesh(UnitCellGeometry(
+    None, h)), whose cell (i, j) holds triangle 2 (n i + j) below its
+    diagonal and the next one above, so a point's triangle and barycentric
+    coordinates follow from floor(n x), floor(n y) and one comparison.
     values is one nodal scalar (N,) or k of them (N, k); the result is
-    (P,) or (P, k), with every point located once.
+    (P,) or (P, k).
     """
-    locator = mesh._caches.get("locator")
-    if locator is None:
-        locator = PointLocator(mesh)
-        mesh._caches["locator"] = locator
+    n = int(round(np.sqrt(mesh.num_triangles / 2)))
+    scaled = n * np.atleast_2d(np.asarray(points, dtype=float))
+    cell = np.clip(np.floor(scaled), 0, n - 1).astype(int)
+    s, t = (scaled - cell).T
+    upper = t > s
+    tris = 2 * (n * cell[:, 0] + cell[:, 1]) + upper
+    lam = np.where(upper[:, None], np.column_stack([1 - t, s, t - s]),
+                   np.column_stack([1 - s, s - t, t]))
     values = np.asarray(values, dtype=float)
-    tris, lam = locator.locate(points)
-    lam = np.clip(lam, 0.0, None)
-    lam /= lam.sum(axis=1, keepdims=True)
     return np.einsum("pi,pi...->p...", lam, values[mesh.triangles[tris]])
 
 

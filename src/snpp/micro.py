@@ -111,7 +111,7 @@ class _Operators:
         forcing = -eps_beta * charge_e[:, None] \
             * fem.p1_element_gradients(self.mesh, phi)
         velocity, pressure = self.stokes.solve(forcing)
-        return fem.element_means(self.mesh, velocity), pressure
+        return fem.p2_element_means(self.mesh, velocity), pressure
 
     def step_transport(self, c_plus, c_minus, velocity, phi):
         tensor = self.mesh.eps ** self.regime.gamma * np.eye(2)

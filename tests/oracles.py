@@ -225,8 +225,7 @@ def relative_weak_divergence(mesh, vel):
     """Largest entry of fem.weak_divergence over the largest sum of the
     sizes of the terms that make up one entry."""
     bx, by = fem.assemble_divergence(mesh)
-    terms = (abs(bx) @ np.abs(vel.values[:, 0])
-             + abs(by) @ np.abs(vel.values[:, 1]))
+    terms = abs(bx) @ np.abs(vel[:, 0]) + abs(by) @ np.abs(vel[:, 1])
     if len(mesh.periodic_pairs):
         fold, _ = fem.periodic_prolongation(mesh.num_nodes,
                                             mesh.periodic_pairs)

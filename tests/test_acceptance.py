@@ -99,8 +99,8 @@ def test_criterion_2_tensor_structure(capsys, disk_fine):
     energy_k = np.empty((2, 2))
     for i in range(2):
         for j in range(2):
-            vi = flow.velocities[i].values
-            vj = flow.velocities[j].values
+            vi = flow.velocities[i]
+            vj = flow.velocities[j]
             energy_k[i, j] = (vi[:, 0] @ (stiff_p2 @ vj[:, 0])
                               + vi[:, 1] @ (stiff_p2 @ vj[:, 1]))
     k_gap = float(np.max(np.abs(energy_k - k)) / np.max(np.abs(k)))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from snpp import cell, fem
-from snpp.errors import NoSolidPhase, ValidationError
+from snpp.errors import FormulaMismatch, NoSolidPhase, ValidationError
 from snpp.mesh import (
     GAMMA_INTERIOR,
     DiskInclusion,
@@ -235,6 +235,36 @@ def test_dirichlet_solution_respects_maximum_principle():
     mesh = generate_unit_cell_mesh(disk_geom(0.05))
     sol = cell.solve_dirichlet_cell_problem(mesh)
     assert float(np.min(sol.phi)) >= -1e-10
+
+
+def doubled_scalar(mesh):
+    sols = cell.solve_scalar_cell_problems(mesh)
+    return cell.compute_diffusion_tensor, cell.ScalarCellSolutions(
+        mesh, 2 * sols.phi)
+
+
+def doubled_flow(mesh):
+    sols = cell.solve_stokes_cell_problems(mesh)
+    return cell.compute_permeability_tensor, cell.StokesCellSolutions(
+        mesh, [2 * v for v in sols.velocities], sols.pressures)
+
+
+def doubled_wall(mesh):
+    sol = cell.solve_dirichlet_cell_problem(mesh)
+    return cell.compute_dirichlet_mean, cell.DirichletCellSolution(
+        mesh, 2 * sol.phi)
+
+
+@pytest.mark.parametrize("case", [doubled_scalar, doubled_flow, doubled_wall],
+                         ids=["diffusion", "permeability", "dirichlet_mean"])
+def test_doubled_solutions_split_the_two_routes(case):
+    # Doubling a solution doubles the averaging route and quadruples the
+    # energy route, which no longer describe the same tensor.
+    mesh = generate_unit_cell_mesh(disk_geom(0.1))
+    compute, doubled = case(mesh)
+    with pytest.raises(FormulaMismatch) as info:
+        compute(doubled, mesh)
+    assert info.value.where == "cell." + compute.__name__
 
 
 def test_sigma_bar_values():

@@ -1,13 +1,15 @@
 """Configuration parsing, subcommand behavior, and exit codes."""
 
+import ast
 import json
 import math
 import os
+import pathlib
 
 import numpy as np
 import pytest
 
-from snpp import cli, fem, output, verify
+from snpp import cli, errors, fem, output, verify
 from snpp.errors import ParseError, ValidationError
 
 from oracles import read_coefficients
@@ -22,6 +24,23 @@ def write_config(tmp_path, payload, name="config.json"):
 def run(tmp_path, command, payload):
     return cli.main([command, "--config",
                      write_config(tmp_path, payload)])
+
+
+def test_every_error_class_is_raised_and_every_origin_is_one():
+    # The sources are parsed, so a class named only in an import, an
+    # except clause or the ORIGIN table does not count as raised.
+    constructed = set()
+    for path in pathlib.Path(cli.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                constructed.add(getattr(func, "id", getattr(func, "attr",
+                                                            None)))
+    classes = {obj for obj in vars(errors).values()
+               if isinstance(obj, type) and issubclass(obj, errors.SnppError)
+               and obj is not errors.SnppError}
+    assert {cls.__name__ for cls in classes} - constructed == set()
+    assert set(cli.ORIGIN) <= classes
 
 
 def test_defaults_fill_missing_blocks():

@@ -47,6 +47,19 @@ def test_cell_coarser_than_three_target_sizes_is_rejected(monkeypatch):
     assert info.value.where == "mesh.generate_unit_cell_mesh"
 
 
+def test_periodic_faces_with_different_traces_are_rejected(monkeypatch):
+    # The x=1 face carries a node at y=0.5 that the x=0 face lacks.
+    nodes = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.5], [1.0, 1.0],
+                      [0.0, 1.0]])
+    tris = np.array([[0, 1, 2], [0, 2, 3], [0, 3, 4]])
+    monkeypatch.setattr(mesh, "_build_cell",
+                        lambda inclusion, h: (nodes, tris))
+    with pytest.raises(MeshGenerationFailure) as info:
+        mesh.generate_unit_cell_mesh(mesh.UnitCellGeometry(None, 0.5))
+    assert info.value.where == "mesh.generate_unit_cell_mesh"
+    assert "traces" in str(info.value)
+
+
 def test_disk_cell_porosity_close_to_analytic():
     m = mesh.generate_unit_cell_mesh(disk_geometry(0.05))
     assert mesh.mesh_area(m) == pytest.approx(1 - math.pi * 0.25 ** 2,

@@ -204,7 +204,7 @@ def test_eps_one_step_matches_manual_composition(monkeypatch):
         mesh, {"no_slip_tags": [GAMMA_INTERIOR, OUTER_BOUNDARY]},
         viscosity=1.0)
     velocity, pressure = stokes.solve(forcing)
-    velocity = fem.element_means(mesh, velocity)
+    velocity = fem.p2_element_means(mesh, velocity)
     assert np.max(np.abs(fields.velocity - velocity)) <= 1e-12
     assert np.max(np.abs(fields.pressure - pressure)) <= 1e-12
 
@@ -252,10 +252,11 @@ def test_charged_run_conserves_mass_and_stays_neutral(monkeypatch):
     # The state holds the element means of the last P2 flow, which is
     # no-slip on every wall.
     flow = flows[-1]
-    assert np.array_equal(states[-1].velocity, fem.element_means(mesh, flow))
+    assert np.array_equal(states[-1].velocity,
+                          fem.p2_element_means(mesh, flow))
     wall = fem._p2_boundary_dofs(mesh, {GAMMA_INTERIOR, OUTER_BOUNDARY})
-    assert np.max(np.abs(flow.values[wall])) <= 1e-12
-    assert np.max(np.abs(flow.values)) > 0
+    assert np.max(np.abs(flow[wall])) <= 1e-12
+    assert np.max(np.abs(flow)) > 0
 
 
 def flux_residual(mesh, means):
@@ -284,14 +285,14 @@ def test_no_slip_flow_divergence_is_minus_the_flux_residual_of_its_means(
                                  c_minus, t_end=5e-3, dt=5e-3)
     states, _ = micro.run_micro(problem)
     flow = flows[-1]
-    assert np.array_equal(states[-1].velocity, fem.element_means(mesh, flow))
+    assert np.array_equal(states[-1].velocity,
+                          fem.p2_element_means(mesh, flow))
     bx, by = fem.assemble_divergence(mesh)
     for mask in ((1.0, 1.0), (1.0, 0.0), (0.0, 1.0)):
-        field = fem.Field(mesh, flow.values * np.array(mask))
-        terms = (abs(bx) @ np.abs(field.values[:, 0])
-                 + abs(by) @ np.abs(field.values[:, 1]))
+        field = flow * np.array(mask)
+        terms = abs(bx) @ np.abs(field[:, 0]) + abs(by) @ np.abs(field[:, 1])
         weak = fem.weak_divergence(mesh, field)
-        flux = flux_residual(mesh, fem.element_means(mesh, field))
+        flux = flux_residual(mesh, fem.p2_element_means(mesh, field))
         assert np.max(np.abs(weak + flux)) <= 1e-12 * np.max(terms)
     assert verify._divergence_residual(states[-1]) == np.max(np.abs(
         flux_residual(mesh, states[-1].velocity)))
@@ -470,7 +471,7 @@ def test_eps16_step_takes_the_schur_cg_stokes_route(monkeypatch):
     assert stokes.solves >= 1
     assert stokes.schur_iterations <= 80 * stokes.solves
     assert np.array_equal(states[-1].velocity,
-                          fem.element_means(mesh, flows[-1]))
+                          fem.p2_element_means(mesh, flows[-1]))
     assert relative_weak_divergence(mesh, flows[-1]) <= 1e-8
 
 
