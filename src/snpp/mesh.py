@@ -81,7 +81,7 @@ class UnitCellGeometry:
 
 @dataclass(frozen=True)
 class PerforatedDomain:
-    """Axis-aligned rectangle covered by an integer number of scaled cells.
+    """Unit square covered by 1/eps x 1/eps scaled cells.
 
     Parameters
     ----------
@@ -90,14 +90,10 @@ class PerforatedDomain:
     cell : UnitCellGeometry
         Cell geometry replicated in every tile (its target_h is ignored;
         the perforated mesh gets its own resolution).
-    width, height : float
-        Side lengths of the rectangle, anchored at the origin.
     """
 
     eps: float
     cell: UnitCellGeometry
-    width: float = 1.0
-    height: float = 1.0
 
     def validate(self):
         if not (0 < self.eps <= 1):
@@ -106,19 +102,9 @@ class PerforatedDomain:
         if k < 1 or abs(self.eps * k - 1.0) > 1e-12:
             raise ValidationError("eps must be the reciprocal of an integer",
                                   field="eps")
-        for name, side in (("width", self.width), ("height", self.height)):
-            cells = round(side / self.eps)
-            if cells < 1 or abs(cells * self.eps - side) > 1e-12:
-                raise ValidationError(
-                    "%s=%g is not an integer multiple of eps=%g"
-                    % (name, side, self.eps), field=name)
         if self.cell.inclusion is not None:
             # Reuse the strict geometric check; resolution is checked later.
             UnitCellGeometry(self.cell.inclusion, 1e-9).validate()
-
-    @property
-    def cell_counts(self):
-        return (round(self.width / self.eps), round(self.height / self.eps))
 
 
 @dataclass
@@ -421,30 +407,29 @@ def _build_cell(inclusion, target_h):
     return nodes, tris
 
 
-def _find_boundary_edges(nodes, table, width=1.0, height=1.0):
+def _find_boundary_edges(nodes, table):
     """Single-triangle edges in lexicographic order, tagged by position.
 
-    An edge with both endpoints on the outer rectangle is OuterBoundary,
-    any other GammaInterior.
+    An edge with both endpoints on the sides of the unit square is
+    OuterBoundary, any other GammaInterior.
     """
     edges = table.edges[table.boundary()]
     x, y = nodes[:, 0], nodes[:, 1]
-    on_outer = ((np.minimum(np.abs(x), np.abs(x - width)) < 1e-9)
-                | (np.minimum(np.abs(y), np.abs(y - height)) < 1e-9))
+    on_outer = ((np.minimum(np.abs(x), np.abs(x - 1.0)) < 1e-9)
+                | (np.minimum(np.abs(y), np.abs(y - 1.0)) < 1e-9))
     outer = on_outer[edges].all(axis=1)
     return [((a, b), OUTER_BOUNDARY if o else GAMMA_INTERIOR)
             for (a, b), o in zip(edges.tolist(), outer)]
 
 
-def _tagged_mesh(nodes, tris, periodic_pairs, width=1.0, height=1.0,
-                 **record):
+def _tagged_mesh(nodes, tris, periodic_pairs, **record):
     """Validated TriMesh with boundary tags and its edge table cached."""
     tris = np.asarray(tris, dtype=int)
     table = EdgeTable(tris)
     mesh = TriMesh(
         nodes=nodes,
         triangles=tris,
-        boundary_edges=_find_boundary_edges(nodes, table, width, height),
+        boundary_edges=_find_boundary_edges(nodes, table),
         periodic_pairs=np.asarray(periodic_pairs, dtype=int).reshape(-1, 2),
         **record)
     mesh._caches["edges"] = table
@@ -499,7 +484,7 @@ def generate_unit_cell_mesh(geom):
 
 
 def generate_perforated_mesh(dom, target_h):
-    """Mesh the perforated rectangle by tiling one scaled cell mesh.
+    """Mesh the perforated unit square by tiling one scaled cell mesh.
 
     Every cell carries an identical copy of the inclusion, duplicated face
     nodes are merged exactly, and the returned mesh remembers eps, the
@@ -516,17 +501,17 @@ def generate_perforated_mesh(dom, target_h):
                   + _match_faces(cell_nodes, 1, 0.0, 1.0))
     cell_mesh = _tagged_mesh(cell_nodes, cell_tris, cell_pairs)
 
-    nx, ny = dom.cell_counts
     eps = dom.eps
+    n = round(1.0 / eps)
     nc = len(cell_nodes)
     all_nodes = []
     all_tris = []
     origins = []
-    for cy in range(ny):
-        for cx in range(nx):
+    for cy in range(n):
+        for cx in range(n):
             shifted = (cell_nodes + np.array([float(cx), float(cy)])) * eps
             all_nodes.append(shifted)
-            offset = (cy * nx + cx) * nc
+            offset = (cy * n + cx) * nc
             all_tris.append(cell_tris + offset)
             origins.append(np.arange(nc))
     stacked = np.vstack(all_nodes)
@@ -537,8 +522,8 @@ def generate_perforated_mesh(dom, target_h):
     node_origin[remap] = origin_all
 
     mesh = _tagged_mesh(
-        merged, np.vstack(tris_out), (), width=dom.width, height=dom.height,
-        eps=eps, cell_mesh=cell_mesh, node_cell_origin=node_origin)
+        merged, np.vstack(tris_out), (), eps=eps, cell_mesh=cell_mesh,
+        node_cell_origin=node_origin)
     log.debug("perforated mesh eps=%g: %d nodes, %d triangles",
               eps, mesh.num_nodes, mesh.num_triangles)
     return mesh

@@ -103,7 +103,7 @@ def write_study_csv(path, study):
             ])
 
 
-def write_vtk(path, mesh, state, title="snpp fields"):
+def write_vtk(path, mesh, state):
     """Write one solution state as a legacy ASCII VTK unstructured grid.
 
     Concentrations, potential, and pressure go out as point scalars; the
@@ -119,7 +119,7 @@ def write_vtk(path, mesh, state, title="snpp fields"):
                               % (velocity.shape,), field="velocity")
     with open(path, "w") as handle:
         handle.write("# vtk DataFile Version 3.0\n")
-        handle.write("%s t=%s\n" % (title, _fmt(state.t)))
+        handle.write("snpp fields t=%s\n" % _fmt(state.t))
         handle.write("ASCII\nDATASET UNSTRUCTURED_GRID\n")
         handle.write("POINTS %d double\n" % len(points))
         for x, y in points:

@@ -1,8 +1,9 @@
 """Invariant suites and the scale-convergence harness.
 
-The convergence study runs the pore-scale solver on a sequence of cell
-scales, averages its fields per cell, and compares against the upscaled
-model computed once on a fixed coarse mesh.  The acceptance signal is
+The convergence study runs as tasks (the upscaled model once on a fixed
+coarse mesh, the pore-scale solver once per cell scale), then
+compare_scales averages the final fields per cell into an error table,
+and study_verdict turns the table into flags.  The acceptance signal is
 monotone error decay over the scale list; observed orders are reported
 for information only.
 """
@@ -149,13 +150,8 @@ def run_invariant_suite(states, diagnostics, regime=None, lam=1.0):
 class ConvergenceStudy:
     """Per-scale errors of the pore-scale runs against the upscaled model."""
 
-    regime: object
-    geometry: object
     eps_list: list
     h_list: list
-    macro_h: float
-    t_end: float
-    dt: float
     coeffs: object
     errors: dict
     orders: dict
@@ -167,16 +163,6 @@ class ConvergenceStudy:
     micro_diagnostics: dict = field(default=None, repr=False)
     macro_final: object = field(default=None, repr=False)
     micro_finals: dict = field(default=None, repr=False)
-
-    def validate(self):
-        eps = list(self.eps_list)
-        if any(b >= a for a, b in zip(eps, eps[1:])):
-            raise ValidationError("scale list must be strictly decreasing",
-                                  field="eps_list")
-        for name, values in self.errors.items():
-            if not np.all(np.isfinite(values)):
-                raise ValidationError("%s errors are not finite" % name,
-                                      field=name)
 
 
 def cell_average(mesh, values, eps, intrinsic=False):
@@ -236,75 +222,20 @@ def corrector_enhanced_error(micro_mesh, micro_phi, macro_mesh, macro_phi,
     return plain, enhanced
 
 
-def run_convergence_study(regime, geometry, c_plus, c_minus,
-                          eps_list=STUDY_EPS, t_end=0.1, dt=2e-3,
-                          macro_h=1 / 64, lam=1.0, workers=None):
-    """Compare pore-scale runs against the upscaled model over a scale list.
+def compare_scales(regime, coeffs, solutions, macro_final, micro_finals):
+    """Per-scale errors of the pore-scale finals against the macro final.
 
-    c_plus and c_minus are callables f(x, y) providing the shared initial
-    data; on the Neumann branch each run neutralizes its own discrete
-    charge.  Pore meshes use h = eps/8, so every scale shares one cell
-    mesh, and the effective coefficients are computed on exactly that
-    mesh.  Non-monotone error decay is flagged on the returned study, not
-    raised.
+    micro_finals maps each eps, in scale order, to its final state.
+    Returns (errors, corrector_plain, corrector_enhanced); the corrector
+    lists are None on the Dirichlet branch.
     """
-    model = macro.classify_regime(regime)
-    eps_list = [float(e) for e in eps_list]
-    if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
-        raise ValidationError("scale list must be strictly decreasing",
-                              field="eps_list")
-    for eps in eps_list:
-        if not any(abs(eps - allowed) < 1e-12 for allowed in STUDY_EPS):
-            raise ValidationError("scale %g is outside the supported set "
-                                  "{1/2, 1/4, 1/8}" % eps, field="eps_list")
-        ratio = eps / macro_h
-        if abs(round(ratio) - ratio) > 1e-9 or round(ratio) < 1:
-            raise GridMisaligned(
-                "macro mesh size %g does not subdivide eps=%g"
-                % (macro_h, eps), where="verify.run_convergence_study")
-    h_list = [eps / 8.0 for eps in eps_list]
-
-    meshes = {eps: generate_perforated_mesh(
-        PerforatedDomain(eps, geometry), eps / 8.0) for eps in eps_list}
-    cell_mesh = meshes[eps_list[0]].cell_mesh
-    coeffs, solutions = compute_effective_coefficients(
-        geometry, sigma=regime.sigma, mesh=cell_mesh)
     neumann = regime.bc_type == NEUMANN
-
-    macro_mesh = generate_unit_cell_mesh(UnitCellGeometry(None, macro_h))
-    macro_cp, macro_cm = macro.initial_concentrations(
-        macro_mesh, c_plus, c_minus, regime)
-    problem = macro.MacroProblem(macro_mesh, coeffs, regime, macro_cp,
-                                 macro_cm, t_end=t_end, dt=dt, lam=lam,
-                                 snapshot_stride=0)
-    macro_states, macro_diag = macro.run_macro(problem)
-    macro_final = macro_states[-1]
-
-    def one_scale(eps):
-        mesh = meshes[eps]
-        cp, cm = macro.initial_concentrations(mesh, c_plus, c_minus, regime)
-        prob = micro.MicroProblem(
-            PerforatedDomain(eps, geometry), mesh, regime, cp, cm,
-            t_end=t_end, dt=dt, lam=lam, snapshot_stride=0)
-        states, diagnostics = micro.run_micro(prob)
-        return states[-1], diagnostics
-
-    if workers is None:
-        workers = len(eps_list)
-    if workers > 1 and len(eps_list) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one_scale, eps_list))
-    else:
-        results = [one_scale(eps) for eps in eps_list]
-    micro_finals = {eps: res[0] for eps, res in zip(eps_list, results)}
-    micro_diags = {eps: res[1] for eps, res in zip(eps_list, results)}
-
+    macro_mesh = macro_final.mesh
     errors = {name: [] for name in STUDY_FIELDS}
     corrector_plain = [] if neumann else None
     corrector_enhanced = [] if neumann else None
-    for eps in eps_list:
-        mesh = meshes[eps]
-        final = micro_finals[eps]
+    for eps, final in micro_finals.items():
+        mesh = final.mesh
         if neumann:
             phi = (eps ** regime.alpha * final.phi, macro_final.phi, True)
         else:
@@ -329,41 +260,103 @@ def run_convergence_study(regime, geometry, c_plus, c_minus,
                 solutions["scalar"], eps, regime.alpha)
             corrector_plain.append(plain)
             corrector_enhanced.append(enhanced)
+    return errors, corrector_plain, corrector_enhanced
 
-    orders = {}
-    for name in STUDY_FIELDS:
-        values = errors[name]
-        orders[name] = [math.nan] + [
-            math.log2(a / b) if b > 0 and a > 0 else math.nan
-            for a, b in zip(values, values[1:])]
 
-    flags = []
-    for name in STUDY_FIELDS:
-        values = errors[name]
-        if max(values) < MONOTONE_FLOOR:
-            continue
-        if any(b >= a for a, b in zip(values, values[1:])):
-            flags.append("%s errors are not monotone: %s"
-                         % (name, ["%.3e" % v for v in values]))
-    if neumann:
+def study_verdict(eps_list, errors, corrector_plain, corrector_enhanced):
+    """Observed orders, flags and monotone verdict of an error table.
+
+    A column that does not strictly decrease is flagged and clears
+    monotone, unless it lies wholly below MONOTONE_FLOOR.  A corrector
+    that does not improve the potential error is flagged only.
+    """
+    for name, values in errors.items():
+        if not np.all(np.isfinite(values)):
+            raise ValidationError("%s errors are not finite" % name,
+                                  field=name)
+    orders = {name: [math.nan] + [
+        math.log2(a / b) if b > 0 and a > 0 else math.nan
+        for a, b in zip(values, values[1:])]
+        for name, values in errors.items()}
+    flags = ["%s errors are not monotone: %s"
+             % (name, ["%.3e" % v for v in values])
+             for name, values in errors.items()
+             if max(values) >= MONOTONE_FLOOR
+             and any(b >= a for a, b in zip(values, values[1:]))]
+    monotone = not flags
+    if corrector_plain is not None:
         for eps, plain, enhanced in zip(eps_list, corrector_plain,
                                         corrector_enhanced):
             if enhanced > plain * (1 + 1e-9) + 1e-14:
                 flags.append("corrector did not improve the potential "
                              "error at eps=%g (%.3e > %.3e)"
                              % (eps, enhanced, plain))
+    return orders, flags, monotone
+
+
+def run_convergence_study(regime, geometry, c_plus, c_minus,
+                          eps_list=STUDY_EPS, t_end=0.1, dt=2e-3,
+                          macro_h=1 / 64, lam=1.0, workers=None):
+    """Compare pore-scale runs against the upscaled model over a scale list.
+
+    c_plus and c_minus are callables f(x, y) providing the shared initial
+    data; on the Neumann branch each run neutralizes its own discrete
+    charge.  Pore meshes use h = eps/8, so every scale shares one cell
+    mesh, and the effective coefficients are computed on exactly that
+    mesh.  After the macro run the pore-scale runs share a pool of
+    workers threads (one per scale when None).  Non-monotone error decay
+    is flagged on the returned study, not raised.
+    """
+    model = macro.classify_regime(regime)
+    eps_list = [float(e) for e in eps_list]
+    if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
+        raise ValidationError("scale list must be strictly decreasing",
+                              field="eps_list")
+    for eps in eps_list:
+        if not any(abs(eps - allowed) < 1e-12 for allowed in STUDY_EPS):
+            raise ValidationError("scale %g is outside the supported set "
+                                  "{1/2, 1/4, 1/8}" % eps, field="eps_list")
+        ratio = eps / macro_h
+        if abs(round(ratio) - ratio) > 1e-9 or round(ratio) < 1:
+            raise GridMisaligned(
+                "macro mesh size %g does not subdivide eps=%g"
+                % (macro_h, eps), where="verify.run_convergence_study")
+    domains = [PerforatedDomain(eps, geometry) for eps in eps_list]
+    meshes = [generate_perforated_mesh(dom, dom.eps / 8.0)
+              for dom in domains]
+    coeffs, solutions = compute_effective_coefficients(
+        geometry, sigma=regime.sigma, mesh=meshes[0].cell_mesh)
+
+    def final(run, problem_type, mesh, *lead):
+        cp, cm = macro.initial_concentrations(mesh, c_plus, c_minus, regime)
+        states, diagnostics = run(problem_type(
+            *lead, regime, cp, cm, t_end=t_end, dt=dt, lam=lam,
+            snapshot_stride=0))
+        return states[-1], diagnostics
+
+    macro_mesh = generate_unit_cell_mesh(UnitCellGeometry(None, macro_h))
+    macro_final, macro_diag = final(macro.run_macro, macro.MacroProblem,
+                                    macro_mesh, macro_mesh, coeffs)
+    if workers is None:
+        workers = len(eps_list)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        finals, diagnostics = zip(*pool.map(
+            lambda dom, mesh: final(micro.run_micro, micro.MicroProblem,
+                                    mesh, dom, mesh), domains, meshes))
+    micro_finals = dict(zip(eps_list, finals))
+
+    errors, plain, enhanced = compare_scales(regime, coeffs, solutions,
+                                             macro_final, micro_finals)
+    orders, flags, monotone = study_verdict(eps_list, errors, plain,
+                                            enhanced)
     for flag in flags:
         log.warning("convergence study: %s", flag)
-
-    study = ConvergenceStudy(
-        regime=regime, geometry=geometry, eps_list=eps_list, h_list=h_list,
-        macro_h=macro_h, t_end=t_end, dt=dt, coeffs=coeffs, errors=errors,
-        orders=orders, corrector_plain=corrector_plain,
-        corrector_enhanced=corrector_enhanced, flags=flags,
-        monotone=not any("not monotone" in f for f in flags),
-        macro_diagnostics=macro_diag, micro_diagnostics=micro_diags,
-        macro_final=macro_final, micro_finals=micro_finals)
-    study.validate()
     log.info("convergence study finished (model %s): monotone=%s",
-             model, study.monotone)
-    return study
+             model, monotone)
+    return ConvergenceStudy(
+        eps_list=eps_list, h_list=[eps / 8.0 for eps in eps_list],
+        coeffs=coeffs, errors=errors, orders=orders, corrector_plain=plain,
+        corrector_enhanced=enhanced, flags=flags, monotone=monotone,
+        macro_diagnostics=macro_diag,
+        micro_diagnostics=dict(zip(eps_list, diagnostics)),
+        macro_final=macro_final, micro_finals=micro_finals)

@@ -162,18 +162,18 @@ def edge_table_reference(triangles):
     return edges, tri_edges, np.array(counts), np.array(owners)
 
 
-def boundary_edges_reference(nodes, triangles, width=1.0, height=1.0):
+def boundary_edges_reference(nodes, triangles):
     """Single-triangle edges in lexicographic order with their tags.
 
     An edge is "OuterBoundary" when both endpoints lie on the sides of the
-    width x height rectangle and "GammaInterior" otherwise.
+    unit square and "GammaInterior" otherwise.
     """
     edges, _, counts, _ = edge_table_reference(triangles)
     out = []
     for a, b in sorted(tuple(int(v) for v in e) for e in edges[counts == 1]):
         outer = all(
-            min(abs(x), abs(x - width)) < 1e-9
-            or min(abs(y), abs(y - height)) < 1e-9
+            min(abs(x), abs(x - 1.0)) < 1e-9
+            or min(abs(y), abs(y - 1.0)) < 1e-9
             for x, y in (nodes[a], nodes[b]))
         out.append(((a, b), "OuterBoundary" if outer else "GammaInterior"))
     return out

@@ -182,6 +182,36 @@ def test_converge_command_is_deterministic(tmp_path):
     assert manifest["monotone"] is True
 
 
+def test_fast_converge_matches_serial_and_checks_thread_cap(
+        tmp_path, capsys, monkeypatch):
+    # The criterion-10 config, run serially and on SNPP_THREADS=2 threads.
+    study = verify.run_convergence_study
+    workers = []
+
+    def recorded(*args, **kwargs):
+        workers.append(kwargs["workers"])
+        return study(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "run_convergence_study", recorded)
+    monkeypatch.setenv("SNPP_THREADS", "2")
+    payload = {
+        "discretization": {"h": 0.03125, "dt": 0.005, "T": 0.01,
+                           "eps": [0.5, 0.25]},
+        "output": {"formats": ["csv"]}}
+    written = []
+    for name, flags in (("serial", []), ("fast", ["--fast"])):
+        payload["output"]["directory"] = str(tmp_path / name)
+        config = write_config(tmp_path, payload)
+        assert cli.main(["converge", "--config", config] + flags) == 0
+        written.append([(tmp_path / name / artifact).read_bytes()
+                        for artifact in ("study.csv", "coefficients.txt")])
+    assert workers == [1, 2]
+    assert written[0] == written[1]
+    monkeypatch.setenv("SNPP_THREADS", "abc")
+    assert cli.main(["converge", "--fast", "--config", config]) == 1
+    assert "(field SNPP_THREADS)" in capsys.readouterr().err
+
+
 def test_converge_non_monotone_exits_three_with_artifacts(
         tmp_path, capsys, monkeypatch):
     # A real study this small decays monotonically, so its result is

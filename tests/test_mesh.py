@@ -99,12 +99,13 @@ def test_periodic_canonical_map_is_idempotent():
     assert np.array_equal(canon[canon], canon)
 
 
-@pytest.mark.parametrize("width", [1.0, 1.5])
-def test_edge_table_matches_dict_reference(width):
-    if width == 1.0:
+@pytest.mark.parametrize("eps", [1.0, 0.5])
+def test_edge_table_matches_dict_reference(eps):
+    # eps=1 is the unit cell itself, with its periodic faces.
+    if eps == 1.0:
         m = mesh.generate_unit_cell_mesh(disk_geometry(0.1))
     else:
-        dom = mesh.PerforatedDomain(0.5, disk_geometry(0.05), width=width)
+        dom = mesh.PerforatedDomain(eps, disk_geometry(0.05))
         m = mesh.generate_perforated_mesh(dom, 0.0625)
     table = mesh.edge_table(m)
     edges, tri_edges, counts, owners = edge_table_reference(m.triangles)
@@ -113,8 +114,7 @@ def test_edge_table_matches_dict_reference(width):
     assert np.array_equal(table.counts, counts)
     assert np.array_equal(table.owner, owners)
     assert np.array_equal(table.lookup(edges[:, ::-1]), np.arange(len(edges)))
-    assert m.boundary_edges == boundary_edges_reference(
-        m.nodes, m.triangles, width=width)
+    assert m.boundary_edges == boundary_edges_reference(m.nodes, m.triangles)
     assert {tag for _, tag in m.boundary_edges} == {
         mesh.GAMMA_INTERIOR, mesh.OUTER_BOUNDARY}
 

@@ -92,9 +92,7 @@ def test_diagnostics_reader_rejects_bad_tables(tmp_path):
 
 def test_study_csv_layout_and_determinism(tmp_path):
     study = verify.ConvergenceStudy(
-        regime=macro.ScalingRegime("neumann", 0, 0, 0), geometry=None,
-        eps_list=[0.5, 0.25], h_list=[0.0625, 0.03125], macro_h=1 / 64,
-        t_end=0.1, dt=2e-3, coeffs=None,
+        eps_list=[0.5, 0.25], h_list=[0.0625, 0.03125], coeffs=None,
         errors={"c_plus": [0.02, 0.01], "c_minus": [0.04, 0.012],
                 "phi": [0.2, 0.012], "v": [0.9, 0.6]},
         orders={"c_plus": [math.nan, 1.0], "c_minus": [math.nan, 1.7],

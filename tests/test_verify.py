@@ -279,18 +279,31 @@ def test_study_validates_scales_and_macro_mesh():
                                      macro_h=0.15)
 
 
-def test_study_validate_rejects_bad_records():
-    regime = macro.ScalingRegime("neumann", 0, 0, 0)
+def test_study_verdict_reads_hand_made_tables():
+    # A column wholly below MONOTONE_FLOOR sits at rounding level and is
+    # not checked; a zero error has no order.
+    orders, flags, monotone = verify.study_verdict(
+        [0.5, 0.25, 0.125],
+        {"c_plus": [0.4, 0.1, 0.0], "phi": [1e-12, 5e-11, 2e-11]},
+        None, None)
+    assert flags == [] and monotone
+    assert np.isnan(orders["c_plus"][0])
+    assert orders["c_plus"][1] == 2.0
+    assert np.isnan(orders["c_plus"][2])
+    orders, flags, monotone = verify.study_verdict(
+        [0.5, 0.25], {"c_plus": [0.4, 0.1], "v": [0.2, 0.3]}, None, None)
+    assert flags == ["v errors are not monotone: ['2.000e-01', '3.000e-01']"]
+    assert not monotone
+    _, flags, monotone = verify.study_verdict(
+        [0.5, 0.25], {"c_plus": [0.4, 0.1]}, [0.2, 0.1], [0.1, 0.15])
+    assert flags == ["corrector did not improve the potential error at "
+                     "eps=0.25 (1.500e-01 > 1.000e-01)"]
+    assert monotone
 
-    def build(eps_list, errors):
-        return verify.ConvergenceStudy(
-            regime=regime, geometry=DISK_CELL, eps_list=eps_list,
-            h_list=[eps / 8 for eps in eps_list], macro_h=1 / 64,
-            t_end=0.1, dt=2e-3, coeffs=None, errors=errors, orders={},
-            corrector_plain=[], corrector_enhanced=[], flags=[],
-            monotone=True)
 
-    with pytest.raises(ValidationError):
-        build([0.25, 0.5], {"c_plus": [0.1, 0.2]}).validate()
-    with pytest.raises(ValidationError):
-        build([0.5, 0.25], {"c_plus": [0.1, np.nan]}).validate()
+def test_study_verdict_rejects_non_finite_errors():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValidationError) as info:
+            verify.study_verdict([0.5, 0.25], {"c_plus": [0.1, bad]},
+                                 None, None)
+        assert info.value.field == "c_plus"
