@@ -369,7 +369,7 @@ def _write_run_outputs(config, prefix, mesh, states, diagnostics):
         print("wrote %d %s_*.vtk snapshots" % (len(states), prefix))
 
 
-def run_cell(config, workers=None):
+def run_cell(config):
     started = time.perf_counter()
     coeffs, _ = compute_effective_coefficients(config.geometry,
                                                sigma=config.regime.sigma)
@@ -381,7 +381,7 @@ def run_cell(config, workers=None):
     return 0
 
 
-def run_macro_cmd(config, workers=None):
+def run_macro_cmd(config):
     started = time.perf_counter()
     coeffs, _ = compute_effective_coefficients(config.geometry,
                                                sigma=config.regime.sigma)
@@ -400,7 +400,7 @@ def run_macro_cmd(config, workers=None):
     return 0
 
 
-def run_micro_cmd(config, workers=None):
+def run_micro_cmd(config):
     started = time.perf_counter()
     domain = PerforatedDomain(config.eps, config.geometry)
     mesh = generate_perforated_mesh(domain, config.h)
@@ -418,13 +418,13 @@ def run_micro_cmd(config, workers=None):
     return 0
 
 
-def run_converge(config, workers=None):
+def run_converge(config):
     started = time.perf_counter()
     c_plus, c_minus = initial_functions(config.initial)
     study = verify.run_convergence_study(
         config.regime, config.geometry, c_plus, c_minus,
         eps_list=config.eps_list, t_end=config.t_end, dt=config.dt,
-        macro_h=config.h, lam=config.lam, workers=workers)
+        macro_h=config.h, lam=config.lam)
     os.makedirs(config.directory, exist_ok=True)
     path = _artifact(config, "study.csv")
     output.write_study_csv(path, study)
@@ -449,7 +449,7 @@ def run_converge(config, workers=None):
     return 0
 
 
-def run_check(config, workers=None):
+def run_check(config):
     started = time.perf_counter()
     rows = output.read_diagnostics_csv(config.diagnostics)
     report = verify.run_invariant_suite(None, rows, lam=config.lam)
@@ -478,21 +478,6 @@ def _report_error(exc):
           % (type(exc).__name__, origin, exc, detail), file=sys.stderr)
 
 
-def _worker_count(config, fast):
-    if not fast or config.command != "converge":
-        return 1
-    workers = len(config.eps_list)
-    cap = os.environ.get("SNPP_THREADS")
-    if cap:
-        try:
-            workers = min(workers, max(1, int(cap)))
-        except ValueError:
-            raise ValidationError("SNPP_THREADS must be an integer, got %r"
-                                  % cap, field="SNPP_THREADS",
-                                  where="cli.main")
-    return workers
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="snpp",
@@ -512,9 +497,6 @@ def build_parser():
         cmd.add_argument("--config", default=None,
                          help="JSON configuration file (defaults apply "
                               "when omitted)")
-        cmd.add_argument("--fast", action="store_true",
-                         help="parallelize the converge scales over "
-                              "threads (capped by SNPP_THREADS)")
         cmd.add_argument("--verbose", action="store_true",
                          help="log solver progress")
     return parser
@@ -543,8 +525,7 @@ def main(argv=None):
                 print("snpp: cannot read config: %s" % exc, file=sys.stderr)
                 return USAGE_EXIT
         config = parse_config(text, command=args.command)
-        return RUNNERS[config.command](
-            config, workers=_worker_count(config, args.fast))
+        return RUNNERS[config.command](config)
     except SnppError as exc:
         _report_error(exc)
         return USAGE_EXIT if isinstance(exc, USAGE_ERRORS) \

@@ -170,16 +170,14 @@ class _Operators:
                 dt)
 
 
-def solve_macro_poisson(state, coeffs, ops=None):
+def solve_macro_poisson(state, coeffs, ops):
     """Zero-mean potential driven by net charge and surface charge.
 
     Solves -div(D grad phi) = porosity (c+ - c-) + sigma_bar with the
     natural no-flux condition; raises IncompatibleSource when the source
     fails the solvability condition beyond tolerance.  ops is the
-    _Operators of the run; None builds them for this call.
+    _Operators of the run.
     """
-    if ops is None:
-        ops = _Operators(state.mesh, coeffs)
     charge = state.c_plus - state.c_minus
     source = coeffs.porosity * charge + coeffs.sigma_bar
     rhs = np.asarray(ops.mass @ source).ravel()
@@ -218,21 +216,18 @@ def eval_macro_potential_dirichlet(state, coeffs, regime):
     return phi
 
 
-def solve_macro_darcy(state, coeffs, model, forcing=None, ops=None):
+def solve_macro_darcy(state, coeffs, model, ops, forcing=None):
     """Pressure and seepage velocity for the current potential/charge.
 
     The pressure solves div(K(grad p + f)) = 0 with f the electrostatic
     forcing (or zero), no-flux, zero mean; the velocity is the elementwise
     flux -K(grad p + f), which satisfies the discrete divergence-free
     property by construction.  A prescribed elementwise forcing replaces
-    the electrostatic term when given.  ops is the _Operators of the run;
-    None builds them for this call.
+    the electrostatic term when given.  ops is the _Operators of the run.
     """
     mesh = state.mesh
     if coeffs.permeability is None:
         return np.zeros(mesh.num_nodes), np.zeros((mesh.num_triangles, 2))
-    if ops is None:
-        ops = _Operators(mesh, coeffs)
     areas, grads = fem.triangle_data(mesh)
     if forcing is not None:
         forcing = np.asarray(forcing, dtype=float)
@@ -257,7 +252,7 @@ def solve_macro_darcy(state, coeffs, model, forcing=None, ops=None):
     return pressure, velocity
 
 
-def step_macro_np(state, coeffs, model, dt, ops=None):
+def step_macro_np(state, coeffs, model, ops):
     """One implicit transport-reaction step for both species.
 
     The convection and drift operators are built from the current
@@ -265,11 +260,8 @@ def step_macro_np(state, coeffs, model, dt, ops=None):
     implicitly; the reaction pair is advanced in the same block solve, so
     total mass is conserved and the total charge decays by the exact
     factor 1/(1 + 2 dt).  ops is the _Operators of the run, built with
-    this dt, whose TransportSolver keeps its LU across steps; None builds
-    them for this call.
+    the step dt, whose TransportSolver keeps its LU across steps.
     """
-    if ops is None:
-        ops = _Operators(state.mesh, coeffs, dt)
     drift = state.phi if model.np_drift == DRIFT_ON else None
     c_plus, c_minus = fem.step_reacting_pair(
         ops.transport, state.velocity, drift, coeffs.diffusion,
@@ -452,11 +444,11 @@ def run_macro(problem):
             state.phi = eval_macro_potential_dirichlet(
                 state, coeffs, problem.regime)
         state.pressure, state.velocity = solve_macro_darcy(
-            state, coeffs, model, ops=ops)
+            state, coeffs, model, ops)
 
     def transport(state, c_plus, c_minus):
         base = replace(state, c_plus=c_plus, c_minus=c_minus)
-        return step_macro_np(base, coeffs, model, problem.dt, ops=ops)
+        return step_macro_np(base, coeffs, model, ops)
 
     states, diagnostics = run_steps(
         problem, update_fields, transport, ops.lumped.diagonal(),

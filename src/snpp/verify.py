@@ -10,7 +10,6 @@ for information only.
 
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,7 +68,7 @@ class InvariantReport:
 def _weighted_mean_magnitude(mesh, values):
     mass = fem.assemble_mass(mesh)
     weight = np.asarray(mass @ np.ones(mesh.num_nodes)).ravel()
-    return abs(float(weight @ values)) / weight.sum()
+    return abs(float(weight @ values)) / float(weight.sum())
 
 
 def _divergence_residual(state):
@@ -296,16 +295,16 @@ def study_verdict(eps_list, errors, corrector_plain, corrector_enhanced):
 
 def run_convergence_study(regime, geometry, c_plus, c_minus,
                           eps_list=STUDY_EPS, t_end=0.1, dt=2e-3,
-                          macro_h=1 / 64, lam=1.0, workers=None):
+                          macro_h=1 / 64, lam=1.0):
     """Compare pore-scale runs against the upscaled model over a scale list.
 
     c_plus and c_minus are callables f(x, y) providing the shared initial
     data; on the Neumann branch each run neutralizes its own discrete
     charge.  Pore meshes use h = eps/8, so every scale shares one cell
     mesh, and the effective coefficients are computed on exactly that
-    mesh.  After the macro run the pore-scale runs share a pool of
-    workers threads (one per scale when None).  Non-monotone error decay
-    is flagged on the returned study, not raised.
+    mesh.  The macro run goes first, then one pore-scale run per scale in
+    scale order.  Non-monotone error decay is flagged on the returned
+    study, not raised.
     """
     model = macro.classify_regime(regime)
     eps_list = [float(e) for e in eps_list]
@@ -337,12 +336,9 @@ def run_convergence_study(regime, geometry, c_plus, c_minus,
     macro_mesh = generate_unit_cell_mesh(UnitCellGeometry(None, macro_h))
     macro_final, macro_diag = final(macro.run_macro, macro.MacroProblem,
                                     macro_mesh, macro_mesh, coeffs)
-    if workers is None:
-        workers = len(eps_list)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        finals, diagnostics = zip(*pool.map(
-            lambda dom, mesh: final(micro.run_micro, micro.MicroProblem,
-                                    mesh, dom, mesh), domains, meshes))
+    finals, diagnostics = zip(*(
+        final(micro.run_micro, micro.MicroProblem, mesh, dom, mesh)
+        for dom, mesh in zip(domains, meshes)))
     micro_finals = dict(zip(eps_list, finals))
 
     errors, plain, enhanced = compare_scales(regime, coeffs, solutions,

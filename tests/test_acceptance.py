@@ -139,7 +139,8 @@ def test_criterion_4_manufactured_poisson(capsys):
             c_minus=np.zeros(mesh.num_nodes), phi=np.zeros(mesh.num_nodes),
             pressure=np.zeros(mesh.num_nodes),
             velocity=np.zeros((mesh.num_triangles, 2)))
-        phi = macro.solve_macro_poisson(state, coeffs)
+        phi = macro.solve_macro_poisson(state, coeffs,
+                                        macro._Operators(mesh, coeffs))
         exact = np.cos(np.pi * x) / np.pi ** 2
         errors.append(fem.l2_norm(mesh, phi - exact))
     orders = [math.log2(a / b) for a, b in zip(errors, errors[1:])]

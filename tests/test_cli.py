@@ -28,19 +28,30 @@ def run(tmp_path, command, payload):
 
 def test_every_error_class_is_raised_and_every_origin_is_one():
     # The sources are parsed, so a class named only in an import, an
-    # except clause or the ORIGIN table does not count as raised.
+    # except clause or the ORIGIN table does not count as raised.  The
+    # same walk keeps the package free of environment-variable knobs.
     constructed = set()
+    environment = []
     for path in pathlib.Path(cli.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Call):
                 func = node.func
                 constructed.add(getattr(func, "id", getattr(func, "attr",
                                                             None)))
+            if isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name
+            else:
+                continue
+            if name in ("environ", "getenv"):
+                environment.append("%s: %s" % (path.name, name))
     classes = {obj for obj in vars(errors).values()
                if isinstance(obj, type) and issubclass(obj, errors.SnppError)
                and obj is not errors.SnppError}
     assert {cls.__name__ for cls in classes} - constructed == set()
     assert set(cli.ORIGIN) <= classes
+    assert environment == []
 
 
 def test_defaults_fill_missing_blocks():
@@ -182,36 +193,6 @@ def test_converge_command_is_deterministic(tmp_path):
     assert manifest["monotone"] is True
 
 
-def test_fast_converge_matches_serial_and_checks_thread_cap(
-        tmp_path, capsys, monkeypatch):
-    # The criterion-10 config, run serially and on SNPP_THREADS=2 threads.
-    study = verify.run_convergence_study
-    workers = []
-
-    def recorded(*args, **kwargs):
-        workers.append(kwargs["workers"])
-        return study(*args, **kwargs)
-
-    monkeypatch.setattr(verify, "run_convergence_study", recorded)
-    monkeypatch.setenv("SNPP_THREADS", "2")
-    payload = {
-        "discretization": {"h": 0.03125, "dt": 0.005, "T": 0.01,
-                           "eps": [0.5, 0.25]},
-        "output": {"formats": ["csv"]}}
-    written = []
-    for name, flags in (("serial", []), ("fast", ["--fast"])):
-        payload["output"]["directory"] = str(tmp_path / name)
-        config = write_config(tmp_path, payload)
-        assert cli.main(["converge", "--config", config] + flags) == 0
-        written.append([(tmp_path / name / artifact).read_bytes()
-                        for artifact in ("study.csv", "coefficients.txt")])
-    assert workers == [1, 2]
-    assert written[0] == written[1]
-    monkeypatch.setenv("SNPP_THREADS", "abc")
-    assert cli.main(["converge", "--fast", "--config", config]) == 1
-    assert "(field SNPP_THREADS)" in capsys.readouterr().err
-
-
 def test_converge_non_monotone_exits_three_with_artifacts(
         tmp_path, capsys, monkeypatch):
     # A real study this small decays monotonically, so its result is
@@ -273,6 +254,8 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["--version"]) == 0
     capsys.readouterr()
+    assert cli.main(["check", "--fast"]) == 1
+    assert "unrecognized arguments: --fast" in capsys.readouterr().err
     assert cli.main(["cell", "--config", str(tmp_path / "missing.json")]) == 1
     assert "cannot read config" in capsys.readouterr().err
     path = write_config(tmp_path, {"regime": {"alpha": "two"}})

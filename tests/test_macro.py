@@ -113,7 +113,9 @@ def test_poisson_zero_charge_gives_zero_potential():
     mesh = square_mesh(1 / 16)
     state = bare_state(mesh, 0.4 * np.ones(mesh.num_nodes),
                        0.4 * np.ones(mesh.num_nodes))
-    phi = macro.solve_macro_poisson(state, identity_coeffs())
+    coeffs = identity_coeffs()
+    phi = macro.solve_macro_poisson(state, coeffs,
+                                    macro._Operators(mesh, coeffs))
     assert np.max(np.abs(phi)) <= 1e-12
 
 
@@ -125,7 +127,9 @@ def test_poisson_manufactured_convergence():
         mesh = square_mesh(h)
         x = mesh.nodes[:, 0]
         state = bare_state(mesh, np.cos(np.pi * x))
-        phi = macro.solve_macro_poisson(state, identity_coeffs())
+        coeffs = identity_coeffs()
+        phi = macro.solve_macro_poisson(state, coeffs,
+                                        macro._Operators(mesh, coeffs))
         assert abs(weighted_mean(mesh, phi)) <= 1e-10
         errors.append(fem.l2_norm(mesh, phi - np.cos(np.pi * x) / np.pi**2))
     orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
@@ -135,8 +139,10 @@ def test_poisson_manufactured_convergence():
 def test_poisson_incompatible_source():
     mesh = square_mesh(1 / 16)
     state = bare_state(mesh, 0.1 * np.ones(mesh.num_nodes))
+    coeffs = identity_coeffs()
     with pytest.raises(IncompatibleSource):
-        macro.solve_macro_poisson(state, identity_coeffs())
+        macro.solve_macro_poisson(state, coeffs,
+                                  macro._Operators(mesh, coeffs))
 
 
 def test_poisson_surface_charge_balances_bulk_charge():
@@ -145,7 +151,8 @@ def test_poisson_surface_charge_balances_bulk_charge():
     coeffs = identity_coeffs(porosity=porosity, sigma_bar=sigma_bar)
     c_minus = np.full(mesh.num_nodes, 0.3 + sigma_bar / porosity)
     state = bare_state(mesh, 0.3 * np.ones(mesh.num_nodes), c_minus)
-    phi = macro.solve_macro_poisson(state, coeffs)
+    phi = macro.solve_macro_poisson(state, coeffs,
+                                    macro._Operators(mesh, coeffs))
     assert abs(weighted_mean(mesh, phi)) <= 1e-10
     stiff = fem.assemble_stiffness(mesh, coeffs.diffusion)
     mass = fem.assemble_mass(mesh)
@@ -180,7 +187,8 @@ def test_darcy_zero_forcing_is_hydrostatic():
     model = macro.MacroModelClass(macro.POTENTIAL_ELLIPTIC,
                                   macro.FORCING_PLAIN, macro.DRIFT_OFF)
     state = bare_state(mesh, np.ones(mesh.num_nodes))
-    pressure, velocity = macro.solve_macro_darcy(state, coeffs, model)
+    pressure, velocity = macro.solve_macro_darcy(
+        state, coeffs, model, macro._Operators(mesh, coeffs))
     assert np.max(np.abs(pressure)) <= 1e-13
     assert np.max(np.abs(velocity)) <= 1e-13
 
@@ -195,7 +203,8 @@ def test_darcy_gradient_forcing_gives_no_flow():
     model = macro.MacroModelClass(macro.POTENTIAL_ELLIPTIC,
                                   macro.FORCING_ELECTRO, macro.DRIFT_ON)
     state = bare_state(mesh, np.ones(mesh.num_nodes), phi=psi)
-    pressure, velocity = macro.solve_macro_darcy(state, coeffs, model)
+    pressure, velocity = macro.solve_macro_darcy(
+        state, coeffs, model, macro._Operators(mesh, coeffs))
     assert np.max(np.abs(velocity)) <= 1e-12
     assert np.ptp(pressure + psi) <= 1e-12
 
@@ -211,8 +220,9 @@ def test_darcy_curl_forcing_velocity_and_divergence():
         -np.pi * np.sin(np.pi * cx) * np.cos(np.pi * cy),
         np.pi * np.cos(np.pi * cx) * np.sin(np.pi * cy)])
     state = bare_state(mesh, np.ones(mesh.num_nodes))
-    pressure, velocity = macro.solve_macro_darcy(state, coeffs, model,
-                                                 forcing=forcing)
+    pressure, velocity = macro.solve_macro_darcy(
+        state, coeffs, model, macro._Operators(mesh, coeffs),
+        forcing=forcing)
     kf = forcing @ coeffs.permeability.T
     assert np.max(np.abs(velocity + kf)) <= 1e-3 * np.max(np.abs(kf))
     assert np.max(np.abs(weak_divergence_residual(mesh, velocity))) <= 1e-8
@@ -229,8 +239,9 @@ def test_darcy_pressure_matches_dense_oracle():
     rng = np.random.default_rng(7)
     forcing = rng.uniform(-1.0, 1.0, size=(mesh.num_triangles, 2))
     state = bare_state(mesh)
-    pressure, velocity = macro.solve_macro_darcy(state, coeffs, model,
-                                                 forcing=forcing)
+    pressure, velocity = macro.solve_macro_darcy(
+        state, coeffs, model, macro._Operators(mesh, coeffs),
+        forcing=forcing)
     n = mesh.num_nodes
     dense = np.zeros((n + 1, n + 1))
     rhs = np.zeros(n + 1)
@@ -254,8 +265,8 @@ def test_darcy_without_permeability_means_no_flow():
     coeffs = identity_coeffs(k=None)
     model = macro.MacroModelClass(macro.POTENTIAL_ELLIPTIC,
                                   macro.FORCING_ELECTRO, macro.DRIFT_ON)
-    pressure, velocity = macro.solve_macro_darcy(bare_state(mesh), coeffs,
-                                                 model)
+    pressure, velocity = macro.solve_macro_darcy(
+        bare_state(mesh), coeffs, model, macro._Operators(mesh, coeffs))
     assert not pressure.any() and not velocity.any()
 
 
@@ -553,7 +564,8 @@ def test_step_warns_on_negative_concentration():
     model = macro.MacroModelClass(macro.POTENTIAL_ELLIPTIC,
                                   macro.FORCING_PLAIN, macro.DRIFT_OFF)
     with pytest.warns(NegativeConcentration):
-        macro.step_macro_np(state, coeffs, model, 0.05)
+        macro.step_macro_np(state, coeffs, model,
+                            macro._Operators(mesh, coeffs, 0.05))
 
 
 def test_problem_validation_rejects_bad_data():

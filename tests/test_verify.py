@@ -1,5 +1,8 @@
 """Invariant suite and scale-convergence harness behavior."""
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -109,7 +112,7 @@ def test_invariant_suite_flags_convective_undershoot():
     diagnostics = [diag_row(state.c_plus, state.c_minus, 0.0)]
     with pytest.warns(NegativeConcentration):
         state.c_plus, state.c_minus = macro.step_macro_np(
-            state, coeffs, model, dt)
+            state, coeffs, model, macro._Operators(mesh, coeffs, dt))
     state.t = dt
     diagnostics.append(diag_row(state.c_plus, state.c_minus, dt))
     assert diagnostics[-1]["min_c"] < -1e-3
@@ -249,13 +252,15 @@ def test_charged_study_decays_and_corrector_improves():
     for plain, enhanced in zip(study.corrector_plain,
                                study.corrector_enhanced):
         assert enhanced < plain
-    report = verify.run_invariant_suite([study.macro_final],
-                                        study.macro_diagnostics, regime)
-    assert report.passed
+    reports = [verify.run_invariant_suite([study.macro_final],
+                                          study.macro_diagnostics, regime)]
     for eps in (0.5, 0.25):
-        report = verify.run_invariant_suite(
-            [study.micro_finals[eps]], study.micro_diagnostics[eps], regime)
+        reports.append(verify.run_invariant_suite(
+            [study.micro_finals[eps]], study.micro_diagnostics[eps], regime))
+    for report in reports:
         assert report.passed
+        assert all(type(check.passed) is bool for check in report.checks)
+        json.dumps([dataclasses.asdict(check) for check in report.checks])
 
 
 def test_study_rejects_inadmissible_regime_before_running():
