@@ -4,7 +4,11 @@ Scalars (potential, pressure, concentrations) use P1 elements; velocity
 uses P2 on the same triangulation (Taylor-Hood pair), held as a plain
 (p2_dofs, 2) array whose rows are the mesh nodes and then its edges.
 Assembly is vectorized over elements and accumulated via
-coordinate-format scatter.  P1 interpolation reads only the structured
+coordinate-format scatter.  The kernels that run at every fixed-point
+sweep (P1 element gradients, the P2 element means and the loads of
+elementwise fields) are each one sparse product with an operator that
+is built on first use and kept in mesh._caches; a load is the product
+with the transpose.  P1 interpolation reads only the structured
 macro square, where a point's triangle follows in closed form.
 The coupled transport block of both species belongs to a TransportSolver
 built once per run: it fixes the block's sparsity pattern, refills only
@@ -141,11 +145,38 @@ def element_means(mesh, values):
     return values[mesh.triangles].mean(axis=1)
 
 
+def _cached(mesh, key, build):
+    """mesh._caches[key], set to build(mesh) on first use."""
+    value = mesh._caches.get(key)
+    if value is None:
+        value = mesh._caches[key] = build(mesh)
+    return value
+
+
+def _gradient_operator(mesh):
+    """(2M, N) CSR matrix whose row 2K + d takes a P1 scalar to the
+    component d of its gradient on element K."""
+    _, grads = triangle_data(mesh)
+    m = mesh.num_triangles
+    return sp.csr_matrix(
+        (grads.transpose(0, 2, 1).ravel(),
+         np.repeat(mesh.triangles, 2, axis=0).ravel(),
+         np.arange(0, 6 * m + 1, 3)), shape=(2 * m, mesh.num_nodes))
+
+
 def p1_element_gradients(mesh, values):
     """Piecewise-constant gradient of a P1 scalar, shape (M, 2)."""
-    _, grads = triangle_data(mesh)
-    v = np.asarray(values, dtype=float)[mesh.triangles]
-    return np.einsum("mi,mid->md", v, grads)
+    gradient = _cached(mesh, "gradient", _gradient_operator)
+    return (gradient @ np.asarray(values, dtype=float)).reshape(-1, 2)
+
+
+def assemble_gradient_load(mesh, field):
+    """Load vector of the integral of field . grad(phi_i) for an
+    elementwise-constant vector field (M, 2)."""
+    areas, _ = triangle_data(mesh)
+    gradient = _cached(mesh, "gradient", _gradient_operator)
+    return gradient.T @ (np.asarray(field, dtype=float)
+                         * areas[:, None]).ravel()
 
 
 def recover_nodal_gradient(mesh, values):
@@ -161,28 +192,37 @@ def recover_nodal_gradient(mesh, values):
     return out / weight[:, None]
 
 
-def _convection_weights(mesh, velocity, drift, drift_tensor, drift_sign):
-    """Weights (M, 3) of w . grad(phi_i) |K| / 3 on each element K.
-
-    The element's convection entry (i, j) is weight i for every j; w is
-    the transporting field of assemble_convection.
-    """
+def _scaled_gradients(mesh):
+    """(2, 3, M) array: component d of grad(phi_i) on element K, times
+    |K| / 3, at [d, i, K]."""
     areas, grads = triangle_data(mesh)
+    return np.ascontiguousarray((grads * (areas / 3.0)[:, None, None]).T)
+
+
+def _convection_weights(mesh, velocity, drift, drift_tensor):
+    """Weights (3, M) of velocity . grad(phi_i) |K| / 3 and of
+    (T grad(drift)) . grad(phi_i) |K| / 3 at [i, K].
+
+    Under the field w = velocity - drift_sign * T grad(drift), entry (i, j)
+    of element K of the convection matrix is velocity weight i minus
+    drift_sign times drift weight i, for every j.  A field given as None
+    has zero weights.
+    """
     m = mesh.num_triangles
-    w = np.zeros((m, 2))
+    moved = drifted = np.zeros((m, 2))
     if velocity is not None:
-        vel = np.asarray(velocity, dtype=float)
-        if vel.shape != (m, 2):
+        moved = np.asarray(velocity, dtype=float)
+        if moved.shape != (m, 2):
             raise FieldMeshMismatch(
                 "velocity shape %s does not match the elements"
-                % (vel.shape,))
-        w = w + vel
+                % (moved.shape,))
     if drift is not None:
-        g = p1_element_gradients(mesh, drift)
+        drifted = p1_element_gradients(mesh, drift)
         if drift_tensor is not None:
-            g = g @ np.asarray(drift_tensor, dtype=float).T
-        w = w - drift_sign * g
-    return np.einsum("md,mid->mi", w, grads) * (areas / 3.0)[:, None]
+            drifted = drifted @ np.asarray(drift_tensor, dtype=float).T
+    scaled = _cached(mesh, "convection", _scaled_gradients)
+    return [w[:, 0] * scaled[0] + w[:, 1] * scaled[1]
+            for w in (moved, drifted)]
 
 
 def assemble_convection(mesh, velocity=None, drift=None, drift_tensor=None,
@@ -195,13 +235,13 @@ def assemble_convection(mesh, velocity=None, drift=None, drift_tensor=None,
     zero (partition of unity), which is what conserves total content under
     no-flux stepping.
     """
-    weights = _convection_weights(mesh, velocity, drift, drift_tensor,
-                                  drift_sign)
+    moved, drifted = _convection_weights(mesh, velocity, drift, drift_tensor)
     t = mesh.triangles
     n = mesh.num_nodes
     rows = np.repeat(t, 3, axis=1)
     cols = np.tile(t, (1, 3))
-    return _scatter(rows, cols, np.repeat(weights, 3, axis=1), (n, n))
+    return _scatter(rows, cols, np.repeat((moved - drift_sign * drifted).T,
+                                          3, axis=1), (n, n))
 
 
 def _tagged_pairs(mesh, tags):
@@ -341,21 +381,25 @@ class TransportSolver:
     and B- the convection matrices of assemble_convection with drift_sign
     +1 and -1.  Only B+ and B- change during a run, and only in value, so
     the CSC pattern of the block attribute (the element pairs of the
-    mesh, the stiffness and the diagonals) and the slot of every element
-    entry are fixed here; refill sets the values with one bincount.  dt
-    is read at every refill.
+    mesh, the stiffness and the diagonals) is fixed here, together with a
+    sparse scatter from element weights to the element pairs of both
+    species.  refill computes the velocity and the drift weights once
+    each; c+ takes their difference and c- their sum, so one product with
+    the scatter sets the convection values.  dt is read at every refill.
 
-    The first solve factors the block and keeps the LU.  A later solve starts
-    from LU^-1 b and refines it, x <- x + LU^-1 (b - A x), until the true
-    residual satisfies ||b - A x|| <= TRANSPORT_TOL ||b||.  When a
-    refinement step fails to halve the residual, the LU is dropped and
-    the current block is factored and solved directly; that LU is kept
-    for the following solves.  Between the sweeps and steps of one run
-    the block changes only through the convection and drift terms, so
-    the lagged LU contracts the error far faster than that.
-    factorizations, refined_solves and refinement_steps count the
-    factorizations, the solves accepted by refinement and the refinement
-    steps those took.
+    The first solve factors the block and keeps the LU.  A later solve
+    starts from the solution the solver returned last and refines it,
+    x <- x + LU^-1 (b - A x), until the true residual satisfies
+    ||b - A x|| <= TRANSPORT_TOL ||b||.  When a refinement step fails to
+    halve the residual, the LU is dropped and the current block is
+    factored and solved directly; that LU is kept for the following
+    solves.  Between the sweeps and steps of one run the block changes
+    only through the convection and drift terms, so the lagged LU
+    contracts the error far faster than that, and the last solution is
+    closer to the new one than LU^-1 b is.  factorizations,
+    refined_solves and refinement_steps count the factorizations, the
+    solves accepted by refinement and the LU applications those took
+    beyond the first.
     """
 
     def __init__(self, mesh, stiffness, lumped, dt):
@@ -376,7 +420,16 @@ class TransportSolver:
                                k.col + n, node, node + n, node + n, node])
         keys, slot = np.unique(cols * (2 * n) + rows, return_inverse=True)
         fixed = 2 * len(element_rows)
-        self._slots = slot[:fixed]
+        # Element entry 9 K + 3 i + j of a species (row t[K, i], column
+        # t[K, j]) takes weight [i, K] of that species' weights, which
+        # refill stacks as those of c+ and then of c-.
+        m = len(t)
+        entry = np.arange(len(element_rows))
+        weight = entry // 3 % 3 * m + entry // 9
+        self._convection = sp.csr_matrix(
+            (np.ones(fixed), (slot[:fixed],
+                              np.concatenate([weight, weight + 3 * m]))),
+            shape=(len(keys), 6 * m))
         # The values without convection: the mass, and what dt multiplies.
         self._mass = np.bincount(slot[fixed + 2 * k.nnz:][:2 * n],
                                  weights=np.tile(self.lumped, 2),
@@ -391,6 +444,7 @@ class TransportSolver:
              (keys % (2 * n)).astype(np.intc), indptr.astype(np.intc)),
             shape=(2 * n, 2 * n))
         self._lu = None
+        self._last = None
         self.factorizations = 0
         self.refined_solves = 0
         self.refinement_steps = 0
@@ -398,18 +452,17 @@ class TransportSolver:
     def refill(self, velocity, drift, tensor):
         """Set block for the field w = velocity -+ tensor grad(drift) of
         c+ and c- (None for none), as assemble_convection takes them."""
-        weights = [np.repeat(_convection_weights(self.mesh, velocity, drift,
-                                                 tensor, sign), 3, axis=1)
-                   for sign in (1.0, -1.0)]
-        convection = np.bincount(self._slots, weights=np.concatenate(
-            [w.ravel() for w in weights]), minlength=len(self._mass))
+        moved, drifted = _convection_weights(self.mesh, velocity, drift,
+                                             tensor)
+        convection = self._convection @ np.concatenate(
+            [(moved - drifted).ravel(), (moved + drifted).ravel()])
         self.block.data = self._mass + self.dt * (self._scaled - convection)
 
     def solve(self, rhs):
         if self._lu is not None:
             gate = TRANSPORT_TOL * np.linalg.norm(rhs)
-            x = np.zeros_like(rhs)
-            residual, norm = rhs, np.inf
+            x = self._last.copy()
+            residual, norm = rhs - self.block @ x, np.inf
             for steps in itertools.count():
                 x += self._lu.solve(residual)
                 residual = rhs - self.block @ x
@@ -417,13 +470,15 @@ class TransportSolver:
                 if norm <= gate:
                     self.refined_solves += 1
                     self.refinement_steps += steps
+                    self._last = x
                     return x
                 if not norm <= 0.5 * previous:
                     break
             self._lu = None
         self._lu = splu(self.block)
         self.factorizations += 1
-        return self._lu.solve(rhs)
+        self._last = self._lu.solve(rhs)
+        return self._last
 
     def summary(self):
         return ("%d factorizations, %d refined solves, %d refinement steps"
@@ -460,11 +515,19 @@ def p2_dof_count(mesh):
     return mesh.num_nodes + len(edge_table(mesh).edges)
 
 
+def _edge_dof_operator(mesh):
+    """(M, p2_dofs) CSR matrix with a 1 at each element's three edge dofs."""
+    m = mesh.num_triangles
+    return sp.csr_matrix(
+        (np.ones(3 * m), (mesh.num_nodes + edge_table(mesh).tri_edges).ravel(),
+         np.arange(0, 3 * m + 1, 3)), shape=(m, p2_dof_count(mesh)))
+
+
 def p2_element_means(mesh, values):
     """Elementwise mean (M, 2) of a P2 velocity (p2_dofs, 2): the mean of
     its three edge values, exact for quadratics."""
-    edge_values = np.asarray(values, dtype=float)[mesh.num_nodes:]
-    return edge_values[edge_table(mesh).tri_edges].mean(axis=1)
+    edges = _cached(mesh, "edge_dofs", _edge_dof_operator)
+    return (edges @ np.asarray(values, dtype=float)) / 3.0
 
 
 def _p2_basis_gradients(lam, grads):
@@ -529,14 +592,10 @@ def assemble_p2_load(mesh, forcing):
     forcing = np.asarray(forcing, dtype=float)
     if forcing.ndim == 1:
         forcing = np.broadcast_to(forcing, (mesh.num_triangles, 2))
-    tri_edges = edge_table(mesh).tri_edges
-    out = np.zeros((p2_dof_count(mesh), 2))
     # Vertex P2 basis functions integrate to zero over the element; the
     # edge ones integrate to area/3.
-    contrib = forcing * (areas / 3.0)[:, None]
-    for k in range(3):
-        np.add.at(out, mesh.num_nodes + tri_edges[:, k], contrib)
-    return out
+    edges = _cached(mesh, "edge_dofs", _edge_dof_operator)
+    return edges.T @ (forcing * (areas / 3.0)[:, None])
 
 
 def _p2_boundary_dofs(mesh, tags):
@@ -821,10 +880,7 @@ def p1_interpolate(mesh, values, points):
 
 def l2_norm(mesh, values):
     """Mass-weighted L2 norm of nodal scalars or (N, k) vectors."""
-    mass = mesh._caches.get("mass")
-    if mass is None:
-        mass = assemble_mass(mesh)
-        mesh._caches["mass"] = mass
+    mass = _cached(mesh, "mass", assemble_mass)
     values = np.asarray(values, dtype=float)
     if values.ndim == 1:
         return float(np.sqrt(values @ (mass @ values)))

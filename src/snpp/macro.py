@@ -228,7 +228,6 @@ def solve_macro_darcy(state, coeffs, model, ops, forcing=None):
     mesh = state.mesh
     if coeffs.permeability is None:
         return np.zeros(mesh.num_nodes), np.zeros((mesh.num_triangles, 2))
-    areas, grads = fem.triangle_data(mesh)
     if forcing is not None:
         forcing = np.asarray(forcing, dtype=float)
     elif model.darcy_forcing == FORCING_ELECTRO:
@@ -237,10 +236,8 @@ def solve_macro_darcy(state, coeffs, model, ops, forcing=None):
             mesh, state.phi)
     else:
         forcing = np.zeros((mesh.num_triangles, 2))
-    kf = forcing @ np.asarray(coeffs.permeability).T
-    rhs = np.zeros(mesh.num_nodes)
-    contrib = -np.einsum("md,mid->mi", kf, grads) * areas[:, None]
-    np.add.at(rhs, mesh.triangles.ravel(), contrib.ravel())
+    rhs = -fem.assemble_gradient_load(
+        mesh, forcing @ np.asarray(coeffs.permeability).T)
     imbalance = abs(float(rhs.sum()))
     if imbalance > 1e-10 * max(1.0, float(np.abs(rhs).sum())):
         raise IncompatibleSource(

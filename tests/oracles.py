@@ -6,10 +6,12 @@ loop instead of closed forms, and the linear solve is plain dense Gaussian
 elimination. Slow and simple on purpose.  relative_weak_divergence is a
 measure on the package's own divergence rows, shared by the Stokes tests;
 fixed_point_checked measures the stop rule of the stepping loop against
-sweeps continued well past it.  reacting_pair_block and
-reacting_pair_step build and solve the transport block along the
-sparse-sum route (assemble_convection, sums and sp.bmat) that the
-refilled fixed-pattern block of fem.TransportSolver is checked
+sweeps continued well past it.  The *_reference kernels gather element
+values and accumulate with np.add.at, the route that the per-mesh sparse
+operators of fem replaced.  reacting_pair_block and reacting_pair_step
+build and solve the transport block along the sparse-sum route (the
+convection matrices of convection_weights_reference, sums and sp.bmat)
+that the refilled fixed-pattern block of fem.TransportSolver is checked
 against.  solve_spd, mesh_quality_report, count_interior_loops and
 read_coefficients have no caller in the package; they are the test-side
 conjugate-gradient route, mesh statistics, hole count and
@@ -24,7 +26,7 @@ from scipy.sparse.linalg import splu
 
 from snpp import fem
 from snpp.errors import MaxIterationsExceeded, SolverBreakdown
-from snpp.mesh import GAMMA_INTERIOR
+from snpp.mesh import GAMMA_INTERIOR, edge_table
 
 # Degree-5 symmetric triangle rule (7 points), barycentric coordinates and
 # weights summing to 1.  Classic Radon rule, written in closed form so the
@@ -234,15 +236,80 @@ def relative_weak_divergence(mesh, vel):
     return float(np.max(np.abs(residual)) / np.max(terms))
 
 
+def p1_element_gradients_reference(mesh, values):
+    """Gradients (M, 2) of a P1 scalar from its values at each element's
+    nodes."""
+    _, grads = fem.triangle_data(mesh)
+    v = np.asarray(values, dtype=float)[mesh.triangles]
+    return np.einsum("mi,mid->md", v, grads)
+
+
+def gradient_load_reference(mesh, field):
+    """Load vector of the integral of field . grad(phi_i) for an
+    elementwise field (M, 2)."""
+    areas, grads = fem.triangle_data(mesh)
+    out = np.zeros(mesh.num_nodes)
+    contrib = np.einsum("md,mid->mi", field, grads) * areas[:, None]
+    np.add.at(out, mesh.triangles.ravel(), contrib.ravel())
+    return out
+
+
+def p2_load_reference(mesh, forcing):
+    """P2 load (p2_dofs, 2) of an elementwise forcing (M, 2): area/3 at
+    each edge dof, nothing at the vertices."""
+    areas, _ = fem.triangle_data(mesh)
+    tri_edges = edge_table(mesh).tri_edges
+    out = np.zeros((fem.p2_dof_count(mesh), 2))
+    contrib = forcing * (areas / 3.0)[:, None]
+    for k in range(3):
+        np.add.at(out, mesh.num_nodes + tri_edges[:, k], contrib)
+    return out
+
+
+def p2_element_means_reference(mesh, values):
+    """Mean (M, 2) of the three edge values of a P2 field on each
+    element."""
+    edge_values = np.asarray(values, dtype=float)[mesh.num_nodes:]
+    return edge_values[edge_table(mesh).tri_edges].mean(axis=1)
+
+
+def convection_weights_reference(mesh, velocity, drift, tensor, sign):
+    """Weights (M, 3) of w . grad(phi_i) |K| / 3 with w = velocity -
+    sign * tensor grad(drift) (None for none)."""
+    areas, grads = fem.triangle_data(mesh)
+    w = np.zeros((mesh.num_triangles, 2))
+    if velocity is not None:
+        w = w + velocity
+    if drift is not None:
+        g = p1_element_gradients_reference(mesh, drift)
+        if tensor is not None:
+            g = g @ np.asarray(tensor, dtype=float).T
+        w = w - sign * g
+    return np.einsum("md,mid->mi", w, grads) * (areas / 3.0)[:, None]
+
+
+def convection_reference(mesh, velocity, drift, tensor, sign):
+    """The matrix of fem.assemble_convection, entry (i, j) of element K
+    being weight i of convection_weights_reference."""
+    weights = convection_weights_reference(mesh, velocity, drift, tensor,
+                                           sign)
+    t = mesh.triangles
+    n = mesh.num_nodes
+    return sp.coo_matrix(
+        (np.repeat(weights, 3, axis=1).ravel(),
+         (np.repeat(t, 3, axis=1).ravel(), np.tile(t, (1, 3)).ravel())),
+        shape=(n, n)).tocsr()
+
+
 def reacting_pair_block(mesh, stiffness, lumped, dt, velocity, drift,
                         tensor):
     """The block of fem.TransportSolver(mesh, stiffness, lumped, dt)
     refilled for (velocity, drift, tensor), from each species' convection
     matrix, sparse sums and sp.bmat."""
     mass = sp.diags(np.asarray(lumped, dtype=float))
-    diagonal = [mass + dt * (stiffness - fem.assemble_convection(
-        mesh, velocity=velocity, drift=drift, drift_tensor=tensor,
-        drift_sign=sign)) + dt * mass for sign in (1.0, -1.0)]
+    diagonal = [mass + dt * (stiffness - convection_reference(
+        mesh, velocity, drift, tensor, sign)) + dt * mass
+        for sign in (1.0, -1.0)]
     return sp.bmat([[diagonal[0], -dt * mass], [-dt * mass, diagonal[1]]],
                    format="csc")
 

@@ -29,11 +29,16 @@ from snpp.mesh import (
 )
 
 from oracles import (
+    convection_reference,
     dense_p1_convection,
     dense_p1_mass,
     dense_p1_stiffness,
     gauss_solve,
+    gradient_load_reference,
+    p1_element_gradients_reference,
     p1_interpolate_reference,
+    p2_element_means_reference,
+    p2_load_reference,
     reacting_pair_block,
     reacting_pair_step,
     relative_weak_divergence,
@@ -334,6 +339,35 @@ def test_refilled_block_matches_sparse_sum_route(make_mesh):
         assert abs(solver.block - ref).max() <= 1e-14 * abs(ref).max()
 
 
+@pytest.mark.parametrize("make_mesh", [lambda: square_mesh(1 / 16),
+                                       perforated_quarter_mesh],
+                         ids=["macro_square", "perforated_quarter"])
+def test_per_mesh_operators_match_the_gather_routes(make_mesh):
+    mesh = make_mesh()
+    rng = np.random.default_rng(8)
+    phi = drift_potential(mesh, 1.0)
+    field = rng.standard_normal((mesh.num_triangles, 2))
+    p2_field = rng.standard_normal((fem.p2_dof_count(mesh), 2))
+    cases = [
+        (fem.p1_element_gradients(mesh, phi),
+         p1_element_gradients_reference(mesh, phi)),
+        (fem.assemble_gradient_load(mesh, field),
+         gradient_load_reference(mesh, field)),
+        (fem.assemble_p2_load(mesh, field), p2_load_reference(mesh, field)),
+        (fem.p2_element_means(mesh, p2_field),
+         p2_element_means_reference(mesh, p2_field)),
+    ]
+    for sign in (1.0, -1.0):
+        cases.append((
+            fem.assemble_convection(mesh, field, phi, DRIFT_TENSOR,
+                                    sign).toarray(),
+            convection_reference(mesh, field, phi, DRIFT_TENSOR,
+                                 sign).toarray()))
+    for ours, ref in cases:
+        assert ours.shape == ref.shape
+        assert np.max(np.abs(ours - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
 class TrackedLU:
     """An LU that can be weakly referenced, to see when it is freed, and
     that appends its number to log at every solve."""
@@ -404,6 +438,43 @@ def test_transport_solver_reuses_its_lu_against_fresh_factorizations(
     ref = np.concatenate(reacting_pair_step(mesh, stiff, lumped, 100 * dt,
                                             *fields, c_plus, c_minus))
     assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
+def test_transport_solver_starts_refinement_from_its_last_solution(
+        monkeypatch):
+    residuals = []
+
+    class NormLoggingLU:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, rhs):
+            residuals.append(np.linalg.norm(rhs))
+            return self.lu.solve(rhs)
+
+    monkeypatch.setattr(fem, "splu", lambda matrix, **options:
+                        NormLoggingLU(splu(matrix, **options)))
+    mesh = square_mesh(1 / 32)
+    lumped = fem.assemble_mass(mesh, lumped=True).diagonal()
+    stiff = fem.assemble_stiffness(mesh, DRIFT_TENSOR)
+    x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
+    c_plus = 0.2 + 0.5 * np.exp(-25 * ((x - 0.35) ** 2 + (y - 0.45) ** 2))
+    c_minus = 0.2 + 0.5 * np.exp(-25 * ((x - 0.7) ** 2 + (y - 0.6) ** 2))
+    rhs = np.concatenate([lumped * c_plus, lumped * c_minus])
+    solver = fem.TransportSolver(mesh, stiff, lumped, 2e-3)
+    fields = (None, drift_potential(mesh, 1.0), DRIFT_TENSOR)
+    for _ in range(2):
+        got = np.concatenate(fem.step_reacting_pair(solver, *fields, c_plus,
+                                                    c_minus))
+    # The second solve of the same block and rhs starts from the first
+    # solution, so the one LU application it makes sees only a residual
+    # already below the gate.
+    assert len(residuals) == 2
+    assert residuals[1] <= fem.TRANSPORT_TOL * np.linalg.norm(rhs)
+    assert (solver.factorizations, solver.refined_solves,
+            solver.refinement_steps) == (1, 1, 0)
+    direct = splu(solver.block).solve(rhs)
+    assert np.max(np.abs(got - direct)) <= 1e-10 * np.max(np.abs(direct))
 
 
 @pytest.mark.parametrize("drift", [0.002, 0.02])
