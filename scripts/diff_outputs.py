@@ -1,15 +1,22 @@
-"""Largest relative differences between the outputs of two converge runs.
+"""Largest relative differences between the outputs of two snpp runs.
 
     python3 scripts/diff_outputs.py DIR_A DIR_B
 
-Each directory holds the study.csv, coefficients.txt and manifest.json
-that one `snpp converge` run wrote.  For every column of study.csv and
-every key of coefficients.txt the script prints the largest relative
-difference |a - b| / max(|a|, |b|) over its entries: 0 where both values
-are equal (both nan included) and inf where only one is nan.  It exits
-1 when the "flags" or the "monotone" of the two manifests differ, and 0
-otherwise; a study.csv whose header or row count differs between the
-two runs, or a key present in one coefficients.txt only, exits 2.
+Each directory holds what one `snpp` run wrote: study.csv,
+coefficients.txt and manifest.json of a converge run, diagnostics.csv
+and the *.vtk snapshots of a macro or micro run.  A file is compared
+when both directories hold it; held by one only, it exits 2.  For every
+column of study.csv and diagnostics.csv and every key of
+coefficients.txt the script prints the largest relative difference
+|a - b| / max(|a|, |b|) over its entries: 0 where both values are equal
+(both nan included) and inf where only one is nan.  For every array of
+the VTK files (the points, the cells and each field) it prints the
+largest of max|a - b| / max(|a|, |b|) over the files, taken over the
+whole array, so entries near zero do not read as large.  It exits 1
+when the "flags" or the "monotone" of the two manifests differ, and 0
+otherwise; a table whose header or row count differs between the two
+runs, a VTK array whose size differs, a key present in one
+coefficients.txt only, or no file to compare exits 2.
 """
 
 import csv
@@ -17,6 +24,8 @@ import json
 import math
 import os
 import sys
+
+import numpy as np
 
 
 def relative_difference(a, b):
@@ -28,15 +37,25 @@ def relative_difference(a, b):
     return abs(a - b) / max(abs(a), abs(b))
 
 
-def read_study(directory):
-    with open(os.path.join(directory, "study.csv"), newline="") as handle:
+def array_difference(a, b):
+    """max|a - b| / max(|a|, |b|) over two arrays, 0 when they are equal."""
+    if np.array_equal(a, b, equal_nan=True):
+        return 0.0
+    if np.isnan(a).any() or np.isnan(b).any():
+        return math.inf
+    return float(np.max(np.abs(a - b))
+                 / max(np.max(np.abs(a)), np.max(np.abs(b))))
+
+
+def read_table(path):
+    with open(path, newline="") as handle:
         rows = list(csv.reader(handle))
     return rows[0], [[float(value) for value in row] for row in rows[1:]]
 
 
-def read_coefficients(directory):
+def read_coefficients(path):
     out = {}
-    with open(os.path.join(directory, "coefficients.txt")) as handle:
+    with open(path) as handle:
         for line in handle:
             key, _, text = line.strip().partition("=")
             if key and not key.startswith("#"):
@@ -44,10 +63,85 @@ def read_coefficients(directory):
     return out
 
 
-def read_verdict(directory):
-    with open(os.path.join(directory, "manifest.json")) as handle:
+def read_verdict(path):
+    with open(path) as handle:
         manifest = json.load(handle)
     return {key: manifest.get(key) for key in ("flags", "monotone")}
+
+
+def read_vtk(path):
+    """Arrays of a legacy ASCII VTK file as snpp writes it, by name: the
+    points, the cells and every point or cell field."""
+    with open(path) as handle:
+        lines = handle.read().splitlines()
+    arrays = {}
+    size = 0
+    i = 0
+    while i < len(lines):
+        words = lines[i].split()
+        i += 1
+        if not words:
+            continue
+        if words[0] in ("POINT_DATA", "CELL_DATA"):
+            size = int(words[1])
+            continue
+        if words[0] in ("POINTS", "CELLS"):
+            name, count = words[0].lower(), int(words[1])
+        elif words[0] in ("SCALARS", "VECTORS"):
+            name, count = words[1], size
+            if words[0] == "SCALARS":
+                i += 1  # LOOKUP_TABLE
+        else:
+            continue
+        arrays[name] = np.array(" ".join(lines[i:i + count]).split(),
+                                dtype=float)
+        i += count
+    return arrays
+
+
+def compare_table(name, first, second):
+    header, rows_a = read_table(first)
+    other_header, rows_b = read_table(second)
+    if header != other_header or len(rows_a) != len(rows_b):
+        print("%s: the header or the row count differs" % name,
+              file=sys.stderr)
+        return False
+    for k, column in enumerate(header):
+        worst = max((relative_difference(a[k], b[k])
+                     for a, b in zip(rows_a, rows_b)), default=0.0)
+        print("%s %-20s %.3e" % (name, column, worst))
+    return True
+
+
+def compare_coefficients(name, first, second):
+    coeffs_a, coeffs_b = read_coefficients(first), read_coefficients(second)
+    if coeffs_a.keys() != coeffs_b.keys():
+        print("%s: the keys differ" % name, file=sys.stderr)
+        return False
+    for key in coeffs_a:
+        print("%s %-13s %.3e"
+              % (name, key, relative_difference(coeffs_a[key],
+                                                coeffs_b[key])))
+    return True
+
+
+def compare_vtk(names, first, second):
+    worst = {}
+    for name in names:
+        arrays_a = read_vtk(os.path.join(first, name))
+        arrays_b = read_vtk(os.path.join(second, name))
+        if arrays_a.keys() != arrays_b.keys() or any(
+                arrays_a[key].shape != arrays_b[key].shape
+                for key in arrays_a):
+            print("%s: the arrays or their sizes differ" % name,
+                  file=sys.stderr)
+            return False
+        for key in arrays_a:
+            worst[key] = max(worst.get(key, 0.0),
+                             array_difference(arrays_a[key], arrays_b[key]))
+    for key, value in worst.items():
+        print("vtk %-20s %.3e" % (key, value))
+    return True
 
 
 def main(argv):
@@ -55,24 +149,27 @@ def main(argv):
         print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
         return 2
     first, second = argv
-    header, rows_a = read_study(first)
-    other_header, rows_b = read_study(second)
-    if header != other_header or len(rows_a) != len(rows_b):
-        print("study.csv: the header or the row count differs",
-              file=sys.stderr)
+    held = [{name for name in os.listdir(directory)
+             if name in ("study.csv", "diagnostics.csv", "coefficients.txt",
+                         "manifest.json") or name.endswith(".vtk")}
+            for directory in argv]
+    if held[0] != held[1] or not held[0]:
+        print("the two directories hold different files, or none to "
+              "compare: %s" % sorted(held[0] ^ held[1]), file=sys.stderr)
         return 2
-    for k, name in enumerate(header):
-        worst = max((relative_difference(a[k], b[k])
-                     for a, b in zip(rows_a, rows_b)), default=0.0)
-        print("study.csv %-20s %.3e" % (name, worst))
-    coeffs_a, coeffs_b = read_coefficients(first), read_coefficients(second)
-    if coeffs_a.keys() != coeffs_b.keys():
-        print("coefficients.txt: the keys differ", file=sys.stderr)
+    for name, compare in (("study.csv", compare_table),
+                          ("diagnostics.csv", compare_table),
+                          ("coefficients.txt", compare_coefficients)):
+        if name in held[0] and not compare(
+                name, os.path.join(first, name), os.path.join(second, name)):
+            return 2
+    snapshots = sorted(name for name in held[0] if name.endswith(".vtk"))
+    if not compare_vtk(snapshots, first, second):
         return 2
-    for key in coeffs_a:
-        print("coefficients.txt %-13s %.3e"
-              % (key, relative_difference(coeffs_a[key], coeffs_b[key])))
-    verdicts = read_verdict(first), read_verdict(second)
+    if "manifest.json" not in held[0]:
+        return 0
+    verdicts = [read_verdict(os.path.join(directory, "manifest.json"))
+                for directory in argv]
     for key in ("flags", "monotone"):
         same = verdicts[0][key] == verdicts[1][key]
         print("manifest.json %-16s %s" % (key, "same" if same else "DIFFERS"))

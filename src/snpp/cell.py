@@ -16,7 +16,7 @@ import numpy as np
 
 from . import fem
 from .errors import FormulaMismatch, NoSolidPhase, ValidationError
-from .mesh import GAMMA_INTERIOR, boundary_nodes, generate_unit_cell_mesh
+from .mesh import GAMMA_INTERIOR, generate_unit_cell_mesh, tagged_edges
 
 log = logging.getLogger(__name__)
 
@@ -35,8 +35,7 @@ class ScalarCellSolutions:
     phi: np.ndarray
 
     def validate(self):
-        mass = fem.assemble_mass(self.mesh)
-        weight = np.asarray(mass @ np.ones(self.mesh.num_nodes)).ravel()
+        weight = fem.mass_weight(self.mesh)
         for j in range(2):
             if abs(weight @ self.phi[:, j]) > 1e-10:
                 raise ValidationError("corrector %d is not zero-mean" % j)
@@ -134,7 +133,7 @@ def solve_scalar_cell_problems(mesh):
     stiffness matrix.
     """
     fold, _ = fem.periodic_prolongation(mesh.num_nodes, mesh.periodic_pairs)
-    weight = fold.T @ (fem.assemble_mass(mesh) @ np.ones(mesh.num_nodes))
+    weight = fold.T @ fem.mass_weight(mesh)
     lu = fem.ZeroMeanLU(fold.T @ fem.assemble_stiffness(mesh) @ fold, weight)
     phi = np.zeros((mesh.num_nodes, 2))
     for j in range(2):
@@ -235,9 +234,8 @@ def solve_dirichlet_cell_problem(mesh):
             "incompatible under pure periodicity",
             where="cell.solve_dirichlet_cell_problem")
     stiff = fem.assemble_stiffness(mesh)
-    mass = fem.assemble_mass(mesh)
-    rhs = np.asarray(mass @ np.ones(mesh.num_nodes)).ravel()
-    clamped = boundary_nodes(mesh, GAMMA_INTERIOR)
+    rhs = fem.mass_weight(mesh)
+    clamped = np.unique(tagged_edges(mesh, {GAMMA_INTERIOR}))
     fold, cols = fem.periodic_prolongation(mesh.num_nodes, mesh.periodic_pairs)
     matrix, reduced_rhs = fem.apply_dirichlet(
         fold.T @ stiff @ fold, fold.T @ rhs, cols[clamped], 0.0)
@@ -249,8 +247,7 @@ def solve_dirichlet_cell_problem(mesh):
 
 def compute_dirichlet_mean(sol, mesh):
     """Mean of the unit-source solution, cross-checked by its energy."""
-    mass = fem.assemble_mass(mesh)
-    weight = np.asarray(mass @ np.ones(mesh.num_nodes)).ravel()
+    weight = fem.mass_weight(mesh)
     averaged = float(weight @ sol.phi)
     stiff = fem.assemble_stiffness(mesh)
     energy = float(sol.phi @ (stiff @ sol.phi))

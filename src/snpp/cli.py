@@ -67,7 +67,6 @@ INITIAL_DEFAULTS = {"kind": "charged_blobs", "background": 0.2,
                     "amplitude": 0.5, "lam": 1.0}
 DEFAULT_MACRO_H = 1.0 / 64.0
 DEFAULT_EPS = 0.5
-DEFAULT_EPS_LIST = (0.5, 0.25, 0.125)
 
 USAGE_ERRORS = (ParseError, ValidationError, InadmissibleScaling,
                 InclusionTouchesBoundary, ResolutionTooCoarse,
@@ -218,7 +217,7 @@ def parse_config(text, command=None):
 
     eps_entry = disc["eps"]
     if command == "converge":
-        eps_values = DEFAULT_EPS_LIST if eps_entry is None else eps_entry
+        eps_values = verify.STUDY_EPS if eps_entry is None else eps_entry
         if not isinstance(eps_values, (list, tuple)) or not eps_values:
             raise ValidationError(
                 "discretization.eps must be a list of scales for converge",

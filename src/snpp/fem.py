@@ -16,6 +16,13 @@ the convection values at every step, factors the block once and solves
 the later blocks by iterative refinement on that LU, refactoring only
 when a refinement step fails to halve the residual.
 
+The Stokes operator is built from two folded and pinned blocks, the
+scalar P2 viscous block and the divergence rows of both velocity
+components; its direct route factors the saddle made of them, and its
+Schur-complement route factors the viscous block and applies the
+divergence rows.  mass_weight and lumped_mass are kept per mesh in
+mesh._caches too.
+
 Every symmetric system is factored by symmetric_lu: the bordered
 zero-mean systems of ZeroMeanLU (the direct Stokes saddle, the macro
 potential and Darcy systems, the pore-scale Neumann potential, the
@@ -43,7 +50,7 @@ from .errors import (
     NoSolidPhase,
     SolverBreakdown,
 )
-from .mesh import GAMMA_INTERIOR, edge_table
+from .mesh import GAMMA_INTERIOR, edge_table, tagged_edges
 
 log = logging.getLogger(__name__)
 
@@ -123,15 +130,11 @@ def assemble_stiffness(mesh, coeff=None):
     return _scatter(rows, cols, local.reshape(len(t), 9), (n, n))
 
 
-def assemble_mass(mesh, lumped=False):
-    """Consistent P1 mass matrix, or its row-sum lumped diagonal."""
+def assemble_mass(mesh):
+    """Consistent P1 mass matrix."""
     areas, _ = triangle_data(mesh)
     t = mesh.triangles
     n = mesh.num_nodes
-    if lumped:
-        diag = np.zeros(n)
-        np.add.at(diag, t.ravel(), np.repeat(areas / 3.0, 3))
-        return sp.diags(diag).tocsr()
     base = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
     local = base[None, :, :] * areas[:, None, None]
     rows = np.repeat(t, 3, axis=1)
@@ -151,6 +154,33 @@ def _cached(mesh, key, build):
     if value is None:
         value = mesh._caches[key] = build(mesh)
     return value
+
+
+def _read_only(array):
+    array.flags.writeable = False
+    return array
+
+
+def mass_weight(mesh):
+    """Integrals of the P1 basis functions (N,), the row sums of the
+    consistent mass matrix: the weight of every zero-mean constraint.
+    Every caller shares the cached array, so it is read-only."""
+    return _cached(mesh, "mass_weight", lambda mesh: _read_only(
+        assemble_mass(mesh) @ np.ones(mesh.num_nodes)))
+
+
+def _lumped_mass(mesh):
+    areas, _ = triangle_data(mesh)
+    diag = np.zeros(mesh.num_nodes)
+    np.add.at(diag, mesh.triangles.ravel(), np.repeat(areas / 3.0, 3))
+    return _read_only(diag)
+
+
+def lumped_mass(mesh):
+    """Diagonal (N,) of the row-sum lumped P1 mass matrix: a third of
+    the area of each element at each of its vertices.  Read-only, like
+    mass_weight."""
+    return _cached(mesh, "lumped_mass", _lumped_mass)
 
 
 def _gradient_operator(mesh):
@@ -244,15 +274,9 @@ def assemble_convection(mesh, velocity=None, drift=None, drift_tensor=None,
                                           3, axis=1), (n, n))
 
 
-def _tagged_pairs(mesh, tags):
-    """(B, 2) endpoints of the boundary edges whose tag is in tags."""
-    return np.array([pair for pair, tag in mesh.boundary_edges
-                     if tag in tags], dtype=int).reshape(-1, 2)
-
-
 def boundary_edge_geometry(mesh, tag):
     """Per tagged edge: endpoints, length, unit normal outward of the fluid."""
-    pairs = _tagged_pairs(mesh, {tag})
+    pairs = tagged_edges(mesh, {tag})
     table = edge_table(mesh)
     tris = mesh.triangles[table.owner[table.lookup(pairs)]]
     a, b = pairs[:, 0], pairs[:, 1]
@@ -600,7 +624,7 @@ def assemble_p2_load(mesh, forcing):
 
 def _p2_boundary_dofs(mesh, tags):
     """Sorted list of the vertex and edge dofs on edges with the given tags."""
-    pairs = _tagged_pairs(mesh, tags)
+    pairs = tagged_edges(mesh, tags)
     edge_dofs = mesh.num_nodes + edge_table(mesh).lookup(pairs)
     return np.unique(np.concatenate([pairs.ravel(), edge_dofs])).tolist()
 
@@ -625,25 +649,27 @@ def _p2_periodic_pairs(mesh):
 
 
 class StokesOperator:
-    """Taylor-Hood saddle-point operator with reusable factorization.
+    """Taylor-Hood Stokes operator with reusable factorization.
 
     bc is a dict with keys "no_slip_tags" (list of boundary tags) and
     "periodic" (bool); a periodic operator needs a no-slip wall, without
-    which it raises NoSolidPhase.  The pressure is constrained to zero
-    mean.  Systems below DIRECT_DOF_LIMIT unknowns are solved by one
-    ZeroMeanLU of the saddle matrix bordered with the pressure weight.
-    Larger ones are solved by preconditioned conjugate gradients on the
-    pressure Schur complement S = B A^-1 B^T; a direct saddle LU at
-    eps=1/16 (130,564 rows) ran that step no faster and raised its peak
-    memory by half.  After periodic reduction and no-slip pinning the
-    velocity block is blockdiag(A, A), so one LU of the scalar block A
-    serves both components.  Every factorization here (the saddle, the
-    scalar block and the pressure Laplacian) is a symmetric_lu, not a
-    plain LU.  The preconditioner M_p^-1 + theta L_p^-1 adds the
-    inverse pressure Laplacian to the inverse lumped pressure mass,
-    because S acts like M_p / viscosity on pore-scale modes and like a
-    Darcy operator K eps^2 / viscosity L_p on longer ones (Cahouet &
-    Chabard, IJNMF 8, 1988); theta is read off the operator when it is
+    which it raises NoSolidPhase.  Both routes read two blocks built
+    once: a, the scalar P2 viscous block folded onto the periodic
+    velocity dofs (fold^T A fold) with the no-slip dofs pinned, and b,
+    the divergence rows -[Bx By] on the folded pressure dofs with the
+    pinned columns zeroed.  A saddle [[blockdiag(a, a), b^T], [b, 0]]
+    below DIRECT_DOF_LIMIT rows is factored by one ZeroMeanLU under the
+    pressure_weight constraint.  A larger one is solved by conjugate
+    gradients on the pressure Schur complement S = b blockdiag(a, a)^-1
+    b^T, with one symmetric_lu of a for both components.  A direct saddle
+    LU at eps=1/16 (130,564 rows) ran the micro_eps16 step (4 solves) no
+    faster, but cut the eps=1/16 step of a scale study (111 solves) from
+    50.4 to 15.5 s; it was declined because it raised the peak memory of
+    both by more than a third.  The preconditioner M_p^-1 + theta L_p^-1
+    adds the inverse pressure Laplacian to the inverse lumped pressure
+    mass, because S acts like M_p / viscosity on pore-scale modes and
+    like a Darcy operator K eps^2 / viscosity L_p on longer ones (Cahouet
+    & Chabard, IJNMF 8, 1988); theta is read off the operator when it is
     built, and each solve starts from the pressure of the last one.
     solves and schur_iterations count the calls to solve and the
     conjugate-gradient iterations they took.
@@ -666,83 +692,60 @@ class StokesOperator:
 
     def _build(self):
         mesh = self.mesh
-        n2 = p2_dof_count(mesh)
-        n1 = mesh.num_nodes
-        a = self.viscosity * assemble_p2_stiffness(mesh)
-        bx, by = assemble_divergence(mesh)
-        mass = assemble_mass(mesh)
+        self.fold, cols = periodic_prolongation(
+            p2_dof_count(mesh),
+            _p2_periodic_pairs(mesh) if self.periodic else ())
+        self.pressure_fold, _ = periodic_prolongation(
+            mesh.num_nodes, mesh.periodic_pairs if self.periodic else ())
+        self.fixed = np.unique(cols[self.no_slip_dofs])
+        free = np.ones(self.fold.shape[1])
+        free[self.fixed] = 0.0
+        viscous = self.fold.T @ (self.viscosity
+                                 * assemble_p2_stiffness(mesh)) @ self.fold
+        self.a, _ = apply_dirichlet(viscous.tocsr(), np.zeros(len(free)),
+                                    self.fixed, 0.0)
+        # Sorted columns make the sums of b @ u run in dof order.
+        self.b = (sp.hstack([self.pressure_fold.T @ -divergence @ self.fold
+                             for divergence in assemble_divergence(mesh)],
+                            format="csr")
+                  @ sp.diags(np.tile(free, 2))).sorted_indices()
+        self.pressure_weight = self.pressure_fold.T @ mass_weight(mesh)
 
-        # Full block system over (ux, uy, p) in the symmetric form.
-        zero = sp.csr_matrix((n2, n2))
-        saddle = sp.bmat([
-            [a, zero, -bx.T],
-            [zero, a, -by.T],
-            [-bx, -by, None],
-        ], format="csr")
-
-        nfull = 2 * n2 + n1
-        p2_pairs = _p2_periodic_pairs(mesh) if self.periodic else ()
-        if len(p2_pairs):
-            pairs = np.vstack([p2_pairs, p2_pairs + n2,
-                               mesh.periodic_pairs + 2 * n2])
-            self.prolong, cols = periodic_prolongation(nfull, pairs)
-        else:
-            self.prolong = sp.identity(nfull, format="csr")
-            cols = np.arange(nfull)
-
-        reduced = (self.prolong.T @ saddle @ self.prolong).tocsr()
-        no_slip = np.asarray(self.no_slip_dofs, dtype=int)
-        self.fixed = np.unique(cols[np.concatenate([no_slip, no_slip + n2])])
-        self.n2 = n2
-        self.n1 = n1
-        self.nred = reduced.shape[0]
-
-        weight_full = np.zeros(nfull)
-        weight_full[2 * n2:] = np.asarray(mass @ np.ones(n1)).ravel()
-        self.pressure_weight = self.prolong.T @ weight_full
-
-        self.matrix, _ = apply_dirichlet(reduced, np.zeros(self.nred),
-                                         self.fixed, 0.0)
-
-        # The bordered matrix has one row more than the reduced one.
-        if self.nred + 1 < DIRECT_DOF_LIMIT:
-            self._lu = ZeroMeanLU(self.matrix, self.pressure_weight)
+        rows = 2 * len(free) + len(self.pressure_weight)
+        # The bordered saddle has one row more.
+        if rows + 1 < DIRECT_DOF_LIMIT:
+            self._lu = ZeroMeanLU(*self.saddle())
             self._mode = "direct"
         else:
             self._prepare_schur()
             self._mode = "schur_cg"
-        log.debug("stokes operator: %d reduced dofs, mode=%s",
-                  self.nred, self._mode)
+        log.debug("stokes operator: %d saddle rows, mode=%s", rows,
+                  self._mode)
+
+    def saddle(self):
+        """The saddle [[blockdiag(a, a), b^T], [b, 0]] and the weight
+        (0, 0, pressure_weight) of its zero-mean constraint."""
+        matrix = sp.bmat([[sp.block_diag((self.a, self.a)), self.b.T],
+                          [self.b, None]])
+        weight = np.concatenate([np.zeros(self.b.shape[1]),
+                                 self.pressure_weight])
+        return matrix, weight
 
     def _prepare_schur(self):
-        # Split the reduced, no-slip-pinned matrix into velocity and
-        # pressure blocks.  Reduced dof layout follows the master order of
-        # the full layout (ux, uy, p), so classify masters by origin.  The
-        # uy masters are the ux masters shifted by n2 and both components
-        # share their pins, so the first half of u_ids carries the scalar
-        # block of each component.
-        marker = np.zeros(2 * self.n2 + self.n1)
-        marker[2 * self.n2:] = 1.0
-        is_pressure = (self.prolong.T @ marker) > 0
-        self.u_ids = np.flatnonzero(~is_pressure)
-        self.p_ids = np.flatnonzero(is_pressure)
-        ux_ids = self.u_ids[:len(self.u_ids) // 2]
-        self._lu_a = symmetric_lu(self.matrix[ux_ids][:, ux_ids].tocsc())
-        self.b_pu = self.matrix[self.p_ids][:, self.u_ids].tocsr()
-        weight = self.pressure_weight[self.p_ids]
+        self._lu_a = symmetric_lu(self.a.tocsc())
+        weight = self.pressure_weight
         self.wp = weight / np.linalg.norm(weight)
-        # Lumped pressure mass and P1 stiffness on the reduced pressure
+        # Lumped pressure mass and P1 stiffness on the folded pressure
         # dofs; the stiffness is bordered by the zero-mean constraint.
-        to_pressure = self.prolong[2 * self.n2:][:, self.p_ids]
-        mass_diag = assemble_mass(self.mesh, lumped=True).diagonal()
-        self.p_mass = to_pressure.T @ mass_diag
-        laplacian = to_pressure.T @ assemble_stiffness(self.mesh) @ to_pressure
+        fold = self.pressure_fold
+        mass_diag = lumped_mass(self.mesh)
+        self.p_mass = fold.T @ mass_diag
+        laplacian = fold.T @ assemble_stiffness(self.mesh) @ fold
         self._lu_laplacian = ZeroMeanLU(laplacian, weight)
         # theta is the ratio of two Rayleigh quotients of S: against the
         # mass on a broadband probe (about 1 / viscosity) and against the
         # Laplacian on the smooth probe x (about K eps^2 / viscosity).
-        coord = (to_pressure.T @ (mass_diag * self.mesh.nodes[:, 0])
-                 / self.p_mass)
+        coord = fold.T @ (mass_diag * self.mesh.nodes[:, 0]) / self.p_mass
         smooth = coord - (weight @ coord) / weight.sum()
         broad = self._project(
             np.random.default_rng(0).standard_normal(len(weight)))
@@ -751,11 +754,11 @@ class StokesOperator:
         self.theta = SCHUR_LAPLACE_WEIGHT * fine / darcy
 
     def _solve_velocity(self, rhs):
-        """A^-1 on a stacked (ux, uy) vector, both components in one solve."""
+        """a^-1 on a stacked (ux, uy) vector, both components in one solve."""
         return self._lu_a.solve(rhs.reshape(2, -1).T).T.ravel()
 
     def _schur(self, p):
-        return self.b_pu @ self._solve_velocity(self.b_pu.T @ p)
+        return self.b @ self._solve_velocity(self.b.T @ p)
 
     def _project(self, v):
         return v - (self.wp @ v) * self.wp
@@ -771,25 +774,22 @@ class StokesOperator:
     def solve(self, forcing):
         """Velocity (p2_dofs, 2) and pressure for elementwise-constant
         forcing."""
-        load = assemble_p2_load(self.mesh, forcing)
-        rhs_full = np.concatenate([load[:, 0], load[:, 1],
-                                   np.zeros(self.n1)])
-        rhs = self.prolong.T @ rhs_full
-        rhs[self.fixed] = 0.0
+        load = self.fold.T @ assemble_p2_load(self.mesh, forcing)
+        load[self.fixed] = 0.0
+        rhs = load.T.ravel()
         if self._mode == "direct":
-            sol = self._lu.solve(rhs)
+            u, p = np.split(self._lu.solve(np.append(
+                rhs, np.zeros(len(self.pressure_weight)))), [len(rhs)])
         else:
-            sol = self._solve_schur_cg(rhs)
+            u, p = self._solve_schur_cg(rhs)
         self.solves += 1
-        full = self.prolong @ sol
-        vel = np.column_stack([full[:self.n2], full[self.n2:2 * self.n2]])
-        return vel, full[2 * self.n2:]
+        return self.fold @ u.reshape(2, -1).T, self.pressure_fold @ p
 
     def _solve_schur_cg(self, rhs):
-        fu = rhs[self.u_ids]
-        fp = rhs[self.p_ids]
-        g = self.b_pu @ self._solve_velocity(fu) - fp
-        p = np.zeros(len(self.p_ids))
+        """Stacked velocity and pressure of the folded saddle for the
+        velocity load rhs."""
+        g = self.b @ self._solve_velocity(rhs)
+        p = np.zeros(len(self.pressure_weight))
         r = self._project(g)
         # The stop test stays relative to the cold-start residual, so a
         # warm start leaves the tolerance as it is.
@@ -822,14 +822,10 @@ class StokesOperator:
                     % SCHUR_MAX_ITER, where="fem.StokesOperator.solve")
             self.schur_iterations += it
         self._last_pressure = p
-        u = self._solve_velocity(fu - self.b_pu.T @ p)
-        sol = np.zeros(self.nred)
-        sol[self.u_ids] = u
-        sol[self.p_ids] = p
+        u = self._solve_velocity(rhs - self.b.T @ p)
         # Shift pressure to zero weighted mean.
-        wp_full = self.pressure_weight[self.p_ids]
-        sol[self.p_ids] -= (wp_full @ p) / np.sum(wp_full)
-        return sol
+        weight = self.pressure_weight
+        return u, p - (weight @ p) / np.sum(weight)
 
 
 def weak_divergence(mesh, vel):

@@ -153,9 +153,8 @@ class _Operators:
 
     def __init__(self, mesh, coeffs, dt=None):
         self.mass = fem.assemble_mass(mesh)
-        self.lumped = fem.assemble_mass(mesh, lumped=True)
-        self.weight = np.asarray(
-            self.mass @ np.ones(mesh.num_nodes)).ravel()
+        self.lumped = fem.lumped_mass(mesh)
+        self.weight = fem.mass_weight(mesh)
         self.stiff_d = fem.assemble_stiffness(mesh, coeffs.diffusion)
         self.lu_potential = fem.ZeroMeanLU(self.stiff_d, self.weight)
         if coeffs.permeability is not None:
@@ -166,7 +165,7 @@ class _Operators:
             self.lu_darcy = None
         if dt is not None:
             self.transport = fem.TransportSolver(
-                mesh, self.stiff_d, coeffs.porosity * self.lumped.diagonal(),
+                mesh, self.stiff_d, coeffs.porosity * self.lumped,
                 dt)
 
 
@@ -278,8 +277,7 @@ def make_neutral(mesh, c_plus, c_minus):
     keeps the total content and makes the zero charge an exact discrete
     invariant of the reacting step.
     """
-    mass = fem.assemble_mass(mesh)
-    weight = np.asarray(mass @ np.ones(mesh.num_nodes)).ravel()
+    weight = fem.mass_weight(mesh)
     excess = float(weight @ (c_plus - c_minus)) / weight.sum()
     log.debug("neutralizing initial charge excess %.3e", excess)
     return c_plus - excess / 2.0, c_minus + excess / 2.0
@@ -448,7 +446,7 @@ def run_macro(problem):
         return step_macro_np(base, coeffs, model, ops)
 
     states, diagnostics = run_steps(
-        problem, update_fields, transport, ops.lumped.diagonal(),
+        problem, update_fields, transport, ops.lumped,
         content_scale=coeffs.porosity, iterate=coupled)
     log.info("macro run finished: %d steps, final charge %.3e, "
              "transport %s, %d sweeps", len(diagnostics) - 1,

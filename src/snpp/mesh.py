@@ -238,13 +238,11 @@ def mesh_area(mesh):
     return float(np.sum(triangle_areas(mesh)))
 
 
-def boundary_nodes(mesh, tag):
-    out = set()
-    for (a, b), t in mesh.boundary_edges:
-        if t == tag:
-            out.add(int(a))
-            out.add(int(b))
-    return sorted(out)
+def tagged_edges(mesh, tags):
+    """(B, 2) endpoints of the boundary edges whose tag is in tags, in the
+    order of mesh.boundary_edges; np.unique of it gives their nodes."""
+    return np.array([pair for pair, tag in mesh.boundary_edges
+                     if tag in tags], dtype=int).reshape(-1, 2)
 
 
 def _structured_square(n):

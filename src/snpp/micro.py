@@ -25,7 +25,7 @@ from .macro import (
     run_steps,
     solve_neumann_potential,
 )
-from .mesh import GAMMA_INTERIOR, OUTER_BOUNDARY, boundary_nodes
+from .mesh import GAMMA_INTERIOR, OUTER_BOUNDARY, tagged_edges
 
 log = logging.getLogger(__name__)
 
@@ -64,9 +64,8 @@ class _Operators:
         self.regime = regime
         eps = mesh.eps
         self.mass = fem.assemble_mass(mesh)
-        self.lumped = fem.assemble_mass(mesh, lumped=True)
-        self.weight = np.asarray(
-            self.mass @ np.ones(mesh.num_nodes)).ravel()
+        self.lumped = fem.lumped_mass(mesh)
+        self.weight = fem.mass_weight(mesh)
         self.stiff = fem.assemble_stiffness(mesh)
         scaled = eps ** regime.alpha * self.stiff
         if regime.bc_type == NEUMANN:
@@ -74,8 +73,8 @@ class _Operators:
                 mesh, GAMMA_INTERIOR, eps * regime.sigma)
             self.lu_potential = fem.ZeroMeanLU(scaled, self.weight)
         else:
-            self.gamma_nodes = np.asarray(
-                sorted(boundary_nodes(mesh, GAMMA_INTERIOR)), dtype=int)
+            self.gamma_nodes = np.unique(
+                tagged_edges(mesh, {GAMMA_INTERIOR}))
             if not len(self.gamma_nodes):
                 raise NoSolidPhase(
                     "a wall potential needs an interior boundary",
@@ -92,7 +91,7 @@ class _Operators:
             mesh, {"no_slip_tags": [GAMMA_INTERIOR, OUTER_BOUNDARY]},
             viscosity=eps ** 2)
         self.transport = fem.TransportSolver(mesh, self.stiff,
-                                             self.lumped.diagonal(), dt)
+                                             self.lumped, dt)
 
     def solve_potential(self, charge):
         rhs = np.asarray(self.mass @ charge).ravel()
@@ -140,7 +139,7 @@ def run_micro(problem):
                                   state.phi)
 
     states, diagnostics = run_steps(problem, update_fields, transport,
-                                    ops.lumped.diagonal())
+                                    ops.lumped)
     log.info("micro run eps=%g finished: %d steps, transport %s, stokes %s, "
              "%d sweeps", problem.mesh.eps, len(diagnostics) - 1,
              ops.transport.summary(), ops.stokes.summary(),

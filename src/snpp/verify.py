@@ -66,8 +66,7 @@ class InvariantReport:
 
 
 def _weighted_mean_magnitude(mesh, values):
-    mass = fem.assemble_mass(mesh)
-    weight = np.asarray(mass @ np.ones(mesh.num_nodes)).ravel()
+    weight = fem.mass_weight(mesh)
     return abs(float(weight @ values)) / float(weight.sum())
 
 

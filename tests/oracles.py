@@ -12,7 +12,9 @@ operators of fem replaced.  reacting_pair_block and reacting_pair_step
 build and solve the transport block along the sparse-sum route (the
 convection matrices of convection_weights_reference, sums and sp.bmat)
 that the refilled fixed-pattern block of fem.TransportSolver is checked
-against.  solve_spd, mesh_quality_report, count_interior_loops and
+against.  stokes_saddle_reference folds the full Taylor-Hood saddle with
+one three-field prolongation and pins the no-slip dofs by elimination,
+the route that fem.StokesOperator's block build replaced.  solve_spd, mesh_quality_report, count_interior_loops and
 read_coefficients have no caller in the package; they are the test-side
 conjugate-gradient route, mesh statistics, hole count and
 coefficient-file reader.
@@ -234,6 +236,38 @@ def relative_weak_divergence(mesh, vel):
         terms = fold.T @ terms
     residual = fem.weak_divergence(mesh, vel)
     return float(np.max(np.abs(residual)) / np.max(terms))
+
+
+def stokes_saddle_reference(mesh, bc, viscosity):
+    """Folded, pinned Stokes saddle and its zero-mean constraint weight.
+
+    The full saddle [[A, 0, -Bx^T], [0, A, -By^T], [-Bx, -By, 0]] over
+    (ux, uy, p) is reduced to P^T S P by one prolongation P of all three
+    fields, and the no-slip dofs of both components are eliminated with
+    fem.apply_dirichlet.
+    """
+    n2 = fem.p2_dof_count(mesh)
+    n1 = mesh.num_nodes
+    a = viscosity * fem.assemble_p2_stiffness(mesh)
+    bx, by = fem.assemble_divergence(mesh)
+    zero = sp.csr_matrix((n2, n2))
+    saddle = sp.bmat([[a, zero, -bx.T], [zero, a, -by.T], [-bx, -by, None]],
+                     format="csr")
+    pairs = np.empty((0, 2), dtype=int)
+    if bc.get("periodic", False):
+        p2_pairs = fem._p2_periodic_pairs(mesh)
+        pairs = np.vstack([p2_pairs, p2_pairs + n2,
+                           mesh.periodic_pairs + 2 * n2])
+    prolong, cols = fem.periodic_prolongation(2 * n2 + n1, pairs)
+    no_slip = np.asarray(fem._p2_boundary_dofs(
+        mesh, set(bc.get("no_slip_tags", ()))), dtype=int)
+    fixed = np.unique(cols[np.concatenate([no_slip, no_slip + n2])])
+    weight = np.zeros(2 * n2 + n1)
+    weight[2 * n2:] = fem.assemble_mass(mesh) @ np.ones(n1)
+    matrix, _ = fem.apply_dirichlet(
+        (prolong.T @ saddle @ prolong).tocsr(),
+        np.zeros(prolong.shape[1]), fixed, 0.0)
+    return matrix, prolong.T @ weight
 
 
 def p1_element_gradients_reference(mesh, values):

@@ -1,11 +1,16 @@
-"""scripts/diff_outputs.py on two converge output directories."""
+"""scripts/diff_outputs.py on two converge or pore-scale output directories."""
 
 import json
 import pathlib
 import subprocess
 import sys
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
+
+from snpp import output
+from snpp.mesh import UnitCellGeometry, generate_unit_cell_mesh
 
 SCRIPT = pathlib.Path(__file__).resolve().parents[1] / "scripts" \
     / "diff_outputs.py"
@@ -82,3 +87,53 @@ def test_mismatched_studies_exit_two(tmp_path):
     second = write_run(tmp_path / "b", ROWS[:1], COEFFS, [], True)
     assert run_script(first, second)[0] == 2
     assert run_script(first)[0] == 2
+
+
+DIAGNOSTICS = [{"t": 0.0, "mass": 0.8, "charge": 1e-17, "min_c": 0.2,
+                "max_c": 0.7, "fp_iters": 0},
+               {"t": 2e-3, "mass": 0.8, "charge": -2e-17, "min_c": 0.21,
+                "max_c": 0.69, "fp_iters": 2}]
+
+
+def write_snapshots(directory, mesh, scale=1.0):
+    """diagnostics.csv and two VTK snapshots, as a pore-scale run writes
+    them; the pressure of the second snapshot is multiplied by scale."""
+    directory.mkdir()
+    output.write_diagnostics_csv(str(directory / "diagnostics.csv"),
+                                 DIAGNOSTICS)
+    x, y = mesh.nodes.T
+    for k, factor in enumerate((1.0, scale)):
+        state = SimpleNamespace(
+            t=2e-3 * k, c_plus=0.2 + 0.5 * x * y, c_minus=0.7 - 0.5 * x * y,
+            phi=np.sin(np.pi * x) * y, pressure=factor * (x - 0.5),
+            velocity=np.tile([1e-3, -2e-3], (mesh.num_triangles, 1)))
+        output.write_vtk(str(directory / ("micro_%04d.vtk" % k)), mesh,
+                         state)
+    return str(directory)
+
+
+def test_compares_the_diagnostics_and_vtk_fields_of_pore_scale_runs(
+        tmp_path):
+    mesh = generate_unit_cell_mesh(UnitCellGeometry(None, 0.25))
+    first = write_snapshots(tmp_path / "a", mesh)
+    second = write_snapshots(tmp_path / "b", mesh, scale=1 + 1e-9)
+    code, printed = run_script(first, second)
+    assert code == 0
+    # The largest pressure difference over the largest pressure.
+    assert float(printed["vtk", "pressure"]) == pytest.approx(1e-9, rel=1e-3)
+    for name in ("points", "cells", "c_plus", "c_minus", "phi", "velocity"):
+        assert float(printed["vtk", name]) == 0.0
+    for name in ("t", "mass", "charge", "min_c", "max_c", "fp_iters"):
+        assert float(printed["diagnostics.csv", name]) == 0.0
+    assert ("study.csv", "eps") not in printed
+
+
+def test_a_file_in_one_directory_only_or_another_mesh_exits_two(tmp_path):
+    mesh = generate_unit_cell_mesh(UnitCellGeometry(None, 0.25))
+    first = write_snapshots(tmp_path / "a", mesh)
+    second = write_snapshots(tmp_path / "b", mesh)
+    (tmp_path / "b" / "micro_0001.vtk").unlink()
+    assert run_script(first, second)[0] == 2
+    finer = generate_unit_cell_mesh(UnitCellGeometry(None, 0.125))
+    third = write_snapshots(tmp_path / "c", finer)
+    assert run_script(first, third)[0] == 2

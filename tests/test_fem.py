@@ -22,10 +22,10 @@ from snpp.mesh import (
     TriMesh,
     UnitCellGeometry,
     PerforatedDomain,
-    boundary_nodes,
     edge_table,
     generate_perforated_mesh,
     generate_unit_cell_mesh,
+    tagged_edges,
 )
 
 from oracles import (
@@ -43,6 +43,7 @@ from oracles import (
     reacting_pair_step,
     relative_weak_divergence,
     solve_spd,
+    stokes_saddle_reference,
     tri_area,
 )
 
@@ -92,10 +93,17 @@ def test_mass_matrix_single_triangle_closed_form():
 def test_lumped_mass_preserves_row_sums():
     mesh = square_mesh(0.25)
     consistent = fem.assemble_mass(mesh)
-    lumped = fem.assemble_mass(mesh, lumped=True)
+    lumped = fem.lumped_mass(mesh)
     row_sums = np.asarray(consistent.sum(axis=1)).ravel()
-    assert np.allclose(lumped.diagonal(), row_sums, atol=1e-15)
+    assert np.allclose(lumped, row_sums, atol=1e-15)
     assert lumped.sum() == pytest.approx(1.0, abs=1e-12)
+    assert np.allclose(fem.mass_weight(mesh), row_sums, atol=1e-15)
+    # Both are cached on the mesh and shared by every caller.
+    assert fem.lumped_mass(mesh) is lumped
+    with pytest.raises(ValueError):
+        lumped[0] = 0.0
+    with pytest.raises(ValueError):
+        fem.mass_weight(mesh)[0] = 0.0
 
 
 def test_stiffness_matches_quadrature_oracle_on_random_triangles():
@@ -174,8 +182,7 @@ def test_solve_spd_rejects_indefinite_matrix():
 def test_solve_spd_rejects_incompatible_singular_system():
     mesh = square_mesh(0.25)
     stiff = fem.assemble_stiffness(mesh)
-    mass = fem.assemble_mass(mesh)
-    rhs = mass @ np.ones(mesh.num_nodes)
+    rhs = fem.mass_weight(mesh)
     with pytest.raises((SolverBreakdown, MaxIterationsExceeded)):
         solve_spd(stiff, rhs)
 
@@ -197,7 +204,7 @@ def test_neumann_poisson_with_projection_and_mean_shift():
     exact = np.cos(np.pi * x) * np.cos(np.pi * y)
     forcing = 2.0 * np.pi ** 2 * exact
     rhs = mass @ forcing
-    lumped = fem.assemble_mass(mesh, lumped=True).diagonal()
+    lumped = fem.lumped_mass(mesh)
     u = solve_spd(stiff, rhs, project_constant=True, mean_weight=lumped)
     assert abs(lumped @ u) < 1e-10
     assert fem.l2_norm(mesh, u - exact) < 0.02
@@ -207,7 +214,7 @@ def test_zero_mean_constraint_direct_route():
     mesh = square_mesh(1.0 / 16.0)
     stiff = fem.assemble_stiffness(mesh)
     mass = fem.assemble_mass(mesh)
-    weight = np.asarray(mass @ np.ones(mesh.num_nodes)).ravel()
+    weight = fem.mass_weight(mesh)
     x, y = mesh.nodes.T
     forcing = 2.0 * np.pi ** 2 * np.cos(np.pi * x) * np.cos(np.pi * y)
     # Remove the discrete kernel component so both solution routes see the
@@ -224,7 +231,7 @@ def test_dirichlet_elimination():
     mesh = square_mesh(1.0 / 16.0)
     stiff = fem.assemble_stiffness(mesh)
     mass = fem.assemble_mass(mesh)
-    fixed = boundary_nodes(mesh, OUTER_BOUNDARY)
+    fixed = np.unique(tagged_edges(mesh, {OUTER_BOUNDARY}))
     matrix, rhs = fem.apply_dirichlet(
         stiff.copy(), np.zeros(mesh.num_nodes), fixed, 0.0)
     u = solve_spd(matrix, rhs)
@@ -246,7 +253,7 @@ def test_periodic_reduction_solves_shifted_problem():
     exact = (np.cos(2 * np.pi * x) + np.cos(2 * np.pi * y)) / 2.0
     forcing = 4.0 * np.pi ** 2 * exact
     fold, _ = fem.periodic_prolongation(mesh.num_nodes, mesh.periodic_pairs)
-    weight = fold.T @ (mass @ np.ones(mesh.num_nodes))
+    weight = fold.T @ fem.mass_weight(mesh)
     lu = fem.ZeroMeanLU(fold.T @ stiff @ fold, weight)
     u = fold @ lu.solve(fold.T @ (mass @ forcing))
     pairs = mesh.periodic_pairs
@@ -266,11 +273,10 @@ def test_symmetric_lu_does_not_pivot_on_zero_diagonals():
     stokes = fem.StokesOperator(
         mesh, {"no_slip_tags": [GAMMA_INTERIOR, OUTER_BOUNDARY]},
         viscosity=eps ** 2)
-    weight = fem.assemble_mass(mesh) @ np.ones(mesh.num_nodes)
     rng = np.random.default_rng(8)
     for matrix, constraint in (
-            (stokes.matrix, stokes.pressure_weight),
-            (fem.assemble_stiffness(mesh), weight)):
+            stokes.saddle(),
+            (fem.assemble_stiffness(mesh), fem.mass_weight(mesh))):
         col = sp.csr_matrix(np.reshape(constraint, (-1, 1)))
         bordered = sp.bmat([[matrix, col], [col.T, None]], format="csc")
         rhs = rng.standard_normal(bordered.shape[0])
@@ -282,24 +288,23 @@ def test_symmetric_lu_does_not_pivot_on_zero_diagonals():
 def test_reacting_pair_charge_decay_is_exact():
     mesh = disk_mesh(0.1)
     stiff = fem.assemble_stiffness(mesh)
-    mass = fem.assemble_mass(mesh, lumped=True)
+    lumped = fem.lumped_mass(mesh)
     rng = np.random.default_rng(2)
     c_plus = 1.0 + 0.3 * rng.uniform(-1, 1, mesh.num_nodes)
     c_minus = 1.0 + 0.3 * rng.uniform(-1, 1, mesh.num_nodes)
-    ones = np.ones(mesh.num_nodes)
     dt = 0.05
-    charge = ones @ (mass @ (c_plus - c_minus))
-    total = ones @ (mass @ (c_plus + c_minus))
+    charge = lumped @ (c_plus - c_minus)
+    total = lumped @ (c_plus + c_minus)
     norms = [fem.l2_norm(mesh, c_plus + c_minus)]
-    solver = fem.TransportSolver(mesh, stiff, mass.diagonal(), dt)
+    solver = fem.TransportSolver(mesh, stiff, lumped, dt)
     for _ in range(5):
         c_plus, c_minus = fem.step_reacting_pair(
             solver, None, None, None, c_plus, c_minus)
-        charge_new = ones @ (mass @ (c_plus - c_minus))
+        charge_new = lumped @ (c_plus - c_minus)
         assert charge_new == pytest.approx(charge / (1 + 2 * dt), rel=1e-12)
         charge = charge_new
         norms.append(fem.l2_norm(mesh, c_plus + c_minus))
-    total_new = ones @ (mass @ (c_plus + c_minus))
+    total_new = lumped @ (c_plus + c_minus)
     assert total_new == pytest.approx(total, rel=1e-12)
     # The sum obeys an implicit heat step, so its L2 norm cannot grow.
     assert all(b <= a + 1e-13 for a, b in zip(norms, norms[1:]))
@@ -325,7 +330,7 @@ def perforated_quarter_mesh():
 def test_refilled_block_matches_sparse_sum_route(make_mesh):
     mesh = make_mesh()
     stiff = fem.assemble_stiffness(mesh, DRIFT_TENSOR)
-    lumped = 0.8 * fem.assemble_mass(mesh, lumped=True).diagonal()
+    lumped = 0.8 * fem.lumped_mass(mesh)
     dt = 2e-3
     velocity = np.random.default_rng(4).normal(size=(mesh.num_triangles, 2))
     phi = drift_potential(mesh, 1.0)
@@ -396,7 +401,7 @@ def test_transport_solver_reuses_its_lu_against_fresh_factorizations(
 
     monkeypatch.setattr(fem, "splu", tracked_splu)
     mesh = square_mesh(1 / 32)
-    lumped = fem.assemble_mass(mesh, lumped=True).diagonal()
+    lumped = fem.lumped_mass(mesh)
     stiff = fem.assemble_stiffness(mesh, DRIFT_TENSOR)
     x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
     c_plus = 0.2 + 0.5 * np.exp(-25 * ((x - 0.35) ** 2 + (y - 0.45) ** 2))
@@ -455,7 +460,7 @@ def test_transport_solver_starts_refinement_from_its_last_solution(
     monkeypatch.setattr(fem, "splu", lambda matrix, **options:
                         NormLoggingLU(splu(matrix, **options)))
     mesh = square_mesh(1 / 32)
-    lumped = fem.assemble_mass(mesh, lumped=True).diagonal()
+    lumped = fem.lumped_mass(mesh)
     stiff = fem.assemble_stiffness(mesh, DRIFT_TENSOR)
     x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
     c_plus = 0.2 + 0.5 * np.exp(-25 * ((x - 0.35) ** 2 + (y - 0.45) ** 2))
@@ -482,7 +487,7 @@ def test_transport_solver_refines_a_drifted_block_on_its_first_lu(drift):
     # A drift of 0.2% or 2% from the factored block is solved to the gate
     # by refinement on the kept LU, without a second factorization.
     mesh = square_mesh(1 / 32)
-    lumped = fem.assemble_mass(mesh, lumped=True).diagonal()
+    lumped = fem.lumped_mass(mesh)
     stiff = fem.assemble_stiffness(mesh, DRIFT_TENSOR)
     x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
     c_plus = 0.2 + 0.5 * np.exp(-25 * ((x - 0.35) ** 2 + (y - 0.45) ** 2))
@@ -516,6 +521,23 @@ def periodic_cell_stokes_case():
 @pytest.mark.parametrize("case", [perforated_stokes_case,
                                   periodic_cell_stokes_case],
                          ids=["perforated", "periodic_cell"])
+def test_block_built_saddle_matches_the_full_saddle_route(case):
+    mesh, bc, viscosity, _ = case()
+    matrix, weight = fem.StokesOperator(mesh, bc,
+                                        viscosity=viscosity).saddle()
+    ref_matrix, ref_weight = stokes_saddle_reference(mesh, bc, viscosity)
+    assert matrix.shape == ref_matrix.shape
+    # The divergence rows keep the sign of the reference's -[Bx By]; a
+    # flipped b would flip the pressure and differ here by 2 |B|.
+    assert abs(matrix - ref_matrix).max() \
+        <= 1e-14 * abs(ref_matrix).max()
+    assert np.max(np.abs(weight - ref_weight)) \
+        <= 1e-14 * np.max(ref_weight)
+
+
+@pytest.mark.parametrize("case", [perforated_stokes_case,
+                                  periodic_cell_stokes_case],
+                         ids=["perforated", "periodic_cell"])
 def test_schur_cg_stokes_matches_direct_route(case, monkeypatch):
     mesh, bc, viscosity, forcings = case()
     direct = fem.StokesOperator(mesh, bc, viscosity=viscosity)
@@ -534,8 +556,8 @@ def test_schur_cg_stokes_matches_direct_route(case, monkeypatch):
 
     # One LU of the scalar block solves both components as the LU of the
     # whole two-component velocity block, in the same ordering, does.
-    block = fem.symmetric_lu(op.matrix[op.u_ids][:, op.u_ids].tocsc())
-    rhs = np.random.default_rng(6).standard_normal(len(op.u_ids))
+    block = fem.symmetric_lu(sp.block_diag((op.a, op.a), format="csc"))
+    rhs = np.random.default_rng(6).standard_normal(block.shape[0])
     ref = block.solve(rhs)
     assert np.max(np.abs(op._solve_velocity(rhs) - ref)) \
         <= 1e-14 * np.max(np.abs(ref))

@@ -50,8 +50,7 @@ def bare_state(mesh, c_plus=None, c_minus=None, phi=None):
 
 
 def weighted_mean(mesh, values):
-    mass = fem.assemble_mass(mesh)
-    weight = np.asarray(mass @ np.ones(mesh.num_nodes)).ravel()
+    weight = fem.mass_weight(mesh)
     return float(weight @ values) / weight.sum()
 
 
@@ -158,7 +157,7 @@ def test_poisson_surface_charge_balances_bulk_charge():
     mass = fem.assemble_mass(mesh)
     rhs = porosity * np.asarray(
         mass @ (state.c_plus - state.c_minus)).ravel() \
-        + sigma_bar * np.asarray(mass @ np.ones(mesh.num_nodes)).ravel()
+        + sigma_bar * fem.mass_weight(mesh)
     assert np.max(np.abs(stiff @ phi - rhs)) <= 1e-9
 
 

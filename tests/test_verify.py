@@ -98,7 +98,7 @@ def test_invariant_suite_flags_convective_undershoot():
         mesh=mesh, t=0.0, c_plus=blob.copy(), c_minus=np.zeros_like(blob),
         phi=np.zeros(mesh.num_nodes), pressure=np.zeros(mesh.num_nodes),
         velocity=np.tile([8.0, 0.0], (mesh.num_triangles, 1)))
-    lumped = fem.assemble_mass(mesh, lumped=True).diagonal()
+    lumped = fem.lumped_mass(mesh)
 
     def diag_row(c_plus, c_minus, t):
         return {"t": t,
