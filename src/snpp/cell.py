@@ -123,7 +123,7 @@ class EffectiveCoefficients:
 
 
 def _has_interface(mesh):
-    return any(tag == GAMMA_INTERIOR for _, tag in mesh.boundary_edges)
+    return len(tagged_edges(mesh, {GAMMA_INTERIOR})) > 0
 
 
 def solve_scalar_cell_problems(mesh):

@@ -22,24 +22,15 @@ import numpy as np
 from . import __version__, macro, micro, output, verify
 from .cell import compute_effective_coefficients
 from .errors import (
-    DegenerateElement,
-    FieldMeshMismatch,
-    FixedPointDivergence,
-    FormulaMismatch,
     GridMisaligned,
     InadmissibleScaling,
     InclusionTouchesBoundary,
-    IncompatibleSource,
     MalformedDiagnostics,
-    MaxIterationsExceeded,
-    MeshGenerationFailure,
-    NonFiniteField,
     NonMonotoneConvergence,
     NoSolidPhase,
     ParseError,
     ResolutionTooCoarse,
     SnppError,
-    SolverBreakdown,
     ValidationError,
 )
 from .mesh import (
@@ -71,17 +62,6 @@ DEFAULT_EPS = 0.5
 USAGE_ERRORS = (ParseError, ValidationError, InadmissibleScaling,
                 InclusionTouchesBoundary, ResolutionTooCoarse,
                 GridMisaligned, MalformedDiagnostics, NoSolidPhase)
-
-ORIGIN = {
-    InclusionTouchesBoundary: "mesh", MeshGenerationFailure: "mesh",
-    ResolutionTooCoarse: "mesh", DegenerateElement: "fem",
-    FieldMeshMismatch: "fem", SolverBreakdown: "fem",
-    MaxIterationsExceeded: "fem", NoSolidPhase: "fem", FormulaMismatch: "cell",
-    InadmissibleScaling: "macro", IncompatibleSource: "macro",
-    FixedPointDivergence: "macro", NonFiniteField: "macro",
-    GridMisaligned: "verify", MalformedDiagnostics: "verify",
-    ParseError: "cli.parse_config",
-}
 
 
 class RunConfig:
@@ -466,8 +446,7 @@ RUNNERS = {"cell": run_cell, "macro": run_macro_cmd, "micro": run_micro_cmd,
 
 
 def _report_error(exc):
-    origin = exc.where or ORIGIN.get(type(exc))
-    origin = " [%s]" % origin if origin else ""
+    origin = " [%s]" % exc.where if exc.where else ""
     detail = ""
     if isinstance(exc, ParseError) and exc.line is not None:
         detail = " (line %d, column %d)" % (exc.line, exc.column)

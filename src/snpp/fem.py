@@ -5,11 +5,12 @@ uses P2 on the same triangulation (Taylor-Hood pair), held as a plain
 (p2_dofs, 2) array whose rows are the mesh nodes and then its edges.
 Assembly is vectorized over elements and accumulated via
 coordinate-format scatter.  The kernels that run at every fixed-point
-sweep (P1 element gradients, the P2 element means and the loads of
-elementwise fields) are each one sparse product with an operator that
-is built on first use and kept in mesh._caches; a load is the product
-with the transpose.  P1 interpolation reads only the structured
-macro square, where a point's triangle follows in closed form.
+sweep (P1 element gradients and means, the P2 element means and the
+loads of elementwise fields) are each one sparse product with an
+operator that is built on first use and kept in mesh._caches; a load,
+the lumped mass and the recovered nodal gradient are products with a
+transpose.  P1 interpolation reads only the structured macro square,
+where a point's triangle follows in closed form.
 The coupled transport block of both species belongs to a TransportSolver
 built once per run: it fixes the block's sparsity pattern, refills only
 the convection values at every step, factors the block once and solves
@@ -20,8 +21,9 @@ The Stokes operator is built from two folded and pinned blocks, the
 scalar P2 viscous block and the divergence rows of both velocity
 components; its direct route factors the saddle made of them, and its
 Schur-complement route factors the viscous block and applies the
-divergence rows.  mass_weight and lumped_mass are kept per mesh in
-mesh._caches too.
+divergence rows.  The consistent mass matrix (mass_matrix), its row
+sums (mass_weight) and lumped_mass are kept per mesh in mesh._caches
+too.
 
 Every symmetric system is factored by symmetric_lu: the bordered
 zero-mean systems of ZeroMeanLU (the direct Stokes saddle, the macro
@@ -50,7 +52,7 @@ from .errors import (
     NoSolidPhase,
     SolverBreakdown,
 )
-from .mesh import GAMMA_INTERIOR, edge_table, tagged_edges
+from .mesh import GAMMA_INTERIOR, edge_table, tagged_edges, triangle_areas
 
 log = logging.getLogger(__name__)
 
@@ -80,29 +82,39 @@ _QW4 = np.array([0.223381589678011] * 3 + [0.109951743655322] * 3)
 _EDGE_LOCAL = ((1, 2), (2, 0), (0, 1))
 
 
-def triangle_data(mesh):
-    """Areas (M,) and P1 basis gradients (M, 3, 2)."""
-    cached = mesh._caches.get("p1")
-    if cached is not None:
-        return cached
-    p = mesh.nodes
-    t = mesh.triangles
-    x = p[t, 0]
-    y = p[t, 1]
-    two_a = ((x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0])
-             - (x[:, 2] - x[:, 0]) * (y[:, 1] - y[:, 0]))
-    areas = 0.5 * two_a
+def _cached(mesh, key, build):
+    """mesh._caches[key], set to build(mesh) on first use."""
+    value = mesh._caches.get(key)
+    if value is None:
+        value = mesh._caches[key] = build(mesh)
+    return value
+
+
+def _read_only(array):
+    array.flags.writeable = False
+    return array
+
+
+def _triangle_data(mesh):
+    areas = triangle_areas(mesh)
     if np.any(areas < 1e-14):
         raise DegenerateElement(
             "triangle area below 1e-14 (min %g)" % float(np.min(areas)),
             where="fem.assembly")
-    grads = np.empty((len(t), 3, 2))
+    x = mesh.nodes[mesh.triangles, 0]
+    y = mesh.nodes[mesh.triangles, 1]
+    two_a = 2.0 * areas
+    grads = np.empty((mesh.num_triangles, 3, 2))
     for i in range(3):
         j, k = (i + 1) % 3, (i + 2) % 3
         grads[:, i, 0] = (y[:, j] - y[:, k]) / two_a
         grads[:, i, 1] = (x[:, k] - x[:, j]) / two_a
-    mesh._caches["p1"] = (areas, grads)
     return areas, grads
+
+
+def triangle_data(mesh):
+    """Areas (M,) and P1 basis gradients (M, 3, 2)."""
+    return _cached(mesh, "p1", _triangle_data)
 
 
 def _scatter(rows, cols, data, shape):
@@ -142,23 +154,25 @@ def assemble_mass(mesh):
     return _scatter(rows, cols, local.reshape(len(t), 9), (n, n))
 
 
+def _vertex_operator(mesh):
+    """(M, N) CSR matrix with a 1 at each element's three vertices."""
+    m = mesh.num_triangles
+    return sp.csr_matrix(
+        (np.ones(3 * m), mesh.triangles.ravel(),
+         np.arange(0, 3 * m + 1, 3)), shape=(m, mesh.num_nodes))
+
+
 def element_means(mesh, values):
-    """Elementwise mean of a nodal scalar or vector."""
-    values = np.asarray(values, dtype=float)
-    return values[mesh.triangles].mean(axis=1)
+    """Elementwise mean (M,) or (M, k) of a nodal scalar (N,) or of k
+    nodal scalars (N, k)."""
+    vertices = _cached(mesh, "vertices", _vertex_operator)
+    return vertices @ np.asarray(values, dtype=float) / 3.0
 
 
-def _cached(mesh, key, build):
-    """mesh._caches[key], set to build(mesh) on first use."""
-    value = mesh._caches.get(key)
-    if value is None:
-        value = mesh._caches[key] = build(mesh)
-    return value
-
-
-def _read_only(array):
-    array.flags.writeable = False
-    return array
+def mass_matrix(mesh):
+    """The consistent P1 mass matrix, assembled once per mesh and shared
+    by every caller."""
+    return _cached(mesh, "mass", assemble_mass)
 
 
 def mass_weight(mesh):
@@ -166,14 +180,13 @@ def mass_weight(mesh):
     consistent mass matrix: the weight of every zero-mean constraint.
     Every caller shares the cached array, so it is read-only."""
     return _cached(mesh, "mass_weight", lambda mesh: _read_only(
-        assemble_mass(mesh) @ np.ones(mesh.num_nodes)))
+        mass_matrix(mesh) @ np.ones(mesh.num_nodes)))
 
 
 def _lumped_mass(mesh):
     areas, _ = triangle_data(mesh)
-    diag = np.zeros(mesh.num_nodes)
-    np.add.at(diag, mesh.triangles.ravel(), np.repeat(areas / 3.0, 3))
-    return _read_only(diag)
+    vertices = _cached(mesh, "vertices", _vertex_operator)
+    return _read_only(vertices.T @ (areas / 3.0))
 
 
 def lumped_mass(mesh):
@@ -212,14 +225,9 @@ def assemble_gradient_load(mesh, field):
 def recover_nodal_gradient(mesh, values):
     """Area-weighted average of element gradients at the nodes, (N, 2)."""
     areas, _ = triangle_data(mesh)
-    eg = p1_element_gradients(mesh, values)
-    out = np.zeros((mesh.num_nodes, 2))
-    weight = np.zeros(mesh.num_nodes)
-    t = mesh.triangles
-    for i in range(3):
-        np.add.at(out, t[:, i], eg * areas[:, None])
-        np.add.at(weight, t[:, i], areas)
-    return out / weight[:, None]
+    vertices = _cached(mesh, "vertices", _vertex_operator).T
+    weighted = p1_element_gradients(mesh, values) * areas[:, None]
+    return (vertices @ weighted) / (vertices @ areas)[:, None]
 
 
 def _scaled_gradients(mesh):
@@ -245,7 +253,7 @@ def _convection_weights(mesh, velocity, drift, drift_tensor):
         if moved.shape != (m, 2):
             raise FieldMeshMismatch(
                 "velocity shape %s does not match the elements"
-                % (moved.shape,))
+                % (moved.shape,), where="fem.convection")
     if drift is not None:
         drifted = p1_element_gradients(mesh, drift)
         if drift_tensor is not None:
@@ -275,7 +283,8 @@ def assemble_convection(mesh, velocity=None, drift=None, drift_tensor=None,
 
 
 def boundary_edge_geometry(mesh, tag):
-    """Per tagged edge: endpoints, length, unit normal outward of the fluid."""
+    """Endpoints (B, 2), lengths (B,) and unit normals (B, 2) outward of
+    the fluid of the edges tagged tag, in the order of tagged_edges."""
     pairs = tagged_edges(mesh, {tag})
     table = edge_table(mesh)
     tris = mesh.triangles[table.owner[table.lookup(pairs)]]
@@ -287,16 +296,15 @@ def boundary_edge_geometry(mesh, tag):
     normal = np.column_stack([edge[:, 1], -edge[:, 0]]) / length[:, None]
     toward_third = np.einsum("ed,ed->e", normal, pc - 0.5 * (pa + pb)) > 0
     normal[toward_third] = -normal[toward_third]
-    return list(zip(a.tolist(), b.tolist(), length.tolist(), normal))
+    return pairs, length, normal
 
 
 def assemble_boundary_load(mesh, tag, value):
-    """Load vector of the surface term value * integral phi_i ds."""
-    rhs = np.zeros(mesh.num_nodes)
-    for a, b, length, _ in boundary_edge_geometry(mesh, tag):
-        rhs[a] += value * length / 2.0
-        rhs[b] += value * length / 2.0
-    return rhs
+    """Load vector of the surface term value * integral phi_i ds: half of
+    each edge's value * length at both of its endpoints."""
+    pairs, length, _ = boundary_edge_geometry(mesh, tag)
+    return np.bincount(pairs.ravel(), weights=np.repeat(
+        value * length / 2.0, 2), minlength=mesh.num_nodes)
 
 
 def assemble_interface_normal_load(mesh, direction):
@@ -306,12 +314,10 @@ def assemble_interface_normal_load(mesh, direction):
     boundary datum of the periodic corrector problems, and it sums to zero
     over each closed interface (discretely, to rounding).
     """
-    rhs = np.zeros(mesh.num_nodes)
-    for a, b, length, normal in boundary_edge_geometry(mesh, GAMMA_INTERIOR):
-        flux = -normal[direction] * length / 2.0
-        rhs[a] += flux
-        rhs[b] += flux
-    return rhs
+    pairs, length, normal = boundary_edge_geometry(mesh, GAMMA_INTERIOR)
+    flux = -normal[:, direction] * length / 2.0
+    return np.bincount(pairs.ravel(), weights=np.repeat(flux, 2),
+                       minlength=mesh.num_nodes)
 
 
 # ----------------------------------------------------------------------
@@ -665,12 +671,13 @@ class StokesOperator:
     LU at eps=1/16 (130,564 rows) ran the micro_eps16 step (4 solves) no
     faster, but cut the eps=1/16 step of a scale study (111 solves) from
     50.4 to 15.5 s; it was declined because it raised the peak memory of
-    both by more than a third.  The preconditioner M_p^-1 + theta L_p^-1
-    adds the inverse pressure Laplacian to the inverse lumped pressure
-    mass, because S acts like M_p / viscosity on pore-scale modes and
-    like a Darcy operator K eps^2 / viscosity L_p on longer ones (Cahouet
-    & Chabard, IJNMF 8, 1988); theta is read off the operator when it is
-    built, and each solve starts from the pressure of the last one.
+    both by more than a third (micro_eps16: 240 to 368 MB).  The
+    preconditioner M_p^-1 + theta L_p^-1 adds the inverse pressure
+    Laplacian to the inverse lumped pressure mass, because S acts like
+    M_p / viscosity on pore-scale modes and like a Darcy operator
+    K eps^2 / viscosity L_p on longer ones (Cahouet & Chabard, IJNMF 8,
+    1988); theta is read off the operator when it is built, and each
+    solve starts from the pressure of the last one.
     solves and schur_iterations count the calls to solve and the
     conjugate-gradient iterations they took.
     """
@@ -875,10 +882,6 @@ def p1_interpolate(mesh, values, points):
 
 
 def l2_norm(mesh, values):
-    """Mass-weighted L2 norm of nodal scalars or (N, k) vectors."""
-    mass = _cached(mesh, "mass", assemble_mass)
+    """Mass-weighted L2 norm of a nodal scalar."""
     values = np.asarray(values, dtype=float)
-    if values.ndim == 1:
-        return float(np.sqrt(values @ (mass @ values)))
-    return float(np.sqrt(sum(values[:, k] @ (mass @ values[:, k])
-                             for k in range(values.shape[1]))))
+    return float(np.sqrt(values @ (mass_matrix(mesh) @ values)))

@@ -152,7 +152,7 @@ class _Operators:
     """
 
     def __init__(self, mesh, coeffs, dt=None):
-        self.mass = fem.assemble_mass(mesh)
+        self.mass = fem.mass_matrix(mesh)
         self.lumped = fem.lumped_mass(mesh)
         self.weight = fem.mass_weight(mesh)
         self.stiff_d = fem.assemble_stiffness(mesh, coeffs.diffusion)

@@ -63,7 +63,7 @@ class _Operators:
         self.mesh = mesh
         self.regime = regime
         eps = mesh.eps
-        self.mass = fem.assemble_mass(mesh)
+        self.mass = fem.mass_matrix(mesh)
         self.lumped = fem.lumped_mass(mesh)
         self.weight = fem.mass_weight(mesh)
         self.stiff = fem.assemble_stiffness(mesh)

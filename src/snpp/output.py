@@ -63,23 +63,27 @@ def read_diagnostics_csv(path):
     with open(path, newline="") as handle:
         reader = csv.DictReader(handle)
         if reader.fieldnames is None:
-            raise MalformedDiagnostics("diagnostics file %s is empty" % path)
+            raise MalformedDiagnostics("diagnostics file %s is empty" % path,
+                                       where="output.read_diagnostics_csv")
         rows = []
         for record in reader:
             row = {}
             for key, text in record.items():
                 if key is None or text is None:
                     raise MalformedDiagnostics(
-                        "ragged row in diagnostics file %s" % path)
+                        "ragged row in diagnostics file %s" % path,
+                        where="output.read_diagnostics_csv")
                 try:
                     row[key] = float(text)
                 except ValueError:
                     raise MalformedDiagnostics(
                         "non-numeric entry %r in column %r of %s"
-                        % (text, key, path))
+                        % (text, key, path),
+                        where="output.read_diagnostics_csv")
             rows.append(row)
     if not rows:
-        raise MalformedDiagnostics("diagnostics file %s has no rows" % path)
+        raise MalformedDiagnostics("diagnostics file %s has no rows" % path,
+                                   where="output.read_diagnostics_csv")
     return rows
 
 

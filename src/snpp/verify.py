@@ -96,17 +96,21 @@ def run_invariant_suite(states, diagnostics, regime=None, lam=1.0):
     malformed input raises MalformedDiagnostics.
     """
     if not diagnostics:
-        raise MalformedDiagnostics("diagnostics are empty")
+        raise MalformedDiagnostics("diagnostics are empty",
+                                   where="verify.run_invariant_suite")
     for row in diagnostics:
         if not all(key in row for key in DIAGNOSTIC_KEYS):
             raise MalformedDiagnostics(
-                "diagnostic row lacks keys %s" % (sorted(
-                    set(DIAGNOSTIC_KEYS) - set(row)),))
+                "diagnostic row lacks keys %s"
+                % (sorted(set(DIAGNOSTIC_KEYS) - set(row)),),
+                where="verify.run_invariant_suite")
         if not all(np.isfinite(row[key]) for key in DIAGNOSTIC_KEYS):
-            raise MalformedDiagnostics("diagnostic row holds a non-finite "
-                                       "value at t=%r" % (row.get("t"),))
+            raise MalformedDiagnostics(
+                "diagnostic row holds a non-finite value at t=%r"
+                % (row.get("t"),), where="verify.run_invariant_suite")
     if states is not None and not states:
-        raise MalformedDiagnostics("no states recorded")
+        raise MalformedDiagnostics("no states recorded",
+                                   where="verify.run_invariant_suite")
 
     checks = []
     mass0 = diagnostics[0]["mass"]
@@ -178,7 +182,7 @@ def cell_average(mesh, values, eps, intrinsic=False):
     if scalar:
         values = values[:, None]
     areas, _ = fem.triangle_data(mesh)
-    centroids = mesh.nodes[mesh.triangles].mean(axis=1)
+    centroids = fem.element_means(mesh, mesh.nodes)
     ix = np.clip((centroids[:, 0] / eps).astype(int), 0, n - 1)
     iy = np.clip((centroids[:, 1] / eps).astype(int), 0, n - 1)
     ids = iy * n + ix

@@ -2,22 +2,24 @@
 
 Everything here is deliberately written along a different route than the
 package: element integrals come from a high-order barycentric quadrature
-loop instead of closed forms, and the linear solve is plain dense Gaussian
-elimination. Slow and simple on purpose.  relative_weak_divergence is a
-measure on the package's own divergence rows, shared by the Stokes tests;
-fixed_point_checked measures the stop rule of the stepping loop against
-sweeps continued well past it.  The *_reference kernels gather element
-values and accumulate with np.add.at, the route that the per-mesh sparse
-operators of fem replaced.  reacting_pair_block and reacting_pair_step
-build and solve the transport block along the sparse-sum route (the
-convection matrices of convection_weights_reference, sums and sp.bmat)
-that the refilled fixed-pattern block of fem.TransportSolver is checked
-against.  stokes_saddle_reference folds the full Taylor-Hood saddle with
-one three-field prolongation and pins the no-slip dofs by elimination,
-the route that fem.StokesOperator's block build replaced.  solve_spd, mesh_quality_report, count_interior_loops and
-read_coefficients have no caller in the package; they are the test-side
-conjugate-gradient route, mesh statistics, hole count and
-coefficient-file reader.
+loop instead of closed forms, and the linear solve is plain dense
+Gaussian elimination. Slow and simple on purpose.
+relative_weak_divergence is a measure on the package's own divergence
+rows, shared by the Stokes tests; fixed_point_checked measures the stop
+rule of the stepping loop against sweeps continued well past it. The
+*_reference kernels gather element values and accumulate with np.add.at,
+or loop over boundary edges, the routes that the per-mesh sparse
+operators and the np.bincount edge loads of fem replaced.
+reacting_pair_block and reacting_pair_step build and solve the transport
+block along the sparse-sum route (the convection matrices of
+convection_weights_reference, sums and sp.bmat) that the refilled
+fixed-pattern block of fem.TransportSolver is checked against.
+stokes_saddle_reference folds the full Taylor-Hood saddle with one
+three-field prolongation and pins the no-slip dofs by elimination, the
+route that fem.StokesOperator's block build replaced. solve_spd,
+mesh_quality_report, count_interior_loops and read_coefficients have no
+caller in the package; they are the test-side conjugate-gradient route,
+mesh statistics, hole count and coefficient-file reader.
 """
 
 from dataclasses import replace
@@ -305,6 +307,55 @@ def p2_element_means_reference(mesh, values):
     element."""
     edge_values = np.asarray(values, dtype=float)[mesh.num_nodes:]
     return edge_values[edge_table(mesh).tri_edges].mean(axis=1)
+
+
+def element_means_reference(mesh, values):
+    """Mean (M,) or (M, k) of a nodal field over each element's nodes."""
+    return np.asarray(values, dtype=float)[mesh.triangles].mean(axis=1)
+
+
+def lumped_mass_reference(mesh):
+    """A third of each element's area at each of its vertices, (N,)."""
+    areas, _ = fem.triangle_data(mesh)
+    diag = np.zeros(mesh.num_nodes)
+    np.add.at(diag, mesh.triangles.ravel(), np.repeat(areas / 3.0, 3))
+    return diag
+
+
+def recover_nodal_gradient_reference(mesh, values):
+    """Area-weighted average (N, 2) of the element gradients at the
+    nodes."""
+    areas, _ = fem.triangle_data(mesh)
+    eg = p1_element_gradients_reference(mesh, values)
+    out = np.zeros((mesh.num_nodes, 2))
+    weight = np.zeros(mesh.num_nodes)
+    t = mesh.triangles
+    for i in range(3):
+        np.add.at(out, t[:, i], eg * areas[:, None])
+        np.add.at(weight, t[:, i], areas)
+    return out / weight[:, None]
+
+
+def boundary_load_reference(mesh, tag, value):
+    """Load of value * integral phi_i ds over the edges tagged tag, edge
+    by edge."""
+    rhs = np.zeros(mesh.num_nodes)
+    for (a, b), length in zip(*fem.boundary_edge_geometry(mesh, tag)[:2]):
+        rhs[a] += value * length / 2.0
+        rhs[b] += value * length / 2.0
+    return rhs
+
+
+def interface_normal_load_reference(mesh, direction):
+    """Load of -integral (e_direction . nu) phi_i ds over the inclusion
+    boundary, edge by edge."""
+    rhs = np.zeros(mesh.num_nodes)
+    for (a, b), length, normal in zip(
+            *fem.boundary_edge_geometry(mesh, GAMMA_INTERIOR)):
+        flux = -normal[direction] * length / 2.0
+        rhs[a] += flux
+        rhs[b] += flux
+    return rhs
 
 
 def convection_weights_reference(mesh, velocity, drift, tensor, sign):

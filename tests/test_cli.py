@@ -27,17 +27,27 @@ def run(tmp_path, command, payload):
 
 
 def test_every_error_class_is_raised_and_every_origin_is_one():
-    # The sources are parsed, so a class named only in an import, an
-    # except clause or the ORIGIN table does not count as raised.  The
-    # same walk keeps the package free of environment-variable knobs.
+    # The sources are parsed, so a class named only in an import or an
+    # except clause does not count as raised.  Every construction but a
+    # ValidationError's names its origin through where, which is the one
+    # place the error report reads it from.  The same walk keeps the
+    # package free of environment-variable knobs.
+    classes = {name for name, obj in vars(errors).items()
+               if isinstance(obj, type) and issubclass(obj, errors.SnppError)
+               and obj is not errors.SnppError}
     constructed = set()
+    unplaced = []
     environment = []
     for path in pathlib.Path(cli.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Call):
                 func = node.func
-                constructed.add(getattr(func, "id", getattr(func, "attr",
-                                                            None)))
+                name = getattr(func, "id", getattr(func, "attr", None))
+                constructed.add(name)
+                if (name in classes and name != "ValidationError"
+                        and "where" not in {k.arg for k in node.keywords}):
+                    unplaced.append("%s:%d %s" % (path.name, node.lineno,
+                                                  name))
             if isinstance(node, ast.Attribute):
                 name = node.attr
             elif isinstance(node, ast.alias):
@@ -46,11 +56,8 @@ def test_every_error_class_is_raised_and_every_origin_is_one():
                 continue
             if name in ("environ", "getenv"):
                 environment.append("%s: %s" % (path.name, name))
-    classes = {obj for obj in vars(errors).values()
-               if isinstance(obj, type) and issubclass(obj, errors.SnppError)
-               and obj is not errors.SnppError}
-    assert {cls.__name__ for cls in classes} - constructed == set()
-    assert set(cli.ORIGIN) <= classes
+    assert classes - constructed == set()
+    assert unplaced == []
     assert environment == []
 
 
@@ -263,6 +270,11 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "regime.alpha" in err
     assert "cli.parse_config" in err
+    ragged = tmp_path / "ragged.csv"
+    ragged.write_text("t,mass,charge,min_c,max_c,fp_iters\n0,1,0,0,1,0,5\n")
+    assert run(tmp_path, "check", {"diagnostics": str(ragged)}) == 1
+    assert ("MalformedDiagnostics [output.read_diagnostics_csv]"
+            in capsys.readouterr().err)
 
 
 def test_numerical_failure_exits_two(tmp_path, capsys):

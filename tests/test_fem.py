@@ -29,18 +29,23 @@ from snpp.mesh import (
 )
 
 from oracles import (
+    boundary_load_reference,
     convection_reference,
     dense_p1_convection,
     dense_p1_mass,
     dense_p1_stiffness,
+    element_means_reference,
     gauss_solve,
     gradient_load_reference,
+    interface_normal_load_reference,
+    lumped_mass_reference,
     p1_element_gradients_reference,
     p1_interpolate_reference,
     p2_element_means_reference,
     p2_load_reference,
     reacting_pair_block,
     reacting_pair_step,
+    recover_nodal_gradient_reference,
     relative_weak_divergence,
     solve_spd,
     stokes_saddle_reference,
@@ -356,6 +361,8 @@ def test_per_mesh_operators_match_the_gather_routes(make_mesh):
     cases = [
         (fem.p1_element_gradients(mesh, phi),
          p1_element_gradients_reference(mesh, phi)),
+        (fem.recover_nodal_gradient(mesh, phi),
+         recover_nodal_gradient_reference(mesh, phi)),
         (fem.assemble_gradient_load(mesh, field),
          gradient_load_reference(mesh, field)),
         (fem.assemble_p2_load(mesh, field), p2_load_reference(mesh, field)),
@@ -371,6 +378,23 @@ def test_per_mesh_operators_match_the_gather_routes(make_mesh):
     for ours, ref in cases:
         assert ours.shape == ref.shape
         assert np.max(np.abs(ours - ref)) <= 1e-14 * np.max(np.abs(ref))
+    # These sum the same terms in the same order as their references.
+    nodal = np.column_stack([phi, rng.standard_normal(mesh.num_nodes)])
+    exact = [
+        (fem.element_means(mesh, phi), element_means_reference(mesh, phi)),
+        (fem.element_means(mesh, nodal),
+         element_means_reference(mesh, nodal)),
+        (fem.lumped_mass(mesh), lumped_mass_reference(mesh)),
+    ]
+    for tag in (OUTER_BOUNDARY, GAMMA_INTERIOR):
+        exact.append((fem.assemble_boundary_load(mesh, tag, 0.3),
+                      boundary_load_reference(mesh, tag, 0.3)))
+    for direction in (0, 1):
+        exact.append((fem.assemble_interface_normal_load(mesh, direction),
+                      interface_normal_load_reference(mesh, direction)))
+    for ours, ref in exact:
+        assert ours.shape == ref.shape
+        assert np.array_equal(ours, ref)
 
 
 class TrackedLU:
@@ -647,12 +671,10 @@ def test_interface_load_is_balanced_and_normals_point_inward():
         load = fem.assemble_interface_normal_load(mesh, direction)
         assert abs(load.sum()) < 1e-12
     center = np.array([0.5, 0.5])
-    for a, b, length, normal in fem.boundary_edge_geometry(
-            mesh, GAMMA_INTERIOR):
-        mid = 0.5 * (mesh.nodes[a] + mesh.nodes[b])
-        assert normal @ (center - mid) > 0
-    perimeter = sum(length for _, _, length, _ in
-                    fem.boundary_edge_geometry(mesh, GAMMA_INTERIOR))
+    pairs, length, normal = fem.boundary_edge_geometry(mesh, GAMMA_INTERIOR)
+    mid = 0.5 * (mesh.nodes[pairs[:, 0]] + mesh.nodes[pairs[:, 1]])
+    assert np.all(np.einsum("ed,ed->e", normal, center - mid) > 0)
+    perimeter = length.sum()
     assert perimeter == pytest.approx(2 * np.pi * 0.25, rel=5e-3)
 
 

@@ -382,9 +382,8 @@ def test_balanced_surface_charge_solves_then_decays_incompatible(
     domain = PerforatedDomain(0.5, DISK_CELL)
     mesh = generate_perforated_mesh(domain, 1 / 16)
     sigma = 0.2
-    surface = 0.5 * sigma * sum(
-        length for _, _, length, _ in
-        fem.boundary_edge_geometry(mesh, GAMMA_INTERIOR))
+    _, length, _ = fem.boundary_edge_geometry(mesh, GAMMA_INTERIOR)
+    surface = 0.5 * sigma * length.sum()
     area = mesh_area(mesh)
     base = 0.4 * np.ones(mesh.num_nodes)
     c_plus = base.copy()
