@@ -9,14 +9,17 @@ when both directories hold it; held by one only, it exits 2.  For every
 column of study.csv and diagnostics.csv and every key of
 coefficients.txt the script prints the largest relative difference
 |a - b| / max(|a|, |b|) over its entries: 0 where both values are equal
-(both nan included) and inf where only one is nan.  For every array of
+(both nan included) and inf where only one is nan.  Next to it, for the
+columns of the two tables, it prints max|a - b| over the column divided
+by the largest |value| of the column in either run, so an entry near
+zero next to large ones does not read as large; entries nan in both runs
+are left out, and a nan in one run only gives inf.  For every array of
 the VTK files (the points, the cells and each field) it prints the
-largest of max|a - b| / max(|a|, |b|) over the files, taken over the
-whole array, so entries near zero do not read as large.  It exits 1
-when the "flags" or the "monotone" of the two manifests differ, and 0
-otherwise; a table whose header or row count differs between the two
-runs, a VTK array whose size differs, a key present in one
-coefficients.txt only, or no file to compare exits 2.
+largest of that scaled difference over the files.  It exits 1 when the
+"flags" or the "monotone" of the two manifests differ, and 0 otherwise;
+a table whose header or row count differs between the two runs, a VTK
+array whose size differs, a key present in one coefficients.txt only, or
+no file to compare exits 2.
 """
 
 import csv
@@ -38,11 +41,15 @@ def relative_difference(a, b):
 
 
 def array_difference(a, b):
-    """max|a - b| / max(|a|, |b|) over two arrays, 0 when they are equal."""
+    """max|a - b| / max(|a|, |b|) over two arrays, 0 when they are equal;
+    entries nan in both are left out, and one nan gives inf."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if np.array_equal(a, b, equal_nan=True):
         return 0.0
-    if np.isnan(a).any() or np.isnan(b).any():
+    nan_a, nan_b = np.isnan(a), np.isnan(b)
+    if np.any(nan_a != nan_b):
         return math.inf
+    a, b = a[~nan_a], b[~nan_b]
     return float(np.max(np.abs(a - b))
                  / max(np.max(np.abs(a)), np.max(np.abs(b))))
 
@@ -109,7 +116,9 @@ def compare_table(name, first, second):
     for k, column in enumerate(header):
         worst = max((relative_difference(a[k], b[k])
                      for a, b in zip(rows_a, rows_b)), default=0.0)
-        print("%s %-20s %.3e" % (name, column, worst))
+        scaled = array_difference([row[k] for row in rows_a],
+                                  [row[k] for row in rows_b])
+        print("%s %-20s %.3e %.3e" % (name, column, worst, scaled))
     return True
 
 

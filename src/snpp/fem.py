@@ -27,8 +27,10 @@ too.
 
 Every symmetric system is factored by symmetric_lu: the bordered
 zero-mean systems of ZeroMeanLU (the direct Stokes saddle, the macro
-potential and Darcy systems, the pore-scale Neumann potential, the
-Schur pressure Laplacian, the scalar cell correctors), the scalar
+potential and Darcy systems, the P1 Laplacian of a Neumann pore-scale
+run, which serves both its potential and the pressure Laplacian of its
+Schur route, the pressure Laplacian that any other Schur-route Stokes
+operator factors itself, the scalar cell correctors), the scalar
 velocity block of the Schur route, and the Dirichlet potentials of the
 cell and the pore scale.  Its minimum-degree ordering of A^T + A fills
 the eps=1/8 Stokes saddle LU five times less than scipy's default
@@ -677,12 +679,18 @@ class StokesOperator:
     M_p / viscosity on pore-scale modes and like a Darcy operator
     K eps^2 / viscosity L_p on longer ones (Cahouet & Chabard, IJNMF 8,
     1988); theta is read off the operator when it is built, and each
-    solve starts from the pressure of the last one.
+    solve starts from the pressure of the last one.  laplacian_lu, when
+    given, is the ZeroMeanLU of the mesh's P1 stiffness under the
+    mass_weight constraint, factored by the caller for its own use (the
+    pore-scale Neumann potential); a non-periodic operator on the Schur
+    route takes it as its L_p, whose pressure dofs are the mesh nodes,
+    instead of factoring its own.  A periodic operator folds its
+    pressure dofs and factors its folded Laplacian.
     solves and schur_iterations count the calls to solve and the
     conjugate-gradient iterations they took.
     """
 
-    def __init__(self, mesh, bc, viscosity=1.0):
+    def __init__(self, mesh, bc, viscosity=1.0, laplacian_lu=None):
         self.mesh = mesh
         self.viscosity = viscosity
         self.no_slip_dofs = _p2_boundary_dofs(
@@ -695,6 +703,7 @@ class StokesOperator:
         self.solves = 0
         self.schur_iterations = 0
         self._last_pressure = None
+        self._lu_laplacian = None if self.periodic else laplacian_lu
         self._build()
 
     def _build(self):
@@ -748,7 +757,8 @@ class StokesOperator:
         mass_diag = lumped_mass(self.mesh)
         self.p_mass = fold.T @ mass_diag
         laplacian = fold.T @ assemble_stiffness(self.mesh) @ fold
-        self._lu_laplacian = ZeroMeanLU(laplacian, weight)
+        if self._lu_laplacian is None:
+            self._lu_laplacian = ZeroMeanLU(laplacian, weight)
         # theta is the ratio of two Rayleigh quotients of S: against the
         # mass on a broadband probe (about 1 / viscosity) and against the
         # Laplacian on the smooth probe x (about K eps^2 / viscosity).

@@ -113,7 +113,9 @@ class TriMesh:
 
     nodes : (N, 2) float array
     triangles : (M, 3) int array, counterclockwise
-    boundary_edges : list of ((a, b), tag)
+    boundary_edges : (B, 2) int array of the endpoints of the boundary
+        edges
+    boundary_tags : (B,) str array, the tag of each boundary edge
     periodic_pairs : (P, 2) int array of (master, slave) node ids
     eps, cell_mesh, node_cell_origin : set on tiled meshes only (None
         elsewhere): the cell scale, the unit-cell mesh that was tiled and
@@ -123,7 +125,8 @@ class TriMesh:
 
     nodes: np.ndarray
     triangles: np.ndarray
-    boundary_edges: list
+    boundary_edges: np.ndarray
+    boundary_tags: np.ndarray
     periodic_pairs: np.ndarray
     eps: float = None
     cell_mesh: object = None
@@ -139,18 +142,14 @@ class TriMesh:
         if np.any(table.counts > 2):
             raise ValidationError("mesh is not conforming: an edge is shared "
                                   "by more than two triangles")
-        tagged = np.sort(np.array([pair for pair, _ in self.boundary_edges],
-                                  dtype=int).reshape(-1, 2), axis=1)
+        tagged = np.sort(self.boundary_edges, axis=1)
         if not np.array_equal(np.unique(tagged, axis=0),
                               table.edges[table.boundary()]):
             raise ValidationError("boundary edge tags do not cover the "
                                   "topological boundary exactly")
-        gamma_degree = {}
-        for (a, b), tag in self.boundary_edges:
-            if tag == GAMMA_INTERIOR:
-                gamma_degree[a] = gamma_degree.get(a, 0) + 1
-                gamma_degree[b] = gamma_degree.get(b, 0) + 1
-        if any(d != 2 for d in gamma_degree.values()):
+        gamma_degree = np.bincount(
+            tagged_edges(self, {GAMMA_INTERIOR}).ravel())
+        if np.any((gamma_degree != 0) & (gamma_degree != 2)):
             raise ValidationError("interior boundary edges do not form "
                                   "closed curves")
         if len(self.periodic_pairs):
@@ -241,27 +240,24 @@ def mesh_area(mesh):
 def tagged_edges(mesh, tags):
     """(B, 2) endpoints of the boundary edges whose tag is in tags, in the
     order of mesh.boundary_edges; np.unique of it gives their nodes."""
-    return np.array([pair for pair, tag in mesh.boundary_edges
-                     if tag in tags], dtype=int).reshape(-1, 2)
+    return mesh.boundary_edges[np.isin(mesh.boundary_tags, list(tags))]
 
 
 def _structured_square(n):
-    """Exact right-isoceles triangulation of the unit square, n x n cells."""
+    """Exact right-isoceles triangulation of the unit square, n x n cells.
+
+    Node (i, j) sits at (i/n, j/n) with id i (n + 1) + j; square (i, j)
+    is split into (a, b, c) and (a, c, d) from its corners a = (i, j),
+    b = (i+1, j), c = (i+1, j+1), d = (i, j+1), squares in row-major
+    order.
+    """
     xs = np.arange(n + 1) / n
     ii, jj = np.meshgrid(np.arange(n + 1), np.arange(n + 1), indexing="ij")
     nodes = np.column_stack([xs[ii.ravel()], xs[jj.ravel()]])
-
-    def nid(i, j):
-        return i * (n + 1) + j
-
-    tris = []
-    for i in range(n):
-        for j in range(n):
-            a, b = nid(i, j), nid(i + 1, j)
-            c, d = nid(i + 1, j + 1), nid(i, j + 1)
-            tris.append((a, b, c))
-            tris.append((a, c, d))
-    return nodes, np.array(tris, dtype=int)
+    a = (np.arange(n)[:, None] * (n + 1) + np.arange(n)).ravel()
+    b, c, d = a + n + 1, a + n + 2, a + 1
+    tris = np.column_stack([a, b, c, a, c, d]).reshape(-1, 3)
+    return nodes, tris
 
 
 def _circle_point_count(radius, h):
@@ -294,22 +290,21 @@ def _orient_ccw(nodes, tris):
     return tris
 
 
-def _merge_nodes(nodes, tris_list):
-    """Deduplicate exactly coincident nodes and remap triangle indices."""
-    key_of = {}
-    order = []
-    remap = np.empty(len(nodes), dtype=int)
-    for idx, (x, y) in enumerate(nodes):
-        key = (round(x, 12), round(y, 12))
-        if key in key_of:
-            remap[idx] = key_of[key]
-        else:
-            key_of[key] = len(order)
-            remap[idx] = len(order)
-            order.append(idx)
-    merged = nodes[np.array(order)]
-    out_tris = [remap[t] for t in tris_list]
-    return merged, out_tris, remap
+def _merge_nodes(nodes, tris):
+    """Deduplicate coincident nodes (equal to 12 decimals) and remap the
+    triangles; the merged nodes keep the order of first appearance.
+
+    Returns the merged nodes, the remapped triangles and the new id of
+    every input node.
+    """
+    _, first, inverse = np.unique(np.round(nodes, 12), axis=0,
+                                  return_index=True, return_inverse=True)
+    # np.unique numbers the nodes by coordinates; renumber them by first use.
+    by_use = np.argsort(first)
+    rank = np.empty_like(by_use)
+    rank[by_use] = np.arange(len(by_use))
+    remap = rank[inverse.ravel()]
+    return nodes[first[by_use]], remap[tris], remap
 
 
 def _centered_disk_cell(n, radius):
@@ -347,10 +342,10 @@ def _centered_disk_cell(n, radius):
     tris = _orient_ccw(points, tris)
 
     def merge_mirror(nodes, tris, reflected):
-        all_nodes = np.vstack([nodes, reflected])
         flipped = tris[:, [0, 2, 1]] + len(nodes)
-        merged, tris_out, _ = _merge_nodes(all_nodes, [tris, flipped])
-        return merged, np.vstack(tris_out)
+        merged, tris, _ = _merge_nodes(np.vstack([nodes, reflected]),
+                                       np.vstack([tris, flipped]))
+        return merged, tris
 
     nodes, tris = merge_mirror(points, tris, points[:, ::-1])
     for axis in (1, 0):
@@ -406,7 +401,7 @@ def _build_cell(inclusion, target_h):
 
 
 def _find_boundary_edges(nodes, table):
-    """Single-triangle edges in lexicographic order, tagged by position.
+    """Single-triangle edges in lexicographic order and their tags.
 
     An edge with both endpoints on the sides of the unit square is
     OuterBoundary, any other GammaInterior.
@@ -416,18 +411,19 @@ def _find_boundary_edges(nodes, table):
     on_outer = ((np.minimum(np.abs(x), np.abs(x - 1.0)) < 1e-9)
                 | (np.minimum(np.abs(y), np.abs(y - 1.0)) < 1e-9))
     outer = on_outer[edges].all(axis=1)
-    return [((a, b), OUTER_BOUNDARY if o else GAMMA_INTERIOR)
-            for (a, b), o in zip(edges.tolist(), outer)]
+    return edges, np.where(outer, OUTER_BOUNDARY, GAMMA_INTERIOR)
 
 
 def _tagged_mesh(nodes, tris, periodic_pairs, **record):
     """Validated TriMesh with boundary tags and its edge table cached."""
     tris = np.asarray(tris, dtype=int)
     table = EdgeTable(tris)
+    edges, tags = _find_boundary_edges(nodes, table)
     mesh = TriMesh(
         nodes=nodes,
         triangles=tris,
-        boundary_edges=_find_boundary_edges(nodes, table),
+        boundary_edges=edges,
+        boundary_tags=tags,
         periodic_pairs=np.asarray(periodic_pairs, dtype=int).reshape(-1, 2),
         **record)
     mesh._caches["edges"] = table
@@ -436,19 +432,24 @@ def _tagged_mesh(nodes, tris, periodic_pairs, **record):
 
 
 def _match_faces(nodes, axis, low, high):
-    """Pair nodes on two opposite faces by the complementary coordinate."""
-    other = 1 - axis
-    lows, highs = {}, {}
-    for idx, point in enumerate(nodes):
-        if abs(point[axis] - low) < 1e-9:
-            lows[round(point[other], 12)] = idx
-        elif abs(point[axis] - high) < 1e-9:
-            highs[round(point[other], 12)] = idx
-    if set(lows) != set(highs):
+    """(K, 2) pairs of nodes on two opposite faces with the same
+    complementary coordinate (to 12 decimals), in increasing order of it."""
+    coord = nodes[:, axis]
+    on_low = np.abs(coord - low) < 1e-9
+    on_high = ~on_low & (np.abs(coord - high) < 1e-9)
+    traces = []
+    for on_face in (on_low, on_high):
+        # Reversed, so that the last node of a repeated key is kept.
+        ids = np.flatnonzero(on_face)[::-1]
+        keys, last = np.unique(np.round(nodes[ids, 1 - axis], 12),
+                               return_index=True)
+        traces.append((keys, ids[last]))
+    (low_keys, lows), (high_keys, highs) = traces
+    if not np.array_equal(low_keys, high_keys):
         raise MeshGenerationFailure(
             "periodic faces carry different node traces",
             where="mesh.generate_unit_cell_mesh")
-    return [(lows[key], highs[key]) for key in sorted(lows)]
+    return np.column_stack([lows, highs])
 
 
 def _check_mesh_size(nodes, tris, target_h, where):
@@ -473,8 +474,8 @@ def generate_unit_cell_mesh(geom):
     nodes, tris = _build_cell(geom.inclusion, geom.target_h)
     _check_mesh_size(nodes, tris, geom.target_h,
                      where="mesh.generate_unit_cell_mesh")
-    pairs = (_match_faces(nodes, 0, 0.0, 1.0)
-             + _match_faces(nodes, 1, 0.0, 1.0))
+    pairs = np.vstack([_match_faces(nodes, 0, 0.0, 1.0),
+                       _match_faces(nodes, 1, 0.0, 1.0)])
     mesh = _tagged_mesh(nodes, tris, pairs)
     log.debug("unit cell mesh: %d nodes, %d triangles, area %.6f",
               mesh.num_nodes, mesh.num_triangles, mesh_area(mesh))
@@ -495,32 +496,24 @@ def generate_perforated_mesh(dom, target_h):
             where="mesh.generate_perforated_mesh")
     h_cell = target_h / dom.eps
     cell_nodes, cell_tris = _build_cell(dom.cell.inclusion, h_cell)
-    cell_pairs = (_match_faces(cell_nodes, 0, 0.0, 1.0)
-                  + _match_faces(cell_nodes, 1, 0.0, 1.0))
+    cell_pairs = np.vstack([_match_faces(cell_nodes, 0, 0.0, 1.0),
+                            _match_faces(cell_nodes, 1, 0.0, 1.0)])
     cell_mesh = _tagged_mesh(cell_nodes, cell_tris, cell_pairs)
 
     eps = dom.eps
     n = round(1.0 / eps)
     nc = len(cell_nodes)
-    all_nodes = []
-    all_tris = []
-    origins = []
-    for cy in range(n):
-        for cx in range(n):
-            shifted = (cell_nodes + np.array([float(cx), float(cy)])) * eps
-            all_nodes.append(shifted)
-            offset = (cy * n + cx) * nc
-            all_tris.append(cell_tris + offset)
-            origins.append(np.arange(nc))
-    stacked = np.vstack(all_nodes)
-    merged, tris_out, remap = _merge_nodes(stacked, all_tris)
-
-    origin_all = np.concatenate(origins)
+    # Tile k = cy n + cx is the cell shifted by (cx, cy).
+    cy, cx = np.divmod(np.arange(n * n), n)
+    shifts = np.column_stack([cx, cy]).astype(float)
+    stacked = ((cell_nodes + shifts[:, None]) * eps).reshape(-1, 2)
+    tiled = (cell_tris + nc * np.arange(n * n)[:, None, None]).reshape(-1, 3)
+    merged, tris, remap = _merge_nodes(stacked, tiled)
     node_origin = np.empty(len(merged), dtype=int)
-    node_origin[remap] = origin_all
+    node_origin[remap] = np.tile(np.arange(nc), n * n)
 
     mesh = _tagged_mesh(
-        merged, np.vstack(tris_out), (), eps=eps, cell_mesh=cell_mesh,
+        merged, tris, (), eps=eps, cell_mesh=cell_mesh,
         node_cell_origin=node_origin)
     log.debug("perforated mesh eps=%g: %d nodes, %d triangles",
               eps, mesh.num_nodes, mesh.num_triangles)

@@ -57,7 +57,12 @@ class MicroProblem:
 
 class _Operators:
     """Matrices and factorizations of one run_micro call of step dt, with
-    the potential, flow and transport solves built on them."""
+    the potential, flow and transport solves built on them.
+
+    On the Neumann branch one ZeroMeanLU of the P1 stiffness serves the
+    potential, whose eps^alpha coefficient divides the solution, and the
+    pressure Laplacian of the Stokes operator's Schur route.
+    """
 
     def __init__(self, mesh, regime, dt):
         self.mesh = mesh
@@ -67,12 +72,14 @@ class _Operators:
         self.lumped = fem.lumped_mass(mesh)
         self.weight = fem.mass_weight(mesh)
         self.stiff = fem.assemble_stiffness(mesh)
-        scaled = eps ** regime.alpha * self.stiff
+        self.eps_alpha = eps ** regime.alpha
+        self.lu_laplacian = None
         if regime.bc_type == NEUMANN:
             self.surface_load = fem.assemble_boundary_load(
                 mesh, GAMMA_INTERIOR, eps * regime.sigma)
-            self.lu_potential = fem.ZeroMeanLU(scaled, self.weight)
+            self.lu_laplacian = fem.ZeroMeanLU(self.stiff, self.weight)
         else:
+            scaled = self.eps_alpha * self.stiff
             self.gamma_nodes = np.unique(
                 tagged_edges(mesh, {GAMMA_INTERIOR}))
             if not len(self.gamma_nodes):
@@ -89,7 +96,7 @@ class _Operators:
             self.lu_potential = fem.symmetric_lu(sp.csc_matrix(constrained))
         self.stokes = fem.StokesOperator(
             mesh, {"no_slip_tags": [GAMMA_INTERIOR, OUTER_BOUNDARY]},
-            viscosity=eps ** 2)
+            viscosity=eps ** 2, laplacian_lu=self.lu_laplacian)
         self.transport = fem.TransportSolver(mesh, self.stiff,
                                              self.lumped, dt)
 
@@ -97,8 +104,8 @@ class _Operators:
         rhs = np.asarray(self.mass @ charge).ravel()
         if self.regime.bc_type == NEUMANN:
             return solve_neumann_potential(
-                self.lu_potential, self.weight, rhs + self.surface_load,
-                "micro.solve_potential")
+                self.lu_laplacian, self.weight, rhs + self.surface_load,
+                "micro.solve_potential") / self.eps_alpha
         rhs = rhs - self.wall_correction
         rhs[self.gamma_nodes] = self.regime.phi_d
         return self.lu_potential.solve(rhs)

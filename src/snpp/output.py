@@ -107,11 +107,18 @@ def write_study_csv(path, study):
             ])
 
 
+def _rows(row_format, array):
+    """One line per row of array, each value formatted by row_format."""
+    return (row_format * len(array)) % tuple(np.ravel(array).tolist())
+
+
 def write_vtk(path, mesh, state):
     """Write one solution state as a legacy ASCII VTK unstructured grid.
 
     Concentrations, potential, and pressure go out as point scalars; the
-    elementwise velocity as a per-triangle cell vector.
+    elementwise velocity as a per-triangle cell vector.  Each section is
+    formatted with one % over its row format repeated once per row and
+    written as one string, so only one section is held as text at a time.
     """
     points = mesh.nodes
     tris = mesh.triangles
@@ -121,28 +128,25 @@ def write_vtk(path, mesh, state):
     if velocity.shape != (len(tris), 2):
         raise ValidationError("velocity shape %s does not match the mesh"
                               % (velocity.shape,), field="velocity")
+    pair = "%s %s 0\n" % (FLOAT_FORMAT, FLOAT_FORMAT)
     with open(path, "w") as handle:
         handle.write("# vtk DataFile Version 3.0\n")
         handle.write("snpp fields t=%s\n" % _fmt(state.t))
         handle.write("ASCII\nDATASET UNSTRUCTURED_GRID\n")
         handle.write("POINTS %d double\n" % len(points))
-        for x, y in points:
-            handle.write("%s %s 0\n" % (_fmt(x), _fmt(y)))
+        handle.write(_rows(pair, points))
         handle.write("CELLS %d %d\n" % (len(tris), 4 * len(tris)))
-        for a, b, c in tris:
-            handle.write("3 %d %d %d\n" % (a, b, c))
+        handle.write(_rows("3 %d %d %d\n", tris))
         handle.write("CELL_TYPES %d\n" % len(tris))
-        for _ in range(len(tris)):
-            handle.write("5\n")
+        handle.write("5\n" * len(tris))
         handle.write("POINT_DATA %d\n" % len(points))
         for name, values in scalars:
             handle.write("SCALARS %s double 1\nLOOKUP_TABLE default\n" % name)
-            for value in np.asarray(values, dtype=float):
-                handle.write("%s\n" % _fmt(value))
+            handle.write(_rows(FLOAT_FORMAT + "\n",
+                               np.asarray(values, dtype=float)))
         handle.write("CELL_DATA %d\n" % len(tris))
         handle.write("VECTORS velocity double\n")
-        for vx, vy in velocity:
-            handle.write("%s %s 0\n" % (_fmt(vx), _fmt(vy)))
+        handle.write(_rows(pair, velocity))
 
 
 def write_manifest(path, payload):

@@ -16,7 +16,12 @@ convection_weights_reference, sums and sp.bmat) that the refilled
 fixed-pattern block of fem.TransportSolver is checked against.
 stokes_saddle_reference folds the full Taylor-Hood saddle with one
 three-field prolongation and pins the no-slip dofs by elimination, the
-route that fem.StokesOperator's block build replaced. solve_spd,
+route that fem.StokesOperator's block build replaced.
+structured_square_reference, match_faces_reference,
+merge_nodes_reference and tile_reference build meshes with the
+per-node Python loops and dicts, and write_vtk_reference writes a VTK
+file value by value, the routes that the array kernels of mesh and
+output.write_vtk replaced. solve_spd,
 mesh_quality_report, count_interior_loops and read_coefficients have no
 caller in the package; they are the test-side conjugate-gradient route,
 mesh statistics, hole count and coefficient-file reader.
@@ -169,7 +174,8 @@ def edge_table_reference(triangles):
 
 
 def boundary_edges_reference(nodes, triangles):
-    """Single-triangle edges in lexicographic order with their tags.
+    """Single-triangle edges in lexicographic order with their tags, as a
+    list of ((a, b), tag).
 
     An edge is "OuterBoundary" when both endpoints lie on the sides of the
     unit square and "GammaInterior" otherwise.
@@ -183,6 +189,108 @@ def boundary_edges_reference(nodes, triangles):
             for x, y in (nodes[a], nodes[b]))
         out.append(((a, b), "OuterBoundary" if outer else "GammaInterior"))
     return out
+
+
+def structured_square_reference(n):
+    """Right-isoceles triangulation of the unit square, square by square."""
+    xs = np.arange(n + 1) / n
+    ii, jj = np.meshgrid(np.arange(n + 1), np.arange(n + 1), indexing="ij")
+    nodes = np.column_stack([xs[ii.ravel()], xs[jj.ravel()]])
+
+    def nid(i, j):
+        return i * (n + 1) + j
+
+    tris = []
+    for i in range(n):
+        for j in range(n):
+            a, b = nid(i, j), nid(i + 1, j)
+            c, d = nid(i + 1, j + 1), nid(i, j + 1)
+            tris.append((a, b, c))
+            tris.append((a, c, d))
+    return nodes, np.array(tris, dtype=int)
+
+
+def match_faces_reference(nodes, axis, low, high):
+    """Node pairs on two opposite faces, matched through a dict keyed by
+    the complementary coordinate rounded to 12 decimals."""
+    other = 1 - axis
+    lows, highs = {}, {}
+    for idx, point in enumerate(nodes):
+        if abs(point[axis] - low) < 1e-9:
+            lows[round(point[other], 12)] = idx
+        elif abs(point[axis] - high) < 1e-9:
+            highs[round(point[other], 12)] = idx
+    assert set(lows) == set(highs)
+    return np.array([(lows[key], highs[key]) for key in sorted(lows)],
+                    dtype=int).reshape(-1, 2)
+
+
+def merge_nodes_reference(nodes, tris):
+    """Merged nodes, remapped triangles and the remap, node by node through
+    a dict keyed by the coordinates rounded to 12 decimals."""
+    key_of = {}
+    order = []
+    remap = np.empty(len(nodes), dtype=int)
+    for idx, (x, y) in enumerate(nodes):
+        key = (round(x, 12), round(y, 12))
+        if key in key_of:
+            remap[idx] = key_of[key]
+        else:
+            key_of[key] = len(order)
+            remap[idx] = len(order)
+            order.append(idx)
+    return nodes[np.array(order)], remap[tris], remap
+
+
+def tile_reference(cell_mesh, eps):
+    """Nodes, triangles and node_cell_origin of the cell mesh tiled over
+    the unit square at scale eps, cell by cell."""
+    n = round(1.0 / eps)
+    nc = cell_mesh.num_nodes
+    all_nodes, all_tris, origins = [], [], []
+    for cy in range(n):
+        for cx in range(n):
+            all_nodes.append(
+                (cell_mesh.nodes + np.array([float(cx), float(cy)])) * eps)
+            all_tris.append(cell_mesh.triangles + (cy * n + cx) * nc)
+            origins.append(np.arange(nc))
+    merged, tris, remap = merge_nodes_reference(np.vstack(all_nodes),
+                                                np.vstack(all_tris))
+    origin = np.empty(len(merged), dtype=int)
+    origin[remap] = np.concatenate(origins)
+    return merged, tris, origin
+
+
+def write_vtk_reference(path, mesh, state):
+    """Legacy ASCII VTK file of one state, written line by line with one
+    %.17g per value."""
+    def fmt(value):
+        return "%.17g" % float(value)
+
+    with open(path, "w") as handle:
+        handle.write("# vtk DataFile Version 3.0\n")
+        handle.write("snpp fields t=%s\n" % fmt(state.t))
+        handle.write("ASCII\nDATASET UNSTRUCTURED_GRID\n")
+        handle.write("POINTS %d double\n" % mesh.num_nodes)
+        for x, y in mesh.nodes:
+            handle.write("%s %s 0\n" % (fmt(x), fmt(y)))
+        tris = mesh.triangles
+        handle.write("CELLS %d %d\n" % (len(tris), 4 * len(tris)))
+        for a, b, c in tris:
+            handle.write("3 %d %d %d\n" % (a, b, c))
+        handle.write("CELL_TYPES %d\n" % len(tris))
+        for _ in range(len(tris)):
+            handle.write("5\n")
+        handle.write("POINT_DATA %d\n" % mesh.num_nodes)
+        for name in ("c_plus", "c_minus", "phi", "pressure"):
+            handle.write("SCALARS %s double 1\nLOOKUP_TABLE default\n"
+                         % name)
+            for value in np.asarray(getattr(state, name), dtype=float):
+                handle.write("%s\n" % fmt(value))
+        handle.write("CELL_DATA %d\n" % len(tris))
+        handle.write("VECTORS velocity double\n")
+        for vx, vy in np.asarray(state.velocity, dtype=float):
+            handle.write("%s %s 0\n" % (fmt(vx), fmt(vy)))
 
 
 def _locate_reference(mesh, tree, point, tol):
@@ -546,7 +654,7 @@ def mesh_quality_report(mesh):
 def count_interior_loops(mesh):
     """Number of closed inclusion boundaries (holes)."""
     adjacency = {}
-    for (a, b), tag in mesh.boundary_edges:
+    for (a, b), tag in zip(mesh.boundary_edges, mesh.boundary_tags):
         if tag == GAMMA_INTERIOR:
             adjacency.setdefault(int(a), []).append(int(b))
             adjacency.setdefault(int(b), []).append(int(a))

@@ -54,7 +54,7 @@ def oracle_dense_operators(mesh):
 def oracle_interface_load(mesh, direction, center):
     """Edge-midpoint rule with normals chosen to point at the disk center."""
     rhs = np.zeros(mesh.num_nodes)
-    for (a, b), tag in mesh.boundary_edges:
+    for (a, b), tag in zip(mesh.boundary_edges, mesh.boundary_tags):
         if tag != GAMMA_INTERIOR:
             continue
         pa, pb = mesh.nodes[a], mesh.nodes[b]
@@ -143,7 +143,7 @@ def test_dirichlet_mean_matches_dense_oracle():
     weight_full = mass @ np.ones(mesh.num_nodes)
     rhs_red, _ = fold(canon, vector=weight_full)
     clamped = set()
-    for (a, b), tag in mesh.boundary_edges:
+    for (a, b), tag in zip(mesh.boundary_edges, mesh.boundary_tags):
         if tag == GAMMA_INTERIOR:
             clamped.add(cols[a])
             clamped.add(cols[b])

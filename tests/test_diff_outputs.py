@@ -38,8 +38,12 @@ def run_script(*directories):
                           capture_output=True, text=True, timeout=60)
     printed = {}
     for line in done.stdout.splitlines():
-        source, key, value = line.split()
+        # A table column also prints its column-scaled difference, kept
+        # under (source, key, "scaled").
+        source, key, value, *scaled = line.split()
         printed[source, key] = value
+        if scaled:
+            printed[source, key, "scaled"] = scaled[0]
     return done.returncode, printed
 
 
@@ -65,6 +69,29 @@ def test_prints_the_largest_relative_difference_of_each_column_and_key(
     assert float(printed["coefficients.txt", "K11"]) == 0.0
     assert printed["manifest.json", "flags"] == "same"
     assert printed["manifest.json", "monotone"] == "same"
+
+
+def test_table_columns_also_print_the_difference_over_the_column_scale(
+        tmp_path):
+    # An entry of round-off next to a large one reads as a large relative
+    # difference by itself, and as round-off against the column's scale.
+    rows = [list(row) for row in ROWS]
+    rows[1][4] = 1e-17
+    changed = [list(row) for row in rows]
+    changed[1][4] = 2e-17
+    changed[1][6] = 3.6 * (1 + 1e-12)
+    first = write_run(tmp_path / "a", rows, COEFFS, [], True)
+    second = write_run(tmp_path / "b", changed, COEFFS, [], True)
+    code, printed = run_script(first, second)
+    assert code == 0
+    assert float(printed["study.csv", "e_phi"]) == pytest.approx(0.5)
+    assert float(printed["study.csv", "e_phi", "scaled"]) == pytest.approx(
+        1e-17 / 2.35e-1, rel=1e-3)
+    # The nan of the first row, in both runs, is left out of the scale.
+    assert float(printed["study.csv", "observed_order", "scaled"]) == \
+        pytest.approx(1e-12, rel=1e-3)
+    assert float(printed["study.csv", "e_v", "scaled"]) == 0.0
+    assert ("coefficients.txt", "K11", "scaled") not in printed
 
 
 @pytest.mark.parametrize("changed", [{"flags": ["v errors are not monotone"]},

@@ -57,9 +57,9 @@ def one_triangle_mesh(coords):
     coords = np.asarray(coords, dtype=float)
     if tri_area(coords) < 0:
         coords = coords[[0, 2, 1]]
-    edges = [((0, 1), OUTER_BOUNDARY), ((1, 2), OUTER_BOUNDARY),
-             ((2, 0), OUTER_BOUNDARY)]
-    return TriMesh(coords, np.array([[0, 1, 2]]), edges,
+    return TriMesh(coords, np.array([[0, 1, 2]]),
+                   np.array([[0, 1], [1, 2], [2, 0]]),
+                   np.array(3 * [OUTER_BOUNDARY]),
                    np.empty((0, 2), dtype=int))
 
 

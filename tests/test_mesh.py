@@ -15,7 +15,11 @@ from oracles import (
     boundary_edges_reference,
     count_interior_loops,
     edge_table_reference,
+    match_faces_reference,
+    merge_nodes_reference,
     mesh_quality_report,
+    structured_square_reference,
+    tile_reference,
 )
 
 
@@ -26,7 +30,7 @@ def disk_geometry(h, radius=0.25, center=(0.5, 0.5)):
 def test_full_square_has_unit_porosity_and_no_interface():
     m = mesh.generate_unit_cell_mesh(mesh.UnitCellGeometry(None, 0.1))
     assert mesh.mesh_area(m) == pytest.approx(1.0, abs=1e-12)
-    assert all(tag != mesh.GAMMA_INTERIOR for _, tag in m.boundary_edges)
+    assert mesh.GAMMA_INTERIOR not in set(m.boundary_tags)
 
 
 def test_structured_square_min_angle_is_45_degrees():
@@ -114,8 +118,10 @@ def test_edge_table_matches_dict_reference(eps):
     assert np.array_equal(table.counts, counts)
     assert np.array_equal(table.owner, owners)
     assert np.array_equal(table.lookup(edges[:, ::-1]), np.arange(len(edges)))
-    assert m.boundary_edges == boundary_edges_reference(m.nodes, m.triangles)
-    assert {tag for _, tag in m.boundary_edges} == {
+    assert [(tuple(pair), tag) for pair, tag in zip(
+        m.boundary_edges.tolist(), m.boundary_tags.tolist())] == \
+        boundary_edges_reference(m.nodes, m.triangles)
+    assert set(m.boundary_tags) == {
         mesh.GAMMA_INTERIOR, mesh.OUTER_BOUNDARY}
 
 
@@ -123,7 +129,7 @@ def test_interface_edges_form_closed_curve():
     m = mesh.generate_unit_cell_mesh(disk_geometry(0.05))
     assert count_interior_loops(m) == 1
     degree = {}
-    for (a, b), tag in m.boundary_edges:
+    for (a, b), tag in zip(m.boundary_edges, m.boundary_tags):
         if tag == mesh.GAMMA_INTERIOR:
             degree[a] = degree.get(a, 0) + 1
             degree[b] = degree.get(b, 0) + 1
@@ -173,7 +179,7 @@ def test_perforated_resolution_guard():
 def test_perforated_outer_and_interface_tags_are_disjoint():
     dom = mesh.PerforatedDomain(0.5, disk_geometry(0.05))
     m = mesh.generate_perforated_mesh(dom, 0.0625)
-    for (a, b), tag in m.boundary_edges:
+    for (a, b), tag in zip(m.boundary_edges, m.boundary_tags):
         xa, ya = m.nodes[a]
         xb, yb = m.nodes[b]
         on_outer = all(min(abs(v), abs(v - 1.0)) < 1e-9
@@ -197,9 +203,8 @@ def test_tiled_mesh_triangles_never_straddle_cells():
 def test_inverted_triangle_rejected():
     nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     tris = np.array([[0, 2, 1]])
-    m = mesh.TriMesh(nodes, tris, [((0, 1), mesh.OUTER_BOUNDARY),
-                                   ((1, 2), mesh.OUTER_BOUNDARY),
-                                   ((0, 2), mesh.OUTER_BOUNDARY)],
+    m = mesh.TriMesh(nodes, tris, np.array([[0, 1], [1, 2], [0, 2]]),
+                     np.array(3 * [mesh.OUTER_BOUNDARY]),
                      np.empty((0, 2), dtype=int))
     with pytest.raises(ValidationError):
         m.validate()
@@ -210,3 +215,40 @@ def test_centered_disk_mesh_is_mirror_symmetric():
     keys = {(round(x, 12), round(y, 12)) for x, y in m.nodes}
     mirrored = {(round(1.0 - x, 12), round(y, 12)) for x, y in m.nodes}
     assert keys == mirrored
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 64])
+def test_structured_square_matches_loop_reference(n):
+    nodes, tris = mesh._structured_square(n)
+    ref_nodes, ref_tris = structured_square_reference(n)
+    assert np.array_equal(nodes, ref_nodes)
+    assert np.array_equal(tris, ref_tris) and tris.dtype == ref_tris.dtype
+
+
+@pytest.mark.parametrize("center", [(0.5, 0.5), (0.4, 0.55)],
+                         ids=["centred", "off_centre"])
+@pytest.mark.parametrize("cells", [2, 4, 8, 16])
+def test_tiled_mesh_matches_loop_reference(monkeypatch, center, cells):
+    # The array kernels (node merge, face matching, structured square and
+    # tiling) against the per-node loops, at the pore-scale mesh size
+    # eps/8 of the study.
+    dom = mesh.PerforatedDomain(1.0 / cells, disk_geometry(0.05,
+                                                           center=center))
+    m = mesh.generate_perforated_mesh(dom, 1.0 / (8 * cells))
+    nodes, tris, origin = tile_reference(m.cell_mesh, m.eps)
+    assert np.array_equal(m.nodes, nodes)
+    assert np.array_equal(m.triangles, tris)
+    assert np.array_equal(m.node_cell_origin, origin)
+
+    monkeypatch.setattr(mesh, "_merge_nodes", merge_nodes_reference)
+    monkeypatch.setattr(mesh, "_match_faces", match_faces_reference)
+    monkeypatch.setattr(mesh, "_structured_square",
+                        structured_square_reference)
+    ref = mesh.generate_perforated_mesh(dom, 1.0 / (8 * cells))
+    for got, want in ((m.cell_mesh, ref.cell_mesh), (m, ref)):
+        assert np.array_equal(got.nodes, want.nodes)
+        assert np.array_equal(got.triangles, want.triangles)
+        assert np.array_equal(got.periodic_pairs, want.periodic_pairs)
+        assert np.array_equal(got.boundary_edges, want.boundary_edges)
+        assert np.array_equal(got.boundary_tags, want.boundary_tags)
+    assert np.array_equal(m.node_cell_origin, ref.node_cell_origin)

@@ -399,8 +399,9 @@ def test_balanced_surface_charge_solves_then_decays_incompatible(
 
 
 def test_run_releases_its_operators(monkeypatch):
-    # The operators, Stokes LU included, live as long as the run: neither
-    # the mesh nor the returned states keep them once run_micro returns.
+    # The operators, the Stokes LU and the P1 Laplacian LU included, live
+    # as long as the run: neither the mesh nor the returned states keep
+    # them once run_micro returns.
     built = []
     record_stokes_operators(monkeypatch,
                             lambda stokes: built.append(weakref.ref(stokes)))
@@ -414,20 +415,22 @@ def test_run_releases_its_operators(monkeypatch):
     assert len(built) == 1
     assert built[0]() is None
     assert "micro_ops" not in mesh._caches
+    assert not any(isinstance(value, fem.ZeroMeanLU)
+                   for value in mesh._caches.values())
 
 
 @pytest.mark.parametrize("regime, direct_limit, symmetric", [
     (neumann_regime(), fem.DIRECT_DOF_LIMIT, 2),
-    (neumann_regime(), 0, 3),
+    (neumann_regime(), 0, 2),
     (macro.ScalingRegime("dirichlet", 2, 1, 1, phi_d=0.3),
      fem.DIRECT_DOF_LIMIT, 2),
 ], ids=["neumann_direct", "neumann_schur_cg", "dirichlet_direct"])
 def test_only_the_transport_block_keeps_the_default_ordering(
         monkeypatch, regime, direct_limit, symmetric):
     # The potential and the Stokes saddle (or, on the Schur route, the
-    # velocity block and the pressure Laplacian) are symmetric.  The
-    # transport block is not, and factors 78 times slower in symmetric
-    # mode at eps=1/16.
+    # velocity block; the potential's LU is its pressure Laplacian) are
+    # symmetric.  The transport block is not, and factors 78 times slower
+    # in symmetric mode at eps=1/16.
     factored = []
     factor = fem.splu
 
@@ -451,6 +454,49 @@ def test_only_the_transport_block_keeps_the_default_ordering(
     assert others == symmetric * [{
         "permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.01,
         "options": {"SymmetricMode": True}}]
+
+
+@pytest.mark.parametrize("alpha", [0, 1])
+def test_schur_route_factors_the_p1_laplacian_once(monkeypatch, alpha):
+    # One LU of the P1 stiffness serves the Neumann potential and the
+    # pressure Laplacian of the Schur preconditioner; the potential is
+    # the one of the eps^alpha-scaled operator factored on its own.
+    sizes = []
+    factor = fem.splu
+
+    def recorded(matrix, **options):
+        sizes.append(matrix.shape[0])
+        return factor(matrix, **options)
+
+    potentials = []
+    solve_potential = micro._Operators.solve_potential
+
+    def recorded_potential(self, charge):
+        phi = solve_potential(self, charge)
+        potentials.append((charge.copy(), phi))
+        return phi
+
+    monkeypatch.setattr(fem, "splu", recorded)
+    monkeypatch.setattr(fem, "DIRECT_DOF_LIMIT", 0)
+    monkeypatch.setattr(micro._Operators, "solve_potential",
+                        recorded_potential)
+    domain = PerforatedDomain(0.5, DISK_CELL)
+    mesh = generate_perforated_mesh(domain, 1 / 16)
+    c_plus, c_minus = neutral_blobs(mesh)
+    regime = neumann_regime(alpha=alpha, beta=alpha, gamma=alpha)
+    problem = micro.MicroProblem(domain, mesh, regime, c_plus, c_minus,
+                                 t_end=4e-3, dt=2e-3)
+    micro.run_micro(problem)
+    assert sizes.count(mesh.num_nodes + 1) == 1
+
+    weight = fem.mass_weight(mesh)
+    stiffness = fem.assemble_stiffness(mesh)
+    scaled = fem.ZeroMeanLU(domain.eps ** alpha * stiffness, weight)
+    assert len(potentials) >= 3
+    for charge, phi in potentials:
+        ref = macro.solve_neumann_potential(
+            scaled, weight, fem.mass_matrix(mesh) @ charge, "test")
+        assert np.max(np.abs(phi - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 @pytest.mark.slow

@@ -9,9 +9,15 @@ import pytest
 from snpp import macro, output, verify
 from snpp.cell import EffectiveCoefficients
 from snpp.errors import MalformedDiagnostics, ValidationError
-from snpp.mesh import UnitCellGeometry, generate_unit_cell_mesh
+from snpp.mesh import (
+    DiskInclusion,
+    PerforatedDomain,
+    UnitCellGeometry,
+    generate_perforated_mesh,
+    generate_unit_cell_mesh,
+)
 
-from oracles import read_coefficients
+from oracles import read_coefficients, write_vtk_reference
 
 
 def sample_coeffs(with_inclusion=True):
@@ -148,6 +154,33 @@ def test_vtk_file_describes_the_mesh(tmp_path):
     assert parsed.shape == (mesh.num_triangles, 3)
     assert np.all(parsed[:, 2] == 0.0)
     assert np.allclose(parsed[:, :2], state.velocity, atol=0)
+
+
+def test_vtk_bytes_match_the_value_by_value_writer(tmp_path):
+    domain = PerforatedDomain(
+        0.25, UnitCellGeometry(DiskInclusion((0.5, 0.5), 0.25), 0.05))
+    mesh = generate_perforated_mesh(domain, 1 / 32)
+    rng = np.random.default_rng(7)
+
+    def field(shape):
+        # Negative, tiny, subnormal, zero, negative zero and nan values
+        # among random ones.
+        values = rng.standard_normal(shape) * 10.0 ** rng.integers(
+            -20, 20, size=shape)
+        special = [-1e-300, 5e-324, 0.0, -0.0, np.nan, -np.inf, 1e300]
+        values.flat[:len(special)] = special
+        return values
+
+    state = macro.MacroState(
+        mesh=mesh, t=1 / 3, c_plus=field(mesh.num_nodes),
+        c_minus=field(mesh.num_nodes), phi=field(mesh.num_nodes),
+        pressure=field(mesh.num_nodes),
+        velocity=field((mesh.num_triangles, 2)))
+    output.write_vtk(tmp_path / "array.vtk", mesh, state)
+    write_vtk_reference(tmp_path / "loop.vtk", mesh, state)
+    written = (tmp_path / "array.vtk").read_bytes()
+    assert b"nan" in written and b"-0\n" in written
+    assert written == (tmp_path / "loop.vtk").read_bytes()
 
 
 def test_vtk_rejects_mismatched_velocity(tmp_path):
