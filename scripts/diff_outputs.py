@@ -13,9 +13,13 @@ coefficients.txt the script prints the largest relative difference
 columns of the two tables, it prints max|a - b| over the column divided
 by the largest |value| of the column in either run, so an entry near
 zero next to large ones does not read as large; entries nan in both runs
-are left out, and a nan in one run only gives inf.  For every array of
-the VTK files (the points, the cells and each field) it prints the
-largest of that scaled difference over the files.  It exits 1 when the
+are left out, and a nan in one run only gives inf.  A column or key
+whose entries are round-off of a larger quantity is measured in both
+figures against the largest |value| of that quantity in either run: the
+diagnostics charge against the mass, the coefficients D12 against D11
+and D22, and K12 against K11 and K22.  For every array of the VTK files
+(the points, the cells and each field) it prints the largest of the
+column-scaled difference over the files.  It exits 1 when the
 "flags" or the "monotone" of the two manifests differ, and 0 otherwise;
 a table whose header or row count differs between the two runs, a VTK
 array whose size differs, a key present in one coefficients.txt only, or
@@ -30,19 +34,26 @@ import sys
 
 import numpy as np
 
+# The columns and keys measured against others: their entries vanish up
+# to round-off next to those of the others.
+SCALED_BY = {"charge": ("mass",), "D12": ("D11", "D22"),
+             "K12": ("K11", "K22")}
 
-def relative_difference(a, b):
-    """|a - b| / max(|a|, |b|), 0 for equal values and inf for one nan."""
+
+def relative_difference(a, b, scale=None):
+    """|a - b| / max(|a|, |b|), or over scale when it is given and not 0;
+    0 for equal values and inf for one nan."""
     if a == b or (math.isnan(a) and math.isnan(b)):
         return 0.0
     if math.isnan(a) or math.isnan(b):
         return math.inf
-    return abs(a - b) / max(abs(a), abs(b))
+    return abs(a - b) / (scale or max(abs(a), abs(b)))
 
 
-def array_difference(a, b):
-    """max|a - b| / max(|a|, |b|) over two arrays, 0 when they are equal;
-    entries nan in both are left out, and one nan gives inf."""
+def array_difference(a, b, scale=None):
+    """max|a - b| / max(|a|, |b|) over two arrays, or over scale when it
+    is given and not 0; 0 when they are equal; entries nan in both are
+    left out, and one nan gives inf."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if np.array_equal(a, b, equal_nan=True):
         return 0.0
@@ -51,7 +62,16 @@ def array_difference(a, b):
         return math.inf
     a, b = a[~nan_a], b[~nan_b]
     return float(np.max(np.abs(a - b))
-                 / max(np.max(np.abs(a)), np.max(np.abs(b))))
+                 / (scale or max(np.max(np.abs(a)), np.max(np.abs(b)))))
+
+
+def largest_magnitude(names, *tables):
+    """The largest |value| of the named entries over the given runs,
+    each a dict of key to value or to a list of values; None when no run
+    holds any of them."""
+    values = [abs(value) for table in tables for name in names
+              if name in table for value in np.ravel(table[name])]
+    return max(values, default=None)
 
 
 def read_table(path):
@@ -113,11 +133,17 @@ def compare_table(name, first, second):
         print("%s: the header or the row count differs" % name,
               file=sys.stderr)
         return False
-    for k, column in enumerate(header):
-        worst = max((relative_difference(a[k], b[k])
-                     for a, b in zip(rows_a, rows_b)), default=0.0)
-        scaled = array_difference([row[k] for row in rows_a],
-                                  [row[k] for row in rows_b])
+    columns_a, columns_b = ({column: [row[k] for row in rows]
+                             for k, column in enumerate(header)}
+                            for rows in (rows_a, rows_b))
+    for column in header:
+        scale = largest_magnitude(SCALED_BY.get(column, ()), columns_a,
+                                  columns_b)
+        worst = max((relative_difference(a, b, scale)
+                     for a, b in zip(columns_a[column], columns_b[column])),
+                    default=0.0)
+        scaled = array_difference(columns_a[column], columns_b[column],
+                                  scale)
         print("%s %-20s %.3e %.3e" % (name, column, worst, scaled))
     return True
 
@@ -128,9 +154,11 @@ def compare_coefficients(name, first, second):
         print("%s: the keys differ" % name, file=sys.stderr)
         return False
     for key in coeffs_a:
+        scale = largest_magnitude(SCALED_BY.get(key, ()), coeffs_a,
+                                  coeffs_b)
         print("%s %-13s %.3e"
               % (name, key, relative_difference(coeffs_a[key],
-                                                coeffs_b[key])))
+                                                coeffs_b[key], scale)))
     return True
 
 

@@ -34,9 +34,12 @@ operator factors itself, the scalar cell correctors), the scalar
 velocity block of the Schur route, and the Dirichlet potentials of the
 cell and the pore scale.  Its minimum-degree ordering of A^T + A fills
 the eps=1/8 Stokes saddle LU five times less than scipy's default
-COLAMD ordering.  The transport block is not symmetric and keeps
-COLAMD, under which it factors 12 times faster at eps=1/8 and 78 times
-faster at eps=1/16 than in symmetric mode.
+COLAMD ordering.  The transport block is not symmetric, but its pattern
+is, and symmetric_lu factors it too, with relax=1.  SuperLU's default
+relaxation of small supernodes, not the ordering, is what makes this
+block slow in symmetric mode: at eps=1/16 it stores 54M entries and
+factors in 31 s.  With relax=1 the LU stores 2.2M entries against
+COLAMD's 5.0M and factors and solves faster (see README).
 """
 
 import itertools
@@ -373,7 +376,7 @@ def apply_dirichlet(matrix, rhs, nodes, values):
 # solvers
 
 
-def symmetric_lu(matrix):
+def symmetric_lu(matrix, relax=None):
     """SuperLU factorization of a structurally symmetric matrix.
 
     The columns are ordered by minimum degree on A^T + A, and a diagonal
@@ -382,9 +385,11 @@ def symmetric_lu(matrix):
     nonzero diagonal, however small, which on the zero-diagonal rows of
     a bordered or saddle system returns wrong solutions silently; 0.1
     fills the eps=1/8 Stokes saddle almost twice as much as COLAMD.
+    relax bounds the size of the relaxed supernodes; None keeps
+    SuperLU's own value.
     """
     return splu(matrix, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.01,
-                options={"SymmetricMode": True})
+                relax=relax, options={"SymmetricMode": True})
 
 
 class ZeroMeanLU:
@@ -419,7 +424,9 @@ class TransportSolver:
     each; c+ takes their difference and c- their sum, so one product with
     the scatter sets the convection values.  dt is read at every refill.
 
-    The first solve factors the block and keeps the LU.  A later solve
+    The first solve factors the block and keeps the LU: symmetric_lu
+    with relax=1 (see the module docstring), which stores about half the
+    entries of scipy's default LU on the pore-scale blocks.  A later solve
     starts from the solution the solver returned last and refines it,
     x <- x + LU^-1 (b - A x), until the true residual satisfies
     ||b - A x|| <= TRANSPORT_TOL ||b||.  When a refinement step fails to
@@ -428,10 +435,13 @@ class TransportSolver:
     solves.  Between the sweeps and steps of one run the block changes
     only through the convection and drift terms, so the lagged LU
     contracts the error far faster than that, and the last solution is
-    closer to the new one than LU^-1 b is.  factorizations,
-    refined_solves and refinement_steps count the factorizations, the
-    solves accepted by refinement and the LU applications those took
-    beyond the first.
+    closer to the new one than LU^-1 b is.  A direct solution is refined
+    too while it misses the gate and each step at least halves its
+    residual, and the last iterate is returned: threshold pivoting can
+    leave a strongly convective block a residual several times that of
+    partial pivoting.  factorizations, refined_solves and
+    refinement_steps count the factorizations, the solves accepted by
+    refinement and the LU applications every solve took beyond the first.
     """
 
     def __init__(self, mesh, stiffness, lumped, dt):
@@ -490,32 +500,46 @@ class TransportSolver:
             [(moved - drifted).ravel(), (moved + drifted).ravel()])
         self.block.data = self._mass + self.dt * (self._scaled - convection)
 
+    def _refine(self, rhs, x, residual, norm, gate):
+        """Apply x <- x + LU^-1 residual until ||b - A x|| <= gate or a
+        step fails to halve the residual norm; return the last x, its
+        residual norm and the steps taken beyond the first."""
+        for steps in itertools.count():
+            x += self._lu.solve(residual)
+            residual = rhs - self.block @ x
+            previous, norm = norm, np.linalg.norm(residual)
+            if norm <= gate or not norm <= 0.5 * previous:
+                return x, norm, steps
+
     def solve(self, rhs):
+        gate = TRANSPORT_TOL * np.linalg.norm(rhs)
         if self._lu is not None:
-            gate = TRANSPORT_TOL * np.linalg.norm(rhs)
-            x = self._last.copy()
-            residual, norm = rhs - self.block @ x, np.inf
-            for steps in itertools.count():
-                x += self._lu.solve(residual)
-                residual = rhs - self.block @ x
-                previous, norm = norm, np.linalg.norm(residual)
-                if norm <= gate:
-                    self.refined_solves += 1
-                    self.refinement_steps += steps
-                    self._last = x
-                    return x
-                if not norm <= 0.5 * previous:
-                    break
+            x, norm, steps = self._refine(
+                rhs, self._last.copy(), rhs - self.block @ self._last,
+                np.inf, gate)
+            if norm <= gate:
+                self.refined_solves += 1
+                self.refinement_steps += steps
+                self._last = x
+                return x
             self._lu = None
-        self._lu = splu(self.block)
+        self._lu = symmetric_lu(self.block, relax=1)
         self.factorizations += 1
-        self._last = self._lu.solve(rhs)
-        return self._last
+        x = self._lu.solve(rhs)
+        residual = rhs - self.block @ x
+        norm = np.linalg.norm(residual)
+        if norm > gate:
+            x, _, steps = self._refine(rhs, x, residual, norm, gate)
+            self.refinement_steps += steps + 1
+        self._last = x
+        return x
 
     def summary(self):
-        return ("%d factorizations, %d refined solves, %d refinement steps"
+        return ("%d factorizations, %d refined solves, %d refinement steps, "
+                "%d LU entries"
                 % (self.factorizations, self.refined_solves,
-                   self.refinement_steps))
+                   self.refinement_steps,
+                   0 if self._lu is None else self._lu.nnz))
 
 
 def step_reacting_pair(solver, velocity, drift, tensor, c_plus, c_minus):

@@ -155,6 +155,32 @@ def test_compares_the_diagnostics_and_vtk_fields_of_pore_scale_runs(
     assert ("study.csv", "eps") not in printed
 
 
+def test_round_off_entries_read_against_the_quantity_they_vanish_next_to(
+        tmp_path):
+    # The charge is round-off next to the mass, and D12 and K12 next to
+    # the diagonal coefficients; against their own size they read as O(1).
+    coeffs = dict(COEFFS, D11=0.62, D22=0.65, K12=2e-19, K22=0.021)
+    changed = dict(coeffs, D12=-1.2e-18, K12=-3e-19)
+    first = write_run(tmp_path / "a", ROWS, coeffs, [], True)
+    second = write_run(tmp_path / "b", ROWS, changed, [], True)
+    output.write_diagnostics_csv(str(tmp_path / "a" / "diagnostics.csv"),
+                                 DIAGNOSTICS)
+    output.write_diagnostics_csv(
+        str(tmp_path / "b" / "diagnostics.csv"),
+        [dict(row, charge=-row["charge"]) for row in DIAGNOSTICS])
+    code, printed = run_script(first, second)
+    assert code == 0
+    for figure in (("diagnostics.csv", "charge"),
+                   ("diagnostics.csv", "charge", "scaled")):
+        assert float(printed[figure]) == pytest.approx(4e-17 / 0.8,
+                                                       rel=1e-3)
+    assert float(printed["coefficients.txt", "D12"]) == pytest.approx(
+        2.49e-18 / 0.65, rel=1e-3)
+    assert float(printed["coefficients.txt", "K12"]) == pytest.approx(
+        5e-19 / 0.021, rel=1e-3)
+    assert float(printed["diagnostics.csv", "mass"]) == 0.0
+
+
 def test_a_file_in_one_directory_only_or_another_mesh_exits_two(tmp_path):
     mesh = generate_unit_cell_mesh(UnitCellGeometry(None, 0.25))
     first = write_snapshots(tmp_path / "a", mesh)
