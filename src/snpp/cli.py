@@ -414,13 +414,11 @@ def run_converge(config):
     _finish(config, started, extra={"flags": study.flags,
                                     "monotone": study.monotone})
 
-    header = "%-8s %-10s" + " %-12s" * 4
-    print(header % (("eps", "h") + verify.STUDY_FIELDS))
+    fields = verify.STUDY_FIELDS
+    print(("%-8s %-10s" + " %-12s" * len(fields)) % (("eps", "h") + fields))
     for i, eps in enumerate(study.eps_list):
-        print("%-8g %-10g %-12.5e %-12.5e %-12.5e %-12.5e"
-              % (eps, study.h_list[i], study.errors["c_plus"][i],
-                 study.errors["c_minus"][i], study.errors["phi"][i],
-                 study.errors["v"][i]))
+        print(("%-8g %-10g" + " %-12.5e" * len(fields)) % (
+            eps, study.h_list[i], *(study.errors[f][i] for f in fields)))
     if not study.monotone:
         _report_error(NonMonotoneConvergence(
             "; ".join(study.flags), where="verify.run_convergence_study"))

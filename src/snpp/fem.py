@@ -64,6 +64,7 @@ log = logging.getLogger(__name__)
 DIRECT_DOF_LIMIT = 50000
 DEFAULT_TOL = 1e-10
 TRANSPORT_TOL = 1e-12
+TRANSPORT_REACH = 2.0
 SCHUR_MAX_ITER = 500
 # kappa in theta = kappa * fine / darcy of StokesOperator._prepare_schur.
 # Schur-CG iterations to a relative residual of 1e-10 are flat for
@@ -439,9 +440,13 @@ class TransportSolver:
     too while it misses the gate and each step at least halves its
     residual, and the last iterate is returned: threshold pivoting can
     leave a strongly convective block a residual several times that of
-    partial pivoting.  factorizations, refined_solves and
-    refinement_steps count the factorizations, the solves accepted by
-    refinement and the LU applications every solve took beyond the first.
+    partial pivoting.  When even that iterate misses the gate, the block's
+    attainable residual lies above TRANSPORT_TOL, and the refined solves
+    on this LU are gated at TRANSPORT_REACH times the relative residual
+    it reached instead, so such a block is not factored again at every
+    solve.  factorizations, refined_solves and refinement_steps count the
+    factorizations, the solves accepted by refinement and the LU
+    applications every solve took beyond the first.
     """
 
     def __init__(self, mesh, stiffness, lumped, dt):
@@ -487,6 +492,7 @@ class TransportSolver:
             shape=(2 * n, 2 * n))
         self._lu = None
         self._last = None
+        self._tol = TRANSPORT_TOL
         self.factorizations = 0
         self.refined_solves = 0
         self.refinement_steps = 0
@@ -512,8 +518,9 @@ class TransportSolver:
                 return x, norm, steps
 
     def solve(self, rhs):
-        gate = TRANSPORT_TOL * np.linalg.norm(rhs)
+        scale = np.linalg.norm(rhs)
         if self._lu is not None:
+            gate = self._tol * scale
             x, norm, steps = self._refine(
                 rhs, self._last.copy(), rhs - self.block @ self._last,
                 np.inf, gate)
@@ -525,12 +532,15 @@ class TransportSolver:
             self._lu = None
         self._lu = symmetric_lu(self.block, relax=1)
         self.factorizations += 1
+        gate = TRANSPORT_TOL * scale
         x = self._lu.solve(rhs)
         residual = rhs - self.block @ x
         norm = np.linalg.norm(residual)
         if norm > gate:
-            x, _, steps = self._refine(rhs, x, residual, norm, gate)
+            x, norm, steps = self._refine(rhs, x, residual, norm, gate)
             self.refinement_steps += steps + 1
+        self._tol = TRANSPORT_TOL if norm <= gate \
+            else TRANSPORT_REACH * norm / scale
         self._last = x
         return x
 
@@ -697,7 +707,10 @@ class StokesOperator:
     LU at eps=1/16 (130,564 rows) ran the micro_eps16 step (4 solves) no
     faster, but cut the eps=1/16 step of a scale study (111 solves) from
     50.4 to 15.5 s; it was declined because it raised the peak memory of
-    both by more than a third (micro_eps16: 240 to 368 MB).  The
+    both by more than a third (micro_eps16: 240 to 368 MB, measured
+    before the transport LU took relax=1).  relax=1 does not shrink the
+    saddle LU: it holds 13.94M entries at eps=1/16 and 2.75M at eps=1/8
+    with SuperLU's relaxation and with relax=1 alike.  The
     preconditioner M_p^-1 + theta L_p^-1 adds the inverse pressure
     Laplacian to the inverse lumped pressure mass, because S acts like
     M_p / viscosity on pore-scale modes and like a Darcy operator

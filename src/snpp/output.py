@@ -12,14 +12,13 @@ import json
 
 import numpy as np
 
+from . import verify
 from .errors import MalformedDiagnostics, ValidationError
 from .verify import DIAGNOSTIC_KEYS
 
 FLOAT_FORMAT = "%.17g"
 COEFFICIENT_KEYS = ("porosity", "D11", "D12", "D22", "K11", "K12", "K22",
                     "sigma_bar", "dirichlet_mean")
-STUDY_COLUMNS = ("eps", "h", "e_c_plus", "e_c_minus", "e_phi", "e_v",
-                 "observed_order")
 
 
 def _fmt(value):
@@ -88,23 +87,21 @@ def read_diagnostics_csv(path):
 
 
 def write_study_csv(path, study):
-    """Study table: one row per scale with the per-field errors.
+    """One row per scale with an e_<measure> column for each measure of
+    verify.STUDY_FIELDS, read when called; other measures are not written.
 
-    The observed_order column reports the c_plus decay rate between
+    observed_order is the decay rate of the first of them between
     successive scales; the first row has no predecessor and reads nan.
     """
+    fields = verify.STUDY_FIELDS
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(STUDY_COLUMNS)
+        writer.writerow(["eps", "h"] + ["e_" + name for name in fields]
+                        + ["observed_order"])
         for i, eps in enumerate(study.eps_list):
-            writer.writerow([
-                _fmt(eps), _fmt(study.h_list[i]),
-                _fmt(study.errors["c_plus"][i]),
-                _fmt(study.errors["c_minus"][i]),
-                _fmt(study.errors["phi"][i]),
-                _fmt(study.errors["v"][i]),
-                _fmt(study.orders["c_plus"][i]),
-            ])
+            writer.writerow([_fmt(value) for value in (
+                eps, study.h_list[i], *(study.errors[f][i] for f in fields),
+                study.orders[fields[0]][i])])
 
 
 def _rows(row_format, array):

@@ -76,13 +76,8 @@ def _divergence_residual(state):
     For the pore-scale means of a P2 flow that vanishes on the boundary
     the residual is -B u of fem.weak_divergence up to rounding.
     """
-    mesh = state.mesh
-    areas, grads = fem.triangle_data(mesh)
-    residual = np.zeros(mesh.num_nodes)
-    contrib = np.einsum("md,mid->mi", state.velocity, grads) \
-        * areas[:, None]
-    np.add.at(residual, mesh.triangles.ravel(), contrib.ravel())
-    return float(np.max(np.abs(residual)))
+    return float(np.max(np.abs(
+        fem.assemble_gradient_load(state.mesh, state.velocity))))
 
 
 def run_invariant_suite(states, diagnostics, regime=None, lam=1.0):
@@ -150,15 +145,14 @@ def run_invariant_suite(states, diagnostics, regime=None, lam=1.0):
 
 @dataclass
 class ConvergenceStudy:
-    """Per-scale errors of the pore-scale runs against the upscaled model."""
+    """Per-scale errors of the pore-scale runs against the upscaled model:
+    errors is the table of compare_scales and orders its observed orders."""
 
     eps_list: list
     h_list: list
     coeffs: object
     errors: dict
     orders: dict
-    corrector_plain: list
-    corrector_enhanced: list
     flags: list
     monotone: bool
     macro_diagnostics: list = field(default=None, repr=False)
@@ -228,14 +222,13 @@ def compare_scales(regime, coeffs, solutions, macro_final, micro_finals):
     """Per-scale errors of the pore-scale finals against the macro final.
 
     micro_finals maps each eps, in scale order, to its final state.
-    Returns (errors, corrector_plain, corrector_enhanced); the corrector
-    lists are None on the Dirichlet branch.
+    Returns one table {measure: one value per eps}: the cell-averaged
+    STUDY_FIELDS errors and, on the Neumann branch only, phi_plain and
+    phi_corrected of corrector_enhanced_error.
     """
     neumann = regime.bc_type == NEUMANN
     macro_mesh = macro_final.mesh
-    errors = {name: [] for name in STUDY_FIELDS}
-    corrector_plain = [] if neumann else None
-    corrector_enhanced = [] if neumann else None
+    errors = {}
     for eps, final in micro_finals.items():
         mesh = final.mesh
         if neumann:
@@ -247,30 +240,31 @@ def compare_scales(regime, coeffs, solutions, macro_final, micro_finals):
         nodal = {"c_plus": (final.c_plus, macro_final.c_plus, True),
                  "c_minus": (final.c_minus, macro_final.c_minus, True),
                  "phi": phi}
-        for name, (micro_f, macro_f, intrinsic) in nodal.items():
-            errors[name].append(_relative_grid_error(
-                cell_average(mesh, fem.element_means(mesh, micro_f), eps,
-                             intrinsic),
-                cell_average(macro_mesh,
-                             fem.element_means(macro_mesh, macro_f), eps)))
-        errors["v"].append(_relative_grid_error(
+        row = {name: _relative_grid_error(
+            cell_average(mesh, fem.element_means(mesh, micro_f), eps,
+                         intrinsic),
+            cell_average(macro_mesh, fem.element_means(macro_mesh, macro_f),
+                         eps))
+            for name, (micro_f, macro_f, intrinsic) in nodal.items()}
+        row["v"] = _relative_grid_error(
             cell_average(mesh, final.velocity, eps),
-            cell_average(macro_mesh, macro_final.velocity, eps)))
+            cell_average(macro_mesh, macro_final.velocity, eps))
         if neumann:
-            plain, enhanced = corrector_enhanced_error(
+            row["phi_plain"], row["phi_corrected"] = corrector_enhanced_error(
                 mesh, final.phi, macro_mesh, macro_final.phi,
                 solutions["scalar"], eps, regime.alpha)
-            corrector_plain.append(plain)
-            corrector_enhanced.append(enhanced)
-    return errors, corrector_plain, corrector_enhanced
+        for name, value in row.items():
+            errors.setdefault(name, []).append(value)
+    return errors
 
 
-def study_verdict(eps_list, errors, corrector_plain, corrector_enhanced):
+def study_verdict(eps_list, errors):
     """Observed orders, flags and monotone verdict of an error table.
 
-    A column that does not strictly decrease is flagged and clears
-    monotone, unless it lies wholly below MONOTONE_FLOOR.  A corrector
-    that does not improve the potential error is flagged only.
+    Every measure of the table gets an order.  A STUDY_FIELDS measure
+    that does not strictly decrease is flagged and clears monotone,
+    unless it lies wholly below MONOTONE_FLOOR.  A phi_corrected above
+    phi_plain (a corrector that does not help) is flagged only.
     """
     for name, values in errors.items():
         if not np.all(np.isfinite(values)):
@@ -281,14 +275,13 @@ def study_verdict(eps_list, errors, corrector_plain, corrector_enhanced):
         for a, b in zip(values, values[1:])]
         for name, values in errors.items()}
     flags = ["%s errors are not monotone: %s"
-             % (name, ["%.3e" % v for v in values])
-             for name, values in errors.items()
-             if max(values) >= MONOTONE_FLOOR
-             and any(b >= a for a, b in zip(values, values[1:]))]
+             % (name, ["%.3e" % v for v in errors[name]])
+             for name in STUDY_FIELDS if max(errors[name]) >= MONOTONE_FLOOR
+             and any(b >= a for a, b in zip(errors[name], errors[name][1:]))]
     monotone = not flags
-    if corrector_plain is not None:
-        for eps, plain, enhanced in zip(eps_list, corrector_plain,
-                                        corrector_enhanced):
+    if "phi_plain" in errors:
+        for eps, plain, enhanced in zip(eps_list, errors["phi_plain"],
+                                        errors["phi_corrected"]):
             if enhanced > plain * (1 + 1e-9) + 1e-14:
                 flags.append("corrector did not improve the potential "
                              "error at eps=%g (%.3e > %.3e)"
@@ -316,8 +309,9 @@ def run_convergence_study(regime, geometry, c_plus, c_minus,
                               field="eps_list")
     for eps in eps_list:
         if not any(abs(eps - allowed) < 1e-12 for allowed in STUDY_EPS):
-            raise ValidationError("scale %g is outside the supported set "
-                                  "{1/2, 1/4, 1/8}" % eps, field="eps_list")
+            supported = ", ".join("1/%d" % round(1 / e) for e in STUDY_EPS)
+            raise ValidationError("scale %g is outside the supported set {%s}"
+                                  % (eps, supported), field="eps_list")
         ratio = eps / macro_h
         if abs(round(ratio) - ratio) > 1e-9 or round(ratio) < 1:
             raise GridMisaligned(
@@ -344,18 +338,16 @@ def run_convergence_study(regime, geometry, c_plus, c_minus,
         for dom, mesh in zip(domains, meshes)))
     micro_finals = dict(zip(eps_list, finals))
 
-    errors, plain, enhanced = compare_scales(regime, coeffs, solutions,
-                                             macro_final, micro_finals)
-    orders, flags, monotone = study_verdict(eps_list, errors, plain,
-                                            enhanced)
+    errors = compare_scales(regime, coeffs, solutions, macro_final,
+                            micro_finals)
+    orders, flags, monotone = study_verdict(eps_list, errors)
     for flag in flags:
         log.warning("convergence study: %s", flag)
     log.info("convergence study finished (model %s): monotone=%s",
              model, monotone)
     return ConvergenceStudy(
         eps_list=eps_list, h_list=[eps / 8.0 for eps in eps_list],
-        coeffs=coeffs, errors=errors, orders=orders, corrector_plain=plain,
-        corrector_enhanced=enhanced, flags=flags, monotone=monotone,
-        macro_diagnostics=macro_diag,
+        coeffs=coeffs, errors=errors, orders=orders, flags=flags,
+        monotone=monotone, macro_diagnostics=macro_diag,
         micro_diagnostics=dict(zip(eps_list, diagnostics)),
         macro_final=macro_final, micro_finals=micro_finals)

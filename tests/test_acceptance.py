@@ -278,7 +278,7 @@ def test_criterion_8_headline_convergence_study(capsys):
         for name in ("c_plus", "c_minus", "phi", "v"))
     corrector_ok = all(
         enhanced <= plain for plain, enhanced
-        in zip(study.corrector_plain, study.corrector_enhanced))
+        in zip(study.errors["phi_plain"], study.errors["phi_corrected"]))
     passed = decreasing and corrector_ok and elapsed < 1800.0
     verdict(capsys, 8, passed,
             "errors strictly decrease over eps {1/2, 1/4, 1/8} "

@@ -193,7 +193,7 @@ def test_converge_command_is_deterministic(tmp_path):
     first = (outdir / "study.csv").read_bytes()
     lines = first.decode().strip().split("\r\n")
     assert len(lines) == 2
-    assert lines[0] == ",".join(output.STUDY_COLUMNS)
+    assert lines[0] == "eps,h,e_c_plus,e_c_minus,e_phi,e_v,observed_order"
     assert run(tmp_path, "converge", payload) == 0
     assert (outdir / "study.csv").read_bytes() == first
     manifest = json.loads((outdir / "manifest.json").read_text())
@@ -223,6 +223,69 @@ def test_converge_non_monotone_exits_three_with_artifacts(
     assert (outdir / "coefficients.txt").is_file()
     err = capsys.readouterr().err
     assert "NonMonotoneConvergence [verify.run_convergence_study]" in err
+
+
+# The criterion-10 study: eps {1/2, 1/4}, h=1/32, T=0.01, and the table
+# that snpp converge prints for it.
+STUDY_PAYLOAD = {"discretization": {"h": 0.03125, "dt": 0.005, "T": 0.01,
+                                    "eps": [0.5, 0.25]}}
+STUDY_TABLE = [
+    "eps      h          c_plus       c_minus      phi          v"
+    "           ",
+    "0.5      0.0625     2.25163e-02  4.62720e-02  2.41241e-01  "
+    "8.83960e-01 ",
+    "0.25     0.03125    2.02139e-02  2.00892e-02  1.58841e-02  "
+    "6.18707e-01 ",
+    ""]
+
+
+def run_study(tmp_path, capsys):
+    """Run the criterion-10 study; returns the exit code, the stdout table
+    after the lines naming the written files, and the manifest."""
+    outdir = tmp_path / "out"
+    code = run(tmp_path, "converge", dict(STUDY_PAYLOAD, output={
+        "directory": str(outdir), "formats": ["csv"]}))
+    lines = capsys.readouterr().out.split("\n")
+    assert lines[:3] == ["wrote %s" % (outdir / name) for name in
+                         ("study.csv", "coefficients.txt", "manifest.json")]
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    return code, lines[3:], manifest
+
+
+def test_converge_printout_and_verdict_are_pinned(tmp_path, capsys):
+    code, table, manifest = run_study(tmp_path, capsys)
+    assert code == 0
+    assert table == STUDY_TABLE
+    assert manifest["flags"] == []
+    assert manifest["monotone"] is True
+
+
+def test_a_measure_added_to_the_table_reaches_every_output(
+        tmp_path, capsys, monkeypatch):
+    # Only the error table and verify.STUDY_FIELDS learn of the measure;
+    # study.csv, the printout and the verdict follow from them.
+    compare = verify.compare_scales
+
+    def with_extra(*args):
+        errors = compare(*args)
+        errors["extra"] = [0.25, 0.5]
+        return errors
+
+    monkeypatch.setattr(verify, "compare_scales", with_extra)
+    monkeypatch.setattr(verify, "STUDY_FIELDS",
+                        verify.STUDY_FIELDS + ("extra",))
+    code, table, manifest = run_study(tmp_path, capsys)
+    assert code == 3
+    assert table == [STUDY_TABLE[0] + " extra       ",
+                     STUDY_TABLE[1] + " 2.50000e-01 ",
+                     STUDY_TABLE[2] + " 5.00000e-01 ", ""]
+    flag = "extra errors are not monotone: ['2.500e-01', '5.000e-01']"
+    assert manifest["flags"] == [flag]
+    assert manifest["monotone"] is False
+    lines = (tmp_path / "out" / "study.csv").read_text().splitlines()
+    assert lines[0] == ("eps,h,e_c_plus,e_c_minus,e_phi,e_v,e_extra,"
+                        "observed_order")
+    assert [line.split(",")[6] for line in lines[1:]] == ["0.25", "0.5"]
 
 
 def test_check_command_pass_and_fail(tmp_path, capsys):

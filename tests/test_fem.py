@@ -532,6 +532,33 @@ def test_transport_solver_refines_a_drifted_block_on_its_first_lu(drift):
     assert solver.refined_solves == 1
 
 
+def test_transport_solver_keeps_an_lu_whose_block_misses_the_gate():
+    # With velocity (1000, 500) and dt=0.2 the direct solution of the
+    # block leaves a residual above TRANSPORT_TOL that refinement cannot
+    # halve, so the later solves of the same block and rhs are gated at
+    # TRANSPORT_REACH times that residual, not factored again.
+    mesh = square_mesh(1 / 32)
+    lumped = fem.lumped_mass(mesh)
+    solver = fem.TransportSolver(mesh, fem.assemble_stiffness(mesh),
+                                 lumped, 0.2)
+    solver.refill(np.tile([1000.0, 500.0], (mesh.num_triangles, 1)),
+                  None, None)
+    x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
+    rhs = np.tile(lumped, 2) * np.concatenate([
+        0.2 + 0.5 * np.exp(-25 * ((x - 0.35) ** 2 + (y - 0.45) ** 2)),
+        0.2 + 0.5 * np.exp(-25 * ((x - 0.7) ** 2 + (y - 0.6) ** 2))])
+    reached = []
+    for _ in range(3):
+        got = solver.solve(rhs)
+        reached.append(np.linalg.norm(rhs - solver.block @ got)
+                       / np.linalg.norm(rhs))
+    assert reached[0] > fem.TRANSPORT_TOL
+    assert all(r <= fem.TRANSPORT_REACH * reached[0] for r in reached[1:])
+    assert (solver.factorizations, solver.refined_solves) == (1, 2)
+    direct = splu(solver.block).solve(rhs)
+    assert np.max(np.abs(got - direct)) <= 1e-6 * np.max(np.abs(direct))
+
+
 def blob_content(mesh, lumped):
     x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
     c_plus = 0.2 + 0.5 * np.exp(-25 * ((x - 0.35) ** 2 + (y - 0.45) ** 2))

@@ -103,16 +103,15 @@ def test_study_csv_layout_and_determinism(tmp_path):
                 "phi": [0.2, 0.012], "v": [0.9, 0.6]},
         orders={"c_plus": [math.nan, 1.0], "c_minus": [math.nan, 1.7],
                 "phi": [math.nan, 4.0], "v": [math.nan, 0.58]},
-        corrector_plain=[], corrector_enhanced=[], flags=[], monotone=True)
+        flags=[], monotone=True)
     path = tmp_path / "study.csv"
     output.write_study_csv(path, study)
     first = path.read_bytes()
     lines = first.decode().strip().split("\r\n")
-    assert lines[0] == ",".join(output.STUDY_COLUMNS)
-    assert len(lines) == 3
-    assert lines[1].split(",")[0] == "0.5"
-    assert lines[1].split(",")[-1] == "nan"
-    assert float(lines[2].split(",")[-1]) == 1.0
+    assert lines == ["eps,h,e_c_plus,e_c_minus,e_phi,e_v,observed_order",
+                     "0.5,0.0625,0.02,0.040000000000000001,"
+                     "0.20000000000000001,0.90000000000000002,nan",
+                     "0.25,0.03125,0.01,0.012,0.012,0.59999999999999998,1"]
     output.write_study_csv(path, study)
     assert path.read_bytes() == first
 

@@ -249,8 +249,9 @@ def test_charged_study_decays_and_corrector_improves():
         assert values[1] < values[0]
         assert np.isnan(study.orders[name][0])
         assert study.orders[name][1] > 0.0
-    for plain, enhanced in zip(study.corrector_plain,
-                               study.corrector_enhanced):
+    assert len(study.errors["phi_plain"]) == 2
+    for plain, enhanced in zip(study.errors["phi_plain"],
+                               study.errors["phi_corrected"]):
         assert enhanced < plain
     reports = [verify.run_invariant_suite([study.macro_final],
                                           study.macro_diagnostics, regime)]
@@ -275,32 +276,48 @@ def test_study_validates_scales_and_macro_mesh():
     with pytest.raises(ValidationError):
         verify.run_convergence_study(regime, DISK_CELL, blob_plus,
                                      blob_minus, eps_list=(0.25, 0.5))
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError) as info:
         verify.run_convergence_study(regime, DISK_CELL, blob_plus,
                                      blob_minus, eps_list=(0.3,))
+    assert str(info.value) == ("scale 0.3 is outside the supported set "
+                               "{1/2, 1/4, 1/8}")
     with pytest.raises(GridMisaligned):
         verify.run_convergence_study(regime, DISK_CELL, blob_plus,
                                      blob_minus, eps_list=(0.5,),
                                      macro_h=0.15)
 
 
+def decaying_table(eps_list, **columns):
+    """An error table whose STUDY_FIELDS halve with each scale, with the
+    given columns replaced or added."""
+    table = {name: [0.4 / 2 ** i for i in range(len(eps_list))]
+             for name in verify.STUDY_FIELDS}
+    table.update(columns)
+    return table
+
+
 def test_study_verdict_reads_hand_made_tables():
     # A column wholly below MONOTONE_FLOOR sits at rounding level and is
     # not checked; a zero error has no order.
-    orders, flags, monotone = verify.study_verdict(
-        [0.5, 0.25, 0.125],
-        {"c_plus": [0.4, 0.1, 0.0], "phi": [1e-12, 5e-11, 2e-11]},
-        None, None)
+    eps_list = [0.5, 0.25, 0.125]
+    orders, flags, monotone = verify.study_verdict(eps_list, decaying_table(
+        eps_list, c_plus=[0.4, 0.1, 0.0], phi=[1e-12, 5e-11, 2e-11]))
     assert flags == [] and monotone
     assert np.isnan(orders["c_plus"][0])
     assert orders["c_plus"][1] == 2.0
     assert np.isnan(orders["c_plus"][2])
-    orders, flags, monotone = verify.study_verdict(
-        [0.5, 0.25], {"c_plus": [0.4, 0.1], "v": [0.2, 0.3]}, None, None)
-    assert flags == ["v errors are not monotone: ['2.000e-01', '3.000e-01']"]
+    assert orders["v"][1:] == [1.0, 1.0]
+    eps_list = [0.5, 0.25]
+    orders, flags, monotone = verify.study_verdict(eps_list, decaying_table(
+        eps_list, v=[0.2, 0.3], c_minus=[0.1, 0.1]))
+    assert flags == [
+        "c_minus errors are not monotone: ['1.000e-01', '1.000e-01']",
+        "v errors are not monotone: ['2.000e-01', '3.000e-01']"]
     assert not monotone
-    _, flags, monotone = verify.study_verdict(
-        [0.5, 0.25], {"c_plus": [0.4, 0.1]}, [0.2, 0.1], [0.1, 0.15])
+    # The corrector rule is a flag only, and the two potential errors it
+    # reads are not checked for decay.
+    _, flags, monotone = verify.study_verdict(eps_list, decaying_table(
+        eps_list, phi_plain=[0.2, 0.1], phi_corrected=[0.1, 0.15]))
     assert flags == ["corrector did not improve the potential error at "
                      "eps=0.25 (1.500e-01 > 1.000e-01)"]
     assert monotone
@@ -308,7 +325,8 @@ def test_study_verdict_reads_hand_made_tables():
 
 def test_study_verdict_rejects_non_finite_errors():
     for bad in (np.nan, np.inf):
-        with pytest.raises(ValidationError) as info:
-            verify.study_verdict([0.5, 0.25], {"c_plus": [0.1, bad]},
-                                 None, None)
-        assert info.value.field == "c_plus"
+        for name in ("c_plus", "phi_corrected"):
+            with pytest.raises(ValidationError) as info:
+                verify.study_verdict([0.5, 0.25], decaying_table(
+                    [0.5, 0.25], **{name: [0.1, bad]}))
+            assert info.value.field == name
