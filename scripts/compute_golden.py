@@ -31,11 +31,11 @@ def run_once(h):
     geom = UnitCellGeometry(DiskInclusion((0.5, 0.5), RADIUS), h)
     mesh = generate_unit_cell_mesh(geom)
     scalar = cell.solve_scalar_cell_problems(mesh)
-    diffusion = cell.compute_diffusion_tensor(scalar, mesh)
+    diffusion = cell.compute_diffusion_tensor(scalar)
     flow = cell.solve_stokes_cell_problems(mesh)
-    permeability = cell.compute_permeability_tensor(flow, mesh)
+    permeability = cell.compute_permeability_tensor(flow)
     wall = cell.solve_dirichlet_cell_problem(mesh)
-    mean = cell.compute_dirichlet_mean(wall, mesh)
+    mean = cell.compute_dirichlet_mean(wall)
     log.info("h=%g: nodes=%d d=%.10f k=%.10e m=%.10f (%.1fs)",
              h, mesh.num_nodes, diffusion[0, 0], permeability[0, 0],
              mean, time.time() - start)

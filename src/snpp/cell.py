@@ -151,7 +151,7 @@ def solve_scalar_cell_problems(mesh):
     return sols
 
 
-def compute_diffusion_tensor(sols, mesh):
+def compute_diffusion_tensor(sols):
     """Average of the corrected unit gradients, cross-checked by energy.
 
     The defining formula integrates delta_ij + the corrector gradient;
@@ -160,6 +160,7 @@ def compute_diffusion_tensor(sols, mesh):
     gap beyond MISMATCH_TOL means the assembly or the boundary data is
     wrong.
     """
+    mesh = sols.mesh
     areas, _ = fem.triangle_data(mesh)
     porosity = float(np.sum(areas))
     grads = [fem.p1_element_gradients(mesh, sols.phi[:, j]) for j in range(2)]
@@ -190,8 +191,7 @@ def solve_stokes_cell_problems(mesh):
         raise NoSolidPhase(
             "cell has no inclusion; the flow problem with mean forcing "
             "has no periodic solution", where="cell.solve_stokes_cell_problems")
-    op = fem.StokesOperator(mesh, {"periodic": True,
-                                   "no_slip_tags": [GAMMA_INTERIOR]})
+    op = fem.StokesOperator(mesh)
     velocities, pressures = [], []
     for j in range(2):
         forcing = np.zeros(2)
@@ -204,8 +204,9 @@ def solve_stokes_cell_problems(mesh):
     return sols
 
 
-def compute_permeability_tensor(sols, mesh):
+def compute_permeability_tensor(sols):
     """Averaged flow correctors, cross-checked by the viscous energy."""
+    mesh = sols.mesh
     averaged = np.column_stack(
         [fem.integrate_p2(mesh, vel) for vel in sols.velocities])
     stiff_p2 = fem.assemble_p2_stiffness(mesh)
@@ -233,20 +234,21 @@ def solve_dirichlet_cell_problem(mesh):
             "cell has no inclusion; the unit-source problem is "
             "incompatible under pure periodicity",
             where="cell.solve_dirichlet_cell_problem")
-    stiff = fem.assemble_stiffness(mesh)
-    rhs = fem.mass_weight(mesh)
-    clamped = np.unique(tagged_edges(mesh, {GAMMA_INTERIOR}))
     fold, cols = fem.periodic_prolongation(mesh.num_nodes, mesh.periodic_pairs)
-    matrix, reduced_rhs = fem.apply_dirichlet(
-        fold.T @ stiff @ fold, fold.T @ rhs, cols[clamped], 0.0)
-    phi = fold @ fem.symmetric_lu(matrix.tocsc()).solve(reduced_rhs)
+    clamped = cols[np.unique(tagged_edges(mesh, {GAMMA_INTERIOR}))]
+    matrix = fem.apply_dirichlet(
+        fold.T @ fem.assemble_stiffness(mesh) @ fold, clamped)
+    rhs = fold.T @ fem.mass_weight(mesh)
+    rhs[clamped] = 0.0
+    phi = fold @ fem.symmetric_lu(matrix.tocsc()).solve(rhs)
     sol = DirichletCellSolution(mesh, phi)
     sol.validate()
     return sol
 
 
-def compute_dirichlet_mean(sol, mesh):
+def compute_dirichlet_mean(sol):
     """Mean of the unit-source solution, cross-checked by its energy."""
+    mesh = sol.mesh
     weight = fem.mass_weight(mesh)
     averaged = float(weight @ sol.phi)
     stiff = fem.assemble_stiffness(mesh)
@@ -275,8 +277,9 @@ def corrector_node_values(micro_mesh, sols):
         raise ValidationError(
             "mesh carries no tiling record; corrector lookup needs a "
             "perforated mesh")
-    if sols.mesh is not micro_mesh.cell_mesh and \
-            sols.mesh.num_nodes != micro_mesh.cell_mesh.num_nodes:
+    cell = micro_mesh.cell_mesh
+    if not (np.array_equal(sols.mesh.nodes, cell.nodes)
+            and np.array_equal(sols.mesh.triangles, cell.triangles)):
         raise ValidationError(
             "corrector solutions were not computed on the tiling's cell "
             "mesh")
@@ -293,15 +296,15 @@ def compute_effective_coefficients(geom, sigma=0.0, mesh=None):
     if mesh is None:
         mesh = generate_unit_cell_mesh(geom)
     scalar = solve_scalar_cell_problems(mesh)
-    diffusion = compute_diffusion_tensor(scalar, mesh)
+    diffusion = compute_diffusion_tensor(scalar)
     areas, _ = fem.triangle_data(mesh)
     porosity = float(np.sum(areas))
     solutions = {"scalar": scalar, "mesh": mesh}
     if _has_interface(mesh):
         flow = solve_stokes_cell_problems(mesh)
-        permeability = compute_permeability_tensor(flow, mesh)
+        permeability = compute_permeability_tensor(flow)
         wall = solve_dirichlet_cell_problem(mesh)
-        dirichlet_mean = compute_dirichlet_mean(wall, mesh)
+        dirichlet_mean = compute_dirichlet_mean(wall)
         solutions["flow"] = flow
         solutions["wall"] = wall
     else:

@@ -336,7 +336,7 @@ def _finish(config, started, extra=None):
     print("wrote %s" % path)
 
 
-def _write_run_outputs(config, prefix, mesh, states, diagnostics):
+def _write_run_outputs(config, prefix, states, diagnostics):
     if "csv" in config.formats:
         path = _artifact(config, "diagnostics.csv")
         output.write_diagnostics_csv(path, diagnostics)
@@ -344,7 +344,7 @@ def _write_run_outputs(config, prefix, mesh, states, diagnostics):
     if "vtk" in config.formats:
         for index, state in enumerate(states):
             path = _artifact(config, "%s_%04d.vtk" % (prefix, index))
-            output.write_vtk(path, mesh, state)
+            output.write_vtk(path, state)
         print("wrote %d %s_*.vtk snapshots" % (len(states), prefix))
 
 
@@ -374,7 +374,7 @@ def run_macro_cmd(config):
                                  snapshot_stride=config.snapshot_stride)
     states, diagnostics = macro.run_macro(problem)
     os.makedirs(config.directory, exist_ok=True)
-    _write_run_outputs(config, "macro", mesh, states, diagnostics)
+    _write_run_outputs(config, "macro", states, diagnostics)
     _finish(config, started)
     return 0
 
@@ -392,7 +392,7 @@ def run_micro_cmd(config):
                                  snapshot_stride=config.snapshot_stride)
     states, diagnostics = micro.run_micro(problem)
     os.makedirs(config.directory, exist_ok=True)
-    _write_run_outputs(config, "micro", mesh, states, diagnostics)
+    _write_run_outputs(config, "micro", states, diagnostics)
     _finish(config, started)
     return 0
 

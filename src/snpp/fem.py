@@ -356,21 +356,14 @@ def periodic_prolongation(n, pairs):
     return p, cols
 
 
-def apply_dirichlet(matrix, rhs, nodes, values):
-    """Symmetric elimination of prescribed dofs."""
-    nodes = np.asarray(nodes, dtype=int)
-    values = np.broadcast_to(np.asarray(values, dtype=float), nodes.shape)
-    n = matrix.shape[0]
-    keep = np.ones(n, dtype=bool)
-    keep[nodes] = False
-    full_values = np.zeros(n)
-    full_values[nodes] = values
-    rhs = rhs - matrix @ full_values
-    rhs[nodes] = values
-    mask = sp.diags(keep.astype(float))
-    pin = sp.diags((~keep).astype(float))
-    matrix = (mask @ matrix @ mask + pin).tocsr()
-    return matrix, rhs
+def apply_dirichlet(matrix, nodes):
+    """The matrix with the rows and columns of nodes zeroed and a unit
+    diagonal on them.  The caller sets the pinned rows of its right-hand
+    side and lifts nonzero prescribed values off the free rows."""
+    keep = np.ones(matrix.shape[0])
+    keep[nodes] = 0.0
+    mask = sp.diags(keep)
+    return (mask @ matrix @ mask + sp.diags(1.0 - keep)).tocsr()
 
 
 # ----------------------------------------------------------------------
@@ -693,13 +686,14 @@ def _p2_periodic_pairs(mesh):
 class StokesOperator:
     """Taylor-Hood Stokes operator with reusable factorization.
 
-    bc is a dict with keys "no_slip_tags" (list of boundary tags) and
-    "periodic" (bool); a periodic operator needs a no-slip wall, without
-    which it raises NoSolidPhase.  Both routes read two blocks built
-    once: a, the scalar P2 viscous block folded onto the periodic
-    velocity dofs (fold^T A fold) with the no-slip dofs pinned, and b,
-    the divergence rows -[Bx By] on the folded pressure dofs with the
-    pinned columns zeroed.  A saddle [[blockdiag(a, a), b^T], [b, 0]]
+    The mesh fixes the boundary conditions.  A mesh with periodic pairs
+    is a periodic cell with no-slip on its inclusion (GammaInterior),
+    and a cell without one raises NoSolidPhase; any other mesh has
+    no-slip on every boundary edge.  Both routes read two blocks built once: a,
+    the scalar P2 viscous block folded onto the periodic velocity dofs
+    (fold^T A fold) with the no-slip dofs pinned, and b, the divergence
+    rows -[Bx By] on the folded pressure dofs with the pinned columns
+    zeroed.  A saddle [[blockdiag(a, a), b^T], [b, 0]]
     below DIRECT_DOF_LIMIT rows is factored by one ZeroMeanLU under the
     pressure_weight constraint.  A larger one is solved by conjugate
     gradients on the pressure Schur complement S = b blockdiag(a, a)^-1
@@ -727,12 +721,13 @@ class StokesOperator:
     conjugate-gradient iterations they took.
     """
 
-    def __init__(self, mesh, bc, viscosity=1.0, laplacian_lu=None):
+    def __init__(self, mesh, viscosity=1.0, laplacian_lu=None):
         self.mesh = mesh
         self.viscosity = viscosity
+        self.periodic = len(mesh.periodic_pairs) > 0
         self.no_slip_dofs = _p2_boundary_dofs(
-            mesh, set(bc.get("no_slip_tags", ())))
-        self.periodic = bool(bc.get("periodic", False))
+            mesh, {GAMMA_INTERIOR} if self.periodic
+            else set(mesh.boundary_tags))
         if self.periodic and not self.no_slip_dofs:
             raise NoSolidPhase(
                 "periodic flow without a no-slip wall has no unique "
@@ -755,8 +750,7 @@ class StokesOperator:
         free[self.fixed] = 0.0
         viscous = self.fold.T @ (self.viscosity
                                  * assemble_p2_stiffness(mesh)) @ self.fold
-        self.a, _ = apply_dirichlet(viscous.tocsr(), np.zeros(len(free)),
-                                    self.fixed, 0.0)
+        self.a = apply_dirichlet(viscous.tocsr(), self.fixed)
         # Sorted columns make the sums of b @ u run in dof order.
         self.b = (sp.hstack([self.pressure_fold.T @ -divergence @ self.fold
                              for divergence in assemble_divergence(mesh)],

@@ -25,7 +25,7 @@ from .macro import (
     run_steps,
     solve_neumann_potential,
 )
-from .mesh import GAMMA_INTERIOR, OUTER_BOUNDARY, tagged_edges
+from .mesh import GAMMA_INTERIOR, tagged_edges
 
 log = logging.getLogger(__name__)
 
@@ -73,6 +73,8 @@ class _Operators:
         self.weight = fem.mass_weight(mesh)
         self.stiff = fem.assemble_stiffness(mesh)
         self.eps_alpha = eps ** regime.alpha
+        self.eps_beta = eps ** regime.beta
+        self.drift_tensor = eps ** regime.gamma * np.eye(2)
         self.lu_laplacian = None
         if regime.bc_type == NEUMANN:
             self.surface_load = fem.assemble_boundary_load(
@@ -90,13 +92,10 @@ class _Operators:
             wall_values[self.gamma_nodes] = regime.phi_d
             self.wall_correction = np.asarray(
                 scaled @ wall_values).ravel()
-            constrained, _ = fem.apply_dirichlet(
-                scaled, np.zeros(mesh.num_nodes), self.gamma_nodes,
-                regime.phi_d)
-            self.lu_potential = fem.symmetric_lu(sp.csc_matrix(constrained))
+            self.lu_potential = fem.symmetric_lu(sp.csc_matrix(
+                fem.apply_dirichlet(scaled, self.gamma_nodes)))
         self.stokes = fem.StokesOperator(
-            mesh, {"no_slip_tags": [GAMMA_INTERIOR, OUTER_BOUNDARY]},
-            viscosity=eps ** 2, laplacian_lu=self.lu_laplacian)
+            mesh, viscosity=eps ** 2, laplacian_lu=self.lu_laplacian)
         self.transport = fem.TransportSolver(mesh, self.stiff,
                                              self.lumped, dt)
 
@@ -112,17 +111,15 @@ class _Operators:
 
     def solve_flow(self, charge, phi):
         """Elementwise means of the Stokes velocity, and the pressure."""
-        eps_beta = self.mesh.eps ** self.regime.beta
         charge_e = fem.element_means(self.mesh, charge)
-        forcing = -eps_beta * charge_e[:, None] \
+        forcing = -self.eps_beta * charge_e[:, None] \
             * fem.p1_element_gradients(self.mesh, phi)
         velocity, pressure = self.stokes.solve(forcing)
         return fem.p2_element_means(self.mesh, velocity), pressure
 
     def step_transport(self, c_plus, c_minus, velocity, phi):
-        tensor = self.mesh.eps ** self.regime.gamma * np.eye(2)
-        return fem.step_reacting_pair(self.transport, velocity, phi, tensor,
-                                      c_plus, c_minus)
+        return fem.step_reacting_pair(self.transport, velocity, phi,
+                                      self.drift_tensor, c_plus, c_minus)
 
 
 def run_micro(problem):

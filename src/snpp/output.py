@@ -109,7 +109,7 @@ def _rows(row_format, array):
     return (row_format * len(array)) % tuple(np.ravel(array).tolist())
 
 
-def write_vtk(path, mesh, state):
+def write_vtk(path, state):
     """Write one solution state as a legacy ASCII VTK unstructured grid.
 
     Concentrations, potential, and pressure go out as point scalars; the
@@ -117,8 +117,8 @@ def write_vtk(path, mesh, state):
     formatted with one % over its row format repeated once per row and
     written as one string, so only one section is held as text at a time.
     """
-    points = mesh.nodes
-    tris = mesh.triangles
+    points = state.mesh.nodes
+    tris = state.mesh.triangles
     scalars = (("c_plus", state.c_plus), ("c_minus", state.c_minus),
                ("phi", state.phi), ("pressure", state.pressure))
     velocity = np.asarray(state.velocity, dtype=float)

@@ -198,14 +198,16 @@ def _relative_grid_error(micro_grid, macro_grid):
 
 
 def corrector_enhanced_error(micro_mesh, micro_phi, macro_mesh, macro_phi,
-                             scalar_solutions, eps, alpha):
+                             scalar_solutions, alpha):
     """Unaveraged potential errors without and with the cell corrector.
 
     The pore-scale potential is rescaled by eps^alpha, compared against
     the upscaled potential interpolated to the pore mesh, and then
     against the first-order two-scale expansion that adds eps times the
-    cell correctors contracted with the upscaled gradient.
+    cell correctors contracted with the upscaled gradient.  eps is the
+    scale that the tiled micro_mesh carries.
     """
+    eps = micro_mesh.eps
     scaled = eps ** alpha * np.asarray(micro_phi, dtype=float)
     gradient = fem.recover_nodal_gradient(macro_mesh, macro_phi)
     tilde0, gx, gy = fem.p1_interpolate(
@@ -252,7 +254,7 @@ def compare_scales(regime, coeffs, solutions, macro_final, micro_finals):
         if neumann:
             row["phi_plain"], row["phi_corrected"] = corrector_enhanced_error(
                 mesh, final.phi, macro_mesh, macro_final.phi,
-                solutions["scalar"], eps, regime.alpha)
+                solutions["scalar"], regime.alpha)
         for name, value in row.items():
             errors.setdefault(name, []).append(value)
     return errors

@@ -354,7 +354,8 @@ def stokes_saddle_reference(mesh, bc, viscosity):
     The full saddle [[A, 0, -Bx^T], [0, A, -By^T], [-Bx, -By, 0]] over
     (ux, uy, p) is reduced to P^T S P by one prolongation P of all three
     fields, and the no-slip dofs of both components are eliminated with
-    fem.apply_dirichlet.
+    fem.apply_dirichlet.  bc states the walls explicitly ("periodic" and
+    "no_slip_tags"), where the operator reads them off the mesh.
     """
     n2 = fem.p2_dof_count(mesh)
     n1 = mesh.num_nodes
@@ -374,9 +375,8 @@ def stokes_saddle_reference(mesh, bc, viscosity):
     fixed = np.unique(cols[np.concatenate([no_slip, no_slip + n2])])
     weight = np.zeros(2 * n2 + n1)
     weight[2 * n2:] = fem.assemble_mass(mesh) @ np.ones(n1)
-    matrix, _ = fem.apply_dirichlet(
-        (prolong.T @ saddle @ prolong).tocsr(),
-        np.zeros(prolong.shape[1]), fixed, 0.0)
+    matrix = fem.apply_dirichlet((prolong.T @ saddle @ prolong).tocsr(),
+                                 fixed)
     return matrix, prolong.T @ weight
 
 

@@ -1,5 +1,8 @@
 """Cell problems and effective coefficients against independent oracles."""
 
+import importlib.util
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,9 @@ from snpp.mesh import (
 )
 
 from oracles import dense_p1_mass, dense_p1_stiffness, gauss_solve, tri_area
+
+GOLDEN_SCRIPT = pathlib.Path(__file__).resolve().parents[1] / "scripts" \
+    / "compute_golden.py"
 
 
 def disk_geom(h, radius=0.25):
@@ -90,7 +96,7 @@ def test_no_inclusion_cell_is_trivial():
     mesh = generate_unit_cell_mesh(UnitCellGeometry(None, 0.25))
     sols = cell.solve_scalar_cell_problems(mesh)
     assert np.max(np.abs(sols.phi)) == 0.0
-    diffusion = cell.compute_diffusion_tensor(sols, mesh)
+    diffusion = cell.compute_diffusion_tensor(sols)
     assert np.max(np.abs(diffusion - np.eye(2))) < 1e-12
     with pytest.raises(NoSolidPhase):
         cell.solve_stokes_cell_problems(mesh)
@@ -101,7 +107,7 @@ def test_no_inclusion_cell_is_trivial():
 def test_diffusion_matches_dense_periodic_oracle():
     mesh = generate_unit_cell_mesh(disk_geom(0.1))
     sols = cell.solve_scalar_cell_problems(mesh)
-    ours = cell.compute_diffusion_tensor(sols, mesh)
+    ours = cell.compute_diffusion_tensor(sols)
 
     stiff, mass = oracle_dense_operators(mesh)
     canon = oracle_canonical_map(mesh)
@@ -135,7 +141,7 @@ def test_diffusion_matches_dense_periodic_oracle():
 def test_dirichlet_mean_matches_dense_oracle():
     mesh = generate_unit_cell_mesh(disk_geom(0.1))
     sol = cell.solve_dirichlet_cell_problem(mesh)
-    ours = cell.compute_dirichlet_mean(sol, mesh)
+    ours = cell.compute_dirichlet_mean(sol)
 
     stiff, mass = oracle_dense_operators(mesh)
     canon = oracle_canonical_map(mesh)
@@ -171,7 +177,7 @@ def test_scalar_corrector_mirror_antisymmetry():
 def test_diffusion_isotropy_and_variational_bound():
     mesh = generate_unit_cell_mesh(disk_geom(0.025))
     sols = cell.solve_scalar_cell_problems(mesh)
-    diffusion = cell.compute_diffusion_tensor(sols, mesh)
+    diffusion = cell.compute_diffusion_tensor(sols)
     assert abs(diffusion[0, 1]) < 1e-8
     assert abs(diffusion[1, 0]) < 1e-8
     assert abs(diffusion[0, 0] - diffusion[1, 1]) < 1e-6
@@ -184,7 +190,7 @@ def test_diffusion_approaches_identity_for_small_inclusions():
     for radius, h in ((0.1, 0.04), (0.05, 0.02)):
         mesh = generate_unit_cell_mesh(disk_geom(h, radius))
         sols = cell.solve_scalar_cell_problems(mesh)
-        diffusion = cell.compute_diffusion_tensor(sols, mesh)
+        diffusion = cell.compute_diffusion_tensor(sols)
         gaps.append(np.linalg.norm(diffusion - np.eye(2)))
     assert gaps[1] < gaps[0]
 
@@ -204,7 +210,7 @@ def test_scalar_energy_converges_at_second_order():
 def test_permeability_isotropic_positive_definite():
     mesh = generate_unit_cell_mesh(disk_geom(0.05))
     sols = cell.solve_stokes_cell_problems(mesh)
-    perm = cell.compute_permeability_tensor(sols, mesh)
+    perm = cell.compute_permeability_tensor(sols)
     k = perm[0, 0]
     assert k > 0
     assert abs(perm[0, 1]) < 1e-8 * k
@@ -218,7 +224,7 @@ def test_permeability_decreases_with_radius():
     for radius in (0.2, 0.3, 0.4):
         mesh = generate_unit_cell_mesh(disk_geom(0.04, radius))
         sols = cell.solve_stokes_cell_problems(mesh)
-        values.append(cell.compute_permeability_tensor(sols, mesh)[0, 0])
+        values.append(cell.compute_permeability_tensor(sols)[0, 0])
     assert values[0] > values[1] > values[2] > 0
 
 
@@ -227,7 +233,7 @@ def test_dirichlet_mean_decreases_with_radius():
     for radius in (0.2, 0.3, 0.4):
         mesh = generate_unit_cell_mesh(disk_geom(0.04, radius))
         sol = cell.solve_dirichlet_cell_problem(mesh)
-        values.append(cell.compute_dirichlet_mean(sol, mesh))
+        values.append(cell.compute_dirichlet_mean(sol))
     assert values[0] > values[1] > values[2] > 0
 
 
@@ -263,7 +269,7 @@ def test_doubled_solutions_split_the_two_routes(case):
     mesh = generate_unit_cell_mesh(disk_geom(0.1))
     compute, doubled = case(mesh)
     with pytest.raises(FormulaMismatch) as info:
-        compute(doubled, mesh)
+        compute(doubled)
     assert info.value.where == "cell." + compute.__name__
 
 
@@ -289,6 +295,33 @@ def test_corrector_node_values_use_tiling_record():
     plain = generate_unit_cell_mesh(disk_geom(0.1))
     with pytest.raises(ValidationError):
         cell.corrector_node_values(plain, sols)
+    # Centred disks of radius 0.23 to 0.30 all give 76-node cells at
+    # h=1/8: correctors of the r=0.30 cell must not serve an r=0.25 tiling.
+    tiled = generate_perforated_mesh(PerforatedDomain(0.5, disk_geom(0.125)),
+                                     1 / 16)
+    other = cell.solve_scalar_cell_problems(
+        generate_unit_cell_mesh(disk_geom(0.125, 0.30)))
+    assert other.mesh.num_nodes == tiled.cell_mesh.num_nodes
+    with pytest.raises(ValidationError):
+        cell.corrector_node_values(tiled, other)
+
+
+def test_golden_script_runs_on_a_coarse_cell():
+    # The script that wrote tests/fixtures/golden_r025.json calls the
+    # tensor functions directly; run it on a coarse cell so a signature
+    # change cannot break it unnoticed.
+    spec = importlib.util.spec_from_file_location("compute_golden",
+                                                  GOLDEN_SCRIPT)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    values = script.run_once(0.1)
+    coeffs, solutions = cell.compute_effective_coefficients(disk_geom(0.1))
+    assert values == {
+        "nodes": solutions["scalar"].mesh.num_nodes,
+        "d": coeffs.diffusion[0, 0], "d_offdiag": coeffs.diffusion[0, 1],
+        "k": coeffs.permeability[0, 0],
+        "k_offdiag": coeffs.permeability[0, 1],
+        "m": coeffs.dirichlet_mean}
 
 
 def test_effective_coefficients_validation():
@@ -315,8 +348,7 @@ def test_effective_coefficients_validation():
 def test_coefficients_share_one_scalar_solve():
     coeffs, solutions = cell.compute_effective_coefficients(
         disk_geom(0.1), sigma=1.0)
-    recomputed = cell.compute_diffusion_tensor(
-        solutions["scalar"], solutions["mesh"])
+    recomputed = cell.compute_diffusion_tensor(solutions["scalar"])
     assert np.array_equal(recomputed, coeffs.diffusion)
     assert coeffs.permeability is not None
     assert coeffs.dirichlet_mean > 0

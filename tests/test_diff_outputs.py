@@ -131,11 +131,10 @@ def write_snapshots(directory, mesh, scale=1.0):
     x, y = mesh.nodes.T
     for k, factor in enumerate((1.0, scale)):
         state = SimpleNamespace(
-            t=2e-3 * k, c_plus=0.2 + 0.5 * x * y, c_minus=0.7 - 0.5 * x * y,
+            mesh=mesh, t=2e-3 * k, c_plus=0.2 + 0.5 * x * y, c_minus=0.7 - 0.5 * x * y,
             phi=np.sin(np.pi * x) * y, pressure=factor * (x - 0.5),
             velocity=np.tile([1e-3, -2e-3], (mesh.num_triangles, 1)))
-        output.write_vtk(str(directory / ("micro_%04d.vtk" % k)), mesh,
-                         state)
+        output.write_vtk(str(directory / ("micro_%04d.vtk" % k)), state)
     return str(directory)
 
 

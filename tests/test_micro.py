@@ -200,9 +200,7 @@ def test_eps_one_step_matches_manual_composition(monkeypatch):
 
     charge_e = fem.element_means(mesh, charge)
     forcing = -charge_e[:, None] * fem.p1_element_gradients(mesh, phi)
-    stokes = fem.StokesOperator(
-        mesh, {"no_slip_tags": [GAMMA_INTERIOR, OUTER_BOUNDARY]},
-        viscosity=1.0)
+    stokes = fem.StokesOperator(mesh, viscosity=1.0)
     velocity, pressure = stokes.solve(forcing)
     velocity = fem.p2_element_means(mesh, velocity)
     assert np.max(np.abs(fields.velocity - velocity)) <= 1e-12

@@ -125,7 +125,7 @@ def test_vtk_file_describes_the_mesh(tmp_path):
         pressure=rng.random(mesh.num_nodes),
         velocity=rng.random((mesh.num_triangles, 2)))
     path = tmp_path / "state.vtk"
-    output.write_vtk(path, mesh, state)
+    output.write_vtk(path, state)
     lines = path.read_text().splitlines()
     assert lines[0] == "# vtk DataFile Version 3.0"
     assert lines[2] == "ASCII"
@@ -175,7 +175,7 @@ def test_vtk_bytes_match_the_value_by_value_writer(tmp_path):
         c_minus=field(mesh.num_nodes), phi=field(mesh.num_nodes),
         pressure=field(mesh.num_nodes),
         velocity=field((mesh.num_triangles, 2)))
-    output.write_vtk(tmp_path / "array.vtk", mesh, state)
+    output.write_vtk(tmp_path / "array.vtk", state)
     write_vtk_reference(tmp_path / "loop.vtk", mesh, state)
     written = (tmp_path / "array.vtk").read_bytes()
     assert b"nan" in written and b"-0\n" in written
@@ -190,7 +190,7 @@ def test_vtk_rejects_mismatched_velocity(tmp_path):
         pressure=np.zeros(mesh.num_nodes),
         velocity=np.zeros((3, 2)))
     with pytest.raises(ValidationError):
-        output.write_vtk(tmp_path / "state.vtk", mesh, state)
+        output.write_vtk(tmp_path / "state.vtk", state)
 
 
 def test_manifest_is_valid_json(tmp_path):

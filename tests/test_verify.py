@@ -195,7 +195,7 @@ def test_corrector_subtraction_cancels_synthetic_expansion():
 
     plain, enhanced = verify.corrector_enhanced_error(
         mesh, micro_phi, macro_mesh, macro_phi, solutions["scalar"],
-        eps, alpha=0)
+        alpha=0)
     expected_plain = eps * fem.l2_norm(mesh, corrector @ g)
     assert expected_plain > 1e-4
     assert abs(plain - expected_plain) <= 1e-12
@@ -214,7 +214,7 @@ def test_corrector_is_inert_without_inclusion():
     micro_phi = mesh.nodes @ g + 0.01 * np.sin(np.pi * mesh.nodes[:, 0])
     plain, enhanced = verify.corrector_enhanced_error(
         mesh, micro_phi, macro_mesh, macro_phi, solutions["scalar"],
-        eps, alpha=0)
+        alpha=0)
     assert plain > 1e-4
     assert abs(enhanced - plain) <= 1e-12
 
