@@ -19,7 +19,10 @@ figures against the largest |value| of that quantity in either run: the
 diagnostics charge against the mass, the coefficients D12 against D11
 and D22, and K12 against K11 and K22.  For every array of the VTK files
 (the points, the cells and each field) it prints the largest of the
-column-scaled difference over the files.  It exits 1 when the
+column-scaled difference over the files.  When both manifests carry a
+"profile", it prints every count of a task that differs between them,
+as TASK/COUNT with the two values, or "profile same"; the timers (keys
+ending in _s) are left out.  It exits 1 when the
 "flags" or the "monotone" of the two manifests differ, and 0 otherwise;
 a table whose header or row count differs between the two runs, a VTK
 array whose size differs, a key present in one coefficients.txt only, or
@@ -90,10 +93,19 @@ def read_coefficients(path):
     return out
 
 
-def read_verdict(path):
-    with open(path) as handle:
-        manifest = json.load(handle)
-    return {key: manifest.get(key) for key in ("flags", "monotone")}
+def compare_profiles(first, second):
+    """Print each count of a task whose value differs between the two
+    profiles (absent counts as "-"), leaving out the timers."""
+    differ = False
+    for task in sorted(first.keys() | second.keys()):
+        counts_a, counts_b = first.get(task, {}), second.get(task, {})
+        for key in sorted(counts_a.keys() | counts_b.keys()):
+            a, b = counts_a.get(key, "-"), counts_b.get(key, "-")
+            if not key.endswith("_s") and a != b:
+                differ = True
+                print("manifest.json %s/%s %s %s" % (task, key, a, b))
+    if not differ:
+        print("manifest.json profile same")
 
 
 def read_vtk(path):
@@ -205,8 +217,14 @@ def main(argv):
         return 2
     if "manifest.json" not in held[0]:
         return 0
-    verdicts = [read_verdict(os.path.join(directory, "manifest.json"))
-                for directory in argv]
+    manifests = []
+    for directory in argv:
+        with open(os.path.join(directory, "manifest.json")) as handle:
+            manifests.append(json.load(handle))
+    if all("profile" in manifest for manifest in manifests):
+        compare_profiles(manifests[0]["profile"], manifests[1]["profile"])
+    verdicts = [{key: manifest.get(key) for key in ("flags", "monotone")}
+                for manifest in manifests]
     for key in ("flags", "monotone"):
         same = verdicts[0][key] == verdicts[1][key]
         print("manifest.json %-16s %s" % (key, "same" if same else "DIFFERS"))

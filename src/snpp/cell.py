@@ -299,7 +299,7 @@ def compute_effective_coefficients(geom, sigma=0.0, mesh=None):
     diffusion = compute_diffusion_tensor(scalar)
     areas, _ = fem.triangle_data(mesh)
     porosity = float(np.sum(areas))
-    solutions = {"scalar": scalar, "mesh": mesh}
+    solutions = {"scalar": scalar}
     if _has_interface(mesh):
         flow = solve_stokes_cell_problems(mesh)
         permeability = compute_permeability_tensor(flow)

@@ -372,10 +372,10 @@ def run_macro_cmd(config):
                                  t_end=config.t_end, dt=config.dt,
                                  lam=config.lam,
                                  snapshot_stride=config.snapshot_stride)
-    states, diagnostics = macro.run_macro(problem)
+    states, diagnostics, profile = macro.run_macro(problem)
     os.makedirs(config.directory, exist_ok=True)
     _write_run_outputs(config, "macro", states, diagnostics)
-    _finish(config, started)
+    _finish(config, started, extra={"profile": {"macro": profile}})
     return 0
 
 
@@ -390,10 +390,10 @@ def run_micro_cmd(config):
                                  t_end=config.t_end, dt=config.dt,
                                  lam=config.lam,
                                  snapshot_stride=config.snapshot_stride)
-    states, diagnostics = micro.run_micro(problem)
+    states, diagnostics, profile = micro.run_micro(problem)
     os.makedirs(config.directory, exist_ok=True)
     _write_run_outputs(config, "micro", states, diagnostics)
-    _finish(config, started)
+    _finish(config, started, extra={"profile": {"micro": profile}})
     return 0
 
 
@@ -412,7 +412,8 @@ def run_converge(config):
     output.write_coefficients(coeff_path, study.coeffs)
     print("wrote %s" % coeff_path)
     _finish(config, started, extra={"flags": study.flags,
-                                    "monotone": study.monotone})
+                                    "monotone": study.monotone,
+                                    "profile": study.profiles})
 
     fields = verify.STUDY_FIELDS
     print(("%-8s %-10s" + " %-12s" * len(fields)) % (("eps", "h") + fields))

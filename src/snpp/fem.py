@@ -537,12 +537,12 @@ class TransportSolver:
         self._last = x
         return x
 
-    def summary(self):
-        return ("%d factorizations, %d refined solves, %d refinement steps, "
-                "%d LU entries"
-                % (self.factorizations, self.refined_solves,
-                   self.refinement_steps,
-                   0 if self._lu is None else self._lu.nnz))
+    def profile(self):
+        """The counters, and the entries of the kept LU, by name."""
+        return {"transport_factorizations": self.factorizations,
+                "refined_solves": self.refined_solves,
+                "refinement_steps": self.refinement_steps,
+                "lu_entries": 0 if self._lu is None else self._lu.nnz}
 
 
 def step_reacting_pair(solver, velocity, drift, tensor, c_plus, c_minus):
@@ -815,9 +815,10 @@ class StokesOperator:
         laplace = self._lu_laplacian.solve(r)
         return r / self.p_mass + self.theta * laplace
 
-    def summary(self):
-        return "%d solves, %d Schur iterations" % (self.solves,
-                                                   self.schur_iterations)
+    def profile(self):
+        """The counters by name."""
+        return {"stokes_solves": self.solves,
+                "schur_iterations": self.schur_iterations}
 
     def solve(self, forcing):
         """Velocity (p2_dofs, 2) and pressure for elementwise-constant

@@ -11,6 +11,7 @@ and the transport drift is scaled by eps^gamma.
 """
 
 import logging
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,8 +129,10 @@ def run_micro(problem):
     Every step iterates the splitting sweep to a fixed point of the new
     concentrations, like the upscaled solver.  The states hold the
     elementwise means of the P2 Stokes velocity.  Returns (states,
-    diagnostics) with the same diagnostic keys as the macroscopic run.
+    diagnostics, profile) as macro.run_macro does, with the
+    StokesOperator.profile of the run added to the profile.
     """
+    started = time.perf_counter()
     problem.validate()
     ops = _Operators(problem.mesh, problem.regime, problem.dt)
 
@@ -142,10 +145,10 @@ def run_micro(problem):
         return ops.step_transport(c_plus, c_minus, state.velocity,
                                   state.phi)
 
-    states, diagnostics = run_steps(problem, update_fields, transport,
-                                    ops.lumped)
-    log.info("micro run eps=%g finished: %d steps, transport %s, stokes %s, "
-             "%d sweeps", problem.mesh.eps, len(diagnostics) - 1,
-             ops.transport.summary(), ops.stokes.summary(),
-             sum(row["fp_iters"] for row in diagnostics))
-    return states, diagnostics
+    states, diagnostics, counts = run_steps(problem, update_fields,
+                                            transport, ops.lumped)
+    profile = dict(run_s=time.perf_counter() - started, **counts,
+                   **ops.transport.profile(), **ops.stokes.profile())
+    log.info("micro run eps=%g finished: %d steps, profile %s",
+             problem.mesh.eps, len(diagnostics) - 1, profile)
+    return states, diagnostics, profile

@@ -1,16 +1,17 @@
 """Invariant suites and the scale-convergence harness.
 
 The convergence study runs as tasks (the upscaled model once on a fixed
-coarse mesh, the pore-scale solver once per cell scale), then
-compare_scales averages the final fields per cell into an error table,
-and study_verdict turns the table into flags.  The acceptance signal is
-monotone error decay over the scale list; observed orders are reported
-for information only.
+coarse mesh, the pore-scale solver once per cell scale) in a pool of
+forked worker processes, then compare_scales averages the final fields
+per cell into an error table, and study_verdict turns the table into
+flags.  The acceptance signal is monotone error decay over the scale
+list; observed orders are reported for information only.
 """
 
 import logging
 import math
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -146,7 +147,9 @@ def run_invariant_suite(states, diagnostics, regime=None, lam=1.0):
 @dataclass
 class ConvergenceStudy:
     """Per-scale errors of the pore-scale runs against the upscaled model:
-    errors is the table of compare_scales and orders its observed orders."""
+    errors is the table of compare_scales and orders its observed orders.
+    profiles maps each task ("macro", then "eps=%g" per scale) to the
+    profile its run returned."""
 
     eps_list: list
     h_list: list
@@ -159,6 +162,7 @@ class ConvergenceStudy:
     micro_diagnostics: dict = field(default=None, repr=False)
     macro_final: object = field(default=None, repr=False)
     micro_finals: dict = field(default=None, repr=False)
+    profiles: dict = field(default=None, repr=False)
 
 
 def cell_average(mesh, values, eps, intrinsic=False):
@@ -291,6 +295,25 @@ def study_verdict(eps_list, errors):
     return orders, flags, monotone
 
 
+# The (run, problem) pairs of a study, set in each forked worker by
+# _adopt_tasks when the pool starts it; the parent never changes it.
+_tasks = ()
+
+
+def _adopt_tasks(tasks):
+    global _tasks
+    _tasks = tasks
+
+
+def _run_task(index):
+    """Run task index in a worker; return the index, the final state
+    without its mesh (the parent holds it), the diagnostics and the
+    profile."""
+    run, problem = _tasks[index]
+    states, diagnostics, profile = run(problem)
+    return index, replace(states[-1], mesh=None), diagnostics, profile
+
+
 def run_convergence_study(regime, geometry, c_plus, c_minus,
                           eps_list=STUDY_EPS, t_end=0.1, dt=2e-3,
                           macro_h=1 / 64, lam=1.0):
@@ -300,10 +323,19 @@ def run_convergence_study(regime, geometry, c_plus, c_minus,
     data; on the Neumann branch each run neutralizes its own discrete
     charge.  Pore meshes use h = eps/8, so every scale shares one cell
     mesh, and the effective coefficients are computed on exactly that
-    mesh.  The macro run goes first, then one pore-scale run per scale in
-    scale order.  Non-monotone error decay is flagged on the returned
-    study, not raised.
+    mesh.  The checks, the meshes, the coefficients and the initial data
+    are made here; then the macro run and one pore-scale run per scale
+    go to a pool of min(tasks, usable CPUs) workers forked from this
+    process, and the finest scale, the longest run, goes first.  Forked
+    workers inherit those inputs, so neither the meshes nor the initial
+    data callables, which may be local functions, are pickled; the pool
+    forks them before it starts its own threads.  Each returns only its
+    final fields, diagnostics and profile.  The first run to raise ends
+    the pool and the study with its error.  Non-monotone error decay is
+    flagged on the returned study, not raised.
     """
+    import multiprocessing
+
     model = macro.classify_regime(regime)
     eps_list = [float(e) for e in eps_list]
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
@@ -325,22 +357,27 @@ def run_convergence_study(regime, geometry, c_plus, c_minus,
     coeffs, solutions = compute_effective_coefficients(
         geometry, sigma=regime.sigma, mesh=meshes[0].cell_mesh)
 
-    def final(run, problem_type, mesh, *lead):
+    def task(run, problem_type, mesh, *lead):
         cp, cm = macro.initial_concentrations(mesh, c_plus, c_minus, regime)
-        states, diagnostics = run(problem_type(
-            *lead, regime, cp, cm, t_end=t_end, dt=dt, lam=lam,
-            snapshot_stride=0))
-        return states[-1], diagnostics
+        return run, problem_type(*lead, regime, cp, cm, t_end=t_end, dt=dt,
+                                 lam=lam, snapshot_stride=0)
 
     macro_mesh = generate_unit_cell_mesh(UnitCellGeometry(None, macro_h))
-    macro_final, macro_diag = final(macro.run_macro, macro.MacroProblem,
-                                    macro_mesh, macro_mesh, coeffs)
-    finals, diagnostics = zip(*(
-        final(micro.run_micro, micro.MicroProblem, mesh, dom, mesh)
-        for dom, mesh in zip(domains, meshes)))
-    micro_finals = dict(zip(eps_list, finals))
+    tasks = [task(macro.run_macro, macro.MacroProblem, macro_mesh,
+                  macro_mesh, coeffs)]
+    tasks += [task(micro.run_micro, micro.MicroProblem, mesh, dom, mesh)
+              for dom, mesh in zip(domains, meshes)]
+    workers = min(len(tasks), len(os.sched_getaffinity(0)))
+    with multiprocessing.get_context("fork").Pool(
+            workers, _adopt_tasks, (tasks,)) as pool:
+        results = sorted(pool.imap_unordered(
+            _run_task, reversed(range(len(tasks)))), key=lambda r: r[0])
+    _, finals, diagnostics, profiles = zip(*results)
+    finals = [replace(final, mesh=problem.mesh)
+              for final, (_, problem) in zip(finals, tasks)]
+    micro_finals = dict(zip(eps_list, finals[1:]))
 
-    errors = compare_scales(regime, coeffs, solutions, macro_final,
+    errors = compare_scales(regime, coeffs, solutions, finals[0],
                             micro_finals)
     orders, flags, monotone = study_verdict(eps_list, errors)
     for flag in flags:
@@ -350,6 +387,8 @@ def run_convergence_study(regime, geometry, c_plus, c_minus,
     return ConvergenceStudy(
         eps_list=eps_list, h_list=[eps / 8.0 for eps in eps_list],
         coeffs=coeffs, errors=errors, orders=orders, flags=flags,
-        monotone=monotone, macro_diagnostics=macro_diag,
-        micro_diagnostics=dict(zip(eps_list, diagnostics)),
-        macro_final=macro_final, micro_finals=micro_finals)
+        monotone=monotone, macro_diagnostics=diagnostics[0],
+        micro_diagnostics=dict(zip(eps_list, diagnostics[1:])),
+        macro_final=finals[0], micro_finals=micro_finals,
+        profiles=dict(zip(["macro"] + ["eps=%g" % eps for eps in eps_list],
+                          profiles)))

@@ -79,7 +79,7 @@ def test_criterion_2_tensor_structure(capsys, disk_fine):
         conditions.append(abs(tensor[0, 1]) <= 1e-8 * np.trace(tensor))
     conditions.append(0.0 < d[0, 0] < 0.80365)
 
-    mesh = solutions["mesh"]
+    mesh = solutions["scalar"].mesh
     areas, _ = fem.triangle_data(mesh)
     phi = solutions["scalar"].phi
     grads = [fem.p1_element_gradients(mesh, phi[:, j]) for j in range(2)]
@@ -162,7 +162,7 @@ def test_criterion_5_conservation_and_charge_decay(capsys):
     problem = macro.MacroProblem(mesh, coeffs, regime, blob_plus(x, y),
                                  blob_minus(x, y), t_end=0.1, dt=1e-3,
                                  snapshot_stride=0)
-    _, macro_diag = macro.run_macro(problem)
+    _, macro_diag, _ = macro.run_macro(problem)
     mass0 = macro_diag[0]["mass"]
     macro_drift = max(abs(r["mass"] - mass0) for r in macro_diag) / abs(mass0)
     charge0 = macro_diag[0]["charge"]
@@ -178,7 +178,7 @@ def test_criterion_5_conservation_and_charge_decay(capsys):
     micro_problem = micro.MicroProblem(
         domain, micro_mesh, macro.ScalingRegime("neumann", 0, 0, 0), cp, cm,
         t_end=0.1, dt=1e-3, snapshot_stride=0)
-    _, micro_diag = micro.run_micro(micro_problem)
+    _, micro_diag, _ = micro.run_micro(micro_problem)
     mass0 = micro_diag[0]["mass"]
     micro_drift = max(abs(r["mass"] - mass0) for r in micro_diag) / abs(mass0)
 
@@ -209,7 +209,7 @@ def test_criterion_6_positivity_and_boundedness(capsys):
     problem = macro.MacroProblem(mesh, coeffs, regime, cp, cm,
                                  t_end=0.05, dt=h * h / 4,
                                  snapshot_stride=0)
-    _, macro_diag = macro.run_macro(problem)
+    _, macro_diag, _ = macro.run_macro(problem)
     macro_min = min(r["min_c"] for r in macro_diag)
     macro_max = max(r["max_c"] for r in macro_diag)
 
@@ -222,7 +222,7 @@ def test_criterion_6_positivity_and_boundedness(capsys):
     micro_problem = micro.MicroProblem(
         domain, micro_mesh, regime, cp, cm, t_end=0.05, dt=h * h / 4,
         snapshot_stride=0)
-    _, micro_diag = micro.run_micro(micro_problem)
+    _, micro_diag, _ = micro.run_micro(micro_problem)
     micro_min = min(r["min_c"] for r in micro_diag)
     micro_max = max(r["max_c"] for r in micro_diag)
 

@@ -5,14 +5,20 @@ import json
 import math
 import os
 import pathlib
+import pickle
 
 import numpy as np
 import pytest
 
-from snpp import cli, errors, fem, output, verify
+from snpp import cli, errors, fem, macro, output, verify
 from snpp.errors import ParseError, ValidationError
 
 from oracles import read_coefficients
+
+
+ERROR_CLASSES = {name: obj for name, obj in vars(errors).items()
+                 if isinstance(obj, type) and issubclass(obj, errors.SnppError)
+                 and obj is not errors.SnppError}
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -32,9 +38,7 @@ def test_every_error_class_is_raised_and_every_origin_is_one():
     # ValidationError's names its origin through where, which is the one
     # place the error report reads it from.  The same walk keeps the
     # package free of environment-variable knobs.
-    classes = {name for name, obj in vars(errors).items()
-               if isinstance(obj, type) and issubclass(obj, errors.SnppError)
-               and obj is not errors.SnppError}
+    classes = set(ERROR_CLASSES)
     constructed = set()
     unplaced = []
     environment = []
@@ -59,6 +63,23 @@ def test_every_error_class_is_raised_and_every_origin_is_one():
     assert classes - constructed == set()
     assert unplaced == []
     assert environment == []
+
+
+def test_every_error_class_survives_a_pickle_round_trip():
+    # A study run raises in a worker process, and its error reaches the
+    # error report through pickle: message, origin and detail must all
+    # arrive.
+    for name, cls in ERROR_CLASSES.items():
+        if cls is ParseError:
+            error = cls("bad text", line=3, column=7, where="cli.parse")
+        elif cls is ValidationError:
+            error = cls("bad value", field="regime.alpha", where="cli.parse")
+        else:
+            error = cls("went wrong", where="module.operation")
+        copy = pickle.loads(pickle.dumps(error))
+        assert type(copy) is cls, name
+        assert str(copy) == str(error), name
+        assert vars(copy) == vars(error), name
 
 
 def test_defaults_fill_missing_blocks():
@@ -371,3 +392,26 @@ def test_non_finite_field_exits_two_without_artifacts(
     assert "NonFiniteField" in capsys.readouterr().err
     assert not (outdir / "diagnostics.csv").exists()
     assert not (outdir / "study.csv").exists()
+
+
+def test_converge_worker_failure_exits_two_and_ends_the_pool(
+        tmp_path, capsys, monkeypatch):
+    # Only the macro task steps through step_macro_np, so its worker
+    # raises while the pore-scale ones run.
+    def broken_step(state, coeffs, model, ops):
+        return state.c_plus.copy(), np.full_like(state.c_minus, np.inf)
+
+    monkeypatch.setattr(macro, "step_macro_np", broken_step)
+    outdir = tmp_path / "out"
+    code = run(tmp_path, "converge", {
+        "geometry": {"cell_h": 0.1},
+        "discretization": {"h": 0.0625, "dt": 0.005, "T": 0.01,
+                           "eps": [0.5, 0.25]},
+        "output": {"directory": str(outdir)}})
+    assert code == 2
+    assert "NonFiniteField [macro.run_steps]" in capsys.readouterr().err
+    assert not (outdir / "study.csv").exists()
+    # No child process is left, not even an exited one waiting to be
+    # reaped.
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

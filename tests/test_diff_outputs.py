@@ -21,15 +21,17 @@ COEFFS = {"porosity": 0.80865828381745508, "D12": -3.69e-18,
           "K11": 0.020456691261947706}
 
 
-def write_run(directory, rows, coeffs, flags, monotone):
+def write_run(directory, rows, coeffs, flags, monotone, profile=None):
     directory.mkdir()
     lines = [HEADER] + [",".join(repr(v) for v in row) for row in rows]
     (directory / "study.csv").write_text("\n".join(lines) + "\n")
     (directory / "coefficients.txt").write_text(
         "".join("%s=%r\n" % item for item in coeffs.items()))
-    (directory / "manifest.json").write_text(json.dumps(
-        {"command": "converge", "wall_time_seconds": 1.0, "flags": flags,
-         "monotone": monotone}))
+    manifest = {"command": "converge", "wall_time_seconds": 1.0,
+                "flags": flags, "monotone": monotone}
+    if profile is not None:
+        manifest["profile"] = profile
+    (directory / "manifest.json").write_text(json.dumps(manifest))
     return str(directory)
 
 
@@ -107,6 +109,34 @@ def test_a_changed_verdict_exits_one(tmp_path, changed):
     [key] = changed
     assert printed["manifest.json", key] == "DIFFERS"
     assert float(printed["study.csv", "e_phi"]) == 0.0
+
+
+def test_profile_counts_that_differ_are_printed_per_task(tmp_path):
+    profile = {"macro": {"run_s": 1.2, "sweeps": 110, "lu_entries": 9},
+               "eps=0.5": {"run_s": 0.2, "sweeps": 110,
+                           "stokes_solves": 111}}
+    changed = json.loads(json.dumps(profile))
+    changed["macro"]["run_s"] = 0.7
+    changed["eps=0.5"].update(run_s=0.1, sweeps=112, stokes_solves=113)
+    same = write_run(tmp_path / "a", ROWS, COEFFS, [], True, profile)
+    code, printed = run_script(same, write_run(tmp_path / "b", ROWS, COEFFS,
+                                               [], True, profile))
+    assert code == 0
+    assert printed["manifest.json", "profile"] == "same"
+    code, printed = run_script(same, write_run(tmp_path / "c", ROWS, COEFFS,
+                                               [], True, changed))
+    assert code == 0
+    profile_lines = {key[1]: (value, printed[key + ("scaled",)])
+                     for key, value in printed.items()
+                     if len(key) == 2 and "/" in key[1]}
+    # The timers differ too but are not counts.
+    assert profile_lines == {"eps=0.5/stokes_solves": ("111", "113"),
+                             "eps=0.5/sweeps": ("110", "112")}
+    # Without a profile in both manifests nothing is compared.
+    code, printed = run_script(same, write_run(tmp_path / "d", ROWS, COEFFS,
+                                               [], True))
+    assert code == 0
+    assert ("manifest.json", "profile") not in printed
 
 
 def test_mismatched_studies_exit_two(tmp_path):

@@ -578,8 +578,7 @@ def test_transport_lu_stores_half_the_entries_of_the_default_lu():
     rhs = blob_content(mesh, lumped)
     got = solver.solve(rhs)
     default = splu(solver.block)
-    entries = int(solver.summary().split(", ")[-1].split()[0])
-    assert entries <= 0.6 * default.nnz
+    assert solver.profile()["lu_entries"] <= 0.6 * default.nnz
     direct = default.solve(rhs)
     assert np.max(np.abs(got - direct)) <= 1e-12 * np.max(np.abs(direct))
 

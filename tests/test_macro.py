@@ -1,7 +1,6 @@
 """Regime classification and upscaled solver behavior."""
 
 import gc
-import re
 import weakref
 
 import numpy as np
@@ -276,7 +275,7 @@ def test_run_constant_state_is_steady():
         mesh, identity_coeffs(porosity=0.8),
         macro.ScalingRegime("neumann", 0, 0, 0),
         half.copy(), half.copy(), t_end=0.02, dt=5e-3)
-    states, diagnostics = macro.run_macro(problem)
+    states, diagnostics, _ = macro.run_macro(problem)
     for state in states:
         assert np.max(np.abs(state.c_plus - 0.5)) <= 1e-12
         assert np.max(np.abs(state.c_minus - 0.5)) <= 1e-12
@@ -302,7 +301,7 @@ def test_run_builds_and_releases_one_set_of_operators(monkeypatch):
         mesh, identity_coeffs(porosity=0.8),
         macro.ScalingRegime("neumann", 0, 0, 0),
         c_plus, c_minus, t_end=0.01, dt=5e-3)
-    states, _ = macro.run_macro(problem)
+    states, _, _ = macro.run_macro(problem)
     gc.collect()
     assert len(built) == 1
     assert built[0]() is None
@@ -319,7 +318,7 @@ def test_run_decoupled_regime_single_sweep():
         mesh, identity_coeffs(porosity=0.8),
         macro.ScalingRegime("neumann", 0, 1, 1),
         blob.copy(), blob.copy(), t_end=0.02, dt=5e-3)
-    states, diagnostics = macro.run_macro(problem)
+    states, diagnostics, _ = macro.run_macro(problem)
     assert all(row["fp_iters"] == 1 for row in diagnostics[1:])
     mass0 = diagnostics[0]["mass"]
     assert max(abs(row["mass"] - mass0) for row in diagnostics) <= 1e-10 * mass0
@@ -339,7 +338,7 @@ def test_run_dirichlet_charge_decay():
         mesh, identity_coeffs(porosity=0.8),
         macro.ScalingRegime("dirichlet", 2, 1, 1, phi_d=3.0),
         c_plus, c_minus, t_end=0.02, dt=dt)
-    states, diagnostics = macro.run_macro(problem)
+    states, diagnostics, _ = macro.run_macro(problem)
     q0 = diagnostics[0]["charge"]
     assert abs(q0) > 1e-3
     for k, row in enumerate(diagnostics):
@@ -361,7 +360,7 @@ def test_run_coupled_charge_neutrality_and_dt_order():
             mesh, coeffs, macro.ScalingRegime("neumann", 0, 0, 0),
             c_plus.copy(), c_minus.copy(), t_end=0.04, dt=dt,
             snapshot_stride=0)
-        states, diagnostics = macro.run_macro(problem)
+        states, diagnostics, _ = macro.run_macro(problem)
         finals.append(states[-1].c_plus)
         mass0 = diagnostics[0]["mass"]
         assert max(abs(r["mass"] - mass0) for r in diagnostics) <= 1e-12 * mass0
@@ -458,7 +457,7 @@ def test_run_stops_within_tolerance_of_the_fixed_point(q, monkeypatch):
     # q = 0.9 needs about 110 sweeps per step under either rule.
     monkeypatch.setattr(macro, "FIXED_POINT_MAX_ITER", 200)
     sweep = LinearSweep(lambda step: q)
-    states, diagnostics = sweep.run()
+    states, diagnostics, _ = sweep.run()
     sweeps = [row["fp_iters"] for row in diagnostics[1:]]
     assert len(sweeps) == 6
     # Every concentration lies in [0, 1], so the scale is 1.  From
@@ -481,7 +480,7 @@ def test_run_measures_the_contraction_on_every_step():
     # that; a contraction measured once would accept the fourth step's
     # second sweep while it is still about 1e-4 off its fixed point.
     sweep = LinearSweep(lambda step: 1e-3 if step <= 3 else 0.3)
-    states, diagnostics = sweep.run()
+    states, diagnostics, _ = sweep.run()
     assert [row["fp_iters"] for row in diagnostics[1:4]] == [2, 2, 2]
     assert all(row["fp_iters"] > 2 for row in diagnostics[4:])
     assert max(sweep.step_errors(states)) <= macro.FIXED_POINT_TOL
@@ -495,7 +494,7 @@ def test_run_without_contraction_raises_at_the_cap():
 
 
 def test_coupled_run_steps_stop_within_tolerance_of_the_fixed_point(
-        monkeypatch, caplog):
+        monkeypatch):
     errors = []
     monkeypatch.setattr(macro, "run_steps",
                         fixed_point_checked(macro.run_steps, errors))
@@ -505,32 +504,42 @@ def test_coupled_run_steps_stop_within_tolerance_of_the_fixed_point(
         mesh, identity_coeffs(porosity=0.8),
         macro.ScalingRegime("neumann", 0, 0, 0),
         c_plus, c_minus, t_end=0.02, dt=2e-3)
-    with caplog.at_level("INFO", logger="snpp.macro"):
-        _, diagnostics = macro.run_macro(problem)
+    _, diagnostics, profile = macro.run_macro(problem)
     assert len(errors) == 10
     assert max(errors) <= macro.FIXED_POINT_TOL
     assert all(row["fp_iters"] >= 2 for row in diagnostics[1:])
-    sweeps = sum(row["fp_iters"] for row in diagnostics)
-    assert caplog.messages[-1].endswith(", %d sweeps" % sweeps)
+    assert profile["sweeps"] == sum(row["fp_iters"] for row in diagnostics)
 
 
 def test_run_factors_its_transport_block_once_and_solves_it_every_sweep(
-        caplog):
+        monkeypatch):
+    # The profile counts one potential solve per field update: one for
+    # the initial fields, one after every step and one before every sweep
+    # but the first of each step.
+    calls = []
+    solve = macro.solve_macro_poisson
+
+    def counted(state, coeffs, ops):
+        calls.append(state.t)
+        return solve(state, coeffs, ops)
+
+    monkeypatch.setattr(macro, "solve_macro_poisson", counted)
     mesh = square_mesh(1 / 16)
     c_plus, c_minus = charged_blobs(mesh, neutral=True)
     problem = macro.MacroProblem(
         mesh, identity_coeffs(porosity=0.8),
         macro.ScalingRegime("neumann", 0, 0, 0),
         c_plus, c_minus, t_end=0.01, dt=2e-3)
-    with caplog.at_level("INFO", logger="snpp.macro"):
-        _, diagnostics = macro.run_macro(problem)
-    counts = re.search(r"transport (\d+) factorizations, (\d+) refined "
-                       r"solves, (\d+) refinement steps", caplog.messages[-1])
-    factorizations, refined, _ = map(int, counts.groups())
+    _, diagnostics, profile = macro.run_macro(problem)
+    sweeps = sum(row["fp_iters"] for row in diagnostics)
+    factorizations = profile["transport_factorizations"]
+    refined = profile["refined_solves"]
     assert factorizations == 1
-    assert factorizations + refined == sum(row["fp_iters"]
-                                           for row in diagnostics)
+    assert factorizations + refined == sweeps
     assert refined >= 1
+    assert profile["sweeps"] == sweeps
+    assert len(calls) == profile["field_updates"] == 1 + sweeps
+    assert profile["run_s"] > 0 and profile["lu_entries"] > 0
 
 
 @pytest.mark.parametrize("beta", [0, 1])
@@ -620,13 +629,13 @@ def test_snapshot_stride_and_final_state():
     problem = macro.MacroProblem(mesh, coeffs, regime, half.copy(),
                                  half.copy(), t_end=0.02, dt=5e-3,
                                  snapshot_stride=2)
-    states, _ = macro.run_macro(problem)
+    states, _, _ = macro.run_macro(problem)
     assert [s.t for s in states] == [0.0, 0.01, 0.02]
 
     problem = macro.MacroProblem(mesh, coeffs, regime, half.copy(),
                                  half.copy(), t_end=0.02, dt=5e-3,
                                  snapshot_stride=0)
-    states, diagnostics = macro.run_macro(problem)
+    states, diagnostics, _ = macro.run_macro(problem)
     assert [s.t for s in states] == [0.0, 0.02]
     assert len(diagnostics) == 5
     assert diagnostics[-1]["t"] == pytest.approx(0.02)

@@ -1,7 +1,6 @@
 """Pore-scale solver behavior on tiled perforated meshes."""
 
 import gc
-import re
 import weakref
 
 import numpy as np
@@ -82,7 +81,7 @@ def test_zero_charge_run_is_inert():
     c = 0.4 + 0.2 * np.exp(-10 * (mesh.nodes[:, 0] - 0.5) ** 2)
     problem = micro.MicroProblem(domain, mesh, neumann_regime(), c,
                                  c.copy(), t_end=0.01, dt=5e-3)
-    states, diagnostics = micro.run_micro(problem)
+    states, diagnostics, _ = micro.run_micro(problem)
     for state in states:
         assert type(state) is macro.MacroState
         assert np.max(np.abs(state.phi)) <= 1e-12
@@ -135,13 +134,13 @@ def test_run_steps_stop_within_tolerance_of_the_fixed_point(monkeypatch):
     c_plus, c_minus = neutral_blobs(mesh)
     problem = micro.MicroProblem(domain, mesh, neumann_regime(), c_plus,
                                  c_minus, t_end=0.02, dt=2e-3)
-    _, diagnostics = micro.run_micro(problem)
+    _, diagnostics, _ = micro.run_micro(problem)
     assert len(errors) == 10
     assert max(errors) <= macro.FIXED_POINT_TOL
     assert all(row["fp_iters"] >= 2 for row in diagnostics[1:])
 
 
-def test_first_sweep_reuses_end_of_step_fields(monkeypatch, caplog):
+def test_first_sweep_reuses_end_of_step_fields(monkeypatch):
     # One potential solve for the initial fields, one after every step,
     # and one before every sweep but the first of each step.
     calls = []
@@ -157,15 +156,15 @@ def test_first_sweep_reuses_end_of_step_fields(monkeypatch, caplog):
     c_plus, c_minus = neutral_blobs(mesh)
     problem = micro.MicroProblem(domain, mesh, neumann_regime(), c_plus,
                                  c_minus, t_end=0.01, dt=2e-3)
-    with caplog.at_level("INFO", logger="snpp.micro"):
-        _, diagnostics = micro.run_micro(problem)
+    _, diagnostics, profile = micro.run_micro(problem)
     sweeps = sum(row["fp_iters"] for row in diagnostics)
     assert len(diagnostics) == 6
-    assert len(calls) == 1 + sweeps
-    assert caplog.messages[-1].endswith(", %d sweeps" % sweeps)
+    assert len(calls) == profile["field_updates"] == 1 + sweeps
+    assert profile["sweeps"] == sweeps
     # Every flow update solves Stokes: one per potential solve.
-    stokes = re.search(r"stokes (\d+) solves", caplog.messages[-1])
-    assert int(stokes.group(1)) == 1 + sweeps
+    assert profile["stokes_solves"] == 1 + sweeps
+    assert profile["transport_factorizations"] \
+        + profile["refined_solves"] == sweeps
     for earlier, later in zip(calls, calls[1:]):
         assert not np.array_equal(earlier, later)
 
@@ -184,7 +183,7 @@ def test_eps_one_step_matches_manual_composition(monkeypatch):
     dt = 5e-3
     problem = micro.MicroProblem(domain, mesh, neumann_regime(), c_plus,
                                  c_minus, t_end=dt, dt=dt)
-    states, diagnostics = micro.run_micro(problem)
+    states, diagnostics, _ = micro.run_micro(problem)
     fields, stepped = states[0], states[-1]
     assert [row["fp_iters"] for row in diagnostics] == [0, 1]
 
@@ -214,19 +213,16 @@ def test_eps_one_step_matches_manual_composition(monkeypatch):
     assert stepped.t == pytest.approx(dt)
 
 
-def test_run_factors_its_transport_block_once_and_solves_it_every_sweep(
-        caplog):
+def test_run_factors_its_transport_block_once_and_solves_it_every_sweep():
     domain = PerforatedDomain(0.5, DISK_CELL)
     mesh = generate_perforated_mesh(domain, 1 / 16)
     c_plus, c_minus = neutral_blobs(mesh)
     problem = micro.MicroProblem(domain, mesh, neumann_regime(), c_plus,
                                  c_minus, t_end=2e-3, dt=2e-3)
-    with caplog.at_level("INFO", logger="snpp.micro"):
-        _, diagnostics = micro.run_micro(problem)
-    counts = re.search(r"transport (\d+) factorizations, (\d+) refined "
-                       r"solves, (\d+) refinement steps, (\d+) LU entries",
-                       caplog.messages[-1])
-    factorizations, refined, _, entries = map(int, counts.groups())
+    _, diagnostics, profile = micro.run_micro(problem)
+    factorizations = profile["transport_factorizations"]
+    refined = profile["refined_solves"]
+    entries = profile["lu_entries"]
     assert factorizations == 1
     assert factorizations + refined == sum(row["fp_iters"]
                                            for row in diagnostics)
@@ -243,7 +239,7 @@ def test_charged_run_conserves_mass_and_stays_neutral(monkeypatch):
     c_plus, c_minus = neutral_blobs(mesh)
     problem = micro.MicroProblem(domain, mesh, neumann_regime(), c_plus,
                                  c_minus, t_end=0.02, dt=5e-3)
-    states, diagnostics = micro.run_micro(problem)
+    states, diagnostics, _ = micro.run_micro(problem)
     mass0 = diagnostics[0]["mass"]
     assert max(abs(r["mass"] - mass0) for r in diagnostics) <= 1e-9 * mass0
     assert max(abs(r["charge"]) for r in diagnostics) <= 1e-12
@@ -284,7 +280,7 @@ def test_no_slip_flow_divergence_is_minus_the_flux_residual_of_its_means(
     c_plus, c_minus = neutral_blobs(mesh)
     problem = micro.MicroProblem(domain, mesh, neumann_regime(), c_plus,
                                  c_minus, t_end=5e-3, dt=5e-3)
-    states, _ = micro.run_micro(problem)
+    states, _, _ = micro.run_micro(problem)
     flow = flows[-1]
     assert np.array_equal(states[-1].velocity,
                           fem.p2_element_means(mesh, flow))
@@ -320,7 +316,7 @@ def test_exponent_shift_leaves_the_run_unchanged(regimes):
         problem = micro.MicroProblem(domain, mesh, regime, c_plus, c_minus,
                                      t_end=0.01, dt=2e-3)
         runs.append(micro.run_micro(problem))
-    (states_a, diag_a), (states_b, diag_b) = runs
+    (states_a, diag_a, _), (states_b, diag_b, _) = runs
     assert [r["fp_iters"] for r in diag_a] == [r["fp_iters"] for r in diag_b]
     (a, b), (final_a, final_b) = regimes, (states_a[-1], states_b[-1])
     assert np.max(np.abs(final_a.c_plus - final_b.c_plus)) <= 1e-13
@@ -341,7 +337,7 @@ def test_dirichlet_branch_pins_wall_potential():
     regime = macro.ScalingRegime("dirichlet", 2, 1, 1, phi_d=0.3)
     problem = micro.MicroProblem(domain, mesh, regime, c_plus, c_minus,
                                  t_end=0.01, dt=5e-3)
-    states, _ = micro.run_micro(problem)
+    states, _, _ = micro.run_micro(problem)
     final = states[-1]
     wall_nodes = np.unique(tagged_edges(mesh, {GAMMA_INTERIOR}))
     assert np.max(np.abs(final.phi[wall_nodes] - 0.3)) <= 1e-12
@@ -411,7 +407,7 @@ def test_run_releases_its_operators(monkeypatch):
     c_plus, c_minus = neutral_blobs(mesh)
     problem = micro.MicroProblem(domain, mesh, neumann_regime(), c_plus,
                                  c_minus, t_end=4e-3, dt=2e-3)
-    states, _ = micro.run_micro(problem)
+    states, _, _ = micro.run_micro(problem)
     gc.collect()
     assert len(built) == 1
     assert built[0]() is None
@@ -513,7 +509,7 @@ def test_eps16_step_takes_the_schur_cg_stokes_route(monkeypatch):
     c_plus, c_minus = neutral_blobs(mesh)
     problem = micro.MicroProblem(domain, mesh, neumann_regime(), c_plus,
                                  c_minus, t_end=2e-3, dt=2e-3)
-    states, _ = micro.run_micro(problem)
+    states, _, _ = micro.run_micro(problem)
     (stokes,) = built
     assert stokes._mode == "schur_cg"
     assert stokes.solves >= 1
@@ -533,7 +529,7 @@ def test_dt_self_convergence_first_order():
                                      c_plus.copy(), c_minus.copy(),
                                      t_end=0.02, dt=dt,
                                      snapshot_stride=0)
-        states, _ = micro.run_micro(problem)
+        states, _, _ = micro.run_micro(problem)
         finals.append(states[-1].c_plus)
     coarse = fem.l2_norm(mesh, finals[0] - finals[1])
     fine = fem.l2_norm(mesh, finals[1] - finals[2])

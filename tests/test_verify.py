@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import multiprocessing.pool
+import os
 
 import numpy as np
 import pytest
@@ -53,7 +55,7 @@ def coupled_macro_run(h=1 / 16, t_end=0.02, dt=5e-3):
     cp, cm = macro.make_neutral(mesh, blob_plus(x, y), blob_minus(x, y))
     problem = macro.MacroProblem(mesh, identity_coeffs(porosity=0.8), regime,
                                  cp, cm, t_end=t_end, dt=dt)
-    states, diagnostics = macro.run_macro(problem)
+    states, diagnostics, _ = macro.run_macro(problem)
     return states, diagnostics, regime
 
 
@@ -75,7 +77,7 @@ def test_invariant_suite_passes_on_pore_scale_run():
     x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
     problem = micro.MicroProblem(domain, mesh, regime, blob_plus(x, y),
                                  blob_minus(x, y), t_end=0.01, dt=5e-3)
-    states, diagnostics = micro.run_micro(problem)
+    states, diagnostics, _ = micro.run_micro(problem)
     report = verify.run_invariant_suite(states, diagnostics, regime)
     assert report.passed
     names = [check.name for check in report.checks]
@@ -262,6 +264,56 @@ def test_charged_study_decays_and_corrector_improves():
         assert report.passed
         assert all(type(check.passed) is bool for check in report.checks)
         json.dumps([dataclasses.asdict(check) for check in report.checks])
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_pooled_study_matches_the_runs_made_in_process(monkeypatch, cpus):
+    # The pool has one worker per usable CPU up to the four tasks; each
+    # task's final state and diagnostics must be those of run_macro or
+    # run_micro called here on the same problem, bit for bit.
+    sizes = []
+
+    class RecordedPool(multiprocessing.pool.Pool):
+        def __init__(self, processes=None, *args, **kwargs):
+            sizes.append(processes)
+            super().__init__(processes, *args, **kwargs)
+
+    monkeypatch.setattr(multiprocessing.pool, "Pool", RecordedPool)
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(cpus)))
+    regime = macro.ScalingRegime("neumann", 0, 0, 0)
+    run = dict(t_end=0.02, dt=5e-3, snapshot_stride=0)
+    study = verify.run_convergence_study(
+        regime, DISK_CELL, blob_plus, blob_minus, eps_list=(0.5, 0.25),
+        t_end=run["t_end"], dt=run["dt"], macro_h=1 / 32)
+    assert sizes == [cpus]
+    assert list(study.profiles) == ["macro", "eps=0.5", "eps=0.25"]
+
+    def in_process(runner, problem_type, mesh, *lead):
+        cp, cm = macro.initial_concentrations(mesh, blob_plus, blob_minus,
+                                              regime)
+        states, diagnostics, profile = runner(
+            problem_type(*lead, regime, cp, cm, **run))
+        return states[-1], diagnostics, profile
+
+    mesh = study.macro_final.mesh
+    expected = {"macro": in_process(macro.run_macro, macro.MacroProblem,
+                                    mesh, mesh, study.coeffs)}
+    got = {"macro": (study.macro_final, study.macro_diagnostics)}
+    for eps, final in study.micro_finals.items():
+        expected["eps=%g" % eps] = in_process(
+            micro.run_micro, micro.MicroProblem, final.mesh,
+            PerforatedDomain(eps, DISK_CELL), final.mesh)
+        got["eps=%g" % eps] = (final, study.micro_diagnostics[eps])
+    for task, (final, diagnostics) in got.items():
+        want, want_diagnostics, profile = expected[task]
+        assert diagnostics == want_diagnostics, task
+        assert final.mesh is want.mesh and final.t == want.t, task
+        for name in ("c_plus", "c_minus", "phi", "pressure", "velocity"):
+            assert np.array_equal(getattr(final, name),
+                                  getattr(want, name)), (task, name)
+        counts = dict(study.profiles[task], run_s=0.0)
+        assert counts == dict(profile, run_s=0.0), task
 
 
 def test_study_rejects_inadmissible_regime_before_running():
