@@ -318,23 +318,15 @@ def run_steps(problem, update_fields, transport, lumped, content_scale=1.0,
     transport step returns a concentration that is not finite.  The
     fields are refreshed from the final concentrations of every step,
     and the first sweep of the next step uses them as they are.  Returns
-    (states, diagnostics, counts): the snapshots every
-    problem.snapshot_stride steps plus the first and the last, one dict
-    per step with keys t, mass, charge, min_c, max_c, fp_iters, where
-    mass and charge are content_scale times the lumped integrals of
-    c+ + c- and c+ - c-, and the sweeps (transport steps) and
-    field_updates (update_fields calls) of the run.
+    (states, diagnostics): the snapshots every problem.snapshot_stride
+    steps plus the first and the last, and one dict per step with keys
+    t, mass, charge, min_c, max_c, fp_iters, where mass and charge are
+    content_scale times the lumped integrals of c+ + c- and c+ - c-.
     """
     state = MacroState(
         problem.mesh, 0.0, np.asarray(problem.c_plus, dtype=float).copy(),
         np.asarray(problem.c_minus, dtype=float).copy(), None, None, None)
-    counts = {"sweeps": 0, "field_updates": 0}
-
-    def refresh():
-        update_fields(state)
-        counts["field_updates"] += 1
-
-    refresh()
+    update_fields(state)
 
     def diag_row(fp_iters):
         total = content_scale * float(
@@ -378,9 +370,8 @@ def run_steps(problem, update_fields, transport, lumped, content_scale=1.0,
             if iterations > 1:
                 # The first sweep reuses the fields of the step's starting
                 # concentrations, computed at the end of the last step.
-                refresh()
+                update_fields(state)
             candidate = transport(state, c_plus_old, c_minus_old)
-            counts["sweeps"] += 1
             if not (np.all(np.isfinite(candidate[0]))
                     and np.all(np.isfinite(candidate[1]))):
                 raise NonFiniteField(
@@ -417,12 +408,12 @@ def run_steps(problem, update_fields, transport, lumped, content_scale=1.0,
             state.c_plus, state.c_minus = candidate
         state.c_plus, state.c_minus = candidate
         state.t = step * problem.dt
-        refresh()
+        update_fields(state)
         diagnostics.append(diag_row(iterations))
         if step == num_steps or (problem.snapshot_stride
                                  and step % problem.snapshot_stride == 0):
             states.append(snapshot())
-    return states, diagnostics, counts
+    return states, diagnostics
 
 
 def run_macro(problem):
@@ -434,8 +425,8 @@ def run_macro(problem):
     concentrations.  Returns (states, diagnostics, profile) where
     diagnostics is one dict per step with keys t, mass, charge, min_c,
     max_c, fp_iters (mass and charge are porosity-weighted) and profile
-    holds the wall seconds of the call (run_s), the counts of run_steps
-    and the TransportSolver.profile of the run.
+    holds the wall seconds of the call (run_s), the sweeps (the sum of
+    fp_iters) and the TransportSolver.profile of the run.
     """
     started = time.perf_counter()
     problem.validate()
@@ -458,10 +449,11 @@ def run_macro(problem):
         base = replace(state, c_plus=c_plus, c_minus=c_minus)
         return step_macro_np(base, coeffs, model, ops)
 
-    states, diagnostics, counts = run_steps(
+    states, diagnostics = run_steps(
         problem, update_fields, transport, ops.lumped,
         content_scale=coeffs.porosity, iterate=coupled)
-    profile = dict(run_s=time.perf_counter() - started, **counts,
+    profile = dict(run_s=time.perf_counter() - started,
+                   sweeps=sum(row["fp_iters"] for row in diagnostics),
                    **ops.transport.profile())
     log.info("macro run finished: %d steps, final charge %.3e, profile %s",
              len(diagnostics) - 1, diagnostics[-1]["charge"], profile)

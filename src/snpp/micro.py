@@ -145,9 +145,10 @@ def run_micro(problem):
         return ops.step_transport(c_plus, c_minus, state.velocity,
                                   state.phi)
 
-    states, diagnostics, counts = run_steps(problem, update_fields,
-                                            transport, ops.lumped)
-    profile = dict(run_s=time.perf_counter() - started, **counts,
+    states, diagnostics = run_steps(problem, update_fields, transport,
+                                    ops.lumped)
+    profile = dict(run_s=time.perf_counter() - started,
+                   sweeps=sum(row["fp_iters"] for row in diagnostics),
                    **ops.transport.profile(), **ops.stokes.profile())
     log.info("micro run eps=%g finished: %d steps, profile %s",
              problem.mesh.eps, len(diagnostics) - 1, profile)
