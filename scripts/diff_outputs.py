@@ -26,7 +26,10 @@ ending in _s) are left out.  It exits 1 when the
 "flags" or the "monotone" of the two manifests differ, and 0 otherwise;
 a table whose header or row count differs between the two runs, a VTK
 array whose size differs, a key present in one coefficients.txt only, or
-no file to compare exits 2.
+no file to compare exits 2.  A header or a key set that differs is
+reported with the columns or keys that only one run holds ("none" on
+both sides: the same columns in another order), a row count with both
+counts.
 """
 
 import csv
@@ -138,12 +141,23 @@ def read_vtk(path):
     return arrays
 
 
+def report_one_sided(name, what, keys_a, keys_b):
+    """Print the keys that only the first or only the second run holds."""
+    only = [", ".join(key for key in mine if key not in other) or "none"
+            for mine, other in ((keys_a, keys_b), (keys_b, keys_a))]
+    print("%s: %s only in the first run: %s; only in the second: %s"
+          % (name, what, *only), file=sys.stderr)
+
+
 def compare_table(name, first, second):
     header, rows_a = read_table(first)
     other_header, rows_b = read_table(second)
-    if header != other_header or len(rows_a) != len(rows_b):
-        print("%s: the header or the row count differs" % name,
-              file=sys.stderr)
+    if header != other_header:
+        report_one_sided(name, "columns", header, other_header)
+        return False
+    if len(rows_a) != len(rows_b):
+        print("%s: %d rows in the first run, %d in the second"
+              % (name, len(rows_a), len(rows_b)), file=sys.stderr)
         return False
     columns_a, columns_b = ({column: [row[k] for row in rows]
                              for k, column in enumerate(header)}
@@ -163,7 +177,7 @@ def compare_table(name, first, second):
 def compare_coefficients(name, first, second):
     coeffs_a, coeffs_b = read_coefficients(first), read_coefficients(second)
     if coeffs_a.keys() != coeffs_b.keys():
-        print("%s: the keys differ" % name, file=sys.stderr)
+        report_one_sided(name, "keys", coeffs_a, coeffs_b)
         return False
     for key in coeffs_a:
         scale = largest_magnitude(SCALED_BY.get(key, ()), coeffs_a,

@@ -90,7 +90,6 @@ class EffectiveCoefficients:
     porosity: float
     diffusion: np.ndarray
     permeability: np.ndarray = None
-    sigma_bar: float = 0.0
     dirichlet_mean: float = None
 
     def validate(self):
@@ -118,8 +117,6 @@ class EffectiveCoefficients:
                 % (eigs[-1], self.porosity))
         if self.dirichlet_mean is not None and not self.dirichlet_mean > 0:
             raise ValidationError("dirichlet_mean must be positive")
-        if not np.isfinite(self.sigma_bar):
-            raise ValidationError("sigma_bar is not finite")
 
 
 def _has_interface(mesh):
@@ -261,11 +258,6 @@ def compute_dirichlet_mean(sol):
     return averaged
 
 
-def compute_sigma_bar(geom, sigma):
-    """Total surface charge sigma integrated over the inclusion boundary."""
-    return float(sigma) * geom.interface_length
-
-
 def corrector_node_values(micro_mesh, sols):
     """Corrector values at every node of a tiled perforated mesh.
 
@@ -286,7 +278,7 @@ def corrector_node_values(micro_mesh, sols):
     return sols.phi[micro_mesh.node_cell_origin]
 
 
-def compute_effective_coefficients(geom, sigma=0.0, mesh=None):
+def compute_effective_coefficients(geom, mesh=None):
     """All effective coefficients of one cell geometry.
 
     Returns (coefficients, solutions) where solutions is a dict holding
@@ -314,7 +306,6 @@ def compute_effective_coefficients(geom, sigma=0.0, mesh=None):
         porosity=porosity,
         diffusion=diffusion,
         permeability=permeability,
-        sigma_bar=compute_sigma_bar(geom, sigma),
         dirichlet_mean=dirichlet_mean,
     )
     coeffs.validate()

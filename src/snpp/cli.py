@@ -179,17 +179,28 @@ def parse_config(text, command=None):
     geometry = UnitCellGeometry(inclusion, cell_h)
 
     reg = _merge_block(raw, "regime", REGIME_DEFAULTS)
-    if not isinstance(reg["bc"], str):
-        raise ValidationError("regime.bc must be a string",
+    if reg["bc"] not in (macro.NEUMANN, macro.DIRICHLET):
+        raise ValidationError("regime.bc must be %r or %r"
+                              % (macro.NEUMANN, macro.DIRICHLET),
                               field="regime.bc", where="cli.parse_config")
+    # The key is reserved: a constant surface charge cannot balance the
+    # neutral initial data, and the reaction decays any balance.
+    if _number(reg["sigma"], "regime.sigma") != 0.0:
+        raise ValidationError(
+            "regime.sigma must be 0; no surface-charge model is implemented",
+            field="regime.sigma", where="cli.parse_config")
+    phi_d = _number(reg["phi_d"], "regime.phi_d")
+    if reg["bc"] == macro.NEUMANN and phi_d != 0.0:
+        raise ValidationError(
+            "regime.phi_d is the Dirichlet wall potential; it must be 0 "
+            "with bc %r" % macro.NEUMANN,
+            field="regime.phi_d", where="cli.parse_config")
     regime = macro.ScalingRegime(
         reg["bc"],
         _number(reg["alpha"], "regime.alpha"),
         _number(reg["beta"], "regime.beta"),
         _number(reg["gamma"], "regime.gamma"),
-        sigma=_number(reg["sigma"], "regime.sigma"),
-        phi_d=_number(reg["phi_d"], "regime.phi_d"))
-    regime.validate()
+        phi_d=phi_d)
 
     disc = _merge_block(raw, "discretization", DISCRETIZATION_DEFAULTS)
     dt = _number(disc["dt"], "discretization.dt", minimum=0.0)
@@ -272,7 +283,7 @@ def parse_config(text, command=None):
                      "cell_h": cell_h},
         "regime": {"bc": regime.bc_type, "alpha": regime.alpha,
                    "beta": regime.beta, "gamma": regime.gamma,
-                   "sigma": regime.sigma, "phi_d": regime.phi_d},
+                   "sigma": 0.0, "phi_d": regime.phi_d},
         "discretization": {"h": h, "dt": dt, "t_end": t_end,
                            "eps": eps_list if command == "converge" else eps},
         "output": {"directory": directory, "formats": list(formats),
@@ -350,8 +361,7 @@ def _write_run_outputs(config, prefix, states, diagnostics):
 
 def run_cell(config):
     started = time.perf_counter()
-    coeffs, _ = compute_effective_coefficients(config.geometry,
-                                               sigma=config.regime.sigma)
+    coeffs, _ = compute_effective_coefficients(config.geometry)
     os.makedirs(config.directory, exist_ok=True)
     path = _artifact(config, "coefficients.txt")
     output.write_coefficients(path, coeffs)
@@ -362,8 +372,7 @@ def run_cell(config):
 
 def run_macro_cmd(config):
     started = time.perf_counter()
-    coeffs, _ = compute_effective_coefficients(config.geometry,
-                                               sigma=config.regime.sigma)
+    coeffs, _ = compute_effective_coefficients(config.geometry)
     mesh = generate_unit_cell_mesh(UnitCellGeometry(None, config.h))
     c_plus, c_minus = initial_functions(config.initial)
     cp, cm = macro.initial_concentrations(mesh, c_plus, c_minus,

@@ -288,10 +288,11 @@ def assemble_convection(mesh, velocity=None, drift=None, drift_tensor=None,
                                           3, axis=1), (n, n))
 
 
-def boundary_edge_geometry(mesh, tag):
+def boundary_edge_geometry(mesh):
     """Endpoints (B, 2), lengths (B,) and unit normals (B, 2) outward of
-    the fluid of the edges tagged tag, in the order of tagged_edges."""
-    pairs = tagged_edges(mesh, {tag})
+    the fluid of the inclusion boundary edges, in the order of
+    tagged_edges."""
+    pairs = tagged_edges(mesh, {GAMMA_INTERIOR})
     table = edge_table(mesh)
     tris = mesh.triangles[table.owner[table.lookup(pairs)]]
     a, b = pairs[:, 0], pairs[:, 1]
@@ -305,14 +306,6 @@ def boundary_edge_geometry(mesh, tag):
     return pairs, length, normal
 
 
-def assemble_boundary_load(mesh, tag, value):
-    """Load vector of the surface term value * integral phi_i ds: half of
-    each edge's value * length at both of its endpoints."""
-    pairs, length, _ = boundary_edge_geometry(mesh, tag)
-    return np.bincount(pairs.ravel(), weights=np.repeat(
-        value * length / 2.0, 2), minlength=mesh.num_nodes)
-
-
 def assemble_interface_normal_load(mesh, direction):
     """Load vector -integral (e_j . nu) phi_i ds over the inclusion boundary.
 
@@ -320,7 +313,7 @@ def assemble_interface_normal_load(mesh, direction):
     boundary datum of the periodic corrector problems, and it sums to zero
     over each closed interface (discretely, to rounding).
     """
-    pairs, length, normal = boundary_edge_geometry(mesh, GAMMA_INTERIOR)
+    pairs, length, normal = boundary_edge_geometry(mesh)
     flux = -normal[:, direction] * length / 2.0
     return np.bincount(pairs.ravel(), weights=np.repeat(flux, 2),
                        minlength=mesh.num_nodes)

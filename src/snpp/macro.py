@@ -45,7 +45,7 @@ COMPATIBILITY_TOL = 1e-8
 class ScalingRegime:
     """Exponent triple and electrostatic boundary condition.
 
-    bc_type is "neumann" (surface-charge sigma) or "dirichlet" (wall
+    bc_type is "neumann" (no-flux potential) or "dirichlet" (wall
     potential phi_d).
     """
 
@@ -53,7 +53,6 @@ class ScalingRegime:
     alpha: float
     beta: float
     gamma: float
-    sigma: float = 0.0
     phi_d: float = 0.0
 
     def validate(self):
@@ -171,15 +170,15 @@ class _Operators:
 
 
 def solve_macro_poisson(state, coeffs, ops):
-    """Zero-mean potential driven by net charge and surface charge.
+    """Zero-mean potential driven by the net charge.
 
-    Solves -div(D grad phi) = porosity (c+ - c-) + sigma_bar with the
-    natural no-flux condition; raises IncompatibleSource when the source
-    fails the solvability condition beyond tolerance.  ops is the
-    _Operators of the run.
+    Solves -div(D grad phi) = porosity (c+ - c-) with the natural no-flux
+    condition; raises IncompatibleSource when the net charge fails the
+    solvability condition beyond tolerance.  ops is the _Operators of the
+    run.
     """
     charge = state.c_plus - state.c_minus
-    source = coeffs.porosity * charge + coeffs.sigma_bar
+    source = coeffs.porosity * charge
     rhs = np.asarray(ops.mass @ source).ravel()
     return solve_neumann_potential(ops.lu_potential, ops.weight, rhs,
                                    "macro.solve_macro_poisson")
@@ -188,16 +187,17 @@ def solve_macro_poisson(state, coeffs, ops):
 def solve_neumann_potential(lu, weight, rhs, where):
     """Solve the ZeroMeanLU lu for the pure-Neumann load rhs.
 
-    Raises IncompatibleSource at where when rhs sums to more than
-    COMPATIBILITY_TOL times its absolute sum (at least 1); the residual
-    sum is projected out along the constraint weight before solving.
+    Raises IncompatibleSource at where when rhs, the load of the net
+    charge, sums to more than COMPATIBILITY_TOL times its absolute sum (at
+    least 1); the residual sum is projected out along the constraint
+    weight before solving.
     """
     scale = max(1.0, float(np.abs(rhs).sum()))
     residual = float(rhs.sum())
     if abs(residual) > COMPATIBILITY_TOL * scale:
         raise IncompatibleSource(
-            "potential source integrates to %g; bulk and surface charge "
-            "are not balanced" % residual, where=where)
+            "potential source integrates to %g; the net charge does not "
+            "integrate to zero" % residual, where=where)
     rhs = rhs - residual / weight.sum() * weight
     return lu.solve(rhs)
 

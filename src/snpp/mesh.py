@@ -72,12 +72,6 @@ class UnitCellGeometry:
                     "target_h < radius/2 = %g" % (self.target_h, r / 2),
                     field="target_h")
 
-    @property
-    def interface_length(self):
-        if self.inclusion is None:
-            return 0.0
-        return 2.0 * math.pi * self.inclusion.radius
-
 
 @dataclass(frozen=True)
 class PerforatedDomain:

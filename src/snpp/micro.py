@@ -5,9 +5,10 @@ The stepping driver of the upscaled solver, macro.run_steps, advances
 the pore-scale fields with the same splitting (potential, then flow,
 then transport, iterated to a fixed point), so a discrepancy between the
 two solvers measures the homogenization error and not a scheme mismatch.
-The potential carries the eps^alpha coefficient and the eps sigma surface
-flux, the flow runs at viscosity eps^2 with forcing -eps^beta q grad(Phi),
-and the transport drift is scaled by eps^gamma.
+The potential carries the eps^alpha coefficient and a no-flux (Neumann)
+or wall-potential (Dirichlet) condition on the inclusions, the flow runs
+at viscosity eps^2 with forcing -eps^beta q grad(Phi), and the transport
+drift is scaled by eps^gamma.
 """
 
 import logging
@@ -78,8 +79,6 @@ class _Operators:
         self.drift_tensor = eps ** regime.gamma * np.eye(2)
         self.lu_laplacian = None
         if regime.bc_type == NEUMANN:
-            self.surface_load = fem.assemble_boundary_load(
-                mesh, GAMMA_INTERIOR, eps * regime.sigma)
             self.lu_laplacian = fem.ZeroMeanLU(self.stiff, self.weight)
         else:
             scaled = self.eps_alpha * self.stiff
@@ -104,7 +103,7 @@ class _Operators:
         rhs = np.asarray(self.mass @ charge).ravel()
         if self.regime.bc_type == NEUMANN:
             return solve_neumann_potential(
-                self.lu_laplacian, self.weight, rhs + self.surface_load,
+                self.lu_laplacian, self.weight, rhs,
                 "micro.solve_potential") / self.eps_alpha
         rhs = rhs - self.wall_correction
         rhs[self.gamma_nodes] = self.regime.phi_d

@@ -18,7 +18,7 @@ from .verify import DIAGNOSTIC_KEYS
 
 FLOAT_FORMAT = "%.17g"
 COEFFICIENT_KEYS = ("porosity", "D11", "D12", "D22", "K11", "K12", "K22",
-                    "sigma_bar", "dirichlet_mean")
+                    "dirichlet_mean")
 
 
 def _fmt(value):
@@ -26,7 +26,7 @@ def _fmt(value):
 
 
 def coefficient_rows(coeffs):
-    """The nine named scalar entries of one coefficient set, in file order.
+    """The eight named scalar entries of one coefficient set, in file order.
 
     Quantities the geometry does not define (permeability and the wall
     closure mean without an inclusion) appear as nan.
@@ -36,7 +36,7 @@ def coefficient_rows(coeffs):
     k = np.full((2, 2), np.nan) if k is None else np.asarray(k, dtype=float)
     m = np.nan if coeffs.dirichlet_mean is None else coeffs.dirichlet_mean
     values = (coeffs.porosity, d[0, 0], d[0, 1], d[1, 1],
-              k[0, 0], k[0, 1], k[1, 1], coeffs.sigma_bar, m)
+              k[0, 0], k[0, 1], k[1, 1], m)
     return list(zip(COEFFICIENT_KEYS, values))
 
 

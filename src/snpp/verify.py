@@ -355,7 +355,7 @@ def run_convergence_study(regime, geometry, c_plus, c_minus,
     meshes = [generate_perforated_mesh(dom, dom.eps / 8.0)
               for dom in domains]
     coeffs, solutions = compute_effective_coefficients(
-        geometry, sigma=regime.sigma, mesh=meshes[0].cell_mesh)
+        geometry, mesh=meshes[0].cell_mesh)
 
     def task(run, problem_type, mesh, *lead):
         cp, cm = macro.initial_concentrations(mesh, c_plus, c_minus, regime)

@@ -9,7 +9,7 @@ rows, shared by the Stokes tests; fixed_point_checked measures the stop
 rule of the stepping loop against sweeps continued well past it. The
 *_reference kernels gather element values and accumulate with np.add.at,
 or loop over boundary edges, the routes that the per-mesh sparse
-operators and the np.bincount edge loads of fem replaced.
+operators and the np.bincount interface load of fem replaced.
 reacting_pair_block and reacting_pair_step build and solve the transport
 block along the sparse-sum route (the convection matrices of
 convection_weights_reference, sums and sp.bmat) that the refilled
@@ -444,22 +444,12 @@ def recover_nodal_gradient_reference(mesh, values):
     return out / weight[:, None]
 
 
-def boundary_load_reference(mesh, tag, value):
-    """Load of value * integral phi_i ds over the edges tagged tag, edge
-    by edge."""
-    rhs = np.zeros(mesh.num_nodes)
-    for (a, b), length in zip(*fem.boundary_edge_geometry(mesh, tag)[:2]):
-        rhs[a] += value * length / 2.0
-        rhs[b] += value * length / 2.0
-    return rhs
-
-
 def interface_normal_load_reference(mesh, direction):
     """Load of -integral (e_direction . nu) phi_i ds over the inclusion
     boundary, edge by edge."""
     rhs = np.zeros(mesh.num_nodes)
     for (a, b), length, normal in zip(
-            *fem.boundary_edge_geometry(mesh, GAMMA_INTERIOR)):
+            *fem.boundary_edge_geometry(mesh)):
         flux = -normal[direction] * length / 2.0
         rhs[a] += flux
         rhs[b] += flux

@@ -273,17 +273,6 @@ def test_doubled_solutions_split_the_two_routes(case):
     assert info.value.where == "cell." + compute.__name__
 
 
-def test_sigma_bar_values():
-    geom = disk_geom(0.05)
-    assert cell.compute_sigma_bar(geom, 0.0) == 0.0
-    assert cell.compute_sigma_bar(geom, 1.0) == pytest.approx(
-        2.0 * np.pi * 0.25, rel=1e-12)
-    assert cell.compute_sigma_bar(geom, -2.0) == pytest.approx(
-        -np.pi, rel=1e-12)
-    empty = UnitCellGeometry(None, 0.1)
-    assert cell.compute_sigma_bar(empty, 3.0) == 0.0
-
-
 def test_corrector_node_values_use_tiling_record():
     dom = PerforatedDomain(0.5, disk_geom(0.0625))
     micro = generate_perforated_mesh(dom, 0.0625)
@@ -327,7 +316,7 @@ def test_golden_script_runs_on_a_coarse_cell():
 def test_effective_coefficients_validation():
     good = cell.EffectiveCoefficients(
         porosity=0.8, diffusion=0.6 * np.eye(2),
-        permeability=1e-3 * np.eye(2), sigma_bar=0.0, dirichlet_mean=0.05)
+        permeability=1e-3 * np.eye(2), dirichlet_mean=0.05)
     good.validate()
     with pytest.raises(ValidationError):
         cell.EffectiveCoefficients(
@@ -346,13 +335,11 @@ def test_effective_coefficients_validation():
 
 
 def test_coefficients_share_one_scalar_solve():
-    coeffs, solutions = cell.compute_effective_coefficients(
-        disk_geom(0.1), sigma=1.0)
+    coeffs, solutions = cell.compute_effective_coefficients(disk_geom(0.1))
     recomputed = cell.compute_diffusion_tensor(solutions["scalar"])
     assert np.array_equal(recomputed, coeffs.diffusion)
     assert coeffs.permeability is not None
     assert coeffs.dirichlet_mean > 0
-    assert coeffs.sigma_bar == pytest.approx(np.pi / 2, rel=1e-12)
 
 
 def test_scalar_correctors_share_one_factorization(monkeypatch):

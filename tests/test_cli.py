@@ -361,17 +361,42 @@ def test_usage_errors_exit_one(tmp_path, capsys):
             in capsys.readouterr().err)
 
 
-def test_numerical_failure_exits_two(tmp_path, capsys):
-    # Constant surface charge cannot balance neutral initial data, so the
-    # upscaled Poisson problem is unsolvable from the first step.
+def readme_config_text():
+    readme = pathlib.Path(__file__).parents[1] / "README.md"
+    return readme.read_text().split("```json\n")[1].split("```")[0]
+
+
+@pytest.mark.parametrize("command, regime, field", [
+    *(pytest.param(command, {"bc": bc, "sigma": 0.05}, "regime.sigma",
+                   id="%s-%s-sigma" % (command, bc))
+      for command in ("cell", "macro", "micro", "converge")
+      for bc in ("neumann", "dirichlet")),
+    pytest.param("micro", {"bc": "neumann", "phi_d": 0.7}, "regime.phi_d",
+                 id="micro-neumann-phi_d"),
+    pytest.param("macro", {"bc": "robin"}, "regime.bc", id="macro-robin"),
+    pytest.param("macro", json.loads(readme_config_text())["regime"], None,
+                 id="macro-readme-regime"),
+])
+def test_regime_takes_only_values_a_model_reads(tmp_path, capsys, command,
+                                                 regime, field):
+    # No surface-charge model runs, and phi_d is the Dirichlet wall
+    # potential, so a value that no run would read is refused at parse
+    # time; the README's zeros still run, and its example parses.
     outdir = tmp_path / "out"
-    code = run(tmp_path, "macro", {
-        "geometry": {"cell_h": 0.1},
-        "regime": {"bc": "neumann", "sigma": 0.05},
-        "discretization": {"h": 0.0625, "dt": 0.005, "T": 0.01},
+    code = run(tmp_path, command, {
+        "geometry": {"cell_h": 0.1}, "regime": regime,
+        "discretization": {"h": 0.0625, "dt": 0.005, "T": 0.005,
+                           "eps": [0.5] if command == "converge" else 0.5},
         "output": {"directory": str(outdir)}})
-    assert code == 2
-    assert "IncompatibleSource" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    if field is None:
+        assert code == 0
+        assert cli.parse_config(readme_config_text()).command == "converge"
+        return
+    assert code == 1
+    assert "ValidationError [cli.parse_config]" in err
+    assert "(field %s)" % field in err
+    assert not outdir.exists()
 
 
 @pytest.mark.parametrize("command", ["macro", "converge"])

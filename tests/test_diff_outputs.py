@@ -35,9 +35,13 @@ def write_run(directory, rows, coeffs, flags, monotone, profile=None):
     return str(directory)
 
 
-def run_script(*directories):
-    done = subprocess.run([sys.executable, str(SCRIPT), *directories],
+def call_script(*directories):
+    return subprocess.run([sys.executable, str(SCRIPT), *directories],
                           capture_output=True, text=True, timeout=60)
+
+
+def run_script(*directories):
+    done = call_script(*directories)
     printed = {}
     for line in done.stdout.splitlines():
         # A table column also prints its column-scaled difference, kept
@@ -142,8 +146,28 @@ def test_profile_counts_that_differ_are_printed_per_task(tmp_path):
 def test_mismatched_studies_exit_two(tmp_path):
     first = write_run(tmp_path / "a", ROWS, COEFFS, [], True)
     second = write_run(tmp_path / "b", ROWS[:1], COEFFS, [], True)
-    assert run_script(first, second)[0] == 2
+    done = call_script(first, second)
+    assert done.returncode == 2
+    assert "study.csv: 2 rows in the first run, 1 in the second" \
+        in done.stderr
     assert run_script(first)[0] == 2
+    # A column or a key that only one run holds is named, by run.
+    renamed = write_run(tmp_path / "c", ROWS, COEFFS, [], True)
+    study = pathlib.Path(renamed) / "study.csv"
+    study.write_text(study.read_text().replace("e_v,", "e_u,"))
+    done = call_script(first, renamed)
+    assert done.returncode == 2
+    assert ("study.csv: columns only in the first run: e_v; only in the "
+            "second: e_u") in done.stderr
+    (pathlib.Path(first) / "study.csv").unlink()
+    study.unlink()
+    extra = dict(COEFFS, K22=0.0205)
+    (pathlib.Path(renamed) / "coefficients.txt").write_text(
+        "".join("%s=%r\n" % item for item in extra.items()))
+    done = call_script(first, renamed)
+    assert done.returncode == 2
+    assert ("coefficients.txt: keys only in the first run: none; only in "
+            "the second: K22") in done.stderr
 
 
 DIAGNOSTICS = [{"t": 0.0, "mass": 0.8, "charge": 1e-17, "min_c": 0.2,

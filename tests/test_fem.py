@@ -29,7 +29,6 @@ from snpp.mesh import (
 )
 
 from oracles import (
-    boundary_load_reference,
     convection_reference,
     dense_p1_convection,
     dense_p1_mass,
@@ -383,9 +382,6 @@ def test_per_mesh_operators_match_the_gather_routes(make_mesh):
          element_means_reference(mesh, nodal)),
         (fem.lumped_mass(mesh), lumped_mass_reference(mesh)),
     ]
-    for tag in (OUTER_BOUNDARY, GAMMA_INTERIOR):
-        exact.append((fem.assemble_boundary_load(mesh, tag, 0.3),
-                      boundary_load_reference(mesh, tag, 0.3)))
     for direction in (0, 1):
         exact.append((fem.assemble_interface_normal_load(mesh, direction),
                       interface_normal_load_reference(mesh, direction)))
@@ -751,7 +747,7 @@ def test_interface_load_is_balanced_and_normals_point_inward():
         load = fem.assemble_interface_normal_load(mesh, direction)
         assert abs(load.sum()) < 1e-12
     center = np.array([0.5, 0.5])
-    pairs, length, normal = fem.boundary_edge_geometry(mesh, GAMMA_INTERIOR)
+    pairs, length, normal = fem.boundary_edge_geometry(mesh)
     mid = 0.5 * (mesh.nodes[pairs[:, 0]] + mesh.nodes[pairs[:, 1]])
     assert np.all(np.einsum("ed,ed->e", normal, center - mid) > 0)
     perimeter = length.sum()

@@ -30,11 +30,10 @@ def square_mesh(h):
     return generate_unit_cell_mesh(UnitCellGeometry(None, h))
 
 
-def identity_coeffs(porosity=1.0, sigma_bar=0.0, k=0.02, m=0.05):
+def identity_coeffs(porosity=1.0, k=0.02, m=0.05):
     return EffectiveCoefficients(
         porosity=porosity, diffusion=porosity * np.eye(2),
-        permeability=None if k is None else k * np.eye(2),
-        sigma_bar=sigma_bar, dirichlet_mean=m)
+        permeability=None if k is None else k * np.eye(2), dirichlet_mean=m)
 
 
 def bare_state(mesh, c_plus=None, c_minus=None, phi=None):
@@ -143,23 +142,6 @@ def test_poisson_incompatible_source():
                                   macro._Operators(mesh, coeffs))
 
 
-def test_poisson_surface_charge_balances_bulk_charge():
-    mesh = square_mesh(1 / 16)
-    porosity, sigma_bar = 0.8, 0.05
-    coeffs = identity_coeffs(porosity=porosity, sigma_bar=sigma_bar)
-    c_minus = np.full(mesh.num_nodes, 0.3 + sigma_bar / porosity)
-    state = bare_state(mesh, 0.3 * np.ones(mesh.num_nodes), c_minus)
-    phi = macro.solve_macro_poisson(state, coeffs,
-                                    macro._Operators(mesh, coeffs))
-    assert abs(weighted_mean(mesh, phi)) <= 1e-10
-    stiff = fem.assemble_stiffness(mesh, coeffs.diffusion)
-    mass = fem.assemble_mass(mesh)
-    rhs = porosity * np.asarray(
-        mass @ (state.c_plus - state.c_minus)).ravel() \
-        + sigma_bar * fem.mass_weight(mesh)
-    assert np.max(np.abs(stiff @ phi - rhs)) <= 1e-9
-
-
 def test_dirichlet_potential_closure():
     mesh = square_mesh(1 / 16)
     coeffs = identity_coeffs(porosity=0.80365, m=0.05)
@@ -231,7 +213,7 @@ def test_darcy_pressure_matches_dense_oracle():
     kmat = np.array([[0.03, 0.005], [0.005, 0.02]])
     coeffs = EffectiveCoefficients(
         porosity=0.8, diffusion=0.8 * np.eye(2), permeability=kmat,
-        sigma_bar=0.0, dirichlet_mean=0.05)
+        dirichlet_mean=0.05)
     model = macro.MacroModelClass(macro.POTENTIAL_ELLIPTIC,
                                   macro.FORCING_ELECTRO, macro.DRIFT_ON)
     rng = np.random.default_rng(7)
@@ -600,23 +582,6 @@ def test_problem_validation_rejects_bad_data():
             mesh, coeffs, regime, ones, np.zeros(mesh.num_nodes), 0.1,
             1e-3))
     assert err.value.where == "macro.solve_macro_poisson"
-
-
-def test_run_with_decaying_charge_loses_surface_balance():
-    # A constant surface charge can only balance the initial bulk charge;
-    # the reaction then decays the bulk side and the potential equation
-    # stops being solvable.
-    mesh = square_mesh(1 / 16)
-    porosity, sigma_bar = 0.8, 0.1
-    coeffs = identity_coeffs(porosity=porosity, sigma_bar=sigma_bar)
-    c_plus = 0.3 * np.ones(mesh.num_nodes)
-    c_minus = c_plus + sigma_bar / porosity
-    problem = macro.MacroProblem(
-        mesh, coeffs, macro.ScalingRegime("neumann", 0, 1, 1),
-        c_plus, c_minus, t_end=0.05, dt=5e-3)
-    problem.validate()
-    with pytest.raises(IncompatibleSource):
-        macro.run_macro(problem)
 
 
 def test_snapshot_stride_and_final_state():

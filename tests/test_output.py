@@ -26,10 +26,9 @@ def sample_coeffs(with_inclusion=True):
             porosity=0.8036504591506379, diffusion=np.array(
                 [[0.6716303, 1.25e-17], [1.25e-17, 0.6716303]]),
             permeability=np.array([[0.0199, 3.0e-19], [3.0e-19, 0.0199]]),
-            sigma_bar=0.05, dirichlet_mean=0.0417)
+            dirichlet_mean=0.0417)
     return EffectiveCoefficients(porosity=1.0, diffusion=np.eye(2),
-                                 permeability=None, sigma_bar=0.0,
-                                 dirichlet_mean=None)
+                                 permeability=None, dirichlet_mean=None)
 
 
 def sample_rows():
@@ -53,7 +52,6 @@ def test_coefficient_file_round_trips(tmp_path):
     assert back["D11"] == coeffs.diffusion[0, 0]
     assert back["D12"] == coeffs.diffusion[0, 1]
     assert back["K11"] == coeffs.permeability[0, 0]
-    assert back["sigma_bar"] == coeffs.sigma_bar
     assert back["dirichlet_mean"] == coeffs.dirichlet_mean
 
 
@@ -65,7 +63,6 @@ def test_coefficient_file_marks_missing_quantities(tmp_path):
     assert math.isnan(back["K11"])
     assert math.isnan(back["K12"])
     assert math.isnan(back["dirichlet_mean"])
-    assert back["sigma_bar"] == 0.0
 
 
 def test_diagnostics_csv_round_trips_exactly(tmp_path):

@@ -41,11 +41,10 @@ def blob_minus(x, y):
     return 0.2 + 0.5 * np.exp(-25 * ((x - 0.7) ** 2 + (y - 0.6) ** 2))
 
 
-def identity_coeffs(porosity=1.0, sigma_bar=0.0, k=0.02, m=0.05):
+def identity_coeffs(porosity=1.0, k=0.02, m=0.05):
     return EffectiveCoefficients(
         porosity=porosity, diffusion=porosity * np.eye(2),
-        permeability=None if k is None else k * np.eye(2),
-        sigma_bar=sigma_bar, dirichlet_mean=m)
+        permeability=None if k is None else k * np.eye(2), dirichlet_mean=m)
 
 
 def coupled_macro_run(h=1 / 16, t_end=0.02, dt=5e-3):
