@@ -22,7 +22,11 @@ and D22, and K12 against K11 and K22.  For every array of the VTK files
 column-scaled difference over the files.  When both manifests carry a
 "profile", it prints every count of a task that differs between them,
 as TASK/COUNT with the two values, or "profile same"; the timers (keys
-ending in _s) are left out.  It exits 1 when the
+ending in _s) are left out.  When both manifests carry a "config" (the
+resolved configuration of the run), it prints every BLOCK.KEY whose
+value differs between them, with the two values as compact JSON ("-"
+where a run has no such key), or "config same"; output.directory is
+left out.  It exits 1 when the
 "flags" or the "monotone" of the two manifests differ, and 0 otherwise;
 a table whose header or row count differs between the two runs, a VTK
 array whose size differs, a key present in one coefficients.txt only, or
@@ -109,6 +113,35 @@ def compare_profiles(first, second):
                 print("manifest.json %s/%s %s %s" % (task, key, a, b))
     if not differ:
         print("manifest.json profile same")
+
+
+def flat_config(config):
+    """The config echo as {"BLOCK.KEY": value}, with a top-level entry
+    that is not a block under its own name."""
+    flat = {}
+    for name, entry in config.items():
+        if isinstance(entry, dict):
+            flat.update(("%s.%s" % (name, key), value)
+                        for key, value in entry.items())
+        else:
+            flat[name] = entry
+    return flat
+
+
+def compare_configs(first, second):
+    """Print each entry of the config echo whose value differs between
+    the two manifests (absent shows as "-"), leaving out the output
+    directory."""
+    flat_a, flat_b = flat_config(first), flat_config(second)
+    differ = False
+    for key in sorted((flat_a.keys() | flat_b.keys()) - {"output.directory"}):
+        a, b = (json.dumps(flat[key], separators=(",", ":"))
+                if key in flat else "-" for flat in (flat_a, flat_b))
+        if a != b:
+            differ = True
+            print("manifest.json %s %s %s" % (key, a, b))
+    if not differ:
+        print("manifest.json config same")
 
 
 def read_vtk(path):
@@ -237,6 +270,8 @@ def main(argv):
             manifests.append(json.load(handle))
     if all("profile" in manifest for manifest in manifests):
         compare_profiles(manifests[0]["profile"], manifests[1]["profile"])
+    if all("config" in manifest for manifest in manifests):
+        compare_configs(manifests[0]["config"], manifests[1]["config"])
     verdicts = [{key: manifest.get(key) for key in ("flags", "monotone")}
                 for manifest in manifests]
     for key in ("flags", "monotone"):

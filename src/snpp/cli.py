@@ -16,6 +16,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,21 +42,30 @@ from .mesh import (
     generate_unit_cell_mesh,
 )
 
-log = logging.getLogger(__name__)
-
-COMMANDS = ("cell", "macro", "micro", "converge", "check")
+COMMANDS = {
+    "cell": "compute effective coefficients for one cell geometry",
+    "macro": "run the upscaled model on the unit square",
+    "micro": "run the pore-scale model on a perforated domain",
+    "converge": "compare pore-scale runs against the upscaled model",
+    "check": "run the invariant suite over a diagnostics CSV",
+}
 USAGE_EXIT = 1
 NUMERICAL_EXIT = 2
 CHECK_EXIT = 3
 
-GEOMETRY_DEFAULTS = {"radius": 0.25, "center": (0.5, 0.5), "cell_h": 0.025}
-REGIME_DEFAULTS = {"bc": "neumann", "alpha": 0, "beta": 0, "gamma": 0,
-                   "sigma": 0.0, "phi_d": 0.0}
-DISCRETIZATION_DEFAULTS = {"h": None, "dt": 2e-3, "t_end": 0.1, "eps": None}
-OUTPUT_DEFAULTS = {"directory": "snpp-out", "formats": ("csv", "vtk"),
-                   "snapshot_stride": 1}
-INITIAL_DEFAULTS = {"kind": "charged_blobs", "background": 0.2,
-                    "amplitude": 0.5, "lam": 1.0}
+# Every config block with the default of each of its keys.  A parse
+# stores each resolved value back into its merged block, and those
+# blocks are the config that the manifest records.
+DEFAULTS = {
+    "geometry": {"radius": 0.25, "center": (0.5, 0.5), "cell_h": 0.025},
+    "regime": {"bc": "neumann", "alpha": 0, "beta": 0, "gamma": 0,
+               "sigma": 0.0, "phi_d": 0.0},
+    "discretization": {"h": None, "dt": 2e-3, "t_end": 0.1, "eps": None},
+    "output": {"directory": "snpp-out", "formats": ("csv", "vtk"),
+               "snapshot_stride": 1},
+    "initial": {"kind": "charged_blobs", "background": 0.2,
+                "amplitude": 0.5, "lam": 1.0},
+}
 DEFAULT_MACRO_H = 1.0 / 64.0
 DEFAULT_EPS = 0.5
 
@@ -64,63 +74,58 @@ USAGE_ERRORS = (ParseError, ValidationError, InadmissibleScaling,
                 GridMisaligned, MalformedDiagnostics, NoSolidPhase)
 
 
+@dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved configuration for one command invocation."""
+    """Fully resolved configuration for one command invocation; echo is
+    the resolved blocks that the manifest records."""
 
-    def __init__(self, command, geometry, regime, eps, eps_list, h, dt,
-                 t_end, initial, lam, directory, formats, snapshot_stride,
-                 diagnostics, echo):
-        self.command = command
-        self.geometry = geometry
-        self.regime = regime
-        self.eps = eps
-        self.eps_list = eps_list
-        self.h = h
-        self.dt = dt
-        self.t_end = t_end
-        self.initial = initial
-        self.lam = lam
-        self.directory = directory
-        self.formats = formats
-        self.snapshot_stride = snapshot_stride
-        self.diagnostics = diagnostics
-        self.echo = echo
+    command: str
+    geometry: UnitCellGeometry
+    regime: macro.ScalingRegime
+    eps: float
+    eps_list: list
+    h: float
+    dt: float
+    t_end: float
+    initial: dict
+    lam: float
+    directory: str
+    formats: tuple
+    snapshot_stride: int
+    diagnostics: str
+    echo: dict
 
 
-def _merge_block(raw, name, defaults):
+def _invalid(field, message):
+    return ValidationError(message, field=field, where="cli.parse_config")
+
+
+def _merge_block(raw, name):
     block = raw.get(name)
     if block is None:
         block = {}
     if not isinstance(block, dict):
-        raise ValidationError("%s block must be an object" % name,
-                              field=name, where="cli.parse_config")
+        raise _invalid(name, "%s block must be an object" % name)
     if name == "discretization" and "T" in block:
         if "t_end" in block:
-            raise ValidationError(
-                "discretization sets both T and its alias t_end",
-                field="discretization.T", where="cli.parse_config")
+            raise _invalid("discretization.T",
+                           "discretization sets both T and its alias t_end")
         block = dict(block)
         block["t_end"] = block.pop("T")
-    unknown = sorted(set(block) - set(defaults))
+    unknown = sorted(set(block) - set(DEFAULTS[name]))
     if unknown:
-        raise ValidationError(
-            "unknown key %r in the %s block" % (unknown[0], name),
-            field="%s.%s" % (name, unknown[0]), where="cli.parse_config")
-    merged = dict(defaults)
-    merged.update(block)
-    return merged
+        raise _invalid("%s.%s" % (name, unknown[0]),
+                       "unknown key %r in the %s block" % (unknown[0], name))
+    return dict(DEFAULTS[name], **block)
 
 
 def _number(value, field, minimum=None):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError("%s must be a number, got %r" % (field, value),
-                              field=field, where="cli.parse_config")
+        raise _invalid(field, "%s must be a number, got %r" % (field, value))
     if not math.isfinite(value):
-        raise ValidationError("%s must be finite" % field, field=field,
-                              where="cli.parse_config")
+        raise _invalid(field, "%s must be finite" % field)
     if minimum is not None and value <= minimum:
-        raise ValidationError("%s must be greater than %g" % (field, minimum),
-                              field=field, where="cli.parse_config")
+        raise _invalid(field, "%s must be greater than %g" % (field, minimum))
     return float(value)
 
 
@@ -131,6 +136,8 @@ def parse_config(text, command=None):
     conflicting command entry inside the text is rejected.  Every block
     is optional except where the command needs it (check requires the
     diagnostics path), and defaults are applied per the README table.
+    Each block is merged with its DEFAULTS, and each check stores the
+    value it resolves back into the block, so the blocks are the echo.
     """
     try:
         raw = json.loads(text) if text.strip() else {}
@@ -140,167 +147,122 @@ def parse_config(text, command=None):
     if not isinstance(raw, dict):
         raise ParseError("configuration must be a JSON object",
                          where="cli.parse_config")
-    known = {"command", "geometry", "regime", "discretization", "output",
-             "initial", "diagnostics"}
-    unknown = sorted(set(raw) - known)
+    unknown = sorted(set(raw) - set(DEFAULTS) - {"command", "diagnostics"})
     if unknown:
-        raise ValidationError("unknown top-level key %r" % unknown[0],
-                              field=unknown[0], where="cli.parse_config")
+        raise _invalid(unknown[0], "unknown top-level key %r" % unknown[0])
 
     config_command = raw.get("command")
     if config_command is not None and config_command not in COMMANDS:
-        raise ValidationError("unknown command %r" % config_command,
-                              field="command", where="cli.parse_config")
+        raise _invalid("command", "unknown command %r" % config_command)
     if command is not None and config_command is not None \
             and command != config_command:
-        raise ValidationError(
-            "config names command %r but %r was invoked"
-            % (config_command, command), field="command",
-            where="cli.parse_config")
+        raise _invalid("command", "config names command %r but %r was "
+                       "invoked" % (config_command, command))
     command = command or config_command
     if command is None:
-        raise ValidationError("no command given", field="command",
-                              where="cli.parse_config")
+        raise _invalid("command", "no command given")
+    blocks = [_merge_block(raw, name) for name in DEFAULTS]
+    geo, reg, disc, out, init = blocks
 
-    geo = _merge_block(raw, "geometry", GEOMETRY_DEFAULTS)
+    inclusion = None
     if geo["radius"] is None:
-        inclusion = None
+        geo["center"] = None
     else:
-        radius = _number(geo["radius"], "geometry.radius", minimum=0.0)
+        geo["radius"] = _number(geo["radius"], "geometry.radius",
+                                minimum=0.0)
         center = geo["center"]
         if not (isinstance(center, (list, tuple)) and len(center) == 2):
-            raise ValidationError("geometry.center must be a pair",
-                                  field="geometry.center",
-                                  where="cli.parse_config")
-        cx = _number(center[0], "geometry.center")
-        cy = _number(center[1], "geometry.center")
-        inclusion = DiskInclusion((cx, cy), radius)
-    cell_h = _number(geo["cell_h"], "geometry.cell_h", minimum=0.0)
-    geometry = UnitCellGeometry(inclusion, cell_h)
+            raise _invalid("geometry.center", "geometry.center must be a pair")
+        geo["center"] = [_number(v, "geometry.center") for v in center]
+        inclusion = DiskInclusion(tuple(geo["center"]), geo["radius"])
+    geo["cell_h"] = _number(geo["cell_h"], "geometry.cell_h", minimum=0.0)
 
-    reg = _merge_block(raw, "regime", REGIME_DEFAULTS)
     if reg["bc"] not in (macro.NEUMANN, macro.DIRICHLET):
-        raise ValidationError("regime.bc must be %r or %r"
-                              % (macro.NEUMANN, macro.DIRICHLET),
-                              field="regime.bc", where="cli.parse_config")
+        raise _invalid("regime.bc", "regime.bc must be %r or %r"
+                       % (macro.NEUMANN, macro.DIRICHLET))
+    for key in ("alpha", "beta", "gamma", "sigma", "phi_d"):
+        reg[key] = _number(reg[key], "regime." + key)
     # The key is reserved: a constant surface charge cannot balance the
     # neutral initial data, and the reaction decays any balance.
-    if _number(reg["sigma"], "regime.sigma") != 0.0:
-        raise ValidationError(
-            "regime.sigma must be 0; no surface-charge model is implemented",
-            field="regime.sigma", where="cli.parse_config")
-    phi_d = _number(reg["phi_d"], "regime.phi_d")
-    if reg["bc"] == macro.NEUMANN and phi_d != 0.0:
-        raise ValidationError(
-            "regime.phi_d is the Dirichlet wall potential; it must be 0 "
-            "with bc %r" % macro.NEUMANN,
-            field="regime.phi_d", where="cli.parse_config")
-    regime = macro.ScalingRegime(
-        reg["bc"],
-        _number(reg["alpha"], "regime.alpha"),
-        _number(reg["beta"], "regime.beta"),
-        _number(reg["gamma"], "regime.gamma"),
-        phi_d=phi_d)
+    if reg["sigma"] != 0.0:
+        raise _invalid("regime.sigma", "regime.sigma must be 0; no "
+                       "surface-charge model is implemented")
+    reg["sigma"] = 0.0
+    if reg["bc"] == macro.NEUMANN and reg["phi_d"] != 0.0:
+        raise _invalid("regime.phi_d", "regime.phi_d is the Dirichlet wall "
+                       "potential; it must be 0 with bc %r" % macro.NEUMANN)
 
-    disc = _merge_block(raw, "discretization", DISCRETIZATION_DEFAULTS)
-    dt = _number(disc["dt"], "discretization.dt", minimum=0.0)
-    t_end = _number(disc["t_end"], "discretization.t_end", minimum=0.0)
-
-    eps_entry = disc["eps"]
+    for key in ("dt", "t_end"):
+        disc[key] = _number(disc[key], "discretization." + key, minimum=0.0)
+    eps = eps_list = None
     if command == "converge":
-        eps_values = verify.STUDY_EPS if eps_entry is None else eps_entry
+        eps_values = verify.STUDY_EPS if disc["eps"] is None else disc["eps"]
         if not isinstance(eps_values, (list, tuple)) or not eps_values:
-            raise ValidationError(
-                "discretization.eps must be a list of scales for converge",
-                field="discretization.eps", where="cli.parse_config")
-        eps_list = sorted(
+            raise _invalid("discretization.eps", "discretization.eps must "
+                           "be a list of scales for converge")
+        eps_list = disc["eps"] = sorted(
             (_number(v, "discretization.eps", minimum=0.0)
              for v in eps_values), reverse=True)
-        eps = None
+        verify.check_scales(eps_list, field="discretization.eps",
+                            where="cli.parse_config")
     else:
-        if isinstance(eps_entry, (list, tuple)):
-            raise ValidationError(
-                "discretization.eps must be a single scale for %s" % command,
-                field="discretization.eps", where="cli.parse_config")
-        eps = DEFAULT_EPS if eps_entry is None \
-            else _number(eps_entry, "discretization.eps", minimum=0.0)
-        eps_list = None
-
-    h_entry = disc["h"]
-    if h_entry is None:
-        h = eps / 8.0 if command == "micro" else DEFAULT_MACRO_H
+        if isinstance(disc["eps"], (list, tuple)):
+            raise _invalid("discretization.eps", "discretization.eps must "
+                           "be a single scale for %s" % command)
+        eps = disc["eps"] = DEFAULT_EPS if disc["eps"] is None \
+            else _number(disc["eps"], "discretization.eps", minimum=0.0)
+        if command == "micro" and abs(eps * round(1 / eps) - 1.0) > 1e-12:
+            raise _invalid("discretization.eps", "discretization.eps must "
+                           "be the reciprocal of an integer")
+    if disc["h"] is None:
+        disc["h"] = eps / 8.0 if command == "micro" else DEFAULT_MACRO_H
     else:
-        h = _number(h_entry, "discretization.h", minimum=0.0)
+        disc["h"] = _number(disc["h"], "discretization.h", minimum=0.0)
 
-    out = _merge_block(raw, "output", OUTPUT_DEFAULTS)
-    directory = out["directory"]
-    if not isinstance(directory, str) or not directory:
-        raise ValidationError("output.directory must be a non-empty string",
-                              field="output.directory",
-                              where="cli.parse_config")
-    formats = out["formats"]
-    if isinstance(formats, str):
-        formats = [formats]
-    if not isinstance(formats, (list, tuple)):
-        raise ValidationError("output.formats must be a list",
-                              field="output.formats",
-                              where="cli.parse_config")
-    for entry in formats:
+    if not isinstance(out["directory"], str) or not out["directory"]:
+        raise _invalid("output.directory",
+                       "output.directory must be a non-empty string")
+    if isinstance(out["formats"], str):
+        out["formats"] = [out["formats"]]
+    if not isinstance(out["formats"], (list, tuple)):
+        raise _invalid("output.formats", "output.formats must be a list")
+    for entry in out["formats"]:
         if entry not in ("csv", "vtk"):
-            raise ValidationError("unknown output format %r" % entry,
-                                  field="output.formats",
-                                  where="cli.parse_config")
+            raise _invalid("output.formats",
+                           "unknown output format %r" % entry)
+    out["formats"] = list(out["formats"])
     stride = out["snapshot_stride"]
     if isinstance(stride, bool) or not isinstance(stride, int) or stride < 0:
-        raise ValidationError(
-            "output.snapshot_stride must be a non-negative integer",
-            field="output.snapshot_stride", where="cli.parse_config")
+        raise _invalid("output.snapshot_stride", "output.snapshot_stride "
+                       "must be a non-negative integer")
 
-    initial = _merge_block(raw, "initial", INITIAL_DEFAULTS)
-    if initial["kind"] not in ("charged_blobs", "shared_blob", "uniform"):
-        raise ValidationError("unknown initial kind %r" % initial["kind"],
-                              field="initial.kind", where="cli.parse_config")
-    background = _number(initial["background"], "initial.background")
-    amplitude = _number(initial["amplitude"], "initial.amplitude")
-    lam = _number(initial["lam"], "initial.lam", minimum=0.0)
+    if init["kind"] not in ("charged_blobs", "shared_blob", "uniform"):
+        raise _invalid("initial.kind", "unknown initial kind %r"
+                       % init["kind"])
+    for key in ("background", "amplitude"):
+        init[key] = _number(init[key], "initial." + key)
+    init["lam"] = _number(init["lam"], "initial.lam", minimum=0.0)
 
     diagnostics = raw.get("diagnostics")
     if command == "check":
         if not isinstance(diagnostics, str) or not diagnostics:
-            raise ValidationError(
-                "check needs a diagnostics file path", field="diagnostics",
-                where="cli.parse_config")
+            raise _invalid("diagnostics",
+                           "check needs a diagnostics file path")
     elif diagnostics is not None:
-        raise ValidationError(
-            "diagnostics entry is only used by check", field="diagnostics",
-            where="cli.parse_config")
+        raise _invalid("diagnostics",
+                       "diagnostics entry is only used by check")
 
-    echo = {
-        "command": command,
-        "geometry": {"radius": None if inclusion is None
-                     else inclusion.radius,
-                     "center": list(inclusion.center) if inclusion else None,
-                     "cell_h": cell_h},
-        "regime": {"bc": regime.bc_type, "alpha": regime.alpha,
-                   "beta": regime.beta, "gamma": regime.gamma,
-                   "sigma": 0.0, "phi_d": regime.phi_d},
-        "discretization": {"h": h, "dt": dt, "t_end": t_end,
-                           "eps": eps_list if command == "converge" else eps},
-        "output": {"directory": directory, "formats": list(formats),
-                   "snapshot_stride": stride},
-        "initial": {"kind": initial["kind"], "background": background,
-                    "amplitude": amplitude, "lam": lam},
-    }
+    echo = dict(zip(DEFAULTS, blocks), command=command)
     if diagnostics is not None:
         echo["diagnostics"] = diagnostics
-
     return RunConfig(
-        command=command, geometry=geometry, regime=regime, eps=eps,
-        eps_list=eps_list, h=h, dt=dt, t_end=t_end,
-        initial={"kind": initial["kind"], "background": background,
-                 "amplitude": amplitude},
-        lam=lam, directory=directory, formats=tuple(formats),
-        snapshot_stride=stride, diagnostics=diagnostics, echo=echo)
+        command, UnitCellGeometry(inclusion, geo["cell_h"]),
+        macro.ScalingRegime(reg["bc"], reg["alpha"], reg["beta"],
+                            reg["gamma"], phi_d=reg["phi_d"]),
+        eps, eps_list, disc["h"], disc["dt"], disc["t_end"],
+        {key: init[key] for key in ("kind", "background", "amplitude")},
+        init["lam"], out["directory"], tuple(out["formats"]), stride,
+        diagnostics, echo)
 
 
 def initial_functions(initial):
@@ -327,8 +289,10 @@ def initial_functions(initial):
     return flat, flat
 
 
-def _artifact(config, name):
-    return os.path.join(config.directory, name)
+def _write(writer, config, name, data):
+    path = os.path.join(config.directory, name)
+    writer(path, data)
+    print("wrote %s" % path)
 
 
 def _finish(config, started, extra=None):
@@ -342,67 +306,49 @@ def _finish(config, started, extra=None):
     }
     if extra:
         payload.update(extra)
-    path = _artifact(config, "manifest.json")
-    output.write_manifest(path, payload)
-    print("wrote %s" % path)
-
-
-def _write_run_outputs(config, prefix, states, diagnostics):
-    if "csv" in config.formats:
-        path = _artifact(config, "diagnostics.csv")
-        output.write_diagnostics_csv(path, diagnostics)
-        print("wrote %s" % path)
-    if "vtk" in config.formats:
-        for index, state in enumerate(states):
-            path = _artifact(config, "%s_%04d.vtk" % (prefix, index))
-            output.write_vtk(path, state)
-        print("wrote %d %s_*.vtk snapshots" % (len(states), prefix))
+    _write(output.write_manifest, config, "manifest.json", payload)
 
 
 def run_cell(config):
     started = time.perf_counter()
     coeffs, _ = compute_effective_coefficients(config.geometry)
     os.makedirs(config.directory, exist_ok=True)
-    path = _artifact(config, "coefficients.txt")
-    output.write_coefficients(path, coeffs)
-    print("wrote %s" % path)
+    _write(output.write_coefficients, config, "coefficients.txt", coeffs)
     _finish(config, started)
     return 0
 
 
-def run_macro_cmd(config):
+def run_model(config):
+    """One run of the upscaled (macro) or the pore-scale (micro) model,
+    with its diagnostics table, snapshots and profile written."""
     started = time.perf_counter()
-    coeffs, _ = compute_effective_coefficients(config.geometry)
-    mesh = generate_unit_cell_mesh(UnitCellGeometry(None, config.h))
+    if config.command == "macro":
+        coeffs, _ = compute_effective_coefficients(config.geometry)
+        mesh = generate_unit_cell_mesh(UnitCellGeometry(None, config.h))
+        problem_type, run, lead = macro.MacroProblem, macro.run_macro, \
+            (mesh, coeffs)
+    else:
+        domain = PerforatedDomain(config.eps, config.geometry)
+        mesh = generate_perforated_mesh(domain, config.h)
+        problem_type, run, lead = micro.MicroProblem, micro.run_micro, \
+            (domain, mesh)
     c_plus, c_minus = initial_functions(config.initial)
     cp, cm = macro.initial_concentrations(mesh, c_plus, c_minus,
                                           config.regime)
-    problem = macro.MacroProblem(mesh, coeffs, config.regime, cp, cm,
-                                 t_end=config.t_end, dt=config.dt,
-                                 lam=config.lam,
-                                 snapshot_stride=config.snapshot_stride)
-    states, diagnostics, profile = macro.run_macro(problem)
+    states, diagnostics, profile = run(problem_type(
+        *lead, config.regime, cp, cm, t_end=config.t_end, dt=config.dt,
+        lam=config.lam, snapshot_stride=config.snapshot_stride))
     os.makedirs(config.directory, exist_ok=True)
-    _write_run_outputs(config, "macro", states, diagnostics)
-    _finish(config, started, extra={"profile": {"macro": profile}})
-    return 0
-
-
-def run_micro_cmd(config):
-    started = time.perf_counter()
-    domain = PerforatedDomain(config.eps, config.geometry)
-    mesh = generate_perforated_mesh(domain, config.h)
-    c_plus, c_minus = initial_functions(config.initial)
-    cp, cm = macro.initial_concentrations(mesh, c_plus, c_minus,
-                                          config.regime)
-    problem = micro.MicroProblem(domain, mesh, config.regime, cp, cm,
-                                 t_end=config.t_end, dt=config.dt,
-                                 lam=config.lam,
-                                 snapshot_stride=config.snapshot_stride)
-    states, diagnostics, profile = micro.run_micro(problem)
-    os.makedirs(config.directory, exist_ok=True)
-    _write_run_outputs(config, "micro", states, diagnostics)
-    _finish(config, started, extra={"profile": {"micro": profile}})
+    if "csv" in config.formats:
+        _write(output.write_diagnostics_csv, config, "diagnostics.csv",
+               diagnostics)
+    if "vtk" in config.formats:
+        for index, state in enumerate(states):
+            output.write_vtk(os.path.join(
+                config.directory, "%s_%04d.vtk" % (config.command, index)),
+                state)
+        print("wrote %d %s_*.vtk snapshots" % (len(states), config.command))
+    _finish(config, started, extra={"profile": {config.command: profile}})
     return 0
 
 
@@ -414,12 +360,9 @@ def run_converge(config):
         eps_list=config.eps_list, t_end=config.t_end, dt=config.dt,
         macro_h=config.h, lam=config.lam)
     os.makedirs(config.directory, exist_ok=True)
-    path = _artifact(config, "study.csv")
-    output.write_study_csv(path, study)
-    print("wrote %s" % path)
-    coeff_path = _artifact(config, "coefficients.txt")
-    output.write_coefficients(coeff_path, study.coeffs)
-    print("wrote %s" % coeff_path)
+    _write(output.write_study_csv, config, "study.csv", study)
+    _write(output.write_coefficients, config, "coefficients.txt",
+           study.coeffs)
     _finish(config, started, extra={"flags": study.flags,
                                     "monotone": study.monotone,
                                     "profile": study.profiles})
@@ -449,7 +392,7 @@ def run_check(config):
     return 0 if report.passed else CHECK_EXIT
 
 
-RUNNERS = {"cell": run_cell, "macro": run_macro_cmd, "micro": run_micro_cmd,
+RUNNERS = {"cell": run_cell, "macro": run_model, "micro": run_model,
            "converge": run_converge, "check": run_check}
 
 
@@ -471,15 +414,8 @@ def build_parser():
     parser.add_argument("--version", action="version",
                         version="snpp " + __version__)
     sub = parser.add_subparsers(dest="command", metavar="command")
-    descriptions = {
-        "cell": "compute effective coefficients for one cell geometry",
-        "macro": "run the upscaled model on the unit square",
-        "micro": "run the pore-scale model on a perforated domain",
-        "converge": "compare pore-scale runs against the upscaled model",
-        "check": "run the invariant suite over a diagnostics CSV",
-    }
-    for name in COMMANDS:
-        cmd = sub.add_parser(name, help=descriptions[name])
+    for name, description in COMMANDS.items():
+        cmd = sub.add_parser(name, help=description)
         cmd.add_argument("--config", default=None,
                          help="JSON configuration file (defaults apply "
                               "when omitted)")

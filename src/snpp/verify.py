@@ -267,7 +267,9 @@ def compare_scales(regime, coeffs, solutions, macro_final, micro_finals):
 def study_verdict(eps_list, errors):
     """Observed orders, flags and monotone verdict of an error table.
 
-    Every measure of the table gets an order.  A STUDY_FIELDS measure
+    Every measure of the table gets an order between each pair of
+    neighbouring scales: log(e_prev / e_next) / log(eps_prev / eps_next),
+    the exponent p of errors that fall like eps^p.  A STUDY_FIELDS measure
     that does not strictly decrease is flagged and clears monotone,
     unless it lies wholly below MONOTONE_FLOOR.  A phi_corrected above
     phi_plain (a corrector that does not help) is flagged only.
@@ -277,8 +279,10 @@ def study_verdict(eps_list, errors):
             raise ValidationError("%s errors are not finite" % name,
                                   field=name)
     orders = {name: [math.nan] + [
-        math.log2(a / b) if b > 0 and a > 0 else math.nan
-        for a, b in zip(values, values[1:])]
+        math.log2(a / b) / math.log2(eps_a / eps_b)
+        if b > 0 and a > 0 else math.nan
+        for a, b, eps_a, eps_b in zip(values, values[1:], eps_list,
+                                      eps_list[1:])]
         for name, values in errors.items()}
     flags = ["%s errors are not monotone: %s"
              % (name, ["%.3e" % v for v in errors[name]])
@@ -314,6 +318,19 @@ def _run_task(index):
     return index, replace(states[-1], mesh=None), diagnostics, profile
 
 
+def check_scales(eps_list, field="eps_list", where=None):
+    """Raise ValidationError, naming field and where, unless the scales
+    strictly decrease and each lies in STUDY_EPS."""
+    if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
+        raise ValidationError("scale list must be strictly decreasing",
+                              field=field, where=where)
+    for eps in eps_list:
+        if not any(abs(eps - allowed) < 1e-12 for allowed in STUDY_EPS):
+            supported = ", ".join("1/%d" % round(1 / e) for e in STUDY_EPS)
+            raise ValidationError("scale %g is outside the supported set {%s}"
+                                  % (eps, supported), field=field, where=where)
+
+
 def run_convergence_study(regime, geometry, c_plus, c_minus,
                           eps_list=STUDY_EPS, t_end=0.1, dt=2e-3,
                           macro_h=1 / 64, lam=1.0):
@@ -338,14 +355,8 @@ def run_convergence_study(regime, geometry, c_plus, c_minus,
 
     model = macro.classify_regime(regime)
     eps_list = [float(e) for e in eps_list]
-    if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
-        raise ValidationError("scale list must be strictly decreasing",
-                              field="eps_list")
+    check_scales(eps_list)
     for eps in eps_list:
-        if not any(abs(eps - allowed) < 1e-12 for allowed in STUDY_EPS):
-            supported = ", ".join("1/%d" % round(1 / e) for e in STUDY_EPS)
-            raise ValidationError("scale %g is outside the supported set {%s}"
-                                  % (eps, supported), field="eps_list")
         ratio = eps / macro_h
         if abs(round(ratio) - ratio) > 1e-9 or round(ratio) < 1:
             raise GridMisaligned(

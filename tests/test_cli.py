@@ -366,28 +366,40 @@ def readme_config_text():
     return readme.read_text().split("```json\n")[1].split("```")[0]
 
 
-@pytest.mark.parametrize("command, regime, field", [
-    *(pytest.param(command, {"bc": bc, "sigma": 0.05}, "regime.sigma",
-                   id="%s-%s-sigma" % (command, bc))
+@pytest.mark.parametrize("command, entries, field", [
+    *(pytest.param(command, {"regime": {"bc": bc, "sigma": 0.05}},
+                   "regime.sigma", id="%s-%s-sigma" % (command, bc))
       for command in ("cell", "macro", "micro", "converge")
       for bc in ("neumann", "dirichlet")),
-    pytest.param("micro", {"bc": "neumann", "phi_d": 0.7}, "regime.phi_d",
-                 id="micro-neumann-phi_d"),
-    pytest.param("macro", {"bc": "robin"}, "regime.bc", id="macro-robin"),
-    pytest.param("macro", json.loads(readme_config_text())["regime"], None,
-                 id="macro-readme-regime"),
+    pytest.param("micro", {"regime": {"bc": "neumann", "phi_d": 0.7}},
+                 "regime.phi_d", id="micro-neumann-phi_d"),
+    pytest.param("macro", {"regime": {"bc": "robin"}}, "regime.bc",
+                 id="macro-robin"),
+    pytest.param("converge", {"discretization": {"eps": [0.5, 0.2]}},
+                 "discretization.eps", id="converge-unsupported-scale"),
+    pytest.param("converge", {"discretization": {"eps": [0.5, 0.5]}},
+                 "discretization.eps", id="converge-repeated-scale"),
+    pytest.param("micro", {"discretization": {"eps": 0.3}},
+                 "discretization.eps", id="micro-non-reciprocal-scale"),
+    pytest.param("macro",
+                 {"regime": json.loads(readme_config_text())["regime"]},
+                 None, id="macro-readme-regime"),
 ])
 def test_regime_takes_only_values_a_model_reads(tmp_path, capsys, command,
-                                                 regime, field):
+                                                 entries, field):
     # No surface-charge model runs, and phi_d is the Dirichlet wall
     # potential, so a value that no run would read is refused at parse
-    # time; the README's zeros still run, and its example parses.
+    # time, as is a scale that no run can tile; the README's zeros still
+    # run, and its example parses.
     outdir = tmp_path / "out"
-    code = run(tmp_path, command, {
-        "geometry": {"cell_h": 0.1}, "regime": regime,
+    payload = {
+        "geometry": {"cell_h": 0.1},
         "discretization": {"h": 0.0625, "dt": 0.005, "T": 0.005,
                            "eps": [0.5] if command == "converge" else 0.5},
-        "output": {"directory": str(outdir)}})
+        "output": {"directory": str(outdir)}}
+    for block, values in entries.items():
+        payload[block] = dict(payload.get(block, {}), **values)
+    code = run(tmp_path, command, payload)
     err = capsys.readouterr().err
     if field is None:
         assert code == 0
@@ -397,6 +409,48 @@ def test_regime_takes_only_values_a_model_reads(tmp_path, capsys, command,
     assert "ValidationError [cli.parse_config]" in err
     assert "(field %s)" % field in err
     assert not outdir.exists()
+
+
+# One config per command; together they cover an empty cell, the
+# Dirichlet branch, a format given as a string and the T alias.
+ECHO_CONFIGS = {
+    "cell": {"geometry": {"radius": None, "cell_h": 0.125}},
+    "macro": {"regime": {"bc": "dirichlet", "alpha": 2, "beta": 1,
+                         "gamma": 1, "phi_d": 0.3},
+              "discretization": {"h": 0.0625, "T": 0.01}},
+    "micro": {"discretization": {"eps": 0.25},
+              "output": {"formats": "csv", "snapshot_stride": 0}},
+    "converge": {"discretization": {"eps": [0.25, 0.5], "dt": 0.005}},
+    "check": {"diagnostics": "rows.csv", "initial": {"lam": 2}},
+}
+
+
+@pytest.mark.parametrize("command", sorted(ECHO_CONFIGS))
+def test_the_echo_parses_back_to_the_same_run(command):
+    # The manifest records the resolved config with every default
+    # filled, so parsing it again reproduces the run.
+    config = cli.parse_config(json.dumps(ECHO_CONFIGS[command]),
+                              command=command)
+    again = cli.parse_config(json.dumps(config.echo))
+    assert vars(again) == vars(config)
+    assert sorted(config.echo) == sorted(
+        ["command", *cli.DEFAULTS] + (["diagnostics"]
+                                      if command == "check" else []))
+    for name, defaults in cli.DEFAULTS.items():
+        assert sorted(config.echo[name]) == sorted(defaults)
+
+
+@pytest.mark.parametrize("field", ["%s.%s" % (name, key)
+                                   for name, defaults in cli.DEFAULTS.items()
+                                   for key in defaults])
+def test_every_config_key_is_checked(tmp_path, capsys, field):
+    # Every key of the defaults table is resolved by a check that names
+    # it: an object where a value belongs is refused at parse time.
+    name, key = field.split(".")
+    assert run(tmp_path, "macro", {name: {key: {}}}) == 1
+    err = capsys.readouterr().err
+    assert "[cli.parse_config]" in err
+    assert "(field %s)" % field in err
 
 
 @pytest.mark.parametrize("command", ["macro", "converge"])

@@ -21,7 +21,8 @@ COEFFS = {"porosity": 0.80865828381745508, "D12": -3.69e-18,
           "K11": 0.020456691261947706}
 
 
-def write_run(directory, rows, coeffs, flags, monotone, profile=None):
+def write_run(directory, rows, coeffs, flags, monotone, profile=None,
+              config=None):
     directory.mkdir()
     lines = [HEADER] + [",".join(repr(v) for v in row) for row in rows]
     (directory / "study.csv").write_text("\n".join(lines) + "\n")
@@ -31,6 +32,8 @@ def write_run(directory, rows, coeffs, flags, monotone, profile=None):
                 "flags": flags, "monotone": monotone}
     if profile is not None:
         manifest["profile"] = profile
+    if config is not None:
+        manifest["config"] = config
     (directory / "manifest.json").write_text(json.dumps(manifest))
     return str(directory)
 
@@ -141,6 +144,43 @@ def test_profile_counts_that_differ_are_printed_per_task(tmp_path):
                                                [], True))
     assert code == 0
     assert ("manifest.json", "profile") not in printed
+
+
+CONFIG = {"command": "converge",
+          "discretization": {"h": 0.015625, "eps": [0.5, 0.25]},
+          "output": {"directory": "a", "formats": ["csv"]}}
+
+
+def test_config_entries_that_differ_are_printed_by_key(tmp_path):
+    same = write_run(tmp_path / "a", ROWS, COEFFS, [], True, config=CONFIG)
+    # Only the output directory differs, which is left out.
+    moved = json.loads(json.dumps(CONFIG))
+    moved["output"]["directory"] = "b"
+    code, printed = run_script(same, write_run(tmp_path / "b", ROWS, COEFFS,
+                                               [], True, config=moved))
+    assert code == 0
+    assert printed["manifest.json", "config"] == "same"
+    changed = json.loads(json.dumps(moved))
+    changed["discretization"]["eps"] = [0.5, 0.125]
+    changed["command"] = "micro"
+    changed["diagnostics"] = "rows.csv"
+    done = call_script(same, write_run(tmp_path / "c", ROWS, COEFFS, [],
+                                       True, config=changed))
+    # A config difference is reported, and the exit code stays that of
+    # the verdict.
+    assert done.returncode == 0
+    printed = done.stdout.splitlines()
+    for line in ('manifest.json command "converge" "micro"',
+                 'manifest.json diagnostics - "rows.csv"',
+                 "manifest.json discretization.eps [0.5,0.25] [0.5,0.125]"):
+        assert line in printed
+    assert "output.directory" not in done.stdout
+    assert "manifest.json config same" not in printed
+    # Without a config in both manifests nothing is compared.
+    code, printed = run_script(same, write_run(tmp_path / "d", ROWS, COEFFS,
+                                               [], True))
+    assert code == 0
+    assert ("manifest.json", "config") not in printed
 
 
 def test_mismatched_studies_exit_two(tmp_path):

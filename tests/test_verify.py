@@ -374,6 +374,20 @@ def test_study_verdict_reads_hand_made_tables():
     assert monotone
 
 
+def test_observed_orders_are_exponents_of_the_scale():
+    # Errors that fall like eps^2 read order 2 whatever the scale ratio:
+    # a quarter step is two halvings, not one.
+    eps_list = [0.5, 0.125]
+    orders, _, _ = verify.study_verdict(eps_list, decaying_table(
+        eps_list, c_plus=[1.0, 1 / 16], v=[0.4, 0.1]))
+    assert orders["c_plus"][1] == 2.0
+    assert orders["v"][1] == 1.0
+    eps_list = [0.5, 0.25, 0.125]
+    orders, _, _ = verify.study_verdict(eps_list, decaying_table(
+        eps_list, c_plus=[1.0, 0.25, 1 / 16]))
+    assert orders["c_plus"][1:] == [2.0, 2.0]
+
+
 def test_study_verdict_rejects_non_finite_errors():
     for bad in (np.nan, np.inf):
         for name in ("c_plus", "phi_corrected"):
