@@ -21,8 +21,9 @@ and D22, and K12 against K11 and K22.  For every array of the VTK files
 (the points, the cells and each field) it prints the largest of the
 column-scaled difference over the files.  When both manifests carry a
 "profile", it prints every count of a task that differs between them,
-as TASK/COUNT with the two values, or "profile same"; the timers (keys
-ending in _s) are left out.  When both manifests carry a "config" (the
+as TASK/COUNT with the two values, or "profile same"; the measurements
+that vary from run to run, the timers (keys ending in _s) and the peak
+memory (peak_rss_mb), are left out.  When both manifests carry a "config" (the
 resolved configuration of the run), it prints every BLOCK.KEY whose
 value differs between them, with the two values as compact JSON ("-"
 where a run has no such key), or "config same"; output.directory is
@@ -100,15 +101,19 @@ def read_coefficients(path):
     return out
 
 
+# Profile keys that measure a run rather than count its work.
+MEASURED = ("_s", "peak_rss_mb")
+
+
 def compare_profiles(first, second):
     """Print each count of a task whose value differs between the two
-    profiles (absent counts as "-"), leaving out the timers."""
+    profiles (absent counts as "-"), leaving out the MEASURED keys."""
     differ = False
     for task in sorted(first.keys() | second.keys()):
         counts_a, counts_b = first.get(task, {}), second.get(task, {})
         for key in sorted(counts_a.keys() | counts_b.keys()):
             a, b = counts_a.get(key, "-"), counts_b.get(key, "-")
-            if not key.endswith("_s") and a != b:
+            if not key.endswith(MEASURED) and a != b:
                 differ = True
                 print("manifest.json %s/%s %s %s" % (task, key, a, b))
     if not differ:

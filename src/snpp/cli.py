@@ -40,6 +40,7 @@ from .mesh import (
     UnitCellGeometry,
     generate_perforated_mesh,
     generate_unit_cell_mesh,
+    is_integer_reciprocal,
 )
 
 COMMANDS = {
@@ -164,17 +165,21 @@ def parse_config(text, command=None):
     blocks = [_merge_block(raw, name) for name in DEFAULTS]
     geo, reg, disc, out, init = blocks
 
+    # The center is checked whatever the radius; without a disk it
+    # shapes nothing, and the echo records null.
+    center = geo["center"]
+    if center is not None or geo["radius"] is not None:
+        if not (isinstance(center, (list, tuple)) and len(center) == 2):
+            raise _invalid("geometry.center", "geometry.center must be a pair")
+        center = [_number(v, "geometry.center") for v in center]
     inclusion = None
     if geo["radius"] is None:
         geo["center"] = None
     else:
         geo["radius"] = _number(geo["radius"], "geometry.radius",
                                 minimum=0.0)
-        center = geo["center"]
-        if not (isinstance(center, (list, tuple)) and len(center) == 2):
-            raise _invalid("geometry.center", "geometry.center must be a pair")
-        geo["center"] = [_number(v, "geometry.center") for v in center]
-        inclusion = DiskInclusion(tuple(geo["center"]), geo["radius"])
+        geo["center"] = center
+        inclusion = DiskInclusion(tuple(center), geo["radius"])
     geo["cell_h"] = _number(geo["cell_h"], "geometry.cell_h", minimum=0.0)
 
     if reg["bc"] not in (macro.NEUMANN, macro.DIRICHLET):
@@ -211,7 +216,7 @@ def parse_config(text, command=None):
                            "be a single scale for %s" % command)
         eps = disc["eps"] = DEFAULT_EPS if disc["eps"] is None \
             else _number(disc["eps"], "discretization.eps", minimum=0.0)
-        if command == "micro" and abs(eps * round(1 / eps) - 1.0) > 1e-12:
+        if command == "micro" and not is_integer_reciprocal(eps):
             raise _invalid("discretization.eps", "discretization.eps must "
                            "be the reciprocal of an integer")
     if disc["h"] is None:

@@ -17,6 +17,18 @@ the convection values at every step, factors the block once and solves
 the later blocks by iterative refinement on that LU, refactoring only
 when a refinement step fails to halve the residual.
 
+Index arrays are int32 wherever their values fit, the dtype scipy
+stores the indices of these matrices in: the element pairs that the P1
+and P2 assemblies scatter from (_element_pairs), and the slots of the
+transport block's entries.  The keys col 2n + row by which
+TransportSolver finds its block's pattern reach (2n)^2, so they are
+int32 only while (2n)^2 <= 2^31, that is up to 23,170 nodes, and int64
+on larger meshes such as the eps=1/32 pore mesh (60,929 nodes).  The
+assemblies and the operator builds drop each temporary once it is
+used, so a build allocates little more than it keeps, and every matrix
+they return equals, bit for bit, the one of the plain coordinate-format
+route.
+
 The Stokes operator is built from two folded and pinned blocks, the
 scalar P2 viscous block and the divergence rows of both velocity
 components; its direct route factors the saddle made of them, and its
@@ -123,6 +135,22 @@ def triangle_data(mesh):
     return _cached(mesh, "p1", _triangle_data)
 
 
+def _index_dtype(limit):
+    """int32 when every index below limit fits in it, else int64."""
+    return np.int32 if limit <= 2 ** 31 else np.int64
+
+
+def _element_pairs(row_dofs, col_dofs, shape):
+    """Row and column indices (M, k l) of the element pairs of a matrix of
+    the given shape, int32 when the shape allows: entry l i + j of
+    element K pairs row_dofs[K, i] with col_dofs[K, j], where row_dofs is
+    (M, k) and col_dofs (M, l)."""
+    dtype = _index_dtype(max(shape))
+    rows = np.repeat(row_dofs.astype(dtype), col_dofs.shape[1], axis=1)
+    cols = np.tile(col_dofs.astype(dtype), (1, row_dofs.shape[1]))
+    return rows, cols
+
+
 def _scatter(rows, cols, data, shape):
     return sp.coo_matrix((data.ravel(), (rows.ravel(), cols.ravel())),
                          shape=shape).tocsr()
@@ -142,10 +170,11 @@ def assemble_stiffness(mesh, coeff=None):
     t = mesh.triangles
     n = mesh.num_nodes
     cg = grads @ coeff.T  # (M, 3, 2)
-    local = np.einsum("mid,mjd->mij", cg, grads) * areas[:, None, None]
-    rows = np.repeat(t, 3, axis=1)
-    cols = np.tile(t, (1, 3))
-    return _scatter(rows, cols, local.reshape(len(t), 9), (n, n))
+    local = np.einsum("mid,mjd->mij", cg, grads)
+    del cg
+    local *= areas[:, None, None]
+    rows, cols = _element_pairs(t, t, (n, n))
+    return _scatter(rows, cols, local, (n, n))
 
 
 def assemble_mass(mesh):
@@ -155,9 +184,8 @@ def assemble_mass(mesh):
     n = mesh.num_nodes
     base = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
     local = base[None, :, :] * areas[:, None, None]
-    rows = np.repeat(t, 3, axis=1)
-    cols = np.tile(t, (1, 3))
-    return _scatter(rows, cols, local.reshape(len(t), 9), (n, n))
+    rows, cols = _element_pairs(t, t, (n, n))
+    return _scatter(rows, cols, local, (n, n))
 
 
 def _vertex_operator(mesh):
@@ -282,8 +310,7 @@ def assemble_convection(mesh, velocity=None, drift=None, drift_tensor=None,
     moved, drifted = _convection_weights(mesh, velocity, drift, drift_tensor)
     t = mesh.triangles
     n = mesh.num_nodes
-    rows = np.repeat(t, 3, axis=1)
-    cols = np.tile(t, (1, 3))
+    rows, cols = _element_pairs(t, t, (n, n))
     return _scatter(rows, cols, np.repeat((moved - drift_sign * drifted).T,
                                           3, axis=1), (n, n))
 
@@ -351,12 +378,22 @@ def periodic_prolongation(n, pairs):
 
 def apply_dirichlet(matrix, nodes):
     """The matrix with the rows and columns of nodes zeroed and a unit
-    diagonal on them.  The caller sets the pinned rows of its right-hand
-    side and lifts nonzero prescribed values off the free rows."""
-    keep = np.ones(matrix.shape[0])
-    keep[nodes] = 0.0
-    mask = sp.diags(keep)
-    return (mask @ matrix @ mask + sp.diags(1.0 - keep)).tocsr()
+    diagonal on them, as a CSR matrix with sorted indices and no stored
+    zeros.  The caller sets the pinned rows of its right-hand side and
+    lifts nonzero prescribed values off the free rows."""
+    matrix = sp.csr_matrix(matrix, dtype=float)
+    matrix.sum_duplicates()
+    pinned = np.zeros(matrix.shape[0], dtype=bool)
+    pinned[nodes] = True
+    keep = matrix.data != 0
+    keep &= ~pinned[matrix.indices]
+    keep &= ~np.repeat(pinned, np.diff(matrix.indptr))
+    kept = np.zeros(len(keep) + 1, dtype=matrix.indptr.dtype)
+    np.cumsum(keep, out=kept[1:])
+    free = sp.csr_matrix((matrix.data[keep], matrix.indices[keep],
+                          kept[matrix.indptr]), shape=matrix.shape)
+    del keep, kept
+    return free + sp.diags(pinned.astype(float))
 
 
 # ----------------------------------------------------------------------
@@ -397,6 +434,25 @@ class ZeroMeanLU:
         return self._lu.solve(np.append(rhs, 0.0))[:-1]
 
 
+def _unique_slots(keys):
+    """The sorted distinct values of keys and, for each key, the position
+    of its value among them, as np.unique(keys, return_inverse=True)
+    gives them, with the positions in int32 where they fit."""
+    order = np.argsort(keys)
+    keys = keys[order]
+    first = np.empty(len(keys), dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    distinct = keys[first]
+    del keys
+    rank = np.cumsum(first, dtype=_index_dtype(len(distinct)))
+    del first
+    rank -= 1
+    slot = np.empty_like(rank)
+    slot[order] = rank
+    return distinct, slot
+
+
 class TransportSolver:
     """The coupled transport block of one run, refilled and solved per step.
 
@@ -405,11 +461,12 @@ class TransportSolver:
     and B- the convection matrices of assemble_convection with drift_sign
     +1 and -1.  Only B+ and B- change during a run, and only in value, so
     the CSC pattern of the block attribute (the element pairs of the
-    mesh, the stiffness and the diagonals) is fixed here, together with a
-    sparse scatter from element weights to the element pairs of both
-    species.  refill computes the velocity and the drift weights once
-    each; c+ takes their difference and c- their sum, so one product with
-    the scatter sets the convection values.  dt is read at every refill.
+    mesh, the stiffness and the diagonals) is fixed here, together with
+    the slot in the block of every element pair of both species, listed
+    in the order of the element weights the pairs take.  refill computes
+    the velocity and the drift weights once each; c+ takes their
+    difference and c- their sum, so one bincount over those slots sets
+    the convection values.  dt is read at every refill.
 
     The first solve factors the block and keeps the LU: symmetric_lu
     with relax=1 (see the module docstring), which stores about half the
@@ -440,29 +497,37 @@ class TransportSolver:
         self.lumped = np.asarray(lumped, dtype=float)
         self.dt = dt
         n = mesh.num_nodes
-        t = mesh.triangles
+        m = mesh.num_triangles
+        width = 2 * n
         k = sp.coo_matrix(stiffness)
-        node = np.arange(n)
-        element_rows = np.repeat(t, 3, axis=1).ravel()
-        element_cols = np.tile(t, (1, 3)).ravel()
+        # Entry (row, col) of the block has the key col 2n + row.
+        dtype = _index_dtype(width ** 2)
+
+        def keys_of(rows, cols):
+            keys = np.multiply(cols, width, dtype=dtype)
+            keys += rows
+            return keys
+
+        rows, cols = _element_pairs(mesh.triangles, mesh.triangles,
+                                    (width, width))
+        element = keys_of(rows.ravel(), cols.ravel())
+        del rows, cols
+        stiff = keys_of(k.row, k.col)
+        diagonal = np.arange(n, dtype=dtype) * (width + 1)
+        shift = n * (width + 1)
         # Entries: the element pairs of both species, then K, the mass
         # and the reaction of both.
-        rows = np.concatenate([element_rows, element_rows + n, k.row,
-                               k.row + n, node, node + n, node, node + n])
-        cols = np.concatenate([element_cols, element_cols + n, k.col,
-                               k.col + n, node, node + n, node + n, node])
-        keys, slot = np.unique(cols * (2 * n) + rows, return_inverse=True)
-        fixed = 2 * len(element_rows)
+        keys, slot = _unique_slots(np.concatenate([
+            element, element + shift, stiff, stiff + shift, diagonal,
+            diagonal + shift, diagonal + n * width, diagonal + n]))
+        del element, stiff, diagonal
+        fixed = 18 * m
         # Element entry 9 K + 3 i + j of a species (row t[K, i], column
         # t[K, j]) takes weight [i, K] of that species' weights, which
-        # refill stacks as those of c+ and then of c-.
-        m = len(t)
-        entry = np.arange(len(element_rows))
-        weight = entry // 3 % 3 * m + entry // 9
-        self._convection = sp.csr_matrix(
-            (np.ones(fixed), (slot[:fixed],
-                              np.concatenate([weight, weight + 3 * m]))),
-            shape=(len(keys), 6 * m))
+        # refill stacks as those of c+ and then of c-; in weight order,
+        # three entries take each weight.
+        self._weight_slots = slot[:fixed].reshape(2, m, 3, 3).transpose(
+            0, 2, 1, 3).ravel()
         # The values without convection: the mass, and what dt multiplies.
         self._mass = np.bincount(slot[fixed + 2 * k.nnz:][:2 * n],
                                  weights=np.tile(self.lumped, 2),
@@ -470,12 +535,14 @@ class TransportSolver:
         self._scaled = np.bincount(slot[fixed:], weights=np.concatenate(
             [k.data, k.data, np.tile(self.lumped, 2),
              np.tile(-self.lumped, 2)]), minlength=len(keys))
+        del slot
         indptr = np.concatenate(
-            [[0], np.cumsum(np.bincount(keys // (2 * n), minlength=2 * n))])
+            [[0], np.cumsum(np.bincount(keys // width, minlength=width))])
         self.block = sp.csc_matrix(
             (self._mass + dt * self._scaled,
-             (keys % (2 * n)).astype(np.intc), indptr.astype(np.intc)),
-            shape=(2 * n, 2 * n))
+             (keys % width).astype(np.intc, copy=False),
+             indptr.astype(np.intc)),
+            shape=(width, width))
         self._lu = None
         self._last = None
         self._tol = TRANSPORT_TOL
@@ -488,8 +555,10 @@ class TransportSolver:
         c+ and c- (None for none), as assemble_convection takes them."""
         moved, drifted = _convection_weights(self.mesh, velocity, drift,
                                              tensor)
-        convection = self._convection @ np.concatenate(
-            [(moved - drifted).ravel(), (moved + drifted).ravel()])
+        convection = np.bincount(self._weight_slots, weights=np.repeat(
+            np.concatenate([(moved - drifted).ravel(),
+                            (moved + drifted).ravel()]), 3),
+            minlength=len(self._mass))
         self.block.data = self._mass + self.dt * (self._scaled - convection)
 
     def _refine(self, rhs, x, residual, norm, gate):
@@ -604,15 +673,24 @@ def assemble_p2_stiffness(mesh):
     areas, grads = triangle_data(mesh)
     m = mesh.num_triangles
     local = np.zeros((m, 6, 6))
+    # Row i of grad(phi_i) . grad(phi_j) at each point, in buffers that
+    # every row and point shares.
+    product = np.empty((m, 6))
+    term = np.empty((m, 6))
     for lam, w in zip(_QP4, _QW4):
         g = _p2_basis_gradients(lam, grads)
-        local += w * np.einsum("mid,mjd->mij", g, g)
+        for i in range(6):
+            np.multiply(g[:, i, None, 0], g[:, :, 0], out=product)
+            np.multiply(g[:, i, None, 1], g[:, :, 1], out=term)
+            product += term
+            product *= w
+            local[:, i] += product
+    del g, product, term
     local *= areas[:, None, None]
     dofs = _p2_global_dofs(mesh)
-    rows = np.repeat(dofs, 6, axis=1)
-    cols = np.tile(dofs, (1, 6))
     n2 = p2_dof_count(mesh)
-    return _scatter(rows, cols, local.reshape(m, 36), (n2, n2))
+    rows, cols = _element_pairs(dofs, dofs, (n2, n2))
+    return _scatter(rows, cols, local, (n2, n2))
 
 
 def assemble_divergence(mesh):
@@ -623,19 +701,21 @@ def assemble_divergence(mesh):
     """
     areas, grads = triangle_data(mesh)
     m = mesh.num_triangles
-    local = np.zeros((m, 3, 6, 2))
+    # local[d, K, q, j] is the integral over K of lam_q d(phi_j)/dx_d.
+    local = np.zeros((2, m, 3, 6))
+    term = np.empty((2, m, 6))
     for lam, w in zip(_QP4, _QW4):
-        g = _p2_basis_gradients(lam, grads)
-        local += w * np.einsum("q,mjd->mqjd", lam, g)
-    local *= areas[:, None, None, None]
+        g = _p2_basis_gradients(lam, grads).transpose(2, 0, 1)
+        for q in range(3):
+            np.multiply(lam[q], g, out=term)
+            term *= w
+            local[:, :, q] += term
+    del g, term
+    local *= areas[None, :, None, None]
     dofs = _p2_global_dofs(mesh)
-    rows = np.repeat(mesh.triangles, 6, axis=1)
-    cols = np.tile(dofs, (1, 3))
-    n2 = p2_dof_count(mesh)
-    shape = (mesh.num_nodes, n2)
-    bx = _scatter(rows, cols, local[:, :, :, 0].reshape(m, 18), shape)
-    by = _scatter(rows, cols, local[:, :, :, 1].reshape(m, 18), shape)
-    return bx, by
+    shape = (mesh.num_nodes, p2_dof_count(mesh))
+    rows, cols = _element_pairs(mesh.triangles, dofs, shape)
+    return tuple(_scatter(rows, cols, part, shape) for part in local)
 
 
 def assemble_p2_load(mesh, forcing):
@@ -718,10 +798,10 @@ class StokesOperator:
         self.mesh = mesh
         self.viscosity = viscosity
         self.periodic = len(mesh.periodic_pairs) > 0
-        self.no_slip_dofs = _p2_boundary_dofs(
+        no_slip_dofs = _p2_boundary_dofs(
             mesh, {GAMMA_INTERIOR} if self.periodic
             else set(mesh.boundary_tags))
-        if self.periodic and not self.no_slip_dofs:
+        if self.periodic and not no_slip_dofs:
             raise NoSolidPhase(
                 "periodic flow without a no-slip wall has no unique "
                 "velocity", where="fem.StokesOperator")
@@ -729,29 +809,43 @@ class StokesOperator:
         self.schur_iterations = 0
         self._last_pressure = None
         self._lu_laplacian = None if self.periodic else laplacian_lu
-        self._build()
+        self._build(no_slip_dofs)
 
-    def _build(self):
+    def _build(self, no_slip_dofs):
         mesh = self.mesh
         self.fold, cols = periodic_prolongation(
             p2_dof_count(mesh),
             _p2_periodic_pairs(mesh) if self.periodic else ())
         self.pressure_fold, _ = periodic_prolongation(
             mesh.num_nodes, mesh.periodic_pairs if self.periodic else ())
-        self.fixed = np.unique(cols[self.no_slip_dofs])
-        free = np.ones(self.fold.shape[1])
-        free[self.fixed] = 0.0
-        viscous = self.fold.T @ (self.viscosity
-                                 * assemble_p2_stiffness(mesh)) @ self.fold
-        self.a = apply_dirichlet(viscous.tocsr(), self.fixed)
+        self.fixed = np.unique(cols[no_slip_dofs])
+        pinned = np.zeros(self.fold.shape[1], dtype=bool)
+        pinned[self.fixed] = True
+        # Without periodic pairs both folds are identities, whose products
+        # would only drop the stored zeros, as apply_dirichlet and the
+        # pinning of b do.
+        viscous = assemble_p2_stiffness(mesh)
+        viscous.data *= self.viscosity
+        if self.periodic:
+            viscous = (self.fold.T @ viscous @ self.fold).tocsr()
+        self.a = apply_dirichlet(viscous, self.fixed)
+        del viscous
+        divergence = assemble_divergence(mesh)
+        for block in divergence:
+            np.negative(block.data, out=block.data)
+        if self.periodic:
+            divergence = [(self.pressure_fold.T @ block @ self.fold).tocsr()
+                          for block in divergence]
+        for block in divergence:
+            block.data[pinned[block.indices]] = 0.0
+            block.eliminate_zeros()
+        self.b = sp.hstack(divergence, format="csr")
+        del divergence
         # Sorted columns make the sums of b @ u run in dof order.
-        self.b = (sp.hstack([self.pressure_fold.T @ -divergence @ self.fold
-                             for divergence in assemble_divergence(mesh)],
-                            format="csr")
-                  @ sp.diags(np.tile(free, 2))).sorted_indices()
+        self.b.sort_indices()
         self.pressure_weight = self.pressure_fold.T @ mass_weight(mesh)
 
-        rows = 2 * len(free) + len(self.pressure_weight)
+        rows = 2 * len(pinned) + len(self.pressure_weight)
         # The bordered saddle has one row more.
         if rows + 1 < DIRECT_DOF_LIMIT:
             self._lu = ZeroMeanLU(*self.saddle())

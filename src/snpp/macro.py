@@ -9,6 +9,7 @@ Gauss-Seidel fashion with an inner fixed-point iteration per time step.
 """
 
 import logging
+import resource
 import time
 import warnings
 from dataclasses import dataclass, replace
@@ -416,6 +417,13 @@ def run_steps(problem, update_fields, transport, lumped, content_scale=1.0,
     return states, diagnostics
 
 
+def peak_rss_mb():
+    """The peak resident memory of this process so far, in MB (Linux
+    reports ru_maxrss in kB).  A forked process starts from its parent's
+    figure, since it counts the pages it inherited."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
 def run_macro(problem):
     """Advance the macroscopic system to t_end with run_steps.
 
@@ -425,7 +433,8 @@ def run_macro(problem):
     concentrations.  Returns (states, diagnostics, profile) where
     diagnostics is one dict per step with keys t, mass, charge, min_c,
     max_c, fp_iters (mass and charge are porosity-weighted) and profile
-    holds the wall seconds of the call (run_s), the sweeps (the sum of
+    holds the wall seconds of the call (run_s), the peak resident memory
+    of the process at its end (peak_rss_mb), the sweeps (the sum of
     fp_iters) and the TransportSolver.profile of the run.
     """
     started = time.perf_counter()
@@ -453,6 +462,7 @@ def run_macro(problem):
         problem, update_fields, transport, ops.lumped,
         content_scale=coeffs.porosity, iterate=coupled)
     profile = dict(run_s=time.perf_counter() - started,
+                   peak_rss_mb=peak_rss_mb(),
                    sweeps=sum(row["fp_iters"] for row in diagnostics),
                    **ops.transport.profile())
     log.info("macro run finished: %d steps, final charge %.3e, profile %s",

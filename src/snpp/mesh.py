@@ -31,6 +31,14 @@ OUTER_BOUNDARY = "OuterBoundary"
 _CLEARANCE = 0.4
 
 
+def is_integer_reciprocal(eps):
+    """Whether eps = 1/k for an integer k >= 1, to 1e-12 relative.  A
+    positive eps so small that 1/eps overflows to inf is not."""
+    inverse = 1.0 / eps
+    return (math.isfinite(inverse) and round(inverse) >= 1
+            and abs(eps * round(inverse) - 1.0) <= 1e-12)
+
+
 @dataclass(frozen=True)
 class DiskInclusion:
     center: tuple
@@ -92,8 +100,7 @@ class PerforatedDomain:
     def validate(self):
         if not (0 < self.eps <= 1):
             raise ValidationError("eps must lie in (0, 1]", field="eps")
-        k = round(1.0 / self.eps)
-        if k < 1 or abs(self.eps * k - 1.0) > 1e-12:
+        if not is_integer_reciprocal(self.eps):
             raise ValidationError("eps must be the reciprocal of an integer",
                                   field="eps")
         if self.cell.inclusion is not None:

@@ -24,6 +24,7 @@ from .macro import (
     NEUMANN,
     check_concentrations,
     classify_regime,
+    peak_rss_mb,
     run_steps,
     solve_neumann_potential,
 )
@@ -147,6 +148,7 @@ def run_micro(problem):
     states, diagnostics = run_steps(problem, update_fields, transport,
                                     ops.lumped)
     profile = dict(run_s=time.perf_counter() - started,
+                   peak_rss_mb=peak_rss_mb(),
                    sweeps=sum(row["fp_iters"] for row in diagnostics),
                    **ops.transport.profile(), **ops.stokes.profile())
     log.info("micro run eps=%g finished: %d steps, profile %s",

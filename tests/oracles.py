@@ -16,7 +16,11 @@ convection_weights_reference, sums and sp.bmat) that the refilled
 fixed-pattern block of fem.TransportSolver is checked against.
 stokes_saddle_reference folds the full Taylor-Hood saddle with one
 three-field prolongation and pins the no-slip dofs by elimination, the
-route that fem.StokesOperator's block build replaced.
+route that fem.StokesOperator's block build replaced.  The *_coo
+routes and dirichlet_by_masks, stokes_blocks_coo and
+transport_block_coo build the package's matrices along the plain
+coordinate-format route, with int64 indices, einsum kernels and mask
+products, which the lean builds of fem must match bit for bit.
 structured_square_reference, match_faces_reference,
 merge_nodes_reference and tile_reference build meshes with the
 per-node Python loops and dicts, and write_vtk_reference writes a VTK
@@ -675,3 +679,166 @@ def read_coefficients(path):
             key, _, text = line.partition("=")
             out[key] = float(text)
     return out
+
+
+# ----------------------------------------------------------------------
+# Coordinate-format routes of the fem builds.  Each is the route the
+# package took before its builds dropped their temporaries: int64
+# element-pair indices, einsum kernels, fold products with identity
+# prolongations and Dirichlet pinning by diagonal mask products.  The
+# package's matrices must equal these bit for bit.
+
+
+def _coo_scatter(rows, cols, data, shape):
+    return sp.coo_matrix((data.ravel(), (rows.ravel(), cols.ravel())),
+                         shape=shape).tocsr()
+
+
+def p1_stiffness_coo(mesh, coeff=None):
+    """fem.assemble_stiffness along the coordinate-format route."""
+    areas, grads = fem.triangle_data(mesh)
+    coeff = np.eye(2) if coeff is None else np.asarray(coeff, dtype=float)
+    if coeff.ndim == 0:
+        coeff = float(coeff) * np.eye(2)
+    t = mesh.triangles
+    n = mesh.num_nodes
+    local = np.einsum("mid,mjd->mij", grads @ coeff.T, grads) \
+        * areas[:, None, None]
+    return _coo_scatter(np.repeat(t, 3, axis=1), np.tile(t, (1, 3)),
+                        local.reshape(len(t), 9), (n, n))
+
+
+def p1_mass_coo(mesh):
+    """fem.assemble_mass along the coordinate-format route."""
+    areas, _ = fem.triangle_data(mesh)
+    t = mesh.triangles
+    n = mesh.num_nodes
+    base = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
+    local = base[None, :, :] * areas[:, None, None]
+    return _coo_scatter(np.repeat(t, 3, axis=1), np.tile(t, (1, 3)),
+                        local.reshape(len(t), 9), (n, n))
+
+
+def convection_coo(mesh, velocity, drift, tensor, sign):
+    """fem.assemble_convection along the coordinate-format route, from
+    the package's own element weights."""
+    moved, drifted = fem._convection_weights(mesh, velocity, drift, tensor)
+    t = mesh.triangles
+    n = mesh.num_nodes
+    return _coo_scatter(np.repeat(t, 3, axis=1), np.tile(t, (1, 3)),
+                        np.repeat((moved - sign * drifted).T, 3, axis=1),
+                        (n, n))
+
+
+def _p2_dofs(mesh):
+    return np.hstack([mesh.triangles,
+                      mesh.num_nodes + edge_table(mesh).tri_edges])
+
+
+def p2_stiffness_coo(mesh):
+    """fem.assemble_p2_stiffness with an einsum kernel per point."""
+    areas, grads = fem.triangle_data(mesh)
+    m = mesh.num_triangles
+    local = np.zeros((m, 6, 6))
+    for lam, w in zip(fem._QP4, fem._QW4):
+        g = fem._p2_basis_gradients(lam, grads)
+        local += w * np.einsum("mid,mjd->mij", g, g)
+    local *= areas[:, None, None]
+    dofs = _p2_dofs(mesh)
+    n2 = fem.p2_dof_count(mesh)
+    return _coo_scatter(np.repeat(dofs, 6, axis=1), np.tile(dofs, (1, 6)),
+                        local.reshape(m, 36), (n2, n2))
+
+
+def divergence_coo(mesh):
+    """fem.assemble_divergence with an einsum kernel per point."""
+    areas, grads = fem.triangle_data(mesh)
+    m = mesh.num_triangles
+    local = np.zeros((m, 3, 6, 2))
+    for lam, w in zip(fem._QP4, fem._QW4):
+        g = fem._p2_basis_gradients(lam, grads)
+        local += w * np.einsum("q,mjd->mqjd", lam, g)
+    local *= areas[:, None, None, None]
+    dofs = _p2_dofs(mesh)
+    rows = np.repeat(mesh.triangles, 6, axis=1)
+    cols = np.tile(dofs, (1, 3))
+    shape = (mesh.num_nodes, fem.p2_dof_count(mesh))
+    return tuple(_coo_scatter(rows, cols, local[:, :, :, d].reshape(m, 18),
+                              shape) for d in (0, 1))
+
+
+def dirichlet_by_masks(matrix, nodes):
+    """fem.apply_dirichlet by products with a diagonal 0/1 mask."""
+    keep = np.ones(matrix.shape[0])
+    keep[nodes] = 0.0
+    mask = sp.diags(keep)
+    return (mask @ matrix @ mask + sp.diags(1.0 - keep)).tocsr()
+
+
+def stokes_blocks_coo(mesh, viscosity):
+    """The blocks a and b of fem.StokesOperator(mesh, viscosity), folded
+    by prolongation products (identities on a mesh without periodic
+    pairs) and pinned by dirichlet_by_masks and a column mask."""
+    periodic = len(mesh.periodic_pairs) > 0
+    fold, cols = fem.periodic_prolongation(
+        fem.p2_dof_count(mesh),
+        fem._p2_periodic_pairs(mesh) if periodic else ())
+    pressure_fold, _ = fem.periodic_prolongation(
+        mesh.num_nodes, mesh.periodic_pairs if periodic else ())
+    fixed = np.unique(cols[fem._p2_boundary_dofs(
+        mesh, {GAMMA_INTERIOR} if periodic else set(mesh.boundary_tags))])
+    free = np.ones(fold.shape[1])
+    free[fixed] = 0.0
+    viscous = fold.T @ (viscosity * p2_stiffness_coo(mesh)) @ fold
+    a = dirichlet_by_masks(viscous.tocsr(), fixed)
+    b = (sp.hstack([pressure_fold.T @ -divergence @ fold
+                    for divergence in divergence_coo(mesh)], format="csr")
+         @ sp.diags(np.tile(free, 2))).sorted_indices()
+    return a, b
+
+
+def transport_block_coo(mesh, stiffness, lumped, dt):
+    """The pattern of fem.TransportSolver's block by np.unique over int64
+    keys col 2n + row, with its convection scatter as a sparse matrix
+    from the stacked element weights of c+ and c- to the block's entries.
+    Returns the block at zero convection and refill(velocity, drift,
+    tensor), which returns the block's values for that field."""
+    lumped = np.asarray(lumped, dtype=float)
+    n = mesh.num_nodes
+    t = mesh.triangles
+    k = sp.coo_matrix(stiffness)
+    node = np.arange(n)
+    element_rows = np.repeat(t, 3, axis=1).ravel()
+    element_cols = np.tile(t, (1, 3)).ravel()
+    rows = np.concatenate([element_rows, element_rows + n, k.row,
+                           k.row + n, node, node + n, node, node + n])
+    cols = np.concatenate([element_cols, element_cols + n, k.col,
+                           k.col + n, node, node + n, node + n, node])
+    keys, slot = np.unique(cols * (2 * n) + rows, return_inverse=True)
+    fixed = 2 * len(element_rows)
+    m = len(t)
+    entry = np.arange(len(element_rows))
+    weight = entry // 3 % 3 * m + entry // 9
+    scatter = sp.csr_matrix(
+        (np.ones(fixed), (slot[:fixed],
+                          np.concatenate([weight, weight + 3 * m]))),
+        shape=(len(keys), 6 * m))
+    mass = np.bincount(slot[fixed + 2 * k.nnz:][:2 * n],
+                       weights=np.tile(lumped, 2), minlength=len(keys))
+    scaled = np.bincount(slot[fixed:], weights=np.concatenate(
+        [k.data, k.data, np.tile(lumped, 2), np.tile(-lumped, 2)]),
+        minlength=len(keys))
+    indptr = np.concatenate(
+        [[0], np.cumsum(np.bincount(keys // (2 * n), minlength=2 * n))])
+    block = sp.csc_matrix(
+        (mass + dt * scaled, (keys % (2 * n)).astype(np.intc),
+         indptr.astype(np.intc)), shape=(2 * n, 2 * n))
+
+    def refill(velocity, drift, tensor):
+        moved, drifted = fem._convection_weights(mesh, velocity, drift,
+                                                 tensor)
+        convection = scatter @ np.concatenate(
+            [(moved - drifted).ravel(), (moved + drifted).ravel()])
+        return mass + dt * (scaled - convection)
+
+    return block, refill

@@ -2,6 +2,7 @@
 
 import ast
 import json
+import logging
 import math
 import os
 import pathlib
@@ -204,6 +205,32 @@ def test_micro_command_runs_pore_scale(tmp_path):
     assert not any(name.endswith(".vtk") for name in os.listdir(outdir))
 
 
+def test_profiles_record_the_peak_memory_of_each_run(tmp_path, caplog):
+    # Each run's profile holds its own process's peak resident memory:
+    # the forked workers of converge report theirs too.
+    caplog.set_level(logging.INFO, logger="snpp")
+    peaks = {}
+    for command, discretization in (
+            ("micro", {"eps": 0.5}), ("converge", {"eps": [0.5]})):
+        outdir = tmp_path / command
+        path = write_config(tmp_path, {
+            "geometry": {"cell_h": 0.1},
+            "discretization": dict(discretization, h=0.0625, dt=0.005,
+                                   T=0.005),
+            "output": {"directory": str(outdir), "formats": ["csv"]}})
+        assert cli.main([command, "--verbose", "--config", path]) == 0
+        profiles = json.loads((outdir / "manifest.json").read_text())[
+            "profile"]
+        peaks.update((task, profile["peak_rss_mb"])
+                     for task, profile in profiles.items())
+    assert sorted(peaks) == ["eps=0.5", "macro", "micro"]
+    assert all(0 < peak < 1e5 for peak in peaks.values())
+    # --verbose logs the profile of the run made in this process.
+    [record] = [record for record in caplog.records
+                if record.getMessage().startswith("micro run eps=0.5")]
+    assert "'peak_rss_mb': %r" % peaks["micro"] in record.getMessage()
+
+
 def test_converge_command_is_deterministic(tmp_path):
     outdir = tmp_path / "out"
     payload = {
@@ -381,6 +408,10 @@ def readme_config_text():
                  "discretization.eps", id="converge-repeated-scale"),
     pytest.param("micro", {"discretization": {"eps": 0.3}},
                  "discretization.eps", id="micro-non-reciprocal-scale"),
+    pytest.param("micro", {"discretization": {"eps": 1e-320}},
+                 "discretization.eps", id="micro-overflowing-reciprocal"),
+    pytest.param("cell", {"geometry": {"radius": None, "center": "x"}},
+                 "geometry.center", id="cell-no-disk-bad-center"),
     pytest.param("macro",
                  {"regime": json.loads(readme_config_text())["regime"]},
                  None, id="macro-readme-regime"),
@@ -389,8 +420,9 @@ def test_regime_takes_only_values_a_model_reads(tmp_path, capsys, command,
                                                  entries, field):
     # No surface-charge model runs, and phi_d is the Dirichlet wall
     # potential, so a value that no run would read is refused at parse
-    # time, as is a scale that no run can tile; the README's zeros still
-    # run, and its example parses.
+    # time, as is a scale that no run can tile and a center that is not
+    # a point, disk or not; the README's zeros still run, and its example
+    # parses.
     outdir = tmp_path / "out"
     payload = {
         "geometry": {"cell_h": 0.1},

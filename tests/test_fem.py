@@ -1,5 +1,6 @@
 """Assembly, constraint, and solver behavior of the finite-element core."""
 
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -29,25 +30,33 @@ from snpp.mesh import (
 )
 
 from oracles import (
+    convection_coo,
     convection_reference,
     dense_p1_convection,
     dense_p1_mass,
     dense_p1_stiffness,
+    dirichlet_by_masks,
+    divergence_coo,
     element_means_reference,
     gauss_solve,
     gradient_load_reference,
     interface_normal_load_reference,
     lumped_mass_reference,
+    p1_mass_coo,
+    p1_stiffness_coo,
     p1_element_gradients_reference,
     p1_interpolate_reference,
     p2_element_means_reference,
     p2_load_reference,
+    p2_stiffness_coo,
     reacting_pair_block,
     reacting_pair_step,
     recover_nodal_gradient_reference,
     relative_weak_divergence,
     solve_spd,
+    stokes_blocks_coo,
     stokes_saddle_reference,
+    transport_block_coo,
     tri_area,
 )
 
@@ -792,3 +801,146 @@ def test_recovered_gradient_exact_for_linear_field():
     values = 2.0 * mesh.nodes[:, 0] - 0.5 * mesh.nodes[:, 1]
     grad = fem.recover_nodal_gradient(mesh, values)
     assert np.max(np.abs(grad - [2.0, -0.5])) < 1e-12
+
+
+# ----------------------------------------------------------------------
+# Lean builds: the same bits as the coordinate-format routes, and little
+# more allocated than kept.
+
+
+def assert_same_bits(ours, ref):
+    """Both store the same values in the same layout, bit for bit: the
+    format, the shape, and the dtype and every byte of each array."""
+    if sp.issparse(ref):
+        assert (ours.format, ours.shape) == (ref.format, ref.shape)
+        for name in ("data", "indices", "indptr"):
+            assert_same_bits(getattr(ours, name), getattr(ref, name))
+    else:
+        assert ours.dtype == ref.dtype
+        assert ours.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("make_mesh", [lambda: square_mesh(1 / 16),
+                                       perforated_quarter_mesh],
+                         ids=["unit_square", "perforated_quarter"])
+def test_assemblies_equal_the_coordinate_routes_bit_for_bit(make_mesh):
+    mesh = make_mesh()
+    velocity = np.random.default_rng(12).standard_normal(
+        (mesh.num_triangles, 2))
+    phi = drift_potential(mesh, 1.0)
+    stiffness = fem.assemble_stiffness(mesh)
+    pairs = [
+        (stiffness, p1_stiffness_coo(mesh)),
+        (fem.assemble_stiffness(mesh, DRIFT_TENSOR),
+         p1_stiffness_coo(mesh, DRIFT_TENSOR)),
+        (fem.assemble_mass(mesh), p1_mass_coo(mesh)),
+        (fem.assemble_convection(mesh, velocity, phi, DRIFT_TENSOR, -1.0),
+         convection_coo(mesh, velocity, phi, DRIFT_TENSOR, -1.0)),
+        (fem.assemble_p2_stiffness(mesh), p2_stiffness_coo(mesh)),
+        *zip(fem.assemble_divergence(mesh), divergence_coo(mesh)),
+    ]
+    # Pinned rows with and without a stored diagonal, and the folded
+    # CSC input of the periodic cell's wall problem.
+    pinned = np.unique(mesh.boundary_edges)[::2]
+    holed = stiffness.tolil()
+    holed[pinned[0], pinned[0]] = 0.0
+    holed = holed.tocsr()
+    holed.eliminate_zeros()
+    fold, cols = fem.periodic_prolongation(mesh.num_nodes,
+                                           mesh.periodic_pairs)
+    folded = fold.T @ stiffness @ fold
+    for matrix, nodes in ((stiffness, pinned), (holed, pinned),
+                          (folded, np.unique(cols[pinned]))):
+        pairs.append((fem.apply_dirichlet(matrix, nodes),
+                      dirichlet_by_masks(matrix, nodes)))
+    # The transport block and its refilled convection values.
+    lumped = 0.8 * fem.lumped_mass(mesh)
+    solver = fem.TransportSolver(mesh, stiffness, lumped, 2e-3)
+    block, refill = transport_block_coo(mesh, stiffness, lumped, 2e-3)
+    pairs.append((solver.block.copy(), block))
+    for fields in ((velocity, phi, np.eye(2)), (None, phi, DRIFT_TENSOR),
+                   (velocity, None, None)):
+        solver.refill(*fields)
+        pairs.append((solver.block.data.copy(), refill(*fields)))
+    for ours, ref in pairs:
+        assert_same_bits(ours, ref)
+
+
+@pytest.mark.parametrize("make_mesh, viscosity", [
+    (perforated_quarter_mesh, 0.25 ** 2), (lambda: disk_mesh(1 / 32), 1.0)],
+    ids=["perforated_quarter", "periodic_cell"])
+def test_stokes_blocks_equal_the_coordinate_route_bit_for_bit(make_mesh,
+                                                              viscosity):
+    mesh = make_mesh()
+    operator = fem.StokesOperator(mesh, viscosity=viscosity)
+    a, b = stokes_blocks_coo(mesh, viscosity)
+    assert_same_bits(operator.a, a)
+    assert_same_bits(operator.b, b)
+
+
+def eighth_mesh():
+    return generate_perforated_mesh(
+        PerforatedDomain(0.125, UnitCellGeometry(
+            DiskInclusion((0.5, 0.5), 0.25), 0.125)), 1 / 64)
+
+
+def allocation_ratio(build):
+    """The peak of the memory that tracemalloc traces while build() runs,
+    above what was traced before it, over what its result keeps."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = build()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del result
+    return (peak - start) / (kept - start)
+
+
+def test_operator_builds_allocate_little_more_than_they_keep(monkeypatch):
+    # tracemalloc sees numpy's allocations and not SuperLU's, and every
+    # build allocates the same arrays, so the ratios repeat exactly.
+    # The coordinate-format builds reach 4.1 (transport) and 4.5
+    # (Stokes) times what they keep on this mesh; these reach 1.8 and
+    # 2.8.  The Stokes operator is built on its Schur route, the route
+    # of pore-scale runs above DIRECT_DOF_LIMIT, whose build is the
+    # blocks a and b and the pressure Laplacian.
+    mesh = eighth_mesh()
+    stiffness = fem.assemble_stiffness(mesh)
+    laplacian_lu = fem.ZeroMeanLU(stiffness, fem.mass_weight(mesh))
+    monkeypatch.setattr(fem, "DIRECT_DOF_LIMIT", 0)
+    builds = {
+        "transport": (lambda: fem.TransportSolver(
+            mesh, stiffness, fem.lumped_mass(mesh), 2e-3), 2.5),
+        "stokes": (lambda: fem.StokesOperator(
+            mesh, viscosity=mesh.eps ** 2, laplacian_lu=laplacian_lu), 3.5),
+    }
+    for name, (build, bound) in builds.items():
+        build()  # fills the mesh caches that a build reads
+        assert allocation_ratio(build) <= bound, name
+
+
+def test_transport_keys_fall_back_to_int64_on_large_meshes(monkeypatch):
+    # The keys col 2n + row reach (2n)^2: int32 holds them up to 23,170
+    # nodes, and the eps=1/32 pore mesh (60,929 nodes) needs int64.
+    assert fem._index_dtype(2 ** 31) is np.int32
+    assert fem._index_dtype(2 ** 31 + 1) is np.int64
+    assert fem._index_dtype((2 * 23170) ** 2) is np.int32
+    assert fem._index_dtype((2 * 23171) ** 2) is np.int64
+    assert fem._index_dtype((2 * 60929) ** 2) is np.int64
+    mesh = perforated_quarter_mesh()
+    stiffness = fem.assemble_stiffness(mesh)
+    lumped = fem.lumped_mass(mesh)
+    fields = (np.random.default_rng(2).standard_normal(
+        (mesh.num_triangles, 2)), drift_potential(mesh, 1.0), DRIFT_TENSOR)
+    narrow = fem.TransportSolver(mesh, stiffness, lumped, 2e-3)
+    # Every index of a small mesh takes the int64 route here.
+    monkeypatch.setattr(fem, "_index_dtype", lambda limit: np.int64)
+    wide = fem.TransportSolver(mesh, stiffness, lumped, 2e-3)
+    assert wide._weight_slots.dtype == np.int64
+    assert narrow._weight_slots.dtype == np.int32
+    assert_same_bits(wide.block, narrow.block)
+    for solver in (narrow, wide):
+        solver.refill(*fields)
+    assert_same_bits(wide.block.data, narrow.block.data)

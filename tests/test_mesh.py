@@ -88,6 +88,15 @@ def test_mesh_size_must_resolve_interface():
         mesh.generate_unit_cell_mesh(disk_geometry(0.2, radius=0.25))
 
 
+@pytest.mark.parametrize("eps", [0.3, 1.5, 1e-320])
+def test_perforated_domain_scale_must_be_an_integer_reciprocal(eps):
+    # 1/1e-320 overflows to inf, which has no nearest integer.
+    with pytest.raises(ValidationError) as raised:
+        mesh.PerforatedDomain(eps, disk_geometry(0.05)).validate()
+    assert raised.value.field == "eps"
+    mesh.PerforatedDomain(1 / 16, disk_geometry(0.05)).validate()
+
+
 def test_all_four_faces_carry_periodic_pairs():
     m = mesh.generate_unit_cell_mesh(disk_geometry(0.05))
     deltas = m.nodes[m.periodic_pairs[:, 1]] - m.nodes[m.periodic_pairs[:, 0]]

@@ -311,8 +311,12 @@ def test_pooled_study_matches_the_runs_made_in_process(monkeypatch, cpus):
         for name in ("c_plus", "c_minus", "phi", "pressure", "velocity"):
             assert np.array_equal(getattr(final, name),
                                   getattr(want, name)), (task, name)
-        counts = dict(study.profiles[task], run_s=0.0)
-        assert counts == dict(profile, run_s=0.0), task
+        # The wall time and the peak memory measure the process, not the
+        # run's work.
+        measured = dict(run_s=0.0, peak_rss_mb=0.0)
+        assert dict(study.profiles[task], **measured) \
+            == dict(profile, **measured), task
+        assert study.profiles[task]["peak_rss_mb"] > 0, task
 
 
 def test_study_rejects_inadmissible_regime_before_running():
