@@ -69,6 +69,10 @@ DEFAULTS = {
 }
 DEFAULT_MACRO_H = 1.0 / 64.0
 DEFAULT_EPS = 0.5
+# The discretization keys that each command reads, where not all: a
+# value given for another is refused, and the echo leaves it out.
+DISCRETIZATION_READS = {"cell": (), "check": (),
+                        "macro": ("h", "dt", "t_end")}
 
 USAGE_ERRORS = (ParseError, ValidationError, InadmissibleScaling,
                 InclusionTouchesBoundary, ResolutionTooCoarse,
@@ -197,8 +201,17 @@ def parse_config(text, command=None):
         raise _invalid("regime.phi_d", "regime.phi_d is the Dirichlet wall "
                        "potential; it must be 0 with bc %r" % macro.NEUMANN)
 
+    reads = DISCRETIZATION_READS.get(command, tuple(disc))
+    for key in raw.get("discretization") or {}:
+        if {"T": "t_end"}.get(key, key) not in reads:
+            raise _invalid("discretization." + key, "%s does not read "
+                           "discretization.%s" % (command, key))
+    for key in set(disc) - set(reads):
+        del disc[key]
     for key in ("dt", "t_end"):
-        disc[key] = _number(disc[key], "discretization." + key, minimum=0.0)
+        if key in disc:
+            disc[key] = _number(disc[key], "discretization." + key,
+                                minimum=0.0)
     eps = eps_list = None
     if command == "converge":
         eps_values = verify.STUDY_EPS if disc["eps"] is None else disc["eps"]
@@ -210,19 +223,19 @@ def parse_config(text, command=None):
              for v in eps_values), reverse=True)
         verify.check_scales(eps_list, field="discretization.eps",
                             where="cli.parse_config")
-    else:
+    elif command == "micro":
         if isinstance(disc["eps"], (list, tuple)):
             raise _invalid("discretization.eps", "discretization.eps must "
                            "be a single scale for %s" % command)
         eps = disc["eps"] = DEFAULT_EPS if disc["eps"] is None \
             else _number(disc["eps"], "discretization.eps", minimum=0.0)
-        if command == "micro" and not is_integer_reciprocal(eps):
+        if not is_integer_reciprocal(eps):
             raise _invalid("discretization.eps", "discretization.eps must "
                            "be the reciprocal of an integer")
-    if disc["h"] is None:
-        disc["h"] = eps / 8.0 if command == "micro" else DEFAULT_MACRO_H
-    else:
-        disc["h"] = _number(disc["h"], "discretization.h", minimum=0.0)
+    if "h" in disc:
+        disc["h"] = (eps / 8.0 if command == "micro" else DEFAULT_MACRO_H) \
+            if disc["h"] is None \
+            else _number(disc["h"], "discretization.h", minimum=0.0)
 
     if not isinstance(out["directory"], str) or not out["directory"]:
         raise _invalid("output.directory",
@@ -264,7 +277,7 @@ def parse_config(text, command=None):
         command, UnitCellGeometry(inclusion, geo["cell_h"]),
         macro.ScalingRegime(reg["bc"], reg["alpha"], reg["beta"],
                             reg["gamma"], phi_d=reg["phi_d"]),
-        eps, eps_list, disc["h"], disc["dt"], disc["t_end"],
+        eps, eps_list, disc.get("h"), disc.get("dt"), disc.get("t_end"),
         {key: init[key] for key in ("kind", "background", "amplitude")},
         init["lam"], out["directory"], tuple(out["formats"]), stride,
         diagnostics, echo)

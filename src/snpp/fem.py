@@ -27,7 +27,10 @@ on larger meshes such as the eps=1/32 pore mesh (60,929 nodes).  The
 assemblies and the operator builds drop each temporary once it is
 used, so a build allocates little more than it keeps, and every matrix
 they return equals, bit for bit, the one of the plain coordinate-format
-route.
+route.  So do the bordered systems that ZeroMeanLU and the direct
+Stokes route factor: _stack_columns writes each straight into CSC
+arrays in one pass, equal bit for bit to those sp.bmat makes, so no
+coordinate copy of them is built on the way to the factorization.
 
 The Stokes operator is built from two folded and pinned blocks, the
 scalar P2 viscous block and the divergence rows of both velocity
@@ -37,21 +40,22 @@ divergence rows.  The consistent mass matrix (mass_matrix), its row
 sums (mass_weight) and lumped_mass are kept per mesh in mesh._caches
 too.
 
-Every symmetric system is factored by symmetric_lu: the bordered
-zero-mean systems of ZeroMeanLU (the direct Stokes saddle, the macro
-potential and Darcy systems, the P1 Laplacian of a Neumann pore-scale
-run, which serves both its potential and the pressure Laplacian of its
-Schur route, the pressure Laplacian that any other Schur-route Stokes
-operator factors itself, the scalar cell correctors), the scalar
-velocity block of the Schur route, and the Dirichlet potentials of the
-cell and the pore scale.  Its minimum-degree ordering of A^T + A fills
-the eps=1/8 Stokes saddle LU five times less than scipy's default
-COLAMD ordering.  The transport block is not symmetric, but its pattern
-is, and symmetric_lu factors it too, with relax=1.  SuperLU's default
-relaxation of small supernodes, not the ordering, is what makes this
-block slow in symmetric mode: at eps=1/16 it stores 54M entries and
-factors in 31 s.  With relax=1 the LU stores 2.2M entries against
-COLAMD's 5.0M and factors and solves faster (see README).
+Every symmetric system is factored by symmetric_lu: the direct Stokes
+saddle bordered by its zero-mean constraint, the bordered zero-mean
+systems of ZeroMeanLU (the macro potential and Darcy systems, the P1
+Laplacian of a Neumann pore-scale run, which serves both its potential
+and the pressure Laplacian of its Schur route, the pressure Laplacian
+that any other Schur-route Stokes operator factors itself, the scalar
+cell correctors), the scalar velocity block of the Schur route, and the
+Dirichlet potentials of the cell and the pore scale.  Its minimum-degree
+ordering of A^T + A fills the eps=1/8 Stokes saddle LU five times less
+than scipy's default COLAMD ordering.  The transport block is not
+symmetric, but its pattern is, and symmetric_lu factors it too, with
+relax=1.  SuperLU's default relaxation of small supernodes, not the
+ordering, is what makes this block slow in symmetric mode: at eps=1/16
+it stores 54M entries and factors in 31 s.  With relax=1 the LU stores
+2.2M entries against COLAMD's 5.0M and factors and solves faster (see
+README).
 """
 
 import itertools
@@ -416,19 +420,80 @@ def symmetric_lu(matrix, relax=None):
                 relax=relax, options={"SymmetricMode": True})
 
 
+def _stack_columns(strips, height):
+    """The CSC matrix with height rows whose columns are those of the
+    strips in turn, written in one pass.
+
+    A strip is a list of blocks of one width stacked top to bottom, each
+    block an (offset, indptr, indices, data) whose column c holds the
+    rows indices[indptr[c]:indptr[c + 1]], sorted and below the next
+    block's offset once offset is added to them, with their values in
+    data; indptr may be a slice of a wider matrix's."""
+    counts = np.concatenate([sum(np.diff(block[1]) for block in strip)
+                             for strip in strips])
+    indptr = np.zeros(len(counts) + 1, dtype=np.intc)
+    np.cumsum(counts, out=indptr[1:])
+    del counts
+    indices = np.empty(indptr[-1], dtype=np.intc)
+    data = np.empty(indptr[-1])
+    first = 0
+    for strip in strips:
+        width = len(strip[0][1]) - 1
+        # The next free slot of each column of the strip.
+        free = indptr[first:first + width].copy()
+        for offset, ptr, rows, values in strip:
+            count = np.diff(ptr)
+            slots = np.repeat(free - ptr[:-1], count)
+            slots += np.arange(ptr[0], ptr[-1], dtype=np.intc)
+            rows = rows[ptr[0]:ptr[-1]]
+            indices[slots] = rows + offset if offset else rows
+            data[slots] = values[ptr[0]:ptr[-1]]
+            free += count
+            del slots
+        first += width
+    return sp.csc_matrix((data, indices, indptr),
+                         shape=(height, len(indptr) - 1))
+
+
+def _border(weight):
+    """The nonzero entries of weight as the blocks of _stack_columns of
+    the row w^T and of the column w."""
+    weight = np.asarray(weight, dtype=float)
+    keep = weight != 0
+    values = weight[keep]
+    ptr = np.zeros(len(weight) + 1, dtype=np.intc)
+    np.cumsum(keep, out=ptr[1:])
+    row = (ptr, np.zeros(len(values), dtype=np.intc), values)
+    column = (np.array([0, len(values)], dtype=np.intc),
+              np.flatnonzero(keep).astype(np.intc), values)
+    return row, column
+
+
+def bordered(matrix, weight):
+    """The CSC matrix [[matrix, w], [w^T, 0]] of a square matrix without
+    duplicate entries, written in one pass.  Like sp.bmat, it keeps the
+    stored zeros of matrix and drops the zero entries of w."""
+    matrix = sp.csc_matrix(matrix)
+    n = matrix.shape[0]
+    row, column = _border(weight)
+    return _stack_columns(
+        [[(0, matrix.indptr, matrix.indices, matrix.data), (n,) + row],
+         [(0,) + column]], n + 1)
+
+
 class ZeroMeanLU:
     """LU of a singular operator bordered by the constraint weight . u = 0.
 
     The bordered matrix [[matrix, w], [w^T, 0]] is factored once; solve
     returns the u part of its solution for the right-hand side (rhs, 0),
     which for a compatible rhs is the solution of matrix u = rhs with
-    w . u = 0.  Callers check or project their rhs themselves.
+    w . u = 0.  Callers check or project their rhs themselves.  matrix
+    is kept, as the operator the LU solves.
     """
 
     def __init__(self, matrix, weight):
-        col = sp.csr_matrix(np.reshape(weight, (-1, 1)))
-        self._lu = symmetric_lu(sp.bmat([[matrix, col], [col.T, None]],
-                                        format="csc"))
+        self.matrix = matrix
+        self._lu = symmetric_lu(bordered(matrix, weight))
 
     def solve(self, rhs):
         return self._lu.solve(np.append(rhs, 0.0))[:-1]
@@ -767,15 +832,16 @@ class StokesOperator:
     (fold^T A fold) with the no-slip dofs pinned, and b, the divergence
     rows -[Bx By] on the folded pressure dofs with the pinned columns
     zeroed.  A saddle [[blockdiag(a, a), b^T], [b, 0]]
-    below DIRECT_DOF_LIMIT rows is factored by one ZeroMeanLU under the
-    pressure_weight constraint.  A larger one is solved by conjugate
-    gradients on the pressure Schur complement S = b blockdiag(a, a)^-1
-    b^T, with one symmetric_lu of a for both components.  A direct saddle
-    LU at eps=1/16 (130,564 rows) ran the micro_eps16 step (4 solves) no
-    faster, but cut the eps=1/16 step of a scale study (111 solves) from
-    50.4 to 15.5 s; it was declined because it raised the peak memory of
-    both by more than a third (micro_eps16: 240 to 368 MB, measured
-    before the transport LU took relax=1).  relax=1 does not shrink the
+    below DIRECT_DOF_LIMIT rows is bordered by its pressure_weight
+    constraint (saddle) and factored by symmetric_lu.  A larger one is
+    solved by conjugate gradients on the pressure Schur complement
+    S = b blockdiag(a, a)^-1 b^T, with one symmetric_lu of a for both
+    components.  A direct saddle LU at eps=1/16 (130,564 rows) ran the
+    micro_eps16 step (4 solves) no faster, but cut the eps=1/16 step of
+    a scale study (111 solves) from 50.4 to 15.5 s; it was declined
+    because it raised the peak memory of both by more than a third
+    (micro_eps16: 240 to 368 MB, measured before the transport LU took
+    relax=1).  relax=1 does not shrink the
     saddle LU: it holds 13.94M entries at eps=1/16 and 2.75M at eps=1/8
     with SuperLU's relaxation and with relax=1 alike.  The
     preconditioner M_p^-1 + theta L_p^-1 adds the inverse pressure
@@ -788,8 +854,9 @@ class StokesOperator:
     mass_weight constraint, factored by the caller for its own use (the
     pore-scale Neumann potential); a non-periodic operator on the Schur
     route takes it as its L_p, whose pressure dofs are the mesh nodes,
-    instead of factoring its own.  A periodic operator folds its
-    pressure dofs and factors its folded Laplacian.
+    instead of factoring its own, and reads theta's Laplacian quotient
+    off the matrix it keeps.  A periodic operator folds its pressure
+    dofs and factors its folded Laplacian.
     solves and schur_iterations count the calls to solve and the
     conjugate-gradient iterations they took.
     """
@@ -848,7 +915,7 @@ class StokesOperator:
         rows = 2 * len(pinned) + len(self.pressure_weight)
         # The bordered saddle has one row more.
         if rows + 1 < DIRECT_DOF_LIMIT:
-            self._lu = ZeroMeanLU(*self.saddle())
+            self._lu = symmetric_lu(self.saddle())
             self._mode = "direct"
         else:
             self._prepare_schur()
@@ -857,13 +924,23 @@ class StokesOperator:
                   self._mode)
 
     def saddle(self):
-        """The saddle [[blockdiag(a, a), b^T], [b, 0]] and the weight
-        (0, 0, pressure_weight) of its zero-mean constraint."""
-        matrix = sp.bmat([[sp.block_diag((self.a, self.a)), self.b.T],
-                          [self.b, None]])
-        weight = np.concatenate([np.zeros(self.b.shape[1]),
-                                 self.pressure_weight])
-        return matrix, weight
+        """The saddle [[blockdiag(a, a), b^T], [b, 0]] bordered by the
+        weight (0, 0, pressure_weight) of its zero-mean constraint, as
+        the CSC matrix [[blockdiag(a, a), b^T, 0], [b, 0, w], [0, w^T,
+        0]] that bordered would make of them, written in one pass.  a is
+        symmetric bit for bit, since each of its off-diagonal entries
+        sums at most two element values, so its rows are its columns."""
+        a, b = self.a, self.b
+        n = a.shape[0]
+        height = 2 * n + b.shape[0]
+        columns = b.tocsc()
+        row, column = _border(self.pressure_weight)
+        strips = [[(k * n, a.indptr, a.indices, a.data),
+                   (2 * n, columns.indptr[k * n:(k + 1) * n + 1],
+                    columns.indices, columns.data)] for k in (0, 1)]
+        strips += [[(0, b.indptr, b.indices, b.data), (height,) + row],
+                   [(2 * n,) + column]]
+        return _stack_columns(strips, height + 1)
 
     def _prepare_schur(self):
         self._lu_a = symmetric_lu(self.a.tocsc())
@@ -874,9 +951,10 @@ class StokesOperator:
         fold = self.pressure_fold
         mass_diag = lumped_mass(self.mesh)
         self.p_mass = fold.T @ mass_diag
-        laplacian = fold.T @ assemble_stiffness(self.mesh) @ fold
         if self._lu_laplacian is None:
-            self._lu_laplacian = ZeroMeanLU(laplacian, weight)
+            self._lu_laplacian = ZeroMeanLU(
+                fold.T @ assemble_stiffness(self.mesh) @ fold, weight)
+        laplacian = self._lu_laplacian.matrix
         # theta is the ratio of two Rayleigh quotients of S: against the
         # mass on a broadband probe (about 1 / viscosity) and against the
         # Laplacian on the smooth probe x (about K eps^2 / viscosity).
@@ -915,7 +993,8 @@ class StokesOperator:
         rhs = load.T.ravel()
         if self._mode == "direct":
             u, p = np.split(self._lu.solve(np.append(
-                rhs, np.zeros(len(self.pressure_weight)))), [len(rhs)])
+                rhs, np.zeros(len(self.pressure_weight) + 1)))[:-1],
+                [len(rhs)])
         else:
             u, p = self._solve_schur_cg(rhs)
         self.solves += 1

@@ -343,13 +343,14 @@ def run_convergence_study(regime, geometry, c_plus, c_minus,
     mesh.  The checks, the meshes, the coefficients and the initial data
     are made here; then the macro run and one pore-scale run per scale
     go to a pool of min(tasks, usable CPUs) workers forked from this
-    process, and the finest scale, the longest run, goes first.  Forked
-    workers inherit those inputs, so neither the meshes nor the initial
-    data callables, which may be local functions, are pickled; the pool
-    forks them before it starts its own threads.  Each returns only its
-    final fields, diagnostics and profile.  The first run to raise ends
-    the pool and the study with its error.  Non-monotone error decay is
-    flagged on the returned study, not raised.
+    process, longest first: the finest scale, the macro run, then the
+    coarser scales from the finest down.  Forked workers inherit those
+    inputs, so neither the meshes nor the initial data callables, which
+    may be local functions, are pickled; the pool forks them before it
+    starts its own threads.  Each returns only its final fields,
+    diagnostics and profile.  The first run to raise ends the pool and
+    the study with its error.  Non-monotone error decay is flagged on
+    the returned study, not raised.
     """
     import multiprocessing
 
@@ -379,10 +380,12 @@ def run_convergence_study(regime, geometry, c_plus, c_minus,
     tasks += [task(micro.run_micro, micro.MicroProblem, mesh, dom, mesh)
               for dom, mesh in zip(domains, meshes)]
     workers = min(len(tasks), len(os.sched_getaffinity(0)))
+    # The finest scale, the macro run, then the coarser scales.
+    order = [len(tasks) - 1, 0, *range(len(tasks) - 2, 0, -1)]
     with multiprocessing.get_context("fork").Pool(
             workers, _adopt_tasks, (tasks,)) as pool:
-        results = sorted(pool.imap_unordered(
-            _run_task, reversed(range(len(tasks)))), key=lambda r: r[0])
+        results = sorted(pool.imap_unordered(_run_task, order),
+                         key=lambda r: r[0])
     _, finals, diagnostics, profiles = zip(*results)
     finals = [replace(final, mesh=problem.mesh)
               for final, (_, problem) in zip(finals, tasks)]

@@ -20,7 +20,10 @@ route that fem.StokesOperator's block build replaced.  The *_coo
 routes and dirichlet_by_masks, stokes_blocks_coo and
 transport_block_coo build the package's matrices along the plain
 coordinate-format route, with int64 indices, einsum kernels and mask
-products, which the lean builds of fem must match bit for bit.
+products, which the lean builds of fem must match bit for bit;
+bordered_bmat and stokes_saddle_bmat build the bordered systems by
+sp.bmat, the route of the one-pass fem.bordered and
+fem.StokesOperator.saddle.
 structured_square_reference, match_faces_reference,
 merge_nodes_reference and tile_reference build meshes with the
 per-node Python loops and dicts, and write_vtk_reference writes a VTK
@@ -795,6 +798,24 @@ def stokes_blocks_coo(mesh, viscosity):
                     for divergence in divergence_coo(mesh)], format="csr")
          @ sp.diags(np.tile(free, 2))).sorted_indices()
     return a, b
+
+
+def bordered_bmat(matrix, weight):
+    """The CSC matrix [[matrix, w], [w^T, 0]] by sp.bmat over a column
+    of w, summed as splu sums it: fem.bordered writes it in one pass."""
+    col = sp.csr_matrix(np.reshape(weight, (-1, 1)))
+    bordered = sp.bmat([[matrix, col], [col.T, None]], format="csc")
+    bordered.sum_duplicates()
+    return bordered
+
+
+def stokes_saddle_bmat(a, b, pressure_weight):
+    """The bordered saddle of fem.StokesOperator.saddle from its blocks,
+    by sp.bmat over sp.block_diag((a, a)) and b, bordered by
+    bordered_bmat with the weight (0, 0, pressure_weight)."""
+    matrix = sp.bmat([[sp.block_diag((a, a)), b.T], [b, None]])
+    return bordered_bmat(matrix, np.concatenate(
+        [np.zeros(b.shape[1]), pressure_weight]))
 
 
 def transport_block_coo(mesh, stiffness, lumped, dt):

@@ -84,15 +84,16 @@ def test_every_error_class_survives_a_pickle_round_trip():
 
 
 def test_defaults_fill_missing_blocks():
-    config = cli.parse_config("", command="cell")
-    assert config.command == "cell"
+    config = cli.parse_config("", command="macro")
+    assert config.command == "macro"
     assert config.geometry.inclusion.radius == 0.25
     assert config.geometry.target_h == 0.025
     assert config.dt == 2e-3
     assert config.t_end == 0.1
     assert config.regime.bc_type == "neumann"
     assert config.formats == ("csv", "vtk")
-    assert config.echo["discretization"]["dt"] == 2e-3
+    assert config.echo["discretization"] == {"h": 1 / 64, "dt": 2e-3,
+                                             "t_end": 0.1}
 
 
 def test_parse_accepts_time_alias_and_orders_scales():
@@ -415,19 +416,30 @@ def readme_config_text():
     pytest.param("macro",
                  {"regime": json.loads(readme_config_text())["regime"]},
                  None, id="macro-readme-regime"),
+    pytest.param("macro", {"discretization": {"eps": 0.5}},
+                 "discretization.eps", id="macro-unread-eps"),
+    *(pytest.param(command, {"discretization": {key: 0.5}},
+                   "discretization." + key,
+                   id="%s-unread-%s" % (command, key))
+      for command in ("cell", "check") for key in ("h", "dt", "T", "eps")),
 ])
 def test_regime_takes_only_values_a_model_reads(tmp_path, capsys, command,
                                                  entries, field):
     # No surface-charge model runs, and phi_d is the Dirichlet wall
     # potential, so a value that no run would read is refused at parse
-    # time, as is a scale that no run can tile and a center that is not
-    # a point, disk or not; the README's zeros still run, and its example
+    # time, as is a discretization key that the command does not read,
+    # a scale that no run can tile and a center that is not a point,
+    # disk or not; the README's zeros still run, and its example
     # parses.
     outdir = tmp_path / "out"
+    discretization = {"h": 0.0625, "dt": 0.005, "T": 0.005,
+                      "eps": [0.5] if command == "converge" else 0.5}
+    reads = cli.DISCRETIZATION_READS.get(command, cli.DEFAULTS[
+        "discretization"])
     payload = {
         "geometry": {"cell_h": 0.1},
-        "discretization": {"h": 0.0625, "dt": 0.005, "T": 0.005,
-                           "eps": [0.5] if command == "converge" else 0.5},
+        "discretization": {key: value for key, value in discretization.items()
+                           if {"T": "t_end"}.get(key, key) in reads},
         "output": {"directory": str(outdir)}}
     for block, values in entries.items():
         payload[block] = dict(payload.get(block, {}), **values)
@@ -468,7 +480,11 @@ def test_the_echo_parses_back_to_the_same_run(command):
     assert sorted(config.echo) == sorted(
         ["command", *cli.DEFAULTS] + (["diagnostics"]
                                       if command == "check" else []))
+    # The discretization keys that the command does not read are left
+    # out.
     for name, defaults in cli.DEFAULTS.items():
+        if name == "discretization":
+            defaults = cli.DISCRETIZATION_READS.get(command, defaults)
         assert sorted(config.echo[name]) == sorted(defaults)
 
 

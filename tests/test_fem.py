@@ -30,6 +30,7 @@ from snpp.mesh import (
 )
 
 from oracles import (
+    bordered_bmat,
     convection_coo,
     convection_reference,
     dense_p1_convection,
@@ -55,6 +56,7 @@ from oracles import (
     relative_weak_divergence,
     solve_spd,
     stokes_blocks_coo,
+    stokes_saddle_bmat,
     stokes_saddle_reference,
     transport_block_coo,
     tri_area,
@@ -284,11 +286,8 @@ def test_symmetric_lu_does_not_pivot_on_zero_diagonals():
             DiskInclusion((0.5, 0.5), 0.25), 0.125)), 1 / 32)
     stokes = fem.StokesOperator(mesh, viscosity=eps ** 2)
     rng = np.random.default_rng(8)
-    for matrix, constraint in (
-            stokes.saddle(),
-            (fem.assemble_stiffness(mesh), fem.mass_weight(mesh))):
-        col = sp.csr_matrix(np.reshape(constraint, (-1, 1)))
-        bordered = sp.bmat([[matrix, col], [col.T, None]], format="csc")
+    for bordered in (stokes.saddle(), fem.bordered(
+            fem.assemble_stiffness(mesh), fem.mass_weight(mesh))):
         rhs = rng.standard_normal(bordered.shape[0])
         x = fem.symmetric_lu(bordered).solve(rhs)
         assert np.linalg.norm(bordered @ x - rhs) \
@@ -630,15 +629,14 @@ def periodic_cell_stokes_case():
                          ids=["perforated", "periodic_cell"])
 def test_block_built_saddle_matches_the_full_saddle_route(case):
     mesh, bc, viscosity, _ = case()
-    matrix, weight = fem.StokesOperator(mesh, viscosity=viscosity).saddle()
-    ref_matrix, ref_weight = stokes_saddle_reference(mesh, bc, viscosity)
-    assert matrix.shape == ref_matrix.shape
+    matrix = fem.StokesOperator(mesh, viscosity=viscosity).saddle()
+    ref = bordered_bmat(*stokes_saddle_reference(mesh, bc, viscosity))
+    assert matrix.shape == ref.shape
     # The divergence rows keep the sign of the reference's -[Bx By]; a
-    # flipped b would flip the pressure and differ here by 2 |B|.
-    assert abs(matrix - ref_matrix).max() \
-        <= 1e-14 * abs(ref_matrix).max()
-    assert np.max(np.abs(weight - ref_weight)) \
-        <= 1e-14 * np.max(ref_weight)
+    # flipped b would flip the pressure and differ here by 2 |B|.  The
+    # border row is the zero-mean weight, scaled like the mass matrix.
+    assert abs(matrix[:-1] - ref[:-1]).max() <= 1e-14 * abs(ref).max()
+    assert abs(matrix[-1] - ref[-1]).max() <= 1e-14 * abs(ref[-1]).max()
 
 
 @pytest.mark.parametrize("case", [perforated_stokes_case,
@@ -878,6 +876,55 @@ def test_stokes_blocks_equal_the_coordinate_route_bit_for_bit(make_mesh,
     assert_same_bits(operator.b, b)
 
 
+def factored_matrices(monkeypatch):
+    """The list to which every later call of fem.symmetric_lu appends the
+    matrix it factors."""
+    factored = []
+    factor = fem.symmetric_lu
+
+    def recorded(matrix, relax=None):
+        factored.append(matrix)
+        return factor(matrix, relax)
+
+    monkeypatch.setattr(fem, "symmetric_lu", recorded)
+    return factored
+
+
+@pytest.mark.parametrize("make_mesh, viscosity", [
+    (perforated_quarter_mesh, 0.25 ** 2), (lambda: disk_mesh(1 / 32), 1.0)],
+    ids=["perforated_quarter", "periodic_cell"])
+def test_direct_stokes_route_factors_the_bmat_saddle_bit_for_bit(
+        make_mesh, viscosity, monkeypatch):
+    # The LU, and so every solution, depends on these arrays bit for bit.
+    mesh = make_mesh()
+    factored = factored_matrices(monkeypatch)
+    operator = fem.StokesOperator(mesh, viscosity=viscosity)
+    assert operator._mode == "direct"
+    (matrix,) = factored
+    assert_same_bits(matrix, stokes_saddle_bmat(
+        operator.a, operator.b, operator.pressure_weight))
+    assert_same_bits(operator.saddle(), matrix)
+
+
+def test_zero_mean_lu_borders_like_bmat_bit_for_bit(monkeypatch):
+    # The folded stiffness of a periodic square, a product with unsorted
+    # column indices, given stored zeros; the zero weights are dropped.
+    mesh = square_mesh(1 / 16)
+    fold, _ = fem.periodic_prolongation(mesh.num_nodes, mesh.periodic_pairs)
+    matrix = fold.T @ fem.assemble_stiffness(mesh) @ fold
+    matrix.data[::5] = 0.0
+    assert not matrix.has_sorted_indices
+    weight = fold.T @ fem.mass_weight(mesh)
+    weight[::3] = 0.0
+    factored = factored_matrices(monkeypatch)
+    lu = fem.ZeroMeanLU(matrix, weight)
+    (bordered,) = factored
+    ref = bordered_bmat(matrix, weight)
+    assert_same_bits(bordered, ref)
+    assert ref.nnz == matrix.nnz + 2 * np.count_nonzero(weight)
+    assert lu.matrix is matrix
+
+
 def eighth_mesh():
     return generate_perforated_mesh(
         PerforatedDomain(0.125, UnitCellGeometry(
@@ -919,6 +966,35 @@ def test_operator_builds_allocate_little_more_than_they_keep(monkeypatch):
     for name, (build, bound) in builds.items():
         build()  # fills the mesh caches that a build reads
         assert allocation_ratio(build) <= bound, name
+
+
+def test_direct_stokes_saddle_allocates_at_most_twice_its_size(
+        monkeypatch):
+    # From the call of saddle to the factorization, the sp.bmat route
+    # allocated 3.7 times the bordered saddle's arrays on this mesh (a
+    # coordinate copy of the saddle, a second one with the border, and
+    # the CSC); the one-pass build allocates 1.5 times.
+    mesh = eighth_mesh()
+    saddle = fem.StokesOperator.saddle
+    factored = []
+
+    def traced_saddle(operator):
+        tracemalloc.start()
+        return saddle(operator)
+
+    def factor(matrix, relax=None):
+        factored.append((matrix, tracemalloc.get_traced_memory()[1]))
+
+    monkeypatch.setattr(fem.StokesOperator, "saddle", traced_saddle)
+    monkeypatch.setattr(fem, "symmetric_lu", factor)
+    try:
+        fem.StokesOperator(mesh, viscosity=mesh.eps ** 2)
+    finally:
+        tracemalloc.stop()
+    ((matrix, peak),) = factored
+    size = matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes
+    assert size > 4e6
+    assert peak <= 2 * size
 
 
 def test_transport_keys_fall_back_to_int64_on_large_meshes(monkeypatch):

@@ -319,6 +319,27 @@ def test_pooled_study_matches_the_runs_made_in_process(monkeypatch, cpus):
         assert study.profiles[task]["peak_rss_mb"] > 0, task
 
 
+def test_study_sends_the_longest_tasks_first(monkeypatch):
+    # The finest scale, then the macro run, the second longest, and then
+    # the coarser scales; the results come back in scale order.
+    sent = []
+
+    class RecordedPool(multiprocessing.pool.Pool):
+        def imap_unordered(self, func, iterable, chunksize=1):
+            sent.extend(iterable)
+            return super().imap_unordered(func, sent, chunksize)
+
+    monkeypatch.setattr(multiprocessing.pool, "Pool", RecordedPool)
+    study = verify.run_convergence_study(
+        macro.ScalingRegime("neumann", 0, 0, 0), DISK_CELL, blob_plus,
+        blob_minus, eps_list=(0.5, 0.25, 0.125), t_end=5e-3, dt=5e-3,
+        macro_h=1 / 32)
+    tasks = list(study.profiles)
+    assert tasks == ["macro", "eps=0.5", "eps=0.25", "eps=0.125"]
+    assert [tasks[index] for index in sent] \
+        == ["eps=0.125", "macro", "eps=0.25", "eps=0.5"]
+
+
 def test_study_rejects_inadmissible_regime_before_running():
     with pytest.raises(InadmissibleScaling):
         verify.run_convergence_study(
