@@ -69,10 +69,15 @@ DEFAULTS = {
 }
 DEFAULT_MACRO_H = 1.0 / 64.0
 DEFAULT_EPS = 0.5
-# The discretization keys that each command reads, where not all: a
-# value given for another is refused, and the echo leaves it out.
-DISCRETIZATION_READS = {"cell": (), "check": (),
-                        "macro": ("h", "dt", "t_end")}
+# The keys of each block that a command reads, where it does not read
+# them all: a value given for another key is refused, and the echo
+# leaves it out.
+READS = {
+    "cell": {"regime": (), "discretization": (), "initial": (),
+             "output": ("directory",)},
+    "check": {"regime": (), "discretization": ()},
+    "macro": {"discretization": ("h", "dt", "t_end")},
+}
 
 USAGE_ERRORS = (ParseError, ValidationError, InadmissibleScaling,
                 InclusionTouchesBoundary, ResolutionTooCoarse,
@@ -82,7 +87,8 @@ USAGE_ERRORS = (ParseError, ValidationError, InadmissibleScaling,
 @dataclass(frozen=True)
 class RunConfig:
     """Fully resolved configuration for one command invocation; echo is
-    the resolved blocks that the manifest records."""
+    the resolved blocks that the manifest records.  A field whose key
+    the command does not read is None."""
 
     command: str
     geometry: UnitCellGeometry
@@ -201,17 +207,8 @@ def parse_config(text, command=None):
         raise _invalid("regime.phi_d", "regime.phi_d is the Dirichlet wall "
                        "potential; it must be 0 with bc %r" % macro.NEUMANN)
 
-    reads = DISCRETIZATION_READS.get(command, tuple(disc))
-    for key in raw.get("discretization") or {}:
-        if {"T": "t_end"}.get(key, key) not in reads:
-            raise _invalid("discretization." + key, "%s does not read "
-                           "discretization.%s" % (command, key))
-    for key in set(disc) - set(reads):
-        del disc[key]
     for key in ("dt", "t_end"):
-        if key in disc:
-            disc[key] = _number(disc[key], "discretization." + key,
-                                minimum=0.0)
+        disc[key] = _number(disc[key], "discretization." + key, minimum=0.0)
     eps = eps_list = None
     if command == "converge":
         eps_values = verify.STUDY_EPS if disc["eps"] is None else disc["eps"]
@@ -232,10 +229,9 @@ def parse_config(text, command=None):
         if not is_integer_reciprocal(eps):
             raise _invalid("discretization.eps", "discretization.eps must "
                            "be the reciprocal of an integer")
-    if "h" in disc:
-        disc["h"] = (eps / 8.0 if command == "micro" else DEFAULT_MACRO_H) \
-            if disc["h"] is None \
-            else _number(disc["h"], "discretization.h", minimum=0.0)
+    disc["h"] = (eps / 8.0 if command == "micro" else DEFAULT_MACRO_H) \
+        if disc["h"] is None \
+        else _number(disc["h"], "discretization.h", minimum=0.0)
 
     if not isinstance(out["directory"], str) or not out["directory"]:
         raise _invalid("output.directory",
@@ -261,6 +257,18 @@ def parse_config(text, command=None):
         init[key] = _number(init[key], "initial." + key)
     init["lam"] = _number(init["lam"], "initial.lam", minimum=0.0)
 
+    # Every value is checked before the keys that the command does not
+    # read are refused, so a value that no command takes is named by
+    # its own check.
+    reads = READS.get(command, {})
+    for name, block in zip(DEFAULTS, blocks):
+        read = reads.get(name, DEFAULTS[name])
+        for key in raw.get(name) or {}:
+            if {"T": "t_end"}.get(key, key) not in read:
+                raise _invalid("%s.%s" % (name, key), "%s does not read "
+                               "%s.%s" % (command, name, key))
+        for key in set(block) - set(read):
+            del block[key]
     diagnostics = raw.get("diagnostics")
     if command == "check":
         if not isinstance(diagnostics, str) or not diagnostics:
@@ -276,11 +284,13 @@ def parse_config(text, command=None):
     return RunConfig(
         command, UnitCellGeometry(inclusion, geo["cell_h"]),
         macro.ScalingRegime(reg["bc"], reg["alpha"], reg["beta"],
-                            reg["gamma"], phi_d=reg["phi_d"]),
+                            reg["gamma"], phi_d=reg["phi_d"]) if reg else None,
         eps, eps_list, disc.get("h"), disc.get("dt"), disc.get("t_end"),
-        {key: init[key] for key in ("kind", "background", "amplitude")},
-        init["lam"], out["directory"], tuple(out["formats"]), stride,
-        diagnostics, echo)
+        {key: init[key] for key in ("kind", "background", "amplitude")}
+        if init else None,
+        init.get("lam"), out["directory"],
+        tuple(out["formats"]) if "formats" in out else None,
+        out.get("snapshot_stride"), diagnostics, echo)
 
 
 def initial_functions(initial):

@@ -55,7 +55,12 @@ relax=1.  SuperLU's default relaxation of small supernodes, not the
 ordering, is what makes this block slow in symmetric mode: at eps=1/16
 it stores 54M entries and factors in 31 s.  With relax=1 the LU stores
 2.2M entries against COLAMD's 5.0M and factors and solves faster (see
-README).
+README).  Every symmetric_lu takes a panel of one column.  SuperLU's
+default panel sizes its work arrays at about 350 bytes per row on top
+of the factors: with it the eps=1/8 direct Stokes build, whose saddle
+LU holds 2.75M entries, raised the peak memory by 50 MB instead of
+39 MB.  The panel changes neither the ordering, the pivots nor the
+fill, only the order of the updates, so the factors move at round-off.
 """
 
 import itertools
@@ -414,10 +419,15 @@ def symmetric_lu(matrix, relax=None):
     a bordered or saddle system returns wrong solutions silently; 0.1
     fills the eps=1/8 Stokes saddle almost twice as much as COLAMD.
     relax bounds the size of the relaxed supernodes; None keeps
-    SuperLU's own value.
+    SuperLU's own value.  The panel, the number of columns the
+    factorization updates together, is 1: SuperLU sizes its work arrays
+    by the panel, at about 350 bytes per row with its default, on top of
+    the factors.  The ordering, the pivots and the fill do not depend on
+    it.  With it the eps=1/16 Stokes saddle factored within 2% of the
+    default's time, and the other blocks measured 26-39% faster.
     """
     return splu(matrix, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.01,
-                relax=relax, options={"SymmetricMode": True})
+                relax=relax, panel_size=1, options={"SymmetricMode": True})
 
 
 def _stack_columns(strips, height):
@@ -841,7 +851,9 @@ class StokesOperator:
     a scale study (111 solves) from 50.4 to 15.5 s; it was declined
     because it raised the peak memory of both by more than a third
     (micro_eps16: 240 to 368 MB, measured before the transport LU took
-    relax=1).  relax=1 does not shrink the
+    relax=1).  Built alone in a fresh process, the direct eps=1/16
+    operator peaks at 268.5 MB, 183.6 MB above the 84.9 MB held before
+    the build.  relax=1 does not shrink the
     saddle LU: it holds 13.94M entries at eps=1/16 and 2.75M at eps=1/8
     with SuperLU's relaxation and with relax=1 alike.  The
     preconditioner M_p^-1 + theta L_p^-1 adds the inverse pressure
@@ -858,7 +870,9 @@ class StokesOperator:
     off the matrix it keeps.  A periodic operator folds its pressure
     dofs and factors its folded Laplacian.
     solves and schur_iterations count the calls to solve and the
-    conjugate-gradient iterations they took.
+    conjugate-gradient iterations they took; profile also gives the
+    entries of the LU the build factored, the allocation that sets the
+    operator's memory.
     """
 
     def __init__(self, mesh, viscosity=1.0, laplacian_lu=None):
@@ -943,7 +957,9 @@ class StokesOperator:
         return _stack_columns(strips, height + 1)
 
     def _prepare_schur(self):
-        self._lu_a = symmetric_lu(self.a.tocsc())
+        # a is symmetric bit for bit, so its transpose is the CSC matrix
+        # of the same arrays, with no copy.
+        self._lu_a = symmetric_lu(self.a.T)
         weight = self.pressure_weight
         self.wp = weight / np.linalg.norm(weight)
         # Lumped pressure mass and P1 stiffness on the folded pressure
@@ -981,9 +997,13 @@ class StokesOperator:
         return r / self.p_mass + self.theta * laplace
 
     def profile(self):
-        """The counters by name."""
+        """The counters, and the entries of the LU that the build
+        factored (the saddle's on the direct route, a's on the Schur
+        route), by name."""
+        lu = self._lu if self._mode == "direct" else self._lu_a
         return {"stokes_solves": self.solves,
-                "schur_iterations": self.schur_iterations}
+                "schur_iterations": self.schur_iterations,
+                "stokes_lu_entries": lu.nnz}
 
     def solve(self, forcing):
         """Velocity (p2_dofs, 2) and pressure for elementwise-constant

@@ -210,7 +210,7 @@ def test_profiles_record_the_peak_memory_of_each_run(tmp_path, caplog):
     # Each run's profile holds its own process's peak resident memory:
     # the forked workers of converge report theirs too.
     caplog.set_level(logging.INFO, logger="snpp")
-    peaks = {}
+    peaks, stokes_lu = {}, {}
     for command, discretization in (
             ("micro", {"eps": 0.5}), ("converge", {"eps": [0.5]})):
         outdir = tmp_path / command
@@ -224,8 +224,14 @@ def test_profiles_record_the_peak_memory_of_each_run(tmp_path, caplog):
             "profile"]
         peaks.update((task, profile["peak_rss_mb"])
                      for task, profile in profiles.items())
+        stokes_lu.update((task, profile.get("stokes_lu_entries", 0))
+                         for task, profile in profiles.items())
     assert sorted(peaks) == ["eps=0.5", "macro", "micro"]
     assert all(0 < peak < 1e5 for peak in peaks.values())
+    # A pore-scale run also names its Stokes LU, the allocation that
+    # sets its memory; the macro run has none.
+    assert all((stokes_lu[task] > 0) == (task != "macro")
+               for task in peaks)
     # --verbose logs the profile of the run made in this process.
     [record] = [record for record in caplog.records
                 if record.getMessage().startswith("micro run eps=0.5")]
@@ -422,20 +428,31 @@ def readme_config_text():
                    "discretization." + key,
                    id="%s-unread-%s" % (command, key))
       for command in ("cell", "check") for key in ("h", "dt", "T", "eps")),
+    *(pytest.param(command, {block: {key: value}}, "%s.%s" % (block, key),
+                   id="%s-unread-%s" % (command, key))
+      for command, block, key, value in (
+          ("cell", "regime", "bc", "dirichlet"),
+          ("cell", "regime", "alpha", 0),
+          ("cell", "initial", "kind", "uniform"),
+          ("cell", "initial", "lam", 2.0),
+          ("cell", "output", "formats", ["csv"]),
+          ("cell", "output", "snapshot_stride", 0),
+          ("check", "regime", "bc", "neumann"),
+          ("check", "regime", "phi_d", 0.0))),
 ])
 def test_regime_takes_only_values_a_model_reads(tmp_path, capsys, command,
                                                  entries, field):
     # No surface-charge model runs, and phi_d is the Dirichlet wall
     # potential, so a value that no run would read is refused at parse
-    # time, as is a discretization key that the command does not read,
+    # time, as is a key that the command does not read,
     # a scale that no run can tile and a center that is not a point,
     # disk or not; the README's zeros still run, and its example
     # parses.
     outdir = tmp_path / "out"
     discretization = {"h": 0.0625, "dt": 0.005, "T": 0.005,
                       "eps": [0.5] if command == "converge" else 0.5}
-    reads = cli.DISCRETIZATION_READS.get(command, cli.DEFAULTS[
-        "discretization"])
+    reads = cli.READS.get(command, {}).get("discretization",
+                                           cli.DEFAULTS["discretization"])
     payload = {
         "geometry": {"cell_h": 0.1},
         "discretization": {key: value for key, value in discretization.items()
@@ -480,12 +497,10 @@ def test_the_echo_parses_back_to_the_same_run(command):
     assert sorted(config.echo) == sorted(
         ["command", *cli.DEFAULTS] + (["diagnostics"]
                                       if command == "check" else []))
-    # The discretization keys that the command does not read are left
-    # out.
+    # The keys that the command does not read are left out.
     for name, defaults in cli.DEFAULTS.items():
-        if name == "discretization":
-            defaults = cli.DISCRETIZATION_READS.get(command, defaults)
-        assert sorted(config.echo[name]) == sorted(defaults)
+        assert sorted(config.echo[name]) == sorted(
+            cli.READS.get(command, {}).get(name, defaults))
 
 
 @pytest.mark.parametrize("field", ["%s.%s" % (name, key)

@@ -122,11 +122,13 @@ def test_profile_counts_that_differ_are_printed_per_task(tmp_path):
     profile = {"macro": {"run_s": 1.2, "peak_rss_mb": 120.5, "sweeps": 110,
                          "lu_entries": 9},
                "eps=0.5": {"run_s": 0.2, "peak_rss_mb": 98.0, "sweeps": 110,
-                           "stokes_solves": 111}}
+                           "stokes_solves": 111,
+                           "stokes_lu_entries": 2752108}}
     changed = json.loads(json.dumps(profile))
     changed["macro"].update(run_s=0.7, peak_rss_mb=131.0)
     changed["eps=0.5"].update(run_s=0.1, peak_rss_mb=97.5, sweeps=112,
-                              stokes_solves=113)
+                              stokes_solves=113,
+                              stokes_lu_entries=2749389)
     same = write_run(tmp_path / "a", ROWS, COEFFS, [], True, profile)
     code, printed = run_script(same, write_run(tmp_path / "b", ROWS, COEFFS,
                                                [], True, profile))
@@ -140,6 +142,8 @@ def test_profile_counts_that_differ_are_printed_per_task(tmp_path):
                      if len(key) == 2 and "/" in key[1]}
     # The timers and the peak memory differ too but are not counts.
     assert profile_lines == {"eps=0.5/stokes_solves": ("111", "113"),
+                             "eps=0.5/stokes_lu_entries": ("2752108",
+                                                           "2749389"),
                              "eps=0.5/sweeps": ("110", "112")}
     # Without a profile in both manifests nothing is compared.
     code, printed = run_script(same, write_run(tmp_path / "d", ROWS, COEFFS,

@@ -1,5 +1,8 @@
 """Assembly, constraint, and solver behavior of the finite-element core."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
 
@@ -587,6 +590,46 @@ def test_transport_lu_stores_half_the_entries_of_the_default_lu():
     assert np.max(np.abs(got - direct)) <= 1e-12 * np.max(np.abs(direct))
 
 
+def quarter_saddle():
+    mesh = perforated_quarter_mesh()
+    return fem.StokesOperator(mesh, viscosity=mesh.eps ** 2).saddle()
+
+
+def quarter_transport_block():
+    mesh = perforated_quarter_mesh()
+    solver = fem.TransportSolver(
+        mesh, fem.assemble_stiffness(mesh, DRIFT_TENSOR),
+        fem.lumped_mass(mesh), 2e-3)
+    solver.refill(np.random.default_rng(6).standard_normal(
+        (mesh.num_triangles, 2)), drift_potential(mesh, 1.0), DRIFT_TENSOR)
+    return solver.block
+
+
+def quarter_laplacian():
+    mesh = perforated_quarter_mesh()
+    return fem.bordered(fem.assemble_stiffness(mesh), fem.mass_weight(mesh))
+
+
+@pytest.mark.parametrize("build, relax", [
+    (quarter_saddle, None), (quarter_transport_block, 1),
+    (quarter_laplacian, None)], ids=["saddle", "transport", "laplacian"])
+def test_symmetric_lu_keeps_the_factors_of_the_default_panel(build, relax):
+    # The panel sizes SuperLU's work arrays only: the ordering, the
+    # pivots and the fill are those of scipy's default panel, and only
+    # the order of the updates, so the round-off, differs.
+    matrix = build()
+    ours = fem.symmetric_lu(matrix, relax=relax)
+    default = splu(matrix, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.01,
+                   relax=relax, options={"SymmetricMode": True})
+    assert np.array_equal(ours.perm_c, default.perm_c)
+    assert np.array_equal(ours.perm_r, default.perm_r)
+    assert ours.nnz == default.nnz
+    rhs = np.random.default_rng(3).standard_normal(matrix.shape[0])
+    expected = default.solve(rhs)
+    assert np.linalg.norm(ours.solve(rhs) - expected) \
+        <= 1e-12 * np.linalg.norm(expected)
+
+
 def test_transport_solver_refines_a_fresh_lu_to_the_default_residual():
     # Strong convection over a long step: the threshold-pivoted LU leaves
     # a relative residual of 1.1e-8, partial pivoting 1.3e-9.  The solver
@@ -668,6 +711,22 @@ def test_schur_cg_stokes_matches_direct_route(case, monkeypatch):
     ref = block.solve(rhs)
     assert np.max(np.abs(op._solve_velocity(rhs) - ref)) \
         <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("direct_limit", [fem.DIRECT_DOF_LIMIT, 0],
+                         ids=["direct", "schur_cg"])
+def test_stokes_profile_counts_the_entries_of_its_lu(monkeypatch,
+                                                     direct_limit):
+    # The LU the build factors is the saddle's on the direct route and
+    # a's on the Schur route, which factors a's transpose, the same
+    # arrays in CSC.
+    monkeypatch.setattr(fem, "DIRECT_DOF_LIMIT", direct_limit)
+    mesh = perforated_quarter_mesh()
+    op = fem.StokesOperator(mesh, viscosity=mesh.eps ** 2)
+    matrix = op.saddle() if direct_limit else op.a.tocsc()
+    assert op.profile() == {
+        "stokes_solves": 0, "schur_iterations": 0,
+        "stokes_lu_entries": fem.symmetric_lu(matrix).nnz}
 
 
 def test_schur_cg_starts_from_the_last_pressure(monkeypatch):
@@ -995,6 +1054,52 @@ def test_direct_stokes_saddle_allocates_at_most_twice_its_size(
     size = matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes
     assert size > 4e6
     assert peak <= 2 * size
+
+
+# Builds the eps=1/8 direct Stokes operator of eighth_mesh in a fresh
+# process and prints the growth of its peak resident memory (VmHWM)
+# over the build, in bytes, and the entries of the saddle LU.
+PEAK_OF_A_BUILD = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from snpp import fem
+from snpp.mesh import (DiskInclusion, PerforatedDomain, UnitCellGeometry,
+                       generate_perforated_mesh)
+
+
+def peak():
+    with open("/proc/self/status") as status:
+        for line in status:
+            if line.startswith("VmHWM:"):
+                return 1024 * int(line.split()[1])
+
+
+mesh = generate_perforated_mesh(PerforatedDomain(0.125, UnitCellGeometry(
+    DiskInclusion((0.5, 0.5), 0.25), 0.125)), 1 / 64)
+fem.mass_weight(mesh)
+before = peak()
+operator = fem.StokesOperator(mesh, viscosity=mesh.eps ** 2)
+assert operator._mode == "direct"
+print(peak() - before, operator._lu.nnz)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="VmHWM is read from /proc/self/status")
+def test_direct_stokes_build_peaks_little_above_its_lu():
+    # tracemalloc does not see SuperLU's allocations, so the peak
+    # resident memory of a fresh process is read instead.  With
+    # SuperLU's default panel the build's peak rises by 19.1 bytes per
+    # saddle LU entry (2,752,108 entries); with a panel of one column by
+    # 15.0.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fem.__file__)))
+    done = subprocess.run([sys.executable, "-c", PEAK_OF_A_BUILD, src],
+                          capture_output=True, text=True, timeout=300,
+                          env=dict(os.environ, OPENBLAS_NUM_THREADS="1"))
+    assert done.returncode == 0, done.stderr
+    growth, entries = map(int, done.stdout.split())
+    assert entries > 2e6
+    assert growth <= 17 * entries
 
 
 def test_transport_keys_fall_back_to_int64_on_large_meshes(monkeypatch):

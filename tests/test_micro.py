@@ -396,6 +396,7 @@ def test_only_the_transport_block_factors_without_relaxed_supernodes(
     # symmetric.  The transport block is only structurally symmetric; in
     # symmetric mode SuperLU's default relaxation of small supernodes
     # fills its eps=1/16 LU with 54M entries in 31 s, so it takes relax=1.
+    # Every factorization takes a panel of one column.
     factored = []
     factor = fem.splu
 
@@ -416,7 +417,8 @@ def test_only_the_transport_block_factors_without_relaxed_supernodes(
     others = [options for rows, options in factored
               if rows != 2 * mesh.num_nodes]
     options = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.01,
-               "relax": None, "options": {"SymmetricMode": True}}
+               "relax": None, "panel_size": 1,
+               "options": {"SymmetricMode": True}}
     assert transport and all(factored == dict(options, relax=1)
                              for factored in transport)
     assert others == symmetric * [options]
