@@ -75,8 +75,11 @@ DEFAULT_EPS = 0.5
 READS = {
     "cell": {"regime": (), "discretization": (), "initial": (),
              "output": ("directory",)},
-    "check": {"regime": (), "discretization": ()},
+    "check": {"geometry": (), "regime": (), "discretization": (),
+              "initial": ("lam",), "output": ("directory",)},
+    "converge": {"geometry": ("radius", "center")},
     "macro": {"discretization": ("h", "dt", "t_end")},
+    "micro": {"geometry": ("radius", "center")},
 }
 
 USAGE_ERRORS = (ParseError, ValidationError, InadmissibleScaling,
@@ -282,12 +285,13 @@ def parse_config(text, command=None):
     if diagnostics is not None:
         echo["diagnostics"] = diagnostics
     return RunConfig(
-        command, UnitCellGeometry(inclusion, geo["cell_h"]),
+        command,
+        UnitCellGeometry(inclusion, geo.get("cell_h")) if geo else None,
         macro.ScalingRegime(reg["bc"], reg["alpha"], reg["beta"],
                             reg["gamma"], phi_d=reg["phi_d"]) if reg else None,
         eps, eps_list, disc.get("h"), disc.get("dt"), disc.get("t_end"),
         {key: init[key] for key in ("kind", "background", "amplitude")}
-        if init else None,
+        if "kind" in init else None,
         init.get("lam"), out["directory"],
         tuple(out["formats"]) if "formats" in out else None,
         out.get("snapshot_stride"), diagnostics, echo)

@@ -13,9 +13,13 @@ transpose.  P1 interpolation reads only the structured macro square,
 where a point's triangle follows in closed form.
 The coupled transport block of both species belongs to a TransportSolver
 built once per run: it fixes the block's sparsity pattern, refills only
-the convection values at every step, factors the block once and solves
-the later blocks by iterative refinement on that LU, refactoring only
-when a refinement step fails to halve the residual.
+the convection values at every step, factors the two species' diagonal
+blocks apart and solves every block by iterative refinement on their
+LUs, each step corrected so that each species' summed residual is zero,
+refactoring only when a refinement step fails to halve the residual.
+So every solve conserves the total content and decays the charge to
+round-off, and only strong convection over a long step, which the
+species LUs cannot refine, makes it factor the coupled block.
 
 Index arrays are int32 wherever their values fit, the dtype scipy
 stores the indices of these matrices in: the element pairs that the P1
@@ -49,18 +53,19 @@ that any other Schur-route Stokes operator factors itself, the scalar
 cell correctors), the scalar velocity block of the Schur route, and the
 Dirichlet potentials of the cell and the pore scale.  Its minimum-degree
 ordering of A^T + A fills the eps=1/8 Stokes saddle LU five times less
-than scipy's default COLAMD ordering.  The transport block is not
-symmetric, but its pattern is, and symmetric_lu factors it too, with
-relax=1.  SuperLU's default relaxation of small supernodes, not the
-ordering, is what makes this block slow in symmetric mode: at eps=1/16
-it stores 54M entries and factors in 31 s.  With relax=1 the LU stores
-2.2M entries against COLAMD's 5.0M and factors and solves faster (see
-README).  Every symmetric_lu takes a panel of one column.  SuperLU's
-default panel sizes its work arrays at about 350 bytes per row on top
-of the factors: with it the eps=1/8 direct Stokes build, whose saddle
-LU holds 2.75M entries, raised the peak memory by 50 MB instead of
-39 MB.  The panel changes neither the ordering, the pivots nor the
-fill, only the order of the updates, so the factors move at round-off.
+than scipy's default COLAMD ordering.  The transport blocks are not
+symmetric, but their patterns are, and symmetric_lu factors them too,
+with relax=1.  SuperLU's default relaxation of small supernodes, not the
+ordering, is what makes them slow in symmetric mode: at eps=1/16 the
+coupled block's LU stores 54M entries and factors in 31 s.  With relax=1
+it stores 2.2M entries against COLAMD's 5.0M, and the two species LUs
+together 1.09M (see README).  Every symmetric_lu takes a panel of one
+column.  SuperLU's default panel sizes its work arrays at about 350
+bytes per row on top of the factors: with it the eps=1/8 direct Stokes
+build, whose saddle LU holds 2.75M entries, raised the peak memory by
+50 MB instead of 39 MB.  The panel changes neither the ordering, the
+pivots nor the fill, only the order of the updates, so the factors move
+at round-off.
 """
 
 import itertools
@@ -538,33 +543,56 @@ class TransportSolver:
     the CSC pattern of the block attribute (the element pairs of the
     mesh, the stiffness and the diagonals) is fixed here, together with
     the slot in the block of every element pair of both species, listed
-    in the order of the element weights the pairs take.  refill computes
-    the velocity and the drift weights once each; c+ takes their
-    difference and c- their sum, so one bincount over those slots sets
-    the convection values.  dt is read at every refill.
+    in the order of the element weights the pairs take, and the slots of
+    its 2n diagonal entries.  refill computes the velocity and the drift
+    weights once each; c+ takes their difference and c- their sum, so one
+    bincount over those slots sets the convection values, and the lumped
+    mass is added at the diagonal slots.  dt is read at every refill.
 
-    The first solve factors the block and keeps the LU: symmetric_lu
-    with relax=1 (see the module docstring), which stores about half the
-    entries of scipy's default LU on the pore-scale blocks.  A later solve
-    starts from the solution the solver returned last and refines it,
-    x <- x + LU^-1 (b - A x), until the true residual satisfies
-    ||b - A x|| <= TRANSPORT_TOL ||b||.  When a refinement step fails to
-    halve the residual, the LU is dropped and the current block is
-    factored and solved directly; that LU is kept for the following
-    solves.  Between the sweeps and steps of one run the block changes
-    only through the convection and drift terms, so the lagged LU
-    contracts the error far faster than that, and the last solution is
-    closer to the new one than LU^-1 b is.  A direct solution is refined
-    too while it misses the gate and each step at least halves its
-    residual, and the last iterate is returned: threshold pivoting can
-    leave a strongly convective block a residual several times that of
-    partial pivoting.  When even that iterate misses the gate, the block's
-    attainable residual lies above TRANSPORT_TOL, and the refined solves
-    on this LU are gated at TRANSPORT_REACH times the relative residual
-    it reached instead, so such a block is not factored again at every
-    solve.  factorizations, refined_solves and refinement_steps count the
-    factorizations, the solves accepted by refinement and the LU
-    applications every solve took beyond the first.
+    The species are coupled only through the reaction -dt M, so a
+    factorization factors the two diagonal species blocks apart, each by
+    symmetric_lu with relax=1 (see the module docstring): their LUs
+    together store less than half the entries of the coupled block's.
+    Every solve refines x <- x + P (b - A x) against the whole block A,
+    until the true residual satisfies ||b - A x|| <= TRANSPORT_TOL ||b||
+    or a step fails to halve it.  One application of P solves the
+    residual with the species LUs and then adds to each species the
+    constant that makes its summed residual zero: with Z the (2n, 2)
+    matrix of the constant vector of each species, it solves the 2x2
+    Galerkin system Z^T A Z for those constants (Nicolaides, SIAM J.
+    Numer. Anal. 24, 1987).  refill computes the summed rows Z^T A of the
+    block and Z^T A Z, so a step costs one block product and the species
+    solves.  Z^T (b - A x) is the change of each species' lumped content
+    against the reaction, so every solve conserves the total content and
+    decays the charge as Q / (1 + 2 dt) to round-off, however far its
+    residual lies from the gate.  The correction also takes the constant
+    modes, which the species LUs contract only by dt / (1 + dt), out of
+    the refinement: a mode of eigenvalue lambda of M^-1 K is contracted
+    by about dt / (1 + dt (1 + lambda)), below 0.1 per step at any dt for
+    unit diffusion on the unit square (lambda >= pi^2).
+
+    The first solve factors the species blocks and refines from zero.
+    A later solve starts from the solution the solver returned last and
+    refines it on the kept LUs; when that misses the gate, the LUs are
+    dropped and the current blocks factored and solved afresh.  Between
+    the sweeps and steps of one run the block changes only through the
+    convection and drift terms, so lagged LUs contract the error far
+    faster than by half, and the last solution is closer to the new one
+    than zero is.  When fresh species LUs cannot refine their own
+    solution to the gate (strong convection over a long step, or a step
+    so long that the rounding errors of the residual lie above the gate,
+    as at dt=10 on the h=1/32 square), the coupled block is factored by symmetric_lu with relax=1 instead and
+    solved the same way, and the last iterate is returned: threshold
+    pivoting can leave a strongly convective block a residual several
+    times that of partial pivoting.  When the returned solution misses
+    the gate, the block's attainable residual lies above TRANSPORT_TOL,
+    and the refined solves on these LUs are gated at TRANSPORT_REACH
+    times the relative residual it reached instead, so such a block is
+    not factored again at every solve.  factorizations counts the solves
+    that factored the species blocks, coupled_factorizations those that
+    then factored the coupled block, refined_solves the solves accepted
+    on kept LUs, and refinement_steps the applications of P every
+    returned solution took beyond the first.
     """
 
     def __init__(self, mesh, stiffness, lumped, dt):
@@ -603,10 +631,9 @@ class TransportSolver:
         # three entries take each weight.
         self._weight_slots = slot[:fixed].reshape(2, m, 3, 3).transpose(
             0, 2, 1, 3).ravel()
-        # The values without convection: the mass, and what dt multiplies.
-        self._mass = np.bincount(slot[fixed + 2 * k.nnz:][:2 * n],
-                                 weights=np.tile(self.lumped, 2),
-                                 minlength=len(keys))
+        # The slots of the diagonal, where the mass goes, and the values
+        # that dt multiplies.
+        self._diagonal_slots = slot[fixed + 2 * k.nnz:][:width].copy()
         self._scaled = np.bincount(slot[fixed:], weights=np.concatenate(
             [k.data, k.data, np.tile(self.lumped, 2),
              np.tile(-self.lumped, 2)]), minlength=len(keys))
@@ -614,38 +641,63 @@ class TransportSolver:
         indptr = np.concatenate(
             [[0], np.cumsum(np.bincount(keys // width, minlength=width))])
         self.block = sp.csc_matrix(
-            (self._mass + dt * self._scaled,
-             (keys % width).astype(np.intc, copy=False),
-             indptr.astype(np.intc)),
-            shape=(width, width))
+            (np.empty(len(keys)), (keys % width).astype(np.intc, copy=False),
+             indptr.astype(np.intc)), shape=(width, width))
+        del keys, indptr
+        self.refill(None, None, None)
         self._lu = None
         self._last = None
         self._tol = TRANSPORT_TOL
         self.factorizations = 0
+        self.coupled_factorizations = 0
         self.refined_solves = 0
         self.refinement_steps = 0
 
     def refill(self, velocity, drift, tensor):
         """Set block for the field w = velocity -+ tensor grad(drift) of
-        c+ and c- (None for none), as assemble_convection takes them."""
+        c+ and c- (None for none), as assemble_convection takes them,
+        and the summed rows and Galerkin system of the content
+        correction."""
         moved, drifted = _convection_weights(self.mesh, velocity, drift,
                                              tensor)
-        convection = np.bincount(self._weight_slots, weights=np.repeat(
+        values = np.bincount(self._weight_slots, weights=np.repeat(
             np.concatenate([(moved - drifted).ravel(),
                             (moved + drifted).ravel()]), 3),
-            minlength=len(self._mass))
-        self.block.data = self._mass + self.dt * (self._scaled - convection)
+            minlength=len(self._scaled))
+        del moved, drifted
+        np.subtract(self._scaled, values, out=values)
+        values *= self.dt
+        values[self._diagonal_slots] += np.tile(self.lumped, 2)
+        self.block.data = values
+        species = np.repeat(np.eye(2), len(self.lumped), axis=0)
+        self._sums = (self.block.T @ species).T
+        self._galerkin = self._sums @ species
+
+    def _apply(self, residual):
+        """P residual: the LU solves, then the constant per species that
+        zeroes its summed residual."""
+        step = np.empty_like(residual)
+        for part, lu in self._lu:
+            step[part] = lu.solve(residual[part])
+        left = residual.reshape(2, -1).sum(axis=1) - self._sums @ step
+        step += np.repeat(np.linalg.solve(self._galerkin, left),
+                          len(self.lumped))
+        return step
 
     def _refine(self, rhs, x, residual, norm, gate):
-        """Apply x <- x + LU^-1 residual until ||b - A x|| <= gate or a
-        step fails to halve the residual norm; return the last x, its
-        residual norm and the steps taken beyond the first."""
+        """Apply x <- x + P residual until ||b - A x|| <= gate or a step
+        fails to halve the residual norm; return the last x, its residual
+        norm and the steps taken beyond the first."""
         for steps in itertools.count():
-            x += self._lu.solve(residual)
+            x += self._apply(residual)
             residual = rhs - self.block @ x
             previous, norm = norm, np.linalg.norm(residual)
             if norm <= gate or not norm <= 0.5 * previous:
                 return x, norm, steps
+
+    def _fresh(self, rhs, gate):
+        """Refine from zero on the LUs just factored."""
+        return self._refine(rhs, np.zeros_like(rhs), rhs, np.inf, gate)
 
     def solve(self, rhs):
         scale = np.linalg.norm(rhs)
@@ -660,26 +712,31 @@ class TransportSolver:
                 self._last = x
                 return x
             self._lu = None
-        self._lu = symmetric_lu(self.block, relax=1)
+        n = len(self.lumped)
+        self._lu = [(part, symmetric_lu(self.block[part, part], relax=1))
+                    for part in (slice(0, n), slice(n, None))]
         self.factorizations += 1
         gate = TRANSPORT_TOL * scale
-        x = self._lu.solve(rhs)
-        residual = rhs - self.block @ x
-        norm = np.linalg.norm(residual)
-        if norm > gate:
-            x, norm, steps = self._refine(rhs, x, residual, norm, gate)
-            self.refinement_steps += steps + 1
+        x, norm, steps = self._fresh(rhs, gate)
+        if not norm <= gate:
+            self._lu = None
+            self._lu = [(slice(None), symmetric_lu(self.block, relax=1))]
+            self.coupled_factorizations += 1
+            x, norm, steps = self._fresh(rhs, gate)
+        self.refinement_steps += steps
         self._tol = TRANSPORT_TOL if norm <= gate \
             else TRANSPORT_REACH * norm / scale
         self._last = x
         return x
 
     def profile(self):
-        """The counters, and the entries of the kept LU, by name."""
+        """The counters, and the entries of the kept LUs, by name."""
         return {"transport_factorizations": self.factorizations,
+                "coupled_factorizations": self.coupled_factorizations,
                 "refined_solves": self.refined_solves,
                 "refinement_steps": self.refinement_steps,
-                "lu_entries": 0 if self._lu is None else self._lu.nnz}
+                "lu_entries": 0 if self._lu is None
+                else sum(lu.nnz for _, lu in self._lu)}
 
 
 def step_reacting_pair(solver, velocity, drift, tensor, c_plus, c_minus):
@@ -692,9 +749,10 @@ def step_reacting_pair(solver, velocity, drift, tensor, c_plus, c_minus):
     reaction are advanced in one block solve, so the discrete total
     charge obeys Q_new = Q_old / (1 + 2 dt) and the total mass is
     conserved whenever the operators have zero column sums (stiffness
-    plus convection under no-flux conditions), both up to the residual
-    of the solve: round-off for a direct solve, at most TRANSPORT_TOL
-    relative for a refined one.
+    plus convection under no-flux conditions), both to round-off on
+    every solve: each refinement step of the solver zeroes the summed
+    residual of each species, however far the residual itself lies
+    from TRANSPORT_TOL.
     """
     solver.refill(velocity, drift, tensor)
     rhs = np.concatenate([solver.lumped * c_plus, solver.lumped * c_minus])

@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import Delaunay
 
 from .errors import (
     InclusionTouchesBoundary,
@@ -274,6 +273,10 @@ def _snap(values, target, tol=1e-13):
 
 def _triangulate_region(points, circle_ids):
     """Delaunay triangulation minus the triangles spanning the hole."""
+    # Imported here: scipy.spatial takes 0.1 s or more to import, which
+    # every command would pay, while only the disk cells need it.
+    from scipy.spatial import Delaunay
+
     tri = Delaunay(points)
     simplices = tri.simplices
     in_circle = np.zeros(len(points), dtype=bool)

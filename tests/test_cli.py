@@ -7,6 +7,8 @@ import math
 import os
 import pathlib
 import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -142,6 +144,19 @@ def test_parse_rejects_bad_entries():
         assert err.value.field == field
 
 
+def test_importing_the_cli_leaves_scipy_spatial_unloaded():
+    # Only the disk-cell mesher needs scipy.spatial, whose import took
+    # 79-157 ms of the 543 ms of importing the CLI; every command, check
+    # included, pays the CLI's import.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys; sys.path.insert(0, sys.argv[1]); "
+         "import snpp.cli; print('scipy.spatial' in sys.modules)", src],
+        capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False"]
+
+
 def test_parse_reports_syntax_position():
     with pytest.raises(ParseError) as err:
         cli.parse_config('{\n  "geometry": {,}\n}', command="cell")
@@ -215,7 +230,6 @@ def test_profiles_record_the_peak_memory_of_each_run(tmp_path, caplog):
             ("micro", {"eps": 0.5}), ("converge", {"eps": [0.5]})):
         outdir = tmp_path / command
         path = write_config(tmp_path, {
-            "geometry": {"cell_h": 0.1},
             "discretization": dict(discretization, h=0.0625, dt=0.005,
                                    T=0.005),
             "output": {"directory": str(outdir), "formats": ["csv"]}})
@@ -438,7 +452,15 @@ def readme_config_text():
           ("cell", "output", "formats", ["csv"]),
           ("cell", "output", "snapshot_stride", 0),
           ("check", "regime", "bc", "neumann"),
-          ("check", "regime", "phi_d", 0.0))),
+          ("check", "regime", "phi_d", 0.0),
+          ("check", "geometry", "radius", 0.3),
+          ("check", "geometry", "cell_h", 0.05),
+          ("check", "initial", "kind", "uniform"),
+          ("check", "initial", "background", 0.1),
+          ("check", "output", "formats", ["vtk"]),
+          ("check", "output", "snapshot_stride", 0),
+          ("converge", "geometry", "cell_h", 0.05),
+          ("micro", "geometry", "cell_h", 0.05))),
 ])
 def test_regime_takes_only_values_a_model_reads(tmp_path, capsys, command,
                                                  entries, field):
@@ -451,12 +473,13 @@ def test_regime_takes_only_values_a_model_reads(tmp_path, capsys, command,
     outdir = tmp_path / "out"
     discretization = {"h": 0.0625, "dt": 0.005, "T": 0.005,
                       "eps": [0.5] if command == "converge" else 0.5}
-    reads = cli.READS.get(command, {}).get("discretization",
-                                           cli.DEFAULTS["discretization"])
+    reads = {name: cli.READS.get(command, {}).get(name, defaults)
+             for name, defaults in cli.DEFAULTS.items()}
     payload = {
-        "geometry": {"cell_h": 0.1},
+        "geometry": {"cell_h": 0.1} if "cell_h" in reads["geometry"] else {},
         "discretization": {key: value for key, value in discretization.items()
-                           if {"T": "t_end"}.get(key, key) in reads},
+                           if {"T": "t_end"}.get(key, key)
+                           in reads["discretization"]},
         "output": {"directory": str(outdir)}}
     for block, values in entries.items():
         payload[block] = dict(payload.get(block, {}), **values)
@@ -527,9 +550,11 @@ def test_non_finite_field_exits_two_without_artifacts(
     discretization = {"h": 0.0625, "dt": 0.005, "T": 0.01}
     if command == "converge":
         discretization["eps"] = [0.5]
-    code = run(tmp_path, command, {
-        "geometry": {"cell_h": 0.1}, "discretization": discretization,
-        "output": {"directory": str(outdir)}})
+    payload = {"discretization": discretization,
+               "output": {"directory": str(outdir)}}
+    if command == "macro":
+        payload["geometry"] = {"cell_h": 0.1}
+    code = run(tmp_path, command, payload)
     assert code == 2
     assert "NonFiniteField" in capsys.readouterr().err
     assert not (outdir / "diagnostics.csv").exists()
@@ -546,7 +571,6 @@ def test_converge_worker_failure_exits_two_and_ends_the_pool(
     monkeypatch.setattr(macro, "step_macro_np", broken_step)
     outdir = tmp_path / "out"
     code = run(tmp_path, "converge", {
-        "geometry": {"cell_h": 0.1},
         "discretization": {"h": 0.0625, "dt": 0.005, "T": 0.01,
                            "eps": [0.5, 0.25]},
         "output": {"directory": str(outdir)}})

@@ -152,6 +152,32 @@ def test_profile_counts_that_differ_are_printed_per_task(tmp_path):
     assert ("manifest.json", "profile") not in printed
 
 
+def test_coupled_factorizations_are_compared_like_every_count(tmp_path):
+    # A transport solver that falls back to the coupled block counts it
+    # in coupled_factorizations; a profile written before the count
+    # existed shows it as "-".
+    before = {"macro": {"run_s": 1.2, "transport_factorizations": 1,
+                        "lu_entries": 1005624}}
+    species = {"macro": {"run_s": 1.1, "transport_factorizations": 1,
+                         "coupled_factorizations": 0,
+                         "lu_entries": 406920}}
+    fallback = json.loads(json.dumps(species))
+    fallback["macro"].update(run_s=1.4, coupled_factorizations=1)
+    first = write_run(tmp_path / "a", ROWS, COEFFS, [], True, before)
+    second = write_run(tmp_path / "b", ROWS, COEFFS, [], True, species)
+    third = write_run(tmp_path / "c", ROWS, COEFFS, [], True, fallback)
+    for pair, expected in (
+            ((first, second),
+             {"macro/coupled_factorizations": ("-", "0"),
+              "macro/lu_entries": ("1005624", "406920")}),
+            ((second, third), {"macro/coupled_factorizations": ("0", "1")})):
+        code, printed = run_script(*pair)
+        assert code == 0
+        assert {key[1]: (value, printed[key + ("scaled",)])
+                for key, value in printed.items()
+                if len(key) == 2 and "/" in key[1]} == expected
+
+
 CONFIG = {"command": "converge",
           "discretization": {"h": 0.015625, "eps": [0.5, 0.25]},
           "output": {"directory": "a", "formats": ["csv"]}}

@@ -393,18 +393,29 @@ def test_only_the_transport_block_factors_without_relaxed_supernodes(
         monkeypatch, regime, direct_limit, symmetric):
     # The potential and the Stokes saddle (or, on the Schur route, the
     # velocity block; the potential's LU is its pressure Laplacian) are
-    # symmetric.  The transport block is only structurally symmetric; in
-    # symmetric mode SuperLU's default relaxation of small supernodes
-    # fills its eps=1/16 LU with 54M entries in 31 s, so it takes relax=1.
-    # Every factorization takes a panel of one column.
+    # symmetric.  The species blocks of the transport solver are only
+    # structurally symmetric; in symmetric mode SuperLU's default
+    # relaxation of small supernodes fills the eps=1/16 coupled block's
+    # LU with 54M entries in 31 s, so they take relax=1.  Every
+    # factorization takes a panel of one column.
     factored = []
     factor = fem.splu
+    solve = fem.TransportSolver.solve
+    transporting = []
 
     def recorded(matrix, **options):
-        factored.append((matrix.shape[0], options))
+        factored.append((bool(transporting), matrix.shape[0], options))
         return factor(matrix, **options)
 
+    def flagged(solver, rhs):
+        transporting.append(True)
+        try:
+            return solve(solver, rhs)
+        finally:
+            transporting.pop()
+
     monkeypatch.setattr(fem, "splu", recorded)
+    monkeypatch.setattr(fem.TransportSolver, "solve", flagged)
     monkeypatch.setattr(fem, "DIRECT_DOF_LIMIT", direct_limit)
     domain = PerforatedDomain(0.5, DISK_CELL)
     mesh = generate_perforated_mesh(domain, 1 / 16)
@@ -412,15 +423,14 @@ def test_only_the_transport_block_factors_without_relaxed_supernodes(
     problem = micro.MicroProblem(domain, mesh, regime, c_plus, c_minus,
                                  t_end=2e-3, dt=2e-3)
     micro.run_micro(problem)
-    transport = [options for rows, options in factored
-                 if rows == 2 * mesh.num_nodes]
-    others = [options for rows, options in factored
-              if rows != 2 * mesh.num_nodes]
+    transport = [(rows, options) for inside, rows, options in factored
+                 if inside]
+    others = [options for inside, rows, options in factored if not inside]
     options = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.01,
                "relax": None, "panel_size": 1,
                "options": {"SymmetricMode": True}}
-    assert transport and all(factored == dict(options, relax=1)
-                             for factored in transport)
+    # One factorization of each species block, none of the coupled one.
+    assert transport == 2 * [(mesh.num_nodes, dict(options, relax=1))]
     assert others == symmetric * [options]
 
 
