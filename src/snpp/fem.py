@@ -14,12 +14,13 @@ where a point's triangle follows in closed form.
 The coupled transport block of both species belongs to a TransportSolver
 built once per run: it fixes the block's sparsity pattern, refills only
 the convection values at every step, factors the two species' diagonal
-blocks apart and solves every block by iterative refinement on their
-LUs, each step corrected so that each species' summed residual is zero,
-refactoring only when a refinement step fails to halve the residual.
-So every solve conserves the total content and decays the charge to
-round-off, and only strong convection over a long step, which the
-species LUs cannot refine, makes it factor the coupled block.
+blocks apart, in single precision, and solves every block by iterative
+refinement in double precision on their LUs, each step corrected so
+that each species' summed residual is zero, refactoring only when a
+refinement step fails to halve the residual.  So every solve conserves
+the total content and decays the charge to round-off, and only strong
+convection over a long step, which the species LUs cannot refine, makes
+it factor the coupled block, in double precision.
 
 Index arrays are int32 wherever their values fit, the dtype scipy
 stores the indices of these matrices in: the element pairs that the P1
@@ -31,18 +32,18 @@ on larger meshes such as the eps=1/32 pore mesh (60,929 nodes).  The
 assemblies and the operator builds drop each temporary once it is
 used, so a build allocates little more than it keeps, and every matrix
 they return equals, bit for bit, the one of the plain coordinate-format
-route.  So do the bordered systems that ZeroMeanLU and the direct
-Stokes route factor: _stack_columns writes each straight into CSC
-arrays in one pass, equal bit for bit to those sp.bmat makes, so no
-coordinate copy of them is built on the way to the factorization.
+route.  So do the bordered systems that ZeroMeanLU and stokes_saddle
+build: _stack_columns writes each straight into CSC arrays in one
+pass, equal bit for bit to those sp.bmat makes, so no coordinate copy
+of them is built on the way to the factorization.
 
-The Stokes operator is built from two folded and pinned blocks, the
-scalar P2 viscous block and the divergence rows of both velocity
-components; its direct route factors the saddle made of them, and its
-Schur-complement route factors the viscous block and applies the
-divergence rows.  The consistent mass matrix (mass_matrix), its row
-sums (mass_weight) and lumped_mass are kept per mesh in mesh._caches
-too.
+stokes_blocks builds the folded and pinned Stokes blocks, the scalar
+P2 viscous block and the divergence rows of both velocity components,
+and stokes_saddle borders their saddle.  StokesOperator keeps only what
+its solves read: the saddle's LU on its direct route, the divergence
+rows and the viscous block's LU on its Schur-complement route.  The
+consistent mass matrix (mass_matrix), its row sums (mass_weight) and
+lumped_mass are kept per mesh in mesh._caches too.
 
 Every symmetric system is factored by symmetric_lu: the direct Stokes
 saddle bordered by its zero-mean constraint, the bordered zero-mean
@@ -553,6 +554,14 @@ class TransportSolver:
     factorization factors the two diagonal species blocks apart, each by
     symmetric_lu with relax=1 (see the module docstring): their LUs
     together store less than half the entries of the coupled block's.
+    They are factored from float32 copies of the blocks, and each
+    residual is cast to the dtype of the LU it is solved on.  The LUs
+    only precondition a refinement against the exact float64 block, and
+    such a refinement reaches the residual of double precision while
+    the condition number times the unit roundoff of the factorization
+    stays well below 1 (Carson & Higham, SIAM J. Sci. Comput. 40, 2018),
+    about 1e-5 at dt=2e-3; single precision halves the bytes of their
+    values and takes no more refinement steps in the benchmark runs.
     Every solve refines x <- x + P (b - A x) against the whole block A,
     until the true residual satisfies ||b - A x|| <= TRANSPORT_TOL ||b||
     or a step fails to halve it.  One application of P solves the
@@ -581,18 +590,21 @@ class TransportSolver:
     than zero is.  When fresh species LUs cannot refine their own
     solution to the gate (strong convection over a long step, or a step
     so long that the rounding errors of the residual lie above the gate,
-    as at dt=10 on the h=1/32 square), the coupled block is factored by symmetric_lu with relax=1 instead and
-    solved the same way, and the last iterate is returned: threshold
-    pivoting can leave a strongly convective block a residual several
-    times that of partial pivoting.  When the returned solution misses
-    the gate, the block's attainable residual lies above TRANSPORT_TOL,
-    and the refined solves on these LUs are gated at TRANSPORT_REACH
-    times the relative residual it reached instead, so such a block is
-    not factored again at every solve.  factorizations counts the solves
+    as at dt=10 on the h=1/32 square), the coupled block is factored in
+    float64 by symmetric_lu with relax=1 instead and solved the same
+    way, and the last iterate is returned: threshold pivoting can leave
+    a strongly convective block a residual several times that of
+    partial pivoting.  Every later factorization of that solver factors
+    the coupled block at once.  When the returned solution misses the
+    gate, the block's attainable residual lies above TRANSPORT_TOL, and
+    the refined solves on these LUs are gated at TRANSPORT_REACH times
+    the relative residual it reached instead, so such a block is not
+    factored again at every solve.  factorizations counts the solves
     that factored the species blocks, coupled_factorizations those that
-    then factored the coupled block, refined_solves the solves accepted
-    on kept LUs, and refinement_steps the applications of P every
-    returned solution took beyond the first.
+    factored the coupled block (after the species blocks on the first
+    fallback, alone on every later one), refined_solves the solves
+    accepted on kept LUs, and refinement_steps the applications of P
+    every returned solution took beyond the first.
     """
 
     def __init__(self, mesh, stiffness, lumped, dt):
@@ -648,6 +660,7 @@ class TransportSolver:
         self._lu = None
         self._last = None
         self._tol = TRANSPORT_TOL
+        self._coupled = False
         self.factorizations = 0
         self.coupled_factorizations = 0
         self.refined_solves = 0
@@ -677,8 +690,8 @@ class TransportSolver:
         """P residual: the LU solves, then the constant per species that
         zeroes its summed residual."""
         step = np.empty_like(residual)
-        for part, lu in self._lu:
-            step[part] = lu.solve(residual[part])
+        for part, dtype, lu in self._lu:
+            step[part] = lu.solve(residual[part].astype(dtype, copy=False))
         left = residual.reshape(2, -1).sum(axis=1) - self._sums @ step
         step += np.repeat(np.linalg.solve(self._galerkin, left),
                           len(self.lumped))
@@ -713,14 +726,18 @@ class TransportSolver:
                 return x
             self._lu = None
         n = len(self.lumped)
-        self._lu = [(part, symmetric_lu(self.block[part, part], relax=1))
-                    for part in (slice(0, n), slice(n, None))]
-        self.factorizations += 1
         gate = TRANSPORT_TOL * scale
-        x, norm, steps = self._fresh(rhs, gate)
-        if not norm <= gate:
+        if not self._coupled:
+            self._lu = [(part, np.float32, symmetric_lu(
+                self.block[part, part].astype(np.float32), relax=1))
+                for part in (slice(0, n), slice(n, None))]
+            self.factorizations += 1
+            x, norm, steps = self._fresh(rhs, gate)
+            self._coupled = not norm <= gate
+        if self._coupled:
             self._lu = None
-            self._lu = [(slice(None), symmetric_lu(self.block, relax=1))]
+            self._lu = [(slice(None), float,
+                         symmetric_lu(self.block, relax=1))]
             self.coupled_factorizations += 1
             x, norm, steps = self._fresh(rhs, gate)
         self.refinement_steps += steps
@@ -736,7 +753,7 @@ class TransportSolver:
                 "refined_solves": self.refined_solves,
                 "refinement_steps": self.refinement_steps,
                 "lu_entries": 0 if self._lu is None
-                else sum(lu.nnz for _, lu in self._lu)}
+                else sum(lu.nnz for _, _, lu in self._lu)}
 
 
 def step_reacting_pair(solver, velocity, drift, tensor, c_plus, c_minus):
@@ -889,150 +906,146 @@ def _p2_periodic_pairs(mesh):
     return np.vstack([mesh.periodic_pairs, edge_pairs])
 
 
+def stokes_blocks(mesh, viscosity=1.0):
+    """The blocks (a, b, fixed, pressure_weight, fold, pressure_fold) of
+    the Taylor-Hood Stokes system on mesh.
+
+    A mesh with periodic pairs is a periodic cell with no-slip on its
+    inclusion (GammaInterior), and a cell without one raises
+    NoSolidPhase; any other mesh has no-slip on every boundary edge.  a
+    is the scalar P2 viscous block folded onto the periodic velocity
+    dofs (fold^T A fold) with the no-slip dofs fixed pinned, b the
+    divergence rows -[Bx By] on the folded pressure dofs with the pinned
+    columns zeroed, and pressure_weight the folded mass_weight.  The
+    folds are None without periodic pairs: identities there, whose
+    products would only drop the stored zeros, as the pinnings do.
+    """
+    periodic = len(mesh.periodic_pairs) > 0
+    no_slip = _p2_boundary_dofs(
+        mesh, {GAMMA_INTERIOR} if periodic else set(mesh.boundary_tags))
+    if periodic and not no_slip:
+        raise NoSolidPhase("periodic flow without a no-slip wall has no "
+                           "unique velocity", where="fem.StokesOperator")
+    fold = pressure_fold = None
+    fixed = np.unique(no_slip)
+    viscous = assemble_p2_stiffness(mesh)
+    viscous.data *= viscosity
+    if periodic:
+        fold, cols = periodic_prolongation(p2_dof_count(mesh),
+                                           _p2_periodic_pairs(mesh))
+        pressure_fold, _ = periodic_prolongation(mesh.num_nodes,
+                                                 mesh.periodic_pairs)
+        fixed = np.unique(cols[no_slip])
+        viscous = (fold.T @ viscous @ fold).tocsr()
+    a = apply_dirichlet(viscous, fixed)
+    del viscous
+    divergence = assemble_divergence(mesh)
+    for block in divergence:
+        np.negative(block.data, out=block.data)
+    if periodic:
+        divergence = [(pressure_fold.T @ block @ fold).tocsr()
+                      for block in divergence]
+    for block in divergence:
+        block.data[np.isin(block.indices, fixed)] = 0.0
+        block.eliminate_zeros()
+    b = sp.hstack(divergence, format="csr")
+    # Sorted columns make the sums of b @ u run in dof order.
+    b.sort_indices()
+    weight = pressure_fold.T @ mass_weight(mesh) if periodic \
+        else mass_weight(mesh)
+    return a, b, fixed, weight, fold, pressure_fold
+
+
+def stokes_saddle(a, b, weight):
+    """The saddle [[blockdiag(a, a), b^T], [b, 0]] bordered by the weight
+    (0, 0, weight), as bordered would make it, written in one pass.  a
+    must be symmetric bit for bit, as that of stokes_blocks is (each of
+    its off-diagonal entries sums at most two element values)."""
+    n = a.shape[0]
+    height = 2 * n + b.shape[0]
+    columns = b.tocsc()
+    row, column = _border(weight)
+    strips = [[(k * n, a.indptr, a.indices, a.data),
+               (2 * n, columns.indptr[k * n:(k + 1) * n + 1],
+                columns.indices, columns.data)] for k in (0, 1)]
+    strips += [[(0, b.indptr, b.indices, b.data), (height,) + row],
+               [(2 * n,) + column]]
+    return _stack_columns(strips, height + 1)
+
+
 class StokesOperator:
     """Taylor-Hood Stokes operator with reusable factorization.
 
-    The mesh fixes the boundary conditions.  A mesh with periodic pairs
-    is a periodic cell with no-slip on its inclusion (GammaInterior),
-    and a cell without one raises NoSolidPhase; any other mesh has
-    no-slip on every boundary edge.  Both routes read two blocks built once: a,
-    the scalar P2 viscous block folded onto the periodic velocity dofs
-    (fold^T A fold) with the no-slip dofs pinned, and b, the divergence
-    rows -[Bx By] on the folded pressure dofs with the pinned columns
-    zeroed.  A saddle [[blockdiag(a, a), b^T], [b, 0]]
-    below DIRECT_DOF_LIMIT rows is bordered by its pressure_weight
-    constraint (saddle) and factored by symmetric_lu.  A larger one is
-    solved by conjugate gradients on the pressure Schur complement
+    It keeps its factorizations, not its assembly.  A saddle
+    [[blockdiag(a, a), b^T], [b, 0]] of the blocks of stokes_blocks
+    below DIRECT_DOF_LIMIT rows is bordered (stokes_saddle), a and b are
+    dropped, and the saddle is factored by symmetric_lu.  A larger one
+    is solved by conjugate gradients on the pressure Schur complement
     S = b blockdiag(a, a)^-1 b^T, with one symmetric_lu of a for both
-    components.  A direct saddle LU at eps=1/16 (130,564 rows) ran the
-    micro_eps16 step (4 solves) no faster, but cut the eps=1/16 step of
-    a scale study (111 solves) from 50.4 to 15.5 s; it was declined
-    because it raised the peak memory of both by more than a third
-    (micro_eps16: 240 to 368 MB, measured before the transport LU took
-    relax=1).  Built alone in a fresh process, the direct eps=1/16
-    operator peaks at 268.5 MB, 183.6 MB above the 84.9 MB held before
-    the build.  relax=1 does not shrink the
-    saddle LU: it holds 13.94M entries at eps=1/16 and 2.75M at eps=1/8
-    with SuperLU's relaxation and with relax=1 alike.  The
+    components; that route keeps b and the LU, not a.  The
     preconditioner M_p^-1 + theta L_p^-1 adds the inverse pressure
     Laplacian to the inverse lumped pressure mass, because S acts like
     M_p / viscosity on pore-scale modes and like a Darcy operator
     K eps^2 / viscosity L_p on longer ones (Cahouet & Chabard, IJNMF 8,
     1988); theta is read off the operator when it is built, and each
     solve starts from the pressure of the last one.  laplacian_lu, when
-    given, is the ZeroMeanLU of the mesh's P1 stiffness under the
-    mass_weight constraint, factored by the caller for its own use (the
-    pore-scale Neumann potential); a non-periodic operator on the Schur
-    route takes it as its L_p, whose pressure dofs are the mesh nodes,
-    instead of factoring its own, and reads theta's Laplacian quotient
-    off the matrix it keeps.  A periodic operator folds its pressure
-    dofs and factors its folded Laplacian.
+    given, is the caller's ZeroMeanLU of the mesh's P1 stiffness under
+    the mass_weight constraint (the pore-scale Neumann potential's); a
+    non-periodic operator on the Schur route takes it as its L_p instead
+    of factoring its own.  A periodic operator factors its folded one.
     solves and schur_iterations count the calls to solve and the
-    conjugate-gradient iterations they took; profile also gives the
-    entries of the LU the build factored, the allocation that sets the
-    operator's memory.
+    conjugate-gradient iterations they took.
     """
 
     def __init__(self, mesh, viscosity=1.0, laplacian_lu=None):
         self.mesh = mesh
-        self.viscosity = viscosity
-        self.periodic = len(mesh.periodic_pairs) > 0
-        no_slip_dofs = _p2_boundary_dofs(
-            mesh, {GAMMA_INTERIOR} if self.periodic
-            else set(mesh.boundary_tags))
-        if self.periodic and not no_slip_dofs:
-            raise NoSolidPhase(
-                "periodic flow without a no-slip wall has no unique "
-                "velocity", where="fem.StokesOperator")
+        a, b, self.fixed, self.pressure_weight, self.fold, \
+            self.pressure_fold = stokes_blocks(mesh, viscosity)
         self.solves = 0
         self.schur_iterations = 0
         self._last_pressure = None
-        self._lu_laplacian = None if self.periodic else laplacian_lu
-        self._build(no_slip_dofs)
-
-    def _build(self, no_slip_dofs):
-        mesh = self.mesh
-        self.fold, cols = periodic_prolongation(
-            p2_dof_count(mesh),
-            _p2_periodic_pairs(mesh) if self.periodic else ())
-        self.pressure_fold, _ = periodic_prolongation(
-            mesh.num_nodes, mesh.periodic_pairs if self.periodic else ())
-        self.fixed = np.unique(cols[no_slip_dofs])
-        pinned = np.zeros(self.fold.shape[1], dtype=bool)
-        pinned[self.fixed] = True
-        # Without periodic pairs both folds are identities, whose products
-        # would only drop the stored zeros, as apply_dirichlet and the
-        # pinning of b do.
-        viscous = assemble_p2_stiffness(mesh)
-        viscous.data *= self.viscosity
-        if self.periodic:
-            viscous = (self.fold.T @ viscous @ self.fold).tocsr()
-        self.a = apply_dirichlet(viscous, self.fixed)
-        del viscous
-        divergence = assemble_divergence(mesh)
-        for block in divergence:
-            np.negative(block.data, out=block.data)
-        if self.periodic:
-            divergence = [(self.pressure_fold.T @ block @ self.fold).tocsr()
-                          for block in divergence]
-        for block in divergence:
-            block.data[pinned[block.indices]] = 0.0
-            block.eliminate_zeros()
-        self.b = sp.hstack(divergence, format="csr")
-        del divergence
-        # Sorted columns make the sums of b @ u run in dof order.
-        self.b.sort_indices()
-        self.pressure_weight = self.pressure_fold.T @ mass_weight(mesh)
-
-        rows = 2 * len(pinned) + len(self.pressure_weight)
+        self._lu_laplacian = laplacian_lu if self.fold is None else None
+        rows = 2 * a.shape[0] + b.shape[0]
         # The bordered saddle has one row more.
         if rows + 1 < DIRECT_DOF_LIMIT:
-            self._lu = symmetric_lu(self.saddle())
+            saddle = stokes_saddle(a, b, self.pressure_weight)
+            del a, b
+            self._lu = symmetric_lu(saddle)
             self._mode = "direct"
         else:
+            # a is symmetric bit for bit, so its transpose is the CSC
+            # matrix of the same arrays, with no copy.
+            self._lu_a = symmetric_lu(a.T)
+            del a
+            self.b = b
             self._prepare_schur()
             self._mode = "schur_cg"
         log.debug("stokes operator: %d saddle rows, mode=%s", rows,
                   self._mode)
 
-    def saddle(self):
-        """The saddle [[blockdiag(a, a), b^T], [b, 0]] bordered by the
-        weight (0, 0, pressure_weight) of its zero-mean constraint, as
-        the CSC matrix [[blockdiag(a, a), b^T, 0], [b, 0, w], [0, w^T,
-        0]] that bordered would make of them, written in one pass.  a is
-        symmetric bit for bit, since each of its off-diagonal entries
-        sums at most two element values, so its rows are its columns."""
-        a, b = self.a, self.b
-        n = a.shape[0]
-        height = 2 * n + b.shape[0]
-        columns = b.tocsc()
-        row, column = _border(self.pressure_weight)
-        strips = [[(k * n, a.indptr, a.indices, a.data),
-                   (2 * n, columns.indptr[k * n:(k + 1) * n + 1],
-                    columns.indices, columns.data)] for k in (0, 1)]
-        strips += [[(0, b.indptr, b.indices, b.data), (height,) + row],
-                   [(2 * n,) + column]]
-        return _stack_columns(strips, height + 1)
-
     def _prepare_schur(self):
-        # a is symmetric bit for bit, so its transpose is the CSC matrix
-        # of the same arrays, with no copy.
-        self._lu_a = symmetric_lu(self.a.T)
         weight = self.pressure_weight
         self.wp = weight / np.linalg.norm(weight)
         # Lumped pressure mass and P1 stiffness on the folded pressure
         # dofs; the stiffness is bordered by the zero-mean constraint.
         fold = self.pressure_fold
         mass_diag = lumped_mass(self.mesh)
-        self.p_mass = fold.T @ mass_diag
+        coord = mass_diag * self.mesh.nodes[:, 0]
         if self._lu_laplacian is None:
-            self._lu_laplacian = ZeroMeanLU(
-                fold.T @ assemble_stiffness(self.mesh) @ fold, weight)
+            stiffness = assemble_stiffness(self.mesh)
+            # Without its stored zeros, as a product with folds leaves it.
+            stiffness.eliminate_zeros()
+            if fold is not None:
+                stiffness = fold.T @ stiffness @ fold
+            self._lu_laplacian = ZeroMeanLU(stiffness, weight)
+        if fold is not None:
+            mass_diag, coord = fold.T @ mass_diag, fold.T @ coord
+        self.p_mass = mass_diag
+        coord /= mass_diag
         laplacian = self._lu_laplacian.matrix
         # theta is the ratio of two Rayleigh quotients of S: against the
         # mass on a broadband probe (about 1 / viscosity) and against the
         # Laplacian on the smooth probe x (about K eps^2 / viscosity).
-        coord = fold.T @ (mass_diag * self.mesh.nodes[:, 0]) / self.p_mass
         smooth = coord - (weight @ coord) / weight.sum()
         broad = self._project(
             np.random.default_rng(0).standard_normal(len(weight)))
@@ -1056,8 +1069,7 @@ class StokesOperator:
 
     def profile(self):
         """The counters, and the entries of the LU that the build
-        factored (the saddle's on the direct route, a's on the Schur
-        route), by name."""
+        factored (the saddle's, or a's on the Schur route), by name."""
         lu = self._lu if self._mode == "direct" else self._lu_a
         return {"stokes_solves": self.solves,
                 "schur_iterations": self.schur_iterations,
@@ -1066,7 +1078,9 @@ class StokesOperator:
     def solve(self, forcing):
         """Velocity (p2_dofs, 2) and pressure for elementwise-constant
         forcing."""
-        load = self.fold.T @ assemble_p2_load(self.mesh, forcing)
+        load = assemble_p2_load(self.mesh, forcing)
+        if self.fold is not None:
+            load = self.fold.T @ load
         load[self.fixed] = 0.0
         rhs = load.T.ravel()
         if self._mode == "direct":
@@ -1076,7 +1090,10 @@ class StokesOperator:
         else:
             u, p = self._solve_schur_cg(rhs)
         self.solves += 1
-        return self.fold @ u.reshape(2, -1).T, self.pressure_fold @ p
+        u = u.reshape(2, -1).T
+        if self.fold is None:
+            return u.copy(), p.copy()
+        return self.fold @ u, self.pressure_fold @ p
 
     def _solve_schur_cg(self, rhs):
         """Stacked velocity and pressure of the folded saddle for the

@@ -419,11 +419,12 @@ def run_steps(problem, update_fields, transport, lumped, content_scale=1.0,
 
 def peak_rss_mb():
     """The peak resident memory of this process so far, in MB (Linux
-    reports ru_maxrss in kB).  A forked process starts from its parent's
-    figure, since it counts the pages it inherited.  The figure never
-    falls, so in a pool worker that runs several tasks it is the peak of
-    the worker up to now, which includes its earlier tasks, not the
-    peak of the current task alone."""
+    reports ru_maxrss in kB).  A forked process starts from its resident
+    size at the fork, the pages it shares with its parent, not from its
+    parent's peak.  The figure never falls, so in a pool worker that
+    runs several tasks it is the peak of the worker up to now, which
+    includes its earlier tasks, not the peak of the current task
+    alone."""
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 

@@ -287,9 +287,8 @@ def test_symmetric_lu_does_not_pivot_on_zero_diagonals():
     mesh = generate_perforated_mesh(
         PerforatedDomain(eps, UnitCellGeometry(
             DiskInclusion((0.5, 0.5), 0.25), 0.125)), 1 / 32)
-    stokes = fem.StokesOperator(mesh, viscosity=eps ** 2)
     rng = np.random.default_rng(8)
-    for bordered in (stokes.saddle(), fem.bordered(
+    for bordered in (stokes_saddle_of(mesh, eps ** 2), fem.bordered(
             fem.assemble_stiffness(mesh), fem.mass_weight(mesh))):
         rhs = rng.standard_normal(bordered.shape[0])
         x = fem.symmetric_lu(bordered).solve(rhs)
@@ -708,9 +707,15 @@ def test_species_lus_store_about_half_the_entries_of_the_coupled_lu(
     assert solver.profile()["lu_entries"] <= 0.55 * coupled.nnz
 
 
+def stokes_saddle_of(mesh, viscosity):
+    """The bordered saddle of fem.StokesOperator(mesh, viscosity)."""
+    a, b, _, weight, _, _ = fem.stokes_blocks(mesh, viscosity)
+    return fem.stokes_saddle(a, b, weight)
+
+
 def quarter_saddle():
     mesh = perforated_quarter_mesh()
-    return fem.StokesOperator(mesh, viscosity=mesh.eps ** 2).saddle()
+    return stokes_saddle_of(mesh, mesh.eps ** 2)
 
 
 def quarter_transport_block():
@@ -774,6 +779,32 @@ def test_transport_solver_refines_a_fresh_lu_to_the_default_residual():
     assert solver.refinement_steps >= 1
 
 
+def test_a_solver_that_fell_back_to_the_coupled_lu_refactors_it_directly(
+        monkeypatch):
+    # Once fresh species LUs have missed the gate, a later factorization
+    # factors the coupled block at once: under these +-1% velocity
+    # changes each solve refactors, and the solver that tried the
+    # species blocks first every time factored them 4 times for nothing.
+    # The species blocks are factored in single precision, the coupled
+    # block in double.
+    factored = factored_matrices(monkeypatch)
+    mesh = square_mesh(1 / 32)
+    lumped = fem.lumped_mass(mesh)
+    solver = fem.TransportSolver(mesh, fem.assemble_stiffness(mesh), lumped,
+                                 0.2)
+    rhs = blob_content(mesh, lumped)
+    for scale in (1.0, 1.01, 0.99, 1.01):
+        solver.refill(np.tile([1000.0 * scale, 500.0 * scale],
+                              (mesh.num_triangles, 1)), None, None)
+        got = solver.solve(rhs)
+        assert np.linalg.norm(rhs - solver.block @ got) \
+            <= 2e-9 * np.linalg.norm(rhs)
+    assert (solver.factorizations, solver.coupled_factorizations) == (1, 4)
+    assert solver.refined_solves == 0
+    assert [matrix.dtype for matrix in factored] == 2 * [np.float32] \
+        + 4 * [np.float64]
+
+
 def perforated_stokes_case():
     mesh = perforated_quarter_mesh()
     forcing = np.random.default_rng(5).standard_normal(
@@ -792,7 +823,7 @@ def periodic_cell_stokes_case():
                          ids=["perforated", "periodic_cell"])
 def test_block_built_saddle_matches_the_full_saddle_route(case):
     mesh, bc, viscosity, _ = case()
-    matrix = fem.StokesOperator(mesh, viscosity=viscosity).saddle()
+    matrix = stokes_saddle_of(mesh, viscosity)
     ref = bordered_bmat(*stokes_saddle_reference(mesh, bc, viscosity))
     assert matrix.shape == ref.shape
     # The divergence rows keep the sign of the reference's -[Bx By]; a
@@ -826,7 +857,8 @@ def test_schur_cg_stokes_matches_direct_route(case, monkeypatch):
 
     # One LU of the scalar block solves both components as the LU of the
     # whole two-component velocity block, in the same ordering, does.
-    block = fem.symmetric_lu(sp.block_diag((op.a, op.a), format="csc"))
+    a = fem.stokes_blocks(mesh, viscosity)[0]
+    block = fem.symmetric_lu(sp.block_diag((a, a), format="csc"))
     rhs = np.random.default_rng(6).standard_normal(block.shape[0])
     ref = block.solve(rhs)
     assert np.max(np.abs(op._solve_velocity(rhs) - ref)) \
@@ -843,7 +875,8 @@ def test_stokes_profile_counts_the_entries_of_its_lu(monkeypatch,
     monkeypatch.setattr(fem, "DIRECT_DOF_LIMIT", direct_limit)
     mesh = perforated_quarter_mesh()
     op = fem.StokesOperator(mesh, viscosity=mesh.eps ** 2)
-    matrix = op.saddle() if direct_limit else op.a.tocsc()
+    matrix = stokes_saddle_of(mesh, mesh.eps ** 2) if direct_limit \
+        else fem.stokes_blocks(mesh, mesh.eps ** 2)[0].tocsc()
     assert op.profile() == {
         "stokes_solves": 0, "schur_iterations": 0,
         "stokes_lu_entries": fem.symmetric_lu(matrix).nnz}
@@ -1049,10 +1082,10 @@ def test_assemblies_equal_the_coordinate_routes_bit_for_bit(make_mesh):
 def test_stokes_blocks_equal_the_coordinate_route_bit_for_bit(make_mesh,
                                                               viscosity):
     mesh = make_mesh()
-    operator = fem.StokesOperator(mesh, viscosity=viscosity)
-    a, b = stokes_blocks_coo(mesh, viscosity)
-    assert_same_bits(operator.a, a)
-    assert_same_bits(operator.b, b)
+    a, b, *_ = fem.stokes_blocks(mesh, viscosity)
+    a_ref, b_ref = stokes_blocks_coo(mesh, viscosity)
+    assert_same_bits(a, a_ref)
+    assert_same_bits(b, b_ref)
 
 
 def factored_matrices(monkeypatch):
@@ -1080,9 +1113,9 @@ def test_direct_stokes_route_factors_the_bmat_saddle_bit_for_bit(
     operator = fem.StokesOperator(mesh, viscosity=viscosity)
     assert operator._mode == "direct"
     (matrix,) = factored
-    assert_same_bits(matrix, stokes_saddle_bmat(
-        operator.a, operator.b, operator.pressure_weight))
-    assert_same_bits(operator.saddle(), matrix)
+    a, b, _, weight, _, _ = fem.stokes_blocks(mesh, viscosity)
+    assert_same_bits(matrix, stokes_saddle_bmat(a, b, weight))
+    assert_same_bits(fem.stokes_saddle(a, b, weight), matrix)
 
 
 def test_zero_mean_lu_borders_like_bmat_bit_for_bit(monkeypatch):
@@ -1110,9 +1143,9 @@ def eighth_mesh():
             DiskInclusion((0.5, 0.5), 0.25), 0.125)), 1 / 64)
 
 
-def allocation_ratio(build):
-    """The peak of the memory that tracemalloc traces while build() runs,
-    above what was traced before it, over what its result keeps."""
+def traced_build(build):
+    """The result of build(), and the bytes above those traced before it
+    that tracemalloc traces at the peak of the call and after it."""
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
@@ -1120,31 +1153,99 @@ def allocation_ratio(build):
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    del result
-    return (peak - start) / (kept - start)
+    return result, peak - start, kept - start
+
+
+def matrix_bytes(matrix):
+    return matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes
+
+
+def eighth_stokes_build(monkeypatch, direct_limit):
+    """The build of the Stokes operator of eighth_mesh under the given
+    DIRECT_DOF_LIMIT, with the P1 Laplacian LU of a Neumann pore-scale
+    run and the mesh caches that it reads filled, and the bytes of the
+    assembled blocks a and b."""
+    mesh = eighth_mesh()
+    laplacian_lu = fem.ZeroMeanLU(fem.assemble_stiffness(mesh),
+                                  fem.mass_weight(mesh))
+    monkeypatch.setattr(fem, "DIRECT_DOF_LIMIT", direct_limit)
+
+    def build():
+        return fem.StokesOperator(mesh, viscosity=mesh.eps ** 2,
+                                  laplacian_lu=laplacian_lu)
+
+    build()
+    a, b, *_ = fem.stokes_blocks(mesh, mesh.eps ** 2)
+    return build, matrix_bytes(a) + matrix_bytes(b)
 
 
 def test_operator_builds_allocate_little_more_than_they_keep(monkeypatch):
     # tracemalloc sees numpy's allocations and not SuperLU's, and every
     # build allocates the same arrays, so the ratios repeat exactly.
-    # The coordinate-format builds reach 4.1 (transport) and 4.5
-    # (Stokes) times what they keep on this mesh; these reach 1.8 and
-    # 2.8.  The Stokes operator is built on its Schur route, the route
-    # of pore-scale runs above DIRECT_DOF_LIMIT, whose build is the
-    # blocks a and b and the pressure Laplacian.
+    # The coordinate-format transport build reaches 4.1 times what it
+    # keeps on this mesh; this one reaches 1.8.  The Stokes operator is
+    # built on its Schur route, the route of pore-scale runs above
+    # DIRECT_DOF_LIMIT, whose build is the blocks a and b and the LU of
+    # a.  It keeps b alone of them, so its peak is bounded by the bytes
+    # of a and b: the build that kept a, b and identity folds reached
+    # 3.2 times them (3.5 times the 2.9 MB it kept was its bound), and
+    # this one reaches 3.1.
     mesh = eighth_mesh()
     stiffness = fem.assemble_stiffness(mesh)
-    laplacian_lu = fem.ZeroMeanLU(stiffness, fem.mass_weight(mesh))
-    monkeypatch.setattr(fem, "DIRECT_DOF_LIMIT", 0)
-    builds = {
-        "transport": (lambda: fem.TransportSolver(
-            mesh, stiffness, fem.lumped_mass(mesh), 2e-3), 2.5),
-        "stokes": (lambda: fem.StokesOperator(
-            mesh, viscosity=mesh.eps ** 2, laplacian_lu=laplacian_lu), 3.5),
-    }
-    for name, (build, bound) in builds.items():
-        build()  # fills the mesh caches that a build reads
-        assert allocation_ratio(build) <= bound, name
+
+    def transport():
+        return fem.TransportSolver(mesh, stiffness, fem.lumped_mass(mesh),
+                                   2e-3)
+
+    transport()  # fills the mesh caches that a build reads
+    _, peak, kept = traced_build(transport)
+    assert peak <= 2.5 * kept
+    stokes, blocks = eighth_stokes_build(monkeypatch, 0)
+    _, peak, _ = traced_build(stokes)
+    assert peak <= 3.5 * blocks
+
+
+@pytest.mark.parametrize("direct_limit", [fem.DIRECT_DOF_LIMIT, 0],
+                         ids=["direct", "schur_cg"])
+def test_stokes_operator_keeps_its_factorizations_not_its_assembly(
+        monkeypatch, direct_limit):
+    # The direct route keeps the saddle LU and drops a and b before it
+    # factors the saddle; the Schur route keeps b and the LU of a.  A
+    # mesh without periodic pairs builds no folds.  tracemalloc does not
+    # see the LUs.  The operator that kept a, b and identity folds kept
+    # 114% (direct) and 117% (Schur) of the bytes of a and b here.
+    build, blocks = eighth_stokes_build(monkeypatch, direct_limit)
+    operator, _, kept = traced_build(build)
+    matrices = [name for name, value in vars(operator).items()
+                if sp.issparse(value)]
+    assert operator._mode == ("direct" if direct_limit else "schur_cg")
+    assert matrices == ([] if direct_limit else ["b"])
+    assert operator.fold is operator.pressure_fold is None
+    held = 0 if direct_limit else matrix_bytes(operator.b)
+    assert kept - held <= 0.05 * blocks
+
+
+def test_direct_stokes_route_drops_its_blocks_before_it_factors(
+        monkeypatch):
+    # a and b are dead once the bordered saddle is written, so they are
+    # not alive next to the saddle LU while SuperLU fills it.
+    blocks = fem.stokes_blocks
+    built = []
+    alive = []
+
+    def recorded(mesh, viscosity):
+        result = blocks(mesh, viscosity)
+        built.extend(weakref.ref(matrix) for matrix in result[:2])
+        return result
+
+    def factor(matrix, relax=None):
+        alive.append([ref() is not None for ref in built])
+
+    monkeypatch.setattr(fem, "stokes_blocks", recorded)
+    monkeypatch.setattr(fem, "symmetric_lu", factor)
+    mesh = perforated_quarter_mesh()
+    fem.StokesOperator(mesh, viscosity=mesh.eps ** 2)
+    assert alive == [[False, False]]
 
 
 def test_direct_stokes_saddle_allocates_at_most_twice_its_size(
@@ -1154,24 +1255,24 @@ def test_direct_stokes_saddle_allocates_at_most_twice_its_size(
     # coordinate copy of the saddle, a second one with the border, and
     # the CSC); the one-pass build allocates 1.5 times.
     mesh = eighth_mesh()
-    saddle = fem.StokesOperator.saddle
+    saddle = fem.stokes_saddle
     factored = []
 
-    def traced_saddle(operator):
+    def traced_saddle(a, b, weight):
         tracemalloc.start()
-        return saddle(operator)
+        return saddle(a, b, weight)
 
     def factor(matrix, relax=None):
         factored.append((matrix, tracemalloc.get_traced_memory()[1]))
 
-    monkeypatch.setattr(fem.StokesOperator, "saddle", traced_saddle)
+    monkeypatch.setattr(fem, "stokes_saddle", traced_saddle)
     monkeypatch.setattr(fem, "symmetric_lu", factor)
     try:
         fem.StokesOperator(mesh, viscosity=mesh.eps ** 2)
     finally:
         tracemalloc.stop()
     ((matrix, peak),) = factored
-    size = matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes
+    size = matrix_bytes(matrix)
     assert size > 4e6
     assert peak <= 2 * size
 

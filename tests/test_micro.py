@@ -397,14 +397,18 @@ def test_only_the_transport_block_factors_without_relaxed_supernodes(
     # structurally symmetric; in symmetric mode SuperLU's default
     # relaxation of small supernodes fills the eps=1/16 coupled block's
     # LU with 54M entries in 31 s, so they take relax=1.  Every
-    # factorization takes a panel of one column.
+    # factorization takes a panel of one column.  The species blocks are
+    # factored in single precision, since they only precondition a
+    # refinement against the double-precision block; every other
+    # matrix is factored in double precision.
     factored = []
     factor = fem.splu
     solve = fem.TransportSolver.solve
     transporting = []
 
     def recorded(matrix, **options):
-        factored.append((bool(transporting), matrix.shape[0], options))
+        factored.append((bool(transporting), matrix.shape[0], matrix.dtype,
+                         options))
         return factor(matrix, **options)
 
     def flagged(solver, rhs):
@@ -423,15 +427,17 @@ def test_only_the_transport_block_factors_without_relaxed_supernodes(
     problem = micro.MicroProblem(domain, mesh, regime, c_plus, c_minus,
                                  t_end=2e-3, dt=2e-3)
     micro.run_micro(problem)
-    transport = [(rows, options) for inside, rows, options in factored
-                 if inside]
-    others = [options for inside, rows, options in factored if not inside]
+    transport = [(rows, dtype, options)
+                 for inside, rows, dtype, options in factored if inside]
+    others = [(dtype, options)
+              for inside, rows, dtype, options in factored if not inside]
     options = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.01,
                "relax": None, "panel_size": 1,
                "options": {"SymmetricMode": True}}
     # One factorization of each species block, none of the coupled one.
-    assert transport == 2 * [(mesh.num_nodes, dict(options, relax=1))]
-    assert others == symmetric * [options]
+    assert transport == 2 * [(mesh.num_nodes, np.float32,
+                              dict(options, relax=1))]
+    assert others == symmetric * [(np.float64, options)]
 
 
 @pytest.mark.parametrize("alpha", [0, 1])
