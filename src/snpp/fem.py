@@ -13,8 +13,9 @@ transpose.  P1 interpolation reads only the structured macro square,
 where a point's triangle follows in closed form.
 The coupled transport block of both species belongs to a TransportSolver
 built once per run: it fixes the block's sparsity pattern, refills only
-the convection values at every step, factors the two species' diagonal
-blocks apart, in single precision, and solves every block by iterative
+the convection values at every step, in place, scattering the element
+weights in chunks, factors the two species' diagonal blocks apart, in
+single precision, and solves every block by iterative
 refinement in double precision on their LUs, each step corrected so
 that each species' summed residual is zero, refactoring only when a
 refinement step fails to halve the residual.  So every solve conserves
@@ -35,7 +36,10 @@ they return equals, bit for bit, the one of the plain coordinate-format
 route.  So do the bordered systems that ZeroMeanLU and stokes_saddle
 build: _stack_columns writes each straight into CSC arrays in one
 pass, equal bit for bit to those sp.bmat makes, so no coordinate copy
-of them is built on the way to the factorization.
+of them is built on the way to the factorization.  The kernels of every
+sweep allocate little more than they return: TransportSolver.refill
+writes the block's values in place, and the Schur-route Stokes solve
+holds no copy of its load through its iterations.
 
 stokes_blocks builds the folded and pinned Stokes blocks, the scalar
 P2 viscous block and the divergence rows of both velocity components,
@@ -308,8 +312,13 @@ def _convection_weights(mesh, velocity, drift, drift_tensor):
         if drift_tensor is not None:
             drifted = drifted @ np.asarray(drift_tensor, dtype=float).T
     scaled = _cached(mesh, "convection", _scaled_gradients)
-    return [w[:, 0] * scaled[0] + w[:, 1] * scaled[1]
-            for w in (moved, drifted)]
+    weights = []
+    for w in (moved, drifted):
+        # Summed in place: one temporary of the weights' size, not two.
+        weight = w[:, 0] * scaled[0]
+        weight += w[:, 1] * scaled[1]
+        weights.append(weight)
+    return weights
 
 
 def assemble_convection(mesh, velocity=None, drift=None, drift_tensor=None,
@@ -503,12 +512,11 @@ class ZeroMeanLU:
     The bordered matrix [[matrix, w], [w^T, 0]] is factored once; solve
     returns the u part of its solution for the right-hand side (rhs, 0),
     which for a compatible rhs is the solution of matrix u = rhs with
-    w . u = 0.  Callers check or project their rhs themselves.  matrix
-    is kept, as the operator the LU solves.
+    w . u = 0.  Callers check or project their rhs themselves.  Only
+    the LU is kept.
     """
 
     def __init__(self, matrix, weight):
-        self.matrix = matrix
         self._lu = symmetric_lu(bordered(matrix, weight))
 
     def solve(self, rhs):
@@ -546,9 +554,14 @@ class TransportSolver:
     the slot in the block of every element pair of both species, listed
     in the order of the element weights the pairs take, and the slots of
     its 2n diagonal entries.  refill computes the velocity and the drift
-    weights once each; c+ takes their difference and c- their sum, so one
-    bincount over those slots sets the convection values, and the lumped
-    mass is added at the diagonal slots.  dt is read at every refill.
+    weights once each; c+ takes their difference and c- their sum, and
+    np.add.at adds them to the block's values, in place, over those
+    slots, in four chunks of each species' weights, each repeated for
+    the three entries that take it.  np.add.at adds in the order of the
+    slots, so the values equal bit for bit those of one bincount over
+    all 6M weights repeated three times (M elements), without that copy
+    or an output array beside the block's values.  The lumped mass is
+    added at the diagonal slots.  dt is read at every refill.
 
     The species are coupled only through the reaction -dt M, so a
     factorization factors the two diagonal species blocks apart, each by
@@ -667,22 +680,33 @@ class TransportSolver:
         self.refinement_steps = 0
 
     def refill(self, velocity, drift, tensor):
-        """Set block for the field w = velocity -+ tensor grad(drift) of
-        c+ and c- (None for none), as assemble_convection takes them,
-        and the summed rows and Galerkin system of the content
-        correction."""
+        """Set block, in place, for the field w = velocity -+ tensor
+        grad(drift) of c+ and c- (None for none), as assemble_convection
+        takes them, and the summed rows and Galerkin system of the
+        content correction."""
         moved, drifted = _convection_weights(self.mesh, velocity, drift,
                                              tensor)
-        values = np.bincount(self._weight_slots, weights=np.repeat(
-            np.concatenate([(moved - drifted).ravel(),
-                            (moved + drifted).ravel()]), 3),
-            minlength=len(self._scaled))
+        moved, drifted = moved.ravel(), drifted.ravel()
+        count = len(moved)
+        values = self.block.data
+        values.fill(0.0)
+        # c+ takes the difference of the weights and c- their sum, each
+        # scattered in four chunks, so no copy of all the weights is made.
+        step = -(-count // 4)
+        for species, combine in enumerate((np.subtract, np.add)):
+            slots = self._weight_slots[3 * count * species:]
+            for start in range(0, count, step):
+                chunk = combine(moved[start:start + step],
+                                drifted[start:start + step])
+                np.add.at(values, slots[3 * start:3 * (start + len(chunk))],
+                          np.repeat(chunk, 3))
         del moved, drifted
         np.subtract(self._scaled, values, out=values)
         values *= self.dt
-        values[self._diagonal_slots] += np.tile(self.lumped, 2)
-        self.block.data = values
-        species = np.repeat(np.eye(2), len(self.lumped), axis=0)
+        n = len(self.lumped)
+        for diagonal in (self._diagonal_slots[:n], self._diagonal_slots[n:]):
+            values[diagonal] += self.lumped
+        species = np.repeat(np.eye(2), n, axis=0)
         self._sums = (self.block.T @ species).T
         self._galerkin = self._sums @ species
 
@@ -988,23 +1012,25 @@ class StokesOperator:
     M_p / viscosity on pore-scale modes and like a Darcy operator
     K eps^2 / viscosity L_p on longer ones (Cahouet & Chabard, IJNMF 8,
     1988); theta is read off the operator when it is built, and each
-    solve starts from the pressure of the last one.  laplacian_lu, when
-    given, is the caller's ZeroMeanLU of the mesh's P1 stiffness under
-    the mass_weight constraint (the pore-scale Neumann potential's); a
-    non-periodic operator on the Schur route takes it as its L_p instead
-    of factoring its own.  A periodic operator factors its folded one.
-    solves and schur_iterations count the calls to solve and the
-    conjugate-gradient iterations they took.
+    solve starts from the pressure of the last one.  laplacian, when
+    given, is the pair (stiffness, lu) of the mesh's P1 stiffness and the
+    caller's ZeroMeanLU of it under the mass_weight constraint (the
+    pore-scale Neumann potential's); a non-periodic operator on the
+    Schur route takes lu as its L_p instead of factoring its own, and
+    reads stiffness once, for theta, without keeping it.  Any other
+    operator on that route factors the stiffness it assembles, folded
+    when periodic, and drops it once theta is read.  solves and
+    schur_iterations count the calls to solve and the conjugate-gradient
+    iterations they took.
     """
 
-    def __init__(self, mesh, viscosity=1.0, laplacian_lu=None):
+    def __init__(self, mesh, viscosity=1.0, laplacian=None):
         self.mesh = mesh
         a, b, self.fixed, self.pressure_weight, self.fold, \
             self.pressure_fold = stokes_blocks(mesh, viscosity)
         self.solves = 0
         self.schur_iterations = 0
         self._last_pressure = None
-        self._lu_laplacian = laplacian_lu if self.fold is None else None
         rows = 2 * a.shape[0] + b.shape[0]
         # The bordered saddle has one row more.
         if rows + 1 < DIRECT_DOF_LIMIT:
@@ -1018,12 +1044,13 @@ class StokesOperator:
             self._lu_a = symmetric_lu(a.T)
             del a
             self.b = b
-            self._prepare_schur()
+            # A periodic operator factors its folded Laplacian itself.
+            self._prepare_schur(laplacian if self.fold is None else None)
             self._mode = "schur_cg"
         log.debug("stokes operator: %d saddle rows, mode=%s", rows,
                   self._mode)
 
-    def _prepare_schur(self):
+    def _prepare_schur(self, laplacian):
         weight = self.pressure_weight
         self.wp = weight / np.linalg.norm(weight)
         # Lumped pressure mass and P1 stiffness on the folded pressure
@@ -1031,18 +1058,17 @@ class StokesOperator:
         fold = self.pressure_fold
         mass_diag = lumped_mass(self.mesh)
         coord = mass_diag * self.mesh.nodes[:, 0]
-        if self._lu_laplacian is None:
-            stiffness = assemble_stiffness(self.mesh)
-            # Without its stored zeros, as a product with folds leaves it.
-            stiffness.eliminate_zeros()
+        if laplacian is None:
+            laplacian = assemble_stiffness(self.mesh)
             if fold is not None:
-                stiffness = fold.T @ stiffness @ fold
-            self._lu_laplacian = ZeroMeanLU(stiffness, weight)
+                laplacian = fold.T @ laplacian @ fold
+            self._lu_laplacian = ZeroMeanLU(laplacian, weight)
+        else:
+            laplacian, self._lu_laplacian = laplacian
         if fold is not None:
             mass_diag, coord = fold.T @ mass_diag, fold.T @ coord
         self.p_mass = mass_diag
         coord /= mass_diag
-        laplacian = self._lu_laplacian.matrix
         # theta is the ratio of two Rayleigh quotients of S: against the
         # mass on a broadband probe (about 1 / viscosity) and against the
         # Laplacian on the smooth probe x (about K eps^2 / viscosity).
@@ -1075,30 +1101,37 @@ class StokesOperator:
                 "schur_iterations": self.schur_iterations,
                 "stokes_lu_entries": lu.nnz}
 
-    def solve(self, forcing):
-        """Velocity (p2_dofs, 2) and pressure for elementwise-constant
-        forcing."""
+    def _load(self, forcing):
+        """The stacked (ux, uy) velocity load of the folded saddle for
+        elementwise-constant forcing, zero at the pinned dofs."""
         load = assemble_p2_load(self.mesh, forcing)
         if self.fold is not None:
             load = self.fold.T @ load
         load[self.fixed] = 0.0
-        rhs = load.T.ravel()
+        return load.T.ravel()
+
+    def solve(self, forcing):
+        """Velocity (p2_dofs, 2) and pressure for elementwise-constant
+        forcing."""
         if self._mode == "direct":
+            rhs = self._load(forcing)
             u, p = np.split(self._lu.solve(np.append(
                 rhs, np.zeros(len(self.pressure_weight) + 1)))[:-1],
                 [len(rhs)])
         else:
-            u, p = self._solve_schur_cg(rhs)
+            u, p = self._solve_schur_cg(forcing)
         self.solves += 1
         u = u.reshape(2, -1).T
         if self.fold is None:
             return u.copy(), p.copy()
         return self.fold @ u, self.pressure_fold @ p
 
-    def _solve_schur_cg(self, rhs):
-        """Stacked velocity and pressure of the folded saddle for the
-        velocity load rhs."""
-        g = self.b @ self._solve_velocity(rhs)
+    def _solve_schur_cg(self, forcing):
+        """Stacked velocity and pressure of the folded saddle for
+        elementwise-constant forcing.  The load is assembled again for
+        the last velocity solve instead of held through the iterations,
+        which allocate two vectors of its size at every step."""
+        g = self.b @ self._solve_velocity(self._load(forcing))
         p = np.zeros(len(self.pressure_weight))
         r = self._project(g)
         # The stop test stays relative to the cold-start residual, so a
@@ -1132,7 +1165,9 @@ class StokesOperator:
                     % SCHUR_MAX_ITER, where="fem.StokesOperator.solve")
             self.schur_iterations += it
         self._last_pressure = p
-        u = self._solve_velocity(rhs - self.b.T @ p)
+        rhs = self._load(forcing)
+        rhs -= self.b.T @ p
+        u = self._solve_velocity(rhs)
         # Shift pressure to zero weighted mean.
         weight = self.pressure_weight
         return u, p - (weight @ p) / np.sum(weight)

@@ -64,7 +64,8 @@ class _Operators:
 
     On the Neumann branch one ZeroMeanLU of the P1 stiffness serves the
     potential, whose eps^alpha coefficient divides the solution, and the
-    pressure Laplacian of the Stokes operator's Schur route.
+    pressure Laplacian of the Stokes operator's Schur route.  The
+    stiffness itself is read only by the builds, and dropped after them.
     """
 
     def __init__(self, mesh, regime, dt):
@@ -74,15 +75,16 @@ class _Operators:
         self.mass = fem.mass_matrix(mesh)
         self.lumped = fem.lumped_mass(mesh)
         self.weight = fem.mass_weight(mesh)
-        self.stiff = fem.assemble_stiffness(mesh)
+        stiff = fem.assemble_stiffness(mesh)
         self.eps_alpha = eps ** regime.alpha
         self.eps_beta = eps ** regime.beta
         self.drift_tensor = eps ** regime.gamma * np.eye(2)
-        self.lu_laplacian = None
+        laplacian = None
         if regime.bc_type == NEUMANN:
-            self.lu_laplacian = fem.ZeroMeanLU(self.stiff, self.weight)
+            self.lu_laplacian = fem.ZeroMeanLU(stiff, self.weight)
+            laplacian = (stiff, self.lu_laplacian)
         else:
-            scaled = self.eps_alpha * self.stiff
+            scaled = self.eps_alpha * stiff
             self.gamma_nodes = np.unique(
                 tagged_edges(mesh, {GAMMA_INTERIOR}))
             if not len(self.gamma_nodes):
@@ -95,10 +97,10 @@ class _Operators:
                 scaled @ wall_values).ravel()
             self.lu_potential = fem.symmetric_lu(sp.csc_matrix(
                 fem.apply_dirichlet(scaled, self.gamma_nodes)))
-        self.stokes = fem.StokesOperator(
-            mesh, viscosity=eps ** 2, laplacian_lu=self.lu_laplacian)
-        self.transport = fem.TransportSolver(mesh, self.stiff,
-                                             self.lumped, dt)
+            del scaled
+        self.stokes = fem.StokesOperator(mesh, viscosity=eps ** 2,
+                                         laplacian=laplacian)
+        self.transport = fem.TransportSolver(mesh, stiff, self.lumped, dt)
 
     def solve_potential(self, charge):
         rhs = np.asarray(self.mass @ charge).ravel()
