@@ -9,8 +9,9 @@ once in each tree, each from its own root with its own perfbench, the
 parent first in odd pairs and the change first in even ones, so a drift
 of the machine during the session falls on both sides alike.  For every
 end-to-end metric that BENCHMARK.json of CHANGE_TREE declares, it
-prints each side's median and quartiles over the runs, the pairs the
-change won (ties count for neither side), and whether the change
+prints each side's median and quartiles over the runs, the change of
+the median relative to the parent's, the pairs the change won (ties
+count for neither side), and whether the change
 resolves as a gain: it won at least nine tenths of the pairs and its
 median is better than the parent's by more than the distance between
 the parent's quartiles.  It writes the raw results of every run and
@@ -44,8 +45,10 @@ def summarize(runs, metrics):
     runs is a list of {"pair", "side", "result"}, result being the JSON
     object that perfbench/run.py prints last; metrics maps each
     end-to-end metric to "lower" or "higher", the better direction.
-    Returns {metric: {side: {"q1", "median", "q3"}, "won", "pairs",
-    "gain"}}, counting only the pairs where both sides measured it."""
+    Returns {metric: {side: {"q1", "median", "q3"}, "relative", "won",
+    "pairs", "gain"}}, counting only the pairs where both sides measured
+    it; relative is (change median - parent median) / parent median, or
+    None for a parent median of 0."""
     by_pair = {}
     for run in runs:
         values = run["result"]["metrics"] if run["result"] else {}
@@ -64,6 +67,9 @@ def summarize(runs, metrics):
             q1, median, q3 = quartiles(list(values))
             entry[side] = {"q1": q1, "median": median, "q3": q3}
         parent, change = entry["parent"], entry["change"]
+        entry["relative"] = ((change["median"] - parent["median"])
+                             / parent["median"] if parent["median"]
+                             else None)
         entry["won"] = sum(sign * (old - new) > 0 for old, new in pairs)
         entry["pairs"] = len(pairs)
         entry["gain"] = (10 * entry["won"] >= 9 * len(pairs)
@@ -116,11 +122,13 @@ def main(argv=None):
                       flush=True)
         summary = summarize(runs, metrics)
         for name, entry in summary.items():
-            print("%s %-12s %s  won %d/%d%s" % (workload, name, "  ".join(
+            relative = "n/a" if entry["relative"] is None \
+                else "%+.1f%%" % (100 * entry["relative"])
+            print("%s %-12s %s  %s  won %d/%d%s" % (workload, name, "  ".join(
                 "%s %.4g [%.4g, %.4g]" % (side, entry[side]["median"],
                                           entry[side]["q1"],
                                           entry[side]["q3"])
-                for side in SIDES), entry["won"], entry["pairs"],
+                for side in SIDES), relative, entry["won"], entry["pairs"],
                 "  gain" if entry["gain"] else ""))
         workloads[workload] = {"runs": runs, "summary": summary}
     with open(args.out, "w") as handle:

@@ -13,9 +13,9 @@ transpose.  P1 interpolation reads only the structured macro square,
 where a point's triangle follows in closed form.
 The coupled transport block of both species belongs to a TransportSolver
 built once per run: it fixes the block's sparsity pattern, refills only
-the convection values at every step, in place, scattering the element
-weights in chunks, factors the two species' diagonal blocks apart, in
-single precision, and solves every block by iterative
+the convection values whenever the fields change, in place, scattering
+the element weights in chunks, factors the two species' diagonal blocks
+apart, in single precision, and solves every block by iterative
 refinement in double precision on their LUs, each step corrected so
 that each species' summed residual is zero, refactoring only when a
 refinement step fails to halve the residual.  So every solve conserves
@@ -297,28 +297,34 @@ def _convection_weights(mesh, velocity, drift, drift_tensor):
     Under the field w = velocity - drift_sign * T grad(drift), entry (i, j)
     of element K of the convection matrix is velocity weight i minus
     drift_sign times drift weight i, for every j.  A field given as None
-    has zero weights.
+    has zero weights.  The drift weights are formed first and the (M, 2)
+    drift gradient is dropped before the velocity weights are formed.
     """
     m = mesh.num_triangles
-    moved = drifted = np.zeros((m, 2))
     if velocity is not None:
-        moved = np.asarray(velocity, dtype=float)
-        if moved.shape != (m, 2):
+        velocity = np.asarray(velocity, dtype=float)
+        if velocity.shape != (m, 2):
             raise FieldMeshMismatch(
                 "velocity shape %s does not match the elements"
-                % (moved.shape,), where="fem.convection")
-    if drift is not None:
-        drifted = p1_element_gradients(mesh, drift)
-        if drift_tensor is not None:
-            drifted = drifted @ np.asarray(drift_tensor, dtype=float).T
+                % (velocity.shape,), where="fem.convection")
     scaled = _cached(mesh, "convection", _scaled_gradients)
-    weights = []
-    for w in (moved, drifted):
+
+    def weights_of(w):
+        if w is None:
+            return np.zeros((3, m))
         # Summed in place: one temporary of the weights' size, not two.
         weight = w[:, 0] * scaled[0]
         weight += w[:, 1] * scaled[1]
-        weights.append(weight)
-    return weights
+        return weight
+
+    gradient = None
+    if drift is not None:
+        gradient = p1_element_gradients(mesh, drift)
+        if drift_tensor is not None:
+            gradient = gradient @ np.asarray(drift_tensor, dtype=float).T
+    drifted = weights_of(gradient)
+    del gradient
+    return weights_of(velocity), drifted
 
 
 def assemble_convection(mesh, velocity=None, drift=None, drift_tensor=None,
@@ -543,7 +549,8 @@ def _unique_slots(keys):
 
 
 class TransportSolver:
-    """The coupled transport block of one run, refilled and solved per step.
+    """The coupled transport block of one run, refilled for each new set of
+    fields and solved at every sweep.
 
     Over (c+, c-) the block is [[M + dt (K - B+ + M), -dt M], [-dt M,
     M + dt (K - B- + M)]], with M = diag(lumped), K the stiffness and B+
@@ -780,22 +787,25 @@ class TransportSolver:
                 else sum(lu.nnz for _, _, lu in self._lu)}
 
 
-def step_reacting_pair(solver, velocity, drift, tensor, c_plus, c_minus):
+def step_reacting_pair(solver, velocity, drift, tensor, c_plus, c_minus,
+                       refill=True):
     """Coupled implicit step for two species exchanging through the
     reaction pair (-q, +q) with q = c_plus - c_minus.
 
     solver is the TransportSolver of the run; its block is refilled for
-    velocity, drift and tensor (see TransportSolver.refill) and solved
-    for the lumped content of (c_plus, c_minus).  Both species and the
-    reaction are advanced in one block solve, so the discrete total
-    charge obeys Q_new = Q_old / (1 + 2 dt) and the total mass is
-    conserved whenever the operators have zero column sums (stiffness
-    plus convection under no-flux conditions), both to round-off on
-    every solve: each refinement step of the solver zeroes the summed
-    residual of each species, however far the residual itself lies
-    from TRANSPORT_TOL.
+    velocity, drift and tensor (see TransportSolver.refill), or without
+    refill kept as the last refill left it, which must have read the
+    same fields, and solved for the lumped content of (c_plus,
+    c_minus).  Both species and the reaction are advanced in one block
+    solve, so the discrete total charge obeys Q_new = Q_old / (1 + 2 dt)
+    and the total mass is conserved whenever the operators have zero
+    column sums (stiffness plus convection under no-flux conditions),
+    both to round-off on every solve: each refinement step of the solver
+    zeroes the summed residual of each species, however far the residual
+    itself lies from TRANSPORT_TOL.
     """
-    solver.refill(velocity, drift, tensor)
+    if refill:
+        solver.refill(velocity, drift, tensor)
     rhs = np.concatenate([solver.lumped * c_plus, solver.lumped * c_minus])
     solution = solver.solve(rhs)
     n = len(solver.lumped)

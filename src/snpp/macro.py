@@ -250,7 +250,7 @@ def solve_macro_darcy(state, coeffs, model, ops, forcing=None):
     return pressure, velocity
 
 
-def step_macro_np(state, coeffs, model, ops):
+def step_macro_np(state, coeffs, model, ops, refill=True):
     """One implicit transport-reaction step for both species.
 
     The convection and drift operators are built from the current
@@ -258,12 +258,14 @@ def step_macro_np(state, coeffs, model, ops):
     implicitly; the reaction pair is advanced in the same block solve, so
     total mass is conserved and the total charge decays by the exact
     factor 1/(1 + 2 dt).  ops is the _Operators of the run, built with
-    the step dt, whose TransportSolver keeps its LU across steps.
+    the step dt, whose TransportSolver keeps its LU across steps; without
+    refill, its block is the one of the last step, which must have read
+    the same velocity and potential.
     """
     drift = state.phi if model.np_drift == DRIFT_ON else None
     c_plus, c_minus = fem.step_reacting_pair(
         ops.transport, state.velocity, drift, coeffs.diffusion,
-        state.c_plus, state.c_minus)
+        state.c_plus, state.c_minus, refill=refill)
     low = min(float(np.min(c_plus)), float(np.min(c_minus)))
     if low < -1e-8:
         warnings.warn(NegativeConcentration(
@@ -304,30 +306,42 @@ def run_steps(problem, update_fields, transport, lumped, content_scale=1.0,
     copies of problem.c_plus and problem.c_minus; its phi, pressure and
     velocity start as None.  update_fields(state) sets the nodal
     potential and pressure and the elementwise (M, 2) velocity from the
-    concentrations in state; transport(state, c_plus, c_minus)
+    concentrations in state; transport(state, c_plus, c_minus, refill)
     returns the concentrations one implicit step after (c_plus, c_minus)
-    under the fields in state.  With iterate, each step repeats fields
-    then transport until the new concentrations settle, raising
-    FixedPointDivergence after FIXED_POINT_MAX_ITER sweeps; without it,
-    each step is one sweep.  A step settles at sweep k >= 2 when the
-    estimated distance to its fixed point, g_k min(1, q / (1 - q)), is
-    at most FIXED_POINT_TOL times the largest concentration (at least
-    1), where g_k is the largest change of a concentration in sweep k
-    (g_1 against the step's starting concentrations) and q is the
-    largest ratio g_k / g_(k-1) seen so far in the run; for q >= 1/2
-    this is the gap itself.  NonFiniteField is raised as soon as a
-    transport step returns a concentration that is not finite.  The
-    fields are refreshed from the final concentrations of every step,
-    and the first sweep of the next step uses them as they are.  Returns
-    (states, diagnostics): the snapshots every problem.snapshot_stride
-    steps plus the first and the last, and one dict per step with keys
-    t, mass, charge, min_c, max_c, fp_iters, where mass and charge are
-    content_scale times the lumped integrals of c+ + c- and c+ - c-.
+    under the fields in state, where refill is False when those fields
+    are the ones its last call read, so an operator built from them can
+    be reused.  With iterate, each step repeats fields then transport
+    until the new concentrations settle, raising FixedPointDivergence
+    after FIXED_POINT_MAX_ITER sweeps; without it, each step is one
+    sweep.  A step settles at sweep k >= 2 when the estimated distance
+    to its fixed point, g_k min(1, q / (1 - q)), is at most
+    FIXED_POINT_TOL times the largest concentration (at least 1), where
+    g_k is the largest change of a concentration in sweep k (g_1 against
+    the step's starting concentrations) and q is the largest ratio
+    g_k / g_(k-1) seen so far in the run; for q >= 1/2 this is the gap
+    itself.  NonFiniteField is raised as soon as a transport step
+    returns a concentration that is not finite.
+
+    The first sweep of a step reads the fields in state as they are.
+    The fields are computed from the final concentrations of a step only
+    when the step is kept as a snapshot, or without iterate, where the
+    next step's one sweep reads them.  Otherwise the next step starts
+    from the fields of its predecessor's last sweep: a step's fixed
+    point and stop test depend only on its starting concentrations, and
+    the fields its first sweep reads only start the iteration.  Returns
+    (states, diagnostics, counts): the snapshots every
+    problem.snapshot_stride steps plus the first and the last, each with
+    the fields of its own concentrations; one dict per step with keys t,
+    mass, charge, min_c, max_c, fp_iters, where mass and charge are
+    content_scale times the lumped integrals of c+ + c- and c+ - c-; and
+    the sweeps (the sum of fp_iters) and the update_fields calls
+    (field_updates) of the run, by name.
     """
     state = MacroState(
         problem.mesh, 0.0, np.asarray(problem.c_plus, dtype=float).copy(),
         np.asarray(problem.c_minus, dtype=float).copy(), None, None, None)
     update_fields(state)
+    field_updates = 1
 
     def diag_row(fp_iters):
         total = content_scale * float(
@@ -360,6 +374,9 @@ def run_steps(problem, update_fields, transport, lumped, content_scale=1.0,
     # Largest ratio of successive sweep gaps seen in the run: the measured
     # contraction of the sweep map.
     contraction = 0.0
+    # Whether the fields in state are those of the step's starting
+    # concentrations, not those its predecessor's last sweep read.
+    refreshed = True
     for step in range(1, num_steps + 1):
         c_plus_old = state.c_plus
         c_minus_old = state.c_minus
@@ -369,10 +386,10 @@ def run_steps(problem, update_fields, transport, lumped, content_scale=1.0,
         while True:
             iterations += 1
             if iterations > 1:
-                # The first sweep reuses the fields of the step's starting
-                # concentrations, computed at the end of the last step.
                 update_fields(state)
-            candidate = transport(state, c_plus_old, c_minus_old)
+                field_updates += 1
+            candidate = transport(state, c_plus_old, c_minus_old,
+                                  refreshed or iterations > 1)
             if not (np.all(np.isfinite(candidate[0]))
                     and np.all(np.isfinite(candidate[1]))):
                 raise NonFiniteField(
@@ -409,12 +426,18 @@ def run_steps(problem, update_fields, transport, lumped, content_scale=1.0,
             state.c_plus, state.c_minus = candidate
         state.c_plus, state.c_minus = candidate
         state.t = step * problem.dt
-        update_fields(state)
+        kept = step == num_steps or (problem.snapshot_stride
+                                     and step % problem.snapshot_stride == 0)
+        refreshed = kept or not iterate
+        if refreshed:
+            update_fields(state)
+            field_updates += 1
         diagnostics.append(diag_row(iterations))
-        if step == num_steps or (problem.snapshot_stride
-                                 and step % problem.snapshot_stride == 0):
+        if kept:
             states.append(snapshot())
-    return states, diagnostics
+    counts = {"sweeps": sum(row["fp_iters"] for row in diagnostics),
+              "field_updates": field_updates}
+    return states, diagnostics, counts
 
 
 def peak_rss_mb():
@@ -439,7 +462,8 @@ def run_macro(problem):
     max_c, fp_iters (mass and charge are porosity-weighted) and profile
     holds the wall seconds of the call (run_s), the peak resident memory
     of the process at its end (peak_rss_mb), the sweeps (the sum of
-    fp_iters) and the TransportSolver.profile of the run.
+    fp_iters) and field updates (potential and Darcy solves) of
+    run_steps and the TransportSolver.profile of the run.
     """
     started = time.perf_counter()
     problem.validate()
@@ -458,16 +482,15 @@ def run_macro(problem):
         state.pressure, state.velocity = solve_macro_darcy(
             state, coeffs, model, ops)
 
-    def transport(state, c_plus, c_minus):
+    def transport(state, c_plus, c_minus, refill):
         base = replace(state, c_plus=c_plus, c_minus=c_minus)
-        return step_macro_np(base, coeffs, model, ops)
+        return step_macro_np(base, coeffs, model, ops, refill)
 
-    states, diagnostics = run_steps(
+    states, diagnostics, counts = run_steps(
         problem, update_fields, transport, ops.lumped,
         content_scale=coeffs.porosity, iterate=coupled)
     profile = dict(run_s=time.perf_counter() - started,
-                   peak_rss_mb=peak_rss_mb(),
-                   sweeps=sum(row["fp_iters"] for row in diagnostics),
+                   peak_rss_mb=peak_rss_mb(), **counts,
                    **ops.transport.profile())
     log.info("macro run finished: %d steps, final charge %.3e, profile %s",
              len(diagnostics) - 1, diagnostics[-1]["charge"], profile)

@@ -120,9 +120,10 @@ class _Operators:
         velocity, pressure = self.stokes.solve(forcing)
         return fem.p2_element_means(self.mesh, velocity), pressure
 
-    def step_transport(self, c_plus, c_minus, velocity, phi):
+    def step_transport(self, c_plus, c_minus, velocity, phi, refill):
         return fem.step_reacting_pair(self.transport, velocity, phi,
-                                      self.drift_tensor, c_plus, c_minus)
+                                      self.drift_tensor, c_plus, c_minus,
+                                      refill=refill)
 
 
 def run_micro(problem):
@@ -143,15 +144,14 @@ def run_micro(problem):
         state.phi = ops.solve_potential(charge)
         state.velocity, state.pressure = ops.solve_flow(charge, state.phi)
 
-    def transport(state, c_plus, c_minus):
+    def transport(state, c_plus, c_minus, refill):
         return ops.step_transport(c_plus, c_minus, state.velocity,
-                                  state.phi)
+                                  state.phi, refill)
 
-    states, diagnostics = run_steps(problem, update_fields, transport,
-                                    ops.lumped)
+    states, diagnostics, counts = run_steps(problem, update_fields,
+                                            transport, ops.lumped)
     profile = dict(run_s=time.perf_counter() - started,
-                   peak_rss_mb=peak_rss_mb(),
-                   sweeps=sum(row["fp_iters"] for row in diagnostics),
+                   peak_rss_mb=peak_rss_mb(), **counts,
                    **ops.transport.profile(), **ops.stokes.profile())
     log.info("micro run eps=%g finished: %d steps, profile %s",
              problem.mesh.eps, len(diagnostics) - 1, profile)

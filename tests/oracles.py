@@ -518,42 +518,50 @@ def reacting_pair_step(mesh, stiffness, lumped, dt, velocity, drift, tensor,
 def fixed_point_checked(run_steps, errors, tol=1e-14, max_sweeps=20):
     """run_steps that measures every accepted step against a reference.
 
-    Before the end-of-step field update, the wrapped loop continues the
-    sweeps of the step from the accepted concentrations, on a copy of the
-    state, until the gap is at most tol times the scale.  errors receives
-    max|accepted - reference| / scale for every step, with the scale of
-    the stop test: the largest accepted concentration, at least 1.
+    A step's accepted concentrations are checked when the first transport
+    of the next step starts, or, for the last step, from the final
+    snapshot once the run returns, whether or not the fields were
+    updated after the step.  The check continues the sweeps of the step
+    from the accepted concentrations, on a copy of the state, until the
+    gap is at most tol times the scale.  errors receives max|accepted -
+    reference| / scale for every step, with the scale of the stop test:
+    the largest accepted concentration, at least 1.  The reference
+    sweeps refill the transport operator for their own fields, so the
+    run's transport after a check refills it again.
     """
     def wrapped(problem, update_fields, transport, lumped, **kwargs):
         start = {}
 
-        def recording_transport(current, c_plus, c_minus):
+        def check(accepted_state):
+            accepted = np.concatenate([accepted_state.c_plus,
+                                       accepted_state.c_minus])
+            scale = max(1.0, float(np.max(np.abs(accepted))))
+            probe = replace(accepted_state)
+            x = accepted
+            for _ in range(max_sweeps):
+                probe.c_plus, probe.c_minus = np.split(x, 2)
+                update_fields(probe)
+                y = np.concatenate(transport(probe, *start["c"], True))
+                gap = float(np.max(np.abs(y - x)))
+                x = y
+                if gap <= tol * scale:
+                    break
+            else:
+                raise AssertionError("reference sweeps did not settle")
+            errors.append(float(np.max(np.abs(accepted - x))) / scale)
+
+        def recording_transport(current, c_plus, c_minus, refill):
+            if start and current.t > start["t"]:
+                check(current)
+                refill = True
             start["t"] = current.t
             start["c"] = (c_plus, c_minus)
-            return transport(current, c_plus, c_minus)
+            return transport(current, c_plus, c_minus, refill)
 
-        def checking_update(current):
-            if start and current.t > start["t"]:
-                accepted = np.concatenate([current.c_plus, current.c_minus])
-                scale = max(1.0, float(np.max(np.abs(accepted))))
-                probe = replace(current)
-                x = accepted
-                for _ in range(max_sweeps):
-                    probe.c_plus, probe.c_minus = np.split(x, 2)
-                    update_fields(probe)
-                    y = np.concatenate(transport(probe, *start["c"]))
-                    gap = float(np.max(np.abs(y - x)))
-                    x = y
-                    if gap <= tol * scale:
-                        break
-                else:
-                    raise AssertionError("reference sweeps did not settle")
-                errors.append(float(np.max(np.abs(accepted - x))) / scale)
-                start.clear()
-            update_fields(current)
-
-        return run_steps(problem, checking_update, recording_transport,
-                         lumped, **kwargs)
+        states, diagnostics, counts = run_steps(
+            problem, update_fields, recording_transport, lumped, **kwargs)
+        check(states[-1])
+        return states, diagnostics, counts
 
     return wrapped
 

@@ -42,6 +42,7 @@ def test_a_lower_median_won_in_nine_of_ten_pairs_is_a_gain():
     assert entry["won"] == 9
     assert entry["parent"] == {"q1": 150.625, "median": 151.0, "q3": 151.875}
     assert entry["change"]["median"] == 143.75
+    assert entry["relative"] == pytest.approx((143.75 - 151.0) / 151.0)
     assert entry["gain"]
 
 
@@ -103,3 +104,28 @@ def test_main_alternates_the_sides_and_writes_every_run(tmp_path,
         (1, "parent"), (1, "change"), (2, "change"), (2, "parent"),
         (3, "parent"), (3, "change")]
     assert written["workloads"]["w"]["summary"]["wall_s"]["won"] == 3
+
+
+def test_main_prints_the_relative_median_change(tmp_path, monkeypatch,
+                                                capsys):
+    (tmp_path / "BENCHMARK.json").write_text(
+        '{"end_to_end": [{"name": "cpu_s", "better": "lower"}, '
+        '{"name": "setup_s", "better": "lower"}]}')
+    values = {"old": iter([4.0, 3.0, 3.5]), "new": iter([3.0, 2.5, 2.8])}
+
+    def run_once(tree, workload):
+        cpu = next(values["old" if tree == "old" else "new"])
+        return result(cpu_s=cpu, setup_s=0.0)
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    monkeypatch.chdir(tmp_path)
+    status = bench_pairs.main(["old", str(tmp_path), "--workload", "w",
+                               "--pairs", "3"])
+    assert status == 0
+    lines = {line.split()[1]: line for line in
+             capsys.readouterr().out.splitlines() if " pair " not in line}
+    # Medians 3.5 and 2.8: the change is 20% lower.
+    assert "parent 3.5 [3.25, 3.75]  change 2.8 [2.65, 2.9]  -20.0%  " \
+        "won 3/3" in lines["cpu_s"]
+    # A parent median of 0 has no relative change.
+    assert "  n/a  won 0/3" in lines["setup_s"]

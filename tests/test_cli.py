@@ -542,7 +542,8 @@ def test_every_config_key_is_checked(tmp_path, capsys, field):
 @pytest.mark.parametrize("command", ["macro", "converge"])
 def test_non_finite_field_exits_two_without_artifacts(
         tmp_path, capsys, monkeypatch, command):
-    def broken_step(solver, velocity, drift, tensor, c_plus, c_minus):
+    def broken_step(solver, velocity, drift, tensor, c_plus, c_minus,
+                    refill=True):
         return c_plus.copy(), np.full_like(c_minus, np.inf)
 
     monkeypatch.setattr(fem, "step_reacting_pair", broken_step)
@@ -565,7 +566,7 @@ def test_converge_worker_failure_exits_two_and_ends_the_pool(
         tmp_path, capsys, monkeypatch):
     # Only the macro task steps through step_macro_np, so its worker
     # raises while the pore-scale ones run.
-    def broken_step(state, coeffs, model, ops):
+    def broken_step(state, coeffs, model, ops, refill=True):
         return state.c_plus.copy(), np.full_like(state.c_minus, np.inf)
 
     monkeypatch.setattr(macro, "step_macro_np", broken_step)

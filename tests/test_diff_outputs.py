@@ -178,6 +178,30 @@ def test_coupled_factorizations_are_compared_like_every_count(tmp_path):
                 if len(key) == 2 and "/" in key[1]} == expected
 
 
+def test_field_updates_are_compared_like_every_count(tmp_path):
+    # A run that solves its fields only for the sweeps that read them
+    # counts fewer field_updates for the same sweeps; a profile written
+    # before the count existed shows it as "-".
+    before = {"eps=0.125": {"run_s": 2.2, "sweeps": 110,
+                            "stokes_solves": 111}}
+    counted = {"eps=0.125": {"run_s": 1.9, "sweeps": 110,
+                             "field_updates": 111, "stokes_solves": 111}}
+    fewer = json.loads(json.dumps(counted))
+    fewer["eps=0.125"].update(run_s=1.2, field_updates=62, stokes_solves=62)
+    first = write_run(tmp_path / "a", ROWS, COEFFS, [], True, before)
+    second = write_run(tmp_path / "b", ROWS, COEFFS, [], True, counted)
+    third = write_run(tmp_path / "c", ROWS, COEFFS, [], True, fewer)
+    for pair, expected in (
+            ((first, second), {"eps=0.125/field_updates": ("-", "111")}),
+            ((second, third), {"eps=0.125/field_updates": ("111", "62"),
+                               "eps=0.125/stokes_solves": ("111", "62")})):
+        code, printed = run_script(*pair)
+        assert code == 0
+        assert {key[1]: (value, printed[key + ("scaled",)])
+                for key, value in printed.items()
+                if len(key) == 2 and "/" in key[1]} == expected
+
+
 CONFIG = {"command": "converge",
           "discretization": {"h": 0.015625, "eps": [0.5, 0.25]},
           "output": {"directory": "a", "formats": ["csv"]}}

@@ -1214,7 +1214,7 @@ def test_per_sweep_kernels_allocate_little_more_than_they_return(
     # refill writes the block's values in place and scatters the weights
     # in chunks: the bincount over all of them, repeated three times,
     # peaked at 5.8 times the block's values on this mesh, and this one
-    # at 1.3.  The Schur-route Stokes solve peaked at 4.7 times the
+    # at 1.2.  The Schur-route Stokes solve peaked at 4.7 times the
     # velocity and pressure it returns while it held the load and the
     # right-hand side through its iterations and subtracted b^T p into a
     # copy; it assembles the load again for its last velocity solve and

@@ -393,7 +393,7 @@ class LinearSweep:
         state.pressure = np.zeros(1)
         state.velocity = np.zeros(1)
 
-    def transport(self, state, c_plus, c_minus):
+    def transport(self, state, c_plus, c_minus, refill):
         self.sweeps += 1
         step = round(state.t / self.dt) + 1
         target = self.fixed_point(c_plus, c_minus)
@@ -405,8 +405,9 @@ class LinearSweep:
             None, None, None, np.linspace(0.2, 0.6, self.n),
             np.linspace(0.5, 0.3, self.n), t_end=steps * self.dt,
             dt=self.dt)
-        return macro.run_steps(problem, self.update_fields, self.transport,
-                               np.ones(self.n))
+        states, diagnostics, _ = macro.run_steps(
+            problem, self.update_fields, self.transport, np.ones(self.n))
+        return states, diagnostics
 
     def step_errors(self, states):
         return [float(np.max(np.abs(
@@ -477,20 +478,25 @@ def test_run_without_contraction_raises_at_the_cap():
 
 def test_coupled_run_steps_stop_within_tolerance_of_the_fixed_point(
         monkeypatch):
+    # At stride 0 only the last step ends with a field update, so every
+    # other step starts from the fields of its predecessor's last sweep.
     errors = []
     monkeypatch.setattr(macro, "run_steps",
                         fixed_point_checked(macro.run_steps, errors))
     mesh = square_mesh(1 / 32)
     c_plus, c_minus = charged_blobs(mesh, neutral=True)
-    problem = macro.MacroProblem(
-        mesh, identity_coeffs(porosity=0.8),
-        macro.ScalingRegime("neumann", 0, 0, 0),
-        c_plus, c_minus, t_end=0.02, dt=2e-3)
-    _, diagnostics, profile = macro.run_macro(problem)
-    assert len(errors) == 10
-    assert max(errors) <= macro.FIXED_POINT_TOL
-    assert all(row["fp_iters"] >= 2 for row in diagnostics[1:])
-    assert profile["sweeps"] == sum(row["fp_iters"] for row in diagnostics)
+    for stride in (1, 0):
+        errors.clear()
+        problem = macro.MacroProblem(
+            mesh, identity_coeffs(porosity=0.8),
+            macro.ScalingRegime("neumann", 0, 0, 0),
+            c_plus, c_minus, t_end=0.02, dt=2e-3, snapshot_stride=stride)
+        _, diagnostics, profile = macro.run_macro(problem)
+        assert len(errors) == 10
+        assert max(errors) <= macro.FIXED_POINT_TOL
+        assert all(row["fp_iters"] >= 2 for row in diagnostics[1:])
+        assert profile["sweeps"] == sum(row["fp_iters"]
+                                        for row in diagnostics)
 
 
 def test_run_factors_its_transport_block_once_and_solves_it_every_sweep(
@@ -520,14 +526,66 @@ def test_run_factors_its_transport_block_once_and_solves_it_every_sweep(
     assert refined >= 1
     assert profile["sweeps"] == sweeps
     assert len(calls) == 1 + sweeps
+    assert profile["field_updates"] == 1 + sweeps
     assert profile["run_s"] > 0 and profile["lu_entries"] > 0
+
+
+@pytest.mark.parametrize("beta, stride", [
+    (0, 0), (0, 1), (0, 2), (1, 0), (1, 2)])
+def test_fields_are_solved_only_for_the_sweeps_that_read_them(
+        monkeypatch, beta, stride):
+    # An iterated step that is not kept ends without a field update: the
+    # next step's first sweep reads the fields, and the transport block,
+    # of the last sweep.  beta = 1 makes one sweep per step, which reads
+    # the fields of the step's starting concentrations.
+    calls = []
+    solve = macro.solve_macro_poisson
+    refills = []
+    refill = fem.TransportSolver.refill
+
+    def counted(state, coeffs, ops):
+        calls.append(state.t)
+        return solve(state, coeffs, ops)
+
+    def counted_refill(self, *fields):
+        refills.append(fields)
+        return refill(self, *fields)
+
+    monkeypatch.setattr(macro, "solve_macro_poisson", counted)
+    monkeypatch.setattr(fem.TransportSolver, "refill", counted_refill)
+    mesh = square_mesh(1 / 16)
+    c_plus, c_minus = charged_blobs(mesh, neutral=True)
+    problem = macro.MacroProblem(
+        mesh, identity_coeffs(porosity=0.8),
+        macro.ScalingRegime("neumann", 0, beta, beta),
+        c_plus, c_minus, t_end=0.01, dt=2e-3, snapshot_stride=stride)
+    states, diagnostics, profile = macro.run_macro(problem)
+    steps = len(diagnostics) - 1
+    kept = len(states) - 1
+    assert steps == 5
+    assert kept == {0: 1, 1: 5, 2: 3}[stride]
+    extra = sum(row["fp_iters"] - 1 for row in diagnostics[1:])
+    if beta == 0:
+        assert extra >= steps
+        assert profile["field_updates"] == 1 + extra + kept
+    else:
+        assert extra == 0
+        assert profile["field_updates"] == 1 + steps
+    if stride == 1:
+        assert profile["field_updates"] == 1 + profile["sweeps"]
+    assert len(calls) == profile["field_updates"]
+    # Every field update but the last is read by a transport step, which
+    # refills the block once for it; the solver's build fills it once
+    # more.
+    assert len(refills) == 1 + profile["field_updates"] - 1
 
 
 @pytest.mark.parametrize("beta", [0, 1])
 def test_run_stops_on_non_finite_concentration(monkeypatch, beta):
     # beta = 0 iterates every step to a fixed point, beta = 1 makes one
     # sweep per step, where a NaN would otherwise pass unnoticed.
-    def broken_step(solver, velocity, drift, tensor, c_plus, c_minus):
+    def broken_step(solver, velocity, drift, tensor, c_plus, c_minus,
+                    refill=True):
         return np.full_like(c_plus, np.nan), c_minus.copy()
 
     monkeypatch.setattr(fem, "step_reacting_pair", broken_step)

@@ -126,18 +126,23 @@ def test_run_reports_fixed_point_divergence(monkeypatch):
 
 
 def test_run_steps_stop_within_tolerance_of_the_fixed_point(monkeypatch):
+    # At stride 0 only the last step ends with a field update, so every
+    # other step starts from the fields of its predecessor's last sweep.
     errors = []
     monkeypatch.setattr(micro, "run_steps",
                         fixed_point_checked(micro.run_steps, errors))
     domain = PerforatedDomain(0.5, DISK_CELL)
     mesh = generate_perforated_mesh(domain, 1 / 16)
     c_plus, c_minus = neutral_blobs(mesh)
-    problem = micro.MicroProblem(domain, mesh, neumann_regime(), c_plus,
-                                 c_minus, t_end=0.02, dt=2e-3)
-    _, diagnostics, _ = micro.run_micro(problem)
-    assert len(errors) == 10
-    assert max(errors) <= macro.FIXED_POINT_TOL
-    assert all(row["fp_iters"] >= 2 for row in diagnostics[1:])
+    for stride in (1, 0):
+        errors.clear()
+        problem = micro.MicroProblem(domain, mesh, neumann_regime(), c_plus,
+                                     c_minus, t_end=0.02, dt=2e-3,
+                                     snapshot_stride=stride)
+        _, diagnostics, _ = micro.run_micro(problem)
+        assert len(errors) == 10
+        assert max(errors) <= macro.FIXED_POINT_TOL
+        assert all(row["fp_iters"] >= 2 for row in diagnostics[1:])
 
 
 def test_first_sweep_reuses_end_of_step_fields(monkeypatch):
@@ -161,12 +166,70 @@ def test_first_sweep_reuses_end_of_step_fields(monkeypatch):
     assert len(diagnostics) == 6
     assert len(calls) == 1 + sweeps
     assert profile["sweeps"] == sweeps
+    assert profile["field_updates"] == 1 + sweeps
     # Every flow update solves Stokes: one per potential solve.
     assert profile["stokes_solves"] == 1 + sweeps
     assert profile["transport_factorizations"] \
         + profile["refined_solves"] == sweeps
     for earlier, later in zip(calls, calls[1:]):
         assert not np.array_equal(earlier, later)
+
+
+@pytest.mark.parametrize("stride", [0, 2])
+def test_steps_between_snapshots_end_without_a_field_update(monkeypatch,
+                                                            stride):
+    # Only a kept step ends with a potential and a Stokes solve; the next
+    # step's first sweep reads the fields and the transport block of the
+    # last sweep.
+    refills = []
+    refill = fem.TransportSolver.refill
+
+    def counted_refill(self, *fields):
+        refills.append(fields)
+        return refill(self, *fields)
+
+    monkeypatch.setattr(fem.TransportSolver, "refill", counted_refill)
+    domain = PerforatedDomain(0.5, DISK_CELL)
+    mesh = generate_perforated_mesh(domain, 1 / 16)
+    c_plus, c_minus = neutral_blobs(mesh)
+    problem = micro.MicroProblem(domain, mesh, neumann_regime(), c_plus,
+                                 c_minus, t_end=0.01, dt=2e-3,
+                                 snapshot_stride=stride)
+    states, diagnostics, profile = micro.run_micro(problem)
+    kept = len(states) - 1
+    assert kept == {0: 1, 2: 3}[stride]
+    updates = 1 + sum(row["fp_iters"] - 1 for row in diagnostics[1:]) + kept
+    assert profile["field_updates"] == updates
+    assert profile["field_updates"] < 1 + profile["sweeps"]
+    assert profile["stokes_solves"] == updates
+    # The solver's build fills the block once, and every field update but
+    # the last is read by a transport step, which refills it once.
+    assert len(refills) - 1 == updates - 1
+
+
+@pytest.mark.parametrize("stride", [0, 2])
+def test_every_snapshot_holds_the_fields_of_its_concentrations(stride):
+    # Steps between snapshots keep the fields of their last sweep, but a
+    # kept step solves them again from its own concentrations.  The mesh
+    # is on the direct Stokes route, whose solves repeat exactly.
+    domain = PerforatedDomain(0.5, DISK_CELL)
+    mesh = generate_perforated_mesh(domain, 1 / 16)
+    c_plus, c_minus = neutral_blobs(mesh)
+    problem = micro.MicroProblem(domain, mesh, neumann_regime(), c_plus,
+                                 c_minus, t_end=0.01, dt=2e-3,
+                                 snapshot_stride=stride)
+    states, _, profile = micro.run_micro(problem)
+    assert profile["schur_iterations"] == 0
+    assert len(states) == {0: 2, 2: 4}[stride]
+    ops = micro._Operators(mesh, problem.regime, problem.dt)
+    for state in states:
+        charge = state.c_plus - state.c_minus
+        phi = ops.solve_potential(charge)
+        velocity, pressure = ops.solve_flow(charge, phi)
+        for ours, ref in ((state.phi, phi), (state.pressure, pressure),
+                          (state.velocity, velocity)):
+            assert np.max(np.abs(ours - ref)) \
+                <= 1e-12 * max(1.0, float(np.max(np.abs(ref))))
 
 
 def test_eps_one_step_matches_manual_composition(monkeypatch):
