@@ -14,8 +14,14 @@ the median relative to the parent's, the pairs the change won (ties
 count for neither side), and whether the change
 resolves as a gain: it won at least nine tenths of the pairs and its
 median is better than the parent's by more than the distance between
-the parent's quartiles.  It writes the raw results of every run and
-that summary, by workload, to FILE (default bench_pairs.json) as JSON.
+the parent's quartiles.  Against the metric's relative bound in
+BENCHMARK.json it labels the metric "regression" when the change's
+median is worse than the parent's by more than the bound, and else
+"unresolved" when the parent's quartiles lie further apart than the
+bound, relative to its median, and not every run of the change reads
+better than every run of the parent.  It writes the raw results of
+every run and that summary, by workload, to FILE (default
+bench_pairs.json) as JSON.
 N defaults to 10.  It exits 1 when a run printed no result, failed a round or failed an
 output check, and 0 otherwise.
 """
@@ -39,16 +45,18 @@ def quartiles(values):
     return q1, median, q3
 
 
-def summarize(runs, metrics):
+def summarize(runs, metrics, bounds=None):
     """The summary of paired runs.
 
     runs is a list of {"pair", "side", "result"}, result being the JSON
     object that perfbench/run.py prints last; metrics maps each
-    end-to-end metric to "lower" or "higher", the better direction.
-    Returns {metric: {side: {"q1", "median", "q3"}, "relative", "won",
-    "pairs", "gain"}}, counting only the pairs where both sides measured
+    end-to-end metric to "lower" or "higher", the better direction, and
+    bounds, when given, a metric to its relative bound.  Returns
+    {metric: {side: {"q1", "median", "q3"}, "relative", "won", "pairs",
+    "gain", "label"}}, counting only the pairs where both sides measured
     it; relative is (change median - parent median) / parent median, or
-    None for a parent median of 0."""
+    None for a parent median of 0, and label is "regression",
+    "unresolved" or None, None also without a bound or a relative."""
     by_pair = {}
     for run in runs:
         values = run["result"]["metrics"] if run["result"] else {}
@@ -75,6 +83,17 @@ def summarize(runs, metrics):
         entry["gain"] = (10 * entry["won"] >= 9 * len(pairs)
                          and sign * (parent["median"] - change["median"])
                          > parent["q3"] - parent["q1"])
+        bound = (bounds or {}).get(name)
+        entry["label"] = None
+        if bound is not None and entry["relative"] is not None:
+            olds, news = zip(*pairs)
+            spread = (parent["q3"] - parent["q1"]) / abs(parent["median"])
+            clear = all(sign * (old - new) > 0 for old in olds
+                        for new in news)
+            if sign * entry["relative"] > bound:
+                entry["label"] = "regression"
+            elif spread > bound and not clear:
+                entry["label"] = "unresolved"
         summary[name] = entry
     return summary
 
@@ -105,8 +124,10 @@ def main(argv=None):
     parser.add_argument("--out", default="bench_pairs.json")
     args = parser.parse_args(argv)
     with open(os.path.join(args.change, "BENCHMARK.json")) as handle:
-        metrics = {metric["name"]: metric["better"]
-                   for metric in json.load(handle)["end_to_end"]}
+        declared = json.load(handle)["end_to_end"]
+    metrics = {metric["name"]: metric["better"] for metric in declared}
+    bounds = {metric["name"]: metric["bound"] for metric in declared
+              if "bound" in metric}
     trees = dict(zip(SIDES, (args.parent, args.change)))
     workloads = {}
     for workload in args.workload:
@@ -120,16 +141,18 @@ def main(argv=None):
                     for name, metric in result["metrics"].items())
                 print("%s pair %d %-6s %s" % (workload, pair, side, shown),
                       flush=True)
-        summary = summarize(runs, metrics)
+        summary = summarize(runs, metrics, bounds)
         for name, entry in summary.items():
             relative = "n/a" if entry["relative"] is None \
                 else "%+.1f%%" % (100 * entry["relative"])
+            labels = "".join("  " + label for label in (
+                "gain" if entry["gain"] else None, entry["label"]) if label)
             print("%s %-12s %s  %s  won %d/%d%s" % (workload, name, "  ".join(
                 "%s %.4g [%.4g, %.4g]" % (side, entry[side]["median"],
                                           entry[side]["q1"],
                                           entry[side]["q3"])
                 for side in SIDES), relative, entry["won"], entry["pairs"],
-                "  gain" if entry["gain"] else ""))
+                labels))
         workloads[workload] = {"runs": runs, "summary": summary}
     with open(args.out, "w") as handle:
         json.dump({"trees": trees, "pairs": args.pairs,

@@ -35,7 +35,7 @@ class ScalarCellSolutions:
     phi: np.ndarray
 
     def validate(self):
-        weight = fem.mass_weight(self.mesh)
+        weight = fem.lumped_mass(self.mesh)
         for j in range(2):
             if abs(weight @ self.phi[:, j]) > 1e-10:
                 raise ValidationError("corrector %d is not zero-mean" % j)
@@ -130,7 +130,7 @@ def solve_scalar_cell_problems(mesh):
     stiffness matrix.
     """
     fold, _ = fem.periodic_prolongation(mesh.num_nodes, mesh.periodic_pairs)
-    weight = fold.T @ fem.mass_weight(mesh)
+    weight = fold.T @ fem.lumped_mass(mesh)
     lu = fem.ZeroMeanLU(fold.T @ fem.assemble_stiffness(mesh) @ fold, weight)
     phi = np.zeros((mesh.num_nodes, 2))
     for j in range(2):
@@ -235,7 +235,7 @@ def solve_dirichlet_cell_problem(mesh):
     clamped = cols[np.unique(tagged_edges(mesh, {GAMMA_INTERIOR}))]
     matrix = fem.apply_dirichlet(
         fold.T @ fem.assemble_stiffness(mesh) @ fold, clamped)
-    rhs = fold.T @ fem.mass_weight(mesh)
+    rhs = fold.T @ fem.lumped_mass(mesh)
     rhs[clamped] = 0.0
     phi = fold @ fem.symmetric_lu(matrix.tocsc()).solve(rhs)
     sol = DirichletCellSolution(mesh, phi)
@@ -246,7 +246,7 @@ def solve_dirichlet_cell_problem(mesh):
 def compute_dirichlet_mean(sol):
     """Mean of the unit-source solution, cross-checked by its energy."""
     mesh = sol.mesh
-    weight = fem.mass_weight(mesh)
+    weight = fem.lumped_mass(mesh)
     averaged = float(weight @ sol.phi)
     stiff = fem.assemble_stiffness(mesh)
     energy = float(sol.phi @ (stiff @ sol.phi))

@@ -46,8 +46,9 @@ P2 viscous block and the divergence rows of both velocity components,
 and stokes_saddle borders their saddle.  StokesOperator keeps only what
 its solves read: the saddle's LU on its direct route, the divergence
 rows and the viscous block's LU on its Schur-complement route.  The
-consistent mass matrix (mass_matrix), its row sums (mass_weight) and
-lumped_mass are kept per mesh in mesh._caches too.
+consistent mass matrix (mass_matrix) and the lumped mass (lumped_mass),
+its row sums and the weight of every zero-mean constraint, are kept per
+mesh in mesh._caches too.
 
 Every symmetric system is factored by symmetric_lu: the direct Stokes
 saddle bordered by its zero-mean constraint, the bordered zero-mean
@@ -127,11 +128,6 @@ def _cached(mesh, key, build):
     return value
 
 
-def _read_only(array):
-    array.flags.writeable = False
-    return array
-
-
 def _triangle_data(mesh):
     areas = triangle_areas(mesh)
     if np.any(areas < 1e-14):
@@ -141,16 +137,18 @@ def _triangle_data(mesh):
     x = mesh.nodes[mesh.triangles, 0]
     y = mesh.nodes[mesh.triangles, 1]
     two_a = 2.0 * areas
-    grads = np.empty((mesh.num_triangles, 3, 2))
+    # Stored at [K, d, i], the order of the gradient operator's values.
+    values = np.empty((mesh.num_triangles, 2, 3))
     for i in range(3):
         j, k = (i + 1) % 3, (i + 2) % 3
-        grads[:, i, 0] = (y[:, j] - y[:, k]) / two_a
-        grads[:, i, 1] = (x[:, k] - x[:, j]) / two_a
-    return areas, grads
+        values[:, 0, i] = (y[:, j] - y[:, k]) / two_a
+        values[:, 1, i] = (x[:, k] - x[:, j]) / two_a
+    return areas, values.transpose(0, 2, 1)
 
 
 def triangle_data(mesh):
-    """Areas (M,) and P1 basis gradients (M, 3, 2)."""
+    """Areas (M,) and P1 basis gradients (M, 3, 2), a view of the one
+    array of them per mesh, which the gradient operator holds."""
     return _cached(mesh, "p1", _triangle_data)
 
 
@@ -228,30 +226,26 @@ def mass_matrix(mesh):
     return _cached(mesh, "mass", assemble_mass)
 
 
-def mass_weight(mesh):
-    """Integrals of the P1 basis functions (N,), the row sums of the
-    consistent mass matrix: the weight of every zero-mean constraint.
-    Every caller shares the cached array, so it is read-only."""
-    return _cached(mesh, "mass_weight", lambda mesh: _read_only(
-        mass_matrix(mesh) @ np.ones(mesh.num_nodes)))
-
-
 def _lumped_mass(mesh):
     areas, _ = triangle_data(mesh)
-    vertices = _cached(mesh, "vertices", _vertex_operator)
-    return _read_only(vertices.T @ (areas / 3.0))
+    lumped = _cached(mesh, "vertices", _vertex_operator).T @ (areas / 3.0)
+    lumped.flags.writeable = False
+    return lumped
 
 
 def lumped_mass(mesh):
     """Diagonal (N,) of the row-sum lumped P1 mass matrix: a third of
-    the area of each element at each of its vertices.  Read-only, like
-    mass_weight."""
+    the area of each element at each of its vertices.  That is also the
+    integral of each P1 basis function, so it is the weight of every
+    zero-mean constraint.  Every caller shares the cached array, so it
+    is read-only."""
     return _cached(mesh, "lumped_mass", _lumped_mass)
 
 
 def _gradient_operator(mesh):
     """(2M, N) CSR matrix whose row 2K + d takes a P1 scalar to the
-    component d of its gradient on element K."""
+    component d of its gradient on element K; its values are the
+    gradients of triangle_data."""
     _, grads = triangle_data(mesh)
     m = mesh.num_triangles
     return sp.csr_matrix(
@@ -283,13 +277,6 @@ def recover_nodal_gradient(mesh, values):
     return (vertices @ weighted) / (vertices @ areas)[:, None]
 
 
-def _scaled_gradients(mesh):
-    """(2, 3, M) array: component d of grad(phi_i) on element K, times
-    |K| / 3, at [d, i, K]."""
-    areas, grads = triangle_data(mesh)
-    return np.ascontiguousarray((grads * (areas / 3.0)[:, None, None]).T)
-
-
 def _convection_weights(mesh, velocity, drift, drift_tensor):
     """Weights (3, M) of velocity . grad(phi_i) |K| / 3 and of
     (T grad(drift)) . grad(phi_i) |K| / 3 at [i, K].
@@ -307,14 +294,19 @@ def _convection_weights(mesh, velocity, drift, drift_tensor):
             raise FieldMeshMismatch(
                 "velocity shape %s does not match the elements"
                 % (velocity.shape,), where="fem.convection")
-    scaled = _cached(mesh, "convection", _scaled_gradients)
+    areas, grads = triangle_data(mesh)
+    third = areas / 3.0
 
     def weights_of(w):
         if w is None:
             return np.zeros((3, m))
-        # Summed in place: one temporary of the weights' size, not two.
-        weight = w[:, 0] * scaled[0]
-        weight += w[:, 1] * scaled[1]
+        # Component d of grad(phi_i) |K| / 3, times w[K, d], summed over d
+        # in place: one temporary of the weights' size, not two.
+        weight, term = np.empty((3, m)), np.empty((3, m))
+        for d, out in enumerate((weight, term)):
+            np.multiply(grads[:, :, d].T, third, out=out)
+            out *= w[:, d]
+        weight += term
         return weight
 
     gradient = None
@@ -950,7 +942,7 @@ def stokes_blocks(mesh, viscosity=1.0):
     is the scalar P2 viscous block folded onto the periodic velocity
     dofs (fold^T A fold) with the no-slip dofs fixed pinned, b the
     divergence rows -[Bx By] on the folded pressure dofs with the pinned
-    columns zeroed, and pressure_weight the folded mass_weight.  The
+    columns zeroed, and pressure_weight the folded lumped_mass.  The
     folds are None without periodic pairs: identities there, whose
     products would only drop the stored zeros, as the pinnings do.
     """
@@ -985,8 +977,8 @@ def stokes_blocks(mesh, viscosity=1.0):
     b = sp.hstack(divergence, format="csr")
     # Sorted columns make the sums of b @ u run in dof order.
     b.sort_indices()
-    weight = pressure_fold.T @ mass_weight(mesh) if periodic \
-        else mass_weight(mesh)
+    weight = pressure_fold.T @ lumped_mass(mesh) if periodic \
+        else lumped_mass(mesh)
     return a, b, fixed, weight, fold, pressure_fold
 
 
@@ -1010,22 +1002,27 @@ def stokes_saddle(a, b, weight):
 class StokesOperator:
     """Taylor-Hood Stokes operator with reusable factorization.
 
-    It keeps its factorizations, not its assembly.  A saddle
-    [[blockdiag(a, a), b^T], [b, 0]] of the blocks of stokes_blocks
-    below DIRECT_DOF_LIMIT rows is bordered (stokes_saddle), a and b are
-    dropped, and the saddle is factored by symmetric_lu.  A larger one
-    is solved by conjugate gradients on the pressure Schur complement
-    S = b blockdiag(a, a)^-1 b^T, with one symmetric_lu of a for both
-    components; that route keeps b and the LU, not a.  The
-    preconditioner M_p^-1 + theta L_p^-1 adds the inverse pressure
-    Laplacian to the inverse lumped pressure mass, because S acts like
-    M_p / viscosity on pore-scale modes and like a Darcy operator
-    K eps^2 / viscosity L_p on longer ones (Cahouet & Chabard, IJNMF 8,
-    1988); theta is read off the operator when it is built, and each
-    solve starts from the pressure of the last one.  laplacian, when
-    given, is the pair (stiffness, lu) of the mesh's P1 stiffness and the
-    caller's ZeroMeanLU of it under the mass_weight constraint (the
-    pore-scale Neumann potential's); a non-periodic operator on the
+    It keeps its factorizations, not its assembly, and reads its route
+    off the mesh.  A mesh without periodic pairs whose bordered saddle
+    [[blockdiag(a, a), b^T], [b, 0]] of the blocks of stokes_blocks has
+    fewer than DIRECT_DOF_LIMIT rows takes the direct route: the saddle
+    is bordered (stokes_saddle), a and b are dropped, and the saddle is
+    factored by symmetric_lu.  Every periodic cell and every larger mesh
+    takes the Schur route, conjugate gradients on the pressure Schur
+    complement S = b blockdiag(a, a)^-1 b^T, with one symmetric_lu of a
+    for both components; that route keeps b and the LU, not a.  The
+    periodic fold fills the saddle LU far more than a perforated mesh of
+    the same size: the two cell problems at cell h=0.025 took 1.7 s
+    direct and 0.15 s on this route.  The preconditioner M_p^-1 + theta
+    L_p^-1 adds the inverse pressure Laplacian to the inverse lumped
+    pressure mass, pressure_weight, because S acts like M_p / viscosity
+    on pore-scale modes and like a Darcy operator K eps^2 / viscosity
+    L_p on longer ones (Cahouet & Chabard, IJNMF 8, 1988); theta is read
+    off the operator when it is built, and each solve starts from the
+    pressure of the last one.  laplacian, when given, is the pair
+    (stiffness, lu) of the mesh's P1 stiffness and the caller's
+    ZeroMeanLU of it under the lumped_mass constraint (the pore-scale
+    Neumann potential's); a non-periodic operator on the
     Schur route takes lu as its L_p instead of factoring its own, and
     reads stiffness once, for theta, without keeping it.  Any other
     operator on that route factors the stiffness it assembles, folded
@@ -1043,7 +1040,7 @@ class StokesOperator:
         self._last_pressure = None
         rows = 2 * a.shape[0] + b.shape[0]
         # The bordered saddle has one row more.
-        if rows + 1 < DIRECT_DOF_LIMIT:
+        if self.fold is None and rows + 1 < DIRECT_DOF_LIMIT:
             saddle = stokes_saddle(a, b, self.pressure_weight)
             del a, b
             self._lu = symmetric_lu(saddle)
@@ -1061,13 +1058,12 @@ class StokesOperator:
                   self._mode)
 
     def _prepare_schur(self, laplacian):
+        # The weight is the lumped pressure mass on the folded pressure
+        # dofs, and it borders the P1 stiffness there.
         weight = self.pressure_weight
         self.wp = weight / np.linalg.norm(weight)
-        # Lumped pressure mass and P1 stiffness on the folded pressure
-        # dofs; the stiffness is bordered by the zero-mean constraint.
         fold = self.pressure_fold
-        mass_diag = lumped_mass(self.mesh)
-        coord = mass_diag * self.mesh.nodes[:, 0]
+        coord = lumped_mass(self.mesh) * self.mesh.nodes[:, 0]
         if laplacian is None:
             laplacian = assemble_stiffness(self.mesh)
             if fold is not None:
@@ -1076,9 +1072,8 @@ class StokesOperator:
         else:
             laplacian, self._lu_laplacian = laplacian
         if fold is not None:
-            mass_diag, coord = fold.T @ mass_diag, fold.T @ coord
-        self.p_mass = mass_diag
-        coord /= mass_diag
+            coord = fold.T @ coord
+        coord /= weight
         # theta is the ratio of two Rayleigh quotients of S: against the
         # mass on a broadband probe (about 1 / viscosity) and against the
         # Laplacian on the smooth probe x (about K eps^2 / viscosity).
@@ -1086,7 +1081,7 @@ class StokesOperator:
         broad = self._project(
             np.random.default_rng(0).standard_normal(len(weight)))
         darcy = (smooth @ self._schur(smooth)) / (smooth @ laplacian @ smooth)
-        fine = (broad @ self._schur(broad)) / (broad @ (self.p_mass * broad))
+        fine = (broad @ self._schur(broad)) / (broad @ (weight * broad))
         self.theta = SCHUR_LAPLACE_WEIGHT * fine / darcy
 
     def _solve_velocity(self, rhs):
@@ -1101,7 +1096,7 @@ class StokesOperator:
 
     def _precondition(self, r):
         laplace = self._lu_laplacian.solve(r)
-        return r / self.p_mass + self.theta * laplace
+        return r / self.pressure_weight + self.theta * laplace
 
     def profile(self):
         """The counters, and the entries of the LU that the build

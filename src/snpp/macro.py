@@ -155,13 +155,12 @@ class _Operators:
     def __init__(self, mesh, coeffs, dt=None):
         self.mass = fem.mass_matrix(mesh)
         self.lumped = fem.lumped_mass(mesh)
-        self.weight = fem.mass_weight(mesh)
         self.stiff_d = fem.assemble_stiffness(mesh, coeffs.diffusion)
-        self.lu_potential = fem.ZeroMeanLU(self.stiff_d, self.weight)
+        self.lu_potential = fem.ZeroMeanLU(self.stiff_d, self.lumped)
         if coeffs.permeability is not None:
             self.lu_darcy = fem.ZeroMeanLU(
                 fem.assemble_stiffness(mesh, coeffs.permeability),
-                self.weight)
+                self.lumped)
         else:
             self.lu_darcy = None
         if dt is not None:
@@ -181,7 +180,7 @@ def solve_macro_poisson(state, coeffs, ops):
     charge = state.c_plus - state.c_minus
     source = coeffs.porosity * charge
     rhs = np.asarray(ops.mass @ source).ravel()
-    return solve_neumann_potential(ops.lu_potential, ops.weight, rhs,
+    return solve_neumann_potential(ops.lu_potential, ops.lumped, rhs,
                                    "macro.solve_macro_poisson")
 
 
@@ -281,7 +280,7 @@ def make_neutral(mesh, c_plus, c_minus):
     keeps the total content and makes the zero charge an exact discrete
     invariant of the reacting step.
     """
-    weight = fem.mass_weight(mesh)
+    weight = fem.lumped_mass(mesh)
     excess = float(weight @ (c_plus - c_minus)) / weight.sum()
     log.debug("neutralizing initial charge excess %.3e", excess)
     return c_plus - excess / 2.0, c_minus + excess / 2.0

@@ -74,14 +74,13 @@ class _Operators:
         eps = mesh.eps
         self.mass = fem.mass_matrix(mesh)
         self.lumped = fem.lumped_mass(mesh)
-        self.weight = fem.mass_weight(mesh)
         stiff = fem.assemble_stiffness(mesh)
         self.eps_alpha = eps ** regime.alpha
         self.eps_beta = eps ** regime.beta
         self.drift_tensor = eps ** regime.gamma * np.eye(2)
         laplacian = None
         if regime.bc_type == NEUMANN:
-            self.lu_laplacian = fem.ZeroMeanLU(stiff, self.weight)
+            self.lu_laplacian = fem.ZeroMeanLU(stiff, self.lumped)
             laplacian = (stiff, self.lu_laplacian)
         else:
             scaled = self.eps_alpha * stiff
@@ -106,7 +105,7 @@ class _Operators:
         rhs = np.asarray(self.mass @ charge).ravel()
         if self.regime.bc_type == NEUMANN:
             return solve_neumann_potential(
-                self.lu_laplacian, self.weight, rhs,
+                self.lu_laplacian, self.lumped, rhs,
                 "micro.solve_potential") / self.eps_alpha
         rhs = rhs - self.wall_correction
         rhs[self.gamma_nodes] = self.regime.phi_d

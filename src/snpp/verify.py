@@ -67,7 +67,7 @@ class InvariantReport:
 
 
 def _weighted_mean_magnitude(mesh, values):
-    weight = fem.mass_weight(mesh)
+    weight = fem.lumped_mass(mesh)
     return abs(float(weight @ values)) / float(weight.sum())
 
 

@@ -22,8 +22,9 @@ transport_block_coo build the package's matrices along the plain
 coordinate-format route, with int64 indices, einsum kernels and mask
 products, which the lean builds of fem must match bit for bit;
 bordered_bmat and stokes_saddle_bmat build the bordered systems by
-sp.bmat, the route of the one-pass fem.bordered and
-fem.StokesOperator.saddle.
+sp.bmat, the route of the one-pass fem.bordered and fem.stokes_saddle,
+and stokes_direct_solve solves that saddle by scipy's default splu, the
+direct route that the Schur route of periodic cells is checked against.
 structured_square_reference, match_faces_reference,
 merge_nodes_reference and tile_reference build meshes with the
 per-node Python loops and dicts, and write_vtk_reference writes a VTK
@@ -786,10 +787,9 @@ def dirichlet_by_masks(matrix, nodes):
     return (mask @ matrix @ mask + sp.diags(1.0 - keep)).tocsr()
 
 
-def stokes_blocks_coo(mesh, viscosity):
-    """The blocks a and b of fem.StokesOperator(mesh, viscosity), folded
-    by prolongation products (identities on a mesh without periodic
-    pairs) and pinned by dirichlet_by_masks and a column mask."""
+def _stokes_folds(mesh):
+    """The velocity and pressure prolongations of mesh (identities on a
+    mesh without periodic pairs) and the folded no-slip dofs."""
     periodic = len(mesh.periodic_pairs) > 0
     fold, cols = fem.periodic_prolongation(
         fem.p2_dof_count(mesh),
@@ -798,6 +798,14 @@ def stokes_blocks_coo(mesh, viscosity):
         mesh.num_nodes, mesh.periodic_pairs if periodic else ())
     fixed = np.unique(cols[fem._p2_boundary_dofs(
         mesh, {GAMMA_INTERIOR} if periodic else set(mesh.boundary_tags))])
+    return fold, pressure_fold, fixed
+
+
+def stokes_blocks_coo(mesh, viscosity):
+    """The blocks a and b of fem.StokesOperator(mesh, viscosity), folded
+    by prolongation products (identities on a mesh without periodic
+    pairs) and pinned by dirichlet_by_masks and a column mask."""
+    fold, pressure_fold, fixed = _stokes_folds(mesh)
     free = np.ones(fold.shape[1])
     free[fixed] = 0.0
     viscous = fold.T @ (viscosity * p2_stiffness_coo(mesh)) @ fold
@@ -824,6 +832,25 @@ def stokes_saddle_bmat(a, b, pressure_weight):
     matrix = sp.bmat([[sp.block_diag((a, a)), b.T], [b, None]])
     return bordered_bmat(matrix, np.concatenate(
         [np.zeros(b.shape[1]), pressure_weight]))
+
+
+def stokes_direct_solve(mesh, viscosity, forcing):
+    """Velocity (p2_dofs, 2) and zero-mean pressure of the Stokes system
+    of fem.StokesOperator(mesh, viscosity) for elementwise-constant
+    forcing, by scipy's default splu of the saddle of stokes_saddle_bmat
+    over the blocks of stokes_blocks_coo, bordered by the folded row sums
+    of the consistent mass.  It is a direct route for periodic cells
+    too, which the operator solves on its Schur route only."""
+    fold, pressure_fold, fixed = _stokes_folds(mesh)
+    a, b = stokes_blocks_coo(mesh, viscosity)
+    weight = pressure_fold.T @ (fem.assemble_mass(mesh)
+                                @ np.ones(mesh.num_nodes))
+    load = fold.T @ p2_load_reference(mesh, forcing)
+    load[fixed] = 0.0
+    rhs = np.concatenate([load.T.ravel(), np.zeros(len(weight) + 1)])
+    solution = splu(stokes_saddle_bmat(a, b, weight)).solve(rhs)
+    u, p = np.split(solution[:-1], [2 * a.shape[0]])
+    return fold @ u.reshape(2, -1).T, pressure_fold @ p
 
 
 def transport_block_coo(mesh, stiffness, lumped, dt):

@@ -129,3 +129,56 @@ def test_main_prints_the_relative_median_change(tmp_path, monkeypatch,
         "won 3/3" in lines["cpu_s"]
     # A parent median of 0 has no relative change.
     assert "  n/a  won 0/3" in lines["setup_s"]
+
+
+@pytest.mark.parametrize("parent, change, label", [
+    # A median 30% worse than the parent's is beyond a bound of 25%.
+    ([10.0, 10.2, 9.8, 10.1, 9.9], [13.0, 13.1, 12.9, 13.0, 13.2],
+     "regression"),
+    # The parent's quartiles lie 40% of its median apart, and some runs
+    # of the change read worse than some of the parent.
+    ([6.0, 10.0, 14.0, 8.0, 12.0], [9.0, 10.0, 11.0, 9.5, 10.5],
+     "unresolved"),
+    # As wide a spread, but every run of the change reads better than
+    # every run of the parent.
+    ([6.0, 10.0, 14.0, 8.0, 12.0], [5.0, 4.0, 5.5, 3.0, 4.5], None),
+    # A narrow spread and a median within the bound.
+    ([10.0, 10.2, 9.8, 10.1, 9.9], [11.0, 11.2, 10.8, 11.1, 10.9], None),
+])
+def test_a_metric_is_labelled_against_its_bound(parent, change, label):
+    entry = bench_pairs.summarize(
+        paired(parent, change, "wall_s"), {"wall_s": "lower"},
+        {"wall_s": 0.25})["wall_s"]
+    assert entry["label"] == label
+
+
+def test_higher_is_better_labels_a_fall_as_a_regression():
+    entry = bench_pairs.summarize(
+        paired([1.0, 1.1, 0.9], [0.5, 0.55, 0.45], "ratio"),
+        {"ratio": "higher"}, {"ratio": 0.25})["ratio"]
+    assert entry["label"] == "regression"
+
+
+def test_main_prints_and_writes_the_label(tmp_path, monkeypatch, capsys):
+    (tmp_path / "BENCHMARK.json").write_text(
+        '{"end_to_end": [{"name": "peak_rss_mb", "better": "lower", '
+        '"bound": 0.05}, {"name": "wall_s", "better": "lower"}]}')
+
+    def run_once(tree, workload):
+        return result(peak_rss_mb=100.0 if tree == "old" else 110.0,
+                      wall_s=1.0)
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    monkeypatch.chdir(tmp_path)
+    status = bench_pairs.main(["old", str(tmp_path), "--workload", "w",
+                               "--pairs", "3", "--out", "pairs.json"])
+    assert status == 0
+    lines = {line.split()[1]: line for line in
+             capsys.readouterr().out.splitlines() if " pair " not in line}
+    assert lines["peak_rss_mb"].endswith("won 0/3  regression")
+    # wall_s declares no bound, so it takes no label.
+    assert lines["wall_s"].endswith("won 0/3")
+    summary = json.loads((tmp_path / "pairs.json").read_text())[
+        "workloads"]["w"]["summary"]
+    assert summary["peak_rss_mb"]["label"] == "regression"
+    assert summary["wall_s"]["label"] is None

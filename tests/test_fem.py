@@ -59,6 +59,7 @@ from oracles import (
     relative_weak_divergence,
     solve_spd,
     stokes_blocks_coo,
+    stokes_direct_solve,
     stokes_saddle_bmat,
     stokes_saddle_reference,
     transport_block_coo,
@@ -115,13 +116,36 @@ def test_lumped_mass_preserves_row_sums():
     row_sums = np.asarray(consistent.sum(axis=1)).ravel()
     assert np.allclose(lumped, row_sums, atol=1e-15)
     assert lumped.sum() == pytest.approx(1.0, abs=1e-12)
-    assert np.allclose(fem.mass_weight(mesh), row_sums, atol=1e-15)
-    # Both are cached on the mesh and shared by every caller.
+    # It is cached on the mesh and shared by every caller.
     assert fem.lumped_mass(mesh) is lumped
     with pytest.raises(ValueError):
         lumped[0] = 0.0
-    with pytest.raises(ValueError):
-        fem.mass_weight(mesh)[0] = 0.0
+
+
+@pytest.mark.parametrize("make_mesh", [
+    lambda: square_mesh(1 / 64), lambda: disk_mesh(1 / 32),
+    lambda: eighth_mesh()],
+    ids=["square", "periodic_cell", "pore_eps8"])
+def test_lumped_mass_is_the_zero_mean_weight_of_the_consistent_mass(
+        make_mesh):
+    # The lumped mass is the weight of every zero-mean constraint, in
+    # place of the row sums of the consistent mass, which it equals up to
+    # the order of the sums: by 1.1e-16, 1.7e-16 and 1.7e-16 of the
+    # largest row sum here.
+    mesh = make_mesh()
+    row_sums = fem.assemble_mass(mesh) @ np.ones(mesh.num_nodes)
+    assert np.max(np.abs(fem.lumped_mass(mesh) - row_sums)) \
+        <= 1e-15 * np.max(np.abs(row_sums))
+
+
+def test_the_gradient_operator_holds_the_gradients_of_triangle_data():
+    # One array of P1 gradient values per mesh: the gradient operator's
+    # values are the gradients of triangle_data, not a copy of them.
+    mesh = disk_mesh(1 / 16)
+    _, grads = fem.triangle_data(mesh)
+    fem.p1_element_gradients(mesh, np.zeros(mesh.num_nodes))
+    assert np.shares_memory(grads, mesh._caches["gradient"].data)
+    assert "convection" not in mesh._caches
 
 
 def test_stiffness_matches_quadrature_oracle_on_random_triangles():
@@ -200,7 +224,9 @@ def test_solve_spd_rejects_indefinite_matrix():
 def test_solve_spd_rejects_incompatible_singular_system():
     mesh = square_mesh(0.25)
     stiff = fem.assemble_stiffness(mesh)
-    rhs = fem.mass_weight(mesh)
+    # The row sums of the consistent mass: on the lumped mass, equal up
+    # to the last bits, the oracle CG does not detect the incompatibility.
+    rhs = fem.assemble_mass(mesh) @ np.ones(mesh.num_nodes)
     with pytest.raises((SolverBreakdown, MaxIterationsExceeded)):
         solve_spd(stiff, rhs)
 
@@ -232,7 +258,7 @@ def test_zero_mean_constraint_direct_route():
     mesh = square_mesh(1.0 / 16.0)
     stiff = fem.assemble_stiffness(mesh)
     mass = fem.assemble_mass(mesh)
-    weight = fem.mass_weight(mesh)
+    weight = fem.lumped_mass(mesh)
     x, y = mesh.nodes.T
     forcing = 2.0 * np.pi ** 2 * np.cos(np.pi * x) * np.cos(np.pi * y)
     # Remove the discrete kernel component so both solution routes see the
@@ -270,7 +296,7 @@ def test_periodic_reduction_solves_shifted_problem():
     exact = (np.cos(2 * np.pi * x) + np.cos(2 * np.pi * y)) / 2.0
     forcing = 4.0 * np.pi ** 2 * exact
     fold, _ = fem.periodic_prolongation(mesh.num_nodes, mesh.periodic_pairs)
-    weight = fold.T @ fem.mass_weight(mesh)
+    weight = fold.T @ fem.lumped_mass(mesh)
     lu = fem.ZeroMeanLU(fold.T @ stiff @ fold, weight)
     u = fold @ lu.solve(fold.T @ (mass @ forcing))
     pairs = mesh.periodic_pairs
@@ -289,7 +315,7 @@ def test_symmetric_lu_does_not_pivot_on_zero_diagonals():
             DiskInclusion((0.5, 0.5), 0.25), 0.125)), 1 / 32)
     rng = np.random.default_rng(8)
     for bordered in (stokes_saddle_of(mesh, eps ** 2), fem.bordered(
-            fem.assemble_stiffness(mesh), fem.mass_weight(mesh))):
+            fem.assemble_stiffness(mesh), fem.lumped_mass(mesh))):
         rhs = rng.standard_normal(bordered.shape[0])
         x = fem.symmetric_lu(bordered).solve(rhs)
         assert np.linalg.norm(bordered @ x - rhs) \
@@ -730,7 +756,7 @@ def quarter_transport_block():
 
 def quarter_laplacian():
     mesh = perforated_quarter_mesh()
-    return fem.bordered(fem.assemble_stiffness(mesh), fem.mass_weight(mesh))
+    return fem.bordered(fem.assemble_stiffness(mesh), fem.lumped_mass(mesh))
 
 
 @pytest.mark.parametrize("build, relax", [
@@ -837,23 +863,32 @@ def test_block_built_saddle_matches_the_full_saddle_route(case):
                                   periodic_cell_stokes_case],
                          ids=["perforated", "periodic_cell"])
 def test_schur_cg_stokes_matches_direct_route(case, monkeypatch):
+    # Both routes of the operator against the independent direct solve
+    # of the oracle; a periodic cell takes the Schur route either way.
     mesh, bc, viscosity, forcings = case()
-    direct = fem.StokesOperator(mesh, viscosity=viscosity)
+    periodic = bc.get("periodic", False)
+    default = fem.StokesOperator(mesh, viscosity=viscosity)
     monkeypatch.setattr(fem, "DIRECT_DOF_LIMIT", 0)
     op = fem.StokesOperator(mesh, viscosity=viscosity)
-    assert (direct._mode, op._mode) == ("direct", "schur_cg")
+    assert (default._mode, op._mode) == (
+        "schur_cg" if periodic else "direct", "schur_cg")
     no_slip = fem._p2_boundary_dofs(mesh, set(bc["no_slip_tags"]))
     for forcing in forcings:
-        vel_ref, p_ref = direct.solve(forcing)
-        vel, p = op.solve(forcing)
-        assert np.max(np.abs(vel - vel_ref)) <= 1e-8 * np.max(np.abs(vel_ref))
-        assert np.max(np.abs(p - p_ref)) <= 1e-8 * np.max(np.abs(p_ref))
-        assert relative_weak_divergence(mesh, vel) <= 1e-8
-        # The walls the operator reads off the mesh are the ones bc states.
-        assert np.max(np.abs(vel[no_slip])) <= 1e-12 * np.max(np.abs(vel))
-    assert direct.solves == op.solves == len(forcings)
-    assert direct.schur_iterations == 0
+        vel_ref, p_ref = stokes_direct_solve(mesh, viscosity, forcing)
+        for route in (default, op):
+            vel, p = route.solve(forcing)
+            assert np.max(np.abs(vel - vel_ref)) \
+                <= 1e-8 * np.max(np.abs(vel_ref))
+            assert np.max(np.abs(p - p_ref)) <= 1e-8 * np.max(np.abs(p_ref))
+            assert relative_weak_divergence(mesh, vel) <= 1e-8
+            # The walls the operator reads off the mesh are the ones bc
+            # states.
+            assert np.max(np.abs(vel[no_slip])) \
+                <= 1e-12 * np.max(np.abs(vel))
+    assert default.solves == op.solves == len(forcings)
     assert 0 < op.schur_iterations <= 80 * len(forcings)
+    assert default.schur_iterations == (op.schur_iterations if periodic
+                                        else 0)
 
     # One LU of the scalar block solves both components as the LU of the
     # whole two-component velocity block, in the same ordering, does.
@@ -1108,8 +1143,7 @@ def factored_matrices(monkeypatch):
 
 
 @pytest.mark.parametrize("make_mesh, viscosity", [
-    (perforated_quarter_mesh, 0.25 ** 2), (lambda: disk_mesh(1 / 32), 1.0)],
-    ids=["perforated_quarter", "periodic_cell"])
+    (perforated_quarter_mesh, 0.25 ** 2)], ids=["perforated_quarter"])
 def test_direct_stokes_route_factors_the_bmat_saddle_bit_for_bit(
         make_mesh, viscosity, monkeypatch):
     # The LU, and so every solution, depends on these arrays bit for bit.
@@ -1123,6 +1157,21 @@ def test_direct_stokes_route_factors_the_bmat_saddle_bit_for_bit(
     assert_same_bits(fem.stokes_saddle(a, b, weight), matrix)
 
 
+def test_periodic_cells_take_the_schur_route_at_every_size(monkeypatch):
+    # The periodic fold fills the saddle LU far more than a perforated
+    # mesh of the same size does, so no cell problem factors a saddle:
+    # even this 112-node cell, far below DIRECT_DOF_LIMIT, factors only a
+    # and its folded pressure Laplacian, bordered by the zero-mean row.
+    mesh = disk_mesh(0.1)
+    a, b, _, weight, _, _ = fem.stokes_blocks(mesh, 1.0)
+    assert 2 * a.shape[0] + b.shape[0] + 1 < fem.DIRECT_DOF_LIMIT
+    factored = factored_matrices(monkeypatch)
+    operator = fem.StokesOperator(mesh)
+    assert operator._mode == "schur_cg"
+    assert [matrix.shape for matrix in factored] == [
+        a.shape, (len(weight) + 1, len(weight) + 1)]
+
+
 def test_zero_mean_lu_borders_like_bmat_bit_for_bit(monkeypatch):
     # The folded stiffness of a periodic square, a product with unsorted
     # column indices, given stored zeros; the zero weights are dropped.
@@ -1131,7 +1180,7 @@ def test_zero_mean_lu_borders_like_bmat_bit_for_bit(monkeypatch):
     matrix = fold.T @ fem.assemble_stiffness(mesh) @ fold
     matrix.data[::5] = 0.0
     assert not matrix.has_sorted_indices
-    weight = fold.T @ fem.mass_weight(mesh)
+    weight = fold.T @ fem.lumped_mass(mesh)
     weight[::3] = 0.0
     factored = factored_matrices(monkeypatch)
     fem.ZeroMeanLU(matrix, weight)
@@ -1171,7 +1220,7 @@ def eighth_stokes_build(monkeypatch, direct_limit):
     the bytes of the assembled blocks a and b."""
     mesh = eighth_mesh()
     stiffness = fem.assemble_stiffness(mesh)
-    laplacian = (stiffness, fem.ZeroMeanLU(stiffness, fem.mass_weight(mesh)))
+    laplacian = (stiffness, fem.ZeroMeanLU(stiffness, fem.lumped_mass(mesh)))
     monkeypatch.setattr(fem, "DIRECT_DOF_LIMIT", direct_limit)
 
     def build():
@@ -1246,7 +1295,7 @@ def test_schur_route_factors_the_stiffness_with_its_stored_zeros(
     # With the stored zeros dropped minimum degree filled its LU with
     # 170,968 entries here instead of 113,498.
     mesh = eighth_mesh()
-    weight = fem.mass_weight(mesh)
+    weight = fem.lumped_mass(mesh)
     stiffness = fem.assemble_stiffness(mesh)
     monkeypatch.setattr(fem, "DIRECT_DOF_LIMIT", 0)
     operator = fem.StokesOperator(mesh, viscosity=mesh.eps ** 2)
@@ -1351,7 +1400,7 @@ def peak():
 
 mesh = generate_perforated_mesh(PerforatedDomain(0.125, UnitCellGeometry(
     DiskInclusion((0.5, 0.5), 0.25), 0.125)), 1 / 64)
-fem.mass_weight(mesh)
+fem.lumped_mass(mesh)
 before = peak()
 operator = fem.StokesOperator(mesh, viscosity=mesh.eps ** 2)
 assert operator._mode == "direct"

@@ -48,7 +48,7 @@ def bare_state(mesh, c_plus=None, c_minus=None, phi=None):
 
 
 def weighted_mean(mesh, values):
-    weight = fem.mass_weight(mesh)
+    weight = fem.lumped_mass(mesh)
     return float(weight @ values) / weight.sum()
 
 

@@ -102,7 +102,7 @@ def test_initial_concentrations_neutralize_on_neumann_only():
                                              anti_blob(x, y))
     assert np.array_equal(c_plus, ref_plus)
     assert np.array_equal(c_minus, ref_minus)
-    weight = fem.mass_weight(mesh)
+    weight = fem.lumped_mass(mesh)
     assert abs(float(weight @ (c_plus - c_minus))) <= 1e-14
 
     dirichlet = macro.ScalingRegime("dirichlet", 2, 1, 1, phi_d=0.3)
@@ -253,7 +253,7 @@ def test_eps_one_step_matches_manual_composition(monkeypatch):
     stiff = fem.assemble_stiffness(mesh)
     mass = fem.assemble_mass(mesh)
     lumped = fem.lumped_mass(mesh)
-    weight = fem.mass_weight(mesh)
+    weight = fem.lumped_mass(mesh)
     charge = c_plus - c_minus
     rhs = np.asarray(mass @ charge).ravel()
     rhs -= rhs.sum() / weight.sum() * weight
@@ -536,7 +536,7 @@ def test_schur_route_factors_the_p1_laplacian_once(monkeypatch, alpha):
     micro.run_micro(problem)
     assert sizes.count(mesh.num_nodes + 1) == 1
 
-    weight = fem.mass_weight(mesh)
+    weight = fem.lumped_mass(mesh)
     stiffness = fem.assemble_stiffness(mesh)
     scaled = fem.ZeroMeanLU(domain.eps ** alpha * stiffness, weight)
     assert len(potentials) >= 3

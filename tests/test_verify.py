@@ -420,3 +420,18 @@ def test_study_verdict_rejects_non_finite_errors():
                 verify.study_verdict([0.5, 0.25], decaying_table(
                     [0.5, 0.25], **{name: [0.1, bad]}))
             assert info.value.field == name
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "Dirichlet (2,1,1) has Plain Darcy forcing, so its macro velocity is "
+    "zero, and verify._relative_grid_error then returns the absolute "
+    "micro velocity: 1.3e-8 and then 2.5e-8, flagged as not monotone "
+    "(ROADMAP item 4)"))
+def test_dirichlet_211_study_passes():
+    # The config of `snpp converge` with regime Dirichlet (2,1,1),
+    # phi_d=0.5, over eps {1/2, 1/4}, which exits 3 on the v column.
+    study = verify.run_convergence_study(
+        macro.ScalingRegime("dirichlet", 2, 1, 1, phi_d=0.5), DISK_CELL,
+        blob_plus, blob_minus, eps_list=(0.5, 0.25), t_end=0.1, dt=2e-3,
+        macro_h=1 / 64)
+    assert study.flags == []
+    assert study.monotone
