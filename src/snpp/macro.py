@@ -39,6 +39,23 @@ DRIFT_OFF = "None"
 
 FIXED_POINT_TOL = 1e-8
 FIXED_POINT_MAX_ITER = 25
+# The tolerance of the iterative field solves of sweep k >= 2 of a step,
+# FIELD_TOL_FACTOR times the relative gap of sweep k - 1 clamped to
+# [fem.DEFAULT_TOL, FIELD_TOL_CAP] (the Eisenstat-Walker forcing term,
+# SIAM J. Sci. Comput. 17, 1996): a field that the next sweep replaces
+# needs no more digits than the step has settled.  On the eps=1/16 pore
+# run of 50 steps (h=1/128, dt=2e-3, Schur-route Stokes, 110 sweeps and
+# 1977 Schur-CG iterations at full tolerance), factors 1, 0.3, 0.1, 0.03
+# and 0.01 took 451, 513, 605, 713 and 803 iterations, all with the same
+# sweeps per step, and moved min_c and max_c by at most 1.7e-9, 1.3e-9,
+# 7.1e-10, 2.2e-10 and 1.9e-10: 0.1 keeps that drift a tenth of
+# FIXED_POINT_TOL.
+FIELD_TOL_FACTOR = 0.1
+# On the same run with the factor at 0.1, caps 1e-1 and 1e-2 ended one
+# step a sweep earlier (109 sweeps) and drifted by 8.9e-9, near
+# FIXED_POINT_TOL itself; 1e-3 kept every step's sweeps (605
+# iterations), and 1e-4 took 647.
+FIELD_TOL_CAP = 1e-3
 COMPATIBILITY_TOL = 1e-8
 
 
@@ -303,9 +320,10 @@ def run_steps(problem, update_fields, transport, lumped, content_scale=1.0,
 
     The run starts from one MacroState at t = 0 on problem.mesh with
     copies of problem.c_plus and problem.c_minus; its phi, pressure and
-    velocity start as None.  update_fields(state) sets the nodal
+    velocity start as None.  update_fields(state, tol) sets the nodal
     potential and pressure and the elementwise (M, 2) velocity from the
-    concentrations in state; transport(state, c_plus, c_minus, refill)
+    concentrations in state, its iterative solves stopped at the
+    relative residual tol; transport(state, c_plus, c_minus, refill)
     returns the concentrations one implicit step after (c_plus, c_minus)
     under the fields in state, where refill is False when those fields
     are the ones its last call read, so an operator built from them can
@@ -327,7 +345,17 @@ def run_steps(problem, update_fields, transport, lumped, content_scale=1.0,
     next step's one sweep reads them.  Otherwise the next step starts
     from the fields of its predecessor's last sweep: a step's fixed
     point and stop test depend only on its starting concentrations, and
-    the fields its first sweep reads only start the iteration.  Returns
+    the fields its first sweep reads only start the iteration.
+
+    Every field that a snapshot holds or that a run without iterate
+    reads is solved at tol = fem.DEFAULT_TOL, as are the initial fields.
+    The fields of sweep k >= 2 are read by that sweep alone, and are
+    solved at tol = FIELD_TOL_FACTOR g_(k-1) / scale_(k-1), clamped to
+    [fem.DEFAULT_TOL, FIELD_TOL_CAP], where scale is the stop test's
+    (the Eisenstat-Walker rule for inexact inner solves).  The steps
+    keep their sweeps, and the concentrations move by far less than the
+    stop test's tolerance: on the eps=1/16 pore run of 50 steps, by at
+    most 7e-10 in min_c and max_c.  Returns
     (states, diagnostics, counts): the snapshots every
     problem.snapshot_stride steps plus the first and the last, each with
     the fields of its own concentrations; one dict per step with keys t,
@@ -339,7 +367,7 @@ def run_steps(problem, update_fields, transport, lumped, content_scale=1.0,
     state = MacroState(
         problem.mesh, 0.0, np.asarray(problem.c_plus, dtype=float).copy(),
         np.asarray(problem.c_minus, dtype=float).copy(), None, None, None)
-    update_fields(state)
+    update_fields(state, fem.DEFAULT_TOL)
     field_updates = 1
 
     def diag_row(fp_iters):
@@ -385,7 +413,7 @@ def run_steps(problem, update_fields, transport, lumped, content_scale=1.0,
         while True:
             iterations += 1
             if iterations > 1:
-                update_fields(state)
+                update_fields(state, field_tol)
                 field_updates += 1
             candidate = transport(state, c_plus_old, c_minus_old,
                                   refreshed or iterations > 1)
@@ -399,6 +427,8 @@ def run_steps(problem, update_fields, transport, lumped, content_scale=1.0,
                 break
             gap = max(float(np.max(np.abs(candidate[0] - previous[0]))),
                       float(np.max(np.abs(candidate[1] - previous[1]))))
+            scale = max(1.0, float(np.max(np.abs(candidate[0]))),
+                        float(np.max(np.abs(candidate[1]))))
             if previous_gap is not None:
                 if previous_gap > 0:
                     contraction = max(contraction, gap / previous_gap)
@@ -411,11 +441,11 @@ def run_steps(problem, update_fields, transport, lumped, content_scale=1.0,
                     error = gap * contraction / (1.0 - contraction)
                 else:
                     error = gap
-                scale = max(1.0, float(np.max(np.abs(candidate[0]))),
-                            float(np.max(np.abs(candidate[1]))))
                 if error <= FIXED_POINT_TOL * scale:
                     break
             previous_gap = gap
+            field_tol = min(max(FIELD_TOL_FACTOR * gap / scale,
+                                fem.DEFAULT_TOL), FIELD_TOL_CAP)
             if iterations >= FIXED_POINT_MAX_ITER:
                 raise FixedPointDivergence(
                     "inner iteration did not settle within %d sweeps at "
@@ -429,7 +459,7 @@ def run_steps(problem, update_fields, transport, lumped, content_scale=1.0,
                                      and step % problem.snapshot_stride == 0)
         refreshed = kept or not iterate
         if refreshed:
-            update_fields(state)
+            update_fields(state, fem.DEFAULT_TOL)
             field_updates += 1
         diagnostics.append(diag_row(iterations))
         if kept:
@@ -456,13 +486,15 @@ def run_macro(problem):
     Per step the potential, the velocity, and the transport are updated
     in sequence; when the regime couples them (electrostatic forcing or
     drift), the sweep is iterated to a fixed point of the new
-    concentrations.  Returns (states, diagnostics, profile) where
-    diagnostics is one dict per step with keys t, mass, charge, min_c,
-    max_c, fp_iters (mass and charge are porosity-weighted) and profile
-    holds the wall seconds of the call (run_s), the peak resident memory
-    of the process at its end (peak_rss_mb), the sweeps (the sum of
-    fp_iters) and field updates (potential and Darcy solves) of
-    run_steps and the TransportSolver.profile of the run.
+    concentrations.  Every field solve is direct, so the field
+    tolerance of run_steps changes nothing here.  Returns (states,
+    diagnostics, profile) where diagnostics is one dict per step with
+    keys t, mass, charge, min_c, max_c, fp_iters (mass and charge are
+    porosity-weighted) and profile holds the wall seconds of the call
+    (run_s), the peak resident memory of the process at its end
+    (peak_rss_mb), the sweeps (the sum of fp_iters) and field updates
+    (potential and Darcy solves) of run_steps and the
+    TransportSolver.profile of the run.
     """
     started = time.perf_counter()
     problem.validate()
@@ -472,7 +504,7 @@ def run_macro(problem):
     coupled = (model.darcy_forcing == FORCING_ELECTRO
                or model.np_drift == DRIFT_ON)
 
-    def update_fields(state):
+    def update_fields(state, tol):
         if model.potential_model == POTENTIAL_ELLIPTIC:
             state.phi = solve_macro_poisson(state, coeffs, ops)
         else:

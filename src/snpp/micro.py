@@ -111,12 +111,13 @@ class _Operators:
         rhs[self.gamma_nodes] = self.regime.phi_d
         return self.lu_potential.solve(rhs)
 
-    def solve_flow(self, charge, phi):
-        """Elementwise means of the Stokes velocity, and the pressure."""
+    def solve_flow(self, charge, phi, tol):
+        """Elementwise means of the Stokes velocity, and the pressure,
+        solved to tol on the Schur route."""
         charge_e = fem.element_means(self.mesh, charge)
         forcing = -self.eps_beta * charge_e[:, None] \
             * fem.p1_element_gradients(self.mesh, phi)
-        velocity, pressure = self.stokes.solve(forcing)
+        velocity, pressure = self.stokes.solve(forcing, tol)
         return fem.p2_element_means(self.mesh, velocity), pressure
 
     def step_transport(self, c_plus, c_minus, velocity, phi, refill):
@@ -129,7 +130,9 @@ def run_micro(problem):
     """Advance the pore-scale system to t_end with macro.run_steps.
 
     Every step iterates the splitting sweep to a fixed point of the new
-    concentrations, like the upscaled solver.  The states hold the
+    concentrations, like the upscaled solver.  The field tolerance of
+    run_steps reaches the Stokes solve, where only the Schur route reads
+    it; the potential solves are direct.  The states hold the
     elementwise means of the P2 Stokes velocity.  Returns (states,
     diagnostics, profile) as macro.run_macro does, with the
     StokesOperator.profile of the run added to the profile.
@@ -138,10 +141,11 @@ def run_micro(problem):
     problem.validate()
     ops = _Operators(problem.mesh, problem.regime, problem.dt)
 
-    def update_fields(state):
+    def update_fields(state, tol):
         charge = state.c_plus - state.c_minus
         state.phi = ops.solve_potential(charge)
-        state.velocity, state.pressure = ops.solve_flow(charge, state.phi)
+        state.velocity, state.pressure = ops.solve_flow(charge, state.phi,
+                                                        tol)
 
     def transport(state, c_plus, c_minus, refill):
         return ops.step_transport(c_plus, c_minus, state.velocity,

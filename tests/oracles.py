@@ -541,7 +541,7 @@ def fixed_point_checked(run_steps, errors, tol=1e-14, max_sweeps=20):
             x = accepted
             for _ in range(max_sweeps):
                 probe.c_plus, probe.c_minus = np.split(x, 2)
-                update_fields(probe)
+                update_fields(probe, fem.DEFAULT_TOL)
                 y = np.concatenate(transport(probe, *start["c"], True))
                 gap = float(np.max(np.abs(y - x)))
                 x = y
@@ -575,8 +575,10 @@ def solve_spd(matrix, rhs, tol=fem.DEFAULT_TOL, max_iter=None,
     project_constant removes the constant component from the residual at
     every step, which solves compatible singular Neumann systems; the
     returned iterate is then shifted to zero weighted mean when
-    mean_weight is given.  Raises SolverBreakdown on indefinite input or
-    residual stagnation and MaxIterationsExceeded past the budget.
+    mean_weight is given.  Raises SolverBreakdown on indefinite input,
+    residual stagnation, or a true residual b - A x (projected alike)
+    above 10 tol |b| once the recursive one has converged, and
+    MaxIterationsExceeded past the budget.
     """
     matrix = sp.csr_matrix(matrix)
     n = matrix.shape[0]
@@ -634,6 +636,19 @@ def solve_spd(matrix, rhs, tol=fem.DEFAULT_TOL, max_iter=None,
             "conjugate gradients: %d iterations, relative residual %.2e"
             % (max_iter, float(np.linalg.norm(r)) / bnorm),
             where="oracles.solve_spd")
+    # On an incompatible singular system the recursive residual can
+    # converge while the iterate blows up: on the h=0.25 square the
+    # stiffness against the lumped mass gives |x| ~ 1e16 and a true
+    # residual 7.6e11 times the gate, while the compatible systems of the
+    # tests read below tol |b|.
+    true = b - matrix @ x
+    if project_constant:
+        true -= (ones @ true) * ones
+    res = float(np.linalg.norm(true))
+    if res > 10.0 * tol * bnorm:
+        raise SolverBreakdown(
+            "true relative residual %.2e misses the tolerance %.1e"
+            % (res / bnorm, tol), where="oracles.solve_spd")
     if mean_weight is not None:
         w = np.asarray(mean_weight, dtype=float)
         x = x - (w @ x) / np.sum(w)

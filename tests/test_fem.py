@@ -224,11 +224,14 @@ def test_solve_spd_rejects_indefinite_matrix():
 def test_solve_spd_rejects_incompatible_singular_system():
     mesh = square_mesh(0.25)
     stiff = fem.assemble_stiffness(mesh)
-    # The row sums of the consistent mass: on the lumped mass, equal up
-    # to the last bits, the oracle CG does not detect the incompatibility.
     rhs = fem.assemble_mass(mesh) @ np.ones(mesh.num_nodes)
     with pytest.raises((SolverBreakdown, MaxIterationsExceeded)):
         solve_spd(stiff, rhs)
+    # On the lumped mass, equal to those row sums up to the last bits,
+    # the recursive residual converges while the iterate does not, so
+    # only the true residual tells.
+    with pytest.raises(SolverBreakdown, match="true relative residual"):
+        solve_spd(stiff, fem.lumped_mass(mesh))
 
 
 def test_solve_spd_max_iterations():
@@ -915,6 +918,27 @@ def test_stokes_profile_counts_the_entries_of_its_lu(monkeypatch,
     assert op.profile() == {
         "stokes_solves": 0, "schur_iterations": 0,
         "stokes_lu_entries": fem.symmetric_lu(matrix).nnz}
+
+
+def test_stokes_tolerance_gates_only_the_schur_route(monkeypatch):
+    # The direct route ignores tol, bit for bit; the Schur route stops at
+    # it, after fewer iterations, with an error of its order.
+    mesh, _, viscosity, (forcing,) = perforated_stokes_case()
+    direct = fem.StokesOperator(mesh, viscosity=viscosity)
+    assert direct._mode == "direct"
+    vel, p = direct.solve(forcing)
+    loose_vel, loose_p = direct.solve(forcing, tol=1e-3)
+    assert np.array_equal(loose_vel, vel) and np.array_equal(loose_p, p)
+    monkeypatch.setattr(fem, "DIRECT_DOF_LIMIT", 0)
+    iterations = []
+    for tol in (fem.DEFAULT_TOL, 1e-3):
+        op = fem.StokesOperator(mesh, viscosity=viscosity)
+        loose_vel, loose_p = op.solve(forcing, tol=tol)
+        iterations.append(op.schur_iterations)
+        assert np.max(np.abs(loose_vel - vel)) \
+            <= 100 * tol * np.max(np.abs(vel))
+        assert np.max(np.abs(loose_p - p)) <= 100 * tol * np.max(np.abs(p))
+    assert 0 < iterations[1] < iterations[0]
 
 
 def test_schur_cg_starts_from_the_last_pressure(monkeypatch):

@@ -388,7 +388,7 @@ class LinearSweep:
         shift = 5e-3 * (c_plus - c_minus)
         return np.concatenate([c_plus - shift, c_minus + shift])
 
-    def update_fields(self, state):
+    def update_fields(self, state, tol):
         state.phi = np.concatenate([state.c_plus, state.c_minus])
         state.pressure = np.zeros(1)
         state.velocity = np.zeros(1)

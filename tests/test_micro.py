@@ -55,8 +55,8 @@ def record_stokes_flows(monkeypatch, flows):
     """Append the P2 velocity of every fem.StokesOperator.solve to flows."""
     solve = fem.StokesOperator.solve
 
-    def recorded(self, forcing):
-        velocity, pressure = solve(self, forcing)
+    def recorded(self, forcing, tol=fem.DEFAULT_TOL):
+        velocity, pressure = solve(self, forcing, tol)
         flows.append(velocity)
         return velocity, pressure
 
@@ -225,11 +225,65 @@ def test_every_snapshot_holds_the_fields_of_its_concentrations(stride):
     for state in states:
         charge = state.c_plus - state.c_minus
         phi = ops.solve_potential(charge)
-        velocity, pressure = ops.solve_flow(charge, phi)
+        velocity, pressure = ops.solve_flow(charge, phi, fem.DEFAULT_TOL)
         for ours, ref in ((state.phi, phi), (state.pressure, pressure),
                           (state.velocity, velocity)):
             assert np.max(np.abs(ours - ref)) \
                 <= 1e-12 * max(1.0, float(np.max(np.abs(ref))))
+
+
+def field_tol_runs(monkeypatch, problem):
+    """run_micro under the field-tolerance rule of macro.run_steps and at
+    full tolerance (FIELD_TOL_FACTOR 0), both on the Schur Stokes route,
+    as (rule, full)."""
+    monkeypatch.setattr(fem, "DIRECT_DOF_LIMIT", 0)
+    rule = micro.run_micro(problem)
+    monkeypatch.setattr(macro, "FIELD_TOL_FACTOR", 0.0)
+    return rule, micro.run_micro(problem)
+
+
+def assert_same_fixed_points(rule, full):
+    """Equal sweeps per step and concentrations within the stop test's
+    FIXED_POINT_TOL times its scale at every snapshot."""
+    (states, diagnostics, _), (full_states, full_diagnostics, _) = \
+        rule, full
+    assert [row["fp_iters"] for row in diagnostics] \
+        == [row["fp_iters"] for row in full_diagnostics]
+    assert len(states) == len(full_states)
+    for ours, ref in zip(states, full_states):
+        ours = np.concatenate([ours.c_plus, ours.c_minus])
+        ref = np.concatenate([ref.c_plus, ref.c_minus])
+        scale = max(1.0, float(np.max(np.abs(ref))))
+        assert np.max(np.abs(ours - ref)) <= macro.FIXED_POINT_TOL * scale
+
+
+def test_in_step_stokes_solves_stop_at_the_tolerance_of_the_sweep(
+        monkeypatch):
+    # Sweeps after the first solve their flow only as accurately as the
+    # last gap asks; the initial and the kept steps' fields are solved at
+    # full tolerance, so every snapshot holds the flow of its own
+    # concentrations.
+    domain = PerforatedDomain(0.25, DISK_CELL)
+    mesh = generate_perforated_mesh(domain, 1 / 32)
+    c_plus, c_minus = neutral_blobs(mesh)
+    problem = micro.MicroProblem(domain, mesh, neumann_regime(), c_plus,
+                                 c_minus, t_end=8e-3, dt=2e-3)
+    rule, full = field_tol_runs(monkeypatch, problem)
+    assert_same_fixed_points(rule, full)
+    (states, diagnostics, profile), (_, _, full_profile) = rule, full
+    assert all(row["fp_iters"] >= 2 for row in diagnostics[1:])
+    assert profile["stokes_solves"] == full_profile["stokes_solves"]
+    assert profile["schur_iterations"] < full_profile["schur_iterations"]
+    for state in states:
+        # A fresh operator: its solve starts from no earlier pressure.
+        ops = micro._Operators(mesh, problem.regime, problem.dt)
+        assert ops.stokes._mode == "schur_cg"
+        charge = state.c_plus - state.c_minus
+        phi = ops.solve_potential(charge)
+        velocity, pressure = ops.solve_flow(charge, phi, fem.DEFAULT_TOL)
+        for ours, ref in ((state.pressure, pressure),
+                          (state.velocity, velocity)):
+            assert np.max(np.abs(ours - ref)) <= 1e-8 * np.max(np.abs(ref))
 
 
 def test_eps_one_step_matches_manual_composition(monkeypatch):
@@ -565,6 +619,23 @@ def test_eps16_step_takes_the_schur_cg_stokes_route(monkeypatch):
     assert np.array_equal(states[-1].velocity,
                           fem.p2_element_means(mesh, flows[-1]))
     assert relative_weak_divergence(mesh, flows[-1]) <= 1e-8
+
+
+@pytest.mark.slow
+def test_eps16_run_keeps_its_sweeps_with_loose_in_step_stokes_solves(
+        monkeypatch):
+    domain = PerforatedDomain(1 / 16, DISK_CELL)
+    mesh = generate_perforated_mesh(domain, 1 / 128)
+    c_plus, c_minus = neutral_blobs(mesh)
+    problem = micro.MicroProblem(domain, mesh, neumann_regime(), c_plus,
+                                 c_minus, t_end=0.02, dt=2e-3,
+                                 snapshot_stride=0)
+    rule, full = field_tol_runs(monkeypatch, problem)
+    assert_same_fixed_points(rule, full)
+    assert len(rule[1]) == 11
+    assert rule[2]["sweeps"] == full[2]["sweeps"]
+    assert 3 * rule[2]["schur_iterations"] \
+        <= 2 * full[2]["schur_iterations"]
 
 
 def test_dt_self_convergence_first_order():
