@@ -34,7 +34,8 @@ array whose size differs, a key present in one coefficients.txt only, or
 no file to compare exits 2.  A header or a key set that differs is
 reported with the columns or keys that only one run holds ("none" on
 both sides: the same columns in another order), a row count with both
-counts.
+counts.  A header that differs still prints the columns that both runs
+hold, and every other file is still compared before the exit.
 """
 
 import csv
@@ -188,19 +189,23 @@ def report_one_sided(name, what, keys_a, keys_b):
 
 
 def compare_table(name, first, second):
+    """Print the two figures of every column that both runs hold; False
+    when their headers or row counts differ."""
     header, rows_a = read_table(first)
     other_header, rows_b = read_table(second)
     if header != other_header:
         report_one_sided(name, "columns", header, other_header)
-        return False
     if len(rows_a) != len(rows_b):
         print("%s: %d rows in the first run, %d in the second"
               % (name, len(rows_a), len(rows_b)), file=sys.stderr)
         return False
     columns_a, columns_b = ({column: [row[k] for row in rows]
-                             for k, column in enumerate(header)}
-                            for rows in (rows_a, rows_b))
+                             for k, column in enumerate(columns)}
+                            for columns, rows in ((header, rows_a),
+                                                  (other_header, rows_b)))
     for column in header:
+        if column not in columns_b:
+            continue
         scale = largest_magnitude(SCALED_BY.get(column, ()), columns_a,
                                   columns_b)
         worst = max((relative_difference(a, b, scale)
@@ -209,7 +214,7 @@ def compare_table(name, first, second):
         scaled = array_difference(columns_a[column], columns_b[column],
                                   scale)
         print("%s %-20s %.3e %.3e" % (name, column, worst, scaled))
-    return True
+    return header == other_header
 
 
 def compare_coefficients(name, first, second):
@@ -258,17 +263,20 @@ def main(argv):
         print("the two directories hold different files, or none to "
               "compare: %s" % sorted(held[0] ^ held[1]), file=sys.stderr)
         return 2
+    # A table or a key set that differs is reported and the comparison
+    # goes on, so the shared columns and the verdict still print.
+    alike = True
     for name, compare in (("study.csv", compare_table),
                           ("diagnostics.csv", compare_table),
                           ("coefficients.txt", compare_coefficients)):
-        if name in held[0] and not compare(
-                name, os.path.join(first, name), os.path.join(second, name)):
-            return 2
+        if name in held[0]:
+            alike = compare(name, os.path.join(first, name),
+                            os.path.join(second, name)) and alike
     snapshots = sorted(name for name in held[0] if name.endswith(".vtk"))
     if not compare_vtk(snapshots, first, second):
         return 2
     if "manifest.json" not in held[0]:
-        return 0
+        return 0 if alike else 2
     manifests = []
     for directory in argv:
         with open(os.path.join(directory, "manifest.json")) as handle:
@@ -282,6 +290,8 @@ def main(argv):
     for key in ("flags", "monotone"):
         same = verdicts[0][key] == verdicts[1][key]
         print("manifest.json %-16s %s" % (key, "same" if same else "DIFFERS"))
+    if not alike:
+        return 2
     return 0 if verdicts[0] == verdicts[1] else 1
 
 

@@ -399,8 +399,8 @@ def run_converge(config):
                                     "monotone": study.monotone,
                                     "profile": study.profiles})
 
-    fields = verify.STUDY_FIELDS
-    print(("%-8s %-10s" + " %-12s" * len(fields)) % (("eps", "h") + fields))
+    fields = verify.study_columns(study.errors)
+    print(("%-8s %-10s" + " %-12s" * len(fields)) % ("eps", "h", *fields))
     for i, eps in enumerate(study.eps_list):
         print(("%-8g %-10g" + " %-12.5e" * len(fields)) % (
             eps, study.h_list[i], *(study.errors[f][i] for f in fields)))

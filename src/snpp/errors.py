@@ -71,7 +71,8 @@ class FixedPointDivergence(SnppError):
 
 
 class NonFiniteField(SnppError):
-    """A time step produced a NaN or infinite concentration."""
+    """A time step produced a NaN or infinite concentration, or a
+    convergence study a NaN or infinite error."""
 
 
 # verify

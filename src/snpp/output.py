@@ -87,13 +87,13 @@ def read_diagnostics_csv(path):
 
 
 def write_study_csv(path, study):
-    """One row per scale with an e_<measure> column for each measure of
-    verify.STUDY_FIELDS, read when called; other measures are not written.
+    """One row per scale with an e_<measure> column for each column of
+    verify.MEASURES that the study measured, in table order.
 
     observed_order is the decay rate of the first of them between
     successive scales; the first row has no predecessor and reads nan.
     """
-    fields = verify.STUDY_FIELDS
+    fields = verify.study_columns(study.errors)
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["eps", "h"] + ["e_" + name for name in fields]

@@ -2,16 +2,19 @@
 
 The convergence study runs as tasks (the upscaled model once on a fixed
 coarse mesh, the pore-scale solver once per cell scale) in a pool of
-forked worker processes, then compare_scales averages the final fields
-per cell into an error table, and study_verdict turns the table into
-flags.  The acceptance signal is monotone error decay over the scale
-list; observed orders are reported for information only.
+forked worker processes, then compare_scales evaluates each record of
+the table MEASURES on the final fields into an error table, and
+study_verdict turns the table into flags.  The acceptance signal is
+monotone decay of the column measures over the scale list; observed
+orders are reported for information only.
 """
 
 import logging
 import math
 import os
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -20,9 +23,10 @@ from .cell import compute_effective_coefficients, corrector_node_values
 from .errors import (
     GridMisaligned,
     MalformedDiagnostics,
+    NonFiniteField,
     ValidationError,
 )
-from .macro import NEUMANN
+from .macro import DIRICHLET, NEUMANN
 from .mesh import (
     PerforatedDomain,
     UnitCellGeometry,
@@ -34,7 +38,6 @@ log = logging.getLogger(__name__)
 
 DIAGNOSTIC_KEYS = ("t", "mass", "charge", "min_c", "max_c", "fp_iters")
 STUDY_EPS = (0.5, 0.25, 0.125)
-STUDY_FIELDS = ("c_plus", "c_minus", "phi", "v")
 MASS_DRIFT_TOL = 1e-9
 CONCENTRATION_TOL = 1e-6
 ZERO_MEAN_TOL = 1e-8
@@ -195,12 +198,6 @@ def cell_average(mesh, values, eps, intrinsic=False):
     return out[:, :, 0] if scalar else out
 
 
-def _relative_grid_error(micro_grid, macro_grid):
-    diff = float(np.sqrt(np.sum((micro_grid - macro_grid) ** 2)))
-    ref = float(np.sqrt(np.sum(macro_grid ** 2)))
-    return diff / ref if ref > 1e-12 else diff
-
-
 def corrector_enhanced_error(micro_mesh, micro_phi, macro_mesh, macro_phi,
                              scalar_solutions, alpha):
     """Unaveraged potential errors without and with the cell corrector.
@@ -224,44 +221,91 @@ def corrector_enhanced_error(micro_mesh, micro_phi, macro_mesh, macro_phi,
     return plain, enhanced
 
 
-def compare_scales(regime, coeffs, solutions, macro_final, micro_finals):
-    """Per-scale errors of the pore-scale finals against the macro final.
+@dataclass
+class StudyScale:
+    """What a measure reads at one scale eps of a study."""
 
-    micro_finals maps each eps, in scale order, to its final state.
-    Returns one table {measure: one value per eps}: the cell-averaged
-    STUDY_FIELDS errors and, on the Neumann branch only, phi_plain and
-    phi_corrected of corrector_enhanced_error.
-    """
-    neumann = regime.bc_type == NEUMANN
-    macro_mesh = macro_final.mesh
-    errors = {}
-    for eps, final in micro_finals.items():
-        mesh = final.mesh
-        if neumann:
-            phi = (eps ** regime.alpha * final.phi, macro_final.phi, True)
-        else:
-            phi = (eps ** (regime.alpha - 2) * (final.phi - regime.phi_d),
-                   coeffs.dirichlet_mean
-                   * (macro_final.c_plus - macro_final.c_minus), False)
-        nodal = {"c_plus": (final.c_plus, macro_final.c_plus, True),
-                 "c_minus": (final.c_minus, macro_final.c_minus, True),
-                 "phi": phi}
-        row = {name: _relative_grid_error(
-            cell_average(mesh, fem.element_means(mesh, micro_f), eps,
-                         intrinsic),
-            cell_average(macro_mesh, fem.element_means(macro_mesh, macro_f),
-                         eps))
-            for name, (micro_f, macro_f, intrinsic) in nodal.items()}
-        row["v"] = _relative_grid_error(
-            cell_average(mesh, final.velocity, eps),
-            cell_average(macro_mesh, macro_final.velocity, eps))
-        if neumann:
-            row["phi_plain"], row["phi_corrected"] = corrector_enhanced_error(
-                mesh, final.phi, macro_mesh, macro_final.phi,
-                solutions["scalar"], regime.alpha)
-        for name, value in row.items():
-            errors.setdefault(name, []).append(value)
-    return errors
+    regime: object
+    coeffs: object
+    solutions: dict
+    macro_final: object
+    eps: float
+    final: object
+
+    def cell_error(self, micro_values, macro_values, intrinsic=False):
+        """Relative l2 error of the eps-cell averages of two elementwise
+        fields, the pore-scale one per meshed cell area with intrinsic;
+        the absolute error where the macro averages vanish."""
+        micro = cell_average(self.final.mesh, micro_values, self.eps,
+                             intrinsic)
+        upscaled = cell_average(self.macro_final.mesh, macro_values, self.eps)
+        diff = float(np.sqrt(np.sum((micro - upscaled) ** 2)))
+        ref = float(np.sqrt(np.sum(upscaled ** 2)))
+        return diff / ref if ref > 1e-12 else diff
+
+    def nodal_error(self, micro_f, macro_f, intrinsic=True):
+        """cell_error of the element means of two nodal fields."""
+        return self.cell_error(
+            fem.element_means(self.final.mesh, micro_f),
+            fem.element_means(self.macro_final.mesh, macro_f), intrinsic)
+
+    @cached_property
+    def corrector_errors(self):
+        """corrector_enhanced_error at this scale, computed once."""
+        return corrector_enhanced_error(
+            self.final.mesh, self.final.phi, self.macro_final.mesh,
+            self.macro_final.phi, self.solutions["scalar"], self.regime.alpha)
+
+
+def _potential_error(s):
+    """Neumann: the eps^alpha-scaled potential against the upscaled one,
+    per fluid area.  Dirichlet: the eps^(alpha-2)-scaled distance to the
+    wall potential against m (c+ - c-), per cell area."""
+    if s.regime.bc_type == NEUMANN:
+        return s.nodal_error(s.eps ** s.regime.alpha * s.final.phi,
+                             s.macro_final.phi)
+    return s.nodal_error(
+        s.eps ** (s.regime.alpha - 2) * (s.final.phi - s.regime.phi_d),
+        s.coeffs.dirichlet_mean
+        * (s.macro_final.c_plus - s.macro_final.c_minus), intrinsic=False)
+
+
+# A measure of the study, on the boundary conditions in branches, with
+# error(scale), its error at one StudyScale.  A column is written to
+# study.csv and the printout and must decay strictly.  not_above is
+# (other, flag): an error above measure other's at one scale is flagged.
+Measure = namedtuple("Measure", "name branches error column not_above",
+                     defaults=(False, None))
+
+
+MEASURES = (
+    Measure("c_plus", (NEUMANN, DIRICHLET), lambda s: s.nodal_error(
+        s.final.c_plus, s.macro_final.c_plus), column=True),
+    Measure("c_minus", (NEUMANN, DIRICHLET), lambda s: s.nodal_error(
+        s.final.c_minus, s.macro_final.c_minus), column=True),
+    Measure("phi", (NEUMANN, DIRICHLET), _potential_error, column=True),
+    Measure("v", (NEUMANN, DIRICHLET), lambda s: s.cell_error(
+        s.final.velocity, s.macro_final.velocity), column=True),
+    Measure("phi_plain", (NEUMANN,), lambda s: s.corrector_errors[0]),
+    Measure("phi_corrected", (NEUMANN,), lambda s: s.corrector_errors[1],
+            not_above=("phi_plain",
+                       "corrector did not improve the potential error")),
+)
+
+
+def study_columns(errors):
+    """The MEASURES columns that the table errors holds, in table order."""
+    return [m.name for m in MEASURES if m.column and m.name in errors]
+
+
+def compare_scales(regime, coeffs, solutions, macro_final, micro_finals):
+    """The table {measure: one error per eps} of the MEASURES on the
+    regime's branch; micro_finals maps each eps, in scale order, to its
+    pore-scale final."""
+    scales = [StudyScale(regime, coeffs, solutions, macro_final, eps, final)
+              for eps, final in micro_finals.items()]
+    return {m.name: [m.error(scale) for scale in scales] for m in MEASURES
+            if regime.bc_type in m.branches}
 
 
 def study_verdict(eps_list, errors):
@@ -269,15 +313,16 @@ def study_verdict(eps_list, errors):
 
     Every measure of the table gets an order between each pair of
     neighbouring scales: log(e_prev / e_next) / log(eps_prev / eps_next),
-    the exponent p of errors that fall like eps^p.  A STUDY_FIELDS measure
-    that does not strictly decrease is flagged and clears monotone,
-    unless it lies wholly below MONOTONE_FLOOR.  A phi_corrected above
-    phi_plain (a corrector that does not help) is flagged only.
+    the exponent p of errors that fall like eps^p.  A column that does
+    not strictly decrease is flagged and clears monotone, unless it lies
+    wholly below MONOTONE_FLOOR; a not_above bound is a flag only.  A
+    non-finite error raises NonFiniteField.
     """
     for name, values in errors.items():
         if not np.all(np.isfinite(values)):
-            raise ValidationError("%s errors are not finite" % name,
-                                  field=name)
+            raise NonFiniteField(
+                "study errors of %s are not finite: %s" % (name, values),
+                where="verify.study_verdict")
     orders = {name: [math.nan] + [
         math.log2(a / b) / math.log2(eps_a / eps_b)
         if b > 0 and a > 0 else math.nan
@@ -286,16 +331,17 @@ def study_verdict(eps_list, errors):
         for name, values in errors.items()}
     flags = ["%s errors are not monotone: %s"
              % (name, ["%.3e" % v for v in errors[name]])
-             for name in STUDY_FIELDS if max(errors[name]) >= MONOTONE_FLOOR
+             for name in study_columns(errors)
+             if max(errors[name]) >= MONOTONE_FLOOR
              and any(b >= a for a, b in zip(errors[name], errors[name][1:]))]
     monotone = not flags
-    if "phi_plain" in errors:
-        for eps, plain, enhanced in zip(eps_list, errors["phi_plain"],
-                                        errors["phi_corrected"]):
-            if enhanced > plain * (1 + 1e-9) + 1e-14:
-                flags.append("corrector did not improve the potential "
-                             "error at eps=%g (%.3e > %.3e)"
-                             % (eps, enhanced, plain))
+    for m in MEASURES:
+        if m.not_above and m.name in errors:
+            other, what = m.not_above
+            flags += ["%s at eps=%g (%.3e > %.3e)" % (what, eps, value, bound)
+                      for eps, bound, value in zip(eps_list, errors[other],
+                                                   errors[m.name])
+                      if value > bound * (1 + 1e-9) + 1e-14]
     return orders, flags, monotone
 
 

@@ -331,18 +331,12 @@ def test_converge_printout_and_verdict_are_pinned(tmp_path, capsys):
 
 def test_a_measure_added_to_the_table_reaches_every_output(
         tmp_path, capsys, monkeypatch):
-    # Only the error table and verify.STUDY_FIELDS learn of the measure;
-    # study.csv, the printout and the verdict follow from them.
-    compare = verify.compare_scales
-
-    def with_extra(*args):
-        errors = compare(*args)
-        errors["extra"] = [0.25, 0.5]
-        return errors
-
-    monkeypatch.setattr(verify, "compare_scales", with_extra)
-    monkeypatch.setattr(verify, "STUDY_FIELDS",
-                        verify.STUDY_FIELDS + ("extra",))
+    # One record added to verify.MEASURES, and nothing else: the error
+    # table, study.csv, the printout and the verdict follow from it.
+    extra = verify.Measure("extra", (macro.NEUMANN, macro.DIRICHLET),
+                           lambda scale: {0.5: 0.25, 0.25: 0.5}[scale.eps],
+                           column=True)
+    monkeypatch.setattr(verify, "MEASURES", verify.MEASURES + (extra,))
     code, table, manifest = run_study(tmp_path, capsys)
     assert code == 3
     assert table == [STUDY_TABLE[0] + " extra       ",
@@ -355,6 +349,25 @@ def test_a_measure_added_to_the_table_reaches_every_output(
     assert lines[0] == ("eps,h,e_c_plus,e_c_minus,e_phi,e_v,e_extra,"
                         "observed_order")
     assert [line.split(",")[6] for line in lines[1:]] == ["0.25", "0.5"]
+
+
+def test_a_non_finite_study_error_exits_two_without_artifacts(
+        tmp_path, capsys, monkeypatch):
+    compare = verify.compare_scales
+
+    def nan_velocity(*args):
+        errors = compare(*args)
+        errors["v"][-1] = float("nan")
+        return errors
+
+    monkeypatch.setattr(verify, "compare_scales", nan_velocity)
+    outdir = tmp_path / "out"
+    code = run(tmp_path, "converge", dict(STUDY_PAYLOAD, output={
+        "directory": str(outdir), "formats": ["csv"]}))
+    assert code == 2
+    assert ("NonFiniteField [verify.study_verdict]: study errors of v are "
+            "not finite" in capsys.readouterr().err)
+    assert not (outdir / "study.csv").exists()
 
 
 def test_check_command_pass_and_fail(tmp_path, capsys):

@@ -266,6 +266,36 @@ def test_mismatched_studies_exit_two(tmp_path):
             "the second: K22") in done.stderr
 
 
+def test_studies_with_an_appended_column_compare_their_shared_columns(
+        tmp_path):
+    # A change that appends a measure to study.csv: the shared columns,
+    # the coefficients and the verdict are still compared, the column of
+    # one run is named, and the exit code is 2.
+    rows = [list(row) for row in ROWS]
+    rows[1][4] *= 1 + 3e-10
+    first = write_run(tmp_path / "a", ROWS, COEFFS, [], True)
+    second = write_run(tmp_path / "b", rows, COEFFS, [], True)
+    study = pathlib.Path(second) / "study.csv"
+    study.write_text("\n".join(
+        line.replace(",observed_order", ",observed_order,e_extra")
+        if k == 0 else line + ",%r" % (0.1 * k)
+        for k, line in enumerate(study.read_text().splitlines())) + "\n")
+    done = call_script(first, second)
+    assert done.returncode == 2
+    assert ("study.csv: columns only in the first run: none; only in the "
+            "second: e_extra") in done.stderr
+    printed = {tuple(line.split()[:2]): line.split()[2:]
+               for line in done.stdout.splitlines()}
+    assert float(printed["study.csv", "e_phi"][0]) == pytest.approx(
+        3e-10, rel=1e-3)
+    for name in ("eps", "h", "e_c_plus", "e_c_minus", "e_v",
+                 "observed_order"):
+        assert float(printed["study.csv", name][0]) == 0.0
+    assert ("study.csv", "e_extra") not in printed
+    assert float(printed["coefficients.txt", "K11"][0]) == 0.0
+    assert printed["manifest.json", "flags"] == ["same"]
+
+
 DIAGNOSTICS = [{"t": 0.0, "mass": 0.8, "charge": 1e-17, "min_c": 0.2,
                 "max_c": 0.7, "fp_iters": 0},
                {"t": 2e-3, "mass": 0.8, "charge": -2e-17, "min_c": 0.21,

@@ -94,12 +94,13 @@ def test_diagnostics_reader_rejects_bad_tables(tmp_path):
 
 
 def test_study_csv_layout_and_determinism(tmp_path):
+    columns = [m.name for m in verify.MEASURES if m.column]
     study = verify.ConvergenceStudy(
         eps_list=[0.5, 0.25], h_list=[0.0625, 0.03125], coeffs=None,
-        errors={"c_plus": [0.02, 0.01], "c_minus": [0.04, 0.012],
-                "phi": [0.2, 0.012], "v": [0.9, 0.6]},
-        orders={"c_plus": [math.nan, 1.0], "c_minus": [math.nan, 1.7],
-                "phi": [math.nan, 4.0], "v": [math.nan, 0.58]},
+        errors=dict(zip(columns, [[0.02, 0.01], [0.04, 0.012], [0.2, 0.012],
+                                  [0.9, 0.6]])),
+        orders=dict(zip(columns, [[math.nan, 1.0], [math.nan, 1.7],
+                                  [math.nan, 4.0], [math.nan, 0.58]])),
         flags=[], monotone=True)
     path = tmp_path / "study.csv"
     output.write_study_csv(path, study)

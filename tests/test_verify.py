@@ -4,6 +4,7 @@ import dataclasses
 import json
 import multiprocessing.pool
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from snpp.errors import (
     InadmissibleScaling,
     MalformedDiagnostics,
     NegativeConcentration,
+    NonFiniteField,
     ValidationError,
 )
 from snpp.mesh import (
@@ -245,7 +247,7 @@ def test_charged_study_decays_and_corrector_improves():
     assert study.flags == []
     assert study.monotone
     assert study.h_list == [0.5 / 8.0, 0.25 / 8.0]
-    for name in verify.STUDY_FIELDS:
+    for name in verify.study_columns(study.errors):
         values = study.errors[name]
         assert values[1] < values[0]
         assert np.isnan(study.orders[name][0])
@@ -363,11 +365,66 @@ def test_study_validates_scales_and_macro_mesh():
                                      macro_h=0.15)
 
 
+def constant_finals(mesh, macro_mesh, micro_fields, macro_fields):
+    """Macro and pore-scale finals on the two meshes whose fields are
+    constants, given as (c_plus, c_minus, phi, velocity) pairs."""
+    def final(mesh, c_plus, c_minus, phi, velocity):
+        return SimpleNamespace(
+            mesh=mesh, c_plus=np.full(mesh.num_nodes, c_plus),
+            c_minus=np.full(mesh.num_nodes, c_minus),
+            phi=np.full(mesh.num_nodes, phi),
+            velocity=np.tile(velocity, (mesh.num_triangles, 1)))
+
+    return final(macro_mesh, *macro_fields), final(mesh, *micro_fields)
+
+
+def test_compare_scales_measures_hand_made_finals_on_both_branches():
+    # Constant fields on the eps=1/2 pore mesh and the h=1/16 square: an
+    # intrinsic average recovers the pore-scale constant, a superficial
+    # one gives the fluid fraction times it.
+    eps = 0.5
+    mesh = generate_perforated_mesh(PerforatedDomain(eps, DISK_CELL),
+                                    eps / 8.0)
+    coeffs, solutions = compute_effective_coefficients(
+        DISK_CELL, mesh=mesh.cell_mesh)
+    macro_mesh = generate_unit_cell_mesh(UnitCellGeometry(None, 1 / 16))
+    fluid_fraction = float(fem.triangle_data(mesh)[0].sum())
+    assert 1 - fluid_fraction == pytest.approx(0.19134, abs=1e-5)
+    velocity = [0.3, -0.1]
+    macro_final, final = constant_finals(
+        mesh, macro_mesh, (1.1 * 0.4, 0.3, 0.2, velocity),
+        (0.4, 0.3, 0.2, velocity))
+    errors = verify.compare_scales(macro.ScalingRegime("neumann", 0, 0, 0),
+                                   coeffs, solutions, macro_final,
+                                   {eps: final})
+    assert list(errors) == ["c_plus", "c_minus", "phi", "v", "phi_plain",
+                            "phi_corrected"]
+    assert errors["c_plus"][0] == pytest.approx(0.1, rel=1e-13)
+    for name in ("c_minus", "phi", "phi_plain", "phi_corrected"):
+        assert errors[name][0] <= 1.2e-15, name
+    assert errors["v"][0] == pytest.approx(1 - fluid_fraction, rel=1e-12)
+    # On Dirichlet (2,1,1) the scaled potential phi - phi_d is compared
+    # with m (c+ - c-), superficially averaged over each cell.
+    regime = macro.ScalingRegime("dirichlet", 2, 1, 1, phi_d=0.5)
+    wall = 0.5 + coeffs.dirichlet_mean * (0.4 - 0.3)
+    macro_final, final = constant_finals(
+        mesh, macro_mesh, (0.4, 0.3, wall, velocity),
+        (0.4, 0.3, 0.0, velocity))
+    errors = verify.compare_scales(regime, coeffs, solutions, macro_final,
+                                   {eps: final})
+    assert list(errors) == ["c_plus", "c_minus", "phi", "v"]
+    for name in ("c_plus", "c_minus"):
+        assert errors[name][0] <= 1.2e-15, name
+    for name in ("phi", "v"):
+        assert errors[name][0] == pytest.approx(1 - fluid_fraction,
+                                                rel=1e-12), name
+
+
 def decaying_table(eps_list, **columns):
-    """An error table whose STUDY_FIELDS halve with each scale, with the
-    given columns replaced or added."""
-    table = {name: [0.4 / 2 ** i for i in range(len(eps_list))]
-             for name in verify.STUDY_FIELDS}
+    """An error table whose verify.MEASURES columns halve with each
+    scale, with the given measures replaced or added."""
+    table = {m.name: [0.4 / 2 ** i for i in range(len(eps_list))]
+             for m in verify.MEASURES if m.column}
     table.update(columns)
     return table
 
@@ -414,16 +471,20 @@ def test_observed_orders_are_exponents_of_the_scale():
 
 
 def test_study_verdict_rejects_non_finite_errors():
+    # A non-finite error is a numerical failure of the study, named by
+    # its measure, not a configuration error.
     for bad in (np.nan, np.inf):
         for name in ("c_plus", "phi_corrected"):
-            with pytest.raises(ValidationError) as info:
+            with pytest.raises(NonFiniteField) as info:
                 verify.study_verdict([0.5, 0.25], decaying_table(
                     [0.5, 0.25], **{name: [0.1, bad]}))
-            assert info.value.field == name
+            assert info.value.where == "verify.study_verdict"
+            assert str(info.value).startswith(
+                "study errors of %s are not finite" % name)
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
     "Dirichlet (2,1,1) has Plain Darcy forcing, so its macro velocity is "
-    "zero, and verify._relative_grid_error then returns the absolute "
+    "zero, and verify.StudyScale.cell_error then returns the absolute "
     "micro velocity: 1.3e-8 and then 2.5e-8, flagged as not monotone "
     "(ROADMAP item 4)"))
 def test_dirichlet_211_study_passes():
