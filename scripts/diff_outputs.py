@@ -27,8 +27,11 @@ memory (peak_rss_mb), are left out.  When both manifests carry a "config" (the
 resolved configuration of the run), it prints every BLOCK.KEY whose
 value differs between them, with the two values as compact JSON ("-"
 where a run has no such key), or "config same"; output.directory is
-left out.  It exits 1 when the
-"flags" or the "monotone" of the two manifests differ, and 0 otherwise;
+left out.  When both manifests carry "invariants" (the checks that
+gated each task of the run), it prints "invariants same" or "DIFFERS",
+comparing the name and the passed verdict of every check of every task,
+not their values.  It exits 1 when the "flags" or the "monotone" of the
+two manifests differ, and 0 otherwise; invariant verdicts that differ,
 a table whose header or row count differs between the two runs, a VTK
 array whose size differs, a key present in one coefficients.txt only, or
 no file to compare exits 2.  A header or a key set that differs is
@@ -290,6 +293,14 @@ def main(argv):
     for key in ("flags", "monotone"):
         same = verdicts[0][key] == verdicts[1][key]
         print("manifest.json %-16s %s" % (key, "same" if same else "DIFFERS"))
+    if all("invariants" in manifest for manifest in manifests):
+        passed = [{task: [(check["name"], check["passed"]) for check in checks]
+                   for task, checks in manifest["invariants"].items()}
+                  for manifest in manifests]
+        same = passed[0] == passed[1]
+        print("manifest.json %-16s %s" % ("invariants",
+                                          "same" if same else "DIFFERS"))
+        alike = alike and same
     if not alike:
         return 2
     return 0 if verdicts[0] == verdicts[1] else 1

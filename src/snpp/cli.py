@@ -1,12 +1,13 @@
 """Command-line orchestration: configuration, runs, and artifact output.
 
 Subcommands: cell (effective coefficients), macro (upscaled run), micro
-(pore-scale run), converge (scale-comparison study), check (invariant
-suite over an existing diagnostics table).  Configuration is a JSON
-file; every omitted entry falls back to a documented default and the
-fully resolved configuration is echoed into the output directory's
-manifest.  Exit codes: 0 success, 1 usage or configuration error, 2
-numerical failure, 3 failed acceptance check.
+(pore-scale run), converge (scale-comparison study).  Every run of a
+model is gated on the invariant suite before anything is written.
+Configuration is a JSON file; every omitted entry falls back to a
+documented default and the fully resolved configuration is echoed into
+the output directory's manifest.  Exit codes: 0 success, 1 usage or
+configuration error, 2 numerical failure, 3 violated invariant or
+failed acceptance check.
 """
 
 import argparse
@@ -26,7 +27,7 @@ from .errors import (
     GridMisaligned,
     InadmissibleScaling,
     InclusionTouchesBoundary,
-    MalformedDiagnostics,
+    InvariantViolation,
     NonMonotoneConvergence,
     NoSolidPhase,
     ParseError,
@@ -48,7 +49,6 @@ COMMANDS = {
     "macro": "run the upscaled model on the unit square",
     "micro": "run the pore-scale model on a perforated domain",
     "converge": "compare pore-scale runs against the upscaled model",
-    "check": "run the invariant suite over a diagnostics CSV",
 }
 USAGE_EXIT = 1
 NUMERICAL_EXIT = 2
@@ -75,8 +75,6 @@ DEFAULT_EPS = 0.5
 READS = {
     "cell": {"regime": (), "discretization": (), "initial": (),
              "output": ("directory",)},
-    "check": {"geometry": (), "regime": (), "discretization": (),
-              "initial": ("lam",), "output": ("directory",)},
     "converge": {"geometry": ("radius", "center")},
     "macro": {"discretization": ("h", "dt", "t_end")},
     "micro": {"geometry": ("radius", "center")},
@@ -84,7 +82,7 @@ READS = {
 
 USAGE_ERRORS = (ParseError, ValidationError, InadmissibleScaling,
                 InclusionTouchesBoundary, ResolutionTooCoarse,
-                GridMisaligned, MalformedDiagnostics, NoSolidPhase)
+                GridMisaligned, NoSolidPhase)
 
 
 @dataclass(frozen=True)
@@ -106,7 +104,6 @@ class RunConfig:
     directory: str
     formats: tuple
     snapshot_stride: int
-    diagnostics: str
     echo: dict
 
 
@@ -148,8 +145,7 @@ def parse_config(text, command=None):
 
     command, when given, is the subcommand from the command line; a
     conflicting command entry inside the text is rejected.  Every block
-    is optional except where the command needs it (check requires the
-    diagnostics path), and defaults are applied per the README table.
+    is optional, and defaults are applied per the README table.
     Each block is merged with its DEFAULTS, and each check stores the
     value it resolves back into the block, so the blocks are the echo.
     """
@@ -161,7 +157,7 @@ def parse_config(text, command=None):
     if not isinstance(raw, dict):
         raise ParseError("configuration must be a JSON object",
                          where="cli.parse_config")
-    unknown = sorted(set(raw) - set(DEFAULTS) - {"command", "diagnostics"})
+    unknown = sorted(set(raw) - set(DEFAULTS) - {"command"})
     if unknown:
         raise _invalid(unknown[0], "unknown top-level key %r" % unknown[0])
 
@@ -272,18 +268,8 @@ def parse_config(text, command=None):
                                "%s.%s" % (command, name, key))
         for key in set(block) - set(read):
             del block[key]
-    diagnostics = raw.get("diagnostics")
-    if command == "check":
-        if not isinstance(diagnostics, str) or not diagnostics:
-            raise _invalid("diagnostics",
-                           "check needs a diagnostics file path")
-    elif diagnostics is not None:
-        raise _invalid("diagnostics",
-                       "diagnostics entry is only used by check")
 
     echo = dict(zip(DEFAULTS, blocks), command=command)
-    if diagnostics is not None:
-        echo["diagnostics"] = diagnostics
     return RunConfig(
         command,
         UnitCellGeometry(inclusion, geo.get("cell_h")) if geo else None,
@@ -294,7 +280,7 @@ def parse_config(text, command=None):
         if "kind" in init else None,
         init.get("lam"), out["directory"],
         tuple(out["formats"]) if "formats" in out else None,
-        out.get("snapshot_stride"), diagnostics, echo)
+        out.get("snapshot_stride"), echo)
 
 
 def initial_functions(initial):
@@ -352,7 +338,8 @@ def run_cell(config):
 
 def run_model(config):
     """One run of the upscaled (macro) or the pore-scale (micro) model,
-    with its diagnostics table, snapshots and profile written."""
+    gated by verify.check_run, with its diagnostics table, snapshots,
+    profile and checks written."""
     started = time.perf_counter()
     if config.command == "macro":
         coeffs, _ = compute_effective_coefficients(config.geometry)
@@ -367,9 +354,12 @@ def run_model(config):
     c_plus, c_minus = initial_functions(config.initial)
     cp, cm = macro.initial_concentrations(mesh, c_plus, c_minus,
                                           config.regime)
-    states, diagnostics, profile = run(problem_type(
+    problem = problem_type(
         *lead, config.regime, cp, cm, t_end=config.t_end, dt=config.dt,
-        lam=config.lam, snapshot_stride=config.snapshot_stride))
+        lam=config.lam, snapshot_stride=config.snapshot_stride)
+    states, diagnostics, profile = run(problem)
+    checks = verify.check_run(config.command, problem, states[-1],
+                              diagnostics)
     os.makedirs(config.directory, exist_ok=True)
     if "csv" in config.formats:
         _write(output.write_diagnostics_csv, config, "diagnostics.csv",
@@ -380,7 +370,8 @@ def run_model(config):
                 config.directory, "%s_%04d.vtk" % (config.command, index)),
                 state)
         print("wrote %d %s_*.vtk snapshots" % (len(states), config.command))
-    _finish(config, started, extra={"profile": {config.command: profile}})
+    _finish(config, started, extra={"profile": {config.command: profile},
+                                    "invariants": {config.command: checks}})
     return 0
 
 
@@ -397,7 +388,8 @@ def run_converge(config):
            study.coeffs)
     _finish(config, started, extra={"flags": study.flags,
                                     "monotone": study.monotone,
-                                    "profile": study.profiles})
+                                    "profile": study.profiles,
+                                    "invariants": study.invariants})
 
     fields = verify.study_columns(study.errors)
     print(("%-8s %-10s" + " %-12s" * len(fields)) % ("eps", "h", *fields))
@@ -411,21 +403,8 @@ def run_converge(config):
     return 0
 
 
-def run_check(config):
-    started = time.perf_counter()
-    rows = output.read_diagnostics_csv(config.diagnostics)
-    report = verify.run_invariant_suite(None, rows, lam=config.lam)
-    for check in report.checks:
-        print("%s %s: value %.6e, tolerance %.1e"
-              % ("PASS" if check.passed else "FAIL",
-                 check.name, check.value, check.tolerance))
-    os.makedirs(config.directory, exist_ok=True)
-    _finish(config, started, extra={"passed": report.passed})
-    return 0 if report.passed else CHECK_EXIT
-
-
 RUNNERS = {"cell": run_cell, "macro": run_model, "micro": run_model,
-           "converge": run_converge, "check": run_check}
+           "converge": run_converge}
 
 
 def _report_error(exc):
@@ -482,6 +461,8 @@ def main(argv=None):
         return RUNNERS[config.command](config)
     except SnppError as exc:
         _report_error(exc)
+        if isinstance(exc, InvariantViolation):
+            return CHECK_EXIT
         return USAGE_EXIT if isinstance(exc, USAGE_ERRORS) \
             else NUMERICAL_EXIT
     except OSError as exc:

@@ -81,8 +81,9 @@ class GridMisaligned(SnppError):
     """Macro mesh size does not subdivide the cell scale."""
 
 
-class MalformedDiagnostics(SnppError):
-    """Diagnostics table is empty or missing required columns."""
+class InvariantViolation(SnppError):
+    """A run broke a check of the invariant suite (mass, bounds of the
+    concentrations, zero means, divergence)."""
 
 
 class NonMonotoneConvergence(SnppError):

@@ -1,4 +1,4 @@
-"""Writers and readers for the on-disk run artifacts.
+"""Writers for the on-disk run artifacts.
 
 Tables are CSV with a header row and CRLF line endings; fields go out as
 legacy ASCII VTK; effective coefficients as a flat key=value file.  All
@@ -13,7 +13,7 @@ import json
 import numpy as np
 
 from . import verify
-from .errors import MalformedDiagnostics, ValidationError
+from .errors import ValidationError
 from .verify import DIAGNOSTIC_KEYS
 
 FLOAT_FORMAT = "%.17g"
@@ -55,35 +55,6 @@ def write_diagnostics_csv(path, diagnostics):
         for row in diagnostics:
             writer.writerow(["%d" % row[key] if key == "fp_iters"
                              else _fmt(row[key]) for key in DIAGNOSTIC_KEYS])
-
-
-def read_diagnostics_csv(path):
-    """Read a diagnostics table back into the solver's row-dict form."""
-    with open(path, newline="") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None:
-            raise MalformedDiagnostics("diagnostics file %s is empty" % path,
-                                       where="output.read_diagnostics_csv")
-        rows = []
-        for record in reader:
-            row = {}
-            for key, text in record.items():
-                if key is None or text is None:
-                    raise MalformedDiagnostics(
-                        "ragged row in diagnostics file %s" % path,
-                        where="output.read_diagnostics_csv")
-                try:
-                    row[key] = float(text)
-                except ValueError:
-                    raise MalformedDiagnostics(
-                        "non-numeric entry %r in column %r of %s"
-                        % (text, key, path),
-                        where="output.read_diagnostics_csv")
-            rows.append(row)
-    if not rows:
-        raise MalformedDiagnostics("diagnostics file %s has no rows" % path,
-                                   where="output.read_diagnostics_csv")
-    return rows
 
 
 def write_study_csv(path, study):

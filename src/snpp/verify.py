@@ -1,5 +1,7 @@
-"""Invariant suites and the scale-convergence harness.
+"""The invariant suite, its gate, and the scale-convergence harness.
 
+check_run gates every run of either model, each task of a study
+included, on run_invariant_suite before any of its output is written.
 The convergence study runs as tasks (the upscaled model once on a fixed
 coarse mesh, the pore-scale solver once per cell scale) in a pool of
 forked worker processes, then compare_scales evaluates each record of
@@ -13,7 +15,7 @@ import logging
 import math
 import os
 from collections import namedtuple
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -22,7 +24,7 @@ from . import fem, macro, micro
 from .cell import compute_effective_coefficients, corrector_node_values
 from .errors import (
     GridMisaligned,
-    MalformedDiagnostics,
+    InvariantViolation,
     NonFiniteField,
     ValidationError,
 )
@@ -84,33 +86,15 @@ def _divergence_residual(state):
         fem.assemble_gradient_load(state.mesh, state.velocity))))
 
 
-def run_invariant_suite(states, diagnostics, regime=None, lam=1.0):
+def run_invariant_suite(final, diagnostics, regime, lam=1.0):
     """Evaluate the registered conservation and constraint checks.
 
-    Works on the (states, diagnostics) pair returned by either transient
-    solver.  With states=None only the scalar time series is checked,
-    which covers diagnostics reloaded from a file; the zero-mean and
-    divergence checks need the final state, and the potential check also
-    needs the regime.  Failures become report entries, never exceptions;
-    malformed input raises MalformedDiagnostics.
+    Works on the final state and the diagnostics of a run of either
+    transient solver, with the regime and the concentration bound lam of
+    its problem; the potential check runs on the Neumann branch only.
+    Failures become report entries, never exceptions; check_run turns
+    them into one.
     """
-    if not diagnostics:
-        raise MalformedDiagnostics("diagnostics are empty",
-                                   where="verify.run_invariant_suite")
-    for row in diagnostics:
-        if not all(key in row for key in DIAGNOSTIC_KEYS):
-            raise MalformedDiagnostics(
-                "diagnostic row lacks keys %s"
-                % (sorted(set(DIAGNOSTIC_KEYS) - set(row)),),
-                where="verify.run_invariant_suite")
-        if not all(np.isfinite(row[key]) for key in DIAGNOSTIC_KEYS):
-            raise MalformedDiagnostics(
-                "diagnostic row holds a non-finite value at t=%r"
-                % (row.get("t"),), where="verify.run_invariant_suite")
-    if states is not None and not states:
-        raise MalformedDiagnostics("no states recorded",
-                                   where="verify.run_invariant_suite")
-
     checks = []
     mass0 = diagnostics[0]["mass"]
     drift = max(abs(row["mass"] - mass0) for row in diagnostics) \
@@ -125,26 +109,37 @@ def run_invariant_suite(states, diagnostics, regime=None, lam=1.0):
     checks.append(InvariantCheck("max_concentration",
                                  highest <= lam + CONCENTRATION_TOL,
                                  highest, CONCENTRATION_TOL))
-    if states:
-        final = states[-1]
-        if regime is not None and regime.bc_type == NEUMANN:
-            value = _weighted_mean_magnitude(final.mesh, final.phi)
-            checks.append(InvariantCheck("potential_zero_mean",
-                                         value <= ZERO_MEAN_TOL,
-                                         value, ZERO_MEAN_TOL))
-        value = _weighted_mean_magnitude(final.mesh, final.pressure)
-        checks.append(InvariantCheck("pressure_zero_mean",
+    if regime.bc_type == NEUMANN:
+        value = _weighted_mean_magnitude(final.mesh, final.phi)
+        checks.append(InvariantCheck("potential_zero_mean",
                                      value <= ZERO_MEAN_TOL,
                                      value, ZERO_MEAN_TOL))
-        value = _divergence_residual(final)
-        checks.append(InvariantCheck("velocity_divergence_free",
-                                     value <= DIVERGENCE_TOL,
-                                     value, DIVERGENCE_TOL))
-    report = InvariantReport(checks)
-    for check in report.failures():
-        log.warning("invariant %s failed: %.3e (tolerance %.1e)",
-                    check.name, check.value, check.tolerance)
-    return report
+    value = _weighted_mean_magnitude(final.mesh, final.pressure)
+    checks.append(InvariantCheck("pressure_zero_mean",
+                                 value <= ZERO_MEAN_TOL,
+                                 value, ZERO_MEAN_TOL))
+    value = _divergence_residual(final)
+    checks.append(InvariantCheck("velocity_divergence_free",
+                                 value <= DIVERGENCE_TOL,
+                                 value, DIVERGENCE_TOL))
+    return InvariantReport(checks)
+
+
+def check_run(task, problem, final, diagnostics):
+    """Gate one run of problem, named task, on the invariant suite.
+
+    Returns the checks as manifest records {name, passed, value,
+    tolerance}; raises InvariantViolation, whose where is task and whose
+    message names every failed check, when any check fails.
+    """
+    report = run_invariant_suite(final, diagnostics, problem.regime,
+                                 problem.lam)
+    if not report.passed:
+        raise InvariantViolation("; ".join(
+            "%s: value %.3e, tolerance %.1e"
+            % (check.name, check.value, check.tolerance)
+            for check in report.failures()), where=task)
+    return [asdict(check) for check in report.checks]
 
 
 @dataclass
@@ -152,7 +147,7 @@ class ConvergenceStudy:
     """Per-scale errors of the pore-scale runs against the upscaled model:
     errors is the table of compare_scales and orders its observed orders.
     profiles maps each task ("macro", then "eps=%g" per scale) to the
-    profile its run returned."""
+    profile its run returned, and invariants to its check_run records."""
 
     eps_list: list
     h_list: list
@@ -166,6 +161,7 @@ class ConvergenceStudy:
     macro_final: object = field(default=None, repr=False)
     micro_finals: dict = field(default=None, repr=False)
     profiles: dict = field(default=None, repr=False)
+    invariants: dict = field(default=None, repr=False)
 
 
 def cell_average(mesh, values, eps, intrinsic=False):
@@ -345,7 +341,7 @@ def study_verdict(eps_list, errors):
     return orders, flags, monotone
 
 
-# The (run, problem) pairs of a study, set in each forked worker by
+# The (name, run, problem) tasks of a study, set in each forked worker by
 # _adopt_tasks when the pool starts it; the parent never changes it.
 _tasks = ()
 
@@ -356,17 +352,21 @@ def _adopt_tasks(tasks):
 
 
 def _run_task(index):
-    """Run task index in a worker; return the index, the final state
-    without its mesh (the parent holds it), the diagnostics and the
-    profile."""
-    run, problem = _tasks[index]
+    """Run task index in a worker and gate it by check_run; return the
+    index, the final state without its mesh (the parent holds it), the
+    diagnostics, the profile and the checks."""
+    name, run, problem = _tasks[index]
     states, diagnostics, profile = run(problem)
-    return index, replace(states[-1], mesh=None), diagnostics, profile
+    checks = check_run(name, problem, states[-1], diagnostics)
+    return index, replace(states[-1], mesh=None), diagnostics, profile, checks
 
 
 def check_scales(eps_list, field="eps_list", where=None):
     """Raise ValidationError, naming field and where, unless the scales
-    strictly decrease and each lies in STUDY_EPS."""
+    are at least one, strictly decrease and each lies in STUDY_EPS."""
+    if not eps_list:
+        raise ValidationError("scale list is empty", field=field,
+                              where=where)
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValidationError("scale list must be strictly decreasing",
                               field=field, where=where)
@@ -393,9 +393,10 @@ def run_convergence_study(regime, geometry, c_plus, c_minus,
     coarser scales from the finest down.  Forked workers inherit those
     inputs, so neither the meshes nor the initial data callables, which
     may be local functions, are pickled; the pool forks them before it
-    starts its own threads.  Each returns only its final fields,
-    diagnostics and profile.  The first run to raise ends the pool and
-    the study with its error.  Non-monotone error decay is flagged on
+    starts its own threads.  Each worker gates its run by check_run and
+    returns only its final fields, diagnostics, profile and checks.  The
+    first run to raise, an InvariantViolation included, ends the pool
+    and the study with its error.  Non-monotone error decay is flagged on
     the returned study, not raised.
     """
     import multiprocessing
@@ -415,16 +416,16 @@ def run_convergence_study(regime, geometry, c_plus, c_minus,
     coeffs, solutions = compute_effective_coefficients(
         geometry, mesh=meshes[0].cell_mesh)
 
-    def task(run, problem_type, mesh, *lead):
+    def task(name, run, problem_type, mesh, *lead):
         cp, cm = macro.initial_concentrations(mesh, c_plus, c_minus, regime)
-        return run, problem_type(*lead, regime, cp, cm, t_end=t_end, dt=dt,
-                                 lam=lam, snapshot_stride=0)
+        return name, run, problem_type(*lead, regime, cp, cm, t_end=t_end,
+                                       dt=dt, lam=lam, snapshot_stride=0)
 
     macro_mesh = generate_unit_cell_mesh(UnitCellGeometry(None, macro_h))
-    tasks = [task(macro.run_macro, macro.MacroProblem, macro_mesh,
+    tasks = [task("macro", macro.run_macro, macro.MacroProblem, macro_mesh,
                   macro_mesh, coeffs)]
-    tasks += [task(micro.run_micro, micro.MicroProblem, mesh, dom, mesh)
-              for dom, mesh in zip(domains, meshes)]
+    tasks += [task("eps=%g" % dom.eps, micro.run_micro, micro.MicroProblem,
+                   mesh, dom, mesh) for dom, mesh in zip(domains, meshes)]
     workers = min(len(tasks), len(os.sched_getaffinity(0)))
     # The finest scale, the macro run, then the coarser scales.
     order = [len(tasks) - 1, 0, *range(len(tasks) - 2, 0, -1)]
@@ -432,9 +433,10 @@ def run_convergence_study(regime, geometry, c_plus, c_minus,
             workers, _adopt_tasks, (tasks,)) as pool:
         results = sorted(pool.imap_unordered(_run_task, order),
                          key=lambda r: r[0])
-    _, finals, diagnostics, profiles = zip(*results)
+    _, finals, diagnostics, profiles, checks = zip(*results)
     finals = [replace(final, mesh=problem.mesh)
-              for final, (_, problem) in zip(finals, tasks)]
+              for final, (_, _, problem) in zip(finals, tasks)]
+    names = [name for name, _, _ in tasks]
     micro_finals = dict(zip(eps_list, finals[1:]))
 
     errors = compare_scales(regime, coeffs, solutions, finals[0],
@@ -450,5 +452,5 @@ def run_convergence_study(regime, geometry, c_plus, c_minus,
         monotone=monotone, macro_diagnostics=diagnostics[0],
         micro_diagnostics=dict(zip(eps_list, diagnostics[1:])),
         macro_final=finals[0], micro_finals=micro_finals,
-        profiles=dict(zip(["macro"] + ["eps=%g" % eps for eps in eps_list],
-                          profiles)))
+        profiles=dict(zip(names, profiles)),
+        invariants=dict(zip(names, checks)))

@@ -1,6 +1,7 @@
 """Configuration parsing, subcommand behavior, and exit codes."""
 
 import ast
+import csv
 import json
 import logging
 import math
@@ -33,6 +34,28 @@ def write_config(tmp_path, payload, name="config.json"):
 def run(tmp_path, command, payload):
     return cli.main([command, "--config",
                      write_config(tmp_path, payload)])
+
+
+def read_rows(path):
+    with open(path, newline="") as handle:
+        return list(csv.DictReader(handle))
+
+
+# The checks of a run on the Neumann branch; the Dirichlet branch has no
+# potential_zero_mean.
+NEUMANN_CHECKS = ["mass_conservation", "min_concentration",
+                  "max_concentration", "potential_zero_mean",
+                  "pressure_zero_mean", "velocity_divergence_free"]
+
+
+def assert_every_check_passed(manifest, tasks, names=NEUMANN_CHECKS):
+    """The manifest lists the checks names for exactly tasks, every one
+    passed."""
+    invariants = manifest["invariants"]
+    assert sorted(invariants) == sorted(tasks)
+    for checks in invariants.values():
+        assert [check["name"] for check in checks] == names
+        assert all(check["passed"] is True for check in checks)
 
 
 def test_every_error_class_is_raised_and_every_origin_is_one():
@@ -146,8 +169,8 @@ def test_parse_rejects_bad_entries():
 
 def test_importing_the_cli_leaves_scipy_spatial_unloaded():
     # Only the disk-cell mesher needs scipy.spatial, whose import took
-    # 79-157 ms of the 543 ms of importing the CLI; every command, check
-    # included, pays the CLI's import.
+    # 79-157 ms of the 543 ms of importing the CLI; every command pays
+    # the CLI's import.
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     done = subprocess.run(
         [sys.executable, "-c", "import sys; sys.path.insert(0, sys.argv[1]); "
@@ -199,13 +222,15 @@ def test_macro_command_writes_tables_and_snapshots(tmp_path):
         "discretization": {"h": 0.0625, "dt": 0.005, "T": 0.01},
         "output": {"directory": str(outdir)}})
     assert code == 0
-    rows = output.read_diagnostics_csv(outdir / "diagnostics.csv")
+    rows = read_rows(outdir / "diagnostics.csv")
     assert len(rows) == 3
-    assert rows[0]["t"] == 0.0
-    assert rows[-1]["t"] == 0.01
+    assert float(rows[0]["t"]) == 0.0
+    assert float(rows[-1]["t"]) == 0.01
     assert sorted(os.listdir(outdir)) == [
         "diagnostics.csv", "macro_0000.vtk", "macro_0001.vtk",
         "macro_0002.vtk", "manifest.json"]
+    assert_every_check_passed(
+        json.loads((outdir / "manifest.json").read_text()), ["macro"])
 
 
 def test_micro_command_runs_pore_scale(tmp_path):
@@ -216,9 +241,12 @@ def test_micro_command_runs_pore_scale(tmp_path):
         "discretization": {"eps": 0.5, "dt": 0.005, "T": 0.005},
         "output": {"directory": str(outdir), "formats": ["csv"]}})
     assert code == 0
-    rows = output.read_diagnostics_csv(outdir / "diagnostics.csv")
+    rows = read_rows(outdir / "diagnostics.csv")
     assert len(rows) == 2
     assert not any(name.endswith(".vtk") for name in os.listdir(outdir))
+    assert_every_check_passed(
+        json.loads((outdir / "manifest.json").read_text()), ["micro"],
+        [name for name in NEUMANN_CHECKS if name != "potential_zero_mean"])
 
 
 def test_profiles_record_the_peak_memory_of_each_run(tmp_path, caplog):
@@ -327,6 +355,7 @@ def test_converge_printout_and_verdict_are_pinned(tmp_path, capsys):
     assert table == STUDY_TABLE
     assert manifest["flags"] == []
     assert manifest["monotone"] is True
+    assert_every_check_passed(manifest, ["macro", "eps=0.5", "eps=0.25"])
 
 
 def test_a_measure_added_to_the_table_reaches_every_output(
@@ -370,35 +399,6 @@ def test_a_non_finite_study_error_exits_two_without_artifacts(
     assert not (outdir / "study.csv").exists()
 
 
-def test_check_command_pass_and_fail(tmp_path, capsys):
-    good = tmp_path / "good.csv"
-    rows = [{"t": 0.0, "mass": 1.0, "charge": 0.1, "min_c": 0.2,
-             "max_c": 0.9, "fp_iters": 2},
-            {"t": 0.1, "mass": 1.0, "charge": 0.05, "min_c": 0.2,
-             "max_c": 0.9, "fp_iters": 2}]
-    output.write_diagnostics_csv(good, rows)
-    outdir = tmp_path / "out"
-    code = run(tmp_path, "check", {"diagnostics": str(good),
-                                   "output": {"directory": str(outdir)}})
-    assert code == 0
-    captured = capsys.readouterr()
-    assert "PASS mass_conservation" in captured.out
-
-    rows[1]["min_c"] = -0.5
-    bad = tmp_path / "bad.csv"
-    output.write_diagnostics_csv(bad, rows)
-    code = run(tmp_path, "check", {"diagnostics": str(bad),
-                                   "output": {"directory": str(outdir)}})
-    assert code == 3
-    captured = capsys.readouterr()
-    assert "FAIL min_concentration" in captured.out
-
-
-def test_check_requires_diagnostics_path(tmp_path, capsys):
-    assert run(tmp_path, "check", {}) == 1
-    assert "diagnostics" in capsys.readouterr().err
-
-
 def test_usage_errors_exit_one(tmp_path, capsys):
     assert cli.main(["bogus"]) == 1
     capsys.readouterr()
@@ -406,7 +406,9 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["--version"]) == 0
     capsys.readouterr()
-    assert cli.main(["check", "--fast"]) == 1
+    assert cli.main(["check"]) == 1
+    assert "invalid choice: 'check'" in capsys.readouterr().err
+    assert cli.main(["cell", "--fast"]) == 1
     assert "unrecognized arguments: --fast" in capsys.readouterr().err
     assert cli.main(["cell", "--config", str(tmp_path / "missing.json")]) == 1
     assert "cannot read config" in capsys.readouterr().err
@@ -415,11 +417,10 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "regime.alpha" in err
     assert "cli.parse_config" in err
-    ragged = tmp_path / "ragged.csv"
-    ragged.write_text("t,mass,charge,min_c,max_c,fp_iters\n0,1,0,0,1,0,5\n")
-    assert run(tmp_path, "check", {"diagnostics": str(ragged)}) == 1
-    assert ("MalformedDiagnostics [output.read_diagnostics_csv]"
-            in capsys.readouterr().err)
+    assert run(tmp_path, "macro", {"diagnostics": "rows.csv"}) == 1
+    err = capsys.readouterr().err
+    assert "unknown top-level key 'diagnostics'" in err
+    assert "(field diagnostics)" in err
 
 
 def readme_config_text():
@@ -454,7 +455,7 @@ def readme_config_text():
     *(pytest.param(command, {"discretization": {key: 0.5}},
                    "discretization." + key,
                    id="%s-unread-%s" % (command, key))
-      for command in ("cell", "check") for key in ("h", "dt", "T", "eps")),
+      for command in ("cell",) for key in ("h", "dt", "T", "eps")),
     *(pytest.param(command, {block: {key: value}}, "%s.%s" % (block, key),
                    id="%s-unread-%s" % (command, key))
       for command, block, key, value in (
@@ -464,14 +465,6 @@ def readme_config_text():
           ("cell", "initial", "lam", 2.0),
           ("cell", "output", "formats", ["csv"]),
           ("cell", "output", "snapshot_stride", 0),
-          ("check", "regime", "bc", "neumann"),
-          ("check", "regime", "phi_d", 0.0),
-          ("check", "geometry", "radius", 0.3),
-          ("check", "geometry", "cell_h", 0.05),
-          ("check", "initial", "kind", "uniform"),
-          ("check", "initial", "background", 0.1),
-          ("check", "output", "formats", ["vtk"]),
-          ("check", "output", "snapshot_stride", 0),
           ("converge", "geometry", "cell_h", 0.05),
           ("micro", "geometry", "cell_h", 0.05))),
 ])
@@ -518,7 +511,6 @@ ECHO_CONFIGS = {
     "micro": {"discretization": {"eps": 0.25},
               "output": {"formats": "csv", "snapshot_stride": 0}},
     "converge": {"discretization": {"eps": [0.25, 0.5], "dt": 0.005}},
-    "check": {"diagnostics": "rows.csv", "initial": {"lam": 2}},
 }
 
 
@@ -530,9 +522,7 @@ def test_the_echo_parses_back_to_the_same_run(command):
                               command=command)
     again = cli.parse_config(json.dumps(config.echo))
     assert vars(again) == vars(config)
-    assert sorted(config.echo) == sorted(
-        ["command", *cli.DEFAULTS] + (["diagnostics"]
-                                      if command == "check" else []))
+    assert sorted(config.echo) == sorted(["command", *cli.DEFAULTS])
     # The keys that the command does not read are left out.
     for name, defaults in cli.DEFAULTS.items():
         assert sorted(config.echo[name]) == sorted(
@@ -593,5 +583,58 @@ def test_converge_worker_failure_exits_two_and_ends_the_pool(
     assert not (outdir / "study.csv").exists()
     # No child process is left, not even an exited one waiting to be
     # reaped.
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def gained_mass(step):
+    """step with both species scaled by 1 + 1e-6: the charge stays
+    neutral, and the mass grows."""
+    def broken(*args, **kwargs):
+        c_plus, c_minus = step(*args, **kwargs)
+        return c_plus * (1 + 1e-6), c_minus * (1 + 1e-6)
+    return broken
+
+
+def negative_node(step):
+    """step with 0.25 of the lumped content of c_minus moved from node 0
+    to node 1: node 0 goes negative, and the mass and the charge keep."""
+    def broken(solver, *args, **kwargs):
+        c_plus, c_minus = step(solver, *args, **kwargs)
+        c_minus = c_minus.copy()
+        c_minus[0] -= 0.25
+        c_minus[1] += 0.25 * solver.lumped[0] / solver.lumped[1]
+        return c_plus, c_minus
+    return broken
+
+
+# The macro step warns of the negative node before the gate raises.
+@pytest.mark.filterwarnings("ignore::snpp.errors.NegativeConcentration")
+@pytest.mark.parametrize("breaking, check", [
+    (gained_mass, "mass_conservation"),
+    (negative_node, "min_concentration")], ids=["mass", "positivity"])
+@pytest.mark.parametrize("command", ["macro", "micro", "converge"])
+def test_a_violated_invariant_exits_three_without_artifacts(
+        tmp_path, capsys, monkeypatch, command, breaking, check):
+    # Every run is gated before it writes: a transport that breaks one
+    # invariant, on either scale and in the study's workers too, ends
+    # the command with the check named and nothing written.
+    monkeypatch.setattr(fem, "step_reacting_pair",
+                        breaking(fem.step_reacting_pair))
+    outdir = tmp_path / "out"
+    discretization = {"h": 0.0625, "dt": 0.005, "T": 0.01,
+                      "eps": {"micro": 0.5, "converge": [0.5, 0.25]}
+                      .get(command)}
+    payload = {"discretization": {key: value for key, value
+                                  in discretization.items()
+                                  if value is not None},
+               "output": {"directory": str(outdir)}}
+    if command == "macro":
+        payload["geometry"] = {"cell_h": 0.1}
+    assert run(tmp_path, command, payload) == 3
+    err = capsys.readouterr().err
+    assert "snpp: InvariantViolation [" in err
+    assert "%s: value" % check in err
+    assert not outdir.exists()
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)

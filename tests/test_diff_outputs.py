@@ -22,7 +22,7 @@ COEFFS = {"porosity": 0.80865828381745508, "D12": -3.69e-18,
 
 
 def write_run(directory, rows, coeffs, flags, monotone, profile=None,
-              config=None):
+              config=None, invariants=None):
     directory.mkdir()
     lines = [HEADER] + [",".join(repr(v) for v in row) for row in rows]
     (directory / "study.csv").write_text("\n".join(lines) + "\n")
@@ -34,6 +34,8 @@ def write_run(directory, rows, coeffs, flags, monotone, profile=None,
         manifest["profile"] = profile
     if config is not None:
         manifest["config"] = config
+    if invariants is not None:
+        manifest["invariants"] = invariants
     (directory / "manifest.json").write_text(json.dumps(manifest))
     return str(directory)
 
@@ -116,6 +118,36 @@ def test_a_changed_verdict_exits_one(tmp_path, changed):
     [key] = changed
     assert printed["manifest.json", key] == "DIFFERS"
     assert float(printed["study.csv", "e_phi"]) == 0.0
+
+
+def test_invariant_verdicts_are_compared_by_name_and_passed(tmp_path):
+    def invariants(drift, passed=True):
+        return {task: [{"name": "mass_conservation", "passed": passed,
+                        "value": drift, "tolerance": 1e-9},
+                       {"name": "min_concentration", "passed": True,
+                        "value": 0.2, "tolerance": 1e-6}]
+                for task in ("macro", "eps=0.5")}
+
+    first = write_run(tmp_path / "a", ROWS, COEFFS, [], True,
+                      invariants=invariants(3.4e-13))
+    # Values that differ between runs alone are not a different verdict.
+    code, printed = run_script(first, write_run(
+        tmp_path / "b", ROWS, COEFFS, [], True,
+        invariants=invariants(1.1e-13)))
+    assert code == 0
+    assert printed["manifest.json", "invariants"] == "same"
+    changed = invariants(2e-6)
+    changed["eps=0.5"][0]["passed"] = False
+    code, printed = run_script(first, write_run(
+        tmp_path / "c", ROWS, COEFFS, [], True, invariants=changed))
+    assert code == 2
+    assert printed["manifest.json", "invariants"] == "DIFFERS"
+    assert printed["manifest.json", "flags"] == "same"
+    # Without invariants in both manifests nothing is compared.
+    code, printed = run_script(first, write_run(tmp_path / "d", ROWS,
+                                                COEFFS, [], True))
+    assert code == 0
+    assert ("manifest.json", "invariants") not in printed
 
 
 def test_profile_counts_that_differ_are_printed_per_task(tmp_path):

@@ -1,6 +1,5 @@
 """Invariant suite and scale-convergence harness behavior."""
 
-import dataclasses
 import json
 import multiprocessing.pool
 import os
@@ -18,7 +17,6 @@ from snpp.cell import (
 from snpp.errors import (
     GridMisaligned,
     InadmissibleScaling,
-    MalformedDiagnostics,
     NegativeConcentration,
     NonFiniteField,
     ValidationError,
@@ -62,7 +60,7 @@ def coupled_macro_run(h=1 / 16, t_end=0.02, dt=5e-3):
 
 def test_invariant_suite_passes_on_coupled_macro_run():
     states, diagnostics, regime = coupled_macro_run()
-    report = verify.run_invariant_suite(states, diagnostics, regime)
+    report = verify.run_invariant_suite(states[-1], diagnostics, regime)
     assert report.passed
     assert report.failures() == []
     names = [check.name for check in report.checks]
@@ -79,7 +77,7 @@ def test_invariant_suite_passes_on_pore_scale_run():
     problem = micro.MicroProblem(domain, mesh, regime, blob_plus(x, y),
                                  blob_minus(x, y), t_end=0.01, dt=5e-3)
     states, diagnostics, _ = micro.run_micro(problem)
-    report = verify.run_invariant_suite(states, diagnostics, regime)
+    report = verify.run_invariant_suite(states[-1], diagnostics, regime)
     assert report.passed
     names = [check.name for check in report.checks]
     assert "potential_zero_mean" not in names
@@ -120,7 +118,7 @@ def test_invariant_suite_flags_convective_undershoot():
     diagnostics.append(diag_row(state.c_plus, state.c_minus, dt))
     assert diagnostics[-1]["min_c"] < -1e-3
 
-    report = verify.run_invariant_suite([state], diagnostics,
+    report = verify.run_invariant_suite(state, diagnostics,
                                         macro.ScalingRegime("neumann", 0, 1, 1))
     assert not report.passed
     failed = [check.name for check in report.failures()]
@@ -130,32 +128,9 @@ def test_invariant_suite_flags_convective_undershoot():
 
 def test_invariant_suite_is_deterministic():
     states, diagnostics, regime = coupled_macro_run(t_end=0.01)
-    first = verify.run_invariant_suite(states, diagnostics, regime)
-    second = verify.run_invariant_suite(states, diagnostics, regime)
+    first = verify.run_invariant_suite(states[-1], diagnostics, regime)
+    second = verify.run_invariant_suite(states[-1], diagnostics, regime)
     assert first.checks == second.checks
-
-
-def test_invariant_suite_runs_on_bare_diagnostics():
-    _, diagnostics, _ = coupled_macro_run(t_end=0.01)
-    report = verify.run_invariant_suite(None, diagnostics)
-    assert report.passed
-    names = [check.name for check in report.checks]
-    assert names == ["mass_conservation", "min_concentration",
-                     "max_concentration"]
-
-
-def test_invariant_suite_rejects_malformed_input():
-    states, diagnostics, regime = coupled_macro_run(t_end=0.01)
-    with pytest.raises(MalformedDiagnostics):
-        verify.run_invariant_suite(states, [], regime)
-    with pytest.raises(MalformedDiagnostics):
-        verify.run_invariant_suite(states, [{"t": 0.0, "mass": 1.0}], regime)
-    broken = [dict(row) for row in diagnostics]
-    broken[-1]["mass"] = np.nan
-    with pytest.raises(MalformedDiagnostics):
-        verify.run_invariant_suite(states, broken, regime)
-    with pytest.raises(MalformedDiagnostics):
-        verify.run_invariant_suite([], diagnostics, regime)
 
 
 def test_cell_average_of_smooth_fields_matches_midpoints():
@@ -256,15 +231,12 @@ def test_charged_study_decays_and_corrector_improves():
     for plain, enhanced in zip(study.errors["phi_plain"],
                                study.errors["phi_corrected"]):
         assert enhanced < plain
-    reports = [verify.run_invariant_suite([study.macro_final],
-                                          study.macro_diagnostics, regime)]
-    for eps in (0.5, 0.25):
-        reports.append(verify.run_invariant_suite(
-            [study.micro_finals[eps]], study.micro_diagnostics[eps], regime))
-    for report in reports:
-        assert report.passed
-        assert all(type(check.passed) is bool for check in report.checks)
-        json.dumps([dataclasses.asdict(check) for check in report.checks])
+    # Each task's run was gated in its worker, and its checks came back.
+    assert list(study.invariants) == ["macro", "eps=0.5", "eps=0.25"]
+    for checks in study.invariants.values():
+        assert len(checks) == 6
+        assert all(check["passed"] is True for check in checks)
+    json.dumps(study.invariants)
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
@@ -363,6 +335,17 @@ def test_study_validates_scales_and_macro_mesh():
         verify.run_convergence_study(regime, DISK_CELL, blob_plus,
                                      blob_minus, eps_list=(0.5,),
                                      macro_h=0.15)
+
+
+def test_study_rejects_an_empty_scale_list():
+    # Without a scale there is no cell mesh to compute the coefficients
+    # on; the scale check names the argument before anything is meshed.
+    with pytest.raises(ValidationError) as info:
+        verify.run_convergence_study(macro.ScalingRegime("neumann", 0, 0, 0),
+                                     DISK_CELL, blob_plus, blob_minus,
+                                     eps_list=())
+    assert info.value.field == "eps_list"
+    assert str(info.value) == "scale list is empty"
 
 
 def constant_finals(mesh, macro_mesh, micro_fields, macro_fields):
