@@ -180,14 +180,12 @@ def _scatter(rows, cols, data, shape):
 def assemble_stiffness(mesh, coeff=None):
     """Stiffness matrix of the bilinear form grad u . C grad v.
 
-    coeff may be a scalar or a symmetric 2x2 tensor; None means identity.
+    coeff is a symmetric 2x2 tensor; None means identity.
     """
     areas, grads = triangle_data(mesh)
     if coeff is None:
         coeff = np.eye(2)
     coeff = np.asarray(coeff, dtype=float)
-    if coeff.ndim == 0:
-        coeff = float(coeff) * np.eye(2)
     t = mesh.triangles
     n = mesh.num_nodes
     cg = grads @ coeff.T  # (M, 3, 2)

@@ -22,6 +22,7 @@ from .errors import (
     InadmissibleScaling,
     IncompatibleSource,
     NegativeConcentration,
+    NoSolidPhase,
     NonFiniteField,
     ValidationError,
 )
@@ -73,11 +74,6 @@ class ScalingRegime:
     gamma: float
     phi_d: float = 0.0
 
-    def validate(self):
-        if self.bc_type not in (NEUMANN, DIRICHLET):
-            raise ValidationError("bc_type must be %r or %r"
-                                  % (NEUMANN, DIRICHLET), field="bc_type")
-
 
 @dataclass(frozen=True)
 class MacroModelClass:
@@ -115,24 +111,6 @@ class MacroProblem:
     lam: float = 1.0
     snapshot_stride: int = 1
 
-    def validate(self):
-        self.regime.validate()
-        check_concentrations(self.mesh, self.lam, self.c_plus, self.c_minus)
-        if not (self.dt > 0 and self.t_end > 0):
-            raise ValidationError("dt and t_end must be positive")
-
-
-def check_concentrations(mesh, lam, c_plus, c_minus):
-    """Reject species that are not nodal arrays on mesh within [0, lam]."""
-    for name, values in (("c_plus", c_plus), ("c_minus", c_minus)):
-        values = np.asarray(values)
-        if values.shape != (mesh.num_nodes,):
-            raise ValidationError("%s does not match the mesh" % name,
-                                  field=name)
-        if np.min(values) < 0 or np.max(values) > lam:
-            raise ValidationError(
-                "%s outside [0, %g] nodewise" % (name, lam), field=name)
-
 
 def classify_regime(regime):
     """Map a scaling regime onto the structure of its limit model.
@@ -140,7 +118,9 @@ def classify_regime(regime):
     Raises InadmissibleScaling outside the ranges where the limit model
     exists (the a priori estimates fail there).
     """
-    regime.validate()
+    if regime.bc_type not in (NEUMANN, DIRICHLET):
+        raise ValidationError("bc_type must be %r or %r"
+                              % (NEUMANN, DIRICHLET), field="bc_type")
     a, b, g = regime.alpha, regime.beta, regime.gamma
     if regime.bc_type == NEUMANN:
         if b - a < 0 or g - a < 0:
@@ -161,6 +141,27 @@ def classify_regime(regime):
         potential_model=POTENTIAL_ALGEBRAIC,
         darcy_forcing=FORCING_PLAIN,
         np_drift=DRIFT_OFF)
+
+
+def check_problem(problem):
+    """Check the input of a run at either scale; return its limit model.
+
+    Raises what classify_regime raises, and ValidationError unless both
+    species are nodal arrays on problem.mesh within [0, problem.lam] and
+    problem.dt and problem.t_end are positive.
+    """
+    model = classify_regime(problem.regime)
+    for name in ("c_plus", "c_minus"):
+        values = np.asarray(getattr(problem, name))
+        if values.shape != (problem.mesh.num_nodes,):
+            raise ValidationError("%s does not match the mesh" % name,
+                                  field=name)
+        if np.min(values) < 0 or np.max(values) > problem.lam:
+            raise ValidationError("%s outside [0, %g] nodewise"
+                                  % (name, problem.lam), field=name)
+    if not (problem.dt > 0 and problem.t_end > 0):
+        raise ValidationError("dt and t_end must be positive")
+    return model
 
 
 class _Operators:
@@ -266,30 +267,6 @@ def solve_macro_darcy(state, coeffs, model, ops, forcing=None):
     return pressure, velocity
 
 
-def step_macro_np(state, coeffs, model, ops, refill=True):
-    """One implicit transport-reaction step for both species.
-
-    The convection and drift operators are built from the current
-    velocity and potential (semi-implicit linearization) and applied
-    implicitly; the reaction pair is advanced in the same block solve, so
-    total mass is conserved and the total charge decays by the exact
-    factor 1/(1 + 2 dt).  ops is the _Operators of the run, built with
-    the step dt, whose TransportSolver keeps its LU across steps; without
-    refill, its block is the one of the last step, which must have read
-    the same velocity and potential.
-    """
-    drift = state.phi if model.np_drift == DRIFT_ON else None
-    c_plus, c_minus = fem.step_reacting_pair(
-        ops.transport, state.velocity, drift, coeffs.diffusion,
-        state.c_plus, state.c_minus, refill=refill)
-    low = min(float(np.min(c_plus)), float(np.min(c_minus)))
-    if low < -1e-8:
-        warnings.warn(NegativeConcentration(
-            "concentration dipped to %g; the time step is too large "
-            "for this mesh" % low))
-    return c_plus, c_minus
-
-
 def make_neutral(mesh, c_plus, c_minus):
     """Shift both species so the discrete net charge vanishes exactly.
 
@@ -336,8 +313,8 @@ def run_steps(problem, update_fields, transport, lumped, content_scale=1.0,
     g_k is the largest change of a concentration in sweep k (g_1 against
     the step's starting concentrations) and q is the largest ratio
     g_k / g_(k-1) seen so far in the run; for q >= 1/2 this is the gap
-    itself.  NonFiniteField is raised as soon as a transport step
-    returns a concentration that is not finite.
+    itself.  A transport result raises NonFiniteField when it is not
+    finite, and warns NegativeConcentration when it dips below -1e-8.
 
     The first sweep of a step reads the fields in state as they are.
     The fields are computed from the final concentrations of a step only
@@ -423,6 +400,12 @@ def run_steps(problem, update_fields, transport, lumped, content_scale=1.0,
                     "transport step produced a non-finite concentration "
                     "at t=%g" % (state.t + problem.dt),
                     where="macro.run_steps")
+            low = min(float(np.min(candidate[0])),
+                      float(np.min(candidate[1])))
+            if low < -1e-8:
+                warnings.warn(NegativeConcentration(
+                    "concentration dipped to %g; the time step is too large "
+                    "for this mesh" % low))
             if not iterate:
                 break
             gap = max(float(np.max(np.abs(candidate[0] - previous[0]))),
@@ -483,23 +466,28 @@ def peak_rss_mb():
 def run_macro(problem):
     """Advance the macroscopic system to t_end with run_steps.
 
-    Per step the potential, the velocity, and the transport are updated
-    in sequence; when the regime couples them (electrostatic forcing or
-    drift), the sweep is iterated to a fixed point of the new
-    concentrations.  Every field solve is direct, so the field
-    tolerance of run_steps changes nothing here.  Returns (states,
-    diagnostics, profile) where diagnostics is one dict per step with
-    keys t, mass, charge, min_c, max_c, fp_iters (mass and charge are
-    porosity-weighted) and profile holds the wall seconds of the call
-    (run_s), the peak resident memory of the process at its end
+    After check_problem, coefficients without a dirichlet_mean (a cell
+    without an inclusion) raise NoSolidPhase on the algebraic potential
+    branch.  Per step the potential, the velocity, and the transport
+    (fem.step_reacting_pair) are updated in sequence; when the regime
+    couples them (electrostatic forcing or drift), the sweep is iterated
+    to a fixed point of the new concentrations.  Every field solve is
+    direct, so the field tolerance of run_steps changes nothing here.
+    Returns (states, diagnostics, profile) where diagnostics is one dict
+    per step with keys t, mass, charge, min_c, max_c, fp_iters (mass and
+    charge are porosity-weighted) and profile holds the wall seconds of
+    the call (run_s), the peak resident memory of the process at its end
     (peak_rss_mb), the sweeps (the sum of fp_iters) and field updates
     (potential and Darcy solves) of run_steps and the
     TransportSolver.profile of the run.
     """
     started = time.perf_counter()
-    problem.validate()
-    model = classify_regime(problem.regime)
+    model = check_problem(problem)
     coeffs = problem.coeffs
+    if model.potential_model == POTENTIAL_ALGEBRAIC \
+            and coeffs.dirichlet_mean is None:
+        raise NoSolidPhase("the algebraic potential closure needs a cell "
+                           "with a solid inclusion", where="macro.run_macro")
     ops = _Operators(problem.mesh, coeffs, problem.dt)
     coupled = (model.darcy_forcing == FORCING_ELECTRO
                or model.np_drift == DRIFT_ON)
@@ -514,8 +502,10 @@ def run_macro(problem):
             state, coeffs, model, ops)
 
     def transport(state, c_plus, c_minus, refill):
-        base = replace(state, c_plus=c_plus, c_minus=c_minus)
-        return step_macro_np(base, coeffs, model, ops, refill)
+        drift = state.phi if model.np_drift == DRIFT_ON else None
+        return fem.step_reacting_pair(ops.transport, state.velocity, drift,
+                                      coeffs.diffusion, c_plus, c_minus,
+                                      refill=refill)
 
     states, diagnostics, counts = run_steps(
         problem, update_fields, transport, ops.lumped,

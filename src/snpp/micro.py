@@ -19,11 +19,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import fem
-from .errors import NoSolidPhase, ValidationError
+from .errors import NoSolidPhase
 from .macro import (
     NEUMANN,
-    check_concentrations,
-    classify_regime,
+    check_problem,
     peak_rss_mb,
     run_steps,
     solve_neumann_potential,
@@ -51,16 +50,10 @@ class MicroProblem:
     lam: float = 1.0
     snapshot_stride: int = 1
 
-    def validate(self):
-        classify_regime(self.regime)
-        check_concentrations(self.mesh, self.lam, self.c_plus, self.c_minus)
-        if not (self.dt > 0 and self.t_end > 0):
-            raise ValidationError("dt and t_end must be positive")
-
 
 class _Operators:
     """Matrices and factorizations of one run_micro call of step dt, with
-    the potential, flow and transport solves built on them.
+    the potential and flow solves built on them and the TransportSolver.
 
     On the Neumann branch one ZeroMeanLU of the P1 stiffness serves the
     potential, whose eps^alpha coefficient divides the solution, and the
@@ -120,17 +113,13 @@ class _Operators:
         velocity, pressure = self.stokes.solve(forcing, tol)
         return fem.p2_element_means(self.mesh, velocity), pressure
 
-    def step_transport(self, c_plus, c_minus, velocity, phi, refill):
-        return fem.step_reacting_pair(self.transport, velocity, phi,
-                                      self.drift_tensor, c_plus, c_minus,
-                                      refill=refill)
-
 
 def run_micro(problem):
     """Advance the pore-scale system to t_end with macro.run_steps.
 
-    Every step iterates the splitting sweep to a fixed point of the new
-    concentrations, like the upscaled solver.  The field tolerance of
+    After macro.check_problem, every step iterates the splitting sweep
+    to a fixed point of the new concentrations, like the upscaled
+    solver, with the same transport step.  The field tolerance of
     run_steps reaches the Stokes solve, where only the Schur route reads
     it; the potential solves are direct.  The states hold the
     elementwise means of the P2 Stokes velocity.  Returns (states,
@@ -138,7 +127,7 @@ def run_micro(problem):
     StokesOperator.profile of the run added to the profile.
     """
     started = time.perf_counter()
-    problem.validate()
+    check_problem(problem)
     ops = _Operators(problem.mesh, problem.regime, problem.dt)
 
     def update_fields(state, tol):
@@ -148,8 +137,9 @@ def run_micro(problem):
                                                         tol)
 
     def transport(state, c_plus, c_minus, refill):
-        return ops.step_transport(c_plus, c_minus, state.velocity,
-                                  state.phi, refill)
+        return fem.step_reacting_pair(ops.transport, state.velocity,
+                                      state.phi, ops.drift_tensor, c_plus,
+                                      c_minus, refill=refill)
 
     states, diagnostics, counts = run_steps(problem, update_fields,
                                             transport, ops.lumped)

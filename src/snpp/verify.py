@@ -25,6 +25,7 @@ from .cell import compute_effective_coefficients, corrector_node_values
 from .errors import (
     GridMisaligned,
     InvariantViolation,
+    NoSolidPhase,
     NonFiniteField,
     ValidationError,
 )
@@ -57,20 +58,6 @@ class InvariantCheck:
     tolerance: float
 
 
-@dataclass
-class InvariantReport:
-    """Outcome of the full registered check list for one run."""
-
-    checks: list
-
-    @property
-    def passed(self):
-        return all(check.passed for check in self.checks)
-
-    def failures(self):
-        return [check for check in self.checks if not check.passed]
-
-
 def _weighted_mean_magnitude(mesh, values):
     weight = fem.lumped_mass(mesh)
     return abs(float(weight @ values)) / float(weight.sum())
@@ -92,8 +79,8 @@ def run_invariant_suite(final, diagnostics, regime, lam=1.0):
     Works on the final state and the diagnostics of a run of either
     transient solver, with the regime and the concentration bound lam of
     its problem; the potential check runs on the Neumann branch only.
-    Failures become report entries, never exceptions; check_run turns
-    them into one.
+    Returns the list of InvariantCheck, failed ones included, and never
+    raises on a failure; check_run turns the failures into one error.
     """
     checks = []
     mass0 = diagnostics[0]["mass"]
@@ -122,7 +109,7 @@ def run_invariant_suite(final, diagnostics, regime, lam=1.0):
     checks.append(InvariantCheck("velocity_divergence_free",
                                  value <= DIVERGENCE_TOL,
                                  value, DIVERGENCE_TOL))
-    return InvariantReport(checks)
+    return checks
 
 
 def check_run(task, problem, final, diagnostics):
@@ -132,14 +119,15 @@ def check_run(task, problem, final, diagnostics):
     tolerance}; raises InvariantViolation, whose where is task and whose
     message names every failed check, when any check fails.
     """
-    report = run_invariant_suite(final, diagnostics, problem.regime,
+    checks = run_invariant_suite(final, diagnostics, problem.regime,
                                  problem.lam)
-    if not report.passed:
+    failures = [check for check in checks if not check.passed]
+    if failures:
         raise InvariantViolation("; ".join(
             "%s: value %.3e, tolerance %.1e"
             % (check.name, check.value, check.tolerance)
-            for check in report.failures()), where=task)
-    return [asdict(check) for check in report.checks]
+            for check in failures), where=task)
+    return [asdict(check) for check in checks]
 
 
 @dataclass
@@ -386,7 +374,8 @@ def run_convergence_study(regime, geometry, c_plus, c_minus,
     data; on the Neumann branch each run neutralizes its own discrete
     charge.  Pore meshes use h = eps/8, so every scale shares one cell
     mesh, and the effective coefficients are computed on exactly that
-    mesh.  The checks, the meshes, the coefficients and the initial data
+    mesh.  The checks (a geometry without an inclusion raises
+    NoSolidPhase), the meshes, the coefficients and the initial data
     are made here; then the macro run and one pore-scale run per scale
     go to a pool of min(tasks, usable CPUs) workers forked from this
     process, longest first: the finest scale, the macro run, then the
@@ -404,6 +393,9 @@ def run_convergence_study(regime, geometry, c_plus, c_minus,
     model = macro.classify_regime(regime)
     eps_list = [float(e) for e in eps_list]
     check_scales(eps_list)
+    if geometry.inclusion is None:
+        raise NoSolidPhase("a convergence study needs a cell with a solid "
+                           "inclusion", where="verify.run_convergence_study")
     for eps in eps_list:
         ratio = eps / macro_h
         if abs(round(ratio) - ratio) > 1e-9 or round(ratio) < 1:

@@ -14,8 +14,9 @@ import sys
 import numpy as np
 import pytest
 
-from snpp import cli, errors, fem, macro, output, verify
+from snpp import cli, errors, fem, macro, micro, output, verify
 from snpp.errors import ParseError, ValidationError
+from snpp.mesh import PerforatedDomain, generate_perforated_mesh
 
 from oracles import read_coefficients
 
@@ -565,14 +566,96 @@ def test_non_finite_field_exits_two_without_artifacts(
     assert not (outdir / "study.csv").exists()
 
 
+DIRICHLET_REGIME = {"bc": "dirichlet", "alpha": 2, "beta": 1, "gamma": 1,
+                    "phi_d": 0.5}
+
+
+@pytest.mark.parametrize("command, regime", [
+    ("macro", DIRICHLET_REGIME), ("converge", {}),
+    ("converge", DIRICHLET_REGIME)],
+    ids=["macro-dirichlet", "converge-neumann", "converge-dirichlet"])
+def test_a_run_that_needs_an_inclusion_exits_one_without_one(
+        tmp_path, capsys, monkeypatch, command, regime):
+    # The algebraic potential closure reads the cell's dirichlet_mean,
+    # and a study upscales a porous medium: without an inclusion there
+    # is neither.  A study refuses before it builds any mesh.
+    def no_mesh(*args, **kwargs):
+        raise AssertionError("a mesh was built")
+
+    monkeypatch.setattr(verify, "generate_perforated_mesh", no_mesh)
+    monkeypatch.setattr(verify, "generate_unit_cell_mesh", no_mesh)
+    outdir = tmp_path / "out"
+    geometry = {"radius": None}
+    if command == "macro":
+        geometry["cell_h"] = 0.125
+    code = run(tmp_path, command, {
+        "geometry": geometry, "regime": regime,
+        "discretization": {"h": 0.0625, "dt": 0.005, "T": 0.01},
+        "output": {"directory": str(outdir)}})
+    assert code == 1
+    err = capsys.readouterr().err
+    where = {"macro": "macro.run_macro",
+             "converge": "verify.run_convergence_study"}[command]
+    assert "snpp: NoSolidPhase [%s]" % where in err
+    assert "Traceback" not in err
+    assert not outdir.exists()
+
+
+def test_schur_route_past_its_budget_exits_two_without_artifacts(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(fem, "DIRECT_DOF_LIMIT", 0)
+    monkeypatch.setattr(fem, "SCHUR_MAX_ITER", 1)
+    outdir = tmp_path / "out"
+    code = run(tmp_path, "micro", {
+        "discretization": {"eps": 0.5, "h": 0.0625, "dt": 0.005, "T": 0.01},
+        "output": {"directory": str(outdir)}})
+    assert code == 2
+    assert ("snpp: MaxIterationsExceeded [fem.StokesOperator.solve]"
+            in capsys.readouterr().err)
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("kind", ["uniform", "shared_blob"])
+def test_initial_kinds_without_charge_stay_neutral(kind):
+    # Equal species carry no charge, so the potential and the flow stay
+    # zero; uniform data also stays at its background.
+    config = cli.parse_config(json.dumps({
+        "initial": {"kind": kind},
+        "discretization": {"eps": 0.5, "dt": 0.005, "T": 0.01}}), "micro")
+    domain = PerforatedDomain(config.eps, config.geometry)
+    mesh = generate_perforated_mesh(domain, config.h)
+    c_plus, c_minus = macro.initial_concentrations(
+        mesh, *cli.initial_functions(config.initial), config.regime)
+    states, diagnostics, _ = micro.run_micro(micro.MicroProblem(
+        domain, mesh, config.regime, c_plus, c_minus, t_end=config.t_end,
+        dt=config.dt))
+    assert len(diagnostics) == 3
+    assert max(abs(row["charge"]) for row in diagnostics) <= 1e-15
+    for state in states:
+        assert np.max(np.abs(state.phi)) <= 1e-15
+        assert np.max(np.abs(state.velocity)) <= 1e-15
+        if kind == "uniform":
+            background = config.initial["background"]
+            for values in (state.c_plus, state.c_minus):
+                assert np.max(np.abs(values - background)) \
+                    <= 1e-14 * background
+        else:
+            assert np.max(state.c_plus) > 2 * np.min(state.c_plus)
+
+
 def test_converge_worker_failure_exits_two_and_ends_the_pool(
         tmp_path, capsys, monkeypatch):
-    # Only the macro task steps through step_macro_np, so its worker
-    # raises while the pore-scale ones run.
-    def broken_step(state, coeffs, model, ops, refill=True):
-        return state.c_plus.copy(), np.full_like(state.c_minus, np.inf)
+    # Only the macro task steps on a mesh without a cell scale, so its
+    # worker raises while the pore-scale ones run.
+    step = fem.step_reacting_pair
 
-    monkeypatch.setattr(macro, "step_macro_np", broken_step)
+    def broken_step(solver, *args, **kwargs):
+        c_plus, c_minus = step(solver, *args, **kwargs)
+        if solver.mesh.eps is None:
+            c_minus = np.full_like(c_minus, np.inf)
+        return c_plus, c_minus
+
+    monkeypatch.setattr(fem, "step_reacting_pair", broken_step)
     outdir = tmp_path / "out"
     code = run(tmp_path, "converge", {
         "discretization": {"h": 0.0625, "dt": 0.005, "T": 0.01,

@@ -959,6 +959,25 @@ def test_schur_cg_starts_from_the_last_pressure(monkeypatch):
     assert 0 < iterations[1] < iterations[0]
 
 
+def test_schur_cg_raises_past_its_budget_and_on_lost_positivity(
+        monkeypatch):
+    mesh, _, viscosity, (forcing,) = perforated_stokes_case()
+    monkeypatch.setattr(fem, "DIRECT_DOF_LIMIT", 0)
+    monkeypatch.setattr(fem, "SCHUR_MAX_ITER", 1)
+    op = fem.StokesOperator(mesh, viscosity=viscosity)
+    with pytest.raises(MaxIterationsExceeded) as err:
+        op.solve(forcing)
+    assert err.value.where == "fem.StokesOperator.solve"
+    # S is positive on the zero-mean pressures; a product d.S d <= 0 means
+    # it is not, and the iteration stops at once.
+    op = fem.StokesOperator(mesh, viscosity=viscosity)
+    schur = op._schur
+    op._schur = lambda p: -schur(p)
+    with pytest.raises(SolverBreakdown, match="lost positivity") as err:
+        op.solve(forcing)
+    assert err.value.where == "fem.StokesOperator.solve"
+
+
 def test_stokes_zero_forcing_gives_zero_velocity():
     mesh = disk_mesh(0.1)
     vel, pressure = fem.StokesOperator(mesh).solve((0.0, 0.0))

@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from snpp import fem, macro
+from snpp import fem, macro, micro
 from snpp.cell import EffectiveCoefficients
 from snpp.errors import (
     FixedPointDivergence,
@@ -16,7 +16,13 @@ from snpp.errors import (
     NonFiniteField,
     ValidationError,
 )
-from snpp.mesh import UnitCellGeometry, generate_unit_cell_mesh
+from snpp.mesh import (
+    DiskInclusion,
+    PerforatedDomain,
+    UnitCellGeometry,
+    generate_perforated_mesh,
+    generate_unit_cell_mesh,
+)
 
 from oracles import (
     fixed_point_checked,
@@ -24,6 +30,9 @@ from oracles import (
     p1_basis_gradients,
     tri_area,
 )
+
+
+DISK_CELL = UnitCellGeometry(DiskInclusion((0.5, 0.5), 0.25), 0.125)
 
 
 def square_mesh(h):
@@ -469,6 +478,29 @@ def test_run_measures_the_contraction_on_every_step():
     assert max(sweep.step_errors(states)) <= macro.FIXED_POINT_TOL
 
 
+def test_run_after_a_zero_gap_stops_on_the_gap_alone():
+    # A first sweep that changes nothing and a second that does measure
+    # no contraction: the run takes it as unbounded, so every later step
+    # stops on its gap alone, one sweep later than at the measured
+    # contraction 1e-3 (compare test_run_stops_within_tolerance_of_the_
+    # fixed_point).
+    sweep = LinearSweep(lambda step: 1e-3)
+    linear = sweep.transport
+
+    def transport(state, c_plus, c_minus, refill):
+        if state.t > 0:
+            return linear(state, c_plus, c_minus, refill)
+        sweep.sweeps += 1
+        shift = 0.0 if sweep.sweeps == 1 else 1e-9
+        return c_plus + shift, c_minus.copy()
+
+    sweep.transport = transport
+    _, diagnostics = sweep.run()
+    assert [row["fp_iters"] for row in diagnostics[1:]] == [2] + [3] * 5
+
+
+# The diverging sweeps dip below zero before the cap.
+@pytest.mark.filterwarnings("ignore::snpp.errors.NegativeConcentration")
 def test_run_without_contraction_raises_at_the_cap():
     sweep = LinearSweep(lambda step: 1.5)
     with pytest.raises(FixedPointDivergence):
@@ -600,19 +632,34 @@ def test_run_stops_on_non_finite_concentration(monkeypatch, beta):
     assert info.value.where == "macro.run_steps"
 
 
-def test_step_warns_on_negative_concentration():
-    mesh = square_mesh(1 / 16)
-    x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
-    blob = np.exp(-200 * ((x - 0.3) ** 2 + (y - 0.5) ** 2))
+def test_step_warns_on_negative_concentration(monkeypatch):
+    # A sharp front pushed by a strong velocity undershoots zero, and
+    # run_steps warns of it on either scale.  The transport step sees
+    # the velocity (speed, 0) whatever the flow solve gave; the pore
+    # scale, on the mesh with a cell scale, diffuses 100 times faster
+    # than the macro run here, so it is pushed 100 times harder.
+    step = fem.step_reacting_pair
+
+    def pushed(solver, velocity, *args, **kwargs):
+        speed = 8.0 if solver.mesh.eps is None else 800.0
+        return step(solver, np.tile([speed, 0.0], (len(velocity), 1)),
+                    *args, **kwargs)
+
+    monkeypatch.setattr(fem, "step_reacting_pair", pushed)
+    regime = macro.ScalingRegime("neumann", 0, 1, 1)
     coeffs = identity_coeffs()
     coeffs.diffusion = 0.01 * np.eye(2)
-    state = bare_state(mesh, blob)
-    state.velocity = np.tile([8.0, 0.0], (mesh.num_triangles, 1))
-    model = macro.MacroModelClass(macro.POTENTIAL_ELLIPTIC,
-                                  macro.FORCING_PLAIN, macro.DRIFT_OFF)
-    with pytest.warns(NegativeConcentration):
-        macro.step_macro_np(state, coeffs, model,
-                            macro._Operators(mesh, coeffs, 0.05))
+    domain = PerforatedDomain(0.5, DISK_CELL)
+    square = square_mesh(1 / 16)
+    pores = generate_perforated_mesh(domain, 1 / 16)
+    cases = ((macro.run_macro, macro.MacroProblem, square, (square, coeffs)),
+             (micro.run_micro, micro.MicroProblem, pores, (domain, pores)))
+    for run, problem_type, mesh, lead in cases:
+        x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
+        blob = np.exp(-200 * ((x - 0.3) ** 2 + (y - 0.5) ** 2))
+        with pytest.warns(NegativeConcentration):
+            run(problem_type(*lead, regime, blob, blob, t_end=0.05,
+                             dt=0.05))
 
 
 def test_problem_validation_rejects_bad_data():
@@ -622,17 +669,17 @@ def test_problem_validation_rejects_bad_data():
     regime = macro.ScalingRegime("neumann", 0, 1, 1)
 
     with pytest.raises(ValidationError):
-        macro.MacroProblem(mesh, coeffs, regime, 1.5 * ones, ones,
-                           0.1, 1e-3).validate()
+        macro.check_problem(macro.MacroProblem(
+            mesh, coeffs, regime, 1.5 * ones, ones, 0.1, 1e-3))
     with pytest.raises(ValidationError):
-        macro.MacroProblem(mesh, coeffs, regime, -0.1 * ones, ones,
-                           0.1, 1e-3).validate()
+        macro.check_problem(macro.MacroProblem(
+            mesh, coeffs, regime, -0.1 * ones, ones, 0.1, 1e-3))
     with pytest.raises(ValidationError):
-        macro.MacroProblem(mesh, coeffs, regime, ones[:-1], ones,
-                           0.1, 1e-3).validate()
+        macro.check_problem(macro.MacroProblem(
+            mesh, coeffs, regime, ones[:-1], ones, 0.1, 1e-3))
     with pytest.raises(ValidationError):
-        macro.MacroProblem(mesh, coeffs, regime, 0.5 * ones, 0.5 * ones,
-                           0.1, -1e-3).validate()
+        macro.check_problem(macro.MacroProblem(
+            mesh, coeffs, regime, 0.5 * ones, 0.5 * ones, 0.1, -1e-3))
     # Unbalanced initial charge is caught by the first potential solve of
     # the run, before any step.
     with pytest.raises(IncompatibleSource) as err:

@@ -361,8 +361,8 @@ def test_charged_run_conserves_mass_and_stays_neutral(monkeypatch):
     assert max(abs(r["mass"] - mass0) for r in diagnostics) <= 1e-9 * mass0
     assert max(abs(r["charge"]) for r in diagnostics) <= 1e-12
     assert all(2 <= r["fp_iters"] <= 10 for r in diagnostics[1:])
-    assert verify.run_invariant_suite(states[-1], diagnostics,
-                                      neumann_regime()).passed
+    assert all(check.passed for check in verify.run_invariant_suite(
+        states[-1], diagnostics, neumann_regime()))
     # The state holds the element means of the last P2 flow, which is
     # no-slip on every wall.
     flow = flows[-1]
@@ -694,10 +694,10 @@ def test_problem_validation():
         problem = micro.MicroProblem(domain, mesh, regime, c_plus, good,
                                      t_end=0.01, dt=dt)
         with pytest.raises(ValidationError):
-            problem.validate()
+            macro.check_problem(problem)
     problem = micro.MicroProblem(domain, mesh, regime, good, good,
                                  t_end=0.01, dt=1e-3)
-    problem.validate()
+    assert macro.check_problem(problem) == macro.classify_regime(regime)
     # Unbalanced initial charge is caught by the first potential solve of
     # the run, before any step.
     with pytest.raises(IncompatibleSource) as err:
